@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _pairs
 from .errors import PreconditionError
-from .metric_space import MetricSpace, Subset
+from .metric_space import _DEFAULT_TOL, MetricSpace, Subset
 from .scalar_field import ScalarField, Series, Tabulated
-
-_DEFAULT_TOL = 1e-9
 
 
 def _as_values_on(A: Subset, phi) -> np.ndarray:
@@ -50,30 +49,36 @@ class Certificate:
                 f"{self.worst_violation:.3e} (tol {self.tolerance:.1e}){w}")
 
     def to_dict(self) -> dict:
-        return {
+        return _jsonable({
             "kind": self.kind,
             "passed": bool(self.passed),
             "worst_violation": float(self.worst_violation),
             "tolerance": float(self.tolerance),
-            "witness": _jsonable(self.witness),
-            "details": _jsonable(self.details),
-        }
+            "witness": self.witness,
+            "details": self.details,
+        })
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
-    return obj
+def _jsonable(x):
+    """Plain JSON data: numpy scalars and arrays unwrapped, non-finite
+    floats spelled "inf", "-inf" and "nan" (json.dumps would write bare
+    Infinity and NaN, which is not JSON)."""
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return [_jsonable(v) for v in x.tolist()]
+    if isinstance(x, (np.integer,)):
+        return int(x)
+    if isinstance(x, (np.floating,)):
+        x = float(x)
+    if isinstance(x, float):
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        if math.isnan(x):
+            return "nan"
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -91,17 +96,12 @@ def check_k_lipschitz(f: ScalarField, K: float, pairs=None,
     v = f.values()
     n = f.space.n
     if pairs is None:
-        D = f.space.pairwise()
-        E = np.abs(v[:, None] - v[None, :]) - K * D
-        iu = np.triu_indices(n, 1)
-        if iu[0].size == 0:
+        worst, witness = _pairs.worst_excess(f.space, v,
+                                             lambda r, c, d, o: K * d)
+        if witness is None:
             return Certificate("k-lipschitz", True, 0.0, tol,
                                details={"K": K, "pairs": 0})
-        flat = E[iu]
-        k = int(np.argmax(flat))
-        worst = float(flat[k])
-        witness = (int(iu[0][k]), int(iu[1][k]))
-        count = iu[0].size
+        count = n * (n - 1) // 2
     else:
         pairs = np.asarray(pairs, dtype=int)
         worst, witness = -math.inf, None
@@ -236,13 +236,7 @@ def pou_report(pou, tol: float = _DEFAULT_TOL) -> Certificate:
                     activity_worst = float(abs(M[i, p]))
                     activity_witness = (i, p)
 
-    member_lip = []
-    D = space.pairwise()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(len(members)):
-            num = np.abs(M[i][:, None] - M[i][None, :])
-            R = np.where(D > 0, num / np.where(D > 0, D, 1.0), 0.0)
-            member_lip.append(float(R.max()))
+    member_lip = [_pairs.max_slope(space, row)[0] for row in M]
 
     negativity = float(-M.min()) if members else 0.0
 
@@ -289,18 +283,12 @@ def certify_local_witness(f: ScalarField, witness, domain: Subset | None = None,
     for idx, entry in enumerate(witness.entries):
         p, delta, K = int(entry.point), float(entry.delta), float(entry.constant)
         inside = ids_all[D[p, ids_all] < 2.0 * delta]
-        if inside.size < 2:
-            per_entry.append(0.0)
-            continue
-        sub = np.abs(v[inside][:, None] - v[inside][None, :]) - K * D[np.ix_(inside, inside)]
-        iu = np.triu_indices(inside.size, 1)
-        flat = sub[iu]
-        k = int(np.argmax(flat))
-        e = float(flat[k])
-        per_entry.append(e)
-        if e > worst:
-            worst = e
-            worst_witness = (idx, (int(inside[iu[0][k]]), int(inside[iu[1][k]])))
+        e, pair = _pairs.worst_excess(space, v[inside], lambda r, c, d, o: K * d,
+                                      ids=inside)
+        per_entry.append(0.0 if pair is None else e)
+        # a NaN entry beats every number and stays the worst
+        if pair is not None and not (e <= worst) and worst == worst:
+            worst, worst_witness = e, (idx, pair)
     if worst_witness is None:
         worst = 0.0
 

@@ -19,26 +19,26 @@ import sys
 
 import numpy as np
 
-from . import fixtures
+from . import _pairs, fixtures
 from .certify import (Certificate, certify_local_witness, check_k_lipschitz,
                       pou_report, random_k_extension)
 from .errors import (CoverError, DomainError, GridError, InputError,
                      PreconditionError)
-from .extension import (duality_check, extend_to_interval, mcshane_envelopes,
+from .extension import (_pointwise_excess, duality_check, extend_to_interval,
                         pointwise_extend_to_interval)
 from .io import (field_on_space, load_cover, load_local_witness, load_mapping,
                  load_pointwise_witness, load_space, load_subset,
                  save_values_csv, save_wide_csv, values_on_subset,
                  write_certificates)
-from .local_lipschitz import (LocalWitness, decompose, local_extend,
-                              modulus_witness)
+from .local_lipschitz import (LocalWitness, decompose, generate_local_witness,
+                              local_extend, modulus_witness)
+from .metric_space import _DEFAULT_TOL, MetricSpace
 from .partition_of_unity import (frolik_pou, index_subordinate, staircase,
                                  staircase_partial_sum)
-from .scalar_field import Interval, global_lip
-from .selection import (IntervalMapping, decreasing_approx, graph_open_check,
-                        insert, select)
+from .scalar_field import Interval, Tabulated, global_lip
+from .selection import (_DEPTHS, IntervalMapping, decreasing_approx,
+                        graph_open_check, insert, select)
 
-_DEPTH_LADDER = (1, 2, 3, 6, 12, 20)
 _TOL_FLOOR = 1e-12
 _TOL_CEILING = 1e-3
 _DEMOS = ("sin-inv-t", "cusp-curve", "reciprocal-staircase", "dowker-step")
@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
     shared.add_argument("--n-max", type=int, default=5,
                         help="steps of the decreasing approximation")
     shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--tol", type=float, default=1e-9,
+    shared.add_argument("--tol", type=float, default=_DEFAULT_TOL,
                         help="tolerance override, within [1e-12, 1e-3]")
     shared.add_argument("--out-dir", default=".")
 
@@ -94,11 +94,11 @@ def _check_tol(tol: float) -> float:
 
 def _depth_ladder(cap):
     if cap is None:
-        return _DEPTH_LADDER
+        return _DEPTHS
     cap = int(cap)
     if cap < 1:
         raise InputError(f"--grid-depth must be positive, got {cap}")
-    return tuple([d for d in _DEPTH_LADDER if d < cap] + [cap])
+    return tuple([d for d in _DEPTHS if d < cap] + [cap])
 
 
 def _resolved_config(args, depths) -> dict:
@@ -259,18 +259,13 @@ def _cmd_extend_pointwise(args, tol, depths, out_dir):
     save_values_csv(os.path.join(out_dir, "extension.csv"), v)
 
     certs = [_restriction_cert(v, A, vals, tol)]
-    w = out.pointwise_witness
-    L = np.array([w.constants[p] for p in range(space.n)])
-    D = space.pairwise()
-    excess = np.abs(v[:, None] - v[None, :]) - L[:, None] * D
-    i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
-    certs.append(Certificate("pointwise-witness", float(excess[i, j]) <= tol,
-                             max(float(excess[i, j]), 0.0), tol,
-                             (int(i), int(j))))
+    excess, at = _pointwise_excess(out, out.pointwise_witness)
+    certs.append(Certificate("pointwise-witness", excess <= tol,
+                             max(excess, 0.0), tol, at))
     if interval.is_bounded:
         certs.append(_containment_cert(v, interval, tol))
         pair = out.envelopes
-        dA = D[:, A.members].min(axis=1)
+        dA = space.pairwise()[:, A.members].min(axis=1)
         lo_breach = pair.lower.values() - (interval.hi - dA)
         hi_breach = (interval.lo + dA) - pair.upper.values()
         worst = float(np.maximum(lo_breach, hi_breach).max())
@@ -411,7 +406,13 @@ def _cmd_insert(args, tol, depths, out_dir):
         if args.witness is not None:
             witness = load_local_witness(args.witness)
         else:
-            witness = _witness_on_subset(space, A, vals)
+            # exhaustive witness on A alone, entries centered there
+            A.require_nonempty("insertion domain")
+            sub = MetricSpace.from_matrix(
+                space.pairwise()[np.ix_(A.members, A.members)], validate=False)
+            witness = LocalWitness.from_triples(
+                (A.members[e.point], e.delta, e.constant)
+                for e in generate_local_witness(Tabulated(sub, vals)).entries)
     f = insert(space, lower, upper, A=A, phi=vals, witness=witness,
                tol=tol, depths=depths)
     v = f.values()
@@ -425,22 +426,6 @@ def _cmd_insert(args, tol, depths, out_dir):
         certs.append(Certificate("agrees-on-subset", worst == 0.0, worst, 0.0,
                                  details={"subset_size": len(A)}))
     return certs
-
-
-def _witness_on_subset(space, A, vals) -> LocalWitness:
-    """Exhaustive witness for values on a subset, entries centered there."""
-    D = space.pairwise()[np.ix_(A.members, A.members)]
-    triples = []
-    for i, p in enumerate(A.members):
-        row = D[i][D[i] > 0.0]
-        delta = float(row.min()) if row.size else 1.0
-        near = np.flatnonzero(D[i] < 2.0 * delta)
-        d2 = D[np.ix_(near, near)]
-        o2 = np.abs(vals[near][:, None] - vals[near][None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            K = float(np.where(d2 > 0.0, o2 / d2, 0.0).max(initial=0.0))
-        triples.append((int(p), delta, K))
-    return LocalWitness.from_triples(triples)
 
 
 def _cmd_approx(args, tol, depths, out_dir):
@@ -501,11 +486,7 @@ def _demo_cusp_curve(args, tol, depths, out_dir):
     v = f.values()
     D = space.pairwise()
     branch = np.arange(0, space.n, 2)
-    same = 0.0
-    for a in range(branch.size):
-        for b in range(a + 1, branch.size):
-            i, j = int(branch[a]), int(branch[b])
-            same = max(same, abs(v[i] - v[j]) / D[i, j])
+    same = _pairs.max_slope(space, v[branch], branch)[0]
     print("cusp curve u_t = (t^3, t^2), f(u_t) = sign(t) t^2")
     print(f"same-sign pair slopes stay bounded: max {same:.6f}")
     print(f"{'t':>10} {'slope(u_t,u_-t)':>16} {'1/t':>12}")

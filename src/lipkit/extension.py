@@ -23,13 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _pairs
 from .errors import PreconditionError
-from .metric_space import Subset
+from .metric_space import _DEFAULT_TOL, Subset
 from .scalar_field import (Constant, Interval, ScalarField, Transported,
-                           maximum, minimum, pointwise_lip)
+                           maximum, minimum)
 from .certify import _as_values_on
-
-_DEFAULT_TOL = 1e-9
 
 
 class Envelope(ScalarField):
@@ -74,18 +73,12 @@ class EnvelopePair:
 
 
 def _check_global_lipschitz_on(A: Subset, vals: np.ndarray, K: float, tol: float):
-    D = A.space.pairwise()[np.ix_(A.members, A.members)]
-    excess = np.abs(vals[:, None] - vals[None, :]) - K * D
-    iu = np.triu_indices(len(A), 1)
-    if iu[0].size == 0:
-        return
-    flat = excess[iu]
-    k = int(np.argmax(flat))
-    if flat[k] > tol:
-        pair = (int(A.members[iu[0][k]]), int(A.members[iu[1][k]]))
+    excess, pair = _pairs.worst_excess(A.space, vals, lambda r, c, d, o: K * d,
+                                       ids=A.members)
+    if not (excess <= tol):
         raise PreconditionError(
             f"phi is not {K}-Lipschitz on A: |phi({pair[0]})-phi({pair[1]})| "
-            f"exceeds the bound by {flat[k]:.3e}", witness=pair)
+            f"exceeds the bound by {excess:.3e}", witness=pair)
 
 
 def mcshane_envelopes(A: Subset, phi, K: float, tol: float = _DEFAULT_TOL) -> EnvelopePair:
@@ -218,19 +211,14 @@ class PointwiseWitness:
 
 def _check_pair_compatibility(A: Subset, vals: np.ndarray, consts: np.ndarray,
                               tol: float):
-    D = A.space.pairwise()[np.ix_(A.members, A.members)]
-    cap = np.minimum(consts[:, None], consts[None, :]) * D
-    excess = np.abs(vals[:, None] - vals[None, :]) - cap
-    iu = np.triu_indices(len(A), 1)
-    if iu[0].size == 0:
-        return
-    flat = excess[iu]
-    k = int(np.argmax(flat))
-    if flat[k] > tol:
-        pair = (int(A.members[iu[0][k]]), int(A.members[iu[1][k]]))
+    excess, pair = _pairs.worst_excess(
+        A.space, vals,
+        lambda r, c, d, o: np.minimum(consts[r, None], consts[None, c]) * d,
+        ids=A.members)
+    if not (excess <= tol):
         raise PreconditionError(
             f"pair compatibility fails at {pair}: "
-            f"|phi difference| exceeds min(L_x, L_y) d by {flat[k]:.3e}",
+            f"|phi difference| exceeds min(L_x, L_y) d by {excess:.3e}",
             witness=pair)
 
 
@@ -252,11 +240,9 @@ def pointwise_envelopes(A: Subset, phi, witness: PointwiseWitness,
 
 def generate_pointwise_witness(f: ScalarField, floor: float = 1.0) -> PointwiseWitness:
     """Exhaustive per-point constants of f over the whole sample."""
-    consts = {}
-    for p in range(f.space.n):
-        est = pointwise_lip(f, p)
-        consts[p] = max(est.value, floor)
-    return PointwiseWitness(consts)
+    slopes = _pairs.max_slope(f.space, f.values(), zero=math.inf, per_row=True)
+    return PointwiseWitness({p: max(float(s), floor)
+                             for p, s in enumerate(slopes)})
 
 
 def pointwise_extend_to_interval(A: Subset, phi, witness: PointwiseWitness,
@@ -305,15 +291,18 @@ def pointwise_extend_to_interval(A: Subset, phi, witness: PointwiseWitness,
     return out
 
 
+def _pointwise_excess(f: ScalarField, w: PointwiseWitness) -> tuple:
+    """Worst |f(p) - f(x)| - L_p d(p, x) over ordered pairs, with its pair."""
+    L = np.array([w.constants[p] for p in range(f.space.n)])
+    return _pairs.worst_excess(f.space, f.values(),
+                               lambda r, c, d, o: L[r, None] * d, upper=False)
+
+
 def _certified_output_witness(f: ScalarField, tol: float) -> PointwiseWitness:
     w = generate_pointwise_witness(f)
-    v = f.values()
-    D = f.space.pairwise()
-    L = np.array([w.constants[p] for p in range(f.space.n)])
-    excess = np.abs(v[:, None] - v[None, :]) - L[:, None] * D
-    if float(excess.max()) > tol:
-        p, x = np.unravel_index(int(np.argmax(excess)), excess.shape)
+    excess, pair = _pointwise_excess(f, w)
+    if not (excess <= tol):
         raise PreconditionError(
             "generated witness fails to certify the extension "
-            f"(pair {(int(p), int(x))})", witness=(int(p), int(x)))
+            f"(pair {pair})", witness=pair)
     return w

@@ -10,17 +10,16 @@ floats with repr, so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
-import math
-import os
 
 import numpy as np
 
 from ._version import __version__
+from .certify import _jsonable
 from .errors import InputError
 from .extension import PointwiseWitness
-from .local_lipschitz import LocalWitness, _ball_union_field
-from .metric_space import MetricSpace, Subset
-from .partition_of_unity import CozeroCover
+from .local_lipschitz import LocalWitness
+from .metric_space import _DEFAULT_TOL, MetricSpace, Subset
+from .partition_of_unity import CozeroCover, _BallUnion
 from .scalar_field import (Constant, Coordinate, DistanceTo, ScalarField,
                            Tabulated, Transported, maximum, minimum)
 
@@ -65,7 +64,8 @@ def _read_csv_floats(path):
 # Spaces
 
 
-def load_space(path, tol: float = 1e-9, validate: bool = True) -> MetricSpace:
+def load_space(path, tol: float = _DEFAULT_TOL,
+               validate: bool = True) -> MetricSpace:
     """Load a metric space, inferring the backend from the file.
 
     JSON with lo/hi/step is a grid; JSON with nodes/edges is a graph.
@@ -78,7 +78,7 @@ def load_space(path, tol: float = 1e-9, validate: bool = True) -> MetricSpace:
             raise InputError(f"{path}: expected a JSON object")
         if {"lo", "hi", "step"} <= set(obj):
             return MetricSpace.from_grid(float(obj["lo"]), float(obj["hi"]),
-                                         float(obj["step"]))
+                                         float(obj["step"]), validate, tol)
         if {"nodes", "edges"} <= set(obj):
             edges = []
             for j, e in enumerate(obj["edges"]):
@@ -90,15 +90,15 @@ def load_space(path, tol: float = 1e-9, validate: bool = True) -> MetricSpace:
                 else:
                     u, v, w = e
                     edges.append((int(u), int(v), float(w)))
-            return MetricSpace.from_graph(int(obj["nodes"]), edges)
+            return MetricSpace.from_graph(int(obj["nodes"]), edges, validate, tol)
         raise InputError(f"{path}: JSON is neither a grid nor a graph")
     data = _read_csv_floats(path)
     n, m = data.shape
     if n == m and float(np.abs(np.diag(data)).max()) == 0.0:
-        return MetricSpace.from_matrix(data, validate=validate, tol=tol)
+        return MetricSpace.from_matrix(data, validate, tol)
     ids = data[:, 0]
     if m >= 2 and np.array_equal(ids, np.arange(n, dtype=float)):
-        return MetricSpace.from_points(data[:, 1:])
+        return MetricSpace.from_points(data[:, 1:], validate, tol)
     raise InputError(
         f"{path}: CSV is neither a zero-diagonal square matrix nor an "
         f"id-prefixed point cloud")
@@ -212,7 +212,7 @@ def load_cover(path, space: MetricSpace) -> CozeroCover:
             raise InputError(f"{path}: witness {j} must be an object")
         if "balls" in w:
             balls = [(int(c), float(r)) for c, r in w["balls"]]
-            fields.append(_ball_union_field(space, balls))
+            fields.append(_BallUnion(space, balls, j))
         elif "values" in w:
             vals = np.asarray(w["values"], dtype=float)
             if vals.shape != (space.n,):
@@ -305,25 +305,6 @@ def load_mapping(path, space: MetricSpace):
 
 # ---------------------------------------------------------------------------
 # Certificates
-
-
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        x = float(x)
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-    return x
 
 
 def write_certificates(path, certs, config) -> bool:

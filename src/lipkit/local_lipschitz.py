@@ -22,15 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _pairs
 from .certify import _as_values_on, certify_local_witness
 from .errors import CoverError, PreconditionError
-from .extension import Envelope, extend_to_interval
-from .metric_space import Subset
-from .partition_of_unity import (CozeroCover, frolik_pou, index_subordinate)
+from .extension import Envelope, _require_phi_in, extend_to_interval
+from .metric_space import _DEFAULT_TOL, Subset
+from .partition_of_unity import (CozeroCover, _BallUnion, frolik_pou,
+                                 index_subordinate)
 from .scalar_field import (Constant, DistanceTo, Interval, ScalarField,
-                           Series, Tabulated, maximum, minimum)
+                           Series, Tabulated, minimum)
 
-_DEFAULT_TOL = 1e-9
 _DEFAULT_MAX_SLICES = 8
 
 
@@ -89,11 +90,7 @@ def generate_local_witness(f: ScalarField, deltas=None) -> LocalWitness:
         else:
             delta = float(deltas[p])
         ids = np.flatnonzero(D[p] < 2.0 * delta)
-        sub_d = D[np.ix_(ids, ids)]
-        sub_o = np.abs(v[ids][:, None] - v[ids][None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(sub_d > 0.0, sub_o / sub_d, 0.0)
-        triples.append((p, delta, float(ratios.max(initial=0.0))))
+        triples.append((p, delta, _pairs.max_slope(space, v[ids], ids)[0]))
     return LocalWitness.from_triples(triples)
 
 
@@ -107,7 +104,9 @@ class IncreasingCover:
 
     eta[x] is the first threshold whose set contains sample x; the
     thresholds are the distinct ceilings of the entry levels
-    max(K_p, osc_bound / delta_p).
+    max(K_p, osc_bound / delta_p).  The oscillation of a pair is
+    |f(x) - f(y)| over the sample values, compressed to o/(1 + o) when
+    compressed is set.
     """
 
     space: object
@@ -117,7 +116,8 @@ class IncreasingCover:
     memberships: dict
     eta: np.ndarray
     osc_bound: float
-    oscillation: np.ndarray
+    values: np.ndarray
+    compressed: bool
 
     def set_at(self, n: int) -> np.ndarray:
         out = np.zeros(self.space.n, dtype=bool)
@@ -128,44 +128,48 @@ class IncreasingCover:
 
     def soundness_check(self, tol: float = _DEFAULT_TOL):
         """Worst violation of the two-point bound, with its witness."""
-        D = self.space.pairwise()
-        worst = -math.inf
-        witness = None
+        num = _compress if self.compressed else None
+        worst, witness = -math.inf, None
         for t in self.thresholds:
             ids = np.flatnonzero(self.memberships[int(t)])
-            sub = self.oscillation[np.ix_(ids, ids)] - float(t) * D[np.ix_(ids, ids)]
-            np.fill_diagonal(sub, -math.inf)
-            if sub.size <= len(ids):
-                continue
-            k = int(np.argmax(sub))
-            i, j = np.unravel_index(k, sub.shape)
-            if float(sub[i, j]) > worst:
-                worst = float(sub[i, j])
-                witness = (int(t), (int(ids[i]), int(ids[j])))
+            e, pair = _pairs.worst_excess(
+                self.space, self.values[ids], lambda r, c, d, o: float(t) * d,
+                ids=ids, num=num, upper=False)
+            if pair is not None and e > worst:
+                worst = e
+                witness = (int(t), pair)
         return worst, witness
 
 
-def _cover_from_oscillation(space, witness: LocalWitness, osc: np.ndarray,
-                            tol: float, bound=None) -> IncreasingCover:
+def _compress(o):
+    return o / (1.0 + o)
+
+
+def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
+                            compressed: bool, tol: float,
+                            bound=None) -> IncreasingCover:
     D = space.pairwise()
-    osc_bound = float(osc.max(initial=0.0))
+    num = _compress if compressed else None
+    # the largest pair oscillation: an excess over a zero cap
+    osc_bound, pair = _pairs.worst_excess(space, v, lambda r, c, d, o: 0.0,
+                                          num=num)
+    osc_bound = max(osc_bound, 0.0)
     if bound is not None:
-        if osc_bound > float(bound) + tol:
-            i, j = np.unravel_index(int(np.argmax(osc)), osc.shape)
+        if not (osc_bound <= float(bound) + tol):
             raise PreconditionError(
                 f"oscillation {osc_bound:.6g} exceeds the supplied bound "
-                f"{float(bound):.6g}", witness=(int(i), int(j)))
+                f"{float(bound):.6g}", witness=pair)
         osc_bound = float(bound)
     levels = np.empty(len(witness))
     for j, e in enumerate(witness.entries):
         ids = np.flatnonzero(D[e.point] < 2.0 * e.delta)
-        excess = osc[np.ix_(ids, ids)] - e.constant * D[np.ix_(ids, ids)]
-        hi = float(excess.max())
-        if hi > tol:
-            i, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
+        hi, pair = _pairs.worst_excess(
+            space, v[ids], lambda r, c, d, o: e.constant * d,
+            ids=ids, num=num, upper=False)
+        if not (hi <= tol):
             raise PreconditionError(
                 f"entry {j} at point {e.point} fails on its doubled ball "
-                f"by {hi:.3e}", witness=(j, (int(ids[i]), int(ids[k]))))
+                f"by {hi:.3e}", witness=(j, pair))
         levels[j] = max(e.constant, osc_bound / e.delta)
     ceilings = np.maximum(1, np.ceil(levels - tol).astype(int))
     thresholds = np.unique(ceilings)
@@ -185,7 +189,7 @@ def _cover_from_oscillation(space, witness: LocalWitness, osc: np.ndarray,
             f"{uncovered.size} sample(s) lie in no witness ball, "
             f"first is {int(uncovered[0])}")
     return IncreasingCover(space, list(witness.entries), levels, thresholds,
-                           memberships, eta, osc_bound, osc)
+                           memberships, eta, osc_bound, v, compressed)
 
 
 def increasing_cover(f: ScalarField, witness: LocalWitness, bound=None,
@@ -196,9 +200,8 @@ def increasing_cover(f: ScalarField, witness: LocalWitness, bound=None,
     measured sample oscillation and enters the entry levels as
     max(K_p, bound / delta_p).
     """
-    v = f.values()
-    osc = np.abs(v[:, None] - v[None, :])
-    return _cover_from_oscillation(f.space, witness, osc, tol, bound=bound)
+    return _cover_from_oscillation(f.space, witness, f.values(), False, tol,
+                                   bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +231,22 @@ class ModulusWitness:
             base *= 1.0 + abs(float(self.f_values[x]) - float(self.f_values[y]))
         return base
 
+    def _rates(self, r, c, o):
+        """L(x, y) for rows r, columns c and gaps o = |f(x) - f(y)|."""
+        base = np.maximum(self.levels[r, None], self.levels[None, c])
+        return base * (1.0 + o) if self.kind == "unbounded" else base
+
     def matrix(self) -> np.ndarray:
-        base = np.maximum(self.levels[:, None], self.levels[None, :])
-        if self.kind == "unbounded":
-            base = base * (1.0 + np.abs(self.f_values[:, None]
-                                        - self.f_values[None, :]))
-        return base
+        f = self.f_values
+        return self._rates(slice(None), slice(None),
+                           np.abs(f[:, None] - f[None, :]))
 
     def certify(self, rel_tol: float = _DEFAULT_TOL):
         """Worst relative excess of |osc| over L d across sample pairs."""
-        D = self.space.pairwise()
-        osc = np.abs(self.f_values[:, None] - self.f_values[None, :])
-        cap = self.matrix() * D
-        excess = osc - cap * (1.0 + rel_tol)
-        np.fill_diagonal(excess, -math.inf)
-        k = int(np.argmax(excess))
-        i, j = np.unravel_index(k, excess.shape)
-        return float(excess[i, j]), (int(i), int(j))
+        return _pairs.worst_excess(
+            self.space, self.f_values,
+            lambda r, c, d, o: self._rates(r, c, o) * d * (1.0 + rel_tol),
+            upper=False)
 
 
 def modulus_witness(f: ScalarField, witness: LocalWitness, rule: str = "bounded",
@@ -262,10 +264,7 @@ def modulus_witness(f: ScalarField, witness: LocalWitness, rule: str = "bounded"
         raise PreconditionError(f"unknown rule {rule!r}")
     space = f.space
     v = f.values()
-    osc = np.abs(v[:, None] - v[None, :])
-    if rule == "unbounded":
-        osc = osc / (1.0 + osc)
-    cover = _cover_from_oscillation(space, witness, osc, tol)
+    cover = _cover_from_oscillation(space, witness, v, rule == "unbounded", tol)
     eta = cover.eta.astype(float)
     try:
         gap = space.min_positive_distance()
@@ -323,16 +322,6 @@ def _slice_groups(ball_peaks, max_slices):
     return exps, groups
 
 
-def _ball_union_field(space, balls) -> ScalarField:
-    """max(0, radius - d(center, .)) over the balls: 1-Lipschitz and
-    positive exactly on the union of the open balls."""
-    bump = None
-    for center, radius in balls:
-        tent = Constant(space, float(radius)) - DistanceTo(space, [int(center)])
-        bump = tent if bump is None else maximum(bump, tent)
-    return maximum(bump, Constant(space, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # Decomposition into bounded Lipschitz pieces
 
@@ -382,8 +371,8 @@ def decompose(f: ScalarField, witness: LocalWitness, tol: float = _DEFAULT_TOL,
         peaks.append(float(np.abs(v[ids]).max(initial=0.0)))
     exps, groups = _slice_groups(peaks, max_slices)
     cover = CozeroCover(space, [
-        _ball_union_field(space, [balls[b] for b in grp]) for grp in groups],
-        tol)
+        _BallUnion(space, [balls[b] for b in grp], g)
+        for g, grp in enumerate(groups)], tol)
     pou = frolik_pou(cover, tol, max_members)
     grouped = index_subordinate(pou)
 
@@ -392,28 +381,18 @@ def decompose(f: ScalarField, witness: LocalWitness, tol: float = _DEFAULT_TOL,
     for gi, n in enumerate(grouped.set_index):
         xi = grouped.members[gi]
         supp = np.flatnonzero(xi.values() > 0.0)
-        if supp.size == 0:
-            weights.append(xi)
-            pieces.append(Constant(space, 0.0))
-            members.append(Constant(space, 0.0))
-            supports.append(supp)
-            constants.append(0.0)
-            bounds.append(exps[n])
-            continue
         vals = v[supp]
-        lo, hi = float(vals.min()), float(vals.max())
-        sub_d = D[np.ix_(supp, supp)]
-        sub_o = np.abs(vals[:, None] - vals[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            K = float(np.where(sub_d > 0.0, sub_o / sub_d, 0.0).max(initial=0.0))
-        if lo == hi:
-            psi = Constant(space, lo)
+        K = _pairs.max_slope(space, vals, supp)[0]
+        if supp.size == 0:
+            psi = member = Constant(space, 0.0)
         else:
-            psi = extend_to_interval(Subset(space, supp), vals, K,
-                                     Interval.closed(lo, hi), tol)
+            lo, hi = float(vals.min()), float(vals.max())
+            psi = Constant(space, lo) if lo == hi else extend_to_interval(
+                Subset(space, supp), vals, K, Interval.closed(lo, hi), tol)
+            member = psi * xi
         weights.append(xi)
         pieces.append(psi)
-        members.append(psi * xi)
+        members.append(member)
         supports.append(supp)
         constants.append(K)
         bounds.append(exps[n])
@@ -445,11 +424,7 @@ def local_extend(A: Subset, phi, witness: LocalWitness, interval: Interval,
     if interval.is_degenerate:
         raise PreconditionError(f"degenerate target interval {interval}")
     vals = _as_values_on(A, phi)
-    for i, x in zip(A.members, vals):
-        if not interval.contains(float(x)):
-            raise PreconditionError(
-                f"phi({int(i)}) = {x!r} lies outside the target {interval}",
-                witness=int(i))
+    _require_phi_in(interval, A, vals)
     in_A = np.zeros(space.n, dtype=bool)
     in_A[A.members] = True
     for j, e in enumerate(witness.entries):
@@ -490,8 +465,8 @@ def local_extend(A: Subset, phi, witness: LocalWitness, interval: Interval,
     off = minimum(Constant(space, 1.0), DistanceTo(space, A.members))
     fields.append(off)
     labels.append("off-domain")
-    for j, grp in zip(exps, groups):
-        fields.append(_ball_union_field(space, [balls[b] for b in grp]))
+    for g, (j, grp) in enumerate(zip(exps, groups)):
+        fields.append(_BallUnion(space, [balls[b] for b in grp], g))
         labels.append(j)
     cover = CozeroCover(space, fields, tol)
     pou = frolik_pou(cover, tol, max_members)
@@ -506,18 +481,10 @@ def local_extend(A: Subset, phi, witness: LocalWitness, interval: Interval,
         xi = grouped.members[gi]
         supp = np.flatnonzero((xi.values() > 0.0) & in_A)
         if supp.size == 0:
-            grp = groups[n - 1]
-            reach = np.zeros(space.n, dtype=bool)
-            for b in grp:
-                center, radius = balls[b]
-                reach |= D[center] < radius
-            supp = np.flatnonzero(reach & in_A)
+            supp = np.flatnonzero((fields[n].values() > 0.0) & in_A)
         sub = Subset(space, supp)
         sub_vals = vals[np.searchsorted(A.members, supp)]
-        sub_d = D[np.ix_(supp, supp)]
-        sub_o = np.abs(sub_vals[:, None] - sub_vals[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            K = float(np.where(sub_d > 0.0, sub_o / sub_d, 0.0).max(initial=0.0))
+        K = _pairs.max_slope(space, sub_vals, supp)[0]
         pieces.append(extend_to_interval(sub, sub_vals, K, interval, tol))
 
     members = [pieces[gi] * grouped.members[gi]

@@ -22,10 +22,10 @@ import numpy as np
 
 from .certify import check_k_lipschitz
 from .errors import CoverError, InputError, PreconditionError
-from .scalar_field import (Constant, DistanceTo, ScalarField, Series,
-                           Transported, global_lip, maximum, minimum)
+from .metric_space import _DEFAULT_TOL
+from .scalar_field import (Constant, ScalarField, Series, Transported,
+                           global_lip, maximum, minimum)
 
-_DEFAULT_TOL = 1e-9
 _DEFAULT_MEMBER_CAP = 50_000
 
 
@@ -107,6 +107,36 @@ class CozeroCover:
         return [w.values() > 0.0 for w in self.witnesses]
 
 
+class _BallUnion(ScalarField):
+    """max(0, max over the balls of radius - d(center, .)) for one group
+    of open balls: 1-Lipschitz and positive exactly on their union.
+
+    One node whatever the group size, so evaluation never recurses per
+    ball; it reads the distance columns DistanceTo reads, so its values
+    equal a max-chain of tents bit for bit.  g labels the group in
+    error messages.
+    """
+
+    def __init__(self, space, balls, g):
+        super().__init__(space)
+        balls = list(balls)
+        if not balls:
+            raise CoverError(f"ball group {g} is empty")
+        self.centers = np.array([int(c) for c, _ in balls], dtype=int)
+        self.radii = np.array([float(r) for _, r in balls])
+        for center, radius in zip(self.centers, self.radii):
+            if not (radius > 0.0):
+                raise PreconditionError(
+                    f"ball ({center}, {radius}) in group {g} has no interior")
+        if self.centers.min() < 0 or self.centers.max() >= space.n:
+            raise InputError(f"ball centers of group {g} lie outside the "
+                             f"host space 0..{space.n - 1}")
+
+    def _compute_values(self) -> np.ndarray:
+        D = self.space.pairwise()[:, self.centers]
+        return np.maximum((self.radii[None, :] - D).max(axis=1), 0.0)
+
+
 def witness_from_balls(space, groups) -> CozeroCover:
     """Cover with one witness per group of open balls.
 
@@ -115,21 +145,8 @@ def witness_from_balls(space, groups) -> CozeroCover:
     it is 1-Lipschitz and positive exactly on the union of the open
     balls.  The groups together must cover every sample.
     """
-    fields = []
-    for g, balls in enumerate(groups):
-        balls = list(balls)
-        if not balls:
-            raise CoverError(f"ball group {g} is empty")
-        bump = None
-        for center, radius in balls:
-            radius = float(radius)
-            if not (radius > 0.0):
-                raise PreconditionError(
-                    f"ball ({center}, {radius}) in group {g} has no interior")
-            tent = Constant(space, radius) - DistanceTo(space, [int(center)])
-            bump = tent if bump is None else maximum(bump, tent)
-        fields.append(maximum(bump, Constant(space, 0.0)))
-    return CozeroCover(space, fields)
+    return CozeroCover(space, [_BallUnion(space, balls, g)
+                               for g, balls in enumerate(groups)])
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pairs
 from .errors import DomainError, InputError, PreconditionError
 from .metric_space import MetricSpace
 
@@ -411,16 +412,6 @@ class LipEstimate:
         return math.isfinite(self.value)
 
 
-def _pair_ratios(space: MetricSpace, v: np.ndarray):
-    D = space.pairwise()
-    num = np.abs(v[:, None] - v[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        R = np.where(D > 0, num / np.where(D > 0, D, 1.0), 0.0)
-        R[(D == 0) & (num > 0)] = np.inf
-    np.fill_diagonal(R, 0.0)
-    return R
-
-
 def global_lip(f: ScalarField, pairs=None) -> LipEstimate:
     """Largest |f(p)-f(q)| / d(p,q) over sampled pairs.
 
@@ -428,37 +419,28 @@ def global_lip(f: ScalarField, pairs=None) -> LipEstimate:
     the exact constant of the tabulated restriction.
     """
     v = f.values()
-    if pairs is not None:
-        pairs = np.asarray(pairs, dtype=int)
-        best, witness = 0.0, None
-        for p, q in pairs:
-            d = f.space.dist(int(p), int(q))
-            num = abs(v[p] - v[q])
-            r = math.inf if (d == 0 and num > 0) else (num / d if d > 0 else 0.0)
-            if r > best:
-                best, witness = r, (int(p), int(q))
-        return LipEstimate(best, witness)
-    R = _pair_ratios(f.space, v)
-    flat = int(np.argmax(R))
-    p, q = divmod(flat, f.space.n)
-    best = float(R[p, q])
-    return LipEstimate(best, (p, q) if best > 0 else None)
+    if pairs is None:
+        best, witness = _pairs.max_slope(f.space, v, zero=math.inf)
+    else:
+        pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+        if not len(pairs):
+            return LipEstimate(0.0, None)
+        d = np.array([f.space.dist(int(p), int(q)) for p, q in pairs])
+        s = _pairs.slope(np.abs(v[pairs[:, 0]] - v[pairs[:, 1]]), d, math.inf)
+        k = int(np.argmax(s))
+        best, witness = float(s[k]), (int(pairs[k, 0]), int(pairs[k, 1]))
+    return LipEstimate(best, witness if best > 0 else None)
 
 
 def pointwise_lip(f: ScalarField, p: int) -> LipEstimate:
     """Largest |f(x)-f(p)| / d(x,p) over all samples x != p."""
     p = int(p)
     v = f.values()
-    d = f.space.dist_row(p)
-    num = np.abs(v - v[p])
-    best, witness = 0.0, None
-    for x in range(f.space.n):
-        if x == p:
-            continue
-        r = math.inf if (d[x] == 0 and num[x] > 0) else (num[x] / d[x] if d[x] > 0 else 0.0)
-        if r > best:
-            best, witness = float(r), (p, x)
-    return LipEstimate(best, witness)
+    s = _pairs.slope(np.abs(v - v[p]), f.space.dist_row(p), math.inf)
+    s[p] = 0.0
+    x = int(np.argmax(s))
+    best = float(s[x])
+    return LipEstimate(best, (p, x) if best > 0 else None)
 
 
 def scaled_oscillation(f: ScalarField, p: int, radii) -> float:

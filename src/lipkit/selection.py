@@ -19,13 +19,12 @@ import numpy as np
 
 from .errors import GridError, PreconditionError
 from .local_lipschitz import LocalWitness, local_extend
-from .metric_space import Subset
+from .metric_space import _DEFAULT_TOL, Subset
 from .partition_of_unity import CozeroCover, frolik_pou, index_subordinate
 from .scalar_field import (Constant, DistanceTo, Interval, ScalarField,
                            Series, Tabulated, Transported, maximum, minimum)
 from .certify import _as_values_on
 
-_DEFAULT_TOL = 1e-9
 _DEPTHS = (1, 2, 3, 6, 12, 20)
 _MAX_SETS = 12
 

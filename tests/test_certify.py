@@ -1,11 +1,14 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
-from lipkit import (Constant, Coordinate, LocalWitness, MetricSpace,
-                    PreconditionError, Subset, certify_local_witness,
-                    check_k_lipschitz, feasible_interval, frolik_pou,
-                    mcshane_envelopes, pou_report, random_k_extension,
-                    witness_from_balls)
+from lipkit import (Certificate, Constant, Coordinate, LocalWitness,
+                    MetricSpace, PreconditionError, Subset,
+                    certify_local_witness, check_k_lipschitz,
+                    feasible_interval, frolik_pou, mcshane_envelopes,
+                    pou_report, random_k_extension, witness_from_balls)
 from lipkit.fixtures import cusp_curve, sin_reciprocal_pairs, square_on_grid
 from lipkit.partition_of_unity import PartitionOfUnity
 
@@ -166,3 +169,11 @@ def test_certify_local_witness_coverage_gap_detected():
     witness = LocalWitness.from_triples([(0, 2.0, 0.0)])
     cert = certify_local_witness(f, witness)
     assert not cert.passed
+
+
+def test_certificate_dict_is_strict_json():
+    cert = Certificate("check", False, math.nan, 1e-9, (0, 1),
+                       details={"rates": np.array([1.0, math.inf, math.nan])})
+    d = json.loads(json.dumps(cert.to_dict(), allow_nan=False))
+    assert d["worst_violation"] == "nan"
+    assert d["details"]["rates"] == [1.0, "inf", "nan"]

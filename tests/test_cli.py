@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -6,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+import lipkit
+from lipkit import MetricSpace
 from lipkit.cli import main
 
 
@@ -160,6 +163,38 @@ def test_pou_runs(tmp_path, grid_space, capsys):
     capsys.readouterr()
 
 
+def test_pou_rejects_an_empty_ball_group(tmp_path, grid_space, capsys):
+    cover = write(tmp_path / "c.json", json.dumps([{"balls": []}]))
+    assert main(["pou", "--space", grid_space, "--cover", cover,
+                 "--out-dir", str(tmp_path)]) == 1
+    assert "ball group 0 is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", ["cloud", "grid", "graph", "matrix"])
+def test_certify_metric_validates_once_with_the_given_tol(
+        tmp_path, monkeypatch, capsys, backend):
+    files = {
+        "cloud": ("s.csv", "0,0.0\n1,1.0\n2,3.0\n"),
+        "grid": ("s.json", json.dumps({"lo": 0.0, "hi": 2.0, "step": 0.5})),
+        "graph": ("s.json", json.dumps({"nodes": 3,
+                                        "edges": [[0, 1, 1.0], [1, 2, 2.0]]})),
+        "matrix": ("s.csv", "0,1,2\n1,0,1\n2,1,0\n"),
+    }
+    name, text = files[backend]
+    space = write(tmp_path / name, text)
+    calls = []
+    validate = MetricSpace.validate
+
+    def counted(self, tol=1e-9):
+        calls.append(tol)
+        return validate(self, tol)
+    monkeypatch.setattr(MetricSpace, "validate", counted)
+    assert main(["certify-metric", "--space", space, "--tol", "1e-6",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert calls == [1e-6]
+    capsys.readouterr()
+
+
 @pytest.fixture
 def witnessed_field(tmp_path, grid_space):
     values = write(tmp_path / "f.csv",
@@ -176,6 +211,23 @@ def test_decompose_runs(tmp_path, grid_space, witnessed_field, capsys):
                  "--witness", witness, "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "members.csv").exists()
     assert (tmp_path / "reconstruction.csv").exists()
+    capsys.readouterr()
+
+
+def test_decompose_with_hundreds_of_balls(tmp_path, capsys):
+    # 520 witness balls land in one cover set; a chain of binary max
+    # nodes over them used to exceed the recursion limit
+    n, step = 520, 2.0 ** -9
+    space = write(tmp_path / "space.json",
+                  json.dumps({"lo": 0.0, "hi": (n - 1) * step, "step": step}))
+    x = step * np.arange(n)
+    values = write(tmp_path / "f.csv", "".join(
+        f"{p},{float(np.sin(3.0 * x[p]))!r}\n" for p in range(n)))
+    witness = write(tmp_path / "w.json", json.dumps(
+        [{"p": p, "delta": 1.5 * step, "K": 3.0} for p in range(n)]))
+    assert main(["decompose", "--space", space, "--values", values,
+                 "--witness", witness, "--out-dir", str(tmp_path)]) == 0
+    assert read_json(tmp_path)["passed"] is True
     capsys.readouterr()
 
 
@@ -259,8 +311,12 @@ def test_demos_pass(tmp_path, fixture, capsys):
 def test_console_script(tmp_path):
     exe = shutil.which("lipkit")
     cmd = [exe] if exe else [sys.executable, "-m", "lipkit.cli"]
+    # the child imports the lipkit under test, installed or not
+    src = os.path.dirname(os.path.dirname(lipkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     res = subprocess.run(cmd + ["demo", "reciprocal-staircase",
                                 "--out-dir", str(tmp_path)],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert res.returncode == 0
     assert "partial sums match" in res.stdout

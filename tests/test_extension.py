@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,13 @@ from lipkit import (Constant, Interval, MetricSpace, PointwiseWitness,
 from helpers import make_instance
 
 TOL = 1e-9
+
+
+def test_nan_value_fails_the_lipschitz_precheck():
+    space = MetricSpace.from_points(np.linspace(0.0, 1.0, 60))
+    A = Subset(space, [0, 20, 40, 59])
+    with pytest.raises(PreconditionError):
+        mcshane_envelopes(A, [0.2, 0.8, 0.5, math.nan], 5.0)
 
 
 def fine_grid_instance():
