@@ -188,6 +188,7 @@ def _cmd_certify_metric(args, tol, depths, out_dir):
         details={
             "n": space.n,
             "backend": space.backend,
+            "triangle": report.triangle,
             "violations": [
                 {"kind": v.kind, "ids": list(v.ids), "magnitude": v.magnitude}
                 for v in report.violations],

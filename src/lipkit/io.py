@@ -82,14 +82,12 @@ def load_space(path, tol: float = _DEFAULT_TOL,
         if {"nodes", "edges"} <= set(obj):
             edges = []
             for j, e in enumerate(obj["edges"]):
-                if isinstance(e, dict):
-                    try:
-                        edges.append((int(e["u"]), int(e["v"]), float(e["w"])))
-                    except KeyError as k:
-                        raise InputError(f"{path}: edge {j} misses key {k}")
-                else:
-                    u, v, w = e
+                try:
+                    u, v, w = (e["u"], e["v"], e["w"]) if isinstance(e, dict) else e
                     edges.append((int(u), int(v), float(w)))
+                except (KeyError, TypeError, ValueError):
+                    raise InputError(f"{path}: edge {j} must be [u, v, w] or "
+                                     f"{{\"u\", \"v\", \"w\"}}")
             return MetricSpace.from_graph(int(obj["nodes"]), edges, validate, tol)
         raise InputError(f"{path}: JSON is neither a grid nor a graph")
     data = _read_csv_floats(path)
@@ -211,7 +209,11 @@ def load_cover(path, space: MetricSpace) -> CozeroCover:
         if not isinstance(w, dict):
             raise InputError(f"{path}: witness {j} must be an object")
         if "balls" in w:
-            balls = [(int(c), float(r)) for c, r in w["balls"]]
+            try:
+                balls = [(int(c), float(r)) for c, r in w["balls"]]
+            except (TypeError, ValueError):
+                raise InputError(f"{path}: witness {j} needs balls given as "
+                                 f"[center, radius] pairs")
             fields.append(_BallUnion(space, balls, j))
         elif "values" in w:
             vals = np.asarray(w["values"], dtype=float)

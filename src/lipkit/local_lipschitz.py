@@ -225,12 +225,6 @@ class ModulusWitness:
     f_values: np.ndarray
     cover: IncreasingCover
 
-    def evaluate(self, x: int, y: int) -> float:
-        base = max(float(self.levels[x]), float(self.levels[y]))
-        if self.kind == "unbounded":
-            base *= 1.0 + abs(float(self.f_values[x]) - float(self.f_values[y]))
-        return base
-
     def _rates(self, r, c, o):
         """L(x, y) for rows r, columns c and gaps o = |f(x) - f(y)|."""
         base = np.maximum(self.levels[r, None], self.levels[None, c])

@@ -18,13 +18,14 @@ import scipy.sparse.csgraph as _csgraph
 from .errors import InputError, PreconditionError
 
 _DEFAULT_TOL = 1e-9
+_MAX_VIOLATIONS = 64
 
 
 @dataclass(frozen=True)
 class MetricViolation:
     """One failed metric axiom, with the witnessing ids and its magnitude."""
 
-    kind: str           # "negative", "diagonal", "symmetry", "positivity", "triangle"
+    kind: str   # "nonfinite", "negative", "diagonal", "symmetry", "positivity", "triangle"
     ids: tuple
     magnitude: float
 
@@ -39,6 +40,7 @@ class ValidationReport:
     n: int
     tolerance: float
     violations: list = field(default_factory=list)
+    triangle: str = "checked"       # or "by construction": not swept
 
     @property
     def ok(self) -> bool:
@@ -57,17 +59,23 @@ class ValidationReport:
                 f"worst {w.describe()}")
 
 
-def _validate_matrix(D: np.ndarray, tol: float, max_violations: int = 64) -> ValidationReport:
+def _validate_matrix(D: np.ndarray, tol: float, triangle: str) -> ValidationReport:
+    """Metric axioms of D, the O(n^3) triangle sweep only when triangle
+    is "checked".  The report keeps the first 64 violations in the order
+    the checks run: nonfinite (magnitude inf), negative, diagonal,
+    symmetry, positivity, triangle.  Within a kind they are row-major;
+    triangles (i, k, j) go by middle index k first, then row-major."""
     n = D.shape[0]
-    report = ValidationReport(n=n, tolerance=tol)
+    report = ValidationReport(n=n, tolerance=tol, triangle=triangle)
     vio = report.violations
 
     def _push(kind, ids, mag):
-        if len(vio) < max_violations:
+        if len(vio) < _MAX_VIOLATIONS:
             vio.append(MetricViolation(kind, ids, float(mag)))
 
-    neg = np.argwhere(D < -tol)
-    for i, j in neg:
+    for i, j in np.argwhere(~np.isfinite(D)):
+        _push("nonfinite", (int(i), int(j)), np.inf)
+    for i, j in np.argwhere(D < -tol):
         _push("negative", (int(i), int(j)), -D[i, j])
     diag = np.abs(np.diag(D))
     for i in np.flatnonzero(diag > tol):
@@ -78,6 +86,8 @@ def _validate_matrix(D: np.ndarray, tol: float, max_violations: int = 64) -> Val
     off = D + np.diag(np.full(n, np.inf))
     for i, j in np.argwhere(np.triu(off <= tol, 1)):
         _push("positivity", (int(i), int(j)), tol - D[i, j])
+    if triangle != "checked":
+        return report
     # Triangle check vectorized over the middle index.
     for k in range(n):
         excess = D - (D[:, [k]] + D[[k], :])
@@ -85,9 +95,23 @@ def _validate_matrix(D: np.ndarray, tol: float, max_violations: int = 64) -> Val
         for i, j in bad:
             if i != k and j != k and i != j:
                 _push("triangle", (int(i), int(k), int(j)), excess[i, j])
-        if len(vio) >= max_violations:
+        if len(vio) >= _MAX_VIOLATIONS:
             break
     return report
+
+
+def _coord_dist(x: np.ndarray, rows) -> np.ndarray:
+    """Euclidean distances from x[rows] to every point of x: squared
+    axis differences summed in axis order, then the root.  dist,
+    dist_row and pairwise all use it, so a pair gets one float from
+    each, exactly symmetric and zero on the diagonal."""
+    sq = x[rows, 0, None] - x[None, :, 0]
+    sq *= sq
+    for j in range(1, x.shape[1]):
+        t = x[rows, j, None] - x[None, :, j]
+        t *= t
+        sq += t
+    return np.sqrt(sq, out=sq)
 
 
 class MetricSpace:
@@ -138,8 +162,8 @@ class MetricSpace:
             u, v, w = int(u), int(v), float(w)
             if not (0 <= u < n_nodes and 0 <= v < n_nodes):
                 raise InputError(f"edge ({u},{v}) outside node range 0..{n_nodes - 1}")
-            if w <= 0:
-                raise InputError(f"edge ({u},{v}) has nonpositive weight {w}")
+            if not (0 < w < np.inf):
+                raise InputError(f"edge ({u},{v}) needs a positive finite weight, got {w}")
             rows.append(u)
             cols.append(v)
             weights.append(w)
@@ -168,29 +192,18 @@ class MetricSpace:
     def dist(self, p: int, q: int) -> float:
         if self._matrix is not None:
             return float(self._matrix[p, q])
-        diff = self.coords[p] - self.coords[q]
-        return float(np.sqrt(np.dot(diff, diff)))
+        return float(_coord_dist(self.coords[[p, q]], [0])[0, 1])
 
     def dist_row(self, p: int) -> np.ndarray:
         """Distances from p to every point, computed on demand."""
         if self._matrix is not None:
             return self._matrix[p].copy()
-        diff = self.coords - self.coords[p]
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        return _coord_dist(self.coords, [p])[0]
 
     def pairwise(self) -> np.ndarray:
         """Full distance matrix, cached after the first request."""
         if self._matrix is None:
-            x = self.coords
-            sq = np.einsum("ij,ij->i", x, x)
-            g = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-            np.maximum(g, 0.0, out=g)
-            D = np.sqrt(g)
-            np.fill_diagonal(D, 0.0)
-            # Exact symmetry; the quadratic form above is symmetric
-            # only up to rounding.
-            D = np.minimum(D, D.T)
-            self._matrix = D
+            self._matrix = _coord_dist(self.coords, slice(None))
         return self._matrix
 
     def dist_to_set(self, p: int, members) -> float:
@@ -217,7 +230,11 @@ class MetricSpace:
     # ---- validation ----------------------------------------------------
 
     def validate(self, tol: float = _DEFAULT_TOL) -> ValidationReport:
-        return _validate_matrix(self.pairwise(), tol)
+        """Every backend gets the O(n^2) checks; the O(n^3) triangle
+        sweep runs on the matrix backend only, as Euclidean and
+        shortest-path distances obey the law by construction."""
+        triangle = "checked" if self.backend == "matrix" else "by construction"
+        return _validate_matrix(self.pairwise(), tol, triangle)
 
     def __len__(self) -> int:
         return self.n
@@ -227,17 +244,16 @@ class MetricSpace:
 
 
 def validate_metric(space_or_matrix, tol: float = _DEFAULT_TOL) -> ValidationReport:
-    """Check all metric axioms exhaustively; triples for the triangle law.
+    """Check the metric axioms; triples for the triangle law.
 
-    Accepts a MetricSpace or a raw square array.  Violations carry the
-    witnessing ids and the size of the breach.
+    A raw square array gets every check, all triples included; a
+    MetricSpace skips the triangle sweep when it is a metric by
+    construction (point cloud, grid, graph), as report.triangle says.
+    Violations carry the witnessing ids and the size of the breach.
     """
-    if isinstance(space_or_matrix, MetricSpace):
-        return space_or_matrix.validate(tol=tol)
-    D = np.asarray(space_or_matrix, dtype=float)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        raise InputError(f"distance matrix must be square, got shape {D.shape}")
-    return _validate_matrix(D, tol)
+    if not isinstance(space_or_matrix, MetricSpace):
+        space_or_matrix = MetricSpace.from_matrix(space_or_matrix, validate=False)
+    return space_or_matrix.validate(tol=tol)
 
 
 class Subset:

@@ -240,9 +240,6 @@ class PartitionOfUnity:
     def active_members(self, p: int) -> np.ndarray:
         return self.activity[p]
 
-    def sum_field(self) -> Series:
-        return Series(self.space, self.members, self.activity)
-
     def groups(self) -> list:
         """Distinct set indices in increasing order."""
         return sorted(set(self.set_index))

@@ -112,9 +112,6 @@ class Interval:
             return False
         return True
 
-    def contains_values(self, values) -> bool:
-        return all(self.contains(float(v)) for v in np.asarray(values, dtype=float).ravel())
-
     def interior_contains(self, x: float) -> bool:
         return self.lo < x < self.hi
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lipkit import (Certificate, Constant, Coordinate, LocalWitness,
-                    MetricSpace, PreconditionError, Subset,
+                    MetricSpace, PreconditionError, Subset, Tabulated,
                     certify_local_witness, check_k_lipschitz,
                     feasible_interval, frolik_pou, mcshane_envelopes,
                     pou_report, random_k_extension, witness_from_balls)
@@ -92,6 +92,21 @@ def test_random_extension_rejects_bad_phi():
     A = Subset(space, [0, 2])
     with pytest.raises(PreconditionError):
         random_k_extension(A, np.array([0.0, 9.0]), 1.0)
+
+
+def test_random_extension_rejects_nan_phi():
+    space = MetricSpace.from_points(np.linspace(0.0, 1.0, 20))
+    A = Subset(space, [0, 5, 10])
+    with pytest.raises(PreconditionError, match="not 5.0-Lipschitz"):
+        random_k_extension(A, [0.2, math.nan, 0.5], 5.0)
+
+
+def test_lipschitz_pair_list_reports_a_nan_pair():
+    space = MetricSpace.from_grid(0.0, 1.0, 0.25)
+    f = Tabulated(space, [0.0, math.nan, 0.5, 0.5, 0.5])
+    cert = check_k_lipschitz(f, 1.0, pairs=[(0, 2), (0, 1), (2, 3)])
+    assert not cert.passed
+    assert cert.witness == (0, 1)
 
 
 def test_random_extension_custom_order():

@@ -192,7 +192,39 @@ def test_certify_metric_validates_once_with_the_given_tol(
     assert main(["certify-metric", "--space", space, "--tol", "1e-6",
                  "--out-dir", str(tmp_path / "out")]) == 0
     assert calls == [1e-6]
+    # only explicit distances can break the triangle law
+    cert = read_json(tmp_path / "out")["certificates"][0]
+    assert cert["details"]["triangle"] == (
+        "checked" if backend == "matrix" else "by construction")
     capsys.readouterr()
+
+
+def test_certify_metric_passes_a_grid_far_from_the_origin(tmp_path, capsys):
+    space = write(tmp_path / "s.json",
+                  json.dumps({"lo": 1000.0, "hi": 1001.0, "step": 0.01}))
+    assert main(["certify-metric", "--space", space,
+                 "--out-dir", str(tmp_path)]) == 0
+    assert read_json(tmp_path)["certificates"][0]["details"]["n"] == 101
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["0,0.0\n1,nan\n2,3.0\n",
+                                  "0,1,nan\n1,0,1\nnan,1,0\n"])
+def test_certify_metric_fails_on_nan(tmp_path, capsys, text):
+    space = write(tmp_path / "s.csv", text)
+    assert main(["certify-metric", "--space", space,
+                 "--out-dir", str(tmp_path)]) == 2
+    cert = read_json(tmp_path)["certificates"][0]
+    assert cert["worst_violation"] == "inf"
+    assert cert["details"]["violations"][0]["kind"] == "nonfinite"
+    capsys.readouterr()
+
+
+def test_pou_rejects_a_malformed_ball(tmp_path, grid_space, capsys):
+    cover = write(tmp_path / "c.json", json.dumps([{"balls": [[0]]}]))
+    assert main(["pou", "--space", grid_space, "--cover", cover,
+                 "--out-dir", str(tmp_path)]) == 1
+    assert "[center, radius]" in capsys.readouterr().err
 
 
 @pytest.fixture

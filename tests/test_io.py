@@ -283,3 +283,12 @@ def test_write_certificates_handles_nonfinite(tmp_path):
     d = payload["certificates"][0]["details"]
     assert d["hi"] == "inf" and d["lo"] == "-inf" and d["gap"] == "nan"
     assert d["ids"] == [1, 2]
+
+
+@pytest.mark.parametrize("edge", [[0, 1], {"u": 0, "v": "x", "w": 1.0},
+                                  {"u": 0, "v": 1}, 7])
+def test_load_space_rejects_a_malformed_edge(tmp_path, edge):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"nodes": 2, "edges": [edge]}))
+    with pytest.raises(InputError, match="edge 0 must be"):
+        load_space(str(path))

@@ -12,6 +12,7 @@ def test_uniform_three_point_matrix_is_valid():
     report = space.validate()
     assert report.ok
     assert report.violations == []
+    assert report.triangle == "checked"
 
 
 def test_triangle_violation_reports_witness_triple():
@@ -134,3 +135,51 @@ def test_dist_row_matches_pairwise():
     D = space.pairwise()
     for p in range(space.n):
         np.testing.assert_allclose(space.dist_row(p), D[p], atol=1e-12)
+
+
+def test_constructed_backends_are_metrics_with_one_distance():
+    # points, graphs and grids skip the triangle sweep; their own
+    # matrix must pass it, and every accessor must agree bit for bit
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        space = make_space(rng, n_max=25, kinds=[1, 2, 3])
+        report = space.validate()
+        assert report.ok and report.triangle == "by construction"
+        assert validate_metric(space.pairwise()).ok, space.backend
+        # a copy without the cached matrix (graphs precompute theirs)
+        D = space.pairwise()
+        fresh = MetricSpace(space.backend, space.n, coords=space.coords,
+                            matrix=D if space.coords is None else None,
+                            validate=False)
+        for cached in (False, True):
+            for p in range(fresh.n):
+                assert np.array_equal(fresh.dist_row(p), D[p]), cached
+                q = (3 * p + 1) % fresh.n
+                assert fresh.dist(p, q) == D[p, q], cached
+            fresh.pairwise()
+        assert np.array_equal(fresh.pairwise(), space.pairwise())
+
+
+def test_grid_far_from_the_origin_is_a_metric():
+    space = MetricSpace.from_grid(1000.0, 1001.0, 0.01)
+    assert space.n == 101
+    assert validate_metric(space.pairwise()).ok
+    assert space.dist(0, 100) == space.pairwise()[0, 100]
+
+
+def test_nonfinite_distances_are_violations():
+    cloud = MetricSpace.from_points([0.0, np.nan, 2.0], validate=False)
+    worst = cloud.validate().worst()
+    assert worst.kind == "nonfinite" and worst.magnitude == np.inf
+    D = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, 1.0], [np.inf, 1.0, 0.0]])
+    report = validate_metric(D)
+    assert [v.ids for v in report.violations if v.kind == "nonfinite"] \
+        == [(0, 2), (2, 0)]
+    with pytest.raises(PreconditionError):
+        MetricSpace.from_points([[0.0, 1.0], [np.inf, 0.0]])
+
+
+@pytest.mark.parametrize("w", [np.nan, np.inf, 0.0])
+def test_graph_rejects_weights_that_are_not_positive_and_finite(w):
+    with pytest.raises(InputError, match=r"edge \(0,1\)"):
+        MetricSpace.from_graph(3, [(0, 1, w), (1, 2, 1.0), (0, 2, 1.0)])
