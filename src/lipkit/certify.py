@@ -19,6 +19,15 @@ from .metric_space import _DEFAULT_TOL, MetricSpace, Subset
 from .scalar_field import ScalarField, Series, Tabulated
 
 
+def _require_constant(K) -> float:
+    """K as a float, refused unless it is finite and nonnegative."""
+    K = float(K)
+    if not (0 <= K < math.inf):
+        raise PreconditionError(
+            f"constant must be finite and nonnegative, got {K}")
+    return K
+
+
 def _as_values_on(A: Subset, phi) -> np.ndarray:
     """Values of phi on the members of A, whether phi is a field on the
     host space or a plain array aligned with A.members."""
@@ -128,8 +137,16 @@ def random_k_extension(A: Subset, phi, K: float, order=None, seed: int = 0,
     already assigned points is [max(f - K d), min(f + K d)]; the value is
     drawn uniformly from it.  The interval is nonempty by the triangle
     inequality whenever phi is K-Lipschitz on A; that is checked first.
+
+    Both interval ends are kept for every point at once: set from A in
+    one O(|A| n) pass, then tightened in O(n) vector work per assigned
+    sample.  d(x, q) is read from column q of the space's cached
+    pairwise() matrix, the one the precheck sweeps, so the draw
+    allocates no n x n array of its own.  max and min are exact, so
+    each interval equals feasible_interval on the same prefix, bit for
+    bit.
     """
-    K = float(K)
+    K = _require_constant(K)
     space = A.require_nonempty("extension domain").space
     vals_A = _as_values_on(A, phi)
     excess, pair = _pairs.worst_excess(space, vals_A, lambda r, c, d, o: K * d,
@@ -139,34 +156,38 @@ def random_k_extension(A: Subset, phi, K: float, order=None, seed: int = 0,
             f"phi is not {K}-Lipschitz on A: excess {excess:.3e} "
             f"at pair {pair}", witness=pair)
 
+    D = space.pairwise()
+    spread = D[:, A.members].T      # spread[a, x] = K d(x, a)
+    spread *= K
+    lo = np.max(vals_A[:, None] - spread, axis=0)
+    hi = np.min(vals_A[:, None] + spread, axis=0)
     rng = np.random.default_rng(seed)
     out = np.full(space.n, np.nan)
     out[A.members] = vals_A
-    assigned = list(A.members)
     rest = A.complement() if order is None else np.asarray(order, dtype=int)
     claimed = set(int(p) for p in A.members)
+    step, bound = np.empty(space.n), np.empty(space.n)
     for p in rest:
         p = int(p)
         if p in claimed:
             raise PreconditionError(f"order revisits point {p}")
         claimed.add(p)
-        d = space.dist_row(p)[assigned]
-        known = out[assigned]
-        lo = float(np.max(known - K * d))
-        hi = float(np.min(known + K * d))
-        if lo > hi:
-            if lo - hi <= tol:
-                value = 0.5 * (lo + hi)     # interval closed up to rounding
+        a, b = float(lo[p]), float(hi[p])
+        if a > b:
+            if a - b <= tol:
+                value = 0.5 * (a + b)       # interval closed up to rounding
             else:
                 raise PreconditionError(
-                    f"empty feasible interval at point {p}: [{lo}, {hi}]",
+                    f"empty feasible interval at point {p}: [{a}, {b}]",
                     witness=p)
-        elif lo == hi:
-            value = lo
+        elif a == b:
+            value = a
         else:
-            value = float(rng.uniform(lo, hi))
+            value = float(rng.uniform(a, b))
         out[p] = value
-        assigned.append(p)
+        np.multiply(D[:, p], K, out=step)
+        np.maximum(lo, np.subtract(value, step, out=bound), out=lo)
+        np.minimum(hi, np.add(value, step, out=bound), out=hi)
     if np.isnan(out).any():
         missing = np.flatnonzero(np.isnan(out))
         raise PreconditionError(

@@ -28,7 +28,7 @@ from .errors import PreconditionError
 from .metric_space import _DEFAULT_TOL, Subset
 from .scalar_field import (Constant, Interval, ScalarField, Transported,
                            maximum, minimum)
-from .certify import _as_values_on
+from .certify import _as_values_on, _require_constant
 
 
 class Envelope(ScalarField):
@@ -82,10 +82,8 @@ def _check_global_lipschitz_on(A: Subset, vals: np.ndarray, K: float, tol: float
 
 
 def mcshane_envelopes(A: Subset, phi, K: float, tol: float = _DEFAULT_TOL) -> EnvelopePair:
-    """Envelopes with one global constant K >= 0."""
-    K = float(K)
-    if not (K >= 0):
-        raise PreconditionError(f"constant must be nonnegative, got {K}")
+    """Envelopes with one global constant 0 <= K < inf."""
+    K = _require_constant(K)
     A.require_nonempty("extension domain")
     vals = _as_values_on(A, phi)
     _check_global_lipschitz_on(A, vals, K, tol)

@@ -64,6 +64,14 @@ def _read_csv_floats(path):
 # Spaces
 
 
+def _number(path, obj, key, kind):
+    """obj[key] converted by kind (int or float), or an InputError."""
+    try:
+        return kind(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{path}: \"{key}\" must be a number, got {obj[key]!r}")
+
+
 def load_space(path, tol: float = _DEFAULT_TOL,
                validate: bool = True) -> MetricSpace:
     """Load a metric space, inferring the backend from the file.
@@ -77,9 +85,11 @@ def load_space(path, tol: float = _DEFAULT_TOL,
         if not isinstance(obj, dict):
             raise InputError(f"{path}: expected a JSON object")
         if {"lo", "hi", "step"} <= set(obj):
-            return MetricSpace.from_grid(float(obj["lo"]), float(obj["hi"]),
-                                         float(obj["step"]), validate, tol)
+            lo, hi, step = (_number(path, obj, k, float) for k in ("lo", "hi", "step"))
+            return MetricSpace.from_grid(lo, hi, step, validate, tol)
         if {"nodes", "edges"} <= set(obj):
+            if not isinstance(obj["edges"], list):
+                raise InputError(f"{path}: \"edges\" must be a list")
             edges = []
             for j, e in enumerate(obj["edges"]):
                 try:
@@ -88,7 +98,8 @@ def load_space(path, tol: float = _DEFAULT_TOL,
                 except (KeyError, TypeError, ValueError):
                     raise InputError(f"{path}: edge {j} must be [u, v, w] or "
                                      f"{{\"u\", \"v\", \"w\"}}")
-            return MetricSpace.from_graph(int(obj["nodes"]), edges, validate, tol)
+            return MetricSpace.from_graph(_number(path, obj, "nodes", int), edges,
+                                          validate, tol)
         raise InputError(f"{path}: JSON is neither a grid nor a graph")
     data = _read_csv_floats(path)
     n, m = data.shape

@@ -80,23 +80,27 @@ def _validate_matrix(D: np.ndarray, tol: float, triangle: str) -> ValidationRepo
     diag = np.abs(np.diag(D))
     for i in np.flatnonzero(diag > tol):
         _push("diagonal", (int(i),), diag[i])
-    asym = np.abs(D - D.T)
+    # inf - inf is NaN, which no comparison flags; "nonfinite" has
+    # reported the entry already
+    with np.errstate(invalid="ignore"):
+        asym = np.abs(D - D.T)
+        off = D + np.diag(np.full(n, np.inf))
     for i, j in np.argwhere(np.triu(asym, 1) > tol):
         _push("symmetry", (int(i), int(j)), asym[i, j])
-    off = D + np.diag(np.full(n, np.inf))
     for i, j in np.argwhere(np.triu(off <= tol, 1)):
         _push("positivity", (int(i), int(j)), tol - D[i, j])
     if triangle != "checked":
         return report
     # Triangle check vectorized over the middle index.
-    for k in range(n):
-        excess = D - (D[:, [k]] + D[[k], :])
-        bad = np.argwhere(excess > tol)
-        for i, j in bad:
-            if i != k and j != k and i != j:
-                _push("triangle", (int(i), int(k), int(j)), excess[i, j])
-        if len(vio) >= _MAX_VIOLATIONS:
-            break
+    with np.errstate(invalid="ignore"):
+        for k in range(n):
+            excess = D - (D[:, [k]] + D[[k], :])
+            bad = np.argwhere(excess > tol)
+            for i, j in bad:
+                if i != k and j != k and i != j:
+                    _push("triangle", (int(i), int(k), int(j)), excess[i, j])
+            if len(vio) >= _MAX_VIOLATIONS:
+                break
     return report
 
 
@@ -104,14 +108,16 @@ def _coord_dist(x: np.ndarray, rows) -> np.ndarray:
     """Euclidean distances from x[rows] to every point of x: squared
     axis differences summed in axis order, then the root.  dist,
     dist_row and pairwise all use it, so a pair gets one float from
-    each, exactly symmetric and zero on the diagonal."""
-    sq = x[rows, 0, None] - x[None, :, 0]
-    sq *= sq
-    for j in range(1, x.shape[1]):
-        t = x[rows, j, None] - x[None, :, j]
-        t *= t
-        sq += t
-    return np.sqrt(sq, out=sq)
+    each, exactly symmetric and zero on the diagonal.  An infinite
+    coordinate gives NaN (inf - inf) quietly; validation flags it."""
+    with np.errstate(invalid="ignore"):
+        sq = x[rows, 0, None] - x[None, :, 0]
+        sq *= sq
+        for j in range(1, x.shape[1]):
+            t = x[rows, j, None] - x[None, :, j]
+            t *= t
+            sq += t
+        return np.sqrt(sq, out=sq)
 
 
 class MetricSpace:
@@ -157,6 +163,8 @@ class MetricSpace:
         """Weighted undirected graph; distances are shortest paths,
         precomputed here once."""
         n_nodes = int(n_nodes)
+        if n_nodes < 1:
+            raise InputError(f"a graph needs at least one node, got {n_nodes}")
         rows, cols, weights = [], [], []
         for u, v, w in edges:
             u, v, w = int(u), int(v), float(w)
@@ -178,6 +186,8 @@ class MetricSpace:
     def from_grid(cls, lo: float, hi: float, step: float, validate: bool = True,
                   tol: float = _DEFAULT_TOL) -> "MetricSpace":
         lo, hi, step = float(lo), float(hi), float(step)
+        if not np.isfinite([lo, hi, step]).all():
+            raise InputError(f"grid needs finite lo, hi and step, got {lo}, {hi}, {step}")
         if not (hi > lo):
             raise InputError(f"grid needs hi > lo, got [{lo}, {hi}]")
         if step <= 0:

@@ -12,7 +12,7 @@ from lipkit import (Certificate, Constant, Coordinate, LocalWitness,
 from lipkit.fixtures import cusp_curve, sin_reciprocal_pairs, square_on_grid
 from lipkit.partition_of_unity import PartitionOfUnity
 
-from helpers import make_instance
+from helpers import make_instance, make_space
 
 
 def grid_instance():
@@ -115,6 +115,101 @@ def test_random_extension_custom_order():
     order = A.complement()[::-1]
     f = random_k_extension(A, phi, K, order=order, seed=3)
     assert check_k_lipschitz(f, K).passed
+
+
+def reference_greedy(A, phi, K, order, seed, tol=1e-9):
+    """The greedy draw re-derived one prefix at a time."""
+    rng = np.random.default_rng(seed)
+    ids, vals = list(A.members), list(phi)
+    out = np.full(A.space.n, np.nan)
+    out[A.members] = phi
+    for p in order:
+        lo, hi = feasible_interval(A.space, ids, vals, int(p), K)
+        if lo > hi:
+            assert lo - hi <= tol
+            value = 0.5 * (lo + hi)
+        elif lo == hi:
+            value = lo
+        else:
+            value = float(rng.uniform(lo, hi))
+        ids.append(int(p))
+        vals.append(value)
+        out[p] = value
+    return out
+
+
+def asymmetric_space(rng):
+    """Unvalidated distances, d(p, q) != d(q, p) off the diagonal."""
+    D = make_space(rng, kinds=[1]).pairwise()
+    noise = rng.uniform(0.0, 0.05, size=D.shape)
+    np.fill_diagonal(noise, 0.0)
+    return MetricSpace.from_matrix(D + noise, validate=False)
+
+
+# kinds 0-3 are the make_space backends, 4 an asymmetric matrix
+@pytest.mark.parametrize("kind", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_random_extension_matches_the_prefix_reference(kind, reverse):
+    tol = 1.0 if kind == 4 else 1e-9
+    for s in range(6):
+        rng = np.random.default_rng([kind, s])
+        space = asymmetric_space(rng) if kind == 4 else make_space(rng, kinds=[kind])
+        A = Subset(space, rng.choice(space.n, size=int(rng.integers(1, space.n)),
+                                     replace=False))
+        K = float(rng.uniform(0.2, 4.0))
+        # a cone of slope <= K around one anchor is K-Lipschitz on A
+        cone = space.pairwise()[int(A.members[0]), A.members]
+        phi = float(rng.uniform(-2, 2)) + float(rng.uniform(-1, 1)) * K * cone
+        order = A.complement()[::-1] if reverse else A.complement()
+        got = random_k_extension(A, phi, K, order=order if reverse else None,
+                                 seed=s, tol=tol).values()
+        want = reference_greedy(A, phi, K, order, seed=s, tol=tol)
+        assert got.tobytes() == want.tobytes(), (kind, s)
+
+
+def test_random_extension_closes_a_rounding_gap_at_the_midpoint():
+    # phi overshoots slope 1 by 1e-12, within tol: the interval at the
+    # middle sample is [0.5 + 1e-12, 0.5], and its midpoint is taken
+    space = MetricSpace.from_grid(0.0, 1.0, 0.5)
+    A = Subset(space, [0, 2])
+    phi = np.array([0.0, 1.0 + 1e-12])
+    f = random_k_extension(A, phi, 1.0, tol=1e-9)
+    assert f(1) == 0.5 * ((phi[1] - 0.5) + 0.5)
+    assert f(1) == reference_greedy(A, phi, 1.0, [1], seed=0)[1]
+
+
+def test_random_extension_rejects_an_order_that_revisits_a_point():
+    space, A, phi = grid_instance()
+    with pytest.raises(PreconditionError, match="order revisits point 2"):
+        random_k_extension(A, phi, 1.0, order=[1, 2, 3, 4])
+    with pytest.raises(PreconditionError, match="order revisits point 3"):
+        random_k_extension(A, phi, 1.0, order=[1, 3, 3, 4])
+
+
+def test_random_extension_rejects_an_order_that_misses_points():
+    space, A, phi = grid_instance()
+    with pytest.raises(PreconditionError,
+                       match=r"order misses 2 point\(s\), first 1"):
+        random_k_extension(A, phi, 1.0, order=[4])
+
+
+def test_random_extension_reports_an_empty_feasible_interval():
+    # unvalidated distances that break the triangle law: phi passes the
+    # pair precheck within tol, yet no value at 1 is 1-Lipschitz
+    D = np.array([[0.0, 0.1, 1.0], [0.1, 0.0, 0.1], [1.0, 0.1, 0.0]])
+    space = MetricSpace.from_matrix(D, validate=False)
+    A = Subset(space, [0, 2])
+    with pytest.raises(PreconditionError,
+                       match=r"empty feasible interval at point 1") as err:
+        random_k_extension(A, [0.0, 1.0 + 1e-10], 1.0, tol=1e-9)
+    assert err.value.witness == 1
+
+
+@pytest.mark.parametrize("K", [math.inf, math.nan, -1.0])
+def test_random_extension_needs_a_finite_nonnegative_constant(K):
+    space, A, phi = grid_instance()
+    with pytest.raises(PreconditionError, match="finite and nonnegative"):
+        random_k_extension(A, phi, K)
 
 
 def test_feasible_interval_matches_envelopes_on_full_prefix():

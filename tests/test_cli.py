@@ -220,6 +220,21 @@ def test_certify_metric_fails_on_nan(tmp_path, capsys, text):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("obj, message", [
+    ({"nodes": "x", "edges": []}, '"nodes" must be a number'),
+    ({"lo": 0, "hi": "a", "step": 0.5}, '"hi" must be a number'),
+    ({"lo": 0, "hi": "inf", "step": 0.5}, "grid needs finite"),
+    ({"nodes": -3, "edges": []}, "at least one node"),
+    ({"nodes": 3, "edges": 5}, '"edges" must be a list'),
+], ids=["nodes", "hi", "infinite-hi", "negative-nodes", "edges"])
+def test_space_with_a_malformed_number_is_input_error(tmp_path, capsys, obj,
+                                                      message):
+    space = write(tmp_path / "s.json", json.dumps(obj))
+    assert main(["certify-metric", "--space", space,
+                 "--out-dir", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_pou_rejects_a_malformed_ball(tmp_path, grid_space, capsys):
     cover = write(tmp_path / "c.json", json.dumps([{"balls": [[0]]}]))
     assert main(["pou", "--space", grid_space, "--cover", cover,

@@ -82,6 +82,13 @@ def test_negative_constant_rejected():
         mcshane_envelopes(A, phi, -1.0)
 
 
+@pytest.mark.parametrize("K", [math.inf, math.nan])
+def test_constant_must_be_finite(K):
+    space, A, phi = fine_grid_instance()
+    with pytest.raises(PreconditionError, match="finite and nonnegative"):
+        mcshane_envelopes(A, phi, K)
+
+
 def test_duality_exact_on_hand_example():
     space, A, phi = fine_grid_instance()
     report = duality_check(A, phi, 1.0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,23 @@ def test_nonfinite_distances_are_violations():
         == [(0, 2), (2, 0)]
     with pytest.raises(PreconditionError):
         MetricSpace.from_points([[0.0, 1.0], [np.inf, 0.0]])
+
+
+def test_infinite_distances_fail_without_numpy_warnings():
+    D = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, 1.0], [np.inf, 1.0, 0.0]])
+    cloud = [[0.0, 1.0], [np.inf, 0.0], [np.inf, 2.0]]
+
+    def verdicts():
+        return [validate_metric(D).violations,
+                MetricSpace.from_points(cloud, validate=False).validate().violations]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = verdicts()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        strict = verdicts()
+    assert strict == quiet
+    assert all(v[0].kind == "nonfinite" for v in strict)
 
 
 @pytest.mark.parametrize("w", [np.nan, np.inf, 0.0])
