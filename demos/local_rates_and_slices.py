@@ -45,7 +45,7 @@ v = f.values()
 D = space.pairwise()
 L = mod.matrix()
 off = D > 0.0
-worst = float((np.abs(v[:, None] - v[None, :]) / (L * D))[off].max())
+worst = float((np.abs(v[:, None] - v[None, :])[off] / (L * D)[off]).max())
 print(f"\ntwo-point modulus: worst ratio |f(x)-f(y)| / (L d) = {worst:.6f}")
 print(f"its level function is {mod.envelope_constant:.2f}-Lipschitz: "
       f"{check_k_lipschitz(mod.level_field, mod.envelope_constant).passed}")

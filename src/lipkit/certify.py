@@ -16,7 +16,7 @@ import numpy as np
 from . import _pairs
 from .errors import PreconditionError
 from .metric_space import _DEFAULT_TOL, MetricSpace, Subset
-from .scalar_field import ScalarField, Series, Tabulated
+from .scalar_field import ScalarField, Tabulated
 
 
 def _require_constant(K) -> float:
@@ -212,49 +212,28 @@ def feasible_interval(space: MetricSpace, assigned_ids, assigned_values,
 def pou_report(pou, tol: float = _DEFAULT_TOL) -> Certificate:
     """Sum-to-one residual, activity soundness, per-member constants.
 
-    Sums are taken over the flattened term multiset (series members are
-    unfolded), with an exactly rounded summation; regrouping members
-    therefore cannot move the residual.
+    The sums are the family's own values: exactly rounded sums of the
+    flattened leaf multiset at each sample, so regrouping members cannot
+    move the residual.  The activity violation is the largest member
+    value outside the mask, first in sample-major order, a NaN first of
+    all.
     """
     space = pou.space
     members = pou.members
-    sums = np.zeros(space.n)
-    for p in range(space.n):
-        leaves = []
-        for i in pou.active_members(p):
-            m = members[i]
-            if isinstance(m, Series):
-                leaves.extend(m.leaf_values(p))
-            else:
-                leaves.append(m(p))
-        sums[p] = math.fsum(leaves)
-    residual = float(np.abs(sums - 1.0).max()) if space.n else 0.0
-    res_point = int(np.argmax(np.abs(sums - 1.0))) if space.n else None
+    gap = np.abs(pou.values() - 1.0)
+    residual = float(gap.max())
+    res_point = int(np.argmax(gap))
 
     # Beyond the declared activity bound members must vanish exactly.
-    activity_worst = 0.0
-    activity_witness = None
-    M = np.stack([m.values() for m in members]) if members else np.zeros((0, space.n))
-    for p in range(space.n):
-        active = set(int(i) for i in pou.active_members(p))
-        for i in range(len(members)):
-            if i not in active and M[i, p] != 0.0:
-                if abs(M[i, p]) > activity_worst:
-                    activity_worst = float(abs(M[i, p]))
-                    activity_witness = (i, p)
-
+    activity_worst, activity_witness = pou.activity_violation()
+    M = pou.term_matrix()
     member_lip = [_pairs.max_slope(space, row)[0] for row in M]
-
     negativity = float(-M.min()) if members else 0.0
-
-    histogram = {}
-    for p in range(space.n):
-        active_now = sum(1 for i in pou.active_members(p) if M[i, p] > 0)
-        histogram[active_now] = histogram.get(active_now, 0) + 1
+    histogram = np.bincount(((M > 0) & pou.activity).sum(axis=0))
 
     passed = (residual <= tol and activity_worst == 0.0 and negativity <= 0.0)
     worst = max(residual, activity_worst, negativity)
-    witness = activity_witness if activity_worst > 0 else (res_point,)
+    witness = (res_point,) if activity_witness is None else activity_witness
     return Certificate(
         "pou", passed, worst, tol, witness,
         details={
@@ -263,7 +242,8 @@ def pou_report(pou, tol: float = _DEFAULT_TOL) -> Certificate:
             "negativity": negativity,
             "member_count": len(members),
             "member_lip": member_lip,
-            "active_histogram": {str(k): v for k, v in sorted(histogram.items())},
+            "active_histogram": {str(k): int(c)
+                                 for k, c in enumerate(histogram) if c},
         })
 
 

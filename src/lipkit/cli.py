@@ -589,6 +589,9 @@ def main(argv=None) -> int:
     except (DomainError, CoverError, GridError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
     except PreconditionError as e:
         witness = e.witness
         if witness is not None and not isinstance(witness, (int, tuple, list)):

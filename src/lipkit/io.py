@@ -35,7 +35,8 @@ def _read_json(path):
 
 
 def _read_csv_floats(path):
-    rows = []
+    """The numeric rows of a CSV file, with the file line of each row."""
+    rows, lines = [], []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -45,6 +46,7 @@ def _read_csv_floats(path):
                 cells = line.split(",")
                 try:
                     rows.append([float(c) for c in cells])
+                    lines.append(lineno)
                 except ValueError:
                     if lineno == 1:
                         continue        # tolerated header row
@@ -54,10 +56,10 @@ def _read_csv_floats(path):
     if not rows:
         raise InputError(f"{path}: empty file")
     width = len(rows[0])
-    for i, r in enumerate(rows, start=1):
+    for r, lineno in zip(rows, lines):
         if len(r) != width:
-            raise InputError(f"{path}, line {i}: ragged row")
-    return np.array(rows)
+            raise InputError(f"{path}, line {lineno}: ragged row")
+    return np.array(rows), lines
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +103,7 @@ def load_space(path, tol: float = _DEFAULT_TOL,
             return MetricSpace.from_graph(_number(path, obj, "nodes", int), edges,
                                           validate, tol)
         raise InputError(f"{path}: JSON is neither a grid nor a graph")
-    data = _read_csv_floats(path)
+    data, _ = _read_csv_floats(path)
     n, m = data.shape
     if n == m and float(np.abs(np.diag(data)).max()) == 0.0:
         return MetricSpace.from_matrix(data, validate, tol)
@@ -126,9 +128,13 @@ def load_subset(path, space: MetricSpace) -> Subset:
 
 def load_values_csv(path):
     """Rows of (id, value); returns (ids, values) in file order."""
-    data = _read_csv_floats(path)
+    data, lines = _read_csv_floats(path)
     if data.shape[1] != 2:
         raise InputError(f"{path}: expected two columns (id, value)")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise InputError(f"{path}, line {lines[bad[0]]}: ids and values "
+                         f"must be finite")
     ids = data[:, 0]
     if not np.array_equal(ids, np.round(ids)):
         raise InputError(f"{path}: first column must hold integer ids")

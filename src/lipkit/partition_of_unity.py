@@ -213,9 +213,10 @@ def mather_refine(cover: CozeroCover, tol: float = _DEFAULT_TOL) -> MatherRefine
 # Partitions of unity
 
 
-class PartitionOfUnity:
-    """Finite family of nonnegative fields with unit sum and an explicit
-    finite activity list at every sample.
+class PartitionOfUnity(Series):
+    """Finite family of nonnegative fields with unit sum: a series whose
+    terms are the members and whose activity mask bounds the members
+    alive at every sample.
 
     set_index[m] names the cover set the m-th member is subordinated
     to: the member vanishes wherever that set's witness does.
@@ -223,26 +224,16 @@ class PartitionOfUnity:
 
     def __init__(self, space, members, set_index, activity,
                  cover=None, notes=None):
-        self.space = space
-        self.members = list(members)
+        super().__init__(space, members, activity)
+        self.members = self.terms
         self.set_index = list(set_index)
-        self.activity = [np.asarray(a, dtype=int) for a in activity]
         self.cover = cover
         self.notes = list(notes or [])
-        if len(self.activity) != space.n:
-            raise PreconditionError("need one activity list per sample")
         if len(self.set_index) != len(self.members):
             raise PreconditionError("need one set index per member")
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def active_members(self, p: int) -> np.ndarray:
-        return self.activity[p]
-
-    def groups(self) -> list:
-        """Distinct set indices in increasing order."""
-        return sorted(set(self.set_index))
 
 
 def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
@@ -316,12 +307,11 @@ def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
     member_k_arr = np.asarray(member_k)
     support = wvals > 0.0
     live = support[owner_row, :] & (member_k_arr[:, None] <= live_k[None, :])
-    activity = [np.flatnonzero(live[:, p]) for p in range(space.n)]
 
     notes = []
     if refined.dominated:
         notes.append(f"dropped dominated set(s) {refined.dominated}")
-    pou = PartitionOfUnity(space, members, set_index, activity,
+    pou = PartitionOfUnity(space, members, set_index, live,
                            cover=cover, notes=notes)
     pou.refinement = refined
     pou.rebuilt = rebuilt
@@ -352,24 +342,17 @@ def index_subordinate(pou: PartitionOfUnity,
     high = max(pou.set_index, default=-1)
     if high >= size:
         raise InputError(f"subordination index {high} outside 0..{size - 1}")
-    rows = {n: [] for n in range(size)}
-    for m, n in enumerate(pou.set_index):
-        rows[n].append(m)
+    set_index = np.asarray(pou.set_index, dtype=int)
     members = []
-    outer = [[] for _ in range(space.n)]
+    outer = np.zeros((size, space.n), dtype=bool)
     for n in range(size):
-        ids = rows[n]
-        if not ids:
+        ids = np.flatnonzero(set_index == n)
+        if not ids.size:
             members.append(Constant(space, 0.0))
             continue
-        pos = {m: i for i, m in enumerate(ids)}
-        inner = []
-        for p in range(space.n):
-            act = [pos[int(m)] for m in pou.activity[p] if int(m) in pos]
-            inner.append(np.asarray(act, dtype=int))
-            if act:
-                outer[p].append(n)
+        inner = pou.activity[ids]
         members.append(Series(space, [pou.members[m] for m in ids], inner))
+        outer[n] = inner.any(axis=0)
     return PartitionOfUnity(space, members, list(range(size)), outer,
                             cover=pou.cover,
                             notes=pou.notes + ["regrouped by cover set"])

@@ -322,11 +322,14 @@ class Transported(ScalarField):
 class Series(ScalarField):
     """Locally finite sum of fields.
 
-    activity, when given, lists for every sample id the term indices
-    that may be nonzero there; evaluation sums exactly those terms with
-    an exactly rounded sum.  Terms outside the activity sets are
-    required to vanish (checked by check_activity, relied on
-    everywhere).
+    activity is a read-only (terms, n) boolean mask: term i may be
+    nonzero at sample p only where activity[i, p] holds (all true when
+    omitted).  The value at p is the exactly rounded sum of the leaf
+    multiset in column p: every active non-series term, and the leaves
+    of every active nested series, masked by its own row.  Regrouping
+    terms into nested series leaves that multiset, hence the sum, bit
+    for bit unchanged.  Terms outside the mask are required to vanish
+    (checked by check_activity, relied on everywhere).
     """
 
     def __init__(self, space: MetricSpace, terms, activity=None):
@@ -335,57 +338,57 @@ class Series(ScalarField):
         for t in self.terms:
             if t.space is not space:
                 raise DomainError("series terms live on different spaces")
-        if activity is not None:
-            activity = [np.asarray(a, dtype=int) for a in activity]
-            if len(activity) != space.n:
-                raise InputError("activity needs one index set per sample point")
+        shape = (len(self.terms), space.n)
+        if activity is None:
+            activity = np.ones(shape, dtype=bool)
+        activity = np.array(activity, dtype=bool)
+        if activity.shape != shape:
+            raise InputError(
+                f"activity needs a {shape} mask, got shape {activity.shape}")
+        activity.setflags(write=False)
         self.activity = activity
-
-    def active_indices(self, p: int):
-        if self.activity is None:
-            return range(len(self.terms))
-        return self.activity[p]
 
     def term_matrix(self) -> np.ndarray:
         if not self.terms:
             return np.zeros((0, self.space.n))
         return np.stack([t.values() for t in self.terms])
 
-    def leaf_values(self, p: int):
-        """Flatten nested series: the multiset of non-series term values
-        at p.  Regrouping terms leaves this multiset unchanged, which is
-        what makes regrouped sums exactly comparable."""
-        out = []
-        for i in self.active_indices(p):
-            t = self.terms[i]
+    def _leaves(self):
+        """(values, mask) rows of the leaf multiset, one pair per leaf."""
+        for t, on in zip(self.terms, self.activity):
             if isinstance(t, Series):
-                out.extend(t.leaf_values(p))
+                for v, m in t._leaves():
+                    yield v, m & on
             else:
-                out.append(t(p))
-        return out
+                yield t.values(), on
 
     def _compute_values(self) -> np.ndarray:
-        out = np.zeros(self.space.n)
-        if not self.terms:
-            return out
-        M = self.term_matrix()
-        for p in range(self.space.n):
-            idx = self.active_indices(p)
-            out[p] = math.fsum(M[i, p] for i in idx)
-        return out
+        # gather only the active entries, so memory follows the activity
+        # rather than leaves x samples; a stable sort keeps leaf order
+        entries = [(np.flatnonzero(on), v[on]) for v, on in self._leaves()]
+        samples = np.concatenate([s for s, _ in entries] + [np.zeros(0, int)])
+        values = np.concatenate([v for _, v in entries] + [np.zeros(0)])
+        flat = values[np.argsort(samples, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(samples, minlength=self.space.n)).tolist()
+        return np.array([math.fsum(flat[a:b]) for a, b in zip([0] + ends, ends)])
+
+    def activity_violation(self) -> tuple:
+        """Largest |value| of a term outside the mask, with its (term,
+        sample); (0.0, None) when the mask is sound.  Ties go to the
+        first entry in sample-major order, and a NaN beats every
+        number."""
+        outside = self.term_matrix()
+        np.abs(outside, out=outside)
+        outside[self.activity] = 0.0
+        if not outside.any():
+            return 0.0, None
+        p, i = np.unravel_index(np.argmax(outside.T), outside.T.shape)
+        return float(outside[i, p]), (int(i), int(p))
 
     def check_activity(self) -> float:
-        """Largest |value| of any term outside its activity set; 0.0 when
-        the declared bound is sound."""
-        if self.activity is None or not self.terms:
-            return 0.0
-        M = self.term_matrix()
-        mask = np.ones(M.shape, dtype=bool)
-        for p in range(self.space.n):
-            mask[np.asarray(self.activity[p], dtype=int), p] = False
-        if not mask.any():
-            return 0.0
-        return float(np.abs(M[mask]).max())
+        """Largest |value| of any term outside the mask; 0.0 when the
+        declared bound is sound."""
+        return self.activity_violation()[0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from lipkit import (Certificate, Constant, Coordinate, LocalWitness,
-                    MetricSpace, PreconditionError, Subset, Tabulated,
+                    MetricSpace, PreconditionError, Series, Subset, Tabulated,
                     certify_local_witness, check_k_lipschitz,
-                    feasible_interval, frolik_pou, mcshane_envelopes,
-                    pou_report, random_k_extension, witness_from_balls)
+                    feasible_interval, frolik_pou, index_subordinate,
+                    mcshane_envelopes, pou_report, random_k_extension,
+                    witness_from_balls)
+from lipkit import _pairs
 from lipkit.fixtures import cusp_curve, sin_reciprocal_pairs, square_on_grid
 from lipkit.partition_of_unity import PartitionOfUnity
 
-from helpers import make_instance, make_space
+from helpers import make_ball_cover, make_instance, make_space
 
 
 def grid_instance():
@@ -236,12 +238,142 @@ def test_pou_report_truncation_fails_with_witness():
     pou = frolik_pou(cover)
     chopped = PartitionOfUnity(
         space, pou.members[:-1], pou.set_index[:-1],
-        [a[a < len(pou.members) - 1] for a in pou.activity],
+        pou.activity[:-1],
         cover=pou.cover)
     cert = pou_report(chopped)
     assert not cert.passed
     assert cert.worst_violation > 0.1
     assert cert.witness is not None
+
+
+def reference_leaves(term, p):
+    """The leaf multiset of a term at sample p, one term at a time: a
+    series unfolds into the leaves of its active terms."""
+    if not isinstance(term, Series):
+        return [term(p)]
+    out = []
+    for i in np.flatnonzero(term.activity[:, p]):
+        out.extend(reference_leaves(term.terms[int(i)], p))
+    return out
+
+
+def reference_pou_report(pou, tol=1e-9):
+    """pou_report written as per-sample loops over activity index lists:
+    the sum, the activity scan and the histogram."""
+    space, members = pou.space, pou.members
+    active = [np.flatnonzero(pou.activity[:, p]) for p in range(space.n)]
+    sums = np.array([math.fsum(leaf for i in active[p]
+                               for leaf in reference_leaves(members[i], p))
+                     for p in range(space.n)])
+    residual = float(np.abs(sums - 1.0).max())
+    res_point = int(np.argmax(np.abs(sums - 1.0)))
+
+    activity_worst, activity_witness = 0.0, None
+    M = np.stack([m.values() for m in members])
+    for p in range(space.n):
+        on = set(int(i) for i in active[p])
+        for i in range(len(members)):
+            if i not in on and M[i, p] != 0.0:
+                if abs(M[i, p]) > activity_worst:
+                    activity_worst = float(abs(M[i, p]))
+                    activity_witness = (i, p)
+
+    histogram = {}
+    for p in range(space.n):
+        alive = sum(1 for i in active[p] if M[i, p] > 0)
+        histogram[alive] = histogram.get(alive, 0) + 1
+
+    negativity = float(-M.min())
+    passed = (residual <= tol and activity_worst == 0.0 and negativity <= 0.0)
+    return Certificate(
+        "pou", passed, max(residual, activity_worst, negativity), tol,
+        activity_witness if activity_worst > 0 else (res_point,),
+        details={
+            "sum_residual": residual,
+            "activity_violation": activity_worst,
+            "negativity": negativity,
+            "member_count": len(members),
+            "member_lip": [_pairs.max_slope(space, row)[0] for row in M],
+            "active_histogram": {str(k): v
+                                 for k, v in sorted(histogram.items())},
+        })
+
+
+def seeded_families(kind, draws=3):
+    rng = np.random.default_rng(500 + kind)
+    for _ in range(draws):
+        space = make_space(rng, n_max=20, kinds=[kind])
+        pou = frolik_pou(witness_from_balls(space, make_ball_cover(rng, space)))
+        yield pou, index_subordinate(pou)
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2, 3],
+                         ids=["matrix", "points", "graph", "grid"])
+def test_pou_report_matches_the_loop_reference(kind):
+    for pou, grouped in seeded_families(kind):
+        for family in (pou, grouped):
+            assert pou_report(family).to_dict() == \
+                reference_pou_report(family).to_dict()
+
+
+def test_pou_report_matches_the_loop_reference_when_truncated():
+    for pou, _ in seeded_families(1):
+        chopped = PartitionOfUnity(pou.space, pou.members[:-1],
+                                   pou.set_index[:-1], pou.activity[:-1])
+        cert = pou_report(chopped)
+        assert not cert.passed
+        assert cert.to_dict() == reference_pou_report(chopped).to_dict()
+
+
+def hidden_entries_family(at_sample_0, at_sample_2):
+    """Two members on three samples with one entry each outside the
+    activity mask: member 1 at sample 0 and member 0 at sample 2."""
+    space = MetricSpace.from_points([0.0, 1.0, 2.0])
+    members = [Tabulated(space, [1.0, 1.0, at_sample_2]),
+               Tabulated(space, [at_sample_0, 0.0, 1.0])]
+    mask = [[True, True, False], [False, False, True]]
+    return PartitionOfUnity(space, members, [0, 1], mask)
+
+
+def test_pou_report_activity_witness_is_first_in_sample_major_order():
+    family = hidden_entries_family(0.7, 0.7)
+    cert = pou_report(family)
+    assert not cert.passed
+    assert cert.details["activity_violation"] == 0.7
+    assert cert.witness == (1, 0)       # sample 0 comes before sample 2
+    assert cert.to_dict() == reference_pou_report(family).to_dict()
+
+
+def test_pou_report_nan_outside_the_activity_wins():
+    cert = pou_report(hidden_entries_family(0.9, math.nan))
+    assert not cert.passed
+    assert cert.to_dict()["details"]["activity_violation"] == "nan"
+    assert cert.witness == (0, 2)
+
+
+def test_nested_series_sums_its_leaf_multiset():
+    space = MetricSpace.from_points([0.0, 1.0])
+    one, tiny = Constant(space, 1.0), Constant(space, 1e-16)
+    inner = Series(space, [one, tiny])
+    nested = Series(space, [inner, tiny])
+    flat = Series(space, [one, tiny, tiny])
+    # the inner sum rounds to 1.0, the three leaves together do not
+    assert inner.values()[0] == 1.0
+    assert nested.values()[0] == math.fsum([1.0, 1e-16, 1e-16]) > 1.0
+    np.testing.assert_array_equal(nested.values(), flat.values())
+    # a term masked out of the outer row drops all of its leaves
+    masked = Series(space, [inner, tiny], [[True, False], [True, True]])
+    assert masked.values().tolist() == [nested.values()[0], 1e-16]
+
+
+def test_regrouping_does_not_move_the_series_values():
+    for kind in (0, 1, 2, 3):
+        for pou, grouped in seeded_families(kind, draws=2):
+            leaf_sums = [math.fsum(leaf for i in np.flatnonzero(pou.activity[:, p])
+                                   for leaf in reference_leaves(pou.members[i], p))
+                         for p in range(pou.space.n)]
+            assert pou.values().tolist() == leaf_sums
+            assert grouped.values().tolist() == leaf_sums
 
 
 def test_certify_local_witness_square_fixture():

@@ -235,6 +235,15 @@ def test_space_with_a_malformed_number_is_input_error(tmp_path, capsys, obj,
     assert message in capsys.readouterr().err
 
 
+def test_grid_too_large_for_memory_is_an_error(tmp_path, capsys):
+    # 1e15 samples: numpy refuses the coordinate array at once
+    space = write(tmp_path / "s.json",
+                  json.dumps({"lo": 0, "hi": 1, "step": 1e-15}))
+    assert main(["certify-metric", "--space", space,
+                 "--out-dir", str(tmp_path)]) == 1
+    assert "error: out of memory" in capsys.readouterr().err
+
+
 def test_pou_rejects_a_malformed_ball(tmp_path, grid_space, capsys):
     cover = write(tmp_path / "c.json", json.dumps([{"balls": [[0]]}]))
     assert main(["pou", "--space", grid_space, "--cover", cover,
@@ -286,6 +295,17 @@ def test_modulus_runs(tmp_path, grid_space, witnessed_field, capsys):
     assert (tmp_path / "levels_unbounded.csv").exists()
     assert read_json(tmp_path)["passed"] is True
     capsys.readouterr()
+
+
+def test_modulus_refuses_a_nan_value(tmp_path, grid_space, witnessed_field,
+                                     capsys):
+    _, witness = witnessed_field
+    values = write(tmp_path / "f.csv", "0,0.0\n1,nan\n2,1.0\n3,1.5\n4,2.0\n")
+    assert main(["modulus", "--space", grid_space, "--values", values,
+                 "--witness", witness, "--out-dir", str(tmp_path)]) == 1
+    assert "f.csv, line 2: ids and values must be finite" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
 
 
 def test_extend_local_runs(tmp_path, grid_space, capsys):

@@ -90,6 +90,17 @@ def test_load_values_csv(tmp_path):
         load_values_csv(put(tmp_path, "frac.csv", "0.5,1\n"))
 
 
+@pytest.mark.parametrize("text, line", [
+    ("0,0.5\n1,nan\n2,inf\n", 2),
+    ("id,value\n0,0.5\n\n1,-inf\n", 4),
+    ("0,0.5\ninf,1.0\n", 2),
+], ids=["nan-value", "after-header-and-blank", "infinite-id"])
+def test_value_csv_refuses_non_finite_entries(tmp_path, text, line):
+    with pytest.raises(InputError, match=f"line {line}: ids and values must "
+                                         f"be finite"):
+        load_values_csv(put(tmp_path, "v.csv", text))
+
+
 def test_values_on_subset(tmp_path):
     space = MetricSpace.from_grid(0.0, 2.0, 0.5)
     A = Subset(space, [0, 2])

@@ -101,7 +101,7 @@ def test_decompose_members_respect_activity(name):
     dec = decompose(f, witness)
     M = np.stack([m.values() for m in dec.members])
     for p in range(space.n):
-        active = set(int(i) for i in dec.series.active_indices(p))
+        active = set(np.flatnonzero(dec.series.activity[:, p]).tolist())
         for i in range(len(dec.members)):
             if i not in active:
                 assert M[i, p] == 0.0

@@ -167,8 +167,8 @@ def test_series_activity_contract():
     full = Series(space, terms)
     np.testing.assert_allclose(full.values(),
                                terms[0].values() + terms[1].values())
-    # activity lists that hide a nonzero term are a contract violation
-    fake = Series(space, terms, activity=[[0]] * space.n)
+    # an activity mask that hides a nonzero term is a contract violation
+    fake = Series(space, terms, activity=[[True] * space.n, [False] * space.n])
     assert fake.check_activity() > 0.0
 
 
