@@ -7,6 +7,13 @@ set, the tie rule and the NaN rule are decided in one place:
 
   * only off-diagonal pairs are visited: p < q when the quantity is
     symmetric (upper=True), every ordered pair p != q otherwise;
+  * a symmetric quantity whose ordered maximum is wanted (max_slope,
+    and callers passing symmetric=True) skips, on exactly symmetric
+    distances, each pair (p, q) with q before p's row block, about half
+    of them: the value at (i, j) with i > j equals the one at (j, i),
+    which comes first in row-major order, so value and pair are those
+    of the ordered sweep.  Distances symmetric only within tol keep the
+    ordered pairs;
   * ties resolve to the lexicographically first pair, and NaN counts
     as larger than any number (the numpy.argmax order), so a NaN can
     never hide behind a passing maximum.
@@ -27,39 +34,57 @@ _BLOCK = 1 << 18        # entries per row block; bounds the temporaries
 def slope(o, d, zero):
     """o / d elementwise.  A pair at distance zero has slope `zero` when
     its values differ and 0 when they agree; a negative distance (only
-    in unvalidated data) has slope 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(d > 0, o / np.where(d > 0, d, 1.0), 0.0)
-    if zero:
-        s[(d == 0) & (o > 0)] = zero
+    in unvalidated data) has slope 0, and so has a NaN distance; a NaN
+    gap over a positive distance stays NaN, and a quotient beyond the
+    float range is inf, quietly."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = o / d
+    fix = ~(d > 0)
+    if fix.any():
+        s[fix] = np.where((d[fix] == 0) & (o[fix] > 0), zero, 0.0)
     return s
 
 
-def _sweep(space, v, ids, upper, value, per_row=False):
+def clear_lower(block, fill):
+    """Fill the entries with q <= p of a block whose rows are a, a+1, ...
+    and whose columns start at a + 1; only its first columns have any."""
+    t = min(block.shape)
+    block[:, :t][np.arange(block.shape[0])[:, None] > np.arange(t)] = fill
+
+
+def _sweep(space, v, ids, upper, value, per_row=False, symmetric=False):
     """Largest value(r, c, d, o) over the pairs, where a block has row
     positions r, column positions c, distances d and value gaps
     o = |v_p - v_q|.  Returns (x, (p, q)), None when there is no pair,
-    or with per_row the array of row maxima (0.0 for a lone sample)."""
+    or with per_row the array of row maxima (0.0 for a lone sample).
+
+    symmetric declares value symmetric in (p, q).  On exactly symmetric
+    distances the blocks then start their columns at their first row:
+    an entry below the diagonal mirrors one above it that comes first
+    in row-major order, so masking the diagonal alone gives the ordered
+    sweep's result."""
     m = len(v)
     rowmax, best = np.zeros(m), None
     if m < 2:
         return rowmax if per_row else None
     D = space.pairwise()
+    mirror = symmetric and space.exactly_symmetric()
     step = max(1, _BLOCK // m)
-    for a in range(0, m - 1 if upper else m, step):
-        r, c = slice(a, min(a + step, m)), slice(a + 1 if upper else 0, m)
+    for a in range(0, m - 1 if upper or mirror else m, step):
+        lo = a + 1 if upper else a if mirror else 0
+        r, c = slice(a, min(a + step, m)), slice(lo, m)
         d = D[r, c] if ids is None else D[np.ix_(ids[r], ids[c])]
         e = value(r, c, d, np.abs(v[r, None] - v[None, c]))
         if upper:
-            e[np.tri(*e.shape, -1, dtype=bool)] = -math.inf
+            clear_lower(e, -math.inf)
         else:
-            np.fill_diagonal(e[:, a:], -math.inf)
+            np.fill_diagonal(e[:, a - lo:], -math.inf)
         if per_row:
             rowmax[r] = e.max(axis=1)
             continue
         k = int(np.argmax(e))
         if e.flat[k] == -math.inf:      # all -inf: the first valid pair
-            k = 1 if (a == 0 and not upper) else 0
+            k = 1 if a == lo else 0
         x = float(e.flat[k])
         if best is None or x > best[0] or (x != x and best[0] == best[0]):
             best = (x, a + k // e.shape[1], c.start + k % e.shape[1])
@@ -71,15 +96,20 @@ def _sweep(space, v, ids, upper, value, per_row=False):
     return x, (int(i), int(j))
 
 
-def worst_excess(space, v, cap, ids=None, num=None, upper=True):
+def worst_excess(space, v, cap, ids=None, num=None, upper=True,
+                 symmetric=False):
     """Largest num(|v_p - v_q|) - cap over sample pairs, with its pair.
 
     cap(r, c, d, o) returns the cap of a block (see _sweep); num, when
-    given, maps the value gaps o to the numerator.  Returns
-    (excess, (p, q)), or (-inf, None) when there is no pair.
+    given, maps the value gaps o to the numerator.  With upper=False,
+    symmetric=True declares the cap symmetric in (p, q), and the
+    ordered result then comes from about half the pairs on exactly
+    symmetric distances.  Returns (excess, (p, q)), or (-inf, None)
+    when there is no pair.
     """
     out = _sweep(space, v, ids, upper, lambda r, c, d, o:
-                 (o if num is None else num(o)) - cap(r, c, d, o))
+                 (o if num is None else num(o)) - cap(r, c, d, o),
+                 symmetric=symmetric)
     return (-math.inf, None) if out is None else out
 
 
@@ -87,8 +117,10 @@ def max_slope(space, v, ids=None, zero=0.0, per_row=False):
     """Largest |v_p - v_q| / d(p, q) over ordered pairs p != q, with a
     distinct pair at distance zero sloped `zero` (see slope).  Returns
     (value, (p, q)), or (0.0, None) when there is no pair; with per_row,
-    the array of each row's largest slope instead.
+    the array of each row's largest slope instead.  The slope is
+    symmetric, so on exactly symmetric distances the sweep without
+    per_row skips about half the pairs, with the same result.
     """
     out = _sweep(space, v, ids, False, lambda r, c, d, o: slope(o, d, zero),
-                 per_row)
+                 per_row, symmetric=not per_row)
     return (0.0, None) if out is None else out

@@ -25,7 +25,7 @@ import numpy as np
 from . import _pairs
 from .certify import _as_values_on, certify_local_witness
 from .errors import CoverError, PreconditionError
-from .extension import Envelope, _require_phi_in, extend_to_interval
+from .extension import _require_phi_in, extend_to_interval
 from .metric_space import _DEFAULT_TOL, Subset
 from .partition_of_unity import (CozeroCover, _BallUnion, frolik_pou,
                                  index_subordinate)
@@ -134,7 +134,7 @@ class IncreasingCover:
             ids = np.flatnonzero(self.memberships[int(t)])
             e, pair = _pairs.worst_excess(
                 self.space, self.values[ids], lambda r, c, d, o: float(t) * d,
-                ids=ids, num=num, upper=False)
+                ids=ids, num=num, upper=False, symmetric=True)
             if pair is not None and e > worst:
                 worst = e
                 witness = (int(t), pair)
@@ -165,7 +165,7 @@ def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
         ids = np.flatnonzero(D[e.point] < 2.0 * e.delta)
         hi, pair = _pairs.worst_excess(
             space, v[ids], lambda r, c, d, o: e.constant * d,
-            ids=ids, num=num, upper=False)
+            ids=ids, num=num, upper=False, symmetric=True)
         if not (hi <= tol):
             raise PreconditionError(
                 f"entry {j} at point {e.point} fails on its doubled ball "
@@ -215,6 +215,11 @@ class ModulusWitness:
     Bounded flavor: L(x, y) = max(level_x, level_y).  Unbounded flavor:
     the levels are built for the compressed oscillation o/(1 + o), and
     L(x, y) = (1 + |f(x) - f(y)|) max(level_x, level_y).
+
+    level_field is the levels themselves as a field.  It is Lipschitz
+    with envelope_constant M = (max level) / (min positive distance):
+    levels are positive, so |level_x - level_y| <= max level
+    = M gap <= M d(x, y) for x != y.
     """
 
     kind: str
@@ -240,7 +245,7 @@ class ModulusWitness:
         return _pairs.worst_excess(
             self.space, self.f_values,
             lambda r, c, d, o: self._rates(r, c, o) * d * (1.0 + rel_tol),
-            upper=False)
+            upper=False, symmetric=True)
 
 
 def modulus_witness(f: ScalarField, witness: LocalWitness, rule: str = "bounded",
@@ -248,11 +253,12 @@ def modulus_witness(f: ScalarField, witness: LocalWitness, rule: str = "bounded"
     """Per-point levels whose pairwise maximum bounds the slope of f.
 
     The level of a sample is the first threshold of the increasing
-    cover that reaches it; spreading the levels by the lower envelope
-    with the constant (max level) / (min positive distance) leaves the
-    sample values unchanged while making the level function Lipschitz.
-    The unbounded rule compresses the oscillation to o/(1 + o) first,
-    which is bounded by one, and restores the scale in the pair rate.
+    cover that reaches it, and the level field is that table: on a
+    finite sample it is already Lipschitz with the constant
+    (max level) / (min positive distance), since two levels differ by
+    less than the largest one (see ModulusWitness).  The unbounded rule
+    compresses the oscillation to o/(1 + o) first, which is bounded by
+    one, and restores the scale in the pair rate.
     """
     if rule not in ("bounded", "unbounded"):
         raise PreconditionError(f"unknown rule {rule!r}")
@@ -262,11 +268,10 @@ def modulus_witness(f: ScalarField, witness: LocalWitness, rule: str = "bounded"
     eta = cover.eta.astype(float)
     try:
         gap = space.min_positive_distance()
-    except Exception:
+    except PreconditionError:       # no positive distance
         gap = math.inf
     M = 0.0 if not math.isfinite(gap) else float(eta.max()) / gap
-    all_ids = np.arange(space.n)
-    level_field = Envelope(space, all_ids, eta, np.full(space.n, M), -1)
+    level_field = Tabulated(space, eta)
     return ModulusWitness(rule, space, level_field.values(), level_field, M,
                           v, cover)
 

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as _sparse
 import scipy.sparse.csgraph as _csgraph
 
+from . import _pairs
 from .errors import InputError, PreconditionError
 
 _DEFAULT_TOL = 1e-9
@@ -130,6 +131,7 @@ class MetricSpace:
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
         self._matrix = None if matrix is None else np.asarray(matrix, dtype=float)
         self.grid = grid    # (lo, hi, step) for the grid backend
+        self._symmetric = None
         if self.n < 1:
             raise InputError("a metric space needs at least one point")
         if validate:
@@ -230,12 +232,28 @@ class MetricSpace:
         return float(self.pairwise().max())
 
     def min_positive_distance(self) -> float:
-        D = self.pairwise()
-        off = D[np.triu_indices(self.n, 1)]
-        pos = off[off > 0]
-        if pos.size == 0:
+        """Smallest positive d(p, q) over p < q, read in row blocks."""
+        D, n, best = self.pairwise(), self.n, None
+        step = max(1, _pairs._BLOCK // n)
+        for a in range(0, n - 1, step):
+            block = D[a:a + step, a + 1:]
+            pos = block > 0
+            _pairs.clear_lower(pos, False)
+            if pos.any():
+                x = block[pos].min()
+                best = x if best is None else min(best, x)
+        if best is None:
             raise PreconditionError("no positive pairwise distance in this space")
-        return float(pos.min())
+        return float(best)
+
+    def exactly_symmetric(self) -> bool:
+        """d(p, q) == d(q, p) bit for bit, decided once: by construction
+        for coordinates (see _coord_dist), by comparison for a matrix."""
+        if self._symmetric is None:
+            D = self._matrix
+            self._symmetric = (self.coords is not None
+                               or bool(np.array_equal(D, D.T)))
+        return self._symmetric
 
     # ---- validation ----------------------------------------------------
 

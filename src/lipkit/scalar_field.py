@@ -128,9 +128,10 @@ _TRANSPORTS = ("arctan", "tan", "reciprocal", "affine")
 
 
 class ScalarField:
-    """Base class.  Subclasses implement _compute_values(); evaluation is
-    vectorized once per field and cached, so scalar calls share the exact
-    floats the array path produced."""
+    """Base class.  Subclasses implement _compute_values(), and name the
+    fields it reads in children(); evaluation is vectorized once per
+    field and cached, so scalar calls share the exact floats the array
+    path produced."""
 
     def __init__(self, space: MetricSpace):
         self.space = space
@@ -139,14 +140,31 @@ class ScalarField:
     def _compute_values(self) -> np.ndarray:
         raise NotImplementedError
 
+    def children(self) -> tuple:
+        """The fields whose values _compute_values reads; a leaf has none."""
+        return ()
+
     def values(self) -> np.ndarray:
-        if self._cached is None:
-            v = np.asarray(self._compute_values(), dtype=float)
-            if v.shape != (self.space.n,):
-                raise InputError(
-                    f"field evaluated to shape {v.shape}, expected ({self.space.n},)")
-            v.setflags(write=False)
-            self._cached = v
+        # An explicit stack walks the uncached nodes below, children first
+        # and left before right, and evaluates each through its own
+        # values(), which then finds its children cached: a deep tree,
+        # such as a sum of thousands of fields, needs no recursion.
+        stack = [self]
+        while self._cached is None:
+            node = stack[-1]
+            pending = [c for c in node.children() if c._cached is None]
+            if pending:
+                stack.extend(reversed(pending))
+            elif node is not self:
+                stack.pop()
+                node.values()
+            else:
+                v = np.asarray(self._compute_values(), dtype=float)
+                if v.shape != (self.space.n,):
+                    raise InputError(
+                        f"field evaluated to shape {v.shape}, expected ({self.space.n},)")
+                v.setflags(write=False)
+                self._cached = v
         return self._cached
 
     def __call__(self, p: int) -> float:
@@ -277,6 +295,9 @@ class Binary(ScalarField):
         self.left = left
         self.right = right
 
+    def children(self) -> tuple:
+        return self.left, self.right
+
     def _compute_values(self) -> np.ndarray:
         return _BINARY_OPS[self.op](self.left.values(), self.right.values())
 
@@ -297,6 +318,9 @@ class Transported(ScalarField):
         self.inner = inner
         self.a = float(a)
         self.b = float(b)
+
+    def children(self) -> tuple:
+        return (self.inner,)
 
     def _compute_values(self) -> np.ndarray:
         v = self.inner.values()
@@ -347,6 +371,9 @@ class Series(ScalarField):
                 f"activity needs a {shape} mask, got shape {activity.shape}")
         activity.setflags(write=False)
         self.activity = activity
+
+    def children(self) -> tuple:
+        return tuple(self.terms)
 
     def term_matrix(self) -> np.ndarray:
         if not self.terms:

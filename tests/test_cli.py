@@ -297,6 +297,18 @@ def test_modulus_runs(tmp_path, grid_space, witnessed_field, capsys):
     capsys.readouterr()
 
 
+def test_modulus_out_of_memory_is_an_error(tmp_path, grid_space,
+                                           witnessed_field, capsys,
+                                           monkeypatch):
+    def exhausted(self):
+        raise MemoryError("no room for the distances")
+    monkeypatch.setattr(MetricSpace, "min_positive_distance", exhausted)
+    values, witness = witnessed_field
+    assert main(["modulus", "--space", grid_space, "--values", values,
+                 "--witness", witness, "--out-dir", str(tmp_path)]) == 1
+    assert "error: out of memory" in capsys.readouterr().err
+
+
 def test_modulus_refuses_a_nan_value(tmp_path, grid_space, witnessed_field,
                                      capsys):
     _, witness = witnessed_field

@@ -154,6 +154,34 @@ def test_modulus_constant_field():
     assert np.isfinite(mod.levels).all()
 
 
+def test_modulus_levels_are_the_cover_levels():
+    space, f, witness = square_on_grid()
+    for rule in ("bounded", "unbounded"):
+        mod = modulus_witness(f, witness, rule=rule)
+        np.testing.assert_array_equal(mod.levels, mod.cover.eta)
+        np.testing.assert_array_equal(mod.level_field.values(), mod.levels)
+        assert mod.envelope_constant == \
+            mod.levels.max() / space.min_positive_distance()
+
+
+def test_modulus_without_a_positive_distance():
+    space = MetricSpace.from_points([0.0])
+    f = Constant(space, 2.0)
+    mod = modulus_witness(f, LocalWitness.from_triples([(0, 1.0, 0.0)]))
+    assert mod.envelope_constant == 0.0
+    assert mod.certify(TOL) == (-np.inf, None)
+
+
+def test_modulus_lets_a_memory_error_through(monkeypatch):
+    space, f, witness = square_on_grid()
+
+    def exhausted(self):
+        raise MemoryError("no room for the distances")
+    monkeypatch.setattr(MetricSpace, "min_positive_distance", exhausted)
+    with pytest.raises(MemoryError):
+        modulus_witness(f, witness)
+
+
 def test_modulus_unknown_rule():
     space, f, witness = square_on_grid()
     with pytest.raises(PreconditionError):

@@ -1,58 +1,15 @@
-"""The pair kernel against a naive dense reference written out here."""
+"""The pair kernel against the naive ordered-pair reference of helpers."""
 
 import math
 
 import numpy as np
 import pytest
 
-from helpers import make_space
-from lipkit import (MetricSpace, Tabulated, generate_pointwise_witness,
-                    pointwise_lip)
+from helpers import (check_switched, compress, make_space, ref_max_slope,
+                     ref_min_positive_distance, ref_worst_excess, same)
+from lipkit import (MetricSpace, ModulusWitness, PreconditionError, Tabulated,
+                    generate_pointwise_witness, pointwise_lip)
 from lipkit import _pairs
-
-
-def ref_worst_excess(D, v, cap, ids, upper, num=lambda o: o):
-    """Scalar loop over pairs; cap(i, j, d) takes positions into ids."""
-    best = None
-    for i in range(len(ids)):
-        for j in range(len(ids)):
-            if i == j or (upper and j < i):
-                continue
-            d = D[ids[i], ids[j]]
-            e = num(abs(v[i] - v[j])) - cap(i, j, d)
-            if (best is None or e > best[0]
-                    or (math.isnan(e) and not math.isnan(best[0]))):
-                best = (e, (int(ids[i]), int(ids[j])))
-    return (-math.inf, None) if best is None else best
-
-
-def ref_slope(o, d, zero):
-    if d > 0:
-        return o / d
-    return zero if (d == 0 and o > 0) else 0.0
-
-
-def ref_max_slope(D, v, ids, zero):
-    best, rows = None, []
-    for i in range(len(ids)):
-        row = 0.0 if len(ids) == 1 else -math.inf
-        for j in range(len(ids)):
-            if i == j:
-                continue
-            s = ref_slope(abs(v[i] - v[j]), D[ids[i], ids[j]], zero)
-            if s > row or math.isnan(s) and not math.isnan(row):
-                row = s
-            if (best is None or s > best[0]
-                    or (math.isnan(s) and not math.isnan(best[0]))):
-                best = (s, (int(ids[i]), int(ids[j])))
-        rows.append(row)
-    return (0.0, None) if best is None else best, np.array(rows)
-
-
-def same(a, b):
-    """Equal results, NaN equal to NaN."""
-    (x, p), (y, q) = a, b
-    return p == q and (x == y or (math.isnan(x) and math.isnan(y)))
 
 
 def check_all(space, v, ids=None, L=None, K=1.5):
@@ -71,7 +28,11 @@ def check_all(space, v, ids=None, L=None, K=1.5):
             got = _pairs.worst_excess(space, v, block_cap, ids=ids, upper=upper)
             want = ref_worst_excess(D, v, scalar_cap, pos, upper)
             assert same(got, want), (upper, got, want)
-    compress = lambda o: o / (1.0 + o)       # noqa: E731
+    # caps symmetric in (p, q): the ordered result from half the pairs
+    for block_cap, scalar_cap in caps[:2]:
+        got = _pairs.worst_excess(space, v, block_cap, ids=ids, upper=False,
+                                  symmetric=True)
+        assert same(got, ref_worst_excess(D, v, scalar_cap, pos, False))
     got = _pairs.worst_excess(space, v, caps[0][0], ids=ids, num=compress)
     want = ref_worst_excess(D, v, caps[0][1], pos, True, num=compress)
     assert same(got, want)
@@ -182,3 +143,111 @@ def test_pointwise_witness_matches_pointwise_lip():
         w = generate_pointwise_witness(f, floor=0.0)
         for p in range(space.n):
             assert w.constants[p] == pointwise_lip(f, p).value
+
+
+def old_slope(o, d, zero):
+    """The two-pass formula the one-pass kernel replaced."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.where(d > 0, o / np.where(d > 0, d, 1.0), 0.0)
+    if zero:
+        s[(d == 0) & (o > 0)] = zero
+    return s
+
+
+def test_slope_is_the_two_pass_formula_bit_for_bit():
+    special = [0.0, -0.0, 1.0, 2.5, -1.0, math.inf, math.nan, 5e-324]
+    o, d = np.array([(x, y) for x in special + [3.0] for y in special]).T
+    rng = np.random.default_rng(15)
+    o = np.concatenate([np.abs(o), rng.exponential(size=50)])
+    d = np.concatenate([d, rng.choice(special, size=50)])
+    for zero in (0.0, math.inf):
+        got, want = _pairs.slope(o, d, zero), old_slope(o, d, zero)
+        assert got.tobytes() == want.tobytes()
+        assert _pairs.slope(o.reshape(-1, 2), d.reshape(-1, 2),
+                            zero).tobytes() == want.tobytes()
+    # a NaN gap over a positive distance stays NaN
+    assert math.isnan(_pairs.slope(np.array([math.nan]), np.array([1.0]),
+                                   0.0)[0])
+
+
+def test_exactly_symmetric_by_backend():
+    rng = np.random.default_rng(16)
+    for kind in range(4):
+        space = make_space(rng, n_max=12, kinds=[kind])
+        D = space.pairwise()
+        assert space.exactly_symmetric() == bool(np.array_equal(D, D.T))
+        if kind in (1, 3):
+            assert space.exactly_symmetric()
+
+
+def test_seeded_switched_sweeps(block):
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        space = make_space(rng, n_max=14)
+        v = rng.choice([0.0, 1.0, 2.0, rng.normal()], size=space.n)
+        check_switched(space, v, rng)
+
+
+def test_asymmetric_matrix_sweeps_ordered_pairs(block):
+    # d(2, 0) < d(0, 2): the steepest ordered pair lies below the diagonal
+    D = np.array([[0.0, 1.0, 4.0],
+                  [1.0, 0.0, 1.0],
+                  [1.0, 1.0, 0.0]])
+    space = MetricSpace.from_matrix(D, validate=False)
+    assert not space.exactly_symmetric()
+    v = np.array([0.0, 0.5, 2.0])
+    check_all(space, v)
+    check_switched(space, v, np.random.default_rng(18))
+    assert _pairs.max_slope(space, v) == (2.0, (2, 0))
+    m = ModulusWitness("bounded", space, np.ones(3), None, 0.0, v, None)
+    assert m.certify(0.0) == (1.0, (2, 0))
+
+
+def test_matrix_symmetric_only_within_tol(block):
+    pts = np.array([0.0, 1.0, 3.0, 4.5])
+    D = np.abs(pts[:, None] - pts[None, :])
+    D[2, 0] -= 1e-12            # within the default tol of 1e-9
+    space = MetricSpace.from_matrix(D)
+    assert not space.exactly_symmetric()
+    v = pts.copy()              # slope 1 on every pair but (2, 0)
+    check_all(space, v)
+    check_switched(space, v, np.random.default_rng(19))
+    value, pair = _pairs.max_slope(space, v)
+    assert pair == (2, 0) and value == 3.0 / D[2, 0]
+
+
+def test_graph_backend(block):
+    rng = np.random.default_rng(20)
+    for _ in range(6):
+        space = make_space(rng, n_max=16, kinds=[2])
+        v = rng.normal(size=space.n)
+        check_all(space, v)
+        check_switched(space, v, rng)
+
+
+def test_min_positive_distance(block):
+    rng = np.random.default_rng(21)
+    for _ in range(12):
+        space = make_space(rng, n_max=30)
+        assert space.min_positive_distance() == \
+            ref_min_positive_distance(space.pairwise())
+        # duplicated points: zero distances between distinct samples
+        pts = rng.uniform(-5.0, 5.0, size=(int(rng.integers(2, 30)), 2))
+        pts = pts[rng.integers(len(pts), size=2 * len(pts))]
+        dup = MetricSpace.from_points(pts, validate=False)
+        if (dup.pairwise() > 0).any():
+            assert dup.min_positive_distance() == \
+                ref_min_positive_distance(dup.pairwise())
+
+
+def test_min_positive_distance_needs_a_positive_pair():
+    below = np.zeros((3, 3))
+    below[2, 0] = 1.0           # only below the diagonal, which is not read
+    for space in (MetricSpace.from_points([0.0]),
+                  MetricSpace.from_matrix(np.zeros((4, 4)), validate=False),
+                  MetricSpace.from_matrix(below, validate=False)):
+        with pytest.raises(PreconditionError):
+            space.min_positive_distance()
+    below[0, 1] = 2.0
+    assert MetricSpace.from_matrix(below, validate=False) \
+        .min_positive_distance() == 2.0

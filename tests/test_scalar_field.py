@@ -172,6 +172,47 @@ def test_series_activity_contract():
     assert fake.check_activity() > 0.0
 
 
+def test_children_name_the_fields_a_node_reads():
+    space = grid()
+    a, b = DistanceTo(space, [0]), Constant(space, 1.0)
+    assert a.children() == () and b.children() == ()
+    assert (a + b).children() == (a, b)
+    t = Transported("arctan", a)
+    assert t.children() == (a,)
+    assert Series(space, [a, t]).children() == (a, t)
+
+
+def test_sum_of_1500_fields_needs_no_recursion():
+    space = grid()
+    rng = np.random.default_rng(5)
+    tables = rng.normal(size=(1500, space.n))
+    fields = [Tabulated(space, row) for row in tables]
+    total = sum(fields)
+    # sum() starts from 0: (f_0 + 0) + f_1 + ... in this order
+    want = tables[0] + 0.0
+    for row in tables[1:]:
+        want = want + row
+    assert total.values().tobytes() == want.tobytes()
+    assert total.values() is total.values()
+    assert total(3) == want[3]
+    # the cached inner nodes keep the floats of the first evaluation
+    assert fields[7].values() is fields[7].values()
+
+
+def test_evaluation_error_of_a_deep_tree_propagates():
+    space = grid()
+    bad = Transported("reciprocal", DistanceTo(space, [0]))
+    total = sum([Tabulated(space, np.ones(space.n))] * 1200 + [bad])
+    with pytest.raises(DomainError):
+        total.values()
+    # the left operand is evaluated first, so its error is the one seen
+    worse = Transported("tan", Constant(space, 2.0))
+    with pytest.raises(DomainError, match="reciprocal"):
+        (bad + worse).values()
+    with pytest.raises(DomainError, match="tan"):
+        (worse + bad).values()
+
+
 def test_interval_parse_and_containment():
     box = Interval.parse("0,1,closed,open")
     assert box.contains(0.0) and not box.contains(1.0)
