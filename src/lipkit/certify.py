@@ -251,6 +251,22 @@ def pou_report(pou, tol: float = _DEFAULT_TOL) -> Certificate:
 # Local witness certification
 
 
+def _doubled_ball_excess(space, v, entries, inside=None, num=None):
+    """Each entry's (excess, pair): the largest num(|f(x) - f(y)|)
+    - K_p d(x, y) over the ordered sample pairs of its doubled ball
+    B(p, 2 delta_p), restricted to the samples where inside holds.
+    Yields entry by entry, so a caller may stop at the first failure;
+    on exactly symmetric distances each ball takes the symmetric
+    sweep."""
+    for entry in entries:
+        ids = space.ball(entry.point, 2.0 * entry.delta)
+        if inside is not None:
+            ids = ids[inside[ids]]
+        K = entry.constant
+        yield _pairs.worst_excess(space, v[ids], lambda r, c, d, o: K * d,
+                                  ids=ids, num=num, upper=False, symmetric=True)
+
+
 def certify_local_witness(f: ScalarField, witness, domain: Subset | None = None,
                           tol: float = _DEFAULT_TOL) -> Certificate:
     """Check a family of (point, delta, constant) entries against f.
@@ -261,17 +277,15 @@ def certify_local_witness(f: ScalarField, witness, domain: Subset | None = None,
     must cover the domain samples.
     """
     space = f.space
-    v = f.values()
-    D = space.pairwise()
-    ids_all = np.arange(space.n) if domain is None else domain.members
+    inside = None
+    if domain is not None:
+        inside = np.zeros(space.n, dtype=bool)
+        inside[domain.members] = True
 
     worst, worst_witness = -math.inf, None
     per_entry = []
-    for idx, entry in enumerate(witness.entries):
-        p, delta, K = int(entry.point), float(entry.delta), float(entry.constant)
-        inside = ids_all[D[p, ids_all] < 2.0 * delta]
-        e, pair = _pairs.worst_excess(space, v[inside], lambda r, c, d, o: K * d,
-                                      ids=inside)
+    excesses = _doubled_ball_excess(space, f.values(), witness.entries, inside)
+    for idx, (e, pair) in enumerate(excesses):
         per_entry.append(0.0 if pair is None else e)
         # a NaN entry beats every number and stays the worst
         if pair is not None and not (e <= worst) and worst == worst:
@@ -281,8 +295,10 @@ def certify_local_witness(f: ScalarField, witness, domain: Subset | None = None,
 
     covered = np.zeros(space.n, dtype=bool)
     for entry in witness.entries:
-        covered[D[int(entry.point)] < float(entry.delta)] = True
-    uncovered = [int(i) for i in ids_all if not covered[i]]
+        covered[space.ball(entry.point, entry.delta)] = True
+    if inside is not None:
+        covered |= ~inside
+    uncovered = np.flatnonzero(~covered).tolist()
 
     passed = worst <= tol and not uncovered
     details = {

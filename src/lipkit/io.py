@@ -66,12 +66,21 @@ def _read_csv_floats(path):
 # Spaces
 
 
+def _convert(x, kind, what):
+    """x converted by kind (int or float), or an InputError naming what;
+    an int must be integral, so 1.5 is refused rather than truncated."""
+    try:
+        out = kind(x)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what} must be a number, got {x!r}")
+    if kind is int and out != x and not isinstance(x, str):
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return out
+
+
 def _number(path, obj, key, kind):
     """obj[key] converted by kind (int or float), or an InputError."""
-    try:
-        return kind(obj[key])
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{path}: \"{key}\" must be a number, got {obj[key]!r}")
+    return _convert(obj[key], kind, f"{path}: \"{key}\"")
 
 
 def load_space(path, tol: float = _DEFAULT_TOL,
@@ -119,7 +128,7 @@ def load_subset(path, space: MetricSpace) -> Subset:
     obj = _read_json(path)
     if not isinstance(obj, list):
         raise InputError(f"{path}: subset must be a JSON array of ids")
-    return Subset(space, [int(i) for i in obj])
+    return Subset(space, [_convert(i, int, f"{path}: subset id") for i in obj])
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +205,9 @@ def load_local_witness(path) -> LocalWitness:
     triples = []
     for j, e in enumerate(obj):
         try:
-            triples.append((int(e["p"]), float(e["delta"]), float(e["K"])))
+            triples.append((_number(path, e, "p", int),
+                            _number(path, e, "delta", float),
+                            _number(path, e, "K", float)))
         except (KeyError, TypeError) as k:
             raise InputError(f"{path}: entry {j} needs keys p, delta, K ({k})")
     return LocalWitness.from_triples(triples)
@@ -209,7 +220,7 @@ def load_pointwise_witness(path) -> PointwiseWitness:
     constants = {}
     for j, e in enumerate(obj):
         try:
-            constants[int(e["p"])] = float(e["K"])
+            constants[_number(path, e, "p", int)] = _number(path, e, "K", float)
         except (KeyError, TypeError) as k:
             raise InputError(f"{path}: entry {j} needs keys p, K ({k})")
     return PointwiseWitness(constants)
@@ -227,14 +238,18 @@ def load_cover(path, space: MetricSpace) -> CozeroCover:
             raise InputError(f"{path}: witness {j} must be an object")
         if "balls" in w:
             try:
-                balls = [(int(c), float(r)) for c, r in w["balls"]]
+                balls = [(_convert(c, int, f"{path}: ball center"), float(r))
+                         for c, r in w["balls"]]
             except (TypeError, ValueError):
                 raise InputError(f"{path}: witness {j} needs balls given as "
                                  f"[center, radius] pairs")
             fields.append(_BallUnion(space, balls, j))
         elif "values" in w:
-            vals = np.asarray(w["values"], dtype=float)
-            if vals.shape != (space.n,):
+            try:
+                vals = np.asarray(w["values"], dtype=float)
+            except (TypeError, ValueError):
+                vals = None
+            if vals is None or vals.shape != (space.n,):
                 raise InputError(
                     f"{path}: witness {j} needs {space.n} values")
             fields.append(Tabulated(space, vals))
@@ -263,18 +278,31 @@ def field_from_tree(tree, space: MetricSpace) -> ScalarField:
     if not isinstance(tree, dict) or "op" not in tree:
         raise InputError(f"expression node {tree!r} has no op")
     op = tree["op"]
+    if not isinstance(op, str):
+        raise InputError(f"op must be a name, got {op!r}")
     args = tree.get("args", [])
+    if not isinstance(args, list):
+        raise InputError(f"op {op} needs a list of arguments")
+    if op == "coordinate" and len(args) <= 1:
+        return Coordinate(space, _convert(args[0], int, "coordinate axis")
+                          if args else 0)
+    if op in ("constant", "tabulated", "distance") and len(args) != 1:
+        raise InputError(f"op {op} needs one argument")
     if op == "constant":
-        return Constant(space, float(args[0]))
+        return Constant(space, _convert(args[0], float, "constant value"))
     if op == "tabulated":
-        vals = np.asarray(args[0], dtype=float)
+        try:
+            vals = np.asarray(args[0], dtype=float)
+        except (TypeError, ValueError):
+            raise InputError("tabulated values must be numbers")
         if vals.shape != (space.n,):
             raise InputError(f"tabulated node needs {space.n} values")
         return Tabulated(space, vals)
-    if op == "coordinate":
-        return Coordinate(space, int(args[0]) if args else 0)
     if op == "distance":
-        return DistanceTo(space, [int(i) for i in args[0]])
+        if not isinstance(args[0], list):
+            raise InputError("op distance needs a list of ids")
+        return DistanceTo(space, [_convert(i, int, "distance id")
+                                  for i in args[0]])
     if op in _BINARY:
         if len(args) != 2:
             raise InputError(f"op {op} needs two arguments")
@@ -318,7 +346,10 @@ def load_mapping(path, space: MetricSpace):
     out = []
     for key in ("lower", "upper", "phi"):
         spec = obj.get(key)
-        out.append(None if spec is None else field_from_spec(spec, space))
+        try:
+            out.append(None if spec is None else field_from_spec(spec, space))
+        except InputError as e:
+            raise InputError(f"{path}: \"{key}\": {e}") from None
     return tuple(out)
 
 

@@ -18,12 +18,13 @@ covered by one check.  From a certified witness the module builds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _pairs
-from .certify import _as_values_on, certify_local_witness
+from .certify import (_as_values_on, _doubled_ball_excess,
+                      certify_local_witness)
 from .errors import CoverError, PreconditionError
 from .extension import _require_phi_in, extend_to_interval
 from .metric_space import _DEFAULT_TOL, Subset
@@ -48,7 +49,6 @@ class LocalWitness:
     entry.delta, the certified function moves at rate entry.constant."""
 
     entries: list
-    notes: list = field(default_factory=list)
 
     @classmethod
     def from_triples(cls, triples) -> "LocalWitness":
@@ -68,9 +68,6 @@ class LocalWitness:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def points(self) -> np.ndarray:
-        return np.array([e.point for e in self.entries], dtype=int)
-
 
 def generate_local_witness(f: ScalarField, deltas=None) -> LocalWitness:
     """Exhaustive witness for f with one entry per sample.
@@ -80,16 +77,16 @@ def generate_local_witness(f: ScalarField, deltas=None) -> LocalWitness:
     witness certifies by construction.
     """
     space = f.space
-    D = space.pairwise()
     v = f.values()
     triples = []
     for p in range(space.n):
         if deltas is None:
-            row = D[p][D[p] > 0.0]
+            row = space.dist_row(p)
+            row = row[row > 0.0]
             delta = float(row.min()) if row.size else 1.0
         else:
             delta = float(deltas[p])
-        ids = np.flatnonzero(D[p] < 2.0 * delta)
+        ids = space.ball(p, 2.0 * delta)
         triples.append((p, delta, _pairs.max_slope(space, v[ids], ids)[0]))
     return LocalWitness.from_triples(triples)
 
@@ -102,40 +99,33 @@ def generate_local_witness(f: ScalarField, deltas=None) -> LocalWitness:
 class IncreasingCover:
     """Nested sets U_n with |osc| <= n d between any two points of U_n.
 
-    eta[x] is the first threshold whose set contains sample x; the
-    thresholds are the distinct ceilings of the entry levels
-    max(K_p, osc_bound / delta_p).  The oscillation of a pair is
-    |f(x) - f(y)| over the sample values, compressed to o/(1 + o) when
-    compressed is set.
+    The thresholds are the distinct ceilings of the entry levels
+    max(K_p, osc_bound / delta_p), and eta[x] is the least ceiling over
+    the single balls containing sample x, so U_n is eta <= n.  The
+    oscillation of a pair is |f(x) - f(y)| over the sample values,
+    compressed to o/(1 + o) when compressed is set.
     """
 
     space: object
     entries: list
     levels: np.ndarray
     thresholds: np.ndarray
-    memberships: dict
     eta: np.ndarray
     osc_bound: float
     values: np.ndarray
     compressed: bool
 
-    def set_at(self, n: int) -> np.ndarray:
-        out = np.zeros(self.space.n, dtype=bool)
-        for t in self.thresholds:
-            if t <= n:
-                out |= self.memberships[int(t)]
-        return out
-
     def soundness_check(self, tol: float = _DEFAULT_TOL):
-        """Worst violation of the two-point bound, with its witness."""
+        """Worst violation of the two-point bound, with its witness; a
+        NaN excess beats every number."""
         num = _compress if self.compressed else None
         worst, witness = -math.inf, None
         for t in self.thresholds:
-            ids = np.flatnonzero(self.memberships[int(t)])
+            ids = np.flatnonzero(self.eta <= t)
             e, pair = _pairs.worst_excess(
                 self.space, self.values[ids], lambda r, c, d, o: float(t) * d,
                 ids=ids, num=num, upper=False, symmetric=True)
-            if pair is not None and e > worst:
+            if pair is not None and (e > worst or (e != e and worst == worst)):
                 worst = e
                 witness = (int(t), pair)
         return worst, witness
@@ -148,11 +138,13 @@ def _compress(o):
 def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
                             compressed: bool, tol: float,
                             bound=None) -> IncreasingCover:
-    D = space.pairwise()
     num = _compress if compressed else None
     # the largest pair oscillation: an excess over a zero cap
     osc_bound, pair = _pairs.worst_excess(space, v, lambda r, c, d, o: 0.0,
                                           num=num)
+    if math.isnan(osc_bound):
+        raise PreconditionError(f"oscillation is NaN at pair {pair}",
+                                witness=pair)
     osc_bound = max(osc_bound, 0.0)
     if bound is not None:
         if not (osc_bound <= float(bound) + tol):
@@ -160,36 +152,29 @@ def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
                 f"oscillation {osc_bound:.6g} exceeds the supplied bound "
                 f"{float(bound):.6g}", witness=pair)
         osc_bound = float(bound)
-    levels = np.empty(len(witness))
-    for j, e in enumerate(witness.entries):
-        ids = np.flatnonzero(D[e.point] < 2.0 * e.delta)
-        hi, pair = _pairs.worst_excess(
-            space, v[ids], lambda r, c, d, o: e.constant * d,
-            ids=ids, num=num, upper=False, symmetric=True)
+    excesses = _doubled_ball_excess(space, v, witness.entries, num=num)
+    for j, (e, (hi, pair)) in enumerate(zip(witness.entries, excesses)):
         if not (hi <= tol):
             raise PreconditionError(
                 f"entry {j} at point {e.point} fails on its doubled ball "
                 f"by {hi:.3e}", witness=(j, pair))
-        levels[j] = max(e.constant, osc_bound / e.delta)
+    levels = np.array([max(e.constant, osc_bound / e.delta)
+                       for e in witness.entries])
     ceilings = np.maximum(1, np.ceil(levels - tol).astype(int))
-    thresholds = np.unique(ceilings)
-    memberships = {}
-    grown = np.zeros(space.n, dtype=bool)
-    eta = np.full(space.n, -1, dtype=int)
-    for t in thresholds:
-        for j, e in enumerate(witness.entries):
-            if ceilings[j] <= t:
-                grown |= D[e.point] < e.delta
-        memberships[int(t)] = grown.copy()
-        fresh = grown & (eta < 0)
-        eta[fresh] = int(t)
-    uncovered = np.flatnonzero(eta < 0)
+    none = np.iinfo(ceilings.dtype).max
+    eta = np.full(space.n, none, dtype=ceilings.dtype)
+    # balls written from the highest ceiling down leave each sample the
+    # least ceiling over the single balls holding it
+    for j in np.argsort(-ceilings):
+        e = witness.entries[j]
+        eta[space.ball(e.point, e.delta)] = ceilings[j]
+    uncovered = np.flatnonzero(eta == none)
     if uncovered.size:
         raise CoverError(
             f"{uncovered.size} sample(s) lie in no witness ball, "
             f"first is {int(uncovered[0])}")
-    return IncreasingCover(space, list(witness.entries), levels, thresholds,
-                           memberships, eta, osc_bound, v, compressed)
+    return IncreasingCover(space, list(witness.entries), levels,
+                           np.unique(ceilings), eta, osc_bound, v, compressed)
 
 
 def increasing_cover(f: ScalarField, witness: LocalWitness, bound=None,
@@ -250,7 +235,7 @@ class ModulusWitness:
 
 def modulus_witness(f: ScalarField, witness: LocalWitness, rule: str = "bounded",
                     tol: float = _DEFAULT_TOL) -> ModulusWitness:
-    """Per-point levels whose pairwise maximum bounds the slope of f.
+    """Per-point levels whose maximum over a pair bounds the slope of f.
 
     The level of a sample is the first threshold of the increasing
     cover that reaches it, and the level field is that table: on a
@@ -282,12 +267,12 @@ def witness_from_modulus(modulus: ModulusWitness, points, deltas) -> LocalWitnes
     deltas = [float(d) for d in deltas]
     if len(points) != len(deltas):
         raise PreconditionError("need one radius per point")
-    D = modulus.space.pairwise()
-    L = modulus.matrix()
+    f = modulus.f_values
     triples = []
     for p, delta in zip(points, deltas):
-        ids = np.flatnonzero(D[p] < 2.0 * delta)
-        K = float(L[np.ix_(ids, ids)].max(initial=0.0))
+        ids = modulus.space.ball(p, 2.0 * delta)
+        o = np.abs(f[ids, None] - f[None, ids])
+        K = float(modulus._rates(ids, ids, o).max(initial=0.0))
         triples.append((p, delta, K))
     return LocalWitness.from_triples(triples)
 
@@ -303,21 +288,17 @@ def _slice_groups(ball_peaks, max_slices):
     j = floor(log2 m) + 1.  Keeping only the largest max_slices
     distinct thresholds lumps small balls upward, which keeps the
     downstream staircase family small; the top slice holds every ball.
-    Returns (exponents descending, list of ball index lists, nested).
+    Returns (exponents descending, one list of ball indices per slice).
     """
-    firsts = []
-    for m in ball_peaks:
-        firsts.append(None if m == 0.0 else int(math.floor(math.log2(m))) + 1)
+    firsts = [None if m == 0.0 else int(math.floor(math.log2(m))) + 1
+              for m in ball_peaks]
     distinct = sorted({j for j in firsts if j is not None})
     if not distinct:
         distinct = [0]
     kept = distinct[-max_slices:]
     exps = sorted(kept, reverse=True)
-    groups = []
-    for j in exps:
-        members = [b for b, fj in enumerate(firsts)
-                   if fj is None or fj <= j]
-        groups.append(members)
+    groups = [[b for b, fj in enumerate(firsts) if fj is None or fj <= j]
+              for j in exps]
     return exps, groups
 
 
@@ -362,12 +343,8 @@ def decompose(f: ScalarField, witness: LocalWitness, tol: float = _DEFAULT_TOL,
             f"witness does not certify the function: {cert.summary_line()}",
             witness=cert.witness)
     v = f.values()
-    D = space.pairwise()
     balls = [(e.point, e.delta) for e in witness.entries]
-    peaks = []
-    for center, radius in balls:
-        ids = np.flatnonzero(D[center] < radius)
-        peaks.append(float(np.abs(v[ids]).max(initial=0.0)))
+    peaks = [float(np.abs(v[space.ball(*b)]).max(initial=0.0)) for b in balls]
     exps, groups = _slice_groups(peaks, max_slices)
     cover = CozeroCover(space, [
         _BallUnion(space, [balls[b] for b in grp], g)
@@ -450,13 +427,10 @@ def local_extend(A: Subset, phi, witness: LocalWitness, interval: Interval,
         out.local_witness = witness
         return out
 
-    D = space.pairwise()
     balls = [(e.point, e.delta) for e in witness.entries]
-    peaks = []
-    for center, radius in balls:
-        ids = np.flatnonzero((D[center] < radius) & in_A)
-        peaks.append(float(np.abs(vals[np.searchsorted(A.members, ids)])
-                           .max(initial=0.0)))
+    # stub is zero off A, so a ball's peak is its peak on A
+    peaks = [float(np.abs(stub[space.ball(*b)]).max(initial=0.0))
+             for b in balls]
     exps, groups = _slice_groups(peaks, max_slices)
 
     fields = []

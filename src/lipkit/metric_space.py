@@ -218,15 +218,11 @@ class MetricSpace:
             self._matrix = _coord_dist(self.coords, slice(None))
         return self._matrix
 
-    def dist_to_set(self, p: int, members) -> float:
-        members = np.asarray(members, dtype=int)
-        if members.size == 0:
-            raise PreconditionError("distance to the empty set is undefined")
-        return float(self.dist_row(p)[members].min())
-
     def ball(self, center: int, radius: float) -> np.ndarray:
-        """Ids strictly within radius of the center (open ball)."""
-        return np.flatnonzero(self.dist_row(center) < radius)
+        """Sorted ids strictly within radius of the center (open ball),
+        read off the cached pairwise() row without copying it.  Every
+        ball of the local constructions comes from here."""
+        return (self.pairwise()[center] < radius).nonzero()[0]
 
     def diameter(self) -> float:
         return float(self.pairwise().max())

@@ -102,10 +102,6 @@ class CozeroCover:
     def __len__(self) -> int:
         return len(self.witnesses)
 
-    def sets(self):
-        """Boolean membership arrays, one per witness."""
-        return [w.values() > 0.0 for w in self.witnesses]
-
 
 class _BallUnion(ScalarField):
     """max(0, max over the balls of radius - d(center, .)) for one group

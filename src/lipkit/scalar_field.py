@@ -97,23 +97,13 @@ class Interval:
 
     @property
     def is_degenerate(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        if self.lo == self.hi:
-            return True     # singleton or empty; never a valid codomain here
-        return False
+        # singleton or empty; never a valid codomain here
+        return self.lo >= self.hi
 
     def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and self.lo_open:
-            return False
-        if x == self.hi and self.hi_open:
-            return False
-        return True
-
-    def interior_contains(self, x: float) -> bool:
-        return self.lo < x < self.hi
+        return (self.lo <= x <= self.hi         # NaN is in no interval
+                and not (x == self.lo and self.lo_open)
+                and not (x == self.hi and self.hi_open))
 
     def __str__(self) -> str:
         left = "(" if self.lo_open else "["
@@ -353,7 +343,7 @@ class Series(ScalarField):
     of every active nested series, masked by its own row.  Regrouping
     terms into nested series leaves that multiset, hence the sum, bit
     for bit unchanged.  Terms outside the mask are required to vanish
-    (checked by check_activity, relied on everywhere).
+    (checked by activity_violation, relied on everywhere).
     """
 
     def __init__(self, space: MetricSpace, terms, activity=None):
@@ -411,11 +401,6 @@ class Series(ScalarField):
             return 0.0, None
         p, i = np.unravel_index(np.argmax(outside.T), outside.T.shape)
         return float(outside[i, p]), (int(i), int(p))
-
-    def check_activity(self) -> float:
-        """Largest |value| of any term outside the mask; 0.0 when the
-        declared bound is sound."""
-        return self.activity_violation()[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 
-from lipkit import (CoverError, IncreasingCover, LocalWitness, MetricSpace,
-                    ModulusWitness, PreconditionError, Subset,
-                    random_k_extension)
+from lipkit import (Certificate, CoverError, IncreasingCover, LocalWitness,
+                    MetricSpace, ModulusWitness, PreconditionError, Subset,
+                    Tabulated, certify_local_witness, random_k_extension)
 from lipkit import _pairs
 from lipkit.local_lipschitz import _cover_from_oscillation
 
@@ -137,15 +137,17 @@ def compress(o):
     return o / (1.0 + o)
 
 
-def ref_soundness(D, v, thresholds, memberships, num):
-    """IncreasingCover.soundness_check over ordered pairs."""
+def ref_soundness(D, v, thresholds, eta, num):
+    """IncreasingCover.soundness_check over ordered pairs; a NaN excess
+    beats every number."""
     worst, witness = -math.inf, None
     for t in thresholds:
-        ids = np.flatnonzero(memberships[t])
+        ids = np.flatnonzero(eta <= t)
         e, pair = ref_worst_excess(D, v[ids], lambda i, j, d: t * d, ids,
                                    False, num)
-        if pair is not None and e > worst:
-            worst, witness = e, (t, pair)
+        if pair is not None and (e > worst or (math.isnan(e)
+                                               and not math.isnan(worst))):
+            worst, witness = e, (int(t), pair)
     return worst, witness
 
 
@@ -184,19 +186,106 @@ def check_switched(space, v, rng):
     for compressed in (False, True):
         num = compress if compressed else (lambda o: o)
         thresholds = np.array([1, 2, 3])
-        memberships = {int(t): rng.random(n) < 0.7 for t in thresholds}
-        cover = IncreasingCover(space, [], None, thresholds, memberships, None,
-                                0.0, v, compressed)
+        eta = rng.integers(1, 5, size=n)
+        cover = IncreasingCover(space, [], None, thresholds, eta, 0.0, v,
+                                compressed)
         assert same(cover.soundness_check(),
-                    ref_soundness(D, v, thresholds, memberships, num))
+                    ref_soundness(D, v, thresholds, eta, num))
         entries = [(int(p), float(rng.uniform(0.2, 2.0)),
                     float(rng.uniform(0.0, 2.0))) for p in rng.permutation(n)]
+        witness = LocalWitness.from_triples(entries)
         try:
-            _cover_from_oscillation(space, LocalWitness.from_triples(entries),
-                                    v, compressed, tol)
+            _cover_from_oscillation(space, witness, v, compressed, tol)
             got = None
         except PreconditionError as exc:
             got = exc.witness
         except CoverError:
             got = None
-        assert got == ref_doubled_ball_failure(D, v, entries, tol, num)
+        # a NaN oscillation is refused before any entry is checked
+        osc, pair = ref_worst_excess(D, v, lambda i, j, d: 0.0, ids, True, num)
+        want = pair if math.isnan(osc) else ref_doubled_ball_failure(
+            D, v, entries, tol, num)
+        assert got == want
+    cert = certify_local_witness(Tabulated(space, v), witness)
+    per_entry, worst = [], None
+    for j, (p, delta, K) in enumerate(entries):
+        ball = np.flatnonzero(D[p] < 2.0 * delta)
+        e, pair = ref_worst_excess(D, v[ball], lambda i, k, d: K * d, ball,
+                                   False)
+        per_entry.append(0.0 if pair is None else e)
+        if pair is not None and (worst is None or e > worst[0] or (
+                math.isnan(e) and not math.isnan(worst[0]))):
+            worst = (e, (j, pair))
+    np.testing.assert_array_equal(cert.details["per_entry_worst"], per_entry)
+    if worst is not None:
+        assert same((cert.worst_violation, cert.witness), worst)
+
+
+# ---------------------------------------------------------------------------
+# Row-scan references of the local layer: one distance-row scan per ball
+
+
+def ref_certify_local_witness(f, witness, domain=None, tol=1e-9):
+    """certify_local_witness scanning a pairwise() row for every ball,
+    over the pairs p < q of each doubled ball."""
+    space = f.space
+    v = f.values()
+    D = space.pairwise()
+    ids_all = np.arange(space.n) if domain is None else domain.members
+
+    worst, worst_witness = -math.inf, None
+    per_entry = []
+    for idx, entry in enumerate(witness.entries):
+        p, delta, K = int(entry.point), float(entry.delta), float(entry.constant)
+        inside = ids_all[D[p, ids_all] < 2.0 * delta]
+        e, pair = _pairs.worst_excess(space, v[inside], lambda r, c, d, o: K * d,
+                                      ids=inside)
+        per_entry.append(0.0 if pair is None else e)
+        if pair is not None and not (e <= worst) and worst == worst:
+            worst, worst_witness = e, (idx, pair)
+    if worst_witness is None:
+        worst = 0.0
+
+    covered = np.zeros(space.n, dtype=bool)
+    for entry in witness.entries:
+        covered[D[int(entry.point)] < float(entry.delta)] = True
+    uncovered = [int(i) for i in ids_all if not covered[i]]
+
+    passed = worst <= tol and not uncovered
+    details = {
+        "entry_count": len(witness.entries),
+        "per_entry_worst": per_entry,
+        "uncovered": uncovered,
+    }
+    if worst_witness is None and uncovered:
+        worst_witness = ("uncovered", uncovered[0])
+    return Certificate("local-witness", passed, worst, tol, worst_witness, details)
+
+
+def ref_cover_sets(D, entries, levels, tol=1e-9):
+    """(thresholds, memberships, eta) of an increasing cover grown
+    threshold by threshold: U_t is the union of the single balls whose
+    level ceiling is at most t, and eta is the first t reaching x."""
+    ceilings = np.maximum(1, np.ceil(levels - tol).astype(int))
+    thresholds = np.unique(ceilings)
+    memberships = {}
+    grown = np.zeros(D.shape[0], dtype=bool)
+    eta = np.full(D.shape[0], -1, dtype=int)
+    for t in thresholds:
+        for j, e in enumerate(entries):
+            if ceilings[j] <= t:
+                grown |= D[e.point] < e.delta
+        memberships[int(t)] = grown.copy()
+        eta[grown & (eta < 0)] = int(t)
+    return thresholds, memberships, eta
+
+
+def ref_witness_from_modulus(modulus, points, deltas):
+    """witness_from_modulus reading the n x n rate matrix."""
+    D = modulus.space.pairwise()
+    L = modulus.matrix()
+    triples = []
+    for p, delta in zip(points, deltas):
+        ids = np.flatnonzero(D[p] < 2.0 * delta)
+        triples.append((p, delta, float(L[np.ix_(ids, ids)].max(initial=0.0))))
+    return LocalWitness.from_triples(triples)

@@ -413,6 +413,20 @@ def test_certify_local_witness_coverage_gap_detected():
     assert not cert.passed
 
 
+def test_certify_local_witness_checks_both_orders_within_tol():
+    pts = np.array([0.0, 1.0, 3.0, 4.5])
+    D = np.abs(pts[:, None] - pts[None, :])
+    D[2, 0] -= 1e-12            # within the default tol of 1e-9
+    space = MetricSpace.from_matrix(D)
+    assert not space.exactly_symmetric()
+    # slope 1 on every pair but (2, 0), where it is a hair above
+    cert = certify_local_witness(Tabulated(space, pts),
+                                 LocalWitness.from_triples([(0, 2.0, 1.0)]))
+    assert cert.witness == (0, (2, 0))
+    assert cert.worst_violation == 3.0 - D[2, 0] > 0.0
+    assert cert.details["per_entry_worst"] == [3.0 - D[2, 0]]
+
+
 def test_certificate_dict_is_strict_json():
     cert = Certificate("check", False, math.nan, 1e-9, (0, 1),
                        details={"rates": np.array([1.0, math.inf, math.nan])})

@@ -235,6 +235,33 @@ def test_space_with_a_malformed_number_is_input_error(tmp_path, capsys, obj,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, text", [
+    ("subset", '["a"]'),
+    ("subset", "[0, 1.5]"),
+    ("witness", '[{"p": "x", "delta": 1.5, "K": 1.0}]'),
+    ("pointwise", '[{"p": 0, "K": "x"}]'),
+    ("window", '{"lower": {"op": "constant"}, "upper": 1}'),
+    ("window", '{"lower": {"op": "constant", "args": ["zz"]}, "upper": 1}'),
+], ids=["subset-text", "subset-fraction", "witness-point", "pointwise-rate",
+        "window-arity", "window-constant"])
+def test_malformed_json_entry_is_input_error(tmp_path, grid_space, capsys,
+                                             kind, text):
+    bad = write(tmp_path / "bad.json", text)
+    subset = write(tmp_path / "A.json", "[0, 4]")
+    phi = write(tmp_path / "phi.csv", "0,0.0\n4,1.0\n")
+    f = write(tmp_path / "f.csv", "".join(f"{p},{0.5 * p}\n" for p in range(5)))
+    argv = {
+        "subset": ["extend", "--subset", bad, "--values", phi, "--k", "1.0"],
+        "witness": ["modulus", "--values", f, "--witness", bad],
+        "pointwise": ["extend-pointwise", "--subset", subset, "--values", phi,
+                      "--witness", bad, "--interval", "0,1,closed,closed"],
+        "window": ["select", "--values", bad],
+    }[kind]
+    assert main(argv[:1] + ["--space", grid_space] + argv[1:]
+                + ["--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
 def test_grid_too_large_for_memory_is_an_error(tmp_path, capsys):
     # 1e15 samples: numpy refuses the coordinate array at once
     space = write(tmp_path / "s.json",

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lipkit import (Constant, Interval, MetricSpace, PointwiseWitness,
+from lipkit import (Constant, DistanceTo, Interval, MetricSpace,
+                    PointwiseWitness,
                     PreconditionError, Subset, Tabulated, check_k_lipschitz,
                     duality_check, extend_to_interval,
                     generate_pointwise_witness, mcshane_envelopes,
@@ -140,8 +141,9 @@ def test_interval_extension_margins():
         assert (v[A.members] == phi).all()
         assert check_k_lipschitz(f, K).passed
         assert (a <= v).all() and (v <= b).all()
+        dist = DistanceTo(space, A.members).values()
         for p in A.complement():
-            margin = min(K * space.dist_to_set(int(p), A.members), b - a) / 2.0
+            margin = min(K * dist[p], b - a) / 2.0
             assert b - v[p] >= margin - TOL
             assert v[p] - a >= margin - TOL
 
@@ -209,8 +211,9 @@ def test_pointwise_distance_inequalities():
     W = PointwiseWitness.from_values(A, [1.0, 2.0])
     pair = pointwise_envelopes(A, phi, W)
     a, b = float(phi.min()), float(phi.max())
+    dist = DistanceTo(space, A.members).values()
     for p in range(space.n):
-        d = space.dist_to_set(p, A.members)
+        d = dist[p]
         assert pair.lower.values()[p] <= b - d + TOL
         assert pair.upper.values()[p] >= a + d - TOL
 

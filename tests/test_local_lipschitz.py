@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from lipkit import (Constant, Interval, LocalWitness, MetricSpace,
-                    PreconditionError, Subset, Tabulated, certify_local_witness,
-                    check_k_lipschitz, decompose, generate_local_witness,
-                    global_lip, increasing_cover, local_extend, modulus_witness,
-                    witness_from_modulus)
+from lipkit import (Constant, IncreasingCover, Interval, LocalWitness,
+                    MetricSpace, PreconditionError, Subset, Tabulated,
+                    certify_local_witness, check_k_lipschitz, decompose,
+                    generate_local_witness, global_lip, increasing_cover,
+                    local_extend, modulus_witness, witness_from_modulus)
 from lipkit.fixtures import (cusp_curve, reciprocal_on_ray,
                              sin_reciprocal_on_interval, square_on_grid)
+
+from helpers import (make_space, ref_certify_local_witness, ref_cover_sets,
+                     ref_witness_from_modulus)
 
 TOL = 1e-9
 
@@ -25,7 +30,7 @@ def test_increasing_cover_square_example():
     cover = increasing_cover(f, witness, bound=9.0)
     top = int(cover.thresholds.max())
     assert top == 10
-    whole = cover.set_at(10)
+    whole = cover.eta <= 10
     assert whole.all()
     slope = restriction_slope(space, f, np.flatnonzero(whole))
     assert slope == pytest.approx(5.9, rel=1e-9)
@@ -39,7 +44,7 @@ def test_increasing_cover_levels_nested_and_sound():
     cover = increasing_cover(f, witness)
     prev = np.zeros(space.n, dtype=bool)
     for t in cover.thresholds:
-        cur = cover.set_at(int(t))
+        cur = cover.eta <= t
         assert (prev <= cur).all()
         ids = np.flatnonzero(cur)
         if ids.size > 1:
@@ -55,7 +60,7 @@ def test_increasing_cover_constant_field():
     f = Constant(space, 3.0)
     witness = LocalWitness.from_triples([(p, 10.0, 0.0) for p in range(space.n)])
     cover = increasing_cover(f, witness)
-    assert cover.set_at(1).all()
+    assert (cover.eta <= 1).all()
     worst, _ = cover.soundness_check()
     assert worst <= TOL
 
@@ -74,6 +79,62 @@ def test_increasing_cover_rejects_failing_witness():
     bad = LocalWitness.from_triples([(p, 10.0, 0.5) for p in range(space.n)])
     with pytest.raises(PreconditionError):
         increasing_cover(f, bad)
+
+
+def test_increasing_cover_refuses_a_nan_oscillation():
+    space = MetricSpace.from_grid(0, 3, 1)
+    f = Tabulated(space, [0.0, math.nan, 0.0, 0.0])
+    witness = LocalWitness.from_triples([(p, 0.4, 1.0) for p in range(4)])
+    with pytest.raises(PreconditionError, match="NaN") as err:
+        increasing_cover(f, witness)
+    assert err.value.witness == (0, 1)
+
+
+def test_soundness_check_reports_a_nan_excess():
+    space = MetricSpace.from_grid(0, 3, 1)
+    v = np.array([0.0, 0.0, math.nan, 0.0])
+    # U_1 = {0, 1} holds a finite excess, U_2 the NaN pair (0, 2)
+    cover = IncreasingCover(space, [], None, np.array([1, 2]),
+                            np.array([1, 1, 2, 2]), 0.0, v, False)
+    worst, witness = cover.soundness_check()
+    assert math.isnan(worst) and witness == (2, (0, 2))
+
+
+@pytest.mark.parametrize("on_domain", [False, True], ids=["all", "domain"])
+@pytest.mark.parametrize("kind", [0, 1, 2, 3],
+                         ids=["matrix", "points", "graph", "grid"])
+def test_local_layer_matches_the_row_scan_references(kind, on_domain):
+    rng = np.random.default_rng(60 + kind)
+    for trial in range(4):
+        space = make_space(rng, n_max=30, kinds=[kind])
+        D = space.pairwise()
+        n = space.n
+        f = Tabulated(space, rng.normal(size=n))
+        deltas = None if trial == 0 else rng.uniform(0.2, 1.0, n) * D.max() / 3
+        witness = generate_local_witness(f, deltas)
+        domain = None
+        if on_domain:
+            domain = Subset(space, rng.choice(n, size=int(rng.integers(1, n)),
+                                              replace=False))
+        half = rng.permutation(n)[:n // 2 + 1]
+        for w in (witness,
+                  LocalWitness.from_triples([(e.point, e.delta, 0.5 * e.constant)
+                                             for e in witness.entries]),
+                  LocalWitness.from_triples([(int(p), 0.3, 1.0) for p in half])):
+            assert certify_local_witness(f, w, domain).to_dict() == \
+                ref_certify_local_witness(f, w, domain).to_dict()
+        for rule in ("bounded", "unbounded"):
+            m = modulus_witness(f, witness, rule)
+            thresholds, memberships, eta = ref_cover_sets(
+                D, witness.entries, m.cover.levels)
+            assert np.array_equal(m.cover.thresholds, thresholds)
+            assert m.cover.eta.tobytes() == eta.tobytes()
+            for t in thresholds:
+                assert np.array_equal(m.cover.eta <= t, memberships[int(t)])
+            points = rng.choice(n, size=5)
+            radii = rng.uniform(0.1, 1.0, 5) * D.max()
+            assert witness_from_modulus(m, points, radii).entries == \
+                ref_witness_from_modulus(m, points, radii).entries
 
 
 FIXTURES = {
@@ -242,6 +303,16 @@ def test_local_extend_range_precheck():
     with pytest.raises(PreconditionError) as err:
         local_extend(A, bad, witness, Interval.at_least(0.0, open_end=True))
     assert "outside the target" in str(err.value)
+
+
+def test_local_extend_refuses_a_nan_phi():
+    space = MetricSpace.from_grid(0, 4, 1)
+    A = Subset(space, [0, 2, 4])
+    witness = LocalWitness.from_triples([(p, 0.6, 1.0) for p in (0, 2, 4)])
+    assert not Interval.real_line().contains(math.nan)
+    with pytest.raises(PreconditionError, match="outside the target") as err:
+        local_extend(A, [0.0, math.nan, 0.5], witness, Interval.closed(0.0, 1.0))
+    assert err.value.witness == 2
 
 
 def test_local_extend_rejects_offsite_witness():

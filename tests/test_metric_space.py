@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from lipkit import (InputError, MetricSpace, PreconditionError, Subset,
-                    validate_metric)
+from lipkit import (DistanceTo, InputError, MetricSpace, PreconditionError,
+                    Subset, validate_metric)
 
 from helpers import make_space
 
@@ -66,23 +66,23 @@ def test_grid_rejects_bad_ranges():
 def test_dist_to_set_nearest_member():
     space = MetricSpace.from_grid(0.0, 2.0, 0.5)
     # p = 1.5, S = coordinates {0, 1}
-    assert space.dist_to_set(3, [0, 2]) == 0.5
+    assert DistanceTo(space, [0, 2])(3) == 0.5
 
 
 def test_dist_to_set_zero_on_members():
     space = MetricSpace.from_grid(0.0, 2.0, 0.5)
-    assert space.dist_to_set(2, [0, 2]) == 0.0
+    assert DistanceTo(space, [0, 2])(2) == 0.0
 
 
 def test_dist_to_set_graph_backend():
     space = MetricSpace.from_graph(3, [(0, 1, 2.0), (1, 2, 3.0)])
-    assert space.dist_to_set(0, [2]) == 5.0
+    assert DistanceTo(space, [2])(0) == 5.0
 
 
 def test_dist_to_set_empty_rejected():
     space = MetricSpace.from_grid(0.0, 1.0, 0.5)
     with pytest.raises(PreconditionError):
-        space.dist_to_set(0, [])
+        DistanceTo(space, [])
 
 
 def test_open_ball_is_strict():
