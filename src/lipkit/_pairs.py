@@ -124,3 +124,85 @@ def max_slope(space, v, ids=None, zero=0.0, per_row=False):
     out = _sweep(space, v, ids, False, lambda r, c, d, o: slope(o, d, zero),
                  per_row, symmetric=not per_row)
     return (0.0, None) if out is None else out
+
+
+# ---------------------------------------------------------------------------
+# Many small balls at once
+
+
+def ball_masks(space, centers, radii):
+    """The open balls B(centers[b], radii[b]) as boolean rows over the
+    samples, a chunk of balls at a time: yields (a, mask) where mask[i]
+    holds the members of ball a + i, the ids MetricSpace.ball returns."""
+    D = space.pairwise()
+    step = max(1, _BLOCK // space.n)
+    for a in range(0, len(centers), step):
+        yield a, D[centers[a:a + step]] < radii[a:a + step, None]
+
+
+def ball_sweep(space, v, centers, radii, value, inside=None):
+    """Largest value(d, o, seg) over the sample pairs of each open ball
+    B(centers[b], radii[b]), restricted to the samples where inside
+    holds, with its pair.  The pairs of a chunk of balls are laid out
+    flat, with distances d, value gaps o = |v_p - v_q| and ball indices
+    seg, and value must be symmetric in (p, q).
+
+    Each ball's result is that of _sweep over its members with
+    symmetric=True: pairs p < q on exactly symmetric distances, every
+    ordered pair p != q otherwise; the first largest pair in row-major
+    order, a NaN larger than any number, and the first pair when every
+    value is -inf.  A chunk holds about _BLOCK / 8 pairs, cut between
+    the column runs of its members' rows, so a ball with more pairs is
+    never laid out whole.  Returns (x, pairs) with pairs[b] = (p, q) as
+    sample ids; a ball with fewer than two samples gets -inf and
+    (-1, -1).
+    """
+    best = np.full(len(centers), -math.inf)
+    pairs = np.full((len(centers), 2), -1)
+    D = space.pairwise()
+    mirror = space.exactly_symmetric()
+    budget = max(1, _BLOCK >> 3)
+    for a, mask in ball_masks(space, centers, radii):
+        if inside is not None:
+            mask &= inside
+        # members, ids ascending per ball (flatnonzero beats 2-D nonzero)
+        ball, s = np.divmod(np.flatnonzero(mask), space.n)
+        size = np.bincount(ball, minlength=len(mask))
+        end = np.cumsum(size)[ball]     # past the last member of the ball
+        at = np.arange(len(s))
+        # each member's row of pairs as runs lo:hi of positions in s: the
+        # later members, and without exact symmetry the earlier ones first
+        if mirror:
+            member, lo, hi = at, at + 1, end
+        else:
+            member = np.repeat(at, 2)
+            lo = np.column_stack((end - size[ball], at + 1)).ravel()
+            hi = np.column_stack((at, end)).ravel()
+        width = hi - lo
+        ends = np.cumsum(width)
+        starts = ends - width
+        total = int(ends[-1]) if len(s) else 0
+        cuts = np.searchsorted(starts, np.arange(0, total, budget))
+        for r0, r1 in zip(cuts, np.append(cuts[1:], len(member))):
+            if r0 == r1 or starts[r0] == ends[r1 - 1]:
+                continue
+            w, m = width[r0:r1], member[r0:r1]
+            q = s[np.arange(starts[r0], ends[r1 - 1])
+                  - np.repeat(starts[r0:r1] - lo[r0:r1], w)]
+            p, seg = np.repeat(s[m], w), np.repeat(ball[m], w)
+            e = value(D[p, q], np.abs(np.repeat(v[s[m]], w) - v[q]), a + seg)
+            lead = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+            top = np.empty(len(mask))
+            top[seg[lead]] = np.maximum.reduceat(e, lead)   # NaN wins
+            # each ball's first hit: its maximum, or its first NaN
+            hit = np.flatnonzero((e == top[seg]) | np.isnan(e))
+            hit = hit[np.r_[True, seg[hit[1:]] != seg[hit[:-1]]]]
+            # a later chunk of a ball replaces a strictly smaller result
+            b, x = a + seg[hit], e[hit]
+            old = best[b]
+            take = ((pairs[b, 0] < 0) | (x > old)
+                    | (np.isnan(x) & ~np.isnan(old)))
+            b, hit = b[take], hit[take]
+            best[b] = e[hit]
+            pairs[b] = np.column_stack((p[hit], q[hit]))
+    return best, pairs

@@ -251,20 +251,24 @@ def pou_report(pou, tol: float = _DEFAULT_TOL) -> Certificate:
 # Local witness certification
 
 
+def _entry_arrays(entries):
+    """The centers, radii and constants of witness entries as arrays."""
+    return (np.array([e.point for e in entries], dtype=int),
+            np.array([e.delta for e in entries], dtype=float),
+            np.array([e.constant for e in entries], dtype=float))
+
+
 def _doubled_ball_excess(space, v, entries, inside=None, num=None):
-    """Each entry's (excess, pair): the largest num(|f(x) - f(y)|)
-    - K_p d(x, y) over the ordered sample pairs of its doubled ball
-    B(p, 2 delta_p), restricted to the samples where inside holds.
-    Yields entry by entry, so a caller may stop at the first failure;
-    on exactly symmetric distances each ball takes the symmetric
-    sweep."""
-    for entry in entries:
-        ids = space.ball(entry.point, 2.0 * entry.delta)
-        if inside is not None:
-            ids = ids[inside[ids]]
-        K = entry.constant
-        yield _pairs.worst_excess(space, v[ids], lambda r, c, d, o: K * d,
-                                  ids=ids, num=num, upper=False, symmetric=True)
+    """Each entry's largest num(|f(x) - f(y)|) - K_p d(x, y) over the
+    ordered sample pairs of its doubled ball B(p, 2 delta_p), restricted
+    to the samples where inside holds, as (excess, pairs) arrays from
+    one segmented sweep over every ball (see _pairs.ball_sweep); a ball
+    with fewer than two samples gets -inf and the pair (-1, -1)."""
+    centers, deltas, K = _entry_arrays(entries)
+    return _pairs.ball_sweep(
+        space, v, centers, 2.0 * deltas,
+        lambda d, o, seg: (o if num is None else num(o)) - K[seg] * d,
+        inside)
 
 
 def certify_local_witness(f: ScalarField, witness, domain: Subset | None = None,
@@ -282,20 +286,24 @@ def certify_local_witness(f: ScalarField, witness, domain: Subset | None = None,
         inside = np.zeros(space.n, dtype=bool)
         inside[domain.members] = True
 
-    worst, worst_witness = -math.inf, None
-    per_entry = []
-    excesses = _doubled_ball_excess(space, f.values(), witness.entries, inside)
-    for idx, (e, pair) in enumerate(excesses):
-        per_entry.append(0.0 if pair is None else e)
-        # a NaN entry beats every number and stays the worst
-        if pair is not None and not (e <= worst) and worst == worst:
-            worst, worst_witness = e, (idx, pair)
-    if worst_witness is None:
-        worst = 0.0
+    excess, pairs = _doubled_ball_excess(space, f.values(), witness.entries,
+                                         inside)
+    has_pair = pairs[:, 0] >= 0
+    per_entry = np.where(has_pair, excess, 0.0).tolist()
+    checked = np.flatnonzero(has_pair)
+    worst, worst_witness = 0.0, None
+    if checked.size:
+        # the first largest entry, a NaN beating every number; an entry
+        # at -inf names no witness
+        j = int(checked[np.argmax(excess[checked])])
+        if excess[j] != -math.inf:
+            worst = float(excess[j])
+            worst_witness = (j, (int(pairs[j, 0]), int(pairs[j, 1])))
 
+    centers, deltas, _ = _entry_arrays(witness.entries)
     covered = np.zeros(space.n, dtype=bool)
-    for entry in witness.entries:
-        covered[space.ball(entry.point, entry.delta)] = True
+    for _, mask in _pairs.ball_masks(space, centers, deltas):
+        covered |= mask.any(axis=0)
     if inside is not None:
         covered |= ~inside
     uncovered = np.flatnonzero(~covered).tolist()

@@ -105,10 +105,12 @@ def load_space(path, tol: float = _DEFAULT_TOL,
             for j, e in enumerate(obj["edges"]):
                 try:
                     u, v, w = (e["u"], e["v"], e["w"]) if isinstance(e, dict) else e
-                    edges.append((int(u), int(v), float(w)))
                 except (KeyError, TypeError, ValueError):
                     raise InputError(f"{path}: edge {j} must be [u, v, w] or "
                                      f"{{\"u\", \"v\", \"w\"}}")
+                what = f"{path}: edge {j}"
+                edges.append((_convert(u, int, what), _convert(v, int, what),
+                              _convert(w, float, what)))
             return MetricSpace.from_graph(_number(path, obj, "nodes", int), edges,
                                           validate, tol)
         raise InputError(f"{path}: JSON is neither a grid nor a graph")

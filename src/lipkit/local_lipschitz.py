@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pairs
-from .certify import (_as_values_on, _doubled_ball_excess,
+from .certify import (_as_values_on, _doubled_ball_excess, _entry_arrays,
                       certify_local_witness)
 from .errors import CoverError, PreconditionError
 from .extension import _require_phi_in, extend_to_interval
@@ -77,18 +77,16 @@ def generate_local_witness(f: ScalarField, deltas=None) -> LocalWitness:
     witness certifies by construction.
     """
     space = f.space
-    v = f.values()
-    triples = []
-    for p in range(space.n):
-        if deltas is None:
-            row = space.dist_row(p)
-            row = row[row > 0.0]
-            delta = float(row.min()) if row.size else 1.0
-        else:
-            delta = float(deltas[p])
-        ids = space.ball(p, 2.0 * delta)
-        triples.append((p, delta, _pairs.max_slope(space, v[ids], ids)[0]))
-    return LocalWitness.from_triples(triples)
+    if deltas is None:
+        deltas = space.nearest_positive()
+        deltas[np.isnan(deltas)] = 1.0
+    else:
+        deltas = np.array([float(deltas[p]) for p in range(space.n)])
+    rates, pairs = _pairs.ball_sweep(
+        space, f.values(), np.arange(space.n), 2.0 * deltas,
+        lambda d, o, seg: _pairs.slope(o, d, 0.0))
+    rates[pairs[:, 0] < 0] = 0.0        # a lone sample has rate 0
+    return LocalWitness.from_triples(zip(range(space.n), deltas, rates))
 
 
 # ---------------------------------------------------------------------------
@@ -152,22 +150,24 @@ def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
                 f"oscillation {osc_bound:.6g} exceeds the supplied bound "
                 f"{float(bound):.6g}", witness=pair)
         osc_bound = float(bound)
-    excesses = _doubled_ball_excess(space, v, witness.entries, num=num)
-    for j, (e, (hi, pair)) in enumerate(zip(witness.entries, excesses)):
-        if not (hi <= tol):
-            raise PreconditionError(
-                f"entry {j} at point {e.point} fails on its doubled ball "
-                f"by {hi:.3e}", witness=(j, pair))
+    excess, pairs = _doubled_ball_excess(space, v, witness.entries, num=num)
+    failed = np.flatnonzero(~(excess <= tol))
+    if failed.size:
+        j = int(failed[0])
+        raise PreconditionError(
+            f"entry {j} at point {witness.entries[j].point} fails on its "
+            f"doubled ball by {excess[j]:.3e}",
+            witness=(j, (int(pairs[j, 0]), int(pairs[j, 1]))))
     levels = np.array([max(e.constant, osc_bound / e.delta)
                        for e in witness.entries])
+    centers, deltas, _ = _entry_arrays(witness.entries)
     ceilings = np.maximum(1, np.ceil(levels - tol).astype(int))
     none = np.iinfo(ceilings.dtype).max
     eta = np.full(space.n, none, dtype=ceilings.dtype)
-    # balls written from the highest ceiling down leave each sample the
-    # least ceiling over the single balls holding it
-    for j in np.argsort(-ceilings):
-        e = witness.entries[j]
-        eta[space.ball(e.point, e.delta)] = ceilings[j]
+    # each sample's least ceiling over the single balls holding it
+    for a, mask in _pairs.ball_masks(space, centers, deltas):
+        held = np.where(mask, ceilings[a:a + len(mask), None], none)
+        np.minimum(eta, held.min(axis=0), out=eta)
     uncovered = np.flatnonzero(eta == none)
     if uncovered.size:
         raise CoverError(

@@ -242,6 +242,19 @@ class MetricSpace:
             raise PreconditionError("no positive pairwise distance in this space")
         return float(best)
 
+    def nearest_positive(self) -> np.ndarray:
+        """Each sample's smallest positive distance to another sample,
+        NaN where it has none, read in row blocks."""
+        D, n = self.pairwise(), self.n
+        out = np.empty(n)
+        step = max(1, _pairs._BLOCK // n)
+        for a in range(0, n, step):
+            block = D[a:a + step]
+            pos = block > 0
+            out[a:a + step] = np.where(pos.any(axis=1), np.min(
+                block, axis=1, where=pos, initial=np.inf), np.nan)
+        return out
+
     def exactly_symmetric(self) -> bool:
         """d(p, q) == d(q, p) bit for bit, decided once: by construction
         for coordinates (see _coord_dist), by comparison for a matrix."""

@@ -297,7 +297,8 @@ def test_write_certificates_handles_nonfinite(tmp_path):
 
 
 @pytest.mark.parametrize("edge", [[0, 1], {"u": 0, "v": "x", "w": 1.0},
-                                  {"u": 0, "v": 1}, 7])
+                                  {"u": 0, "v": 1}, 7, [0, 1.5, 1.0],
+                                  [0, 1, 10 ** 400]])
 def test_load_space_rejects_a_malformed_edge(tmp_path, edge):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"nodes": 2, "edges": [edge]}))

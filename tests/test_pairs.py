@@ -251,3 +251,24 @@ def test_min_positive_distance_needs_a_positive_pair():
     below[0, 1] = 2.0
     assert MetricSpace.from_matrix(below, validate=False) \
         .min_positive_distance() == 2.0
+
+
+def test_ball_sweep_keeps_a_nan_from_a_later_chunk(block):
+    """Ball {0, 1, 2} with 1 and 2 coincident and an infinite constant:
+    every pair is capped at -inf except (1, 2), capped at inf * 0 = NaN,
+    which the ball's second row holds; in chunks of one pair it must
+    still beat the -inf of the first chunk.  The matrix is one ulp off
+    symmetric, so its balls take the ordered pairs."""
+    for space in (MetricSpace.from_points([[0.0], [1.0], [1.0]],
+                                          validate=False),
+                  MetricSpace.from_matrix([[0.0, np.nextafter(1.0, 2.0), 1.0],
+                                           [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                                          validate=False)):
+        v = np.array([0.0, 1.0, 2.0])
+        with np.errstate(invalid="ignore"):
+            x, pairs = _pairs.ball_sweep(space, v, np.array([0, 1]),
+                                         np.array([math.inf, 0.5]),
+                                         lambda d, o, seg: o - math.inf * d)
+        assert math.isnan(x[0]) and pairs[0].tolist() == [1, 2]
+        # ball {1, 2} holds only the NaN pair
+        assert math.isnan(x[1]) and pairs[1].tolist() == [1, 2]

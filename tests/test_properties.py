@@ -1,8 +1,10 @@
 """Property tests: the sweeps that take p < q on exactly symmetric
-distances return the ordered-pair reference's value and pair on small
-generated spaces, values with ties and NaN included."""
+distances, and the segmented sweep over many balls at once, return the
+reference's value and pair on small generated spaces, values with ties
+and NaN included."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from helpers import check_switched, ref_min_positive_distance  # noqa: E402
-from lipkit import MetricSpace, PreconditionError  # noqa: E402
+from helpers import (check_switched, compress, ref_min_positive_distance,  # noqa: E402
+                     same)
+from lipkit import MetricSpace, PreconditionError, _pairs  # noqa: E402
 
 VALUES = st.sampled_from([0.0, 0.0, 1.0, 1.0, -2.0, 0.5, 3.25, math.nan])
 COORDS = st.sampled_from([0.0, 0.0, 0.5, 1.0, -1.5, 2.0, 4.0])
@@ -58,3 +61,57 @@ def test_min_positive_distance_matches_the_upper_triangle(space):
     else:
         with pytest.raises(PreconditionError):
             space.min_positive_distance()
+
+
+@settings(max_examples=150, deadline=None)
+@given(spaces(), st.data())
+def test_ball_sweep_matches_one_sweep_per_ball(space, data):
+    """Empty, single-sample and whole-space balls, inside masks and NaN
+    values, under pair budgets small enough to cut a ball into chunks.
+    An infinite constant caps every pair at -inf, and a pair at distance
+    zero at NaN, so the all -inf rule and a NaN after the first chunk of
+    a ball are exercised too."""
+    n = space.n
+    v = np.array(data.draw(st.lists(VALUES, min_size=n, max_size=n)))
+    count = data.draw(st.integers(0, 6))
+    centers = np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                          min_size=count, max_size=count)),
+                       dtype=int)
+    radii = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, 1e-300, 0.6, 1.1, 2.5, math.inf]),
+        min_size=count, max_size=count)), dtype=float)
+    inside = None
+    if data.draw(st.booleans()):
+        inside = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                             max_size=n)))
+    K = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 2.0, math.inf]),
+                                    min_size=count, max_size=count)))
+    num = data.draw(st.sampled_from([None, compress]))
+    zero = data.draw(st.sampled_from([0.0, math.inf]))
+    # pair budgets _BLOCK >> 3 of 1, 2 and 5 pairs, and the default
+    block = data.draw(st.sampled_from([8, 16, 40, 1 << 18]))
+    D = space.pairwise()
+    balls = []
+    for c, r in zip(centers, radii):
+        ids = np.flatnonzero(D[c] < r)
+        balls.append(ids if inside is None else ids[inside[ids]])
+
+    with np.errstate(invalid="ignore"):         # inf * 0 is NaN, on purpose
+        with mock.patch.object(_pairs, "_BLOCK", block):
+            excess = _pairs.ball_sweep(
+                space, v, centers, radii,
+                lambda d, o, seg: (o if num is None else num(o)) - K[seg] * d,
+                inside)
+            slopes = _pairs.ball_sweep(
+                space, v, centers, radii,
+                lambda d, o, seg: _pairs.slope(o, d, zero), inside)
+        for b, ids in enumerate(balls):
+            want = _pairs.worst_excess(
+                space, v[ids], lambda r, c, d, o: K[b] * d, ids=ids, num=num,
+                upper=False, symmetric=True)
+            slope, pair = _pairs.max_slope(space, v[ids], ids, zero)
+            if pair is None:
+                slope = -math.inf
+            for (x, pairs), ref in ((excess, want), (slopes, (slope, pair))):
+                got = tuple(int(i) for i in pairs[b])
+                assert same((x[b], None if got == (-1, -1) else got), ref)
