@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _pairs
-from .errors import PreconditionError
+from .errors import InputError, PreconditionError
 from .metric_space import _DEFAULT_TOL, MetricSpace, Subset
 from .scalar_field import ScalarField, Tabulated
 
@@ -140,14 +140,18 @@ def random_k_extension(A: Subset, phi, K: float, order=None, seed: int = 0,
 
     Both interval ends are kept for every point at once: set from A in
     one O(|A| n) pass, then tightened in O(n) vector work per assigned
-    sample.  d(x, q) is read from column q of the space's cached
-    pairwise() matrix, the one the precheck sweeps, so the draw
-    allocates no n x n array of its own.  max and min are exact, so
-    each interval equals feasible_interval on the same prefix, bit for
-    bit.
+    sample, on the samples after it only when the order ascends.
+    d(x, q) is read from the space's cached pairwise() matrix, the one
+    the precheck sweeps, as a row when the distances are exactly
+    symmetric, so the draw allocates no n x n array of its own.  max
+    and min are exact, so each interval equals feasible_interval on the
+    same prefix, bit for bit.  The uniforms come from one rng.random
+    call, and a + (b - a) u is the value rng.uniform(a, b) draws.
     """
     K = _require_constant(K)
     space = A.require_nonempty("extension domain").space
+    n = space.n
+    rest = A.complement() if order is None else _order_ids(order, n)
     vals_A = _as_values_on(A, phi)
     excess, pair = _pairs.worst_excess(space, vals_A, lambda r, c, d, o: K * d,
                                        ids=A.members)
@@ -161,18 +165,23 @@ def random_k_extension(A: Subset, phi, K: float, order=None, seed: int = 0,
     spread *= K
     lo = np.max(vals_A[:, None] - spread, axis=0)
     hi = np.min(vals_A[:, None] + spread, axis=0)
-    rng = np.random.default_rng(seed)
-    out = np.full(space.n, np.nan)
+    out = np.full(n, np.nan)
     out[A.members] = vals_A
-    rest = A.complement() if order is None else np.asarray(order, dtype=int)
-    claimed = set(int(p) for p in A.members)
-    step, bound = np.empty(space.n), np.empty(space.n)
-    for p in rest:
-        p = int(p)
-        if p in claimed:
-            raise PreconditionError(f"order revisits point {p}")
-        claimed.add(p)
-        a, b = float(lo[p]), float(hi[p])
+    # the loop stops at the first id of A or of an earlier entry, so an
+    # empty interval before it is reported first
+    ids = np.concatenate([A.members, rest])
+    fresh = np.zeros(ids.size, dtype=bool)
+    fresh[np.unique(ids, return_index=True)[1]] = True     # first occurrences
+    again = ~fresh[len(A):]
+    stop = int(np.argmax(again)) if again.any() else rest.size
+    # an ascending order never reads a bound below the current sample
+    ascending = bool((np.diff(rest[:stop]) > 0).all())
+    u = np.random.default_rng(seed).random(stop).tolist()
+    k = 0
+    cols = D if space.exactly_symmetric() else D.T     # cols[p] = d(., p)
+    step, bound = np.empty(n), np.empty(n)
+    for p in rest[:stop].tolist():
+        a, b = lo.item(p), hi.item(p)
         if a > b:
             if a - b <= tol:
                 value = 0.5 * (a + b)       # interval closed up to rounding
@@ -183,16 +192,43 @@ def random_k_extension(A: Subset, phi, K: float, order=None, seed: int = 0,
         elif a == b:
             value = a
         else:
-            value = float(rng.uniform(a, b))
+            width = b - a
+            if not math.isfinite(width):
+                raise PreconditionError(
+                    f"feasible interval at point {p} is not finite: "
+                    f"[{a}, {b}]", witness=p)
+            value = a + width * u[k]
+            k += 1
         out[p] = value
-        np.multiply(D[:, p], K, out=step)
-        np.maximum(lo, np.subtract(value, step, out=bound), out=lo)
-        np.minimum(hi, np.add(value, step, out=bound), out=hi)
+        value = np.float64(value)   # enters a ufunc faster than a float
+        t = p + 1 if ascending else 0
+        lo_t, hi_t, step_t, bound_t = lo[t:], hi[t:], step[t:], bound[t:]
+        np.multiply(cols[p, t:], K, out=step_t)
+        np.maximum(lo_t, np.subtract(value, step_t, out=bound_t), out=lo_t)
+        np.minimum(hi_t, np.add(value, step_t, out=bound_t), out=hi_t)
+    if stop < rest.size:
+        raise PreconditionError(f"order revisits point {int(rest[stop])}")
     if np.isnan(out).any():
         missing = np.flatnonzero(np.isnan(out))
         raise PreconditionError(
             f"order misses {missing.size} point(s), first {int(missing[0])}")
     return Tabulated(space, out)
+
+
+def _order_ids(order, n: int) -> np.ndarray:
+    """The order as an int array, refused unless every id is an integer
+    in 0..n-1 (an int dtype would wrap -1 and truncate 4.7)."""
+    ids = np.asarray(order)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iuf"):
+        raise PreconditionError("order must be a flat list of sample ids")
+    whole = np.isfinite(ids) & (ids == np.floor(ids))
+    bad = ~whole | (ids < 0) | (ids >= n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = f"lies outside 0..{n - 1}" if whole[i] else "is not an integer"
+        raise PreconditionError(
+            f"order point {ids[i].item()!r} at position {i} {what}")
+    return ids.astype(int)
 
 
 def feasible_interval(space: MetricSpace, assigned_ids, assigned_values,
@@ -251,20 +287,28 @@ def pou_report(pou, tol: float = _DEFAULT_TOL) -> Certificate:
 # Local witness certification
 
 
-def _entry_arrays(entries):
-    """The centers, radii and constants of witness entries as arrays."""
-    return (np.array([e.point for e in entries], dtype=int),
+def _entry_arrays(space: MetricSpace, entries):
+    """The centers, radii and constants of witness entries as arrays,
+    refused unless every center is a sample of space (an int index
+    would wrap -1 to the last sample)."""
+    centers = np.array([e.point for e in entries], dtype=int)
+    if centers.size and (centers.min() < 0 or centers.max() >= space.n):
+        raise InputError(
+            f"witness entry ids must lie in 0..{space.n - 1}, got range "
+            f"[{centers.min()}, {centers.max()}]")
+    return (centers,
             np.array([e.delta for e in entries], dtype=float),
             np.array([e.constant for e in entries], dtype=float))
 
 
-def _doubled_ball_excess(space, v, entries, inside=None, num=None):
+def _doubled_ball_excess(space, v, arrays, inside=None, num=None):
     """Each entry's largest num(|f(x) - f(y)|) - K_p d(x, y) over the
     ordered sample pairs of its doubled ball B(p, 2 delta_p), restricted
     to the samples where inside holds, as (excess, pairs) arrays from
     one segmented sweep over every ball (see _pairs.ball_sweep); a ball
-    with fewer than two samples gets -inf and the pair (-1, -1)."""
-    centers, deltas, K = _entry_arrays(entries)
+    with fewer than two samples gets -inf and the pair (-1, -1).
+    arrays is the (centers, deltas, constants) of _entry_arrays."""
+    centers, deltas, K = arrays
     return _pairs.ball_sweep(
         space, v, centers, 2.0 * deltas,
         lambda d, o, seg: (o if num is None else num(o)) - K[seg] * d,
@@ -281,13 +325,13 @@ def certify_local_witness(f: ScalarField, witness, domain: Subset | None = None,
     must cover the domain samples.
     """
     space = f.space
+    arrays = _entry_arrays(space, witness.entries)
     inside = None
     if domain is not None:
         inside = np.zeros(space.n, dtype=bool)
         inside[domain.members] = True
 
-    excess, pairs = _doubled_ball_excess(space, f.values(), witness.entries,
-                                         inside)
+    excess, pairs = _doubled_ball_excess(space, f.values(), arrays, inside)
     has_pair = pairs[:, 0] >= 0
     per_entry = np.where(has_pair, excess, 0.0).tolist()
     checked = np.flatnonzero(has_pair)
@@ -300,7 +344,7 @@ def certify_local_witness(f: ScalarField, witness, domain: Subset | None = None,
             worst = float(excess[j])
             worst_witness = (j, (int(pairs[j, 0]), int(pairs[j, 1])))
 
-    centers, deltas, _ = _entry_arrays(witness.entries)
+    centers, deltas, _ = arrays
     covered = np.zeros(space.n, dtype=bool)
     for _, mask in _pairs.ball_masks(space, centers, deltas):
         covered |= mask.any(axis=0)

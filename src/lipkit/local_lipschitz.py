@@ -136,6 +136,7 @@ def _compress(o):
 def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
                             compressed: bool, tol: float,
                             bound=None) -> IncreasingCover:
+    arrays = _entry_arrays(space, witness.entries)
     num = _compress if compressed else None
     # the largest pair oscillation: an excess over a zero cap
     osc_bound, pair = _pairs.worst_excess(space, v, lambda r, c, d, o: 0.0,
@@ -150,7 +151,7 @@ def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
                 f"oscillation {osc_bound:.6g} exceeds the supplied bound "
                 f"{float(bound):.6g}", witness=pair)
         osc_bound = float(bound)
-    excess, pairs = _doubled_ball_excess(space, v, witness.entries, num=num)
+    excess, pairs = _doubled_ball_excess(space, v, arrays, num=num)
     failed = np.flatnonzero(~(excess <= tol))
     if failed.size:
         j = int(failed[0])
@@ -160,7 +161,7 @@ def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
             witness=(j, (int(pairs[j, 0]), int(pairs[j, 1]))))
     levels = np.array([max(e.constant, osc_bound / e.delta)
                        for e in witness.entries])
-    centers, deltas, _ = _entry_arrays(witness.entries)
+    centers, deltas, _ = arrays
     ceilings = np.maximum(1, np.ceil(levels - tol).astype(int))
     none = np.iinfo(ceilings.dtype).max
     eta = np.full(space.n, none, dtype=ceilings.dtype)
@@ -403,10 +404,12 @@ def local_extend(A: Subset, phi, witness: LocalWitness, interval: Interval,
     _require_phi_in(interval, A, vals)
     in_A = np.zeros(space.n, dtype=bool)
     in_A[A.members] = True
-    for j, e in enumerate(witness.entries):
-        if not in_A[e.point]:
-            raise PreconditionError(
-                f"witness entry {j} is centered at {e.point}, outside the domain")
+    centers = _entry_arrays(space, witness.entries)[0]
+    outside = np.flatnonzero(~in_A[centers])
+    if outside.size:
+        j = int(outside[0])
+        raise PreconditionError(
+            f"witness entry {j} is centered at {centers[j]}, outside the domain")
 
     stub = np.zeros(space.n)
     stub[A.members] = vals

@@ -110,8 +110,9 @@ def _coord_dist(x: np.ndarray, rows) -> np.ndarray:
     axis differences summed in axis order, then the root.  dist,
     dist_row and pairwise all use it, so a pair gets one float from
     each, exactly symmetric and zero on the diagonal.  An infinite
-    coordinate gives NaN (inf - inf) quietly; validation flags it."""
-    with np.errstate(invalid="ignore"):
+    coordinate gives NaN (inf - inf) and a square past the float range
+    gives inf, both quietly; validation flags them."""
+    with np.errstate(invalid="ignore", over="ignore"):
         sq = x[rows, 0, None] - x[None, :, 0]
         sq *= sq
         for j in range(1, x.shape[1]):

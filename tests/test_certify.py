@@ -169,6 +169,49 @@ def test_random_extension_matches_the_prefix_reference(kind, reverse):
         assert got.tobytes() == want.tobytes(), (kind, s)
 
 
+def same_as_reference(A, phi, K, order, seed, tol=1e-9):
+    """The draw equals reference_greedy byte for byte; order None is
+    the default ascending complement."""
+    got = random_k_extension(A, phi, K, order=order, seed=seed, tol=tol).values()
+    rest = A.complement() if order is None else order
+    want = reference_greedy(A, phi, K, rest, seed=seed, tol=tol)
+    return got.tobytes() == want.tobytes()
+
+
+def test_random_extension_matches_the_reference_in_any_order():
+    # random permutations, on every backend and the asymmetric matrix,
+    # for an A of one sample, of all samples but one, and in between
+    for kind in (0, 1, 2, 3, 4):
+        tol = 1.0 if kind == 4 else 1e-9
+        for size in ("one", "all-but-one", "any"):
+            for s in range(4):
+                rng = np.random.default_rng([kind, s, 9])
+                space = asymmetric_space(rng) if kind == 4 \
+                    else make_space(rng, kinds=[kind])
+                m = {"one": 1, "all-but-one": space.n - 1,
+                     "any": int(rng.integers(1, space.n))}[size]
+                A = Subset(space, rng.choice(space.n, size=m, replace=False))
+                K = float(rng.uniform(0.2, 4.0))
+                cone = space.pairwise()[int(A.members[0]), A.members]
+                phi = float(rng.uniform(-2, 2)) + float(rng.uniform(-1, 1)) * K * cone
+                for order in (None, rng.permutation(A.complement())):
+                    assert same_as_reference(A, phi, K, order, s, tol), \
+                        (kind, size, s)
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2, 3, 4])
+def test_random_extension_with_constant_zero_is_constant(kind):
+    # K = 0: every interval is the point [c, c] and no uniform is drawn
+    rng = np.random.default_rng([kind, 11])
+    space = asymmetric_space(rng) if kind == 4 else make_space(rng, kinds=[kind])
+    A = Subset(space, rng.choice(space.n, size=3, replace=False))
+    phi = np.full(3, -0.75)
+    for order in (None, rng.permutation(A.complement())):
+        assert same_as_reference(A, phi, 0.0, order, seed=4)
+        assert (random_k_extension(A, phi, 0.0, order=order).values()
+                == -0.75).all()
+
+
 def test_random_extension_closes_a_rounding_gap_at_the_midpoint():
     # phi overshoots slope 1 by 1e-12, within tol: the interval at the
     # middle sample is [0.5 + 1e-12, 0.5], and its midpoint is taken
@@ -178,6 +221,11 @@ def test_random_extension_closes_a_rounding_gap_at_the_midpoint():
     f = random_k_extension(A, phi, 1.0, tol=1e-9)
     assert f(1) == 0.5 * ((phi[1] - 0.5) + 0.5)
     assert f(1) == reference_greedy(A, phi, 1.0, [1], seed=0)[1]
+    # on a finer grid the first sample of every order closes at the
+    # midpoint, and the rest are drawn against it
+    fine = Subset(MetricSpace.from_grid(0.0, 1.0, 0.25), [0, 4])
+    for order in (None, [3, 2, 1], [2, 1, 3], [1, 3, 2]):
+        assert same_as_reference(fine, phi, 1.0, order, seed=2)
 
 
 def test_random_extension_rejects_an_order_that_revisits_a_point():
@@ -204,6 +252,49 @@ def test_random_extension_reports_an_empty_feasible_interval():
     with pytest.raises(PreconditionError,
                        match=r"empty feasible interval at point 1") as err:
         random_k_extension(A, [0.0, 1.0 + 1e-10], 1.0, tol=1e-9)
+    assert err.value.witness == 1
+
+
+def test_an_empty_interval_before_a_revisit_is_reported_first():
+    D = np.array([[0.0, 0.1, 1.0], [0.1, 0.0, 0.1], [1.0, 0.1, 0.0]])
+    A = Subset(MetricSpace.from_matrix(D, validate=False), [0, 2])
+    phi = [0.0, 1.0 + 1e-10]
+    with pytest.raises(PreconditionError, match="empty feasible interval"):
+        random_k_extension(A, phi, 1.0, order=[1, 0], tol=1e-9)
+    with pytest.raises(PreconditionError, match="order revisits point 0"):
+        random_k_extension(A, phi, 1.0, order=[0, 1], tol=1e-9)
+
+
+@pytest.mark.parametrize("order, message", [
+    ([1, 3, -1], r"point -1 at position 2 lies outside 0\.\.4"),
+    ([1, 3, 4, -1], r"point -1 at position 3 lies outside 0\.\.4"),
+    ([1, 3, 7], r"point 7 at position 2 lies outside 0\.\.4"),
+    ([1, 3, 4.7], r"point 4\.7 at position 2 is not an integer"),
+    ([1, 3, math.nan], r"point nan at position 2 is not an integer"),
+    ([[1, 3, 4]], r"order must be a flat list of sample ids"),
+], ids=["negative", "negative-after-all", "too-large", "fraction", "nan",
+        "nested"])
+def test_random_extension_refuses_an_order_id_that_is_no_sample(order, message):
+    space, A, phi = grid_instance()
+    with pytest.raises(PreconditionError, match=message):
+        random_k_extension(A, phi, 1.0, order=order)
+
+
+def test_random_extension_takes_whole_float_order_ids():
+    space, A, phi = grid_instance()
+    assert random_k_extension(A, phi, 1.0, order=[1.0, 3.0, 4.0]).values() \
+        .tobytes() == random_k_extension(A, phi, 1.0).values().tobytes()
+
+
+@pytest.mark.parametrize("space", [
+    MetricSpace.from_matrix([[0.0, math.inf], [math.inf, 0.0]], validate=False),
+    MetricSpace.from_matrix([[0.0, math.nan], [math.nan, 0.0]], validate=False),
+    MetricSpace.from_points([-1e200, 1e200], validate=False),
+], ids=["inf", "nan", "far-cloud"])
+def test_random_extension_refuses_a_non_finite_interval(space):
+    with pytest.raises(PreconditionError,
+                       match="feasible interval at point 1 is not finite") as err:
+        random_k_extension(Subset(space, [0]), [0.0], 1.0)
     assert err.value.witness == 1
 
 

@@ -347,6 +347,23 @@ def test_modulus_refuses_a_nan_value(tmp_path, grid_space, witnessed_field,
     assert not (tmp_path / "certificate.json").exists()
 
 
+@pytest.mark.parametrize("command", ["modulus", "decompose"])
+@pytest.mark.parametrize("bad", [7, -1])
+def test_witness_entry_id_outside_the_space_is_input_error(tmp_path, capsys,
+                                                          command, bad):
+    # -1 used to be read as the last sample, 7 died with an IndexError
+    space = write(tmp_path / "cloud.csv", "0,0.0\n1,1.0\n2,2.5\n")
+    values = write(tmp_path / "f.csv", "0,0.0\n1,0.5\n2,1.25\n")
+    witness = write(tmp_path / "w.json", json.dumps(
+        [{"p": p, "delta": 2.0, "K": 1.0} for p in (0, 1, bad)]))
+    assert main([command, "--space", space, "--values", values,
+                 "--witness", witness, "--out-dir", str(tmp_path / "out")]) == 1
+    lo, hi = min(0, bad), max(1, bad)
+    assert capsys.readouterr().err == \
+        f"error: witness entry ids must lie in 0..2, got range [{lo}, {hi}]\n"
+    assert not (tmp_path / "out" / "certificate.json").exists()
+
+
 def test_extend_local_runs(tmp_path, grid_space, capsys):
     subset = write(tmp_path / "A.json", "[0, 2, 4]")
     values = write(tmp_path / "phi.csv", "0,0.5\n2,1.0\n4,0.5\n")

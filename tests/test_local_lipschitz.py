@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from lipkit import (Constant, IncreasingCover, Interval, LocalWitness,
-                    MetricSpace, PreconditionError, Subset, Tabulated,
-                    certify_local_witness, check_k_lipschitz, decompose,
-                    generate_local_witness, global_lip, increasing_cover,
-                    local_extend, modulus_witness, witness_from_modulus)
+from lipkit import (Constant, IncreasingCover, InputError, Interval,
+                    LocalWitness, MetricSpace, PreconditionError, Subset,
+                    Tabulated, certify_local_witness, check_k_lipschitz,
+                    decompose, generate_local_witness, global_lip,
+                    increasing_cover, local_extend, modulus_witness,
+                    witness_from_modulus)
 from lipkit.fixtures import (cusp_curve, reciprocal_on_ray,
                              sin_reciprocal_on_interval, square_on_grid)
 
@@ -321,6 +322,23 @@ def test_local_extend_rejects_offsite_witness():
         [(e.point, e.delta, e.constant) for e in witness.entries] + [(0, 0.5, 1.0)])
     with pytest.raises(PreconditionError):
         local_extend(A, phi, stray, Interval.real_line())
+
+
+@pytest.mark.parametrize("bad", [5, -1])
+def test_witness_entry_ids_must_be_samples(bad):
+    # -1 would alias the last sample, 5 would raise an IndexError
+    space = MetricSpace.from_grid(0, 4, 1)
+    A = Subset(space, [0, 2, 4])
+    f = Tabulated(space, [0.0, 0.5, 1.0, 0.5, 0.0])
+    witness = LocalWitness.from_triples([(p, 1.5, 1.0) for p in (0, 2, bad)])
+    message = rf"must lie in 0\.\.4, got range \[{min(0, bad)}, {max(2, bad)}\]"
+    for call in (lambda: certify_local_witness(f, witness),
+                 lambda: increasing_cover(f, witness),
+                 lambda: modulus_witness(f, witness),
+                 lambda: local_extend(A, [0.0, 1.0, 0.0], witness,
+                                      Interval.closed(0.0, 1.0))):
+        with pytest.raises(InputError, match=message):
+            call()
 
 
 def test_local_extend_rejects_failing_witness():

@@ -184,10 +184,12 @@ def test_nonfinite_distances_are_violations():
 def test_infinite_distances_fail_without_numpy_warnings():
     D = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, 1.0], [np.inf, 1.0, 0.0]])
     cloud = [[0.0, 1.0], [np.inf, 0.0], [np.inf, 2.0]]
+    far = [-1e200, 1e200]       # the squared gap overflows to inf
 
     def verdicts():
         return [validate_metric(D).violations,
-                MetricSpace.from_points(cloud, validate=False).validate().violations]
+                MetricSpace.from_points(cloud, validate=False).validate().violations,
+                MetricSpace.from_points(far, validate=False).validate().violations]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         quiet = verdicts()
