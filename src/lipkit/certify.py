@@ -30,14 +30,22 @@ def _require_constant(K) -> float:
 
 def _as_values_on(A: Subset, phi) -> np.ndarray:
     """Values of phi on the members of A, whether phi is a field on the
-    host space or a plain array aligned with A.members."""
+    host space or a plain array aligned with A.members.  An infinite
+    value is refused with its sample id; a NaN is left to the checks
+    downstream, which report it."""
     if isinstance(phi, ScalarField):
-        return phi.values()[A.members]
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (len(A),):
-        raise PreconditionError(
-            f"need {len(A)} values on the subset, got shape {phi.shape}")
-    return phi.copy()
+        vals = phi.values()[A.members]
+    else:
+        vals = np.array(phi, dtype=float)
+        if vals.shape != (len(A),):
+            raise PreconditionError(
+                f"need {len(A)} values on the subset, got shape {vals.shape}")
+    bad = np.flatnonzero(np.isinf(vals))
+    if bad.size:
+        x = int(A.members[bad[0]])
+        raise PreconditionError(f"phi({x}) = {vals[bad[0]]} is infinite",
+                                witness=x)
+    return vals
 
 
 @dataclass

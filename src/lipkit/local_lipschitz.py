@@ -28,8 +28,8 @@ from .certify import (_as_values_on, _doubled_ball_excess, _entry_arrays,
 from .errors import CoverError, PreconditionError
 from .extension import _require_phi_in, extend_to_interval
 from .metric_space import _DEFAULT_TOL, Subset
-from .partition_of_unity import (CozeroCover, _BallUnion, frolik_pou,
-                                 index_subordinate)
+from .partition_of_unity import (_DEFAULT_MEMBER_CAP, CozeroCover,
+                                 _BallUnion, _blend)
 from .scalar_field import (Constant, DistanceTo, Interval, ScalarField,
                            Series, Tabulated, minimum)
 
@@ -279,7 +279,7 @@ def witness_from_modulus(modulus: ModulusWitness, points, deltas) -> LocalWitnes
 
 
 # ---------------------------------------------------------------------------
-# Dyadic slice assignment shared by decompose and local_extend
+# Dyadic slice covers shared by decompose and local_extend
 
 
 def _slice_groups(ball_peaks, max_slices):
@@ -303,6 +303,29 @@ def _slice_groups(ball_peaks, max_slices):
     return exps, groups
 
 
+def _slice_cover(space, witness: LocalWitness, v: np.ndarray, max_slices,
+                 extra=()):
+    """Cover carrying one ball union per dyadic slice of |v|.
+
+    Each witness entry's single ball B(p, delta) gets its peak |v| from
+    the chunked ball masks, without a float copy of a chunk, and
+    _slice_groups turns the peaks into slices.  Returns (exponents
+    descending, the cover of the extra witnesses followed by one
+    _BallUnion per slice).
+    """
+    centers, deltas, _ = _entry_arrays(space, witness.entries)
+    size = np.abs(v)
+    peaks = np.empty(len(centers))
+    for a, mask in _pairs.ball_masks(space, centers, deltas):
+        peaks[a:a + len(mask)] = np.max(np.broadcast_to(size, mask.shape),
+                                        axis=1, where=mask, initial=0.0)
+    exps, groups = _slice_groups(peaks, max_slices)
+    balls = list(zip(centers, deltas))
+    return exps, CozeroCover(space, list(extra) + [
+        _BallUnion(space, [balls[b] for b in grp], g)
+        for g, grp in enumerate(groups)])
+
+
 # ---------------------------------------------------------------------------
 # Decomposition into bounded Lipschitz pieces
 
@@ -314,12 +337,10 @@ class Decomposition:
     f: ScalarField
     series: Series
     members: list
-    weights: list          # the xi_n, a partition of unity
     pieces: list           # the psi_n, bounded Lipschitz extensions
-    supports: list         # sample ids where each xi_n is positive
     constants: list        # exact pair slope of f on each support
     slice_exponents: list  # |f| < 2^j bound carried by each member
-    partition: object
+    partition: object      # the xi_n, a partition of unity
 
     def residual(self) -> float:
         return float(np.abs(self.f.values() - self.series.values()).max())
@@ -327,7 +348,7 @@ class Decomposition:
 
 def decompose(f: ScalarField, witness: LocalWitness, tol: float = _DEFAULT_TOL,
               max_slices: int = _DEFAULT_MAX_SLICES,
-              max_members: int = 50_000) -> Decomposition:
+              max_members: int = _DEFAULT_MEMBER_CAP) -> Decomposition:
     """Write f as a finite sum of bounded Lipschitz members.
 
     Witness balls are grouped into dyadic slices of |f| (a ball joins
@@ -344,38 +365,23 @@ def decompose(f: ScalarField, witness: LocalWitness, tol: float = _DEFAULT_TOL,
             f"witness does not certify the function: {cert.summary_line()}",
             witness=cert.witness)
     v = f.values()
-    balls = [(e.point, e.delta) for e in witness.entries]
-    peaks = [float(np.abs(v[space.ball(*b)]).max(initial=0.0)) for b in balls]
-    exps, groups = _slice_groups(peaks, max_slices)
-    cover = CozeroCover(space, [
-        _BallUnion(space, [balls[b] for b in grp], g)
-        for g, grp in enumerate(groups)], tol)
-    pou = frolik_pou(cover, tol, max_members)
-    grouped = index_subordinate(pou)
+    exps, cover = _slice_cover(space, witness, v, max_slices)
+    constants = []
 
-    weights, pieces, members = [], [], []
-    supports, constants, bounds = [], [], []
-    for gi, n in enumerate(grouped.set_index):
-        xi = grouped.members[gi]
+    def piece(n, xi):
         supp = np.flatnonzero(xi.values() > 0.0)
         vals = v[supp]
         K = _pairs.max_slope(space, vals, supp)[0]
-        if supp.size == 0:
-            psi = member = Constant(space, 0.0)
-        else:
-            lo, hi = float(vals.min()), float(vals.max())
-            psi = Constant(space, lo) if lo == hi else extend_to_interval(
-                Subset(space, supp), vals, K, Interval.closed(lo, hi), tol)
-            member = psi * xi
-        weights.append(xi)
-        pieces.append(psi)
-        members.append(member)
-        supports.append(supp)
         constants.append(K)
-        bounds.append(exps[n])
-    series = Series(space, members, grouped.activity)
-    return Decomposition(f, series, members, weights, pieces, supports,
-                         constants, bounds, grouped)
+        if supp.size == 0:
+            return Constant(space, 0.0)
+        lo, hi = float(vals.min()), float(vals.max())
+        return Constant(space, lo) if lo == hi else extend_to_interval(
+            Subset(space, supp), vals, K, Interval.closed(lo, hi), tol)
+
+    series = _blend(cover, piece, tol, max_members)
+    return Decomposition(f, series, series.terms, series.pieces, constants,
+                         exps, series.partition)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +391,7 @@ def decompose(f: ScalarField, witness: LocalWitness, tol: float = _DEFAULT_TOL,
 def local_extend(A: Subset, phi, witness: LocalWitness, interval: Interval,
                  tol: float = _DEFAULT_TOL,
                  max_slices: int = _DEFAULT_MAX_SLICES,
-                 max_members: int = 50_000) -> ScalarField:
+                 max_members: int = _DEFAULT_MEMBER_CAP) -> ScalarField:
     """Extend phi from A to the whole sample from a local witness.
 
     The witness (entries centered in A) is certified against phi on A
@@ -423,52 +429,27 @@ def local_extend(A: Subset, phi, witness: LocalWitness, interval: Interval,
     if len(A) == space.n:
         # nothing to extend: the partition collapses and phi comes back
         out = Tabulated(space, np.array(vals, dtype=float))
-        out.pieces = [out]
-        out.partition = None
-        out.slice_labels = []
         out.restriction_error = 0.0
         out.local_witness = witness
         return out
 
-    balls = [(e.point, e.delta) for e in witness.entries]
-    # stub is zero off A, so a ball's peak is its peak on A
-    peaks = [float(np.abs(stub[space.ball(*b)]).max(initial=0.0))
-             for b in balls]
-    exps, groups = _slice_groups(peaks, max_slices)
-
-    fields = []
-    labels = []
+    # set 0 lives off A; stub is zero there, so a ball's peak is its peak on A
     off = minimum(Constant(space, 1.0), DistanceTo(space, A.members))
-    fields.append(off)
-    labels.append("off-domain")
-    for g, (j, grp) in enumerate(zip(exps, groups)):
-        fields.append(_BallUnion(space, [balls[b] for b in grp], g))
-        labels.append(j)
-    cover = CozeroCover(space, fields, tol)
-    pou = frolik_pou(cover, tol, max_members)
-    grouped = index_subordinate(pou)
-
+    _, cover = _slice_cover(space, witness, stub, max_slices, extra=[off])
     mid = 0.5 * (float(vals.min()) + float(vals.max()))
-    pieces = []
-    for gi, n in enumerate(grouped.set_index):
-        if labels[n] == "off-domain":
-            pieces.append(Constant(space, mid))
-            continue
-        xi = grouped.members[gi]
+
+    def piece(n, xi):
+        if n == 0:
+            return Constant(space, mid)
         supp = np.flatnonzero((xi.values() > 0.0) & in_A)
         if supp.size == 0:
-            supp = np.flatnonzero((fields[n].values() > 0.0) & in_A)
-        sub = Subset(space, supp)
+            supp = np.flatnonzero((cover.witnesses[n].values() > 0.0) & in_A)
         sub_vals = vals[np.searchsorted(A.members, supp)]
         K = _pairs.max_slope(space, sub_vals, supp)[0]
-        pieces.append(extend_to_interval(sub, sub_vals, K, interval, tol))
+        return extend_to_interval(Subset(space, supp), sub_vals, K, interval,
+                                  tol)
 
-    members = [pieces[gi] * grouped.members[gi]
-               for gi in range(len(grouped.members))]
-    out = Series(space, members, grouped.activity)
-    out.pieces = pieces
-    out.partition = grouped
-    out.slice_labels = labels
+    out = _blend(cover, piece, tol, max_members)
     out.restriction_error = float(
         np.abs(out.values()[A.members] - vals).max())
     out.local_witness = generate_local_witness(out)

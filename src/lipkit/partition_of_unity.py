@@ -76,7 +76,7 @@ class CozeroCover:
     """Finitely many nonnegative witness fields whose positivity sets
     cover every sample."""
 
-    def __init__(self, space, witnesses, tol: float = _DEFAULT_TOL):
+    def __init__(self, space, witnesses):
         witnesses = list(witnesses)
         if not witnesses:
             raise CoverError("a cover needs at least one witness")
@@ -97,7 +97,6 @@ class CozeroCover:
                 f"first is {int(missing[0])}")
         self.space = space
         self.witnesses = witnesses
-        self.tol = tol
 
     def __len__(self) -> int:
         return len(self.witnesses)
@@ -255,7 +254,7 @@ def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
         if c > 1.0:
             scaled = Constant(space, 1.0 / c) * w
         normalized.append(minimum(Constant(space, 2.0 ** -n), scaled))
-    refined = mather_refine(CozeroCover(space, normalized, tol), tol)
+    refined = mather_refine(CozeroCover(space, normalized), tol)
 
     rebuilt = []
     owners = []
@@ -267,42 +266,29 @@ def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
         rebuilt.append(Constant(space, 2.0 ** -(j + 1)) * unit)
         owners.append(j)
 
-    mixture = Series(space, rebuilt)
-    recip = Transported("reciprocal", mixture)
-    rv = recip.values()
-    live_k = np.ceil(rv).astype(int)       # piece k is live at p iff k - 1 < r(p)
+    recip = Transported("reciprocal", Series(space, rebuilt))
+    # piece k is live at p iff k - 1 < r(p)
+    live_k = np.ceil(recip.values()).astype(int)
 
-    wvals = np.stack([w.values() for w in rebuilt])
-    k_caps = []
-    for j in range(len(rebuilt)):
-        on = wvals[j] > 0.0
-        k_caps.append(int(live_k[on].max()))
+    support = np.stack([w.values() for w in rebuilt]) > 0.0
+    k_caps = [int(live_k[on].max()) for on in support]
     total = int(sum(k_caps))
     if total > max_members:
         raise CoverError(
             f"staircase family needs {total} members for {len(rebuilt)} sets "
             f"(cap {max_members}); use fewer sets or better-margined witnesses")
 
-    k_top = max(k_caps)
     clamps = [Constant(space, 0.0)]
-    for k in range(1, k_top + 1):
+    for k in range(1, max(k_caps) + 1):
         clamps.append(minimum(Constant(space, float(k)), recip))
 
-    members = []
-    set_index = []
-    owner_row = []
-    member_k = []
-    for j, w in enumerate(rebuilt):
-        for k in range(1, k_caps[j] + 1):
-            members.append(w * (clamps[k] - clamps[k - 1]))
-            set_index.append(owners[j])
-            owner_row.append(j)
-            member_k.append(k)
-
-    owner_row = np.asarray(owner_row)
-    member_k_arr = np.asarray(member_k)
-    support = wvals > 0.0
-    live = support[owner_row, :] & (member_k_arr[:, None] <= live_k[None, :])
+    # member m is step member_k[m] of rebuilt set owner_row[m]
+    owner_row = np.repeat(np.arange(len(rebuilt)), k_caps)
+    member_k = np.concatenate([np.arange(1, c + 1) for c in k_caps])
+    members = [rebuilt[j] * (clamps[k] - clamps[k - 1])
+               for j, k in zip(owner_row, member_k)]
+    set_index = [owners[j] for j in owner_row]
+    live = support[owner_row] & (member_k[:, None] <= live_k[None, :])
 
     notes = []
     if refined.dominated:
@@ -310,11 +296,7 @@ def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
     pou = PartitionOfUnity(space, members, set_index, live,
                            cover=cover, notes=notes)
     pou.refinement = refined
-    pou.rebuilt = rebuilt
-    pou.mixture = mixture
-    pou.reciprocal = recip
     pou.k_caps = k_caps
-    pou.member_k = member_k
     return pou
 
 
@@ -352,6 +334,24 @@ def index_subordinate(pou: PartitionOfUnity,
     return PartitionOfUnity(space, members, list(range(size)), outer,
                             cover=pou.cover,
                             notes=pou.notes + ["regrouped by cover set"])
+
+
+def _blend(cover: CozeroCover, piece, tol: float, max_members: int) -> Series:
+    """The sum over the cover's sets of psi_n xi_n, where xi_n is the
+    partition of unity of frolik_pou regrouped by set and psi_n =
+    piece(n, xi_n) is the field the caller carries on set n.
+
+    Every xi_n vanishes off set n, so each psi_n only matters where its
+    set lives.  The returned series carries the regrouped partition as
+    .partition and the psi_n as .pieces.
+    """
+    grouped = index_subordinate(frolik_pou(cover, tol, max_members))
+    pieces = [piece(n, xi) for n, xi in enumerate(grouped.members)]
+    out = Series(cover.space, [psi * xi for psi, xi in
+                               zip(pieces, grouped.members)], grouped.activity)
+    out.partition = grouped
+    out.pieces = pieces
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ import numpy as np
 from .errors import GridError, PreconditionError
 from .local_lipschitz import LocalWitness, local_extend
 from .metric_space import _DEFAULT_TOL, Subset
-from .partition_of_unity import CozeroCover, frolik_pou, index_subordinate
+from .partition_of_unity import _DEFAULT_MEMBER_CAP, CozeroCover, _blend
 from .scalar_field import (Constant, DistanceTo, Interval, ScalarField,
-                           Series, Tabulated, Transported, maximum, minimum)
+                           Tabulated, Transported, maximum, minimum)
 from .certify import _as_values_on
 
 _DEPTHS = (1, 2, 3, 6, 12, 20)
@@ -165,7 +165,7 @@ def _stab_windows(klo: np.ndarray, khi: np.ndarray):
 def select(mapping: IntervalMapping, grid: RationalGrid | None = None,
            tol: float = _DEFAULT_TOL, depths=_DEPTHS,
            max_sets: int = _MAX_SETS,
-           max_members: int = 50_000) -> ScalarField:
+           max_members: int = _DEFAULT_MEMBER_CAP) -> ScalarField:
     """Lipschitz field strictly inside every window.
 
     With an explicit grid, its levels must reach inside every window;
@@ -270,18 +270,11 @@ def select(mapping: IntervalMapping, grid: RationalGrid | None = None,
         cushioned = maximum(margin_at(level) - Constant(space, cushion),
                             Constant(space, 0.0))
         witnesses.append(minimum(Constant(space, 1.0), cushioned))
-    pou = frolik_pou(CozeroCover(space, witnesses, tol), tol, max_members)
-    grouped = index_subordinate(pou)
-
-    members = [Constant(space, values[n]) * grouped.members[gi]
-               for gi, n in enumerate(grouped.set_index)]
-    out = Series(space, members, grouped.activity)
+    out = _blend(CozeroCover(space, witnesses),
+                 lambda n, xi: Constant(space, values[n]), tol, max_members)
     out.chosen_levels = values
-    out.grid = grid
     out.grid_depth = depth
     out.margin = cushion
-    out.partition = grouped
-    out.mapping = mapping
     return out
 
 

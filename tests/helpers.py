@@ -289,3 +289,10 @@ def ref_witness_from_modulus(modulus, points, deltas):
         ids = np.flatnonzero(D[p] < 2.0 * delta)
         triples.append((p, delta, float(L[np.ix_(ids, ids)].max(initial=0.0))))
     return LocalWitness.from_triples(triples)
+
+
+def ref_slice_peaks(space, witness, v):
+    """Each entry's peak |v| over its single ball, one space.ball per
+    entry."""
+    return np.array([float(np.abs(v[space.ball(e.point, e.delta)]).max(
+        initial=0.0)) for e in witness.entries])

@@ -103,6 +103,25 @@ def test_random_extension_rejects_nan_phi():
         random_k_extension(A, [0.2, math.nan, 0.5], 5.0)
 
 
+@pytest.mark.parametrize("as_field", [False, True], ids=["array", "field"])
+@pytest.mark.parametrize("members, phi, bad", [
+    ([3], [math.inf], 3),                   # one sample: no pair to check
+    ([0, 5, 10], [0.2, -math.inf, math.inf], 5),
+])
+def test_infinite_phi_is_refused_with_its_sample(members, phi, bad, as_field):
+    space = MetricSpace.from_grid(0.0, 1.0, 0.0625)
+    A = Subset(space, members)
+    if as_field:
+        table = np.zeros(space.n)
+        table[members] = phi
+        phi = Tabulated(space, table)
+    for build in (lambda: random_k_extension(A, phi, 5.0),
+                  lambda: mcshane_envelopes(A, phi, 5.0)):
+        with pytest.raises(PreconditionError, match="infinite") as err:
+            build()
+        assert err.value.witness == bad
+
+
 def test_lipschitz_pair_list_reports_a_nan_pair():
     space = MetricSpace.from_grid(0.0, 1.0, 0.25)
     f = Tabulated(space, [0.0, math.nan, 0.5, 0.5, 0.5])

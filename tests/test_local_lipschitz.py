@@ -9,11 +9,13 @@ from lipkit import (Constant, IncreasingCover, InputError, Interval,
                     decompose, generate_local_witness, global_lip,
                     increasing_cover, local_extend, modulus_witness,
                     witness_from_modulus)
+from lipkit import local_lipschitz
 from lipkit.fixtures import (cusp_curve, reciprocal_on_ray,
                              sin_reciprocal_on_interval, square_on_grid)
+from lipkit.local_lipschitz import _slice_cover, _slice_groups
 
 from helpers import (make_space, ref_certify_local_witness, ref_cover_sets,
-                     ref_witness_from_modulus)
+                     ref_slice_peaks, ref_witness_from_modulus)
 
 TOL = 1e-9
 
@@ -101,10 +103,36 @@ def test_soundness_check_reports_a_nan_excess():
     assert math.isnan(worst) and witness == (2, (0, 2))
 
 
+def check_slice_cover(space, witness, v, extra, monkeypatch):
+    """_slice_cover's peaks (seen by a spy on _slice_groups), exponents
+    and ball groups against ref_slice_peaks, bit for bit."""
+    seen = []
+
+    def spy(peaks, max_slices):
+        seen.append(np.array(peaks))
+        return _slice_groups(peaks, max_slices)
+    monkeypatch.setattr(local_lipschitz, "_slice_groups", spy)
+    want = ref_slice_peaks(space, witness, v)
+    for max_slices in (1, 3, 8):
+        exps, cover = _slice_cover(space, witness, v, max_slices, extra)
+        assert seen.pop().tobytes() == want.tobytes()
+        ref_exps, groups = _slice_groups(want, max_slices)
+        assert exps == ref_exps
+        assert cover.witnesses[:len(extra)] == list(extra)
+        unions = cover.witnesses[len(extra):]
+        assert len(unions) == len(groups)
+        for union, grp in zip(unions, groups):
+            assert union.centers.tolist() == \
+                [witness.entries[b].point for b in grp]
+            assert union.radii.tolist() == \
+                [witness.entries[b].delta for b in grp]
+
+
 @pytest.mark.parametrize("on_domain", [False, True], ids=["all", "domain"])
 @pytest.mark.parametrize("kind", [0, 1, 2, 3],
                          ids=["matrix", "points", "graph", "grid"])
-def test_local_layer_matches_the_row_scan_references(kind, on_domain):
+def test_local_layer_matches_the_row_scan_references(kind, on_domain,
+                                                     monkeypatch):
     rng = np.random.default_rng(60 + kind)
     for trial in range(4):
         space = make_space(rng, n_max=30, kinds=[kind])
@@ -136,6 +164,21 @@ def test_local_layer_matches_the_row_scan_references(kind, on_domain):
             radii = rng.uniform(0.1, 1.0, 5) * D.max()
             assert witness_from_modulus(m, points, radii).entries == \
                 ref_witness_from_modulus(m, points, radii).entries
+        # slice peaks of the field, or of its zero-off-domain stub, also
+        # on the matrix with one entry a ulp off its mirror, unvalidated
+        v = f.values()
+        if on_domain:
+            v = np.zeros(n)
+            v[domain.members] = f.values()[domain.members]
+        skew = D.copy()
+        skew[0, 1] = np.nextafter(skew[0, 1], math.inf)
+        partial = LocalWitness.from_triples(
+            [(e.point, e.delta, e.constant)
+             for e in witness.entries if e.point in half])
+        for host in (space, MetricSpace.from_matrix(skew, validate=False)):
+            check_slice_cover(host, witness, v, (), monkeypatch)
+            check_slice_cover(host, partial, v, (Constant(host, 1.0),),
+                              monkeypatch)
 
 
 FIXTURES = {
@@ -314,6 +357,15 @@ def test_local_extend_refuses_a_nan_phi():
     with pytest.raises(PreconditionError, match="outside the target") as err:
         local_extend(A, [0.0, math.nan, 0.5], witness, Interval.closed(0.0, 1.0))
     assert err.value.witness == 2
+
+
+def test_local_extend_refuses_an_infinite_phi():
+    space = MetricSpace.from_grid(0, 4, 1)
+    A = Subset(space, [0, 2, 4])
+    witness = LocalWitness.from_triples([(p, 0.6, 1.0) for p in (0, 2, 4)])
+    with pytest.raises(PreconditionError, match="infinite") as err:
+        local_extend(A, [0.0, 0.5, -math.inf], witness, Interval.real_line())
+    assert err.value.witness == 4
 
 
 def test_local_extend_rejects_offsite_witness():
