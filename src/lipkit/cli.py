@@ -307,7 +307,7 @@ def _cmd_decompose(args, tol, depths, out_dir):
     save_values_csv(os.path.join(out_dir, "reconstruction.csv"),
                     dec.series.values())
 
-    certs = [certify_local_witness(f, witness, tol=tol)]
+    certs = [dec.certificate]
     res = dec.residual()
     certs.append(Certificate("reconstruction", res <= tol, res, tol,
                              details={"members": len(dec.members)}))

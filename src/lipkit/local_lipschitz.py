@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pairs
-from .certify import (_as_values_on, _doubled_ball_excess, _entry_arrays,
-                      certify_local_witness)
+from .certify import (Certificate, _as_values_on, _doubled_ball_excess,
+                      _entry_arrays, certify_local_witness)
 from .errors import CoverError, PreconditionError
 from .extension import _require_phi_in, extend_to_interval
 from .metric_space import _DEFAULT_TOL, Subset
@@ -341,6 +341,7 @@ class Decomposition:
     constants: list        # exact pair slope of f on each support
     slice_exponents: list  # |f| < 2^j bound carried by each member
     partition: object      # the xi_n, a partition of unity
+    certificate: Certificate  # the passing local-witness check of f
 
     def residual(self) -> float:
         return float(np.abs(self.f.values() - self.series.values()).max())
@@ -381,7 +382,7 @@ def decompose(f: ScalarField, witness: LocalWitness, tol: float = _DEFAULT_TOL,
 
     series = _blend(cover, piece, tol, max_members)
     return Decomposition(f, series, series.terms, series.pieces, constants,
-                         exps, series.partition)
+                         exps, series.partition, cert)
 
 
 # ---------------------------------------------------------------------------

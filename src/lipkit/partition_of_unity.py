@@ -23,8 +23,7 @@ import numpy as np
 from .certify import check_k_lipschitz
 from .errors import CoverError, InputError, PreconditionError
 from .metric_space import _DEFAULT_TOL
-from .scalar_field import (Constant, ScalarField, Series, Transported,
-                           global_lip, maximum, minimum)
+from .scalar_field import Constant, ScalarField, Series, Tabulated, global_lip
 
 _DEFAULT_MEMBER_CAP = 50_000
 
@@ -188,20 +187,19 @@ def mather_refine(cover: CozeroCover, tol: float = _DEFAULT_TOL) -> MatherRefine
             raise PreconditionError(
                 f"witness {n} is not 1-Lipschitz: constant {est.value:.6f} "
                 f"at pair {est.witness}")
-    terms = [Constant(space, 2.0 ** -n) * w
-             for n, w in enumerate(cover.witnesses, start=1)]
-    eta = Series(space, terms)
-    half = Constant(space, 0.5) * eta
-    gammas = [maximum(w - half, Constant(space, 0.0)) for w in cover.witnesses]
-    dominated = [j for j, g in enumerate(gammas)
-                 if float(g.values().max()) == 0.0]
-    kept = np.zeros(space.n, dtype=bool)
-    for g in gammas:
-        kept |= g.values() > 0.0
-    lost = np.flatnonzero(~kept)
+    W = np.stack([w.values() for w in cover.witnesses])
+    eta = Series(space, [Tabulated(space, 2.0 ** -n * w)
+                         for n, w in enumerate(W, start=1)]).values()
+    G = np.maximum(W - 0.5 * eta, 0.0)
+    lost = np.flatnonzero(~(G > 0.0).any(axis=0))
     if lost.size:
         raise CoverError(f"refinement lost sample {int(lost[0])}")
-    return MatherRefinement(cover, gammas, eta, dominated)
+    zero = np.flatnonzero(eta == 0.0)
+    if zero.size:
+        raise CoverError(f"mixture eta underflows to 0 at sample {int(zero[0])}")
+    dominated = np.flatnonzero(G.max(axis=1) == 0.0).tolist()
+    return MatherRefinement(cover, [Tabulated(space, g) for g in G],
+                            Tabulated(space, eta), dominated)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +237,10 @@ def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
     mather_refine, and renormalized to peak 2^-n again.  The staircase
     of the reciprocal mixture then splits one into pieces
 
-        xi[n, k] = eta_n * (min(k, 1/eta) - min(k - 1, 1/eta)),
+        xi[n, k] = eta_n * staircase(k, eta),
 
-    built on shared clamp nodes so the per-sample sums telescope.  The
+    computed on the stacked witness values, so the per-sample sums
+    telescope; fields are made only for the members handed out.  The
     piece count per set is the largest staircase index alive on the
     set, which grows like 2^(cover size) divided by the cover's margin;
     the cap fails loudly instead of materializing an infeasible family.
@@ -250,42 +249,41 @@ def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
     normalized = []
     for n, w in enumerate(cover.witnesses, start=1):
         c = global_lip(w).value
-        scaled = w
+        v = w.values()
         if c > 1.0:
-            scaled = Constant(space, 1.0 / c) * w
-        normalized.append(minimum(Constant(space, 2.0 ** -n), scaled))
+            v = (1.0 / c) * v
+        normalized.append(Tabulated(space, np.minimum(2.0 ** -n, v)))
     refined = mather_refine(CozeroCover(space, normalized), tol)
 
-    rebuilt = []
-    owners = []
-    for j, g in enumerate(refined.gammas):
-        beta = float(g.values().max())
-        if beta == 0.0:
-            continue
-        unit = minimum(Constant(space, 1.0), Constant(space, 1.0 / beta) * g)
-        rebuilt.append(Constant(space, 2.0 ** -(j + 1)) * unit)
-        owners.append(j)
+    G = np.stack([g.values() for g in refined.gammas])
+    beta = G.max(axis=1).tolist()
+    owners = [j for j, b in enumerate(beta) if b != 0.0]
+    # a subnormal peak or mixture makes a reciprocal overflow; the NaN or
+    # inf it leaves reaches recip, whose check names the first such sample
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        R = np.stack([2.0 ** -(j + 1) * np.minimum(1.0, (1.0 / beta[j]) * G[j])
+                      for j in owners])
+        mixture = Series(space, [Tabulated(space, r) for r in R]).values()
+        recip = 1.0 / mixture
+    far = np.flatnonzero(~np.isfinite(recip))
+    if far.size:
+        raise CoverError(f"1 / mixture is not finite at sample {int(far[0])}")
+    # piece k is live at p iff k - 1 < recip(p); kept as floats, so a
+    # huge finite recip is counted exactly and never cast
+    live_k = np.ceil(recip)
 
-    recip = Transported("reciprocal", Series(space, rebuilt))
-    # piece k is live at p iff k - 1 < r(p)
-    live_k = np.ceil(recip.values()).astype(int)
-
-    support = np.stack([w.values() for w in rebuilt]) > 0.0
+    support = R > 0.0
     k_caps = [int(live_k[on].max()) for on in support]
     total = int(sum(k_caps))
     if total > max_members:
         raise CoverError(
-            f"staircase family needs {total} members for {len(rebuilt)} sets "
+            f"staircase family needs {total} members for {len(R)} sets "
             f"(cap {max_members}); use fewer sets or better-margined witnesses")
 
-    clamps = [Constant(space, 0.0)]
-    for k in range(1, max(k_caps) + 1):
-        clamps.append(minimum(Constant(space, float(k)), recip))
-
     # member m is step member_k[m] of rebuilt set owner_row[m]
-    owner_row = np.repeat(np.arange(len(rebuilt)), k_caps)
+    owner_row = np.repeat(np.arange(len(R)), k_caps)
     member_k = np.concatenate([np.arange(1, c + 1) for c in k_caps])
-    members = [rebuilt[j] * (clamps[k] - clamps[k - 1])
+    members = [Tabulated(space, R[j] * staircase(int(k), mixture))
                for j, k in zip(owner_row, member_k)]
     set_index = [owners[j] for j in owner_row]
     live = support[owner_row] & (member_k[:, None] <= live_k[None, :])

@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 
-from lipkit import (Certificate, CoverError, IncreasingCover, LocalWitness,
-                    MetricSpace, ModulusWitness, PreconditionError, Subset,
-                    Tabulated, certify_local_witness, random_k_extension)
+from lipkit import (Certificate, Constant, CoverError, CozeroCover,
+                    IncreasingCover, LocalWitness, MatherRefinement,
+                    MetricSpace, ModulusWitness, PartitionOfUnity,
+                    PreconditionError, Series, Subset, Tabulated, Transported,
+                    certify_local_witness, global_lip, maximum, minimum,
+                    random_k_extension)
 from lipkit import _pairs
 from lipkit.local_lipschitz import _cover_from_oscillation
+from lipkit.metric_space import _DEFAULT_TOL
+from lipkit.partition_of_unity import _DEFAULT_MEMBER_CAP
 
 
 def make_space(rng, n_max=40, kinds=None):
@@ -296,3 +301,116 @@ def ref_slice_peaks(space, witness, v):
     entry."""
     return np.array([float(np.abs(v[space.ball(e.point, e.delta)]).max(
         initial=0.0)) for e in witness.entries])
+
+
+def ref_mather_refine(cover: CozeroCover, tol: float = _DEFAULT_TOL) -> MatherRefinement:
+    """The field-tree mather_refine the array version replaced, kept
+    verbatim as its reference.
+
+    Shrink the cover so every sample keeps a witness above half the
+    mixture eta = sum eta_n / 2^n.
+
+    Requires witness n bounded by 2^-n and 1-Lipschitz within
+    tolerance.  At the largest witness of a sample the mixture is
+    strictly smaller, so positivity survives the shrink; a witness with
+    bound 2^-n dies wherever the mixture exceeds 2^-(n-1), which caps
+    how many shrunken sets meet any sample.
+    """
+    space = cover.space
+    for n, w in enumerate(cover.witnesses, start=1):
+        hi = float(w.values().max())
+        bound = 2.0 ** -n
+        if hi > bound + tol:
+            raise PreconditionError(
+                f"witness {n} exceeds its 2^-{n} bound by {hi - bound:.3e}")
+        est = global_lip(w)
+        if est.value > 1.0 + tol:
+            raise PreconditionError(
+                f"witness {n} is not 1-Lipschitz: constant {est.value:.6f} "
+                f"at pair {est.witness}")
+    terms = [Constant(space, 2.0 ** -n) * w
+             for n, w in enumerate(cover.witnesses, start=1)]
+    eta = Series(space, terms)
+    half = Constant(space, 0.5) * eta
+    gammas = [maximum(w - half, Constant(space, 0.0)) for w in cover.witnesses]
+    dominated = [j for j, g in enumerate(gammas)
+                 if float(g.values().max()) == 0.0]
+    kept = np.zeros(space.n, dtype=bool)
+    for g in gammas:
+        kept |= g.values() > 0.0
+    lost = np.flatnonzero(~kept)
+    if lost.size:
+        raise CoverError(f"refinement lost sample {int(lost[0])}")
+    return MatherRefinement(cover, gammas, eta, dominated)
+
+
+def ref_frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
+                   max_members: int = _DEFAULT_MEMBER_CAP) -> PartitionOfUnity:
+    """The field-tree frolik_pou the array version replaced, kept
+    verbatim as its reference.
+
+    Partition of unity subordinated to the cover.
+
+    Witnesses are scaled to 1-Lipschitz, clamped at 2^-n, shrunk by
+    mather_refine, and renormalized to peak 2^-n again.  The staircase
+    of the reciprocal mixture then splits one into pieces
+
+        xi[n, k] = eta_n * (min(k, 1/eta) - min(k - 1, 1/eta)),
+
+    built on shared clamp nodes so the per-sample sums telescope.  The
+    piece count per set is the largest staircase index alive on the
+    set, which grows like 2^(cover size) divided by the cover's margin;
+    the cap fails loudly instead of materializing an infeasible family.
+    """
+    space = cover.space
+    normalized = []
+    for n, w in enumerate(cover.witnesses, start=1):
+        c = global_lip(w).value
+        scaled = w
+        if c > 1.0:
+            scaled = Constant(space, 1.0 / c) * w
+        normalized.append(minimum(Constant(space, 2.0 ** -n), scaled))
+    refined = ref_mather_refine(CozeroCover(space, normalized), tol)
+
+    rebuilt = []
+    owners = []
+    for j, g in enumerate(refined.gammas):
+        beta = float(g.values().max())
+        if beta == 0.0:
+            continue
+        unit = minimum(Constant(space, 1.0), Constant(space, 1.0 / beta) * g)
+        rebuilt.append(Constant(space, 2.0 ** -(j + 1)) * unit)
+        owners.append(j)
+
+    recip = Transported("reciprocal", Series(space, rebuilt))
+    # piece k is live at p iff k - 1 < r(p)
+    live_k = np.ceil(recip.values()).astype(int)
+
+    support = np.stack([w.values() for w in rebuilt]) > 0.0
+    k_caps = [int(live_k[on].max()) for on in support]
+    total = int(sum(k_caps))
+    if total > max_members:
+        raise CoverError(
+            f"staircase family needs {total} members for {len(rebuilt)} sets "
+            f"(cap {max_members}); use fewer sets or better-margined witnesses")
+
+    clamps = [Constant(space, 0.0)]
+    for k in range(1, max(k_caps) + 1):
+        clamps.append(minimum(Constant(space, float(k)), recip))
+
+    # member m is step member_k[m] of rebuilt set owner_row[m]
+    owner_row = np.repeat(np.arange(len(rebuilt)), k_caps)
+    member_k = np.concatenate([np.arange(1, c + 1) for c in k_caps])
+    members = [rebuilt[j] * (clamps[k] - clamps[k - 1])
+               for j, k in zip(owner_row, member_k)]
+    set_index = [owners[j] for j in owner_row]
+    live = support[owner_row] & (member_k[:, None] <= live_k[None, :])
+
+    notes = []
+    if refined.dominated:
+        notes.append(f"dropped dominated set(s) {refined.dominated}")
+    pou = PartitionOfUnity(space, members, set_index, live,
+                           cover=cover, notes=notes)
+    pou.refinement = refined
+    pou.k_caps = k_caps
+    return pou

@@ -297,6 +297,27 @@ def test_decompose_runs(tmp_path, grid_space, witnessed_field, capsys):
     capsys.readouterr()
 
 
+def test_decompose_certifies_its_witness_once(tmp_path, grid_space,
+                                              witnessed_field, capsys,
+                                              monkeypatch):
+    # the CLI reports the certificate decompose already computed
+    calls = []
+    real = lipkit.local_lipschitz.certify_local_witness
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    for module in (lipkit.cli, lipkit.local_lipschitz):
+        monkeypatch.setattr(module, "certify_local_witness", spy)
+    values, witness = witnessed_field
+    assert main(["decompose", "--space", grid_space, "--values", values,
+                 "--witness", witness, "--out-dir", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    kinds = [c["kind"] for c in read_json(tmp_path)["certificates"]]
+    assert kinds[0] == "local-witness"
+    capsys.readouterr()
+
+
 def test_decompose_with_hundreds_of_balls(tmp_path, capsys):
     # 520 witness balls land in one cover set; a chain of binary max
     # nodes over them used to exceed the recursion limit

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from lipkit import (Constant, CoverError, CozeroCover, DistanceTo, InputError,
                     staircase_partial_sum, witness_from_balls)
 from lipkit.fixtures import three_point_shrink
 
-from helpers import make_ball_cover, make_space
+from helpers import make_ball_cover, make_space, ref_frolik_pou
 
 
 def recursion_steps(K, t):
@@ -98,6 +100,83 @@ def test_mather_activity_bound():
             assert ref.gammas[n].values()[p] == 0.0
     # p = 0: eta = 1/4 > 2^-3, so only sets up to index 3 may be active
     assert ref.active_bound(0) == 3
+
+
+@pytest.mark.parametrize("build, rows, match", [
+    # 2^-2 * 5e-324 rounds to 0, so eta(1) = 0 and active_bound(1) would
+    # count forever
+    (mather_refine, ([0.5, 0.0, 0.0], [0.0, 5e-324, 0.25]),
+     "eta underflows to 0 at sample 1"),
+    # normalized, these are the witnesses above, so eta(1) = 0 again and
+    # no reciprocal of the mixture is taken
+    (frolik_pou, ([1.0, 0.0, 0.0], [0.0, 5e-324, 1.0]),
+     "eta underflows to 0 at sample 1"),
+    # eta(1) = 5e-324 > 0, but the rebuilt mixture at sample 1 is too
+    # small for its reciprocal to be finite
+    (frolik_pou, ([0.5, 1e-323, 0.0], [0.0, 0.0, 0.25]),
+     "1 / mixture is not finite at sample 1"),
+    # the second shrunken witness peaks at a subnormal, so its rescaling
+    # factor 1 / beta overflows
+    (frolik_pou, ([0.5, 0.5, 0.0], [0.0, 1e-320, 1e-320]),
+     "1 / mixture is not finite at sample 0"),
+    # 1 / mixture(1) is about 1e300: finite, but past every integer type,
+    # so only an exact count reaches the member cap
+    (frolik_pou, ([0.5, 1e-300, 0.0], [0.0, 0.0, 0.25]),
+     r"needs \d{300} members for 2 sets"),
+], ids=["mather-eta-underflow", "frolik-eta-underflow", "frolik-tiny-mixture",
+        "frolik-subnormal-peak", "frolik-huge-reciprocal"])
+def test_tiny_witnesses_raise_a_cover_error_without_warnings(build, rows,
+                                                             match):
+    space = MetricSpace.from_points([0.0, 1.0, 2.0])
+    cover = CozeroCover(space, [Tabulated(space, r) for r in rows])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CoverError, match=match):
+            build(cover)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_frolik_matches_the_field_tree_reference():
+    rng = np.random.default_rng(2024)
+    for kind in range(4):
+        for _ in range(6):
+            space = make_space(rng, n_max=30, kinds=(kind,))
+            balls = witness_from_balls(space, make_ball_cover(rng, space))
+            # steeper copies take the branch that rescales by 1 / c
+            steep = CozeroCover(space, [
+                Tabulated(space, rng.uniform(1.0, 3.0) * w.values())
+                for w in balls.witnesses])
+            for cover in (balls, steep):
+                check_against_reference(cover)
+
+
+def check_against_reference(cover):
+    new, ref = frolik_pou(cover), ref_frolik_pou(cover)
+    assert same_bits(new.term_matrix(), ref.term_matrix())
+    assert new.set_index == ref.set_index
+    assert same_bits(new.activity, ref.activity)
+    assert new.k_caps == ref.k_caps
+    a, b = new.refinement, ref.refinement
+    assert same_bits(np.stack([g.values() for g in a.gammas]),
+                     np.stack([g.values() for g in b.gammas]))
+    assert same_bits(a.eta.values(), b.eta.values())
+    assert a.dominated == b.dominated
+    assert new.notes == ref.notes
+
+
+def test_frolik_nan_witness_fails_as_the_reference_does():
+    space = MetricSpace.from_points([0.0, 1.0, 2.0])
+    cover = CozeroCover(space, [Tabulated(space, [0.5, np.nan, 0.0]),
+                                Tabulated(space, [0.0, 0.5, 1.0])])
+    messages = []
+    for build in (frolik_pou, ref_frolik_pou):
+        with pytest.raises(CoverError) as caught:
+            build(cover)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1] == "refinement lost sample 1"
 
 
 def test_cover_gap_rejected():
