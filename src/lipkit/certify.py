@@ -256,24 +256,27 @@ def feasible_interval(space: MetricSpace, assigned_ids, assigned_values,
 def pou_report(pou, tol: float = _DEFAULT_TOL) -> Certificate:
     """Sum-to-one residual, activity soundness, per-member constants.
 
-    The sums are the family's own values: exactly rounded sums of the
-    flattened leaf multiset at each sample, so regrouping members cannot
-    move the residual.  The activity violation is the largest member
-    value outside the mask, first in sample-major order, a NaN first of
-    all.
+    The sums are the family's own values: exactly rounded column sums
+    of its leaves, so regrouping members cannot move the residual.  The
+    activity violation is the largest member value outside the mask,
+    first in sample-major order, a NaN first of all.
     """
-    space = pou.space
-    members = pou.members
+    M, on = pou.matrix, pou.activity
     gap = np.abs(pou.values() - 1.0)
     residual = float(gap.max())
     res_point = int(np.argmax(gap))
+    member_lip = [_pairs.max_slope(pou.space, row)[0] for row in M]
+    negativity = float(-M.min()) if len(pou) else 0.0
+    histogram = np.bincount(((M > 0) & on).sum(axis=0))
 
-    # Beyond the declared activity bound members must vanish exactly.
-    activity_worst, activity_witness = pou.activity_violation()
-    M = pou.term_matrix()
-    member_lip = [_pairs.max_slope(space, row)[0] for row in M]
-    negativity = float(-M.min()) if members else 0.0
-    histogram = np.bincount(((M > 0) & pou.activity).sum(axis=0))
+    # Beyond the declared activity bound members must vanish exactly;
+    # this (members, n) scratch comes last, so it is the only one alive
+    outside = np.abs(M.T, order="C")        # sample-major
+    outside[on.T] = 0.0
+    activity_worst, activity_witness = 0.0, None
+    if outside.any():
+        p, i = np.unravel_index(np.argmax(outside), outside.shape)
+        activity_worst, activity_witness = float(outside[p, i]), (int(i), int(p))
 
     passed = (residual <= tol and activity_worst == 0.0 and negativity <= 0.0)
     worst = max(residual, activity_worst, negativity)
@@ -284,7 +287,7 @@ def pou_report(pou, tol: float = _DEFAULT_TOL) -> Certificate:
             "sum_residual": residual,
             "activity_violation": activity_worst,
             "negativity": negativity,
-            "member_count": len(members),
+            "member_count": len(pou),
             "member_lip": member_lip,
             "active_histogram": {str(k): int(c)
                                  for k, c in enumerate(histogram) if c},

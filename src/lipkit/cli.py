@@ -211,9 +211,10 @@ def _cmd_extend(args, tol, depths, out_dir):
     save_values_csv(os.path.join(out_dir, "extension.csv"), v)
 
     certs = []
-    for name, field in (("lower", pair.lower), ("upper", pair.upper)):
+    for name, field in (("envelope_lower", pair.lower),
+                        ("envelope_upper", pair.upper), ("extension", out)):
         c = check_k_lipschitz(field, K, tol=tol)
-        c.details["field"] = f"envelope_{name}"
+        c.details["field"] = name
         certs.append(c)
     certs.append(_restriction_cert(v, A, vals, tol))
 
@@ -283,8 +284,7 @@ def _cmd_pou(args, tol, depths, out_dir):
     grouped = index_subordinate(pou)
 
     names = [f"m{i}_s{pou.set_index[i]}" for i in range(len(pou))]
-    save_wide_csv(os.path.join(out_dir, "members.csv"), names,
-                  [m.values() for m in pou.members])
+    save_wide_csv(os.path.join(out_dir, "members.csv"), names, pou.matrix)
 
     raw = pou_report(pou, tol)
     raw.details["family"] = "staircase"
@@ -572,6 +572,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         tol = _check_tol(args.tol)
+        if args.k is not None and not (0.0 <= args.k < math.inf):
+            raise InputError(f"--k must be finite and nonnegative, got {args.k:g}")
         depths = _depth_ladder(args.grid_depth)
         out_dir = args.out_dir
         os.makedirs(out_dir, exist_ok=True)

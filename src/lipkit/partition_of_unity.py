@@ -23,7 +23,8 @@ import numpy as np
 from .certify import check_k_lipschitz
 from .errors import CoverError, InputError, PreconditionError
 from .metric_space import _DEFAULT_TOL
-from .scalar_field import Constant, ScalarField, Series, Tabulated, global_lip
+from .scalar_field import (Constant, ScalarField, Series, Tabulated,
+                           _column_sums, global_lip)
 
 _DEFAULT_MEMBER_CAP = 50_000
 
@@ -79,6 +80,7 @@ class CozeroCover:
         witnesses = list(witnesses)
         if not witnesses:
             raise CoverError("a cover needs at least one witness")
+        covered = np.zeros(space.n, dtype=bool)
         for j, w in enumerate(witnesses):
             if w.space is not space:
                 raise PreconditionError(f"witness {j} lives on a different space")
@@ -86,8 +88,6 @@ class CozeroCover:
             if lo < 0.0:
                 raise PreconditionError(
                     f"witness {j} takes the negative value {lo:.3e}")
-        covered = np.zeros(space.n, dtype=bool)
-        for w in witnesses:
             covered |= w.values() > 0.0
         missing = np.flatnonzero(~covered)
         if missing.size:
@@ -188,8 +188,7 @@ def mather_refine(cover: CozeroCover, tol: float = _DEFAULT_TOL) -> MatherRefine
                 f"witness {n} is not 1-Lipschitz: constant {est.value:.6f} "
                 f"at pair {est.witness}")
     W = np.stack([w.values() for w in cover.witnesses])
-    eta = Series(space, [Tabulated(space, 2.0 ** -n * w)
-                         for n, w in enumerate(W, start=1)]).values()
+    eta = _column_sums(2.0 ** -np.arange(1.0, len(W) + 1)[:, None] * W)
     G = np.maximum(W - 0.5 * eta, 0.0)
     lost = np.flatnonzero(~(G > 0.0).any(axis=0))
     if lost.size:
@@ -206,27 +205,51 @@ def mather_refine(cover: CozeroCover, tol: float = _DEFAULT_TOL) -> MatherRefine
 # Partitions of unity
 
 
-class PartitionOfUnity(Series):
-    """Finite family of nonnegative fields with unit sum: a series whose
-    terms are the members and whose activity mask bounds the members
-    alive at every sample.
+class _Row(ScalarField):
+    """One row of a read-only matrix as a field, read in place."""
+
+    def __init__(self, space, row):
+        super().__init__(space)
+        self.row = row
+
+    def _compute_values(self) -> np.ndarray:
+        return self.row
+
+
+class PartitionOfUnity(ScalarField):
+    """Finite family of nonnegative fields with unit sum, held as one
+    read-only (members, n) matrix and an activity mask of the same
+    shape that bounds the members alive at every sample.  members[m]
+    is row m as a field, a view with no copy.
 
     set_index[m] names the cover set the m-th member is subordinated
-    to: the member vanishes wherever that set's witness does.
+    to: the member vanishes wherever that set's witness does.  The
+    family's value is the exactly rounded column sum of its leaves:
+    its own rows under its own mask, or those of the family it was
+    regrouped from, so regrouping cannot move the sum.
     """
 
-    def __init__(self, space, members, set_index, activity,
+    def __init__(self, space, matrix, set_index, activity,
                  cover=None, notes=None):
-        super().__init__(space, members, activity)
-        self.members = self.terms
+        super().__init__(space)
         self.set_index = list(set_index)
+        self.matrix = np.asarray(matrix, dtype=float).view()
+        self.activity = np.asarray(activity, dtype=bool).view()
+        shape = (len(self.set_index), space.n)
+        if self.matrix.shape != shape or self.activity.shape != shape:
+            raise PreconditionError(f"matrix and activity need shape {shape}")
+        self.matrix.setflags(write=False)
+        self.activity.setflags(write=False)
+        self.leaves = (self.matrix, self.activity)
+        self.members = [_Row(space, row) for row in self.matrix]
         self.cover = cover
         self.notes = list(notes or [])
-        if len(self.set_index) != len(self.members):
-            raise PreconditionError("need one set index per member")
+
+    def _compute_values(self) -> np.ndarray:
+        return _column_sums(*self.leaves)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.set_index)
 
 
 def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
@@ -239,8 +262,8 @@ def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
 
         xi[n, k] = eta_n * staircase(k, eta),
 
-    computed on the stacked witness values, so the per-sample sums
-    telescope; fields are made only for the members handed out.  The
+    computed on the stacked witness values and written one member per
+    row of the family's matrix, so the per-sample sums telescope.  The
     piece count per set is the largest staircase index alive on the
     set, which grows like 2^(cover size) divided by the cover's margin;
     the cap fails loudly instead of materializing an infeasible family.
@@ -263,7 +286,7 @@ def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         R = np.stack([2.0 ** -(j + 1) * np.minimum(1.0, (1.0 / beta[j]) * G[j])
                       for j in owners])
-        mixture = Series(space, [Tabulated(space, r) for r in R]).values()
+        mixture = _column_sums(R)
         recip = 1.0 / mixture
     far = np.flatnonzero(~np.isfinite(recip))
     if far.size:
@@ -283,8 +306,9 @@ def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
     # member m is step member_k[m] of rebuilt set owner_row[m]
     owner_row = np.repeat(np.arange(len(R)), k_caps)
     member_k = np.concatenate([np.arange(1, c + 1) for c in k_caps])
-    members = [Tabulated(space, R[j] * staircase(int(k), mixture))
-               for j, k in zip(owner_row, member_k)]
+    members = np.empty((total, space.n))
+    for m, (j, k) in enumerate(zip(owner_row.tolist(), member_k.tolist())):
+        np.multiply(R[j], staircase(k, mixture), out=members[m])
     set_index = [owners[j] for j in owner_row]
     live = support[owner_row] & (member_k[:, None] <= live_k[None, :])
 
@@ -304,34 +328,30 @@ def index_subordinate(pou: PartitionOfUnity,
 
     The output has exactly `size` members (default: the cover's witness
     count, else one past the largest assigned index); sets that
-    received no members come back as zero fields.  Each nonempty group
-    sums the same leaves as before, so certification sums over the
-    regrouped family are bit-identical, and a regrouped member is
-    positive only where its set's witness is.
+    received no members come back as zero rows.  Row n is the exact
+    masked column sum of the members assigned to set n, and the output
+    keeps the leaves of pou, so its sum, and every certification sum
+    over it, is bit-identical; a regrouped member is positive only
+    where its set's witness is.
     """
     space = pou.space
-    if size is None:
-        if pou.cover is not None:
-            size = len(pou.cover.witnesses)
-        else:
-            size = 1 + max(pou.set_index, default=-1)
     high = max(pou.set_index, default=-1)
+    if size is None:
+        size = high + 1 if pou.cover is None else len(pou.cover.witnesses)
     if high >= size:
         raise InputError(f"subordination index {high} outside 0..{size - 1}")
     set_index = np.asarray(pou.set_index, dtype=int)
-    members = []
-    outer = np.zeros((size, space.n), dtype=bool)
+    matrix = np.empty((size, space.n))
+    outer = np.empty((size, space.n), dtype=bool)
     for n in range(size):
-        ids = np.flatnonzero(set_index == n)
-        if not ids.size:
-            members.append(Constant(space, 0.0))
-            continue
-        inner = pou.activity[ids]
-        members.append(Series(space, [pou.members[m] for m in ids], inner))
-        outer[n] = inner.any(axis=0)
-    return PartitionOfUnity(space, members, list(range(size)), outer,
-                            cover=pou.cover,
-                            notes=pou.notes + ["regrouped by cover set"])
+        in_set = pou.activity & (set_index == n)[:, None]
+        matrix[n] = _column_sums(pou.matrix, in_set)
+        outer[n] = in_set.any(axis=0)
+    grouped = PartitionOfUnity(space, matrix, range(size), outer,
+                               cover=pou.cover,
+                               notes=pou.notes + ["regrouped by cover set"])
+    grouped.leaves = pou.leaves
+    return grouped
 
 
 def _blend(cover: CozeroCover, piece, tol: float, max_members: int) -> Series:
@@ -381,11 +401,7 @@ def nonexpansive_split(f: ScalarField, K: float,
             f"field is not {K}-Lipschitz: excess {cert.worst_violation:.3e} "
             f"at pair {cert.witness}", witness=cert.witness)
     m = max(1, math.ceil(K))
-    if m == 1:
-        pieces = [f]
-    else:
-        scaled = [Constant(f.space, i / m) * f for i in range(1, m + 1)]
-        pieces = [scaled[0]]
-        for i in range(1, m):
-            pieces.append(scaled[i] - scaled[i - 1])
+    scaled = [Constant(f.space, i / m) * f for i in range(1, m + 1)]
+    pieces = [f] if m == 1 else scaled[:1] + [
+        hi - lo for lo, hi in zip(scaled, scaled[1:])]
     return SplitResult(pieces, m, Series(f.space, pieces))

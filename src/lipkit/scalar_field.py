@@ -70,6 +70,8 @@ class Interval:
             lo, hi = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise InputError(f"bad interval endpoints in {text!r}") from exc
+        if math.isnan(lo) or math.isnan(hi):
+            raise InputError(f"interval endpoints must be numbers, got {text!r}")
         flags = []
         for token in parts[2:]:
             if token not in ("open", "closed"):
@@ -333,17 +335,26 @@ class Transported(ScalarField):
         return self.a * v + self.b
 
 
+def _column_sums(values, mask=True) -> np.ndarray:
+    """Exactly rounded sum (math.fsum) of each column's entries where
+    mask holds.  An exact sum does not depend on the order or grouping
+    of its entries; they are gathered sample-major, values.T[mask.T],
+    so no sort is needed and memory follows the mask."""
+    mask = np.broadcast_to(mask, values.shape)
+    flat = values.T[mask.T].tolist()
+    ends = np.cumsum(mask.sum(axis=0)).tolist()
+    return np.array([math.fsum(flat[a:b]) for a, b in zip([0] + ends, ends)])
+
+
 class Series(ScalarField):
     """Locally finite sum of fields.
 
     activity is a read-only (terms, n) boolean mask: term i may be
     nonzero at sample p only where activity[i, p] holds (all true when
-    omitted).  The value at p is the exactly rounded sum of the leaf
-    multiset in column p: every active non-series term, and the leaves
-    of every active nested series, masked by its own row.  Regrouping
-    terms into nested series leaves that multiset, hence the sum, bit
-    for bit unchanged.  Terms outside the mask are required to vanish
-    (checked by activity_violation, relied on everywhere).
+    omitted).  The value at p is the exactly rounded sum of the active
+    terms in column p; each term is one summand, whatever its kind.
+    Terms outside the mask are required to vanish (pou_report checks
+    this for a partition of unity).
     """
 
     def __init__(self, space: MetricSpace, terms, activity=None):
@@ -365,42 +376,9 @@ class Series(ScalarField):
     def children(self) -> tuple:
         return tuple(self.terms)
 
-    def term_matrix(self) -> np.ndarray:
-        if not self.terms:
-            return np.zeros((0, self.space.n))
-        return np.stack([t.values() for t in self.terms])
-
-    def _leaves(self):
-        """(values, mask) rows of the leaf multiset, one pair per leaf."""
-        for t, on in zip(self.terms, self.activity):
-            if isinstance(t, Series):
-                for v, m in t._leaves():
-                    yield v, m & on
-            else:
-                yield t.values(), on
-
     def _compute_values(self) -> np.ndarray:
-        # gather only the active entries, so memory follows the activity
-        # rather than leaves x samples; a stable sort keeps leaf order
-        entries = [(np.flatnonzero(on), v[on]) for v, on in self._leaves()]
-        samples = np.concatenate([s for s, _ in entries] + [np.zeros(0, int)])
-        values = np.concatenate([v for _, v in entries] + [np.zeros(0)])
-        flat = values[np.argsort(samples, kind="stable")].tolist()
-        ends = np.cumsum(np.bincount(samples, minlength=self.space.n)).tolist()
-        return np.array([math.fsum(flat[a:b]) for a, b in zip([0] + ends, ends)])
-
-    def activity_violation(self) -> tuple:
-        """Largest |value| of a term outside the mask, with its (term,
-        sample); (0.0, None) when the mask is sound.  Ties go to the
-        first entry in sample-major order, and a NaN beats every
-        number."""
-        outside = self.term_matrix()
-        np.abs(outside, out=outside)
-        outside[self.activity] = 0.0
-        if not outside.any():
-            return 0.0, None
-        p, i = np.unravel_index(np.argmax(outside.T), outside.T.shape)
-        return float(outside[i, p]), (int(i), int(p))
+        rows = np.array([t.values() for t in self.terms], dtype=float)
+        return _column_sums(rows.reshape(-1, self.space.n), self.activity)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +442,7 @@ def scaled_oscillation(f: ScalarField, p: int, radii) -> float:
     """
     p = int(p)
     radii = np.asarray(radii, dtype=float)
-    if radii.size == 0 or (radii <= 0).any():
+    if radii.size == 0 or not (radii > 0).all():
         raise InputError("radii must be a nonempty collection of positive reals")
     v = f.values()
     d = f.space.dist_row(p)

@@ -303,6 +303,13 @@ def ref_slice_peaks(space, witness, v):
         initial=0.0)) for e in witness.entries])
 
 
+def leaf_sums(values, mask):
+    """math.fsum of each column's entries where mask holds, one sample
+    at a time, as a list."""
+    return [math.fsum(values[i, p] for i in np.flatnonzero(mask[:, p]))
+            for p in range(values.shape[1])]
+
+
 def ref_mather_refine(cover: CozeroCover, tol: float = _DEFAULT_TOL) -> MatherRefinement:
     """The field-tree mather_refine the array version replaced, kept
     verbatim as its reference.
@@ -409,8 +416,8 @@ def ref_frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
     notes = []
     if refined.dominated:
         notes.append(f"dropped dominated set(s) {refined.dominated}")
-    pou = PartitionOfUnity(space, members, set_index, live,
-                           cover=cover, notes=notes)
+    pou = PartitionOfUnity(space, np.stack([m.values() for m in members]),
+                           set_index, live, cover=cover, notes=notes)
     pou.refinement = refined
     pou.k_caps = k_caps
     return pou

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lipkit import (Certificate, Constant, Coordinate, LocalWitness,
-                    MetricSpace, PreconditionError, Series, Subset, Tabulated,
+                    MetricSpace, PreconditionError, Subset, Tabulated,
                     certify_local_witness, check_k_lipschitz,
                     feasible_interval, frolik_pou, index_subordinate,
                     mcshane_envelopes, pou_report, random_k_extension,
@@ -14,7 +14,7 @@ from lipkit import _pairs
 from lipkit.fixtures import cusp_curve, sin_reciprocal_pairs, square_on_grid
 from lipkit.partition_of_unity import PartitionOfUnity
 
-from helpers import make_ball_cover, make_instance, make_space
+from helpers import leaf_sums, make_ball_cover, make_instance, make_space
 
 
 def grid_instance():
@@ -347,7 +347,7 @@ def test_pou_report_truncation_fails_with_witness():
     cover = witness_from_balls(space, [[(0, 10.0)]])
     pou = frolik_pou(cover)
     chopped = PartitionOfUnity(
-        space, pou.members[:-1], pou.set_index[:-1],
+        space, pou.matrix[:-1], pou.set_index[:-1],
         pou.activity[:-1],
         cover=pou.cover)
     cert = pou_report(chopped)
@@ -356,25 +356,12 @@ def test_pou_report_truncation_fails_with_witness():
     assert cert.witness is not None
 
 
-def reference_leaves(term, p):
-    """The leaf multiset of a term at sample p, one term at a time: a
-    series unfolds into the leaves of its active terms."""
-    if not isinstance(term, Series):
-        return [term(p)]
-    out = []
-    for i in np.flatnonzero(term.activity[:, p]):
-        out.extend(reference_leaves(term.terms[int(i)], p))
-    return out
-
-
 def reference_pou_report(pou, tol=1e-9):
     """pou_report written as per-sample loops over activity index lists:
-    the sum, the activity scan and the histogram."""
+    the sum of the leaves, the activity scan and the histogram."""
     space, members = pou.space, pou.members
     active = [np.flatnonzero(pou.activity[:, p]) for p in range(space.n)]
-    sums = np.array([math.fsum(leaf for i in active[p]
-                               for leaf in reference_leaves(members[i], p))
-                     for p in range(space.n)])
+    sums = np.array(leaf_sums(*pou.leaves))
     residual = float(np.abs(sums - 1.0).max())
     res_point = int(np.argmax(np.abs(sums - 1.0)))
 
@@ -428,7 +415,7 @@ def test_pou_report_matches_the_loop_reference(kind):
 
 def test_pou_report_matches_the_loop_reference_when_truncated():
     for pou, _ in seeded_families(1):
-        chopped = PartitionOfUnity(pou.space, pou.members[:-1],
+        chopped = PartitionOfUnity(pou.space, pou.matrix[:-1],
                                    pou.set_index[:-1], pou.activity[:-1])
         cert = pou_report(chopped)
         assert not cert.passed
@@ -439,10 +426,9 @@ def hidden_entries_family(at_sample_0, at_sample_2):
     """Two members on three samples with one entry each outside the
     activity mask: member 1 at sample 0 and member 0 at sample 2."""
     space = MetricSpace.from_points([0.0, 1.0, 2.0])
-    members = [Tabulated(space, [1.0, 1.0, at_sample_2]),
-               Tabulated(space, [at_sample_0, 0.0, 1.0])]
+    rows = [[1.0, 1.0, at_sample_2], [at_sample_0, 0.0, 1.0]]
     mask = [[True, True, False], [False, False, True]]
-    return PartitionOfUnity(space, members, [0, 1], mask)
+    return PartitionOfUnity(space, rows, [0, 1], mask)
 
 
 def test_pou_report_activity_witness_is_first_in_sample_major_order():
@@ -461,29 +447,12 @@ def test_pou_report_nan_outside_the_activity_wins():
     assert cert.witness == (0, 2)
 
 
-def test_nested_series_sums_its_leaf_multiset():
-    space = MetricSpace.from_points([0.0, 1.0])
-    one, tiny = Constant(space, 1.0), Constant(space, 1e-16)
-    inner = Series(space, [one, tiny])
-    nested = Series(space, [inner, tiny])
-    flat = Series(space, [one, tiny, tiny])
-    # the inner sum rounds to 1.0, the three leaves together do not
-    assert inner.values()[0] == 1.0
-    assert nested.values()[0] == math.fsum([1.0, 1e-16, 1e-16]) > 1.0
-    np.testing.assert_array_equal(nested.values(), flat.values())
-    # a term masked out of the outer row drops all of its leaves
-    masked = Series(space, [inner, tiny], [[True, False], [True, True]])
-    assert masked.values().tolist() == [nested.values()[0], 1e-16]
-
-
 def test_regrouping_does_not_move_the_series_values():
     for kind in (0, 1, 2, 3):
         for pou, grouped in seeded_families(kind, draws=2):
-            leaf_sums = [math.fsum(leaf for i in np.flatnonzero(pou.activity[:, p])
-                                   for leaf in reference_leaves(pou.members[i], p))
-                         for p in range(pou.space.n)]
-            assert pou.values().tolist() == leaf_sums
-            assert grouped.values().tolist() == leaf_sums
+            sums = leaf_sums(pou.matrix, pou.activity)
+            assert pou.values().tolist() == sums
+            assert grouped.values().tolist() == sums
 
 
 def test_certify_local_witness_square_fixture():

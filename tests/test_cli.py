@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lipkit
-from lipkit import MetricSpace
+from lipkit import MetricSpace, Tabulated
 from lipkit.cli import main
 
 
@@ -121,6 +121,38 @@ def test_certify_metric_pass_and_fail(tmp_path, capsys):
     assert payload["passed"] is False
     cert = payload["certificates"][0]
     assert cert["details"]["violations"][0]["kind"] == "triangle"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra", [["--k", "-1"], ["--k", "nan"],
+                                   ["--k", "inf"],
+                                   ["--interval", "nan,1,open,open"]])
+def test_out_of_range_parameters_exit_1(tmp_path, extend_argv, capsys, extra):
+    # each of these used to exit 2 with a precondition certificate
+    out = tmp_path / "out"
+    assert main(extend_argv + extra + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "certificate.json").exists()
+
+
+def test_extend_certifies_the_extension_it_writes(tmp_path, extend_argv,
+                                                   monkeypatch, capsys):
+    real = lipkit.cli.extend_to_interval
+
+    def wiggled(A, vals, K, interval, tol):
+        out = real(A, vals, K, interval, tol)
+        v = out.values().copy()
+        v[2] += 0.6         # off A, so the restriction still holds
+        bad = Tabulated(out.space, v)
+        bad.envelopes = out.envelopes
+        return bad
+
+    monkeypatch.setattr(lipkit.cli, "extend_to_interval", wiggled)
+    out = tmp_path / "out"
+    assert main(extend_argv + ["--out-dir", str(out)]) == 2
+    failed = [c for c in read_json(out)["certificates"] if not c["passed"]]
+    assert [(c["kind"], c["details"]["field"]) for c in failed] == \
+        [("k-lipschitz", "extension")]
     capsys.readouterr()
 
 

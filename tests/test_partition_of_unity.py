@@ -155,7 +155,7 @@ def test_frolik_matches_the_field_tree_reference():
 
 def check_against_reference(cover):
     new, ref = frolik_pou(cover), ref_frolik_pou(cover)
-    assert same_bits(new.term_matrix(), ref.term_matrix())
+    assert same_bits(new.matrix, ref.matrix)
     assert new.set_index == ref.set_index
     assert same_bits(new.activity, ref.activity)
     assert new.k_caps == ref.k_caps
@@ -189,8 +189,10 @@ def test_frolik_single_set_exact_halves():
     space, cover = single_set_cover()
     pou = frolik_pou(cover)
     assert len(pou) == 2
-    for m in pou.members:
+    for m, row in zip(pou.members, pou.matrix):
         np.testing.assert_array_equal(m.values(), np.full(3, 0.5))
+        assert np.shares_memory(m.values(), row)    # a view, not a copy
+    assert not pou.matrix.flags.writeable
     assert pou.set_index == [0, 0]
     cert = pou_report(pou)
     assert cert.passed and cert.worst_violation == 0.0

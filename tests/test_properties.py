@@ -1,7 +1,8 @@
 """Property tests: the sweeps that take p < q on exactly symmetric
 distances, and the segmented sweep over many balls at once, return the
 reference's value and pair on small generated spaces, values with ties
-and NaN included."""
+and NaN included; a regrouped partition of unity keeps the sum of its
+leaves."""
 
 import math
 from unittest import mock
@@ -12,9 +13,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from helpers import (check_switched, compress, ref_min_positive_distance,  # noqa: E402
+from helpers import (check_switched, compress, leaf_sums,  # noqa: E402
+                     make_ball_cover, make_space, ref_min_positive_distance,
                      same)
-from lipkit import MetricSpace, PreconditionError, _pairs  # noqa: E402
+from lipkit import (MetricSpace, PartitionOfUnity,  # noqa: E402
+                    PreconditionError, _pairs, frolik_pou, index_subordinate,
+                    pou_report, witness_from_balls)
 
 VALUES = st.sampled_from([0.0, 0.0, 1.0, 1.0, -2.0, 0.5, 3.25, math.nan])
 COORDS = st.sampled_from([0.0, 0.0, 0.5, 1.0, -1.5, 2.0, 4.0])
@@ -115,3 +119,38 @@ def test_ball_sweep_matches_one_sweep_per_ball(space, data):
             for (x, pairs), ref in ((excess, want), (slopes, (slope, pair))):
                 got = tuple(int(i) for i in pairs[b])
                 assert same((x[b], None if got == (-1, -1) else got), ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_regrouped_partition_keeps_the_leaf_sums(seed):
+    rng = np.random.default_rng(seed)
+    space = make_space(rng, n_max=20)
+    pou = frolik_pou(witness_from_balls(space, make_ball_cover(rng, space)))
+    grouped = index_subordinate(pou)
+    assert pou_report(pou).passed and pou_report(grouped).passed
+    assert grouped.values().tobytes() == pou.values().tobytes()
+    for n, row in enumerate(grouped.matrix):
+        group = np.array([math.fsum(pou.matrix[m, p] for m in range(len(pou))
+                                    if pou.set_index[m] == n
+                                    and pou.activity[m, p])
+                          for p in range(space.n)])
+        assert row.tobytes() == group.tobytes()
+
+
+def test_regrouped_sum_is_the_leaf_sum_not_the_group_sum():
+    space = MetricSpace.from_points([0.0, 1.0])
+    # set 0 holds 1.0 and 1e-16, which round to 1.0 together; the third
+    # leaf tips the exact sum of all three over 1.0
+    rows = [[1.0, 1.0], [1e-16, 0.0], [1e-16, 0.0]]
+    pou = PartitionOfUnity(space, rows, [0, 0, 1], [[True] * 2] * 3)
+    grouped = index_subordinate(pou)
+    assert grouped.matrix[:, 0].tolist() == [1.0, 1e-16]
+    assert math.fsum(grouped.matrix[:, 0]) == 1.0
+    total = math.fsum([1.0, 1e-16, 1e-16])
+    assert total > 1.0
+    assert pou.values().tolist() == leaf_sums(pou.matrix, pou.activity) \
+        == [total, 1.0]
+    # the leaves travel with every regrouping
+    for family in (grouped, index_subordinate(grouped)):
+        assert family.values().tolist() == [total, 1.0]

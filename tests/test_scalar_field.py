@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,11 @@ def test_scaled_oscillation_below_pointwise_lip():
         radii = rng.uniform(0.1, space.diameter() + 1.0, size=3)
         assert (scaled_oscillation(f, p, radii)
                 <= pointwise_lip(f, p).value + 1e-12)
+    # a NaN radius would compare false against every distance and bound
+    # nothing, so it is refused like a nonpositive one
+    f = Tabulated(grid(), [0.0, 1.0, 4.0, 1.0, 0.0])
+    with pytest.raises(InputError):
+        scaled_oscillation(f, 2, [math.nan])
 
 
 def test_global_lip_is_max_of_pointwise():
@@ -167,9 +174,21 @@ def test_series_activity_contract():
     full = Series(space, terms)
     np.testing.assert_allclose(full.values(),
                                terms[0].values() + terms[1].values())
-    # an activity mask that hides a nonzero term is a contract violation
+    # the mask drops a term from the sum whatever its values; a mask that
+    # hides a nonzero term breaks the contract, which pou_report checks
+    # for a partition of unity
     fake = Series(space, terms, activity=[[True] * space.n, [False] * space.n])
-    assert fake.activity_violation()[0] > 0.0
+    np.testing.assert_array_equal(fake.values(), terms[0].values())
+
+
+def test_a_nested_series_is_one_summand():
+    space = grid()
+    one, tiny = Constant(space, 1.0), Constant(space, 1e-16)
+    inner = Series(space, [one, tiny])
+    # the inner sum rounds to 1.0; the three leaves together would not
+    assert inner.values()[0] == 1.0
+    assert math.fsum([1.0, 1e-16, 1e-16]) > 1.0
+    assert Series(space, [inner, tiny]).values().tolist() == [1.0] * space.n
 
 
 def test_children_name_the_fields_a_node_reads():
@@ -229,5 +248,7 @@ def test_interval_parse_rejects_garbage():
         Interval.parse("0..1")
     with pytest.raises(InputError):
         Interval.parse("0,1,open,sideways")
+    with pytest.raises(InputError):
+        Interval.parse("nan,1,open,open")
     # reversed endpoints survive parsing but are flagged degenerate
     assert Interval.parse("1,0,closed,closed").is_degenerate
