@@ -26,8 +26,8 @@ import numpy as np
 from . import _pairs
 from .errors import PreconditionError
 from .metric_space import _DEFAULT_TOL, Subset
-from .scalar_field import (Constant, Interval, ScalarField, Transported,
-                           maximum, minimum)
+from .scalar_field import (Constant, Interval, ScalarField, Tabulated,
+                           Transported, maximum, minimum)
 from .certify import _as_values_on, _require_constant
 
 
@@ -254,7 +254,8 @@ def pointwise_extend_to_interval(A: Subset, phi, witness: PointwiseWitness,
     the finite endpoint becomes 1, inverted into (0, 1] by the
     reciprocal transport, extended there, and inverted back; an upper
     half-line is reflected first.  All three transports preserve the
-    witness because they are nonexpansive on the relevant ranges.
+    witness because they are nonexpansive on the relevant ranges.  The
+    output carries phi on A verbatim.
     """
     A.require_nonempty("extension domain")
     _require_usable(interval, A)
@@ -264,28 +265,25 @@ def pointwise_extend_to_interval(A: Subset, phi, witness: PointwiseWitness,
     if interval.is_bounded:
         pair = pointwise_envelopes(A, vals, witness, tol)
         out = _mean_of_clamped(pair, interval)
-        out.envelopes = pair
     elif interval.is_real_line:
-        compressed = np.arctan(vals)
-        pair = pointwise_envelopes(A, compressed, witness, tol)
-        g = _mean_of_clamped(pair, Interval.open(-math.pi / 2.0, math.pi / 2.0))
-        out = Transported("tan", g)
-        out.envelopes = pair
-    elif interval.bounded_below:
-        shift = interval.lo - 1.0
-        shifted = vals - shift                   # lands in (1, inf) or [1, inf)
-        inverted = 1.0 / shifted                 # lands in (0, 1]
+        pair = pointwise_envelopes(A, np.arctan(vals), witness, tol)
+        out = Transported("tan", _mean_of_clamped(
+            pair, Interval.open(-math.pi / 2.0, math.pi / 2.0)))
+    else:
+        # s = -1 reflects an upper half-line onto [-hi, inf)
+        s = 1.0 if interval.bounded_below else -1.0
+        shift = (interval.lo if s > 0 else -interval.hi) - 1.0
+        inverted = 1.0 / (s * vals - shift)     # lands in (0, 1]
         pair = pointwise_envelopes(A, inverted, witness, tol)
         g = _mean_of_clamped(pair, Interval(0.0, 1.0, True, False))
-        out = Transported("reciprocal", g) + Constant(A.space, shift)
-        out.envelopes = pair
-    else:
-        reflected = Interval(-interval.hi, math.inf, interval.hi_open, True)
-        inner = pointwise_extend_to_interval(A, -vals, witness, reflected, tol)
-        out = -inner
-        out.envelopes = getattr(inner, "envelopes", None)
-
-    out.pointwise_witness = _certified_output_witness(out, tol)
+        out = Constant(A.space, s) * (Transported("reciprocal", g)
+                                      + Constant(A.space, shift))
+    # a transport round trip such as tan(arctan(v)) can miss v
+    values = out.values().copy()
+    values[A.members] = vals
+    out = Tabulated(A.space, values)
+    out.envelopes = pair
+    out.pointwise_witness = generate_pointwise_witness(out)
     return out
 
 
@@ -295,12 +293,3 @@ def _pointwise_excess(f: ScalarField, w: PointwiseWitness) -> tuple:
     return _pairs.worst_excess(f.space, f.values(),
                                lambda r, c, d, o: L[r, None] * d, upper=False)
 
-
-def _certified_output_witness(f: ScalarField, tol: float) -> PointwiseWitness:
-    w = generate_pointwise_witness(f)
-    excess, pair = _pointwise_excess(f, w)
-    if not (excess <= tol):
-        raise PreconditionError(
-            "generated witness fails to certify the extension "
-            f"(pair {pair})", witness=pair)
-    return w

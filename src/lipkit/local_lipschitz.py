@@ -28,12 +28,11 @@ from .certify import (Certificate, _as_values_on, _doubled_ball_excess,
 from .errors import CoverError, PreconditionError
 from .extension import _require_phi_in, extend_to_interval
 from .metric_space import _DEFAULT_TOL, Subset
-from .partition_of_unity import (_DEFAULT_MEMBER_CAP, CozeroCover,
-                                 _BallUnion, _blend)
+from .partition_of_unity import CozeroCover, _BallUnion, _blend
 from .scalar_field import (Constant, DistanceTo, Interval, ScalarField,
                            Series, Tabulated, minimum)
 
-_DEFAULT_MAX_SLICES = 8
+_MAX_SLICES = 8
 
 
 @dataclass(frozen=True)
@@ -69,19 +68,16 @@ class LocalWitness:
         return len(self.entries)
 
 
-def generate_local_witness(f: ScalarField, deltas=None) -> LocalWitness:
+def generate_local_witness(f: ScalarField) -> LocalWitness:
     """Exhaustive witness for f with one entry per sample.
 
-    Default radii reach the nearest distinct sample, and each rate is
-    the largest two-point slope of f inside the doubled ball, so the
-    witness certifies by construction.
+    Radii reach the nearest distinct sample (1 for a lone sample), and
+    each rate is the largest two-point slope of f inside the doubled
+    ball, so the witness certifies by construction.
     """
     space = f.space
-    if deltas is None:
-        deltas = space.nearest_positive()
-        deltas[np.isnan(deltas)] = 1.0
-    else:
-        deltas = np.array([float(deltas[p]) for p in range(space.n)])
+    deltas = space.nearest_positive()
+    deltas[np.isnan(deltas)] = 1.0
     rates, pairs = _pairs.ball_sweep(
         space, f.values(), np.arange(space.n), 2.0 * deltas,
         lambda d, o, seg: _pairs.slope(o, d, 0.0))
@@ -347,9 +343,8 @@ class Decomposition:
         return float(np.abs(self.f.values() - self.series.values()).max())
 
 
-def decompose(f: ScalarField, witness: LocalWitness, tol: float = _DEFAULT_TOL,
-              max_slices: int = _DEFAULT_MAX_SLICES,
-              max_members: int = _DEFAULT_MEMBER_CAP) -> Decomposition:
+def decompose(f: ScalarField, witness: LocalWitness,
+              tol: float = _DEFAULT_TOL) -> Decomposition:
     """Write f as a finite sum of bounded Lipschitz members.
 
     Witness balls are grouped into dyadic slices of |f| (a ball joins
@@ -366,7 +361,7 @@ def decompose(f: ScalarField, witness: LocalWitness, tol: float = _DEFAULT_TOL,
             f"witness does not certify the function: {cert.summary_line()}",
             witness=cert.witness)
     v = f.values()
-    exps, cover = _slice_cover(space, witness, v, max_slices)
+    exps, cover = _slice_cover(space, witness, v, _MAX_SLICES)
     constants = []
 
     def piece(n, xi):
@@ -380,7 +375,7 @@ def decompose(f: ScalarField, witness: LocalWitness, tol: float = _DEFAULT_TOL,
         return Constant(space, lo) if lo == hi else extend_to_interval(
             Subset(space, supp), vals, K, Interval.closed(lo, hi), tol)
 
-    series = _blend(cover, piece, tol, max_members)
+    series = _blend(cover, piece, tol)
     return Decomposition(f, series, series.terms, series.pieces, constants,
                          exps, series.partition, cert)
 
@@ -390,9 +385,7 @@ def decompose(f: ScalarField, witness: LocalWitness, tol: float = _DEFAULT_TOL,
 
 
 def local_extend(A: Subset, phi, witness: LocalWitness, interval: Interval,
-                 tol: float = _DEFAULT_TOL,
-                 max_slices: int = _DEFAULT_MAX_SLICES,
-                 max_members: int = _DEFAULT_MEMBER_CAP) -> ScalarField:
+                 tol: float = _DEFAULT_TOL) -> ScalarField:
     """Extend phi from A to the whole sample from a local witness.
 
     The witness (entries centered in A) is certified against phi on A
@@ -436,7 +429,7 @@ def local_extend(A: Subset, phi, witness: LocalWitness, interval: Interval,
 
     # set 0 lives off A; stub is zero there, so a ball's peak is its peak on A
     off = minimum(Constant(space, 1.0), DistanceTo(space, A.members))
-    _, cover = _slice_cover(space, witness, stub, max_slices, extra=[off])
+    _, cover = _slice_cover(space, witness, stub, _MAX_SLICES, extra=[off])
     mid = 0.5 * (float(vals.min()) + float(vals.max()))
 
     def piece(n, xi):
@@ -450,7 +443,7 @@ def local_extend(A: Subset, phi, witness: LocalWitness, interval: Interval,
         return extend_to_interval(Subset(space, supp), sub_vals, K, interval,
                                   tol)
 
-    out = _blend(cover, piece, tol, max_members)
+    out = _blend(cover, piece, tol)
     out.restriction_error = float(
         np.abs(out.values()[A.members] - vals).max())
     out.local_witness = generate_local_witness(out)

@@ -147,6 +147,17 @@ def witness_from_balls(space, groups) -> CozeroCover:
 # Mather refinement
 
 
+class _Row(ScalarField):
+    """One row of a read-only matrix as a field, read in place."""
+
+    def __init__(self, space, row):
+        super().__init__(space)
+        self.row = row
+
+    def _compute_values(self) -> np.ndarray:
+        return self.row
+
+
 @dataclass
 class MatherRefinement:
     """Shrunken witnesses gamma_n = max(eta_n - eta/2, 0)."""
@@ -165,6 +176,36 @@ class MatherRefinement:
         return k
 
 
+def _refine(cover: CozeroCover, W: np.ndarray, tol: float):
+    """mather_refine on W, the stacked witness rows of the cover's sets.
+    Returns the refinement and the read-only matrix G whose rows are
+    its gammas."""
+    space = cover.space
+    for n, w in enumerate(W, start=1):
+        hi = float(w.max())
+        bound = 2.0 ** -n
+        if hi > bound + tol:
+            raise PreconditionError(
+                f"witness {n} exceeds its 2^-{n} bound by {hi - bound:.3e}")
+        est = global_lip(_Row(space, w))
+        if est.value > 1.0 + tol:
+            raise PreconditionError(
+                f"witness {n} is not 1-Lipschitz: constant {est.value:.6f} "
+                f"at pair {est.witness}")
+    eta = _column_sums(2.0 ** -np.arange(1.0, len(W) + 1)[:, None] * W)
+    G = np.maximum(W - 0.5 * eta, 0.0)
+    lost = np.flatnonzero(~(G > 0.0).any(axis=0))
+    if lost.size:
+        raise CoverError(f"refinement lost sample {int(lost[0])}")
+    zero = np.flatnonzero(eta == 0.0)
+    if zero.size:
+        raise CoverError(f"mixture eta underflows to 0 at sample {int(zero[0])}")
+    dominated = np.flatnonzero(G.max(axis=1) == 0.0).tolist()
+    G.setflags(write=False)
+    return MatherRefinement(cover, [_Row(space, g) for g in G],
+                            Tabulated(space, eta), dominated), G
+
+
 def mather_refine(cover: CozeroCover, tol: float = _DEFAULT_TOL) -> MatherRefinement:
     """Shrink the cover so every sample keeps a witness above half the
     mixture eta = sum eta_n / 2^n.
@@ -175,45 +216,12 @@ def mather_refine(cover: CozeroCover, tol: float = _DEFAULT_TOL) -> MatherRefine
     bound 2^-n dies wherever the mixture exceeds 2^-(n-1), which caps
     how many shrunken sets meet any sample.
     """
-    space = cover.space
-    for n, w in enumerate(cover.witnesses, start=1):
-        hi = float(w.values().max())
-        bound = 2.0 ** -n
-        if hi > bound + tol:
-            raise PreconditionError(
-                f"witness {n} exceeds its 2^-{n} bound by {hi - bound:.3e}")
-        est = global_lip(w)
-        if est.value > 1.0 + tol:
-            raise PreconditionError(
-                f"witness {n} is not 1-Lipschitz: constant {est.value:.6f} "
-                f"at pair {est.witness}")
     W = np.stack([w.values() for w in cover.witnesses])
-    eta = _column_sums(2.0 ** -np.arange(1.0, len(W) + 1)[:, None] * W)
-    G = np.maximum(W - 0.5 * eta, 0.0)
-    lost = np.flatnonzero(~(G > 0.0).any(axis=0))
-    if lost.size:
-        raise CoverError(f"refinement lost sample {int(lost[0])}")
-    zero = np.flatnonzero(eta == 0.0)
-    if zero.size:
-        raise CoverError(f"mixture eta underflows to 0 at sample {int(zero[0])}")
-    dominated = np.flatnonzero(G.max(axis=1) == 0.0).tolist()
-    return MatherRefinement(cover, [Tabulated(space, g) for g in G],
-                            Tabulated(space, eta), dominated)
+    return _refine(cover, W, tol)[0]
 
 
 # ---------------------------------------------------------------------------
 # Partitions of unity
-
-
-class _Row(ScalarField):
-    """One row of a read-only matrix as a field, read in place."""
-
-    def __init__(self, space, row):
-        super().__init__(space)
-        self.row = row
-
-    def _compute_values(self) -> np.ndarray:
-        return self.row
 
 
 class PartitionOfUnity(ScalarField):
@@ -256,36 +264,37 @@ def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
                max_members: int = _DEFAULT_MEMBER_CAP) -> PartitionOfUnity:
     """Partition of unity subordinated to the cover.
 
-    Witnesses are scaled to 1-Lipschitz, clamped at 2^-n, shrunk by
-    mather_refine, and renormalized to peak 2^-n again.  The staircase
-    of the reciprocal mixture then splits one into pieces
+    Witnesses are scaled to 1-Lipschitz, clamped at 2^-n, shrunk as
+    mather_refine shrinks them, and renormalized to peak 2^-n again.
+    The staircase of the reciprocal mixture then splits one into pieces
 
         xi[n, k] = eta_n * staircase(k, eta),
 
-    computed on the stacked witness values and written one member per
+    computed on the stacked witness values, one staircase row per step
+    index k shared by every set alive at k, and written one member per
     row of the family's matrix, so the per-sample sums telescope.  The
     piece count per set is the largest staircase index alive on the
     set, which grows like 2^(cover size) divided by the cover's margin;
     the cap fails loudly instead of materializing an infeasible family.
+    pou.refinement shrinks the scaled and clamped rows and names the
+    given cover.
     """
     space = cover.space
-    normalized = []
-    for n, w in enumerate(cover.witnesses, start=1):
+    W = np.stack([w.values() for w in cover.witnesses])
+    for w, row in zip(cover.witnesses, W):
         c = global_lip(w).value
-        v = w.values()
         if c > 1.0:
-            v = (1.0 / c) * v
-        normalized.append(Tabulated(space, np.minimum(2.0 ** -n, v)))
-    refined = mather_refine(CozeroCover(space, normalized), tol)
+            row *= 1.0 / c
+    bounds = 2.0 ** -np.arange(1.0, len(W) + 1)
+    refined, G = _refine(cover, np.minimum(bounds[:, None], W), tol)
 
-    G = np.stack([g.values() for g in refined.gammas])
-    beta = G.max(axis=1).tolist()
-    owners = [j for j, b in enumerate(beta) if b != 0.0]
+    beta = G.max(axis=1)
+    owners = np.flatnonzero(beta != 0.0)
     # a subnormal peak or mixture makes a reciprocal overflow; the NaN or
     # inf it leaves reaches recip, whose check names the first such sample
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        R = np.stack([2.0 ** -(j + 1) * np.minimum(1.0, (1.0 / beta[j]) * G[j])
-                      for j in owners])
+        R = bounds[owners, None] * np.minimum(
+            1.0, (1.0 / beta[owners, None]) * G[owners])
         mixture = _column_sums(R)
         recip = 1.0 / mixture
     far = np.flatnonzero(~np.isfinite(recip))
@@ -303,14 +312,18 @@ def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
             f"staircase family needs {total} members for {len(R)} sets "
             f"(cap {max_members}); use fewer sets or better-margined witnesses")
 
-    # member m is step member_k[m] of rebuilt set owner_row[m]
-    owner_row = np.repeat(np.arange(len(R)), k_caps)
-    member_k = np.concatenate([np.arange(1, c + 1) for c in k_caps])
+    # the members of rebuilt set j are its steps 1..k_caps[j] in a row
+    # run from starts[j]; step k is shared by every set alive at k
+    caps = np.array(k_caps)
+    starts = np.cumsum(caps) - caps
     members = np.empty((total, space.n))
-    for m, (j, k) in enumerate(zip(owner_row.tolist(), member_k.tolist())):
-        np.multiply(R[j], staircase(k, mixture), out=members[m])
-    set_index = [owners[j] for j in owner_row]
-    live = support[owner_row] & (member_k[:, None] <= live_k[None, :])
+    live = np.empty((total, space.n), dtype=bool)
+    for k in range(1, max(k_caps) + 1):
+        alive = np.flatnonzero(caps >= k)
+        rows = starts[alive] + (k - 1)
+        members[rows] = R[alive] * staircase(k, mixture)
+        live[rows] = support[alive] & (k <= live_k)
+    set_index = np.repeat(owners, caps).tolist()
 
     notes = []
     if refined.dominated:
@@ -344,9 +357,9 @@ def index_subordinate(pou: PartitionOfUnity,
     matrix = np.empty((size, space.n))
     outer = np.empty((size, space.n), dtype=bool)
     for n in range(size):
-        in_set = pou.activity & (set_index == n)[:, None]
-        matrix[n] = _column_sums(pou.matrix, in_set)
-        outer[n] = in_set.any(axis=0)
+        rows = np.flatnonzero(set_index == n)
+        matrix[n] = _column_sums(pou.matrix[rows], pou.activity[rows])
+        outer[n] = pou.activity[rows].any(axis=0)
     grouped = PartitionOfUnity(space, matrix, range(size), outer,
                                cover=pou.cover,
                                notes=pou.notes + ["regrouped by cover set"])
@@ -354,7 +367,7 @@ def index_subordinate(pou: PartitionOfUnity,
     return grouped
 
 
-def _blend(cover: CozeroCover, piece, tol: float, max_members: int) -> Series:
+def _blend(cover: CozeroCover, piece, tol: float) -> Series:
     """The sum over the cover's sets of psi_n xi_n, where xi_n is the
     partition of unity of frolik_pou regrouped by set and psi_n =
     piece(n, xi_n) is the field the caller carries on set n.
@@ -363,7 +376,7 @@ def _blend(cover: CozeroCover, piece, tol: float, max_members: int) -> Series:
     set lives.  The returned series carries the regrouped partition as
     .partition and the psi_n as .pieces.
     """
-    grouped = index_subordinate(frolik_pou(cover, tol, max_members))
+    grouped = index_subordinate(frolik_pou(cover, tol))
     pieces = [piece(n, xi) for n, xi in enumerate(grouped.members)]
     out = Series(cover.space, [psi * xi for psi, xi in
                                zip(pieces, grouped.members)], grouped.activity)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import GridError, PreconditionError
 from .local_lipschitz import LocalWitness, local_extend
 from .metric_space import _DEFAULT_TOL, Subset
-from .partition_of_unity import _DEFAULT_MEMBER_CAP, CozeroCover, _blend
+from .partition_of_unity import CozeroCover, _blend
 from .scalar_field import (Constant, DistanceTo, Interval, ScalarField,
                            Tabulated, Transported, maximum, minimum)
 from .certify import _as_values_on
@@ -163,9 +163,7 @@ def _stab_windows(klo: np.ndarray, khi: np.ndarray):
 
 
 def select(mapping: IntervalMapping, grid: RationalGrid | None = None,
-           tol: float = _DEFAULT_TOL, depths=_DEPTHS,
-           max_sets: int = _MAX_SETS,
-           max_members: int = _DEFAULT_MEMBER_CAP) -> ScalarField:
+           tol: float = _DEFAULT_TOL, depths=_DEPTHS) -> ScalarField:
     """Lipschitz field strictly inside every window.
 
     With an explicit grid, its levels must reach inside every window;
@@ -210,9 +208,9 @@ def select(mapping: IntervalMapping, grid: RationalGrid | None = None,
                 f"grid too coarse: no level inside the window at sample "
                 f"{int(short[0])}; refine the grid", witness=int(short[0]))
         stabs = _stab_windows(klo, khi)
-        if len(stabs) > max_sets:
+        if len(stabs) > _MAX_SETS:
             raise GridError(
-                f"{len(stabs)} stabbing levels exceed the cap {max_sets}")
+                f"{len(stabs)} stabbing levels exceed the cap {_MAX_SETS}")
         chosen = [float(levels[k]) for k in stabs]
         depth = grid.depth
         cushion = 0.0
@@ -227,14 +225,14 @@ def select(mapping: IntervalMapping, grid: RationalGrid | None = None,
             if np.any(klo > khi):
                 continue
             stabs = _stab_windows(klo, khi)
-            if len(stabs) > max_sets:
+            if len(stabs) > _MAX_SETS:
                 continue
             chosen = [k * step for k in stabs]
             depth = d
             break
         if chosen is None:
             raise GridError(
-                f"no dyadic level set of size <= {max_sets} stabs the "
+                f"no dyadic level set of size <= {_MAX_SETS} stabs the "
                 f"margined windows at depths {tuple(depths)}")
         cushion = theta / 2.0
 
@@ -271,7 +269,7 @@ def select(mapping: IntervalMapping, grid: RationalGrid | None = None,
                             Constant(space, 0.0))
         witnesses.append(minimum(Constant(space, 1.0), cushioned))
     out = _blend(CozeroCover(space, witnesses),
-                 lambda n, xi: Constant(space, values[n]), tol, max_members)
+                 lambda n, xi: Constant(space, values[n]), tol)
     out.chosen_levels = values
     out.grid_depth = depth
     out.margin = cushion
@@ -280,7 +278,7 @@ def select(mapping: IntervalMapping, grid: RationalGrid | None = None,
 
 def select_extend(A: Subset, phi, witness: LocalWitness,
                   mapping: IntervalMapping, tol: float = _DEFAULT_TOL,
-                  **select_kwargs) -> Tabulated:
+                  depths=_DEPTHS) -> Tabulated:
     """Selection through the windows that agrees with phi on A exactly.
 
     phi (strictly inside its windows on A) is first extended to a
@@ -311,7 +309,7 @@ def select_extend(A: Subset, phi, witness: LocalWitness,
         blended = base
         selector = None
     else:
-        selector = select(mapping, tol=tol, **select_kwargs)
+        selector = select(mapping, tol=tol, depths=depths)
         near = DistanceTo(space, A.members)
         far = DistanceTo(space, failing)
         weight = near * Transported("reciprocal", near + far)
@@ -329,19 +327,19 @@ def select_extend(A: Subset, phi, witness: LocalWitness,
 def insert(space, lower: ScalarField | None = None,
            upper: ScalarField | None = None, A: Subset | None = None,
            phi=None, witness: LocalWitness | None = None,
-           tol: float = _DEFAULT_TOL, **select_kwargs) -> ScalarField:
+           tol: float = _DEFAULT_TOL, depths=_DEPTHS) -> ScalarField:
     """Field strictly between lower and upper at every sample; with A,
     phi, and a witness, also equal to phi on A."""
     mapping = IntervalMapping(space, lower, upper)
     if A is None:
-        return select(mapping, tol=tol, **select_kwargs)
+        return select(mapping, tol=tol, depths=depths)
     if phi is None or witness is None:
         raise PreconditionError("insertion through A needs phi and a witness")
-    return select_extend(A, phi, witness, mapping, tol, **select_kwargs)
+    return select_extend(A, phi, witness, mapping, tol, depths)
 
 
 def decreasing_approx(phi: ScalarField, steps: int,
-                      tol: float = _DEFAULT_TOL, **select_kwargs) -> list:
+                      tol: float = _DEFAULT_TOL, depths=_DEPTHS) -> list:
     """Strictly decreasing insertions pinching down to phi.
 
     f_1 sits in (phi, phi + 1) and f_{n+1} in (phi, (phi + f_n) / 2),
@@ -355,7 +353,7 @@ def decreasing_approx(phi: ScalarField, steps: int,
     ceiling = phi + Constant(space, 1.0)
     for _ in range(steps):
         f = select(IntervalMapping(space, phi, ceiling), tol=tol,
-                   **select_kwargs)
+                   depths=depths)
         out.append(f)
         ceiling = Constant(space, 0.5) * (phi + f)
     return out

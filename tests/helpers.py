@@ -296,6 +296,21 @@ def ref_witness_from_modulus(modulus, points, deltas):
     return LocalWitness.from_triples(triples)
 
 
+def ref_radii_witness(f, deltas):
+    """A witness for f with the given radii, one entry per sample: each
+    rate is the largest pair slope inside the doubled ball, read from
+    the matrix, so the witness certifies f by construction."""
+    D = f.space.pairwise()
+    v = f.values()
+    triples = []
+    for p, delta in enumerate(deltas):
+        ids = np.flatnonzero(D[p] < 2.0 * delta)
+        rate = max((ref_slope(abs(v[i] - v[j]), D[i, j], 0.0)
+                    for i in ids for j in ids if i != j), default=0.0)
+        triples.append((p, delta, rate))
+    return LocalWitness.from_triples(triples)
+
+
 def ref_slice_peaks(space, witness, v):
     """Each entry's peak |v| over its single ball, one space.ball per
     entry."""

@@ -496,3 +496,21 @@ def test_console_script(tmp_path):
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0
     assert "partial sums match" in res.stdout
+
+
+def test_extend_pointwise_restricts_exactly_on_the_real_line(tmp_path, capsys):
+    # tan(arctan(5e3)) misses 5e3 by 1.25e-9, above the default tol
+    space = write(tmp_path / "space.json",
+                  json.dumps({"lo": 0.0, "hi": 1.0, "step": 0.1}))
+    subset = write(tmp_path / "A.json", "[0, 10]")
+    values = write(tmp_path / "phi.csv", "0,5000.0\n10,-5000.0\n")
+    witness = write(tmp_path / "w.json",
+                    json.dumps([{"p": 0, "K": 1e8}, {"p": 10, "K": 1e8}]))
+    out = tmp_path / "out"
+    assert main(["extend-pointwise", "--space", space, "--subset", subset,
+                 "--values", values, "--witness", witness,
+                 "--out-dir", str(out)]) == 0
+    (restriction,) = [c for c in read_json(out)["certificates"]
+                      if c["kind"] == "restriction"]
+    assert restriction["details"]["exact"] is True
+    capsys.readouterr()

@@ -264,3 +264,34 @@ def test_pointwise_witness_floors_rates_at_one():
     rates, lifted = W.aligned(A)
     assert (rates >= 1.0).all()
     assert lifted == 2
+
+
+@pytest.mark.parametrize("target, phi", [
+    ("(-inf, inf)", [5e3, -5e3]),
+    ("(-inf, inf)", [1e7, -1e7]),
+    ("[0, inf)", [8e6, 8e6 / 3]),
+    ("(-inf, 0]", [-8e6, -8e6 / 3]),
+], ids=["line-5e3", "line-1e7", "ray-up-8e6", "ray-down-8e6"])
+def test_pointwise_transports_restrict_exactly(target, phi):
+    # tan(arctan(5e3)) misses 5e3 by 1.25e-9 and 1 / (1 / v) misses v by
+    # an ulp near 8e6, so the transported output must carry phi on A
+    lo, hi = target[1:-1].split(", ")
+    interval = Interval(float(lo), float(hi), target[0] == "(",
+                        target[-1] == ")")
+    space = MetricSpace.from_grid(0.0, 1.0, 0.1)
+    A = Subset(space, [0, 10])
+    W = PointwiseWitness.from_values(A, [1e8, 1e8])
+    f = pointwise_extend_to_interval(A, phi, W, interval)
+    assert f.values()[A.members].tolist() == phi
+    assert all(interval.contains(float(x)) for x in f.values())
+
+
+def test_pointwise_real_line_with_large_values_is_not_refused():
+    # the output's own slopes, rounded at 1e7, used to fail their own
+    # check on this request by more than tol
+    space = MetricSpace.from_points(np.linspace(0.0, 1.0, 200))
+    A = Subset(space, [0, 199])
+    W = PointwiseWitness.from_values(A, [1e8, 1e8])
+    f = pointwise_extend_to_interval(A, [1e7, -1e7], W, Interval.real_line())
+    assert f.values()[A.members].tolist() == [1e7, -1e7]
+    assert len(f.pointwise_witness.constants) == space.n

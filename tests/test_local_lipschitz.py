@@ -15,7 +15,8 @@ from lipkit.fixtures import (cusp_curve, reciprocal_on_ray,
 from lipkit.local_lipschitz import _slice_cover, _slice_groups
 
 from helpers import (make_space, ref_certify_local_witness, ref_cover_sets,
-                     ref_slice_peaks, ref_witness_from_modulus)
+                     ref_radii_witness, ref_slice_peaks,
+                     ref_witness_from_modulus)
 
 TOL = 1e-9
 
@@ -139,8 +140,8 @@ def test_local_layer_matches_the_row_scan_references(kind, on_domain,
         D = space.pairwise()
         n = space.n
         f = Tabulated(space, rng.normal(size=n))
-        deltas = None if trial == 0 else rng.uniform(0.2, 1.0, n) * D.max() / 3
-        witness = generate_local_witness(f, deltas)
+        witness = generate_local_witness(f) if trial == 0 else \
+            ref_radii_witness(f, rng.uniform(0.2, 1.0, n) * D.max() / 3)
         domain = None
         if on_domain:
             domain = Subset(space, rng.choice(n, size=int(rng.integers(1, n)),

@@ -8,6 +8,7 @@ from lipkit import (Constant, CoverError, CozeroCover, DistanceTo, InputError,
                     frolik_pou, global_lip, index_subordinate, mather_refine,
                     minimum, nonexpansive_split, pou_report, staircase,
                     staircase_partial_sum, witness_from_balls)
+from lipkit import partition_of_unity
 from lipkit.fixtures import three_point_shrink
 
 from helpers import make_ball_cover, make_space, ref_frolik_pou
@@ -215,6 +216,31 @@ def test_frolik_subordination_support():
     for m, n in zip(pou.members, pou.set_index):
         on = m.values() > 0.0
         assert (wvals[n][on] > 0.0).all()
+
+
+def test_frolik_makes_one_staircase_row_per_step_index(monkeypatch):
+    """The sets alive at step k share one staircase(k, mixture) row, and
+    the pass over the witness stack builds no inner cover."""
+    rng = np.random.default_rng(11)
+    covers = [witness_from_balls(space, make_ball_cover(rng, space))
+              for space in (make_space(rng, n_max=30) for _ in range(8))]
+    calls = []
+
+    def spy(k, t):
+        calls.append(k)
+        return staircase(k, t)
+
+    def no_cover(*args):
+        raise AssertionError("frolik_pou built a CozeroCover")
+    monkeypatch.setattr(partition_of_unity, "staircase", spy)
+    monkeypatch.setattr(partition_of_unity, "CozeroCover", no_cover)
+    shared = 0
+    for cover in covers:
+        calls.clear()
+        pou = frolik_pou(cover)
+        assert calls == list(range(1, max(pou.k_caps) + 1))
+        shared += len(pou) > len(calls)
+    assert shared      # some family has more members than step indices
 
 
 def test_frolik_member_cap_fails_loudly():

@@ -2,7 +2,9 @@
 distances, and the segmented sweep over many balls at once, return the
 reference's value and pair on small generated spaces, values with ties
 and NaN included; a regrouped partition of unity keeps the sum of its
-leaves."""
+leaves; and on make_space spaces the selection, the decomposition and
+the pointwise interval extension keep the statements of the paper they
+implement."""
 
 import math
 from unittest import mock
@@ -14,11 +16,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from helpers import (check_switched, compress, leaf_sums,  # noqa: E402
-                     make_ball_cover, make_space, ref_min_positive_distance,
-                     same)
-from lipkit import (MetricSpace, PartitionOfUnity,  # noqa: E402
-                    PreconditionError, _pairs, frolik_pou, index_subordinate,
-                    pou_report, witness_from_balls)
+                     make_ball_cover, make_instance, make_space,
+                     ref_min_positive_distance, same)
+from lipkit import (Interval, IntervalMapping, MetricSpace,  # noqa: E402
+                    PartitionOfUnity, PointwiseWitness, PreconditionError,
+                    Tabulated, _pairs, decompose, extend_to_interval,
+                    frolik_pou, generate_local_witness, index_subordinate,
+                    pointwise_extend_to_interval, pou_report, select,
+                    witness_from_balls)
 
 VALUES = st.sampled_from([0.0, 0.0, 1.0, 1.0, -2.0, 0.5, 3.25, math.nan])
 COORDS = st.sampled_from([0.0, 0.0, 0.5, 1.0, -1.5, 2.0, 4.0])
@@ -154,3 +159,61 @@ def test_regrouped_sum_is_the_leaf_sum_not_the_group_sum():
     # the leaves travel with every regrouping
     for family in (grouped, index_subordinate(grouped)):
         assert family.values().tolist() == [total, 1.0]
+
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.sampled_from(["both", "lower", "upper"]))
+def test_select_stays_strictly_inside_every_window(seed, sides):
+    # the selection theorem: between a lower and an upper bound with
+    # open windows there is a locally Lipschitz selection strictly inside
+    rng = np.random.default_rng(seed)
+    space = make_space(rng, n_max=20)
+    lower = rng.uniform(-1.0, 1.0, space.n)
+    upper = lower + rng.uniform(1.0, 2.0, space.n)
+    mapping = IntervalMapping(
+        space, None if sides == "upper" else Tabulated(space, lower),
+        None if sides == "lower" else Tabulated(space, upper))
+    assert mapping.strict_mask(select(mapping)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_decompose_rebuilds_f(seed):
+    # a locally Lipschitz function is a locally finite sum of Lipschitz
+    # functions: the members psi_n xi_n add back up to f
+    rng = np.random.default_rng(seed)
+    space = make_space(rng, n_max=20)
+    f = Tabulated(space, rng.normal(size=space.n))
+    dec = decompose(f, generate_local_witness(f))
+    assert dec.residual() <= 1e-9
+
+
+def targets(lo, hi):
+    """Open, half-open and unbounded intervals holding [lo, hi]."""
+    return [Interval.open(lo - 1.0, hi + 1.0),
+            Interval(lo, hi + 1.0, False, True),
+            Interval(lo - 1.0, hi, True, False),
+            Interval.at_least(lo), Interval.at_least(lo - 1.0, open_end=True),
+            Interval.at_most(hi), Interval.at_most(hi + 1.0, open_end=True),
+            Interval.real_line()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_interval_extensions_restrict_exactly_and_stay_inside(seed):
+    # McShane-Whitney into any interval holding phi, for Lipschitz and
+    # for pointwise Lipschitz phi: the extension agrees with phi on A
+    # exactly and takes its values in the interval
+    rng = np.random.default_rng(seed)
+    space, A, phi, K = make_instance(rng, n_max=20)
+    W = PointwiseWitness.from_values(
+        A, max(K, 1.0) * rng.uniform(1.0, 3.0, len(A)))
+    for interval in targets(float(phi.min()), float(phi.max())):
+        for f in (extend_to_interval(A, phi, K, interval),
+                  pointwise_extend_to_interval(A, phi, W, interval)):
+            assert f.values()[A.members].tobytes() == phi.tobytes(), interval
+            assert all(interval.contains(float(x)) for x in f.values()), \
+                interval
