@@ -20,6 +20,10 @@ set, the tie rule and the NaN rule are decided in one place:
 
 Values are aligned with ids, a sorted array of sample ids (every sample
 when ids is None); pairs come back as sample ids.
+
+max_slopes gives many rows' max_slope values, without pairs, from one
+pass: each distance block is read once for all rows, over the same
+pair set and with the same NaN rule, so every value is bit-identical.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import math
 import numpy as np
 
 _BLOCK = 1 << 18        # entries per row block; bounds the temporaries
+_SLOPES_BLOCK = 1 << 16  # max_slopes block: 512 KB of scratch, kept in L2
 
 
 def slope(o, d, zero):
@@ -70,24 +75,26 @@ def _sweep(space, v, ids, upper, value, per_row=False, symmetric=False):
     D = space.pairwise()
     mirror = symmetric and space.exactly_symmetric()
     step = max(1, _BLOCK // m)
-    for a in range(0, m - 1 if upper or mirror else m, step):
-        lo = a + 1 if upper else a if mirror else 0
-        r, c = slice(a, min(a + step, m)), slice(lo, m)
-        d = D[r, c] if ids is None else D[np.ix_(ids[r], ids[c])]
-        e = value(r, c, d, np.abs(v[r, None] - v[None, c]))
-        if upper:
-            clear_lower(e, -math.inf)
-        else:
-            np.fill_diagonal(e[:, a - lo:], -math.inf)
-        if per_row:
-            rowmax[r] = e.max(axis=1)
-            continue
-        k = int(np.argmax(e))
-        if e.flat[k] == -math.inf:      # all -inf: the first valid pair
-            k = 1 if a == lo else 0
-        x = float(e.flat[k])
-        if best is None or x > best[0] or (x != x and best[0] == best[0]):
-            best = (x, a + k // e.shape[1], c.start + k % e.shape[1])
+    # equal infinities give a NaN gap, which wins as any NaN does
+    with np.errstate(invalid="ignore"):
+        for a in range(0, m - 1 if upper or mirror else m, step):
+            lo = a + 1 if upper else a if mirror else 0
+            r, c = slice(a, min(a + step, m)), slice(lo, m)
+            d = D[r, c] if ids is None else D[np.ix_(ids[r], ids[c])]
+            e = value(r, c, d, np.abs(v[r, None] - v[None, c]))
+            if upper:
+                clear_lower(e, -math.inf)
+            else:
+                np.fill_diagonal(e[:, a - lo:], -math.inf)
+            if per_row:
+                rowmax[r] = e.max(axis=1)
+                continue
+            k = int(np.argmax(e))
+            if e.flat[k] == -math.inf:      # all -inf: the first valid pair
+                k = 1 if a == lo else 0
+            x = float(e.flat[k])
+            if best is None or x > best[0] or (x != x and best[0] == best[0]):
+                best = (x, a + k // e.shape[1], c.start + k % e.shape[1])
     if per_row or best is None:
         return rowmax if per_row else None
     x, i, j = best
@@ -126,6 +133,46 @@ def max_slope(space, v, ids=None, zero=0.0, per_row=False):
     return (0.0, None) if out is None else out
 
 
+def max_slopes(space, V, zero=0.0):
+    """max_slope(space, row, zero=zero)[0] for every row of V, value
+    only, from one row-blocked pass over space.pairwise(); zero >= 0.
+
+    Each distance block and the positions of its entries that are not
+    positive are read once for all rows.  A row's slopes come from the
+    same IEEE operations as slope's, in one reused scratch block, so the
+    values are bit-identical: the not-positive entries are patched
+    afterwards, to `zero` where d == 0 and the quotient is infinite
+    (the gap is positive) and to 0 elsewhere, so the diagonal reads 0.
+    On exactly symmetric distances a block's columns start at its
+    first row, as in the symmetric sweep.  A NaN slope wins its row.
+    """
+    V = np.asarray(V, dtype=float)
+    rows, m = V.shape
+    if m < 2:
+        return np.zeros(rows)
+    D = space.pairwise()
+    mirror = space.exactly_symmetric()
+    step = max(1, _SLOPES_BLOCK // m)
+    starts = range(0, m - 1 if mirror else m, step)
+    tops = np.empty((rows, len(starts)))
+    scratch = np.empty(step * m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t, a in enumerate(starts):
+            lo, b = a if mirror else 0, min(a + step, m)
+            d = D[a:b, lo:]
+            fix = np.flatnonzero(~(d > 0))
+            at_zero = d.ravel()[fix] == 0
+            s = scratch[:d.size].reshape(d.shape)
+            flat = s.ravel()
+            for i, v in enumerate(V):
+                np.subtract(v[a:b, None], v[None, lo:], out=s)
+                np.abs(s, out=s)
+                np.divide(s, d, out=s)
+                flat[fix] = np.where(at_zero & np.isinf(flat[fix]), zero, 0.0)
+                tops[i, t] = s.max()
+    return tops.max(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Many small balls at once
 
@@ -162,47 +209,50 @@ def ball_sweep(space, v, centers, radii, value, inside=None):
     D = space.pairwise()
     mirror = space.exactly_symmetric()
     budget = max(1, _BLOCK >> 3)
-    for a, mask in ball_masks(space, centers, radii):
-        if inside is not None:
-            mask &= inside
-        # members, ids ascending per ball (flatnonzero beats 2-D nonzero)
-        ball, s = np.divmod(np.flatnonzero(mask), space.n)
-        size = np.bincount(ball, minlength=len(mask))
-        end = np.cumsum(size)[ball]     # past the last member of the ball
-        at = np.arange(len(s))
-        # each member's row of pairs as runs lo:hi of positions in s: the
-        # later members, and without exact symmetry the earlier ones first
-        if mirror:
-            member, lo, hi = at, at + 1, end
-        else:
-            member = np.repeat(at, 2)
-            lo = np.column_stack((end - size[ball], at + 1)).ravel()
-            hi = np.column_stack((at, end)).ravel()
-        width = hi - lo
-        ends = np.cumsum(width)
-        starts = ends - width
-        total = int(ends[-1]) if len(s) else 0
-        cuts = np.searchsorted(starts, np.arange(0, total, budget))
-        for r0, r1 in zip(cuts, np.append(cuts[1:], len(member))):
-            if r0 == r1 or starts[r0] == ends[r1 - 1]:
-                continue
-            w, m = width[r0:r1], member[r0:r1]
-            q = s[np.arange(starts[r0], ends[r1 - 1])
-                  - np.repeat(starts[r0:r1] - lo[r0:r1], w)]
-            p, seg = np.repeat(s[m], w), np.repeat(ball[m], w)
-            e = value(D[p, q], np.abs(np.repeat(v[s[m]], w) - v[q]), a + seg)
-            lead = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
-            top = np.empty(len(mask))
-            top[seg[lead]] = np.maximum.reduceat(e, lead)   # NaN wins
-            # each ball's first hit: its maximum, or its first NaN
-            hit = np.flatnonzero((e == top[seg]) | np.isnan(e))
-            hit = hit[np.r_[True, seg[hit[1:]] != seg[hit[:-1]]]]
-            # a later chunk of a ball replaces a strictly smaller result
-            b, x = a + seg[hit], e[hit]
-            old = best[b]
-            take = ((pairs[b, 0] < 0) | (x > old)
-                    | (np.isnan(x) & ~np.isnan(old)))
-            b, hit = b[take], hit[take]
-            best[b] = e[hit]
-            pairs[b] = np.column_stack((p[hit], q[hit]))
+    # equal infinities give a NaN gap, which wins as any NaN does
+    with np.errstate(invalid="ignore"):
+        for a, mask in ball_masks(space, centers, radii):
+            if inside is not None:
+                mask &= inside
+            # members, ids ascending per ball (flatnonzero beats 2-D nonzero)
+            ball, s = np.divmod(np.flatnonzero(mask), space.n)
+            size = np.bincount(ball, minlength=len(mask))
+            end = np.cumsum(size)[ball]     # past the last member of the ball
+            at = np.arange(len(s))
+            # each member's row of pairs as runs lo:hi of positions in s: the
+            # later members, and without exact symmetry the earlier ones first
+            if mirror:
+                member, lo, hi = at, at + 1, end
+            else:
+                member = np.repeat(at, 2)
+                lo = np.column_stack((end - size[ball], at + 1)).ravel()
+                hi = np.column_stack((at, end)).ravel()
+            width = hi - lo
+            ends = np.cumsum(width)
+            starts = ends - width
+            total = int(ends[-1]) if len(s) else 0
+            cuts = np.searchsorted(starts, np.arange(0, total, budget))
+            for r0, r1 in zip(cuts, np.append(cuts[1:], len(member))):
+                if r0 == r1 or starts[r0] == ends[r1 - 1]:
+                    continue
+                w, m = width[r0:r1], member[r0:r1]
+                q = s[np.arange(starts[r0], ends[r1 - 1])
+                      - np.repeat(starts[r0:r1] - lo[r0:r1], w)]
+                p, seg = np.repeat(s[m], w), np.repeat(ball[m], w)
+                e = value(D[p, q], np.abs(np.repeat(v[s[m]], w) - v[q]),
+                          a + seg)
+                lead = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+                top = np.empty(len(mask))
+                top[seg[lead]] = np.maximum.reduceat(e, lead)   # NaN wins
+                # each ball's first hit: its maximum, or its first NaN
+                hit = np.flatnonzero((e == top[seg]) | np.isnan(e))
+                hit = hit[np.r_[True, seg[hit[1:]] != seg[hit[:-1]]]]
+                # a later chunk of a ball replaces a strictly smaller result
+                b, x = a + seg[hit], e[hit]
+                old = best[b]
+                take = ((pairs[b, 0] < 0) | (x > old)
+                        | (np.isnan(x) & ~np.isnan(old)))
+                b, hit = b[take], hit[take]
+                best[b] = e[hit]
+                pairs[b] = np.column_stack((p[hit], q[hit]))
     return best, pairs

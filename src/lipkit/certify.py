@@ -265,7 +265,7 @@ def pou_report(pou, tol: float = _DEFAULT_TOL) -> Certificate:
     gap = np.abs(pou.values() - 1.0)
     residual = float(gap.max())
     res_point = int(np.argmax(gap))
-    member_lip = [_pairs.max_slope(pou.space, row)[0] for row in M]
+    member_lip = _pairs.max_slopes(pou.space, M).tolist()
     negativity = float(-M.min()) if len(pou) else 0.0
     histogram = np.bincount(((M > 0) & on).sum(axis=0))
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _pairs
 from .certify import check_k_lipschitz
 from .errors import CoverError, InputError, PreconditionError
 from .metric_space import _DEFAULT_TOL
@@ -181,14 +182,15 @@ def _refine(cover: CozeroCover, W: np.ndarray, tol: float):
     Returns the refinement and the read-only matrix G whose rows are
     its gammas."""
     space = cover.space
-    for n, w in enumerate(W, start=1):
+    lips = _pairs.max_slopes(space, W, zero=math.inf)
+    for n, (w, lip) in enumerate(zip(W, lips), start=1):
         hi = float(w.max())
         bound = 2.0 ** -n
         if hi > bound + tol:
             raise PreconditionError(
                 f"witness {n} exceeds its 2^-{n} bound by {hi - bound:.3e}")
-        est = global_lip(_Row(space, w))
-        if est.value > 1.0 + tol:
+        if lip > 1.0 + tol:
+            est = global_lip(_Row(space, w))
             raise PreconditionError(
                 f"witness {n} is not 1-Lipschitz: constant {est.value:.6f} "
                 f"at pair {est.witness}")
@@ -281,8 +283,7 @@ def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
     """
     space = cover.space
     W = np.stack([w.values() for w in cover.witnesses])
-    for w, row in zip(cover.witnesses, W):
-        c = global_lip(w).value
+    for row, c in zip(W, _pairs.max_slopes(space, W, zero=math.inf)):
         if c > 1.0:
             row *= 1.0 / c
     bounds = 2.0 ** -np.arange(1.0, len(W) + 1)

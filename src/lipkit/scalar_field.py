@@ -406,7 +406,8 @@ def global_lip(f: ScalarField, pairs=None) -> LipEstimate:
     """Largest |f(p)-f(q)| / d(p,q) over sampled pairs.
 
     A lower bound for the true constant of any underlying function, and
-    the exact constant of the tabulated restriction.
+    the exact constant of the tabulated restriction.  The witness pair
+    is None only for an estimate of 0; a NaN estimate names its pair.
     """
     v = f.values()
     if pairs is None:
@@ -419,7 +420,7 @@ def global_lip(f: ScalarField, pairs=None) -> LipEstimate:
         s = _pairs.slope(np.abs(v[pairs[:, 0]] - v[pairs[:, 1]]), d, math.inf)
         k = int(np.argmax(s))
         best, witness = float(s[k]), (int(pairs[k, 0]), int(pairs[k, 1]))
-    return LipEstimate(best, witness if best > 0 else None)
+    return LipEstimate(best, None if best <= 0 else witness)
 
 
 def pointwise_lip(f: ScalarField, p: int) -> LipEstimate:

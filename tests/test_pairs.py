@@ -48,6 +48,7 @@ def block(request, monkeypatch):
     """Run each test with several row blocks per sweep as well."""
     if request.param is not None:
         monkeypatch.setattr(_pairs, "_BLOCK", request.param)
+        monkeypatch.setattr(_pairs, "_SLOPES_BLOCK", request.param)
 
 
 def test_seeded_spaces(block):
@@ -132,6 +133,58 @@ def test_nan_values_win(block):
     assert math.isnan(excess) and pair == (0, 2)
     value, pair = _pairs.max_slope(space, v)
     assert math.isnan(value) and pair == (0, 2)
+
+
+def check_max_slopes(space, V):
+    """Every row's value bit for bit against the reference, both rules."""
+    D, ids = space.pairwise(), np.arange(space.n)
+    for zero in (0.0, math.inf):
+        got = _pairs.max_slopes(space, V, zero)
+        assert got.shape == (len(V),)
+        for x, row in zip(got, V):
+            want = ref_max_slope(D, row.tolist(), ids, zero)[0][0]
+            assert np.float64(x).tobytes() == np.float64(want).tobytes(), \
+                (zero, row, x, want)
+
+
+def special_rows(rng, n):
+    """Seeded normal rows, rows mixing NaN and +-inf, a constant row and
+    a row holding one infinity twice."""
+    special = [0.0, 1.0, -2.5, math.inf, -math.inf, math.nan]
+    rows = [rng.normal(size=n), rng.choice(special, size=n),
+            rng.choice(special[:4], size=n), np.full(n, 3.0),
+            np.where(np.arange(n) < 2, math.inf, 0.0)]
+    return np.array(rows)
+
+
+def test_max_slopes_matches_the_reference_per_row(block):
+    rng = np.random.default_rng(22)
+    spaces = [make_space(rng, n_max=16, kinds=[kind])
+              for kind in range(4) for _ in range(3)]
+    # ordered pairs on a matrix one ulp off symmetric
+    D = spaces[0].pairwise().copy()
+    D[2, 0] = np.nextafter(D[2, 0], 0.0)
+    spaces.append(MetricSpace.from_matrix(D, validate=False))
+    assert not spaces[-1].exactly_symmetric()
+    # duplicated samples: distinct pairs at distance 0
+    pts = rng.uniform(-1.0, 1.0, size=(5, 2))
+    spaces.append(MetricSpace.from_points(pts[[0, 1, 1, 2, 3, 3, 3, 4]],
+                                          validate=False))
+    # unvalidated distances that are not positive: -0.0, negative, NaN
+    D = np.array([[0.0, -0.0, 1.0, -1.0],
+                  [-0.0, 0.0, 2.0, 2.0],
+                  [1.0, 2.0, 0.0, 1.0],
+                  [-1.0, 2.0, 1.0, 0.0]])
+    spaces.append(MetricSpace.from_matrix(D, validate=False))
+    D = D.copy()
+    D[1, 2] = math.nan
+    spaces.append(MetricSpace.from_matrix(D, validate=False))
+    spaces += [MetricSpace.from_points([0.0]),
+               MetricSpace.from_points([0.0, 2.0]),
+               MetricSpace.from_points([1.0, 1.0], validate=False)]
+    for space in spaces:
+        check_max_slopes(space, special_rows(rng, space.n))
+        check_max_slopes(space, np.empty((0, space.n)))
 
 
 def test_pointwise_witness_matches_pointwise_lip():

@@ -11,7 +11,8 @@ from lipkit import (Constant, CoverError, CozeroCover, DistanceTo, InputError,
 from lipkit import partition_of_unity
 from lipkit.fixtures import three_point_shrink
 
-from helpers import make_ball_cover, make_space, ref_frolik_pou
+from helpers import (make_ball_cover, make_space, ref_frolik_pou,
+                     ref_mather_refine)
 
 
 def recursion_steps(K, t):
@@ -101,6 +102,34 @@ def test_mather_activity_bound():
             assert ref.gammas[n].values()[p] == 0.0
     # p = 0: eta = 1/4 > 2^-3, so only sets up to index 3 may be active
     assert ref.active_bound(0) == 3
+
+
+@pytest.mark.parametrize("rows, message", [
+    # both prechecks fail on witness 1: its bound is checked first
+    (([0.0, 0.0, 0.75], [0.25, 0.25, 0.0]),
+     "witness 1 exceeds its 2^-1 bound by 2.500e-01"),
+    (([0.5, 0.0, 0.0], [0.0, 0.05, 0.25]),
+     "witness 2 is not 1-Lipschitz: constant 2.000000 at pair (1, 2)"),
+    # witness 1's bound failure comes before witness 2's Lipschitz one
+    (([0.75, 0.7, 0.65], [0.0, 0.05, 0.25]),
+     "witness 1 exceeds its 2^-1 bound by 2.500e-01"),
+    # and witness 1's Lipschitz failure before witness 2's bound one
+    (([0.0, 0.0, 0.5], [0.5, 0.5, 0.0]),
+     "witness 1 is not 1-Lipschitz: constant 5.000000 at pair (1, 2)"),
+], ids=["bound-before-lipschitz", "lipschitz", "bound-then-lipschitz",
+        "lipschitz-then-bound"])
+def test_mather_prechecks_match_the_reference(rows, message):
+    space = MetricSpace.from_points([0.0, 1.0, 1.1])
+    cover = CozeroCover(space, [Tabulated(space, r) for r in rows])
+    for build in (mather_refine, ref_mather_refine):
+        with pytest.raises(PreconditionError) as caught:
+            build(cover)
+        assert str(caught.value) == message
+    if "not 1-Lipschitz" in message:
+        n = int(message.split()[1])     # "witness n is not ..."
+        est = global_lip(cover.witnesses[n - 1])
+        assert message.endswith(f"constant {est.value:.6f} "
+                                f"at pair {est.witness}")
 
 
 @pytest.mark.parametrize("build, rows, match", [

@@ -2,8 +2,9 @@
 distances, and the segmented sweep over many balls at once, return the
 reference's value and pair on small generated spaces, values with ties
 and NaN included; a regrouped partition of unity keeps the sum of its
-leaves; and on make_space spaces the selection, the decomposition and
-the pointwise interval extension keep the statements of the paper they
+leaves; and on make_space spaces the selection, the decomposition,
+the pointwise interval extension, the McShane-Whitney sandwich and the
+duality of the envelopes keep the statements of the paper they
 implement."""
 
 import math
@@ -20,10 +21,11 @@ from helpers import (check_switched, compress, leaf_sums,  # noqa: E402
                      ref_min_positive_distance, same)
 from lipkit import (Interval, IntervalMapping, MetricSpace,  # noqa: E402
                     PartitionOfUnity, PointwiseWitness, PreconditionError,
-                    Tabulated, _pairs, decompose, extend_to_interval,
-                    frolik_pou, generate_local_witness, index_subordinate,
-                    pointwise_extend_to_interval, pou_report, select,
-                    witness_from_balls)
+                    Tabulated, _pairs, decompose, duality_check,
+                    extend_to_interval, frolik_pou, generate_local_witness,
+                    index_subordinate, mcshane_envelopes,
+                    pointwise_extend_to_interval, pou_report,
+                    random_k_extension, select, witness_from_balls)
 
 VALUES = st.sampled_from([0.0, 0.0, 1.0, 1.0, -2.0, 0.5, 3.25, math.nan])
 COORDS = st.sampled_from([0.0, 0.0, 0.5, 1.0, -1.5, 2.0, 4.0])
@@ -217,3 +219,30 @@ def test_interval_extensions_restrict_exactly_and_stay_inside(seed):
             assert f.values()[A.members].tobytes() == phi.tobytes(), interval
             assert all(interval.contains(float(x)) for x in f.values()), \
                 interval
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_random_extensions_lie_between_the_envelopes(seed):
+    # McShane-Whitney: every K-Lipschitz extension of phi lies between
+    # max_a phi(a) - K d(a, .) and min_a phi(a) + K d(a, .), and all
+    # three agree with phi on A; exactly, with no tolerance
+    rng = np.random.default_rng(seed)
+    space, A, phi, K = make_instance(rng, n_max=20)
+    pair = mcshane_envelopes(A, phi, K)
+    lo, hi = pair.lower.values(), pair.upper.values()
+    f = random_k_extension(A, phi, K, seed=int(rng.integers(2 ** 31))).values()
+    assert (lo <= f).all() and (f <= hi).all()
+    for g in (lo, hi, f):
+        assert g[A.members].tobytes() == phi.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_envelopes_are_exactly_dual(seed):
+    # McShane-Whitney duality: the lower envelope of phi is minus the
+    # upper envelope of -phi, and the other way round, bit for bit
+    rng = np.random.default_rng(seed)
+    space, A, phi, K = make_instance(rng, n_max=20)
+    report = duality_check(A, phi, K)
+    assert report.exact and report.max_abs_diff == 0.0

@@ -5,7 +5,8 @@ import pytest
 
 from lipkit import (Constant, Coordinate, DistanceTo, DomainError, InputError,
                     Interval, MetricSpace, PreconditionError, Series,
-                    Tabulated, Transported, global_lip, maximum, minimum,
+                    Tabulated, Transported, check_k_lipschitz,
+                    generate_local_witness, global_lip, maximum, minimum,
                     pointwise_lip, scaled_oscillation)
 from lipkit.fixtures import cusp_curve, sin_reciprocal_pairs
 
@@ -52,6 +53,29 @@ def test_global_lip_sin_reciprocal_pairs_exceeds_100():
     v = f.values()
     for i, j in pairs:
         assert abs(v[i] - v[j]) > 1.99
+
+
+def test_a_nan_estimate_keeps_its_pair():
+    f = Tabulated(MetricSpace.from_points([0.0, 1.0, 2.0]),
+                  [0.0, math.nan, 1.0])
+    for pairs, want in ((None, (0, 1)), ([(0, 2), (2, 1), (0, 1)], (2, 1))):
+        est = global_lip(f, pairs=pairs)
+        assert math.isnan(est.value) and est.witness == want
+
+
+def test_equal_infinities_make_a_nan_gap_without_a_warning():
+    # inf - inf is NaN, so the two infinite samples are the worst pair;
+    # the suite turns any RuntimeWarning into a failure
+    f = Tabulated(MetricSpace.from_points([0.0, 1.0, 2.0]),
+                  [math.inf, math.inf, 0.0])
+    est = global_lip(f)
+    assert math.isnan(est.value) and est.witness == (0, 1)
+    cert = check_k_lipschitz(f, 1.0)
+    assert not cert.passed and cert.witness == (0, 1)
+    assert math.isnan(cert.worst_violation)
+    # the ball sweep of the local rates sees the same NaN gap
+    with pytest.raises(PreconditionError, match="needs a finite rate"):
+        generate_local_witness(f)
 
 
 def test_pointwise_lip_constant_zero():
