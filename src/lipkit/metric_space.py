@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as _sparse
-import scipy.sparse.csgraph as _csgraph
 
 from . import _pairs
 from .errors import InputError, PreconditionError
 
 _DEFAULT_TOL = 1e-9
 _MAX_VIOLATIONS = 64
+_RELAX_CHUNK = 1 << 12  # edge relaxations per scatter of _shortest_paths
+_FRONT_BLOCK = 1 << 17  # frontier labels per slab of _shortest_paths
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,78 @@ def _coord_dist(x: np.ndarray, rows) -> np.ndarray:
         return np.sqrt(sq, out=sq)
 
 
+def _shortest_paths(n: int, u, v, w) -> np.ndarray:
+    """All-sources shortest-path lengths of the undirected graph with
+    edges (u[e], v[e]) of weight w[e] > 0 on nodes 0..n-1, inf where
+    no path exists; edges are combined as from_graph states.
+
+    Labels are relaxed in the Bellman-Ford form: each round expands the
+    frontier, the (source, node) labels lowered in the round before,
+    along every edge at the node, until no label falls.  fl(a + w) is
+    monotone in a and at least a for w > 0, so whatever the order of
+    relaxation the fixed point is the least left-to-right rounded walk
+    sum, the value Dijkstra settles: the floats are those of
+    scipy.sparse.csgraph.shortest_path(method="D", directed=False).
+    The frontier is one n x n boolean mask.  A source lowers only the
+    labels of its own row, so the rows are relaxed in slabs of about
+    _FRONT_BLOCK labels, each to its fixed point.  A round takes one
+    flatnonzero of the slab and expands those labels in chunks of about
+    _RELAX_CHUNK relaxations, scattered with np.minimum.at; slabs and
+    chunks bound the temporaries.  (csr sums three or more copies of an
+    ordered edge in input order only while its row holds at most 16
+    entries; here the order is always the input's.)"""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    w = np.asarray(w, dtype=float)
+    keep = u != v
+    u, v, w = u[keep], v[keep], w[keep]
+    ordered, at = np.unique(u * n + v, return_inverse=True)
+    summed = np.bincount(at, weights=w, minlength=ordered.size)
+    a, b = np.divmod(ordered, n)
+    pairs, at = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                          return_inverse=True)
+    lighter = np.full(pairs.size, np.inf)
+    np.minimum.at(lighter, at, summed)
+    # both arcs of each edge, grouped by tail: node k's arcs are
+    # head[start[k]:start[k] + deg[k]]
+    a, b = np.divmod(pairs, n)
+    tail = np.concatenate([a, b])
+    order = np.argsort(tail, kind="stable")
+    head = np.concatenate([b, a])[order]
+    weight = np.concatenate([lighter, lighter])[order]
+    deg = np.bincount(tail, minlength=n)
+    start = np.cumsum(deg) - deg
+
+    D = np.full((n, n), np.inf)
+    np.fill_diagonal(D, 0.0)
+    label = D.reshape(-1)
+    front = np.eye(n, dtype=bool).reshape(-1)
+    step = n * max(1, _FRONT_BLOCK // n)
+    for top in range(0, n * n, step):
+        while (idx := np.flatnonzero(front[top:top + step])).size:
+            idx += top
+            front[idx] = False
+            ends = np.cumsum(deg[idx % n])
+            lo = 0
+            while lo < idx.size:
+                done = int(ends[lo - 1]) if lo else 0
+                hi = max(lo + 1, int(np.searchsorted(
+                    ends, done + _RELAX_CHUNK, "right")))
+                src = idx[lo:hi]
+                k = src % n
+                cnt = deg[k]
+                arc = np.arange(int(ends[hi - 1]) - done) + np.repeat(
+                    start[k] - (ends[lo:hi] - cnt - done), cnt)
+                # a row offset plus a head is the label (source, head)
+                target = np.repeat(src - k, cnt) + head[arc]
+                cand = np.repeat(label[src], cnt) + weight[arc]
+                fall = cand < label[target]
+                target = target[fall]
+                np.minimum.at(label, target, cand[fall])
+                front[target] = True
+                lo = hi
+    return D
+
+
 class MetricSpace:
     """Finite metric space; construct through one of the from_* methods."""
 
@@ -164,7 +236,11 @@ class MetricSpace:
     def from_graph(cls, n_nodes: int, edges, validate: bool = True,
                    tol: float = _DEFAULT_TOL) -> "MetricSpace":
         """Weighted undirected graph; distances are shortest paths,
-        precomputed here once."""
+        precomputed here once.  Repeated copies of an ordered edge
+        (u, v) are summed, in input order; an edge given in both
+        directions weighs the lighter of (u, v) and (v, u); self-loops
+        are ignored.  A disconnected graph is refused, naming the first
+        pair without a path in row-major order."""
         n_nodes = int(n_nodes)
         if n_nodes < 1:
             raise InputError(f"a graph needs at least one node, got {n_nodes}")
@@ -178,8 +254,7 @@ class MetricSpace:
             rows.append(u)
             cols.append(v)
             weights.append(w)
-        g = _sparse.csr_matrix((weights, (rows, cols)), shape=(n_nodes, n_nodes))
-        D = _csgraph.shortest_path(g, method="D", directed=False)
+        D = _shortest_paths(n_nodes, rows, cols, weights)
         if np.isinf(D).any():
             i, j = map(int, np.argwhere(np.isinf(D))[0])
             raise InputError(f"graph is disconnected: no path between {i} and {j}")

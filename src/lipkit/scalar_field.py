@@ -424,14 +424,15 @@ def global_lip(f: ScalarField, pairs=None) -> LipEstimate:
 
 
 def pointwise_lip(f: ScalarField, p: int) -> LipEstimate:
-    """Largest |f(x)-f(p)| / d(x,p) over all samples x != p."""
+    """Largest |f(x)-f(p)| / d(x,p) over all samples x != p; as in
+    global_lip, a NaN estimate names its pair."""
     p = int(p)
     v = f.values()
     s = _pairs.slope(np.abs(v - v[p]), f.space.dist_row(p), math.inf)
     s[p] = 0.0
     x = int(np.argmax(s))
     best = float(s[x])
-    return LipEstimate(best, (p, x) if best > 0 else None)
+    return LipEstimate(best, None if best <= 0 else (p, x))
 
 
 def scaled_oscillation(f: ScalarField, p: int, radii) -> float:

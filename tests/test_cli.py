@@ -498,6 +498,15 @@ def test_console_script(tmp_path):
     assert "partial sums match" in res.stdout
 
 
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(lipkit.__file__))
+    code = ("import sys, lipkit, lipkit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert res.stdout.strip() == "[]"
+
+
 def test_extend_pointwise_restricts_exactly_on_the_real_line(tmp_path, capsys):
     # tan(arctan(5e3)) misses 5e3 by 1.25e-9, above the default tol
     space = write(tmp_path / "space.json",

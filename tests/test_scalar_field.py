@@ -61,6 +61,8 @@ def test_a_nan_estimate_keeps_its_pair():
     for pairs, want in ((None, (0, 1)), ([(0, 2), (2, 1), (0, 1)], (2, 1))):
         est = global_lip(f, pairs=pairs)
         assert math.isnan(est.value) and est.witness == want
+    est = pointwise_lip(f, 0)
+    assert math.isnan(est.value) and est.witness == (0, 1)
 
 
 def test_equal_infinities_make_a_nan_gap_without_a_warning():
