@@ -24,6 +24,11 @@ when ids is None); pairs come back as sample ids.
 max_slopes gives many rows' max_slope values, without pairs, from one
 pass: each distance block is read once for all rows, over the same
 pair set and with the same NaN rule, so every value is bit-identical.
+
+Every kernel here, and every other reader of the distances (the
+envelopes, the ball fields, the random draws), reads pairwise() in the
+row blocks of row_blocks, at most _BLOCK entries each, so none holds
+a second n x n array or an |A| x n gather of its own.
 """
 
 from __future__ import annotations
@@ -32,8 +37,23 @@ import math
 
 import numpy as np
 
-_BLOCK = 1 << 18        # entries per row block; bounds the temporaries
-_SLOPES_BLOCK = 1 << 16  # max_slopes block: 512 KB of scratch, kept in L2
+_BLOCK = 1 << 16    # entries per row block: 512 KB temporaries, kept in L2
+
+
+def row_blocks(stop, width):
+    """Slices a:b covering the rows 0..stop-1 in order, each holding at
+    most _BLOCK entries of width columns (one row at least)."""
+    step = max(1, _BLOCK // width)
+    return [slice(a, min(a + step, stop)) for a in range(0, stop, step)]
+
+
+def anchor_blocks(space, ids):
+    """(r, D[r, ids]) over row blocks r of D = space.pairwise(): the
+    distances from every sample to the samples ids, as a fresh array of
+    at most _BLOCK entries a block of rows at a time."""
+    D = space.pairwise()
+    for r in row_blocks(space.n, len(ids)):
+        yield r, D[r, ids]
 
 
 def slope(o, d, zero):
@@ -61,40 +81,50 @@ def _sweep(space, v, ids, upper, value, per_row=False, symmetric=False):
     """Largest value(r, c, d, o) over the pairs, where a block has row
     positions r, column positions c, distances d and value gaps
     o = |v_p - v_q|.  Returns (x, (p, q)), None when there is no pair,
-    or with per_row the array of row maxima (0.0 for a lone sample).
+    or with per_row (and upper=False) the array of row maxima (0.0 for a
+    lone sample).
 
     symmetric declares value symmetric in (p, q).  On exactly symmetric
     distances the blocks then start their columns at their first row:
     an entry below the diagonal mirrors one above it that comes first
     in row-major order, so masking the diagonal alone gives the ordered
-    sweep's result."""
+    sweep's result.  Row maxima then fold each block into its rows and,
+    mirrored, into its columns; max is exact and a NaN wins either way,
+    so they equal the ordered ones bit for bit."""
     m = len(v)
-    rowmax, best = np.zeros(m), None
     if m < 2:
-        return rowmax if per_row else None
+        return np.zeros(m) if per_row else None
     D = space.pairwise()
     mirror = symmetric and space.exactly_symmetric()
-    step = max(1, _BLOCK // m)
+    rowmax, best = np.full(m, -math.inf), None
+    blocks = row_blocks(m - 1 if upper or mirror else m, m)
+    gaps = np.empty(blocks[0].stop * m)     # one scratch block for o
     # equal infinities give a NaN gap, which wins as any NaN does
     with np.errstate(invalid="ignore"):
-        for a in range(0, m - 1 if upper or mirror else m, step):
-            lo = a + 1 if upper else a if mirror else 0
-            r, c = slice(a, min(a + step, m)), slice(lo, m)
+        for r in blocks:
+            a = r.start
+            c = slice(a + 1 if upper else a if mirror else 0, m)
             d = D[r, c] if ids is None else D[np.ix_(ids[r], ids[c])]
-            e = value(r, c, d, np.abs(v[r, None] - v[None, c]))
+            o = gaps[:d.size].reshape(d.shape)
+            np.abs(np.subtract(v[r, None], v[None, c], out=o), out=o)
+            e = value(r, c, d, o)
             if upper:
                 clear_lower(e, -math.inf)
             else:
-                np.fill_diagonal(e[:, a - lo:], -math.inf)
+                np.fill_diagonal(e[:, a - c.start:], -math.inf)
             if per_row:
-                rowmax[r] = e.max(axis=1)
-                continue
-            k = int(np.argmax(e))
-            if e.flat[k] == -math.inf:      # all -inf: the first valid pair
-                k = 1 if a == lo else 0
-            x = float(e.flat[k])
-            if best is None or x > best[0] or (x != x and best[0] == best[0]):
-                best = (x, a + k // e.shape[1], c.start + k % e.shape[1])
+                np.maximum(rowmax[r], e.max(axis=1), out=rowmax[r])
+                if mirror:
+                    np.maximum(rowmax[c], e.max(axis=0), out=rowmax[c])
+            else:
+                k = int(np.argmax(e))
+                if e.flat[k] == -math.inf:  # all -inf: the first valid pair
+                    k = 1 if a == c.start else 0
+                x = float(e.flat[k])
+                if (best is None or x > best[0]
+                        or (x != x and best[0] == best[0])):
+                    best = (x, a + k // e.shape[1], c.start + k % e.shape[1])
+            del e       # freed before the next block's values are made
     if per_row or best is None:
         return rowmax if per_row else None
     x, i, j = best
@@ -125,11 +155,11 @@ def max_slope(space, v, ids=None, zero=0.0, per_row=False):
     distinct pair at distance zero sloped `zero` (see slope).  Returns
     (value, (p, q)), or (0.0, None) when there is no pair; with per_row,
     the array of each row's largest slope instead.  The slope is
-    symmetric, so on exactly symmetric distances the sweep without
-    per_row skips about half the pairs, with the same result.
+    symmetric, so on exactly symmetric distances the sweep skips about
+    half the pairs, with the same result.
     """
     out = _sweep(space, v, ids, False, lambda r, c, d, o: slope(o, d, zero),
-                 per_row, symmetric=not per_row)
+                 per_row, symmetric=True)
     return (0.0, None) if out is None else out
 
 
@@ -152,14 +182,14 @@ def max_slopes(space, V, zero=0.0):
         return np.zeros(rows)
     D = space.pairwise()
     mirror = space.exactly_symmetric()
-    step = max(1, _SLOPES_BLOCK // m)
-    starts = range(0, m - 1 if mirror else m, step)
-    tops = np.empty((rows, len(starts)))
-    scratch = np.empty(step * m)
+    blocks = row_blocks(m - 1 if mirror else m, m)
+    tops = np.empty((rows, len(blocks)))
+    scratch = np.empty(blocks[0].stop * m)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for t, a in enumerate(starts):
-            lo, b = a if mirror else 0, min(a + step, m)
-            d = D[a:b, lo:]
+        for t, r in enumerate(blocks):
+            a, b = r.start, r.stop
+            lo = a if mirror else 0
+            d = D[r, lo:]
             fix = np.flatnonzero(~(d > 0))
             at_zero = d.ravel()[fix] == 0
             s = scratch[:d.size].reshape(d.shape)
@@ -182,9 +212,8 @@ def ball_masks(space, centers, radii):
     samples, a chunk of balls at a time: yields (a, mask) where mask[i]
     holds the members of ball a + i, the ids MetricSpace.ball returns."""
     D = space.pairwise()
-    step = max(1, _BLOCK // space.n)
-    for a in range(0, len(centers), step):
-        yield a, D[centers[a:a + step]] < radii[a:a + step, None]
+    for r in row_blocks(len(centers), space.n):
+        yield r.start, D[centers[r]] < radii[r, None]
 
 
 def ball_sweep(space, v, centers, radii, value, inside=None):
@@ -198,7 +227,7 @@ def ball_sweep(space, v, centers, radii, value, inside=None):
     symmetric=True: pairs p < q on exactly symmetric distances, every
     ordered pair p != q otherwise; the first largest pair in row-major
     order, a NaN larger than any number, and the first pair when every
-    value is -inf.  A chunk holds about _BLOCK / 8 pairs, cut between
+    value is -inf.  A chunk holds about _BLOCK / 2 pairs, cut between
     the column runs of its members' rows, so a ball with more pairs is
     never laid out whole.  Returns (x, pairs) with pairs[b] = (p, q) as
     sample ids; a ball with fewer than two samples gets -inf and
@@ -208,7 +237,7 @@ def ball_sweep(space, v, centers, radii, value, inside=None):
     pairs = np.full((len(centers), 2), -1)
     D = space.pairwise()
     mirror = space.exactly_symmetric()
-    budget = max(1, _BLOCK >> 3)
+    budget = max(1, _BLOCK >> 1)
     # equal infinities give a NaN gap, which wins as any NaN does
     with np.errstate(invalid="ignore"):
         for a, mask in ball_masks(space, centers, radii):

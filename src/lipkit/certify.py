@@ -147,14 +147,15 @@ def random_k_extension(A: Subset, phi, K: float, order=None, seed: int = 0,
     inequality whenever phi is K-Lipschitz on A; that is checked first.
 
     Both interval ends are kept for every point at once: set from A in
-    one O(|A| n) pass, then tightened in O(n) vector work per assigned
-    sample, on the samples after it only when the order ascends.
-    d(x, q) is read from the space's cached pairwise() matrix, the one
-    the precheck sweeps, as a row when the distances are exactly
-    symmetric, so the draw allocates no n x n array of its own.  max
-    and min are exact, so each interval equals feasible_interval on the
-    same prefix, bit for bit.  The uniforms come from one rng.random
-    call, and a + (b - a) u is the value rng.uniform(a, b) draws.
+    one O(|A| n) pass over row blocks, then tightened in O(n) vector
+    work per assigned sample, on the samples after it only when the
+    order ascends.  d(x, q) is read from the space's cached pairwise()
+    matrix, the one the precheck sweeps, as a row when the distances
+    are exactly symmetric, so the draw allocates no n x n or |A| x n
+    array of its own.  max and min are exact, so each interval equals
+    feasible_interval on the same prefix, bit for bit.  The uniforms
+    come from one rng.random call, and a + (b - a) u is the value
+    rng.uniform(a, b) draws.
     """
     K = _require_constant(K)
     space = A.require_nonempty("extension domain").space
@@ -168,11 +169,11 @@ def random_k_extension(A: Subset, phi, K: float, order=None, seed: int = 0,
             f"phi is not {K}-Lipschitz on A: excess {excess:.3e} "
             f"at pair {pair}", witness=pair)
 
-    D = space.pairwise()
-    spread = D[:, A.members].T      # spread[a, x] = K d(x, a)
-    spread *= K
-    lo = np.max(vals_A[:, None] - spread, axis=0)
-    hi = np.min(vals_A[:, None] + spread, axis=0)
+    lo, hi = np.empty(n), np.empty(n)
+    for r, spread in _pairs.anchor_blocks(space, A.members):
+        spread *= K                 # spread[x, a] = K d(x, a)
+        lo[r] = np.max(vals_A - spread, axis=1)
+        hi[r] = np.min(vals_A + spread, axis=1)
     out = np.full(n, np.nan)
     out[A.members] = vals_A
     # the loop stops at the first id of A or of an earlier entry, so an
@@ -186,6 +187,7 @@ def random_k_extension(A: Subset, phi, K: float, order=None, seed: int = 0,
     ascending = bool((np.diff(rest[:stop]) > 0).all())
     u = np.random.default_rng(seed).random(stop).tolist()
     k = 0
+    D = space.pairwise()
     cols = D if space.exactly_symmetric() else D.T     # cols[p] = d(., p)
     step, bound = np.empty(n), np.empty(n)
     for p in rest[:stop].tolist():

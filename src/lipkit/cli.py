@@ -35,7 +35,7 @@ from .local_lipschitz import (LocalWitness, decompose, generate_local_witness,
 from .metric_space import _DEFAULT_TOL, MetricSpace
 from .partition_of_unity import (frolik_pou, index_subordinate, staircase,
                                  staircase_partial_sum)
-from .scalar_field import Interval, Tabulated, global_lip
+from .scalar_field import DistanceTo, Interval, Tabulated, global_lip
 from .selection import (_DEPTHS, IntervalMapping, decreasing_approx,
                         graph_open_check, insert, select)
 
@@ -227,7 +227,7 @@ def _cmd_extend(args, tol, depths, out_dir):
     certs.append(Certificate("duality", rep.exact, rep.max_abs_diff, 0.0,
                              None if rep.exact else (rep.witness,)))
 
-    dA = space.pairwise()[:, A.members].min(axis=1)
+    dA = DistanceTo(space, A.members).values()
     for i in range(3):
         g = random_k_extension(A, vals, K, seed=args.seed + i, tol=tol).values()
         worst = float(np.maximum(lower - g, g - upper).max())
@@ -267,7 +267,7 @@ def _cmd_extend_pointwise(args, tol, depths, out_dir):
     if interval.is_bounded:
         certs.append(_containment_cert(v, interval, tol))
         pair = out.envelopes
-        dA = space.pairwise()[:, A.members].min(axis=1)
+        dA = DistanceTo(space, A.members).values()
         lo_breach = pair.lower.values() - (interval.hi - dA)
         hi_breach = (interval.lo + dA) - pair.upper.values()
         worst = float(np.maximum(lo_breach, hi_breach).max())

@@ -50,12 +50,13 @@ class Envelope(ScalarField):
         self.sign = int(sign)
 
     def _compute_values(self) -> np.ndarray:
-        D = self.space.pairwise()[:, self.anchor_ids]
-        spread = self.anchor_constants[None, :] * D
-        if self.sign < 0:
-            out = np.max(self.anchor_values[None, :] - spread, axis=1)
-        else:
-            out = np.min(self.anchor_values[None, :] + spread, axis=1)
+        out = np.empty(self.space.n)
+        for r, spread in _pairs.anchor_blocks(self.space, self.anchor_ids):
+            spread *= self.anchor_constants
+            if self.sign < 0:
+                out[r] = np.max(self.anchor_values - spread, axis=1)
+            else:
+                out[r] = np.min(self.anchor_values + spread, axis=1)
         out[self.anchor_ids] = self.anchor_values
         return out
 

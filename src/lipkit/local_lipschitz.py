@@ -134,13 +134,23 @@ def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
                             bound=None) -> IncreasingCover:
     arrays = _entry_arrays(space, witness.entries)
     num = _compress if compressed else None
-    # the largest pair oscillation: an excess over a zero cap
-    osc_bound, pair = _pairs.worst_excess(space, v, lambda r, c, d, o: 0.0,
-                                          num=num)
-    if math.isnan(osc_bound):
-        raise PreconditionError(f"oscillation is NaN at pair {pair}",
-                                witness=pair)
-    osc_bound = max(osc_bound, 0.0)
+    # the largest pair oscillation.  On finite values the bounded one is
+    # fl(max v - min v): rounded subtraction is monotone, and the pair
+    # (argmax, argmin) attains it.  The compressed one is not monotone in
+    # the gap, and a NaN or a refusal needs its pair: those sweep, as an
+    # excess over a zero cap.
+    osc_bound = None
+    if not compressed and np.isfinite(v).all():
+        osc_bound = float(v.max() - v.min())
+        if bound is not None and not (osc_bound <= float(bound) + tol):
+            osc_bound = None
+    if osc_bound is None:
+        osc_bound, pair = _pairs.worst_excess(
+            space, v, lambda r, c, d, o: 0.0, num=num)
+        if math.isnan(osc_bound):
+            raise PreconditionError(f"oscillation is NaN at pair {pair}",
+                                    witness=pair)
+        osc_bound = max(osc_bound, 0.0)
     if bound is not None:
         if not (osc_bound <= float(bound) + tol):
             raise PreconditionError(

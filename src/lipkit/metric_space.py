@@ -65,7 +65,9 @@ def _validate_matrix(D: np.ndarray, tol: float, triangle: str) -> ValidationRepo
     is "checked".  The report keeps the first 64 violations in the order
     the checks run: nonfinite (magnitude inf), negative, diagonal,
     symmetry, positivity, triangle.  Within a kind they are row-major;
-    triangles (i, k, j) go by middle index k first, then row-major."""
+    triangles (i, k, j) go by middle index k first, then row-major.
+    The pair checks read D in the row blocks of _pairs.row_blocks; the
+    triangle sweep still makes two n x n arrays per middle index."""
     n = D.shape[0]
     report = ValidationReport(n=n, tolerance=tol, triangle=triangle)
     vio = report.violations
@@ -74,22 +76,34 @@ def _validate_matrix(D: np.ndarray, tol: float, triangle: str) -> ValidationRepo
         if len(vio) < _MAX_VIOLATIONS:
             vio.append(MetricViolation(kind, ids, float(mag)))
 
-    for i, j in np.argwhere(~np.isfinite(D)):
-        _push("nonfinite", (int(i), int(j)), np.inf)
-    for i, j in np.argwhere(D < -tol):
-        _push("negative", (int(i), int(j)), -D[i, j])
-    diag = np.abs(np.diag(D))
-    for i in np.flatnonzero(diag > tol):
-        _push("diagonal", (int(i),), diag[i])
+    def _scan(kind, bad, upper=False):
+        """Push kind where the mask of bad(block, r) holds, with the
+        magnitude it gives, row-major until the report is full; upper
+        keeps the entries above the diagonal."""
+        for r in _pairs.row_blocks(n, n):
+            if len(vio) >= _MAX_VIOLATIONS:
+                return
+            mask, mag = bad(D[r], r)
+            if upper:
+                mask = np.triu(mask, r.start + 1)
+            for i, j in np.argwhere(mask):
+                _push(kind, (r.start + int(i), int(j)), mag[i, j])
+
+    def _asym(block, r):
+        mag = np.abs(block - D[:, r].T)
+        return mag > tol, mag
+
     # inf - inf is NaN, which no comparison flags; "nonfinite" has
     # reported the entry already
     with np.errstate(invalid="ignore"):
-        asym = np.abs(D - D.T)
-        off = D + np.diag(np.full(n, np.inf))
-    for i, j in np.argwhere(np.triu(asym, 1) > tol):
-        _push("symmetry", (int(i), int(j)), asym[i, j])
-    for i, j in np.argwhere(np.triu(off <= tol, 1)):
-        _push("positivity", (int(i), int(j)), tol - D[i, j])
+        _scan("nonfinite", lambda b, r: (~np.isfinite(b),
+                                         np.broadcast_to(np.inf, b.shape)))
+        _scan("negative", lambda b, r: (b < -tol, -b))
+        diag = np.abs(np.diag(D))
+        for i in np.flatnonzero(diag > tol):
+            _push("diagonal", (int(i),), diag[i])
+        _scan("symmetry", _asym, upper=True)
+        _scan("positivity", lambda b, r: (b <= tol, tol - b), upper=True)
     if triangle != "checked":
         return report
     # Triangle check vectorized over the middle index.
@@ -111,15 +125,25 @@ def _coord_dist(x: np.ndarray, rows) -> np.ndarray:
     dist_row and pairwise all use it, so a pair gets one float from
     each, exactly symmetric and zero on the diagonal.  An infinite
     coordinate gives NaN (inf - inf) and a square past the float range
-    gives inf, both quietly; validation flags them."""
+    gives inf, both quietly; validation flags them.  The output is
+    filled in the row blocks of _pairs.row_blocks, with one scratch
+    block for the later axes, so it is the only n-wide array made."""
+    xr, k = x[rows], x.shape[1]
+    out = np.empty((len(xr), len(x)))
+    blocks = _pairs.row_blocks(len(xr), len(x))
+    scratch = np.empty_like(out[blocks[0]]) if k > 1 else None
     with np.errstate(invalid="ignore", over="ignore"):
-        sq = x[rows, 0, None] - x[None, :, 0]
-        sq *= sq
-        for j in range(1, x.shape[1]):
-            t = x[rows, j, None] - x[None, :, j]
-            t *= t
-            sq += t
-        return np.sqrt(sq, out=sq)
+        for r in blocks:
+            sq = out[r]
+            np.subtract(xr[r, 0, None], x[None, :, 0], out=sq)
+            sq *= sq
+            for j in range(1, k):
+                t = scratch[:len(sq)]
+                np.subtract(xr[r, j, None], x[None, :, j], out=t)
+                t *= t
+                sq += t
+            np.sqrt(sq, out=sq)
+    return out
 
 
 def _shortest_paths(n: int, u, v, w) -> np.ndarray:
@@ -306,9 +330,8 @@ class MetricSpace:
     def min_positive_distance(self) -> float:
         """Smallest positive d(p, q) over p < q, read in row blocks."""
         D, n, best = self.pairwise(), self.n, None
-        step = max(1, _pairs._BLOCK // n)
-        for a in range(0, n - 1, step):
-            block = D[a:a + step, a + 1:]
+        for r in _pairs.row_blocks(n - 1, n):
+            block = D[r, r.start + 1:]
             pos = block > 0
             _pairs.clear_lower(pos, False)
             if pos.any():
@@ -323,11 +346,10 @@ class MetricSpace:
         NaN where it has none, read in row blocks."""
         D, n = self.pairwise(), self.n
         out = np.empty(n)
-        step = max(1, _pairs._BLOCK // n)
-        for a in range(0, n, step):
-            block = D[a:a + step]
+        for r in _pairs.row_blocks(n, n):
+            block = D[r]
             pos = block > 0
-            out[a:a + step] = np.where(pos.any(axis=1), np.min(
+            out[r] = np.where(pos.any(axis=1), np.min(
                 block, axis=1, where=pos, initial=np.inf), np.nan)
         return out
 
@@ -410,12 +432,15 @@ class Subset:
 
         In a validated metric this always holds; kept as an interface
         contract for callers feeding pseudometric data with validation off.
+        The outside rows are read a block at a time; a NaN distance
+        fails the check.
         """
         if self.members.size in (0, self.space.n):
             return True
         D = self.space.pairwise()
         outside = self.complement()
-        return bool(D[np.ix_(outside, self.members)].min() > 0)
+        return all(D[np.ix_(outside[r], self.members)].min() > 0
+                   for r in _pairs.row_blocks(outside.size, self.members.size))
 
     def __repr__(self) -> str:
         return f"Subset({len(self)} of {self.space.n})"

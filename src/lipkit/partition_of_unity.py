@@ -128,8 +128,10 @@ class _BallUnion(ScalarField):
                              f"host space 0..{space.n - 1}")
 
     def _compute_values(self) -> np.ndarray:
-        D = self.space.pairwise()[:, self.centers]
-        return np.maximum((self.radii[None, :] - D).max(axis=1), 0.0)
+        out = np.empty(self.space.n)
+        for r, d in _pairs.anchor_blocks(self.space, self.centers):
+            out[r] = (self.radii - d).max(axis=1)
+        return np.maximum(out, 0.0, out=out)
 
 
 def witness_from_balls(space, groups) -> CozeroCover:

@@ -263,8 +263,10 @@ class DistanceTo(ScalarField):
         self.members = members
 
     def _compute_values(self) -> np.ndarray:
-        D = self.space.pairwise()
-        return D[:, self.members].min(axis=1)
+        out = np.empty(self.space.n)
+        for r, d in _pairs.anchor_blocks(self.space, self.members):
+            out[r] = d.min(axis=1)
+        return out
 
 
 _BINARY_OPS = {

@@ -8,8 +8,8 @@ from lipkit import (Certificate, Constant, CoverError, CozeroCover,
                     IncreasingCover, LocalWitness, MatherRefinement,
                     MetricSpace, ModulusWitness, PartitionOfUnity,
                     PreconditionError, Series, Subset, Tabulated, Transported,
-                    certify_local_witness, global_lip, maximum, minimum,
-                    random_k_extension)
+                    certify_local_witness, feasible_interval, global_lip,
+                    maximum, minimum, random_k_extension)
 from lipkit import _pairs
 from lipkit.local_lipschitz import _cover_from_oscillation
 from lipkit.metric_space import _DEFAULT_TOL
@@ -57,6 +57,27 @@ def make_instance(rng, n_max=40):
     start = np.array([float(rng.uniform(-2.0, 2.0))])
     base = random_k_extension(anchor, start, K, seed=int(rng.integers(2 ** 31)))
     return space, A, base.values()[A.members], K
+
+
+def ref_greedy(A, phi, K, order, seed, tol=1e-9):
+    """The greedy draw re-derived one prefix at a time."""
+    rng = np.random.default_rng(seed)
+    ids, vals = list(A.members), list(phi)
+    out = np.full(A.space.n, np.nan)
+    out[A.members] = phi
+    for p in order:
+        lo, hi = feasible_interval(A.space, ids, vals, int(p), K)
+        if lo > hi:
+            assert lo - hi <= tol
+            value = 0.5 * (lo + hi)
+        elif lo == hi:
+            value = lo
+        else:
+            value = float(rng.uniform(lo, hi))
+        ids.append(int(p))
+        vals.append(value)
+        out[p] = value
+    return out
 
 
 def make_ball_cover(rng, space, margin=0.3):

@@ -14,7 +14,8 @@ from lipkit import _pairs
 from lipkit.fixtures import cusp_curve, sin_reciprocal_pairs, square_on_grid
 from lipkit.partition_of_unity import PartitionOfUnity
 
-from helpers import leaf_sums, make_ball_cover, make_instance, make_space
+from helpers import (leaf_sums, make_ball_cover, make_instance, make_space,
+                     ref_greedy)
 
 
 def grid_instance():
@@ -138,27 +139,6 @@ def test_random_extension_custom_order():
     assert check_k_lipschitz(f, K).passed
 
 
-def reference_greedy(A, phi, K, order, seed, tol=1e-9):
-    """The greedy draw re-derived one prefix at a time."""
-    rng = np.random.default_rng(seed)
-    ids, vals = list(A.members), list(phi)
-    out = np.full(A.space.n, np.nan)
-    out[A.members] = phi
-    for p in order:
-        lo, hi = feasible_interval(A.space, ids, vals, int(p), K)
-        if lo > hi:
-            assert lo - hi <= tol
-            value = 0.5 * (lo + hi)
-        elif lo == hi:
-            value = lo
-        else:
-            value = float(rng.uniform(lo, hi))
-        ids.append(int(p))
-        vals.append(value)
-        out[p] = value
-    return out
-
-
 def asymmetric_space(rng):
     """Unvalidated distances, d(p, q) != d(q, p) off the diagonal."""
     D = make_space(rng, kinds=[1]).pairwise()
@@ -184,16 +164,16 @@ def test_random_extension_matches_the_prefix_reference(kind, reverse):
         order = A.complement()[::-1] if reverse else A.complement()
         got = random_k_extension(A, phi, K, order=order if reverse else None,
                                  seed=s, tol=tol).values()
-        want = reference_greedy(A, phi, K, order, seed=s, tol=tol)
+        want = ref_greedy(A, phi, K, order, seed=s, tol=tol)
         assert got.tobytes() == want.tobytes(), (kind, s)
 
 
 def same_as_reference(A, phi, K, order, seed, tol=1e-9):
-    """The draw equals reference_greedy byte for byte; order None is
+    """The draw equals ref_greedy byte for byte; order None is
     the default ascending complement."""
     got = random_k_extension(A, phi, K, order=order, seed=seed, tol=tol).values()
     rest = A.complement() if order is None else order
-    want = reference_greedy(A, phi, K, rest, seed=seed, tol=tol)
+    want = ref_greedy(A, phi, K, rest, seed=seed, tol=tol)
     return got.tobytes() == want.tobytes()
 
 
@@ -239,7 +219,7 @@ def test_random_extension_closes_a_rounding_gap_at_the_midpoint():
     phi = np.array([0.0, 1.0 + 1e-12])
     f = random_k_extension(A, phi, 1.0, tol=1e-9)
     assert f(1) == 0.5 * ((phi[1] - 0.5) + 0.5)
-    assert f(1) == reference_greedy(A, phi, 1.0, [1], seed=0)[1]
+    assert f(1) == ref_greedy(A, phi, 1.0, [1], seed=0)[1]
     # on a finer grid the first sample of every order closes at the
     # midpoint, and the rest are drawn against it
     fine = Subset(MetricSpace.from_grid(0.0, 1.0, 0.25), [0, 4])

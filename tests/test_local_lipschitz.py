@@ -9,10 +9,11 @@ from lipkit import (Constant, IncreasingCover, InputError, Interval,
                     decompose, generate_local_witness, global_lip,
                     increasing_cover, local_extend, modulus_witness,
                     witness_from_modulus)
-from lipkit import local_lipschitz
+from lipkit import _pairs, local_lipschitz
 from lipkit.fixtures import (cusp_curve, reciprocal_on_ray,
                              sin_reciprocal_on_interval, square_on_grid)
-from lipkit.local_lipschitz import _slice_cover, _slice_groups
+from lipkit.local_lipschitz import (_cover_from_oscillation, _slice_cover,
+                                    _slice_groups)
 
 from helpers import (make_space, ref_certify_local_witness, ref_cover_sets,
                      ref_radii_witness, ref_slice_peaks,
@@ -92,6 +93,48 @@ def test_increasing_cover_refuses_a_nan_oscillation():
     with pytest.raises(PreconditionError, match="NaN") as err:
         increasing_cover(f, witness)
     assert err.value.witness == (0, 1)
+
+
+def test_bounded_oscillation_skips_the_sweep_with_the_same_cover():
+    """fl(max v - min v) is the swept bounded oscillation bit for bit, so
+    the levels, thresholds and eta are those the sweep's value gives."""
+    rng = np.random.default_rng(31)
+    cases = [(MetricSpace.from_points([0.0]), np.array([3.0]))]
+    for _ in range(15):
+        space = make_space(rng, n_max=16)
+        scale = 10.0 ** float(rng.integers(-3, 4))
+        cases.append((space, scale * rng.normal(size=space.n)))
+        # ties: repeated extremes
+        cases.append((space, rng.choice([-1.5, 0.0, 0.1, 2.0], size=space.n)))
+    for space, v in cases:
+        witness = generate_local_witness(Tabulated(space, v))
+        swept, _ = _pairs.worst_excess(space, v, lambda r, c, d, o: 0.0)
+        swept = max(swept, 0.0)
+        got = _cover_from_oscillation(space, witness, v, False, TOL)
+        want = _cover_from_oscillation(space, witness, v, False, TOL,
+                                       bound=swept)
+        assert np.float64(got.osc_bound).tobytes() == \
+            np.float64(swept).tobytes()
+        for name in ("levels", "thresholds", "eta"):
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes(), name
+
+
+def test_oscillation_refusals_keep_their_pairs():
+    space = MetricSpace.from_grid(0, 3, 1)
+    witness = LocalWitness.from_triples([(p, 0.4, 1.0) for p in range(4)])
+    # equal infinities: a NaN gap, under either rule
+    for rule in ("bounded", "unbounded"):
+        with pytest.raises(PreconditionError, match="NaN") as err:
+            modulus_witness(Tabulated(space, [math.inf, math.inf, 0.0, 0.0]),
+                            witness, rule)
+        assert err.value.witness == (0, 1)
+    # an infinite gap, and a finite one, past the supplied bound
+    for v, pair in (([0.0, math.inf, 0.0, 0.0], (0, 1)),
+                    ([0.0, 1.0, 9.0, 2.0], (0, 2))):
+        with pytest.raises(PreconditionError, match="exceeds") as err:
+            increasing_cover(Tabulated(space, v), witness, bound=5.0)
+        assert err.value.witness == pair
 
 
 def test_soundness_check_reports_a_nan_excess():

@@ -1,15 +1,22 @@
 """The pair kernel against the naive ordered-pair reference of helpers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import (check_switched, compress, make_space, ref_max_slope,
-                     ref_min_positive_distance, ref_worst_excess, same)
-from lipkit import (MetricSpace, ModulusWitness, PreconditionError, Tabulated,
-                    generate_pointwise_witness, pointwise_lip)
+from helpers import (check_switched, compress, make_instance, make_space,
+                     ref_greedy, ref_max_slope, ref_min_positive_distance,
+                     ref_worst_excess, same)
+from lipkit import (DistanceTo, MetricSpace, ModulusWitness, PreconditionError,
+                    Subset, Tabulated, check_k_lipschitz,
+                    generate_pointwise_witness, pointwise_lip,
+                    random_k_extension)
 from lipkit import _pairs
+from lipkit.extension import Envelope
+from lipkit.metric_space import _coord_dist, _validate_matrix
+from lipkit.partition_of_unity import _BallUnion
 
 
 def check_all(space, v, ids=None, L=None, K=1.5):
@@ -43,12 +50,14 @@ def check_all(space, v, ids=None, L=None, K=1.5):
             _pairs.max_slope(space, v, ids, zero, per_row=True), rows)
 
 
-@pytest.fixture(params=[7, None], ids=["small-blocks", "default-blocks"])
+@pytest.fixture(params=[7, 61, None],
+                ids=["small-blocks", "multi-row-blocks", "default-blocks"])
 def block(request, monkeypatch):
-    """Run each test with several row blocks per sweep as well."""
+    """Run each test with several row blocks per sweep as well: blocks of
+    one row on most test spaces, and blocks of a few rows, whose mirrored
+    entries and row maxima fold within the block too."""
     if request.param is not None:
         monkeypatch.setattr(_pairs, "_BLOCK", request.param)
-        monkeypatch.setattr(_pairs, "_SLOPES_BLOCK", request.param)
 
 
 def test_seeded_spaces(block):
@@ -325,3 +334,137 @@ def test_ball_sweep_keeps_a_nan_from_a_later_chunk(block):
         assert math.isnan(x[0]) and pairs[0].tolist() == [1, 2]
         # ball {1, 2} holds only the NaN pair
         assert math.isnan(x[1]) and pairs[1].tolist() == [1, 2]
+
+
+def dense_coord_dist(x, rows):
+    """The whole-array formula the row-blocked _coord_dist replaced."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        sq = x[rows, 0, None] - x[None, :, 0]
+        sq *= sq
+        for j in range(1, x.shape[1]):
+            t = x[rows, j, None] - x[None, :, j]
+            t *= t
+            sq += t
+        return np.sqrt(sq, out=sq)
+
+
+def test_coord_dist_is_the_dense_formula_bit_for_bit(block):
+    """pairwise(), dist_row and dist of a cloud, infinite coordinates
+    (NaN distances) and squares past the float range (inf) included."""
+    rng = np.random.default_rng(23)
+    for dim in (1, 2, 3):
+        for n in (1, 2, 9, 30):
+            x = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4, dim)
+            if n > 3:
+                x[1, 0] = x[3, 0] = math.inf
+                x[2, -1] = 1e200
+            want = dense_coord_dist(x, slice(None))
+            if n > 3:
+                assert np.isnan(want[1, 3]) and np.isinf(want[0, 2])
+            assert _coord_dist(x, slice(None)).tobytes() == want.tobytes()
+            rows = rng.integers(n, size=3)
+            assert _coord_dist(x, rows).tobytes() == \
+                dense_coord_dist(x, rows).tobytes()
+            # a space that never builds its matrix, then one that does
+            fresh = MetricSpace.from_points(x, validate=False)
+            for p in range(n):
+                assert fresh.dist_row(p).tobytes() == want[p].tobytes()
+                assert np.float64(fresh.dist(p, n - 1 - p)).tobytes() == \
+                    want[p, n - 1 - p].tobytes()
+            assert fresh._matrix is None
+            cached = MetricSpace.from_points(x, validate=False)
+            assert cached.pairwise().tobytes() == want.tobytes()
+
+
+def test_pairwise_and_a_sweep_hold_no_second_matrix():
+    n = 1000
+    x = np.random.default_rng(24).uniform(size=(n, 2))
+    space = MetricSpace.from_points(x, validate=False)
+    f = Tabulated(space, x[:, 0])
+    f.values()
+    tracemalloc.start()
+    try:
+        space.pairwise()
+        assert tracemalloc.get_traced_memory()[1] <= 8 * n * n + (1 << 20)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert check_k_lipschitz(f, 1.0).passed
+        assert tracemalloc.get_traced_memory()[1] - base < 2 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_anchor_gathers_match_the_dense_formulas(block):
+    """Envelopes, distance and ball fields, the random draw's intervals,
+    nearest distances and the closedness check, read in row blocks,
+    against their whole-column formulas."""
+    rng = np.random.default_rng(25)
+    for _ in range(10):
+        space, A, phi, K = make_instance(rng, n_max=20)
+        D, ids = space.pairwise(), A.members
+        consts = rng.uniform(1.0, 3.0, size=ids.size)
+        spread = consts * D[:, ids]
+        for sign, want in ((-1, np.max(phi - spread, axis=1)),
+                           (+1, np.min(phi + spread, axis=1))):
+            want[ids] = phi
+            got = Envelope(space, ids, phi, consts, sign).values()
+            assert got.tobytes() == want.tobytes()
+        got = DistanceTo(space, ids).values()
+        assert got.tobytes() == D[:, ids].min(axis=1).tobytes()
+        radii = rng.uniform(0.1, 3.0, size=ids.size)
+        got = _BallUnion(space, zip(ids, radii), 0).values()
+        want = np.maximum((radii - D[:, ids]).max(axis=1), 0.0)
+        assert got.tobytes() == want.tobytes()
+        for order in (A.complement(), A.complement()[::-1]):
+            got = random_k_extension(A, phi, K, order=order, seed=3).values()
+            assert got.tobytes() == ref_greedy(A, phi, K, order, 3).tobytes()
+        pos = np.where(D > 0, D, np.inf).min(axis=1)
+        want = np.where(np.isinf(pos), np.nan, pos)
+        np.testing.assert_array_equal(space.nearest_positive(), want)
+        assert A.is_closed_at_sample_scale()
+
+
+def test_closedness_is_refused_in_any_row_block(block):
+    """A zero or NaN distance from an outside sample to the set, in the
+    first or the last row block of the outside samples."""
+    pts = np.arange(12.0)
+    for at in (1, 11):
+        for bad in (0.0, math.nan):
+            D = np.abs(pts[:, None] - pts[None, :])
+            D[at, 0] = D[0, at] = bad
+            space = MetricSpace.from_matrix(D, validate=False)
+            assert not Subset(space, [0, 5]).is_closed_at_sample_scale()
+            assert Subset(space, [2, 5]).is_closed_at_sample_scale()
+
+
+def dense_pair_violations(D, tol):
+    """The whole-matrix pair checks that the row-blocked validation
+    replaced, as (kind, ids, magnitude), the first 64."""
+    with np.errstate(invalid="ignore"):
+        asym = np.abs(D - D.T)
+    out = [("nonfinite", (i, j), math.inf)
+           for i, j in np.argwhere(~np.isfinite(D))]
+    out += [("negative", (i, j), -D[i, j]) for i, j in np.argwhere(D < -tol)]
+    diag = np.abs(np.diag(D))
+    out += [("diagonal", (i,), diag[i]) for i in np.flatnonzero(diag > tol)]
+    out += [("symmetry", (i, j), asym[i, j])
+            for i, j in np.argwhere(np.triu(asym, 1) > tol)]
+    out += [("positivity", (i, j), tol - D[i, j])
+            for i, j in np.argwhere(np.triu(D <= tol, 1))]
+    return [(k, tuple(map(int, ids)), float(m)) for k, ids, m in out[:64]]
+
+
+def test_validation_pair_checks_match_the_dense_formulas(block):
+    rng = np.random.default_rng(26)
+    spoilers = [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0, 1e-10]
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        pts = rng.uniform(-3.0, 3.0, size=(n, 2))
+        D = dense_coord_dist(pts, slice(None))
+        for _ in range(int(rng.integers(0, 4 * n + 1))):
+            i, j = rng.integers(n, size=2)
+            D[i, j] = rng.choice(spoilers + [3.0 * D[i, j], D[i, j] + 1e-12])
+        for tol in (1e-9, 0.5):
+            got = _validate_matrix(D, tol, "by construction").violations
+            assert [(v.kind, v.ids, v.magnitude) for v in got] == \
+                dense_pair_violations(D, tol)
