@@ -138,11 +138,13 @@ def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
     # fl(max v - min v): rounded subtraction is monotone, and the pair
     # (argmax, argmin) attains it.  The compressed one is not monotone in
     # the gap, and a NaN or a refusal needs its pair: those sweep, as an
-    # excess over a zero cap.
+    # excess over a zero cap.  An infinite one leaves no finite level,
+    # so it is refused with its pair like a NaN.
     osc_bound = None
     if not compressed and np.isfinite(v).all():
-        osc_bound = float(v.max() - v.min())
-        if bound is not None and not (osc_bound <= float(bound) + tol):
+        osc_bound = float(v.max()) - float(v.min())
+        cap = math.inf if bound is None else float(bound) + tol
+        if not osc_bound < math.inf or not osc_bound <= cap:
             osc_bound = None
     if osc_bound is None:
         osc_bound, pair = _pairs.worst_excess(
@@ -157,6 +159,9 @@ def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
                 f"oscillation {osc_bound:.6g} exceeds the supplied bound "
                 f"{float(bound):.6g}", witness=pair)
         osc_bound = float(bound)
+    elif osc_bound == math.inf:
+        raise PreconditionError(f"oscillation is infinite at pair {pair}",
+                                witness=pair)
     excess, pairs = _doubled_ball_excess(space, v, arrays, num=num)
     failed = np.flatnonzero(~(excess <= tol))
     if failed.size:
@@ -293,8 +298,10 @@ def _slice_groups(ball_peaks, max_slices):
 
     A ball with peak m first fits the slice {|f| < 2^j} at
     j = floor(log2 m) + 1.  Keeping only the largest max_slices
-    distinct thresholds lumps small balls upward, which keeps the
-    downstream staircase family small; the top slice holds every ball.
+    distinct thresholds lumps small balls upward; the top slice holds
+    every ball.  That bounds the cover's set count, and with it the
+    O(sets x n) work of the blend and the depth at which its mixture
+    sum 2^-n W_n underflows.
     Returns (exponents descending, one list of ball indices per slice).
     """
     firsts = [None if m == 0.0 else int(math.floor(math.log2(m))) + 1

@@ -10,7 +10,9 @@ splits the reciprocal of the mixture with the unit staircase
 
 whose partial sums telescope without rounding.  The resulting family is
 nonnegative, sums to one, vanishes outside the shrunken sets, and is
-finitely active at every sample.
+finitely active at every sample.  Regrouped by set, its steps sum to
+R_n / m, the shrunken witness over the mixture; the blends read that
+closed form and build no staircase.
 """
 
 from __future__ import annotations
@@ -264,24 +266,14 @@ class PartitionOfUnity(ScalarField):
         return len(self.set_index)
 
 
-def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
-               max_members: int = _DEFAULT_MEMBER_CAP) -> PartitionOfUnity:
-    """Partition of unity subordinated to the cover.
+def _scaled_mixture(cover: CozeroCover, tol: float):
+    """The scaled, refined witnesses R and their mixture m = sum R.
 
     Witnesses are scaled to 1-Lipschitz, clamped at 2^-n, shrunk as
-    mather_refine shrinks them, and renormalized to peak 2^-n again.
-    The staircase of the reciprocal mixture then splits one into pieces
-
-        xi[n, k] = eta_n * staircase(k, eta),
-
-    computed on the stacked witness values, one staircase row per step
-    index k shared by every set alive at k, and written one member per
-    row of the family's matrix, so the per-sample sums telescope.  The
-    piece count per set is the largest staircase index alive on the
-    set, which grows like 2^(cover size) divided by the cover's margin;
-    the cap fails loudly instead of materializing an infeasible family.
-    pou.refinement shrinks the scaled and clamped rows and names the
-    given cover.
+    mather_refine shrinks them, and renormalized to peak 2^-n again;
+    dominated sets, whose shrunken witness vanishes, get no row.
+    Returns (refinement, owners, R, mixture, recip): R[i] belongs to
+    cover set owners[i], and recip = 1 / mixture is finite everywhere.
     """
     space = cover.space
     W = np.stack([w.values() for w in cover.witnesses])
@@ -303,6 +295,31 @@ def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
     far = np.flatnonzero(~np.isfinite(recip))
     if far.size:
         raise CoverError(f"1 / mixture is not finite at sample {int(far[0])}")
+    return refined, owners, R, mixture, recip
+
+
+def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
+               max_members: int = _DEFAULT_MEMBER_CAP) -> PartitionOfUnity:
+    """Partition of unity subordinated to the cover: the paper's raw
+    staircase family.
+
+    The staircase of the reciprocal mixture of _scaled_mixture splits
+    one into pieces
+
+        xi[n, k] = R_n * staircase(k, m),
+
+    computed one staircase row per step index k shared by every set
+    alive at k, and written one member per row of the family's matrix,
+    so the per-sample sums telescope.  The piece count per set is the
+    largest staircase index alive on the set, which grows like
+    2^(cover size) divided by the cover's margin; the cap fails loudly
+    instead of materializing an infeasible family.  The blends read
+    the regrouped form R_n / m and never build it (see _blend).
+    pou.refinement shrinks the scaled and clamped rows and names the
+    given cover.
+    """
+    space = cover.space
+    refined, owners, R, mixture, recip = _scaled_mixture(cover, tol)
     # piece k is live at p iff k - 1 < recip(p); kept as floats, so a
     # huge finite recip is counted exactly and never cast
     live_k = np.ceil(recip)
@@ -371,19 +388,27 @@ def index_subordinate(pou: PartitionOfUnity,
 
 
 def _blend(cover: CozeroCover, piece, tol: float) -> Series:
-    """The sum over the cover's sets of psi_n xi_n, where xi_n is the
-    partition of unity of frolik_pou regrouped by set and psi_n =
+    """The sum over the cover's sets of psi_n xi_n, where xi_n = R_n / m
+    is the partition of unity of frolik_pou regrouped by set and psi_n =
     piece(n, xi_n) is the field the caller carries on set n.
 
-    Every xi_n vanishes off set n, so each psi_n only matters where its
-    set lives.  The returned series carries the regrouped partition as
-    .partition and the psi_n as .pieces.
+    On the support of R_n the staircase steps of set n sum to
+    min(cap_n, 1/m) = 1/m, so xi_n = R_n * (1 / m), within an ulp of
+    the regrouped staircase and with none built; a dominated set gets
+    a zero row.  Each psi_n only matters where its set lives.  The
+    series carries the partition, whose value is its own exact column
+    sum, as .partition and the psi_n as .pieces.
     """
-    grouped = index_subordinate(frolik_pou(cover, tol))
-    pieces = [piece(n, xi) for n, xi in enumerate(grouped.members)]
-    out = Series(cover.space, [psi * xi for psi, xi in
-                               zip(pieces, grouped.members)], grouped.activity)
-    out.partition = grouped
+    space = cover.space
+    _, owners, R, _, recip = _scaled_mixture(cover, tol)
+    matrix = np.zeros((len(cover), space.n))
+    matrix[owners] = R * recip  # positive exactly where R is: m < 1
+    partition = PartitionOfUnity(space, matrix, range(len(cover)),
+                                 matrix > 0.0, cover=cover)
+    pieces = [piece(n, xi) for n, xi in enumerate(partition.members)]
+    out = Series(space, [psi * xi for psi, xi in
+                         zip(pieces, partition.members)], partition.activity)
+    out.partition = partition
     out.pieces = pieces
     return out
 

@@ -22,11 +22,10 @@ from .local_lipschitz import LocalWitness, local_extend
 from .metric_space import _DEFAULT_TOL, Subset
 from .partition_of_unity import CozeroCover, _blend
 from .scalar_field import (Constant, DistanceTo, Interval, ScalarField,
-                           Tabulated, Transported, maximum, minimum)
+                           Tabulated, Transported)
 from .certify import _as_values_on
 
 _DEPTHS = (1, 2, 3, 6, 12, 20)
-_MAX_SETS = 12
 
 
 @dataclass
@@ -83,6 +82,8 @@ class RationalGrid:
         lv = tuple(float(r) for r in self.levels)
         if not lv:
             raise PreconditionError("grid needs at least one level")
+        if not np.isfinite(lv).all():
+            raise PreconditionError(f"grid levels must be finite, got {lv}")
         if any(b <= a for a, b in zip(lv, lv[1:])):
             raise PreconditionError("grid levels must be strictly increasing")
         object.__setattr__(self, "levels", lv)
@@ -90,6 +91,9 @@ class RationalGrid:
     @staticmethod
     def dyadic(lo: float, hi: float, depth: int) -> "RationalGrid":
         """All multiples of 2^-depth inside [lo, hi]."""
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise PreconditionError(
+                f"grid bounds must be finite, got [{lo}, {hi}]")
         step = 2.0 ** -int(depth)
         klo = int(np.ceil(lo / step - 1e-12))
         khi = int(np.floor(hi / step + 1e-12))
@@ -170,16 +174,19 @@ def select(mapping: IntervalMapping, grid: RationalGrid | None = None,
     a minimal upward-biased subset of them stabs all windows.  Without
     one, dyadic levels k 2^-d are tried at increasing depth until
     every window, shrunk by a quarter theta of the narrowest width,
-    contains one.  Each chosen level r carries the witness
+    contains one.  Each chosen level r carries the witness row
 
         min(1, max(0, min(r - lower, upper - r) - cushion)),
 
-    cushion = theta/2 for the dyadic ladder and 0 for an explicit
-    grid, so a witness is positive exactly where its level clears the
-    cushion inside the window, and the stabbing makes the witnesses
-    cover the sample.  Blending the levels through the witnesses'
-    partition of unity keeps every sample value a sub-unit convex mix
-    of levels admissible there, hence strictly inside its window.
+    an absent side at infinity, cushion = theta/2 for the dyadic
+    ladder and 0 for an explicit grid, so a witness is positive
+    exactly where its level clears the cushion inside the true window,
+    and the stabbing makes the witnesses cover the sample.  Blending
+    the levels through the witnesses' partition of unity keeps every
+    sample value a sub-unit convex mix of levels admissible there,
+    hence strictly inside its window.  The level count has no cap:
+    past about 537 levels the partition's mixture underflows, and
+    CoverError names the sample.
     """
     space = mapping.space
     gt, ht = mapping.sentinels()
@@ -190,84 +197,48 @@ def select(mapping: IntervalMapping, grid: RationalGrid | None = None,
             f"window at sample {x} has no interior (width {width[x]!r})",
             witness=x)
 
+    # the true windows, an absent side at infinity
+    lo = (np.full(space.n, -np.inf) if mapping.lower is None
+          else mapping.lower.values())
+    hi = (np.full(space.n, np.inf) if mapping.upper is None
+          else mapping.upper.values())
+
     if grid is not None:
         levels = np.asarray(grid.levels)
-        # strict containment against the true one-sided windows
-        if mapping.lower is not None:
-            klo = np.searchsorted(levels, mapping.lower.values(), side="right")
-        else:
-            klo = np.zeros(space.n, dtype=np.int64)
-        if mapping.upper is not None:
-            khi = np.searchsorted(levels, mapping.upper.values(),
-                                  side="left") - 1
-        else:
-            khi = np.full(space.n, levels.size - 1, dtype=np.int64)
+        # strict containment against the true windows
+        klo = np.searchsorted(levels, lo, side="right")
+        khi = np.searchsorted(levels, hi, side="left") - 1
         short = np.flatnonzero(klo > khi)
         if short.size:
             raise GridError(
                 f"grid too coarse: no level inside the window at sample "
                 f"{int(short[0])}; refine the grid", witness=int(short[0]))
-        stabs = _stab_windows(klo, khi)
-        if len(stabs) > _MAX_SETS:
-            raise GridError(
-                f"{len(stabs)} stabbing levels exceed the cap {_MAX_SETS}")
-        chosen = [float(levels[k]) for k in stabs]
+        chosen = [float(levels[k]) for k in _stab_windows(klo, khi)]
         depth = grid.depth
         cushion = 0.0
     else:
         theta = float(width.min()) / 4.0
-        chosen = None
-        depth = None
-        for d in depths:
-            step = 2.0 ** -d
+        for depth in depths:
+            step = 2.0 ** -depth
             klo = np.ceil((gt + theta) / step - 1e-12).astype(np.int64)
             khi = np.floor((ht - theta) / step + 1e-12).astype(np.int64)
-            if np.any(klo > khi):
-                continue
-            stabs = _stab_windows(klo, khi)
-            if len(stabs) > _MAX_SETS:
-                continue
-            chosen = [k * step for k in stabs]
-            depth = d
-            break
-        if chosen is None:
+            if not np.any(klo > khi):
+                chosen = [k * step for k in _stab_windows(klo, khi)]
+                break
+        else:
             raise GridError(
-                f"no dyadic level set of size <= {_MAX_SETS} stabs the "
-                f"margined windows at depths {tuple(depths)}")
+                f"no dyadic level stabs every margined window at depths "
+                f"{tuple(depths)}")
         cushion = theta / 2.0
 
     # most-covering level first: it receives the heaviest cover weight
-    cover_count = []
-    for r in chosen:
-        inside = (gt + cushion < r) & (r < ht - cushion)
-        cover_count.append(int(inside.sum()))
-    order = sorted(range(len(chosen)),
-                   key=lambda i: (-cover_count[i], -chosen[i]))
-    values = [chosen[i] for i in order]
+    count = {r: int(((gt + cushion < r) & (r < ht - cushion)).sum())
+             for r in chosen}
+    values = sorted(chosen, key=lambda r: (-count[r], -r))
 
-    # ladder levels live inside the sentinel windows, so sentinel
-    # margins work there; explicit levels may not, so absent sides
-    # must drop out of their margins entirely
-    if grid is not None:
-        def margin_at(level):
-            terms = ([level - mapping.lower] if mapping.lower is not None
-                     else [])
-            if mapping.upper is not None:
-                terms.append(mapping.upper - level)
-            if not terms:
-                return Constant(space, 1.0)
-            return terms[0] if len(terms) == 1 else minimum(*terms)
-    else:
-        glow = Tabulated(space, gt)
-        high = Tabulated(space, ht)
-        def margin_at(level):
-            return minimum(level - glow, high - level)
-    witnesses = []
-    for r in values:
-        level = Constant(space, r)
-        cushioned = maximum(margin_at(level) - Constant(space, cushion),
-                            Constant(space, 0.0))
-        witnesses.append(minimum(Constant(space, 1.0), cushioned))
+    # each level's cushioned margin inside the true windows, capped at 1
+    witnesses = [Tabulated(space, np.minimum(1.0, np.maximum(
+        np.minimum(r - lo, hi - r) - cushion, 0.0))) for r in values]
     out = _blend(CozeroCover(space, witnesses),
                  lambda n, xi: Constant(space, values[n]), tol)
     out.chosen_levels = values

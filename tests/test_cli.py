@@ -476,6 +476,22 @@ def test_approx_runs(tmp_path, grid_space, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("slope", [1, 2, 5, 10, 20])
+def test_approx_passes_for_steep_phi(tmp_path, slope, capsys):
+    """phi = s x on the 51-sample grid of [0, 1]: at s = 20 the three
+    steps stab their windows with 41, 51 and 51 levels, and every one
+    is blended."""
+    space = write(tmp_path / "space.json",
+                  json.dumps({"lo": 0, "hi": 1, "step": 0.02}))
+    phi = write(tmp_path / "phi.csv",
+                "".join(f"{i},{slope * i * 0.02!r}\n" for i in range(51)))
+    window = write(tmp_path / "w.json", json.dumps({"phi": phi}))
+    assert main(["approx", "--space", space, "--values", window,
+                 "--n-max", "3", "--out-dir", str(tmp_path)]) == 0
+    assert read_json(tmp_path)["passed"] is True
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("fixture", ["sin-inv-t", "cusp-curve",
                                      "reciprocal-staircase", "dowker-step"])
 def test_demos_pass(tmp_path, fixture, capsys):

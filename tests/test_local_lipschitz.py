@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,24 @@ def test_increasing_cover_refuses_a_nan_oscillation():
     with pytest.raises(PreconditionError, match="NaN") as err:
         increasing_cover(f, witness)
     assert err.value.witness == (0, 1)
+
+
+def test_an_infinite_oscillation_is_refused_with_its_pair():
+    """One infinite value leaves no finite level: both calls of the
+    bounded oscillation, and the compressed rule (where inf / inf is a
+    NaN), refuse it naming the pair, with no numpy warning."""
+    space = MetricSpace.from_grid(0, 3, 1)
+    f = Tabulated(space, [0.0, math.inf, 0.0, 0.0])
+    witness = LocalWitness.from_triples([(p, 0.4, 1.0) for p in range(4)])
+    calls = [(lambda: increasing_cover(f, witness), "infinite"),
+             (lambda: modulus_witness(f, witness), "infinite"),
+             (lambda: modulus_witness(f, witness, "unbounded"), "NaN")]
+    for call, what in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match=what) as err:
+                call()
+        assert err.value.witness == (0, 1)
 
 
 def test_bounded_oscillation_skips_the_sweep_with_the_same_cover():

@@ -323,6 +323,38 @@ def test_regrouping_preserves_sums_bit_for_bit():
     assert a.worst_violation == b.worst_violation
 
 
+def ulp_distance(a, b):
+    """Units in the last place between two nonnegative float arrays."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_blend_reads_the_regrouped_staircase_in_closed_form(monkeypatch):
+    """On the support of R_n the staircase steps of set n telescope to
+    1/m, so the regrouped member is R_n / m: the blends' partition is
+    index_subordinate(frolik_pou(cover)) within one ulp, with the same
+    activity, and is built without either."""
+    rng = np.random.default_rng(2024)
+    covers = [witness_from_balls(space, make_ball_cover(rng, space))
+              for space in (make_space(rng, n_max=30) for _ in range(200))]
+    grouped = [index_subordinate(frolik_pou(cover)) for cover in covers]
+
+    def staircase_family(*args, **kwargs):
+        raise AssertionError("the blend built the staircase family")
+    monkeypatch.setattr(partition_of_unity, "frolik_pou", staircase_family)
+    monkeypatch.setattr(partition_of_unity, "index_subordinate",
+                        staircase_family)
+    identical = 0
+    for cover, ref in zip(covers, grouped):
+        xi = partition_of_unity._blend(
+            cover, lambda n, xi: Constant(cover.space, 1.0), 1e-9).partition
+        assert xi.set_index == ref.set_index
+        assert same_bits(xi.activity, ref.activity)
+        assert ulp_distance(xi.matrix, ref.matrix).max() <= 1
+        identical += same_bits(xi.matrix, ref.matrix)
+        assert pou_report(xi).passed
+    assert identical        # most families agree bit for bit
+
+
 def test_witness_from_balls_tent_shape():
     space = MetricSpace.from_points([0.0, 1.0, 2.0])
     cover = witness_from_balls(space, [[(0, 1.5)], [(2, 1.5)]])

@@ -3,8 +3,9 @@ distances, and the segmented sweep over many balls at once, return the
 reference's value and pair on small generated spaces, values with ties
 and NaN included; a regrouped partition of unity keeps the sum of its
 leaves; and on make_space spaces the selection, the decomposition,
-the pointwise interval extension, the McShane-Whitney sandwich and the
-duality of the envelopes keep the statements of the paper they
+the pointwise interval extension, the McShane-Whitney sandwich, the
+duality of the envelopes and the restriction of the selection and
+local extensions through A keep the statements of the paper they
 implement."""
 
 import math
@@ -19,13 +20,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from helpers import (check_switched, compress, leaf_sums,  # noqa: E402
                      make_ball_cover, make_instance, make_space,
                      ref_min_positive_distance, same)
-from lipkit import (Interval, IntervalMapping, MetricSpace,  # noqa: E402
-                    PartitionOfUnity, PointwiseWitness, PreconditionError,
-                    Tabulated, _pairs, decompose, duality_check,
-                    extend_to_interval, frolik_pou, generate_local_witness,
-                    index_subordinate, mcshane_envelopes,
-                    pointwise_extend_to_interval, pou_report,
-                    random_k_extension, select, witness_from_balls)
+from lipkit import (Interval, IntervalMapping, LocalWitness,  # noqa: E402
+                    MetricSpace, PartitionOfUnity, PointwiseWitness,
+                    PreconditionError, Tabulated, _pairs, decompose,
+                    duality_check, extend_to_interval, frolik_pou,
+                    generate_local_witness, index_subordinate, local_extend,
+                    mcshane_envelopes, pointwise_extend_to_interval,
+                    pou_report, random_k_extension, select, select_extend,
+                    witness_from_balls)
 
 VALUES = st.sampled_from([0.0, 0.0, 1.0, 1.0, -2.0, 0.5, 3.25, math.nan])
 COORDS = st.sampled_from([0.0, 0.0, 0.5, 1.0, -1.5, 2.0, 4.0])
@@ -191,6 +193,52 @@ def test_decompose_rebuilds_f(seed):
     f = Tabulated(space, rng.normal(size=space.n))
     dec = decompose(f, generate_local_witness(f))
     assert dec.residual() <= 1e-9
+
+
+def local_witness_on(rng, A, K):
+    """One entry per sample of A at rate K: phi is K-Lipschitz on A, so
+    the entries certify it whatever their radii."""
+    return LocalWitness.from_triples(
+        (int(a), float(rng.uniform(0.1, 3.0)), K) for a in A.members)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_select_extend_restricts_to_phi_exactly(seed):
+    # Michael-type selection through A: a phi strictly inside open
+    # windows on A extends to a selection strictly inside every window
+    # that agrees with phi on A, exactly
+    rng = np.random.default_rng(seed)
+    space, A, phi, K = make_instance(rng, n_max=20)
+    g = extend_to_interval(A, phi, K, Interval.real_line()).values()
+    mapping = IntervalMapping(
+        space, Tabulated(space, g - rng.uniform(0.05, 1.0, space.n)),
+        Tabulated(space, g + rng.uniform(0.05, 1.0, space.n)))
+    f = select_extend(A, phi, local_witness_on(rng, A, K), mapping)
+    assert f.values()[A.members].tobytes() == phi.tobytes()
+    assert mapping.strict_mask(f).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_local_extend_restricts_to_phi_within_the_unit_sum_residual(seed):
+    # local-to-global extension: sum psi_n xi_n with every active psi_n
+    # equal to phi on A gives phi(a) times the partition's sum at a, so
+    # it misses phi(a) by at most |phi(a)| times the unit-sum residual
+    # there, plus the rounding of the products and their sum
+    rng = np.random.default_rng(seed)
+    space, A, phi, K = make_instance(rng, n_max=20)
+    lo, hi = float(phi.min()), float(phi.max())
+    for interval in (Interval.real_line(), Interval.closed(lo - 1.0, hi)):
+        f = local_extend(A, phi, local_witness_on(rng, A, K), interval)
+        got = f.values()[A.members]
+        if len(A) == space.n:
+            assert got.tobytes() == phi.tobytes()
+            continue
+        residual = np.abs(f.partition.values()[A.members] - 1.0)
+        bound = np.abs(phi) * (residual + 4.0 * np.finfo(float).eps)
+        assert (np.abs(got - phi) <= bound).all()
+        assert f.restriction_error == float(np.abs(got - phi).max())
 
 
 def targets(lo, hi):

@@ -1,12 +1,18 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from lipkit import (Constant, DistanceTo, GridError, LocalWitness, MetricSpace,
-                    PreconditionError, Subset, Tabulated, Transported,
-                    global_lip)
+from lipkit import (Constant, CoverError, DistanceTo, GridError, LocalWitness,
+                    MetricSpace, PreconditionError, Subset, Tabulated,
+                    Transported, global_lip, maximum, minimum,
+                    random_k_extension)
 from lipkit.selection import (IntervalMapping, RationalGrid, decreasing_approx,
                               graph_open_check, insert, select, select_extend)
 from lipkit.fixtures import approx_targets, dowker_step
+
+from helpers import make_instance
 
 TOL = 1e-9
 
@@ -36,6 +42,13 @@ def test_rational_grid_validation():
         RationalGrid((0.5, 0.5), 1)
     with pytest.raises(PreconditionError):
         RationalGrid((1.0, 0.5), 1)
+    # NaN fails every comparison, so only a finiteness check refuses it
+    with pytest.raises(PreconditionError, match="finite"):
+        RationalGrid((0.0, math.nan), 1)
+    with pytest.raises(PreconditionError, match="finite"):
+        RationalGrid.dyadic(math.nan, 1.0, 2)
+    with pytest.raises(PreconditionError, match="finite"):
+        RationalGrid.dyadic(0.0, math.inf, 2)
 
 
 def test_rational_grid_dyadic():
@@ -146,6 +159,66 @@ def test_select_one_sided_windows():
     assert (h.values() == -5.0).all()
 
 
+def tree_witnesses(mapping, levels, cushion):
+    """The Constant/minimum/maximum witness trees select built before
+    its witness rows were arrays, an absent side dropped."""
+    space = mapping.space
+    out = []
+    for r in levels:
+        level = Constant(space, r)
+        terms = [] if mapping.lower is None else [level - mapping.lower]
+        if mapping.upper is not None:
+            terms.append(mapping.upper - level)
+        margin = (Constant(space, 1.0) if not terms else terms[0]
+                  if len(terms) == 1 else minimum(*terms))
+        out.append(minimum(Constant(space, 1.0), maximum(
+            margin - Constant(space, cushion), Constant(space, 0.0))))
+    return [w.values() for w in out]
+
+
+@pytest.mark.parametrize("sides", ["both", "lower", "upper", "none"])
+def test_select_witness_rows_match_the_field_trees(sides):
+    """An absent side at infinity drops out of the margin: the rows are
+    the field trees' bit for bit on explicit grids and on two-sided
+    ladders."""
+    space = MetricSpace.from_grid(-1.0, 1.0, 0.125)
+    t = space.coords[:, 0]
+    lower = Tabulated(space, np.abs(t) - 0.5)
+    upper = Tabulated(space, t * t + 0.5)
+    m = IntervalMapping(space, lower if sides in ("both", "lower") else None,
+                        upper if sides in ("both", "upper") else None)
+    runs = [select(m, grid=RationalGrid.dyadic(-3.0, 3.0, 4))]
+    if sides == "both":
+        runs.append(select(m))
+    for f in runs:
+        rows = [w.values() for w in f.partition.cover.witnesses]
+        ref = tree_witnesses(m, f.chosen_levels, f.margin)
+        assert np.array(rows).tobytes() == np.array(ref).tobytes()
+        assert m.strict_mask(f).all()
+
+
+@pytest.mark.parametrize("n", [200, 601])
+def test_select_levels_are_limited_only_by_the_mixture_underflow(n):
+    """No set cap: each unit window (x, x + 1) on an integer grid needs
+    its own level.  200 levels are all blended.  The one limit is the
+    mixture sum 2^-n W_n, with W_n <= 2^-n, which underflows to 0 at a
+    sample whose only level comes past about 537 sets: 601 levels raise
+    CoverError naming the sample, not GridError and not a numpy
+    warning."""
+    space = MetricSpace.from_grid(0.0, n - 1.0, 1.0)
+    phi = Tabulated(space, space.coords[:, 0])
+    m = IntervalMapping(space, phi, phi + Constant(space, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if n > 537:
+            with pytest.raises(CoverError, match="at sample"):
+                select(m)
+            return
+        f = select(m)
+    assert len(f.chosen_levels) == n
+    assert m.strict_mask(f).all()
+
+
 def test_select_rejects_empty_window():
     space = MetricSpace.from_grid(0.0, 2.0, 1.0)
     m = IntervalMapping(space, Constant(space, 1.0), Constant(space, 1.0))
@@ -248,6 +321,19 @@ def test_decreasing_approx_pinches(which):
         if prev is not None:
             assert (v < prev).all()
         prev = v
+
+
+def test_decreasing_approx_on_seeded_fields():
+    """The decreasing approximation exists for every phi: three steps
+    stay strictly above phi and strictly decrease on 30 seeded
+    K-Lipschitz fields, steep ones included."""
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        space, A, phi, K = make_instance(rng)
+        f = random_k_extension(A, phi, K, seed=seed)
+        steps = [g.values() for g in decreasing_approx(f, 3)]
+        assert all((v > f.values()).all() for v in steps), seed
+        assert all((a > b).all() for a, b in zip(steps, steps[1:])), seed
 
 
 def test_decreasing_approx_needs_a_step():
