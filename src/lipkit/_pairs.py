@@ -5,18 +5,18 @@ num(|v_p - v_q|) - cap(p, q) or a slope |v_p - v_q| / d(p, q), runs
 through the row-blocked sweep here over space.pairwise(), so the pair
 set, the tie rule and the NaN rule are decided in one place:
 
-  * only off-diagonal pairs are visited: p < q when the quantity is
-    symmetric (upper=True), every ordered pair p != q otherwise;
-  * a symmetric quantity whose ordered maximum is wanted (max_slope,
-    and callers passing symmetric=True) skips, on exactly symmetric
-    distances, each pair (p, q) with q before p's row block, about half
-    of them: the value at (i, j) with i > j equals the one at (j, i),
-    which comes first in row-major order, so value and pair are those
-    of the ordered sweep.  Distances symmetric only within tol keep the
-    ordered pairs;
+  * one pair rule: a quantity symmetric in (p, q) reads the pairs
+    p < q when the distances are exactly symmetric
+    (MetricSpace.exactly_symmetric()), and every ordered pair p != q
+    otherwise, as does any other quantity, such as a row cap.  Under
+    exact symmetry the value at (i, j), i > j, equals the one at
+    (j, i), first in row-major order, so value and pair are the ordered
+    ones;
   * ties resolve to the lexicographically first pair, and NaN counts
     as larger than any number (the numpy.argmax order), so a NaN can
-    never hide behind a passing maximum.
+    never hide behind a passing maximum;
+  * a value gap past the float range is inf, quietly, and a gap of
+    equal infinities is NaN.
 
 Values are aligned with ids, a sorted array of sample ids (every sample
 when ids is None); pairs come back as sample ids.
@@ -70,19 +70,11 @@ def slope(o, d, zero):
     return s
 
 
-def clear_lower(block, fill):
-    """Fill the entries with q <= p of a block whose rows are a, a+1, ...
-    and whose columns start at a + 1; only its first columns have any."""
-    t = min(block.shape)
-    block[:, :t][np.arange(block.shape[0])[:, None] > np.arange(t)] = fill
-
-
-def _sweep(space, v, ids, upper, value, per_row=False, symmetric=False):
+def _sweep(space, v, ids, value, symmetric, per_row=False):
     """Largest value(r, c, d, o) over the pairs, where a block has row
     positions r, column positions c, distances d and value gaps
     o = |v_p - v_q|.  Returns (x, (p, q)), None when there is no pair,
-    or with per_row (and upper=False) the array of row maxima (0.0 for a
-    lone sample).
+    or with per_row the array of row maxima (0.0 for a lone sample).
 
     symmetric declares value symmetric in (p, q).  On exactly symmetric
     distances the blocks then start their columns at their first row:
@@ -97,21 +89,17 @@ def _sweep(space, v, ids, upper, value, per_row=False, symmetric=False):
     D = space.pairwise()
     mirror = symmetric and space.exactly_symmetric()
     rowmax, best = np.full(m, -math.inf), None
-    blocks = row_blocks(m - 1 if upper or mirror else m, m)
+    blocks = row_blocks(m - 1 if mirror else m, m)
     gaps = np.empty(blocks[0].stop * m)     # one scratch block for o
-    # equal infinities give a NaN gap, which wins as any NaN does
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         for r in blocks:
             a = r.start
-            c = slice(a + 1 if upper else a if mirror else 0, m)
+            c = slice(a if mirror else 0, m)
             d = D[r, c] if ids is None else D[np.ix_(ids[r], ids[c])]
             o = gaps[:d.size].reshape(d.shape)
             np.abs(np.subtract(v[r, None], v[None, c], out=o), out=o)
             e = value(r, c, d, o)
-            if upper:
-                clear_lower(e, -math.inf)
-            else:
-                np.fill_diagonal(e[:, a - c.start:], -math.inf)
+            np.fill_diagonal(e[:, a - c.start:], -math.inf)
             if per_row:
                 np.maximum(rowmax[r], e.max(axis=1), out=rowmax[r])
                 if mirror:
@@ -133,20 +121,18 @@ def _sweep(space, v, ids, upper, value, per_row=False, symmetric=False):
     return x, (int(i), int(j))
 
 
-def worst_excess(space, v, cap, ids=None, num=None, upper=True,
-                 symmetric=False):
+def worst_excess(space, v, cap, ids=None, num=None, symmetric=True):
     """Largest num(|v_p - v_q|) - cap over sample pairs, with its pair.
 
     cap(r, c, d, o) returns the cap of a block (see _sweep); num, when
-    given, maps the value gaps o to the numerator.  With upper=False,
-    symmetric=True declares the cap symmetric in (p, q), and the
-    ordered result then comes from about half the pairs on exactly
-    symmetric distances.  Returns (excess, (p, q)), or (-inf, None)
-    when there is no pair.
+    given, maps the value gaps o to the numerator.  symmetric declares
+    the cap symmetric in (p, q), and the ordered result then comes from
+    the pairs p < q on exactly symmetric distances; a row cap passes
+    symmetric=False.  Returns (excess, (p, q)), or (-inf, None) when
+    there is no pair.
     """
-    out = _sweep(space, v, ids, upper, lambda r, c, d, o:
-                 (o if num is None else num(o)) - cap(r, c, d, o),
-                 symmetric=symmetric)
+    out = _sweep(space, v, ids, lambda r, c, d, o:
+                 (o if num is None else num(o)) - cap(r, c, d, o), symmetric)
     return (-math.inf, None) if out is None else out
 
 
@@ -158,8 +144,8 @@ def max_slope(space, v, ids=None, zero=0.0, per_row=False):
     symmetric, so on exactly symmetric distances the sweep skips about
     half the pairs, with the same result.
     """
-    out = _sweep(space, v, ids, False, lambda r, c, d, o: slope(o, d, zero),
-                 per_row, symmetric=True)
+    out = _sweep(space, v, ids, lambda r, c, d, o: slope(o, d, zero), True,
+                 per_row)
     return (0.0, None) if out is None else out
 
 
@@ -238,8 +224,7 @@ def ball_sweep(space, v, centers, radii, value, inside=None):
     D = space.pairwise()
     mirror = space.exactly_symmetric()
     budget = max(1, _BLOCK >> 1)
-    # equal infinities give a NaN gap, which wins as any NaN does
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         for a, mask in ball_masks(space, centers, radii):
             if inside is not None:
                 mask &= inside

@@ -48,6 +48,17 @@ def _as_values_on(A: Subset, phi) -> np.ndarray:
     return vals
 
 
+def _require_k_lipschitz_on(A: Subset, vals: np.ndarray, K: float,
+                            tol: float):
+    """Refuse phi (vals on A) unless it is K-Lipschitz on A within tol."""
+    excess, pair = _pairs.worst_excess(A.space, vals, lambda r, c, d, o: K * d,
+                                       ids=A.members)
+    if not (excess <= tol):
+        raise PreconditionError(
+            f"phi is not {K}-Lipschitz on A: excess {excess:.3e} "
+            f"at pair {pair}", witness=pair)
+
+
 @dataclass
 class Certificate:
     """Outcome of one check, with the worst witness attached."""
@@ -106,8 +117,9 @@ def check_k_lipschitz(f: ScalarField, K: float, pairs=None,
                       tol: float = _DEFAULT_TOL) -> Certificate:
     """Exhaustive |f(p)-f(q)| <= K d(p,q) + tol over sampled pairs.
 
-    The worst pair is reported whether or not it violates.  Ties resolve
-    to the lexicographically first pair, so reruns agree bit for bit.
+    The worst pair is reported whether or not it violates; without
+    pairs, every pair p != q is read, by the pair rule of _pairs.  Ties
+    resolve to the lexicographically first pair, so reruns agree.
     """
     K = float(K)
     v = f.values()
@@ -162,12 +174,7 @@ def random_k_extension(A: Subset, phi, K: float, order=None, seed: int = 0,
     n = space.n
     rest = A.complement() if order is None else _order_ids(order, n)
     vals_A = _as_values_on(A, phi)
-    excess, pair = _pairs.worst_excess(space, vals_A, lambda r, c, d, o: K * d,
-                                       ids=A.members)
-    if not (excess <= tol):
-        raise PreconditionError(
-            f"phi is not {K}-Lipschitz on A: excess {excess:.3e} "
-            f"at pair {pair}", witness=pair)
+    _require_k_lipschitz_on(A, vals_A, K, tol)
 
     lo, hi = np.empty(n), np.empty(n)
     for r, spread in _pairs.anchor_blocks(space, A.members):

@@ -28,7 +28,8 @@ from .errors import PreconditionError
 from .metric_space import _DEFAULT_TOL, Subset
 from .scalar_field import (Constant, Interval, ScalarField, Tabulated,
                            Transported, maximum, minimum)
-from .certify import _as_values_on, _require_constant
+from .certify import (_as_values_on, _require_constant,
+                      _require_k_lipschitz_on)
 
 
 class Envelope(ScalarField):
@@ -73,21 +74,12 @@ class EnvelopePair:
     notes: list = field(default_factory=list)
 
 
-def _check_global_lipschitz_on(A: Subset, vals: np.ndarray, K: float, tol: float):
-    excess, pair = _pairs.worst_excess(A.space, vals, lambda r, c, d, o: K * d,
-                                       ids=A.members)
-    if not (excess <= tol):
-        raise PreconditionError(
-            f"phi is not {K}-Lipschitz on A: |phi({pair[0]})-phi({pair[1]})| "
-            f"exceeds the bound by {excess:.3e}", witness=pair)
-
-
 def mcshane_envelopes(A: Subset, phi, K: float, tol: float = _DEFAULT_TOL) -> EnvelopePair:
     """Envelopes with one global constant 0 <= K < inf."""
     K = _require_constant(K)
     A.require_nonempty("extension domain")
     vals = _as_values_on(A, phi)
-    _check_global_lipschitz_on(A, vals, K, tol)
+    _require_k_lipschitz_on(A, vals, K, tol)
     consts = np.full(len(A), K)
     return EnvelopePair(
         lower=Envelope(A.space, A.members, vals, consts, -1),
@@ -292,5 +284,6 @@ def _pointwise_excess(f: ScalarField, w: PointwiseWitness) -> tuple:
     """Worst |f(p) - f(x)| - L_p d(p, x) over ordered pairs, with its pair."""
     L = np.array([w.constants[p] for p in range(f.space.n)])
     return _pairs.worst_excess(f.space, f.values(),
-                               lambda r, c, d, o: L[r, None] * d, upper=False)
+                               lambda r, c, d, o: L[r, None] * d,
+                               symmetric=False)
 

@@ -118,7 +118,7 @@ class IncreasingCover:
             ids = np.flatnonzero(self.eta <= t)
             e, pair = _pairs.worst_excess(
                 self.space, self.values[ids], lambda r, c, d, o: float(t) * d,
-                ids=ids, num=num, upper=False, symmetric=True)
+                ids=ids, num=num)
             if pair is not None and (e > worst or (e != e and worst == worst)):
                 worst = e
                 witness = (int(t), pair)
@@ -132,6 +132,9 @@ def _compress(o):
 def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
                             compressed: bool, tol: float,
                             bound=None) -> IncreasingCover:
+    if bound is not None and not math.isfinite(float(bound)):
+        raise PreconditionError(
+            f"the supplied oscillation bound must be finite, got {float(bound)}")
     arrays = _entry_arrays(space, witness.entries)
     num = _compress if compressed else None
     # the largest pair oscillation.  On finite values the bounded one is
@@ -193,8 +196,8 @@ def increasing_cover(f: ScalarField, witness: LocalWitness, bound=None,
                      tol: float = _DEFAULT_TOL) -> IncreasingCover:
     """Increasing cover of the sample from a local witness for f.
 
-    bound is a witnessed oscillation bound for f; it defaults to the
-    measured sample oscillation and enters the entry levels as
+    bound is a witnessed oscillation bound for f, finite; it defaults
+    to the measured sample oscillation and enters the entry levels as
     max(K_p, bound / delta_p).
     """
     return _cover_from_oscillation(f.space, witness, f.values(), False, tol,
@@ -241,8 +244,7 @@ class ModulusWitness:
         """Worst relative excess of |osc| over L d across sample pairs."""
         return _pairs.worst_excess(
             self.space, self.f_values,
-            lambda r, c, d, o: self._rates(r, c, o) * d * (1.0 + rel_tol),
-            upper=False, symmetric=True)
+            lambda r, c, d, o: self._rates(r, c, o) * d * (1.0 + rel_tol))
 
 
 def modulus_witness(f: ScalarField, witness: LocalWitness, rule: str = "bounded",

@@ -60,11 +60,13 @@ class ValidationReport:
                 f"worst {w.describe()}")
 
 
-def _validate_matrix(D: np.ndarray, tol: float, triangle: str) -> ValidationReport:
+def _validate_matrix(D: np.ndarray, tol: float, triangle: str,
+                     exact: bool) -> ValidationReport:
     """Metric axioms of D, the O(n^3) triangle sweep only when triangle
     is "checked".  The report keeps the first 64 violations in the order
     the checks run: nonfinite (magnitude inf), negative, diagonal,
-    symmetry, positivity, triangle.  Within a kind they are row-major;
+    symmetry (p < q), positivity (p < q when exact says D is exactly
+    symmetric, else p != q), triangle.  Within a kind they are row-major;
     triangles (i, k, j) go by middle index k first, then row-major.
     The pair checks read D in the row blocks of _pairs.row_blocks; the
     triangle sweep still makes two n x n arrays per middle index."""
@@ -93,6 +95,11 @@ def _validate_matrix(D: np.ndarray, tol: float, triangle: str) -> ValidationRepo
         mag = np.abs(block - D[:, r].T)
         return mag > tol, mag
 
+    def _nonpositive(block, r):
+        mask = block <= tol
+        np.fill_diagonal(mask[:, r.start:], False)
+        return mask, tol - block
+
     # inf - inf is NaN, which no comparison flags; "nonfinite" has
     # reported the entry already
     with np.errstate(invalid="ignore"):
@@ -103,7 +110,7 @@ def _validate_matrix(D: np.ndarray, tol: float, triangle: str) -> ValidationRepo
         for i in np.flatnonzero(diag > tol):
             _push("diagonal", (int(i),), diag[i])
         _scan("symmetry", _asym, upper=True)
-        _scan("positivity", lambda b, r: (b <= tol, tol - b), upper=True)
+        _scan("positivity", _nonpositive, upper=exact)
     if triangle != "checked":
         return report
     # Triangle check vectorized over the middle index.
@@ -328,12 +335,15 @@ class MetricSpace:
         return float(self.pairwise().max())
 
     def min_positive_distance(self) -> float:
-        """Smallest positive d(p, q) over p < q, read in row blocks."""
+        """Smallest positive d(p, q) over p != q, read in row blocks of
+        the pairs p < q on exactly symmetric distances, as in _pairs."""
         D, n, best = self.pairwise(), self.n, None
-        for r in _pairs.row_blocks(n - 1, n):
-            block = D[r, r.start + 1:]
+        mirror = self.exactly_symmetric()
+        for r in _pairs.row_blocks(n - 1 if mirror else n, n):
+            lo = r.start if mirror else 0
+            block = D[r, lo:]
             pos = block > 0
-            _pairs.clear_lower(pos, False)
+            np.fill_diagonal(pos[:, r.start - lo:], False)
             if pos.any():
                 x = block[pos].min()
                 best = x if best is None else min(best, x)
@@ -342,13 +352,14 @@ class MetricSpace:
         return float(best)
 
     def nearest_positive(self) -> np.ndarray:
-        """Each sample's smallest positive distance to another sample,
-        NaN where it has none, read in row blocks."""
+        """Each sample's smallest positive distance to another sample
+        (the diagonal is not read), NaN where it has none, by row blocks."""
         D, n = self.pairwise(), self.n
         out = np.empty(n)
         for r in _pairs.row_blocks(n, n):
             block = D[r]
             pos = block > 0
+            np.fill_diagonal(pos[:, r.start:], False)
             out[r] = np.where(pos.any(axis=1), np.min(
                 block, axis=1, where=pos, initial=np.inf), np.nan)
         return out
@@ -369,7 +380,8 @@ class MetricSpace:
         sweep runs on the matrix backend only, as Euclidean and
         shortest-path distances obey the law by construction."""
         triangle = "checked" if self.backend == "matrix" else "by construction"
-        return _validate_matrix(self.pairwise(), tol, triangle)
+        return _validate_matrix(self.pairwise(), tol, triangle,
+                                self.exactly_symmetric())
 
     def __len__(self) -> int:
         return self.n

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from lipkit import (Certificate, Constant, CoverError, CozeroCover,
                     IncreasingCover, LocalWitness, MatherRefinement,
@@ -109,12 +110,13 @@ def make_ball_cover(rng, space, margin=0.3):
 # Naive pair references: scalar loops over every ordered pair
 
 
-def ref_worst_excess(D, v, cap, ids, upper, num=lambda o: o):
-    """Scalar loop over pairs; cap(i, j, d) takes positions into ids."""
+def ref_worst_excess(D, v, cap, ids, num=lambda o: o):
+    """Scalar loop over ordered pairs; cap(i, j, d) takes positions into
+    ids."""
     best = None
     for i in range(len(ids)):
         for j in range(len(ids)):
-            if i == j or (upper and j < i):
+            if i == j:
                 continue
             d = D[ids[i], ids[j]]
             e = num(abs(v[i] - v[j])) - cap(i, j, d)
@@ -154,9 +156,20 @@ def same(a, b):
 
 
 def ref_min_positive_distance(D):
-    """Smallest positive entry above the diagonal."""
-    off = D[np.triu_indices(D.shape[0], 1)]
-    return float(off[off > 0].min())
+    """Smallest positive entry off the diagonal, None when there is
+    none."""
+    off = D[~np.eye(D.shape[0], dtype=bool)]
+    return float(off[off > 0].min()) if (off > 0).any() else None
+
+
+def ref_nearest_positive(D):
+    """Each row's smallest positive entry off the diagonal, NaN where it
+    has none."""
+    out = []
+    for i in range(D.shape[0]):
+        row = [D[i, j] for j in range(D.shape[0]) if j != i and D[i, j] > 0]
+        out.append(min(row) if row else math.nan)
+    return np.array(out)
 
 
 def compress(o):
@@ -170,7 +183,7 @@ def ref_soundness(D, v, thresholds, eta, num):
     for t in thresholds:
         ids = np.flatnonzero(eta <= t)
         e, pair = ref_worst_excess(D, v[ids], lambda i, j, d: t * d, ids,
-                                   False, num)
+                                   num)
         if pair is not None and (e > worst or (math.isnan(e)
                                                and not math.isnan(worst))):
             worst, witness = e, (int(t), pair)
@@ -183,22 +196,45 @@ def ref_doubled_ball_failure(D, v, entries, tol, num):
     for j, (p, delta, K) in enumerate(entries):
         ids = np.flatnonzero(D[p] < 2.0 * delta)
         hi, pair = ref_worst_excess(D, v[ids], lambda i, k, d: K * d, ids,
-                                    False, num)
+                                    num)
         if not (hi <= tol):
             return j, pair
     return None
 
 
 def check_switched(space, v, rng):
-    """Every sweep that takes p < q on exactly symmetric distances
-    against the ordered-pair reference: max_slope, ModulusWitness.certify,
-    the doubled-ball checks of an increasing cover, and its soundness
-    check, each asserted on value and pair."""
+    """Every pair reader that takes p < q on exactly symmetric distances
+    against the ordered-pair reference: max_slope, max_slopes, a
+    ball_sweep, min_positive_distance, nearest_positive,
+    ModulusWitness.certify, the doubled-ball checks of an increasing
+    cover, and its soundness check, each asserted on value and pair."""
     D, n, tol = space.pairwise(), space.n, 1e-9
     ids = np.arange(n)
     for zero in (0.0, math.inf):
-        assert same(_pairs.max_slope(space, v, zero=zero),
-                    ref_max_slope(D, v, ids, zero)[0])
+        want = ref_max_slope(D, v, ids, zero)[0]
+        assert same(_pairs.max_slope(space, v, zero=zero), want)
+        got = _pairs.max_slopes(space, np.array([v, v[::-1]]), zero)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert np.float64(got[1]).tobytes() == np.float64(
+            ref_max_slope(D, v[::-1], ids, zero)[0][0]).tobytes()
+    centers = rng.integers(n, size=3)
+    radii = rng.choice([0.5, 1.5, 4.0, math.inf], size=3)
+    rates = rng.uniform(0.0, 2.0, size=3)
+    x, pairs = _pairs.ball_sweep(space, v, centers, radii,
+                                 lambda d, o, seg: o - rates[seg] * d)
+    for b, (c, radius, K) in enumerate(zip(centers, radii, rates)):
+        ball = np.flatnonzero(D[c] < radius)
+        want = ref_worst_excess(D, v[ball], lambda i, j, d: K * d, ball)
+        got = tuple(int(p) for p in pairs[b])
+        assert same((x[b], None if got == (-1, -1) else got), want)
+    want = ref_min_positive_distance(D)
+    if want is None:
+        with pytest.raises(PreconditionError):
+            space.min_positive_distance()
+    else:
+        assert space.min_positive_distance() == want
+    np.testing.assert_array_equal(space.nearest_positive(),
+                                  ref_nearest_positive(D))
     levels = rng.integers(1, 4, size=n).astype(float)
     for kind in ("bounded", "unbounded"):
         m = ModulusWitness(kind, space, levels, None, 0.0, v, None)
@@ -208,7 +244,7 @@ def check_switched(space, v, rng):
             if kind == "unbounded":
                 base = base * (1.0 + abs(v[i] - v[j]))
             return base * d * (1.0 + tol)
-        assert same(m.certify(tol), ref_worst_excess(D, v, cap, ids, False))
+        assert same(m.certify(tol), ref_worst_excess(D, v, cap, ids))
     for compressed in (False, True):
         num = compress if compressed else (lambda o: o)
         thresholds = np.array([1, 2, 3])
@@ -228,7 +264,7 @@ def check_switched(space, v, rng):
         except CoverError:
             got = None
         # a NaN oscillation is refused before any entry is checked
-        osc, pair = ref_worst_excess(D, v, lambda i, j, d: 0.0, ids, True, num)
+        osc, pair = ref_worst_excess(D, v, lambda i, j, d: 0.0, ids, num)
         want = pair if math.isnan(osc) else ref_doubled_ball_failure(
             D, v, entries, tol, num)
         assert got == want
@@ -236,8 +272,7 @@ def check_switched(space, v, rng):
     per_entry, worst = [], None
     for j, (p, delta, K) in enumerate(entries):
         ball = np.flatnonzero(D[p] < 2.0 * delta)
-        e, pair = ref_worst_excess(D, v[ball], lambda i, k, d: K * d, ball,
-                                   False)
+        e, pair = ref_worst_excess(D, v[ball], lambda i, k, d: K * d, ball)
         per_entry.append(0.0 if pair is None else e)
         if pair is not None and (worst is None or e > worst[0] or (
                 math.isnan(e) and not math.isnan(worst[0]))):

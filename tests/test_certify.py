@@ -486,6 +486,27 @@ def test_certify_local_witness_checks_both_orders_within_tol():
     assert cert.details["per_entry_worst"] == [3.0 - D[2, 0]]
 
 
+def test_k_lipschitz_checks_both_orders_within_tol():
+    """A validated matrix symmetric only within tol: the pair (2, 0)
+    breaks K = 10 by five times tol, and (0, 2) does not."""
+    pts = np.array([0.0, 1.0, 3.0, 4.5])
+    D = np.abs(pts[:, None] - pts[None, :])
+    D[2, 0] -= 5e-10            # within the default tol of 1e-9
+    space = MetricSpace.from_matrix(D)
+    assert not space.exactly_symmetric()
+    cert = check_k_lipschitz(Tabulated(space, 10.0 * pts), 10.0)
+    assert not cert.passed
+    assert cert.witness == (2, 0)
+    assert cert.worst_violation == 30.0 - 10.0 * D[2, 0] > 4.0e-9
+    A = Subset(space, range(4))
+    for call in (lambda: mcshane_envelopes(A, 10.0 * pts, 10.0),
+                 lambda: random_k_extension(A, 10.0 * pts, 10.0)):
+        with pytest.raises(PreconditionError,
+                           match=r"not 10.0-Lipschitz on A") as err:
+            call()
+        assert err.value.witness == (2, 0)
+
+
 def test_certificate_dict_is_strict_json():
     cert = Certificate("check", False, math.nan, 1e-9, (0, 1),
                        details={"rates": np.array([1.0, math.inf, math.nan])})

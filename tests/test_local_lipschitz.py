@@ -7,7 +7,8 @@ import pytest
 from lipkit import (Constant, IncreasingCover, InputError, Interval,
                     LocalWitness, MetricSpace, PreconditionError, Subset,
                     Tabulated, certify_local_witness, check_k_lipschitz,
-                    decompose, generate_local_witness, global_lip,
+                    decompose, generate_local_witness,
+                    generate_pointwise_witness, global_lip,
                     increasing_cover, local_extend, modulus_witness,
                     witness_from_modulus)
 from lipkit import _pairs, local_lipschitz
@@ -112,6 +113,51 @@ def test_an_infinite_oscillation_is_refused_with_its_pair():
             with pytest.raises(PreconditionError, match=what) as err:
                 call()
         assert err.value.witness == (0, 1)
+
+
+@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+def test_increasing_cover_refuses_a_non_finite_bound(bound):
+    space = MetricSpace.from_grid(0, 3, 1)
+    f = Tabulated(space, [0.0, 1.0, 0.0, 0.0])
+    witness = LocalWitness.from_triples([(p, 0.4, 1.0) for p in range(4)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="bound must be finite"):
+            increasing_cover(f, witness, bound=bound)
+
+
+def test_gaps_past_the_float_range_are_inf_without_a_warning():
+    """|1e308 - (-1e308)| overflows to inf: every pair check reads it as
+    an infinite gap, and the local constructions refuse it, quietly."""
+    space = MetricSpace.from_grid(0, 3, 1)
+    f = Tabulated(space, [0.0, 1e308, -1e308, 0.0])
+    witness = LocalWitness.from_triples([(p, 0.6, 1.0) for p in range(4)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = check_k_lipschitz(f, 1.0)
+        assert not cert.passed and cert.worst_violation == math.inf
+        assert global_lip(f).value == math.inf
+        assert generate_pointwise_witness(f).constants[1] == math.inf
+        cert = certify_local_witness(f, witness)
+        assert cert.worst_violation == math.inf
+        assert cert.witness == (1, (1, 2))
+        for call in (lambda: generate_local_witness(f),
+                     lambda: increasing_cover(f, witness),
+                     lambda: modulus_witness(f, witness)):
+            with pytest.raises(PreconditionError):
+                call()
+
+
+def test_generated_witness_skips_a_tolerated_diagonal():
+    """A diagonal entry of 1e-12 passes validation; the radius is still
+    the distance to the nearest distinct sample."""
+    pts = np.array([0.0, 1.0, 3.0])
+    D = np.abs(pts[:, None] - pts[None, :])
+    D[0, 0] = 1e-12
+    space = MetricSpace.from_matrix(D)
+    np.testing.assert_array_equal(space.nearest_positive(), [1.0, 1.0, 2.0])
+    witness = generate_local_witness(Tabulated(space, pts))
+    assert [e.delta for e in witness.entries] == [1.0, 1.0, 2.0]
 
 
 def test_bounded_oscillation_skips_the_sweep_with_the_same_cover():

@@ -34,6 +34,19 @@ def test_asymmetry_detected():
     assert any(v.kind == "symmetry" for v in report.violations)
 
 
+def test_positivity_verdict_is_the_transpose_verdict():
+    """Symmetric within tol, with one direction at most tol: positivity
+    reads both orders, so D and D.T fail alike."""
+    D = np.array([[0.0, 1.5e-9], [0.8e-9, 0.0]])
+    for M, at in ((D, (1, 0)), (D.T, (0, 1))):
+        report = validate_metric(M)
+        assert [(v.kind, v.ids) for v in report.violations] == \
+            [("positivity", at)]
+    # an exactly symmetric matrix reports each pair once, as (p, q), p < q
+    S = np.array([[0.0, 0.5e-9], [0.5e-9, 0.0]])
+    assert [v.ids for v in validate_metric(S).violations] == [(0, 1)]
+
+
 def test_from_matrix_rejects_nonsquare():
     with pytest.raises(InputError):
         MetricSpace.from_matrix(np.zeros((2, 3)))

@@ -31,17 +31,17 @@ def check_all(space, v, ids=None, L=None, K=1.5):
         (lambda r, c, d, o: L[r, None] * d, lambda i, j, d: L[i] * d),
     ]
     for block_cap, scalar_cap in caps:
-        for upper in (True, False):
-            got = _pairs.worst_excess(space, v, block_cap, ids=ids, upper=upper)
-            want = ref_worst_excess(D, v, scalar_cap, pos, upper)
-            assert same(got, want), (upper, got, want)
-    # caps symmetric in (p, q): the ordered result from half the pairs
+        got = _pairs.worst_excess(space, v, block_cap, ids=ids,
+                                  symmetric=False)
+        want = ref_worst_excess(D, v, scalar_cap, pos)
+        assert same(got, want), (got, want)
+    # caps symmetric in (p, q): the ordered result, from half the pairs
+    # on exactly symmetric distances
     for block_cap, scalar_cap in caps[:2]:
-        got = _pairs.worst_excess(space, v, block_cap, ids=ids, upper=False,
-                                  symmetric=True)
-        assert same(got, ref_worst_excess(D, v, scalar_cap, pos, False))
+        got = _pairs.worst_excess(space, v, block_cap, ids=ids)
+        assert same(got, ref_worst_excess(D, v, scalar_cap, pos))
     got = _pairs.worst_excess(space, v, caps[0][0], ids=ids, num=compress)
-    want = ref_worst_excess(D, v, caps[0][1], pos, True, num=compress)
+    want = ref_worst_excess(D, v, caps[0][1], pos, num=compress)
     assert same(got, want)
     for zero in (0.0, math.inf):
         want, rows = ref_max_slope(D, v, pos, zero)
@@ -99,12 +99,12 @@ def test_exact_ties_go_to_the_first_pair(block):
     assert _pairs.max_slope(space, v) == (1.0, (0, 1))
     # every pair -inf (an infinite cap): still the first pair, never a self-pair
     infinite = lambda r, c, d, o: np.full(d.shape, math.inf)  # noqa: E731
-    for upper in (True, False):
-        got = _pairs.worst_excess(space, v, infinite, upper=upper)
+    for symmetric in (True, False):
+        got = _pairs.worst_excess(space, v, infinite, symmetric=symmetric)
         assert got == (-math.inf, (0, 1))
-    got = _pairs.worst_excess(space, v[2:], infinite, ids=np.arange(2, 5),
-                              upper=False)
-    assert got == (-math.inf, (2, 3))
+        got = _pairs.worst_excess(space, v[2:], infinite, ids=np.arange(2, 5),
+                                  symmetric=symmetric)
+        assert got == (-math.inf, (2, 3))
 
 
 def test_asymmetric_row_cap(block):
@@ -114,7 +114,7 @@ def test_asymmetric_row_cap(block):
     check_all(space, v, L=L)
     # row 2 carries the small constant: the worst ordered pair starts there
     got = _pairs.worst_excess(space, v, lambda r, c, d, o: L[r, None] * d,
-                              upper=False)
+                              symmetric=False)
     assert got[1] == (2, 0)
 
 
@@ -248,6 +248,16 @@ def test_seeded_switched_sweeps(block):
         space = make_space(rng, n_max=14)
         v = rng.choice([0.0, 1.0, 2.0, rng.normal()], size=space.n)
         check_switched(space, v, rng)
+        # the smallest distance below the diagonal one ulp smaller: only
+        # the ordered pairs see it
+        D = space.pairwise().copy()
+        low = np.where(np.tri(space.n, k=-1, dtype=bool) & (D > 0), D, np.inf)
+        i, j = np.unravel_index(np.argmin(low), D.shape)
+        D[i, j] = np.nextafter(D[i, j], 0.0)
+        skew = MetricSpace.from_matrix(D, validate=False)
+        assert not skew.exactly_symmetric()
+        check_all(skew, v)
+        check_switched(skew, v, np.random.default_rng(space.n))
 
 
 def test_asymmetric_matrix_sweeps_ordered_pairs(block):
@@ -303,16 +313,24 @@ def test_min_positive_distance(block):
 
 
 def test_min_positive_distance_needs_a_positive_pair():
-    below = np.zeros((3, 3))
-    below[2, 0] = 1.0           # only below the diagonal, which is not read
     for space in (MetricSpace.from_points([0.0]),
                   MetricSpace.from_matrix(np.zeros((4, 4)), validate=False),
-                  MetricSpace.from_matrix(below, validate=False)):
+                  MetricSpace.from_matrix(np.eye(3), validate=False)):
         with pytest.raises(PreconditionError):
             space.min_positive_distance()
+    # an asymmetric matrix reads every ordered pair, below the diagonal too
+    below = np.zeros((3, 3))
+    below[2, 0] = 1.0
+    assert MetricSpace.from_matrix(below, validate=False) \
+        .min_positive_distance() == 1.0
     below[0, 1] = 2.0
     assert MetricSpace.from_matrix(below, validate=False) \
-        .min_positive_distance() == 2.0
+        .min_positive_distance() == 1.0
+    # an exactly symmetric one reads p < q, which holds every value
+    below[0, 2] = 1.0
+    below[1, 0] = 2.0
+    assert MetricSpace.from_matrix(below, validate=False) \
+        .min_positive_distance() == 1.0
 
 
 def test_ball_sweep_keeps_a_nan_from_a_later_chunk(block):
@@ -439,7 +457,8 @@ def test_closedness_is_refused_in_any_row_block(block):
 
 def dense_pair_violations(D, tol):
     """The whole-matrix pair checks that the row-blocked validation
-    replaced, as (kind, ids, magnitude), the first 64."""
+    replaced, as (kind, ids, magnitude), the first 64; positivity reads
+    every ordered pair unless D is exactly symmetric."""
     with np.errstate(invalid="ignore"):
         asym = np.abs(D - D.T)
     out = [("nonfinite", (i, j), math.inf)
@@ -449,8 +468,11 @@ def dense_pair_violations(D, tol):
     out += [("diagonal", (i,), diag[i]) for i in np.flatnonzero(diag > tol)]
     out += [("symmetry", (i, j), asym[i, j])
             for i, j in np.argwhere(np.triu(asym, 1) > tol)]
+    nonpositive = (D <= tol) & ~np.eye(len(D), dtype=bool)
+    if np.array_equal(D, D.T):
+        nonpositive = np.triu(nonpositive, 1)
     out += [("positivity", (i, j), tol - D[i, j])
-            for i, j in np.argwhere(np.triu(D <= tol, 1))]
+            for i, j in np.argwhere(nonpositive)]
     return [(k, tuple(map(int, ids)), float(m)) for k, ids, m in out[:64]]
 
 
@@ -465,6 +487,7 @@ def test_validation_pair_checks_match_the_dense_formulas(block):
             i, j = rng.integers(n, size=2)
             D[i, j] = rng.choice(spoilers + [3.0 * D[i, j], D[i, j] + 1e-12])
         for tol in (1e-9, 0.5):
-            got = _validate_matrix(D, tol, "by construction").violations
+            got = _validate_matrix(D, tol, "by construction",
+                                   np.array_equal(D, D.T)).violations
             assert [(v.kind, v.ids, v.magnitude) for v in got] == \
                 dense_pair_violations(D, tol)

@@ -1,7 +1,7 @@
-"""Property tests: the sweeps that take p < q on exactly symmetric
-distances, and the segmented sweep over many balls at once, return the
-reference's value and pair on small generated spaces, values with ties
-and NaN included; a regrouped partition of unity keeps the sum of its
+"""Property tests: the pair readers that take p < q on exactly
+symmetric distances, and the segmented sweep over many balls at once,
+return the ordered reference's value and pair on small generated
+spaces, values with ties and NaN included; a regrouped partition of unity keeps the sum of its
 leaves; and on make_space spaces the selection, the decomposition,
 the pointwise interval extension, the McShane-Whitney sandwich, the
 duality of the envelopes and the restriction of the selection and
@@ -67,10 +67,11 @@ def test_switched_sweeps_match_the_ordered_reference(space, data):
 
 @settings(max_examples=100, deadline=None)
 @given(spaces())
-def test_min_positive_distance_matches_the_upper_triangle(space):
+def test_min_positive_distance_matches_the_ordered_pairs(space):
     D = space.pairwise()
-    if (D[np.triu_indices(space.n, 1)] > 0).any():
-        assert space.min_positive_distance() == ref_min_positive_distance(D)
+    want = ref_min_positive_distance(D)
+    if want is not None:
+        assert space.min_positive_distance() == want
     else:
         with pytest.raises(PreconditionError):
             space.min_positive_distance()
@@ -120,8 +121,7 @@ def test_ball_sweep_matches_one_sweep_per_ball(space, data):
                 lambda d, o, seg: _pairs.slope(o, d, zero), inside)
         for b, ids in enumerate(balls):
             want = _pairs.worst_excess(
-                space, v[ids], lambda r, c, d, o: K[b] * d, ids=ids, num=num,
-                upper=False, symmetric=True)
+                space, v[ids], lambda r, c, d, o: K[b] * d, ids=ids, num=num)
             slope, pair = _pairs.max_slope(space, v[ids], ids, zero)
             if pair is None:
                 slope = -math.inf
