@@ -1,9 +1,9 @@
 """The one exhaustive sweep over sample pairs behind every pair check.
 
 Every check that compares values across sample pairs, an excess
-num(|v_p - v_q|) - cap(p, q) or a slope |v_p - v_q| / d(p, q), runs
-through the row-blocked sweep here over space.pairwise(), so the pair
-set, the tie rule and the NaN rule are decided in one place:
+num(|v_p - v_q|) - cap(p, q) or a slope |v_p - v_q| / d(p, q), reads
+its pairs here, so the pair set, the tie rule and the NaN rule are
+decided in one place:
 
   * one pair rule: a quantity symmetric in (p, q) reads the pairs
     p < q when the distances are exactly symmetric
@@ -11,24 +11,25 @@ set, the tie rule and the NaN rule are decided in one place:
     otherwise, as does any other quantity, such as a row cap.  Under
     exact symmetry the value at (i, j), i > j, equals the one at
     (j, i), first in row-major order, so value and pair are the ordered
-    ones;
-  * ties resolve to the lexicographically first pair, and NaN counts
-    as larger than any number (the numpy.argmax order), so a NaN can
-    never hide behind a passing maximum;
+    ones.  Only pair_blocks turns the rule into row blocks, for _sweep
+    (worst_excess, max_slope), max_slopes, and the MetricSpace methods
+    min_positive_distance and, on every ordered pair, nearest_positive;
+    ball_sweep lays the same pairs out flat, ball by ball;
+  * ties resolve to the first pair, in row-major order or in the order
+    of a list, and NaN counts as larger than any number (the
+    numpy.argmax order), so a NaN can never hide behind a passing
+    maximum;
   * a value gap past the float range is inf, quietly, and a gap of
     equal infinities is NaN.
 
 Values are aligned with ids, a sorted array of sample ids (every sample
-when ids is None); pairs come back as sample ids.
+when ids is None); pairs come back as sample ids.  listed_max reads an
+explicit pair list instead, by space.dist.  Ids from a caller (a pair
+list, a draw order, a point) pass the one id rule of sample_ids.
 
-max_slopes gives many rows' max_slope values, without pairs, from one
-pass: each distance block is read once for all rows, over the same
-pair set and with the same NaN rule, so every value is bit-identical.
-
-Every kernel here, and every other reader of the distances (the
-envelopes, the ball fields, the random draws), reads pairwise() in the
-row blocks of row_blocks, at most _BLOCK entries each, so none holds
-a second n x n array or an |A| x n gather of its own.
+Every reader of the distances reads pairwise() in the row blocks of
+row_blocks, at most _BLOCK entries each, so none holds a second n x n
+array or an |A| x n gather of its own.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import PreconditionError
 
 _BLOCK = 1 << 16    # entries per row block: 512 KB temporaries, kept in L2
 
@@ -54,6 +57,58 @@ def anchor_blocks(space, ids):
     D = space.pairwise()
     for r in row_blocks(space.n, len(ids)):
         yield r, D[r, ids]
+
+
+def pair_blocks(space, m, ids=None, symmetric=True):
+    """The pair rule as blocks (r, c, d, mirror): distances d from row
+    positions r to column positions c among the m samples ids (all when
+    None).  mirror = symmetric and space.exactly_symmetric() starts the
+    columns at the block's first row and skips the last row.  The
+    reader masks the diagonal; the first block is the widest."""
+    D = space.pairwise()
+    mirror = symmetric and space.exactly_symmetric()
+    for r in row_blocks(m - 1 if mirror else m, m):
+        c = slice(r.start if mirror else 0, m)
+        yield r, c, (D[r, c] if ids is None
+                     else D[np.ix_(ids[r], ids[c])]), mirror
+
+
+def sample_ids(ids, n, what, form, width=None):
+    """ids as an int array, flat or, with width, reshaped to rows of width
+    ids.  A PreconditionError refuses any other list with the message
+    form, and names (as what, with its position) the first entry that is
+    no integer in 0..n-1: an int dtype would wrap -1 and truncate 4.7."""
+    ids = np.asarray(ids)
+    if width:   # a list that does not split into rows stays refused
+        ids = ids.reshape(-1, width) if ids.size % width == 0 else ids.ravel()
+    if ids.ndim != (2 if width else 1) or (
+            ids.size and ids.dtype.kind not in "iuf"):
+        raise PreconditionError(form)
+    whole = np.isfinite(ids) & (ids == np.floor(ids))
+    bad = ~whole | (ids < 0) | (ids >= n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        why = (f"lies outside 0..{n - 1}" if whole.flat[i]
+               else "is not an integer")
+        raise PreconditionError(f"{what} {ids.flat[i].item()!r} at position "
+                                f"{divmod(i, width) if width else i} {why}")
+    return ids.astype(int)
+
+
+def listed_max(space, v, pairs, value):
+    """Largest value(d, o) over a list of sample id pairs (p, q), checked
+    by sample_ids, with d = space.dist(p, q) (no matrix is built) and
+    gaps o = |v_p - v_q| as in _sweep: (x, (p, q)) for the first largest
+    pair, a NaN beating every number, or (-inf, None) for no pair."""
+    P = sample_ids(pairs, space.n, "pair id",
+                   "pairs must be a list of (p, q) sample id pairs", width=2)
+    if not len(P):
+        return -math.inf, None
+    d = np.array([space.dist(p, q) for p, q in P.tolist()])
+    with np.errstate(invalid="ignore", over="ignore"):
+        e = value(d, np.abs(v[P[:, 0]] - v[P[:, 1]]))
+    k = int(np.argmax(e))
+    return float(e[k]), (int(P[k, 0]), int(P[k, 1]))
 
 
 def slope(o, d, zero):
@@ -76,26 +131,19 @@ def _sweep(space, v, ids, value, symmetric, per_row=False):
     o = |v_p - v_q|.  Returns (x, (p, q)), None when there is no pair,
     or with per_row the array of row maxima (0.0 for a lone sample).
 
-    symmetric declares value symmetric in (p, q).  On exactly symmetric
-    distances the blocks then start their columns at their first row:
-    an entry below the diagonal mirrors one above it that comes first
-    in row-major order, so masking the diagonal alone gives the ordered
-    sweep's result.  Row maxima then fold each block into its rows and,
-    mirrored, into its columns; max is exact and a NaN wins either way,
-    so they equal the ordered ones bit for bit."""
+    symmetric declares value symmetric in (p, q) (see pair_blocks).  With
+    mirror, masking the diagonal gives the ordered result, and row maxima
+    fold each block into its rows and its columns; max is exact and a NaN
+    wins either way, so they equal the ordered ones bit for bit."""
     m = len(v)
     if m < 2:
         return np.zeros(m) if per_row else None
-    D = space.pairwise()
-    mirror = symmetric and space.exactly_symmetric()
-    rowmax, best = np.full(m, -math.inf), None
-    blocks = row_blocks(m - 1 if mirror else m, m)
-    gaps = np.empty(blocks[0].stop * m)     # one scratch block for o
+    rowmax, best, gaps = np.full(m, -math.inf), None, None
     with np.errstate(invalid="ignore", over="ignore"):
-        for r in blocks:
+        for r, c, d, mirror in pair_blocks(space, m, ids, symmetric):
             a = r.start
-            c = slice(a if mirror else 0, m)
-            d = D[r, c] if ids is None else D[np.ix_(ids[r], ids[c])]
+            if gaps is None:            # the first block is the widest
+                gaps = np.empty(d.size)
             o = gaps[:d.size].reshape(d.shape)
             np.abs(np.subtract(v[r, None], v[None, c], out=o), out=o)
             e = value(r, c, d, o)
@@ -141,8 +189,7 @@ def max_slope(space, v, ids=None, zero=0.0, per_row=False):
     distinct pair at distance zero sloped `zero` (see slope).  Returns
     (value, (p, q)), or (0.0, None) when there is no pair; with per_row,
     the array of each row's largest slope instead.  The slope is
-    symmetric, so on exactly symmetric distances the sweep skips about
-    half the pairs, with the same result.
+    symmetric, so the sweep may read only the pairs p < q.
     """
     out = _sweep(space, v, ids, lambda r, c, d, o: slope(o, d, zero), True,
                  per_row)
@@ -151,7 +198,7 @@ def max_slope(space, v, ids=None, zero=0.0, per_row=False):
 
 def max_slopes(space, V, zero=0.0):
     """max_slope(space, row, zero=zero)[0] for every row of V, value
-    only, from one row-blocked pass over space.pairwise(); zero >= 0.
+    only, from one pass over pair_blocks; zero >= 0.
 
     Each distance block and the positions of its entries that are not
     positive are read once for all rows.  A row's slopes come from the
@@ -159,34 +206,28 @@ def max_slopes(space, V, zero=0.0):
     values are bit-identical: the not-positive entries are patched
     afterwards, to `zero` where d == 0 and the quotient is infinite
     (the gap is positive) and to 0 elsewhere, so the diagonal reads 0.
-    On exactly symmetric distances a block's columns start at its
-    first row, as in the symmetric sweep.  A NaN slope wins its row.
+    A NaN slope wins its row.
     """
     V = np.asarray(V, dtype=float)
     rows, m = V.shape
     if m < 2:
         return np.zeros(rows)
-    D = space.pairwise()
-    mirror = space.exactly_symmetric()
-    blocks = row_blocks(m - 1 if mirror else m, m)
-    tops = np.empty((rows, len(blocks)))
-    scratch = np.empty(blocks[0].stop * m)
+    top, scratch = np.full(rows, -math.inf), None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for t, r in enumerate(blocks):
-            a, b = r.start, r.stop
-            lo = a if mirror else 0
-            d = D[r, lo:]
+        for r, c, d, _ in pair_blocks(space, m):
             fix = np.flatnonzero(~(d > 0))
             at_zero = d.ravel()[fix] == 0
+            if scratch is None:         # the first block is the widest
+                scratch = np.empty(d.size)
             s = scratch[:d.size].reshape(d.shape)
             flat = s.ravel()
             for i, v in enumerate(V):
-                np.subtract(v[a:b, None], v[None, lo:], out=s)
+                np.subtract(v[r, None], v[None, c], out=s)
                 np.abs(s, out=s)
                 np.divide(s, d, out=s)
                 flat[fix] = np.where(at_zero & np.isinf(flat[fix]), zero, 0.0)
-                tops[i, t] = s.max()
-    return tops.max(axis=1)
+                top[i] = np.maximum(top[i], s.max())    # a NaN stays
+    return top
 
 
 # ---------------------------------------------------------------------------

@@ -117,25 +117,19 @@ def check_k_lipschitz(f: ScalarField, K: float, pairs=None,
                       tol: float = _DEFAULT_TOL) -> Certificate:
     """Exhaustive |f(p)-f(q)| <= K d(p,q) + tol over sampled pairs.
 
-    The worst pair is reported whether or not it violates; without
-    pairs, every pair p != q is read, by the pair rule of _pairs.  Ties
-    resolve to the lexicographically first pair, so reruns agree.
+    The worst pair is reported whether or not it violates.  Without
+    pairs every pair p != q is read, by the pair rule of _pairs, else
+    _pairs.listed_max reads the list; ties go to the first pair.
     """
     K = float(K)
     v = f.values()
-    n = f.space.n
     if pairs is None:
         worst, witness = _pairs.worst_excess(f.space, v,
                                              lambda r, c, d, o: K * d)
-        count = n * (n - 1) // 2
+        count = f.space.n * (f.space.n - 1) // 2
     else:
-        pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-        d = np.array([f.space.dist(int(p), int(q)) for p, q in pairs])
-        e = np.abs(v[pairs[:, 0]] - v[pairs[:, 1]]) - K * d
-        worst, witness = -math.inf, None
-        if e.size:      # the first largest pair; a NaN pair beats all
-            k = int(np.argmax(e))
-            worst, witness = float(e[k]), (int(pairs[k, 0]), int(pairs[k, 1]))
+        worst, witness = _pairs.listed_max(f.space, v, pairs,
+                                           lambda d, o: o - K * d)
         count = len(pairs)
     if witness is None:
         return Certificate("k-lipschitz", True, 0.0, tol,
@@ -172,7 +166,8 @@ def random_k_extension(A: Subset, phi, K: float, order=None, seed: int = 0,
     K = _require_constant(K)
     space = A.require_nonempty("extension domain").space
     n = space.n
-    rest = A.complement() if order is None else _order_ids(order, n)
+    rest = A.complement() if order is None else _pairs.sample_ids(
+        order, n, "order point", "order must be a flat list of sample ids")
     vals_A = _as_values_on(A, phi)
     _require_k_lipschitz_on(A, vals_A, K, tol)
 
@@ -230,22 +225,6 @@ def random_k_extension(A: Subset, phi, K: float, order=None, seed: int = 0,
         raise PreconditionError(
             f"order misses {missing.size} point(s), first {int(missing[0])}")
     return Tabulated(space, out)
-
-
-def _order_ids(order, n: int) -> np.ndarray:
-    """The order as an int array, refused unless every id is an integer
-    in 0..n-1 (an int dtype would wrap -1 and truncate 4.7)."""
-    ids = np.asarray(order)
-    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iuf"):
-        raise PreconditionError("order must be a flat list of sample ids")
-    whole = np.isfinite(ids) & (ids == np.floor(ids))
-    bad = ~whole | (ids < 0) | (ids >= n)
-    if bad.any():
-        i = int(np.argmax(bad))
-        what = f"lies outside 0..{n - 1}" if whole[i] else "is not an integer"
-        raise PreconditionError(
-            f"order point {ids[i].item()!r} at position {i} {what}")
-    return ids.astype(int)
 
 
 def feasible_interval(space: MetricSpace, assigned_ids, assigned_values,

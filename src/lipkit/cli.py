@@ -394,11 +394,8 @@ def _cmd_insert(args, tol, depths, out_dir):
     _need(args, "space", "values")
     space = load_space(args.space, tol)
     lower, upper, phi = load_mapping(args.values, space)
-    if args.subset is None:
-        A = None
-        vals = None
-        witness = None
-    else:
+    A = vals = witness = None
+    if args.subset is not None:
         A = load_subset(args.subset, space)
         if phi is None:
             raise InputError("insertion through a subset needs a phi entry "
@@ -485,7 +482,6 @@ def _demo_sin_inv_t(args, tol, depths, out_dir):
 def _demo_cusp_curve(args, tol, depths, out_dir):
     space, f, pairs = fixtures.cusp_curve()
     v = f.values()
-    D = space.pairwise()
     branch = np.arange(0, space.n, 2)
     same = _pairs.max_slope(space, v[branch], branch)[0]
     print("cusp curve u_t = (t^3, t^2), f(u_t) = sign(t) t^2")
@@ -494,7 +490,7 @@ def _demo_cusp_curve(args, tol, depths, out_dir):
     ts = np.geomspace(0.05, 1.0, 12)
     worst_rel = 0.0
     for k, (i, j) in enumerate(pairs):
-        slope = abs(v[i] - v[j]) / D[i, j]
+        slope = abs(v[i] - v[j]) / space.dist(i, j)
         r = 1.0 / ts[k]
         worst_rel = max(worst_rel, abs(slope - r) / r)
         print(f"{ts[k]:>10.4f} {slope:>16.6f} {r:>12.6f}")
@@ -585,10 +581,7 @@ def main(argv=None) -> int:
     cert_path = os.path.join(out_dir, "certificate.json")
     try:
         certs = _HANDLERS[args.command](args, tol, depths, out_dir)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (DomainError, CoverError, GridError) as e:
+    except (InputError, DomainError, CoverError, GridError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MemoryError as e:

@@ -20,8 +20,8 @@ from .extension import PointwiseWitness
 from .local_lipschitz import LocalWitness
 from .metric_space import _DEFAULT_TOL, MetricSpace, Subset
 from .partition_of_unity import CozeroCover, _BallUnion
-from .scalar_field import (Constant, Coordinate, DistanceTo, ScalarField,
-                           Tabulated, Transported, maximum, minimum)
+from .scalar_field import (_BINARY_OPS, Binary, Constant, Coordinate,
+                           DistanceTo, ScalarField, Tabulated, Transported)
 
 
 def _read_json(path):
@@ -152,28 +152,26 @@ def load_values_csv(path):
     return ids.astype(int), data[:, 1]
 
 
+def _values_at(path, ids, what) -> np.ndarray:
+    """The value CSV's values at the int ids, refused at an id it lacks."""
+    known, vals = load_values_csv(path)
+    lookup = dict(zip(known.tolist(), vals.tolist()))
+    out = np.empty(len(ids))
+    for i, p in enumerate(ids):
+        if p not in lookup:
+            raise InputError(f"{path}: no value for {what} {p}")
+        out[i] = lookup[p]
+    return out
+
+
 def values_on_subset(path, A: Subset) -> np.ndarray:
     """Values aligned with A.members, loaded from a value CSV."""
-    ids, vals = load_values_csv(path)
-    lookup = dict(zip(ids.tolist(), vals.tolist()))
-    out = np.empty(len(A))
-    for i, p in enumerate(A.members):
-        if int(p) not in lookup:
-            raise InputError(f"{path}: no value for subset id {int(p)}")
-        out[i] = lookup[int(p)]
-    return out
+    return _values_at(path, A.members.tolist(), "subset id")
 
 
 def field_on_space(path, space: MetricSpace) -> Tabulated:
     """A tabulated field from a value CSV covering every id."""
-    ids, vals = load_values_csv(path)
-    lookup = dict(zip(ids.tolist(), vals.tolist()))
-    out = np.empty(space.n)
-    for p in range(space.n):
-        if p not in lookup:
-            raise InputError(f"{path}: no value for id {p}")
-        out[p] = lookup[p]
-    return Tabulated(space, out)
+    return Tabulated(space, _values_at(path, range(space.n), "id"))
 
 
 def save_values_csv(path, values, ids=None):
@@ -200,32 +198,31 @@ def save_wide_csv(path, names, columns):
 # Witnesses and covers
 
 
-def load_local_witness(path) -> LocalWitness:
+def _witness_entries(path, keys, entry) -> list:
+    """entry(e) for each entry e of a witness JSON array with the keys."""
     obj = _read_json(path)
     if not isinstance(obj, list):
         raise InputError(f"{path}: witness must be a JSON array of entries")
-    triples = []
+    out = []
     for j, e in enumerate(obj):
         try:
-            triples.append((_number(path, e, "p", int),
-                            _number(path, e, "delta", float),
-                            _number(path, e, "K", float)))
+            out.append(entry(e))
         except (KeyError, TypeError) as k:
-            raise InputError(f"{path}: entry {j} needs keys p, delta, K ({k})")
-    return LocalWitness.from_triples(triples)
+            raise InputError(f"{path}: entry {j} needs keys {keys} ({k})")
+    return out
+
+
+def load_local_witness(path) -> LocalWitness:
+    return LocalWitness.from_triples(_witness_entries(
+        path, "p, delta, K", lambda e: (_number(path, e, "p", int),
+                                        _number(path, e, "delta", float),
+                                        _number(path, e, "K", float))))
 
 
 def load_pointwise_witness(path) -> PointwiseWitness:
-    obj = _read_json(path)
-    if not isinstance(obj, list):
-        raise InputError(f"{path}: witness must be a JSON array of entries")
-    constants = {}
-    for j, e in enumerate(obj):
-        try:
-            constants[_number(path, e, "p", int)] = _number(path, e, "K", float)
-        except (KeyError, TypeError) as k:
-            raise InputError(f"{path}: entry {j} needs keys p, K ({k})")
-    return PointwiseWitness(constants)
+    return PointwiseWitness(dict(_witness_entries(
+        path, "p, K", lambda e: (_number(path, e, "p", int),
+                                 _number(path, e, "K", float)))))
 
 
 def load_cover(path, space: MetricSpace) -> CozeroCover:
@@ -265,7 +262,6 @@ def load_cover(path, space: MetricSpace) -> CozeroCover:
 
 
 _UNARY = {"neg", "arctan", "tan", "reciprocal"}
-_BINARY = {"add", "sub", "mul", "min", "max"}
 
 
 def field_from_tree(tree, space: MetricSpace) -> ScalarField:
@@ -305,20 +301,11 @@ def field_from_tree(tree, space: MetricSpace) -> ScalarField:
             raise InputError("op distance needs a list of ids")
         return DistanceTo(space, [_convert(i, int, "distance id")
                                   for i in args[0]])
-    if op in _BINARY:
+    if op in _BINARY_OPS:
         if len(args) != 2:
             raise InputError(f"op {op} needs two arguments")
-        a = field_from_tree(args[0], space)
-        b = field_from_tree(args[1], space)
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        if op == "min":
-            return minimum(a, b)
-        return maximum(a, b)
+        return Binary(op, field_from_tree(args[0], space),
+                      field_from_tree(args[1], space))
     if op in _UNARY:
         if len(args) != 1:
             raise InputError(f"op {op} needs one argument")

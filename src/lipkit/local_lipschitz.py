@@ -277,7 +277,8 @@ def modulus_witness(f: ScalarField, witness: LocalWitness, rule: str = "bounded"
 
 def witness_from_modulus(modulus: ModulusWitness, points, deltas) -> LocalWitness:
     """Local witness whose rates dominate the modulus on doubled balls."""
-    points = [int(p) for p in points]
+    points = _pairs.sample_ids(points, modulus.space.n, "point",
+                               "points must be a flat list of sample ids")
     deltas = [float(d) for d in deltas]
     if len(points) != len(deltas):
         raise PreconditionError("need one radius per point")

@@ -234,6 +234,8 @@ class MetricSpace:
         self.n = int(n)
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
         self._matrix = None if matrix is None else np.asarray(matrix, dtype=float)
+        if matrix is not None:
+            self._matrix.setflags(write=False)      # the space's own
         self.grid = grid    # (lo, hi, step) for the grid backend
         self._symmetric = None
         if self.n < 1:
@@ -249,7 +251,8 @@ class MetricSpace:
 
     @classmethod
     def from_matrix(cls, D, validate: bool = True, tol: float = _DEFAULT_TOL) -> "MetricSpace":
-        D = np.asarray(D, dtype=float)
+        """A space over its own copy of the square matrix D."""
+        D = np.array(D, dtype=float)
         if D.ndim != 2 or D.shape[0] != D.shape[1]:
             raise InputError(f"distance matrix must be square, got shape {D.shape}")
         return cls("matrix", D.shape[0], matrix=D, validate=validate, tol=tol)
@@ -320,9 +323,10 @@ class MetricSpace:
         return _coord_dist(self.coords, [p])[0]
 
     def pairwise(self) -> np.ndarray:
-        """Full distance matrix, cached after the first request."""
+        """Full distance matrix, read-only, cached after the first request."""
         if self._matrix is None:
             self._matrix = _coord_dist(self.coords, slice(None))
+            self._matrix.setflags(write=False)
         return self._matrix
 
     def ball(self, center: int, radius: float) -> np.ndarray:
@@ -335,15 +339,11 @@ class MetricSpace:
         return float(self.pairwise().max())
 
     def min_positive_distance(self) -> float:
-        """Smallest positive d(p, q) over p != q, read in row blocks of
-        the pairs p < q on exactly symmetric distances, as in _pairs."""
-        D, n, best = self.pairwise(), self.n, None
-        mirror = self.exactly_symmetric()
-        for r in _pairs.row_blocks(n - 1 if mirror else n, n):
-            lo = r.start if mirror else 0
-            block = D[r, lo:]
+        """Smallest positive d(p, q) over p != q, by _pairs.pair_blocks."""
+        best = None
+        for r, c, block, _ in _pairs.pair_blocks(self, self.n):
             pos = block > 0
-            np.fill_diagonal(pos[:, r.start - lo:], False)
+            np.fill_diagonal(pos[:, r.start - c.start:], False)
             if pos.any():
                 x = block[pos].min()
                 best = x if best is None else min(best, x)
@@ -354,23 +354,22 @@ class MetricSpace:
     def nearest_positive(self) -> np.ndarray:
         """Each sample's smallest positive distance to another sample
         (the diagonal is not read), NaN where it has none, by row blocks."""
-        D, n = self.pairwise(), self.n
-        out = np.empty(n)
-        for r in _pairs.row_blocks(n, n):
-            block = D[r]
-            pos = block > 0
+        out = np.empty(self.n)
+        for r, _, d, _ in _pairs.pair_blocks(self, self.n, symmetric=False):
+            pos = d > 0
             np.fill_diagonal(pos[:, r.start:], False)
             out[r] = np.where(pos.any(axis=1), np.min(
-                block, axis=1, where=pos, initial=np.inf), np.nan)
+                d, axis=1, where=pos, initial=np.inf), np.nan)
         return out
 
     def exactly_symmetric(self) -> bool:
         """d(p, q) == d(q, p) bit for bit, decided once: by construction
-        for coordinates (see _coord_dist), by comparison for a matrix."""
+        for coordinates (_coord_dist), row block by row block for a matrix."""
         if self._symmetric is None:
             D = self._matrix
-            self._symmetric = (self.coords is not None
-                               or bool(np.array_equal(D, D.T)))
+            self._symmetric = self.coords is not None or all(
+                np.array_equal(D[r], D[:, r].T)
+                for r in _pairs.row_blocks(self.n, self.n))
         return self._symmetric
 
     # ---- validation ----------------------------------------------------

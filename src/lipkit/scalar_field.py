@@ -408,29 +408,34 @@ def global_lip(f: ScalarField, pairs=None) -> LipEstimate:
     """Largest |f(p)-f(q)| / d(p,q) over sampled pairs.
 
     A lower bound for the true constant of any underlying function, and
-    the exact constant of the tabulated restriction.  The witness pair
-    is None only for an estimate of 0; a NaN estimate names its pair.
+    the exact constant of the tabulated restriction.  Listed pairs must
+    name samples (_pairs.listed_max).  The witness pair is None only
+    for an estimate of 0; a NaN estimate names its pair.
     """
     v = f.values()
     if pairs is None:
         best, witness = _pairs.max_slope(f.space, v, zero=math.inf)
     else:
-        pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-        if not len(pairs):
-            return LipEstimate(0.0, None)
-        d = np.array([f.space.dist(int(p), int(q)) for p, q in pairs])
-        s = _pairs.slope(np.abs(v[pairs[:, 0]] - v[pairs[:, 1]]), d, math.inf)
-        k = int(np.argmax(s))
-        best, witness = float(s[k]), (int(pairs[k, 0]), int(pairs[k, 1]))
-    return LipEstimate(best, None if best <= 0 else witness)
+        best, witness = _pairs.listed_max(
+            f.space, v, pairs, lambda d, o: _pairs.slope(o, d, math.inf))
+    return LipEstimate(0.0, None) if best <= 0 else LipEstimate(best, witness)
+
+
+def _row_from(f: ScalarField, p) -> tuple:
+    """(p, |f(x) - f(p)|, d(x, p)) over the samples x, for a sample id p
+    (checked by _pairs.sample_ids); the gaps are quiet, as in _pairs."""
+    p = int(_pairs.sample_ids([p], f.space.n, "point",
+                              "a point must be a sample id")[0])
+    v = f.values()
+    with np.errstate(invalid="ignore", over="ignore"):
+        return p, np.abs(v - v[p]), f.space.dist_row(p)
 
 
 def pointwise_lip(f: ScalarField, p: int) -> LipEstimate:
     """Largest |f(x)-f(p)| / d(x,p) over all samples x != p; as in
     global_lip, a NaN estimate names its pair."""
-    p = int(p)
-    v = f.values()
-    s = _pairs.slope(np.abs(v - v[p]), f.space.dist_row(p), math.inf)
+    p, gap, d = _row_from(f, p)
+    s = _pairs.slope(gap, d, math.inf)
     s[p] = 0.0
     x = int(np.argmax(s))
     best = float(s[x])
@@ -442,17 +447,12 @@ def scaled_oscillation(f: ScalarField, p: int, radii) -> float:
 
     Approximates the upper scaled oscillation from above; 0.0 as soon
     as one radius isolates p.  Never exceeds pointwise_lip(f, p) for
-    any radius set.
+    any radius set.  A NaN value in any of the balls makes the result
+    NaN, as it does pointwise_lip's.
     """
-    p = int(p)
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0 or not (radii > 0).all():
         raise InputError("radii must be a nonempty collection of positive reals")
-    v = f.values()
-    d = f.space.dist_row(p)
-    best = math.inf
-    for t in radii:
-        inside = d < t
-        sup = float(np.abs(v[inside] - v[p]).max()) if inside.any() else 0.0
-        best = min(best, sup / float(t))
-    return best
+    p, gap, d = _row_from(f, p)
+    sups = [gap[d < t].max() if (d < t).any() else 0.0 for t in radii]
+    return float(np.min(np.array(sups) / radii))

@@ -144,11 +144,11 @@ def graph_open_check(mapping: IntervalMapping, x: int, s: float,
                 f"probe value {t} is not inside the window at {x}", witness=x)
         good &= t < hv
     bad = np.flatnonzero(~good)
-    D = mapping.space.pairwise()
     if bad.size == 0:
-        return OpennessReport(True, float(D.max()), None, (x, s, t))
-    j = int(np.argmin(D[x, bad]))
-    radius = float(D[x, bad][j])
+        return OpennessReport(True, mapping.space.diameter(), None, (x, s, t))
+    d = mapping.space.dist_row(x)[bad]
+    j = int(np.argmin(d))
+    radius = float(d[j])
     return OpennessReport(radius > 0.0, radius, int(bad[j]), (x, s, t))
 
 

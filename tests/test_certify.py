@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from lipkit import (Certificate, Constant, Coordinate, LocalWitness,
-                    MetricSpace, PreconditionError, Subset, Tabulated,
-                    certify_local_witness, check_k_lipschitz,
-                    feasible_interval, frolik_pou, index_subordinate,
-                    mcshane_envelopes, pou_report, random_k_extension,
-                    witness_from_balls)
+from lipkit import (Certificate, Constant, Coordinate, LipEstimate,
+                    LocalWitness, MetricSpace, PreconditionError, Subset,
+                    Tabulated, certify_local_witness, check_k_lipschitz,
+                    feasible_interval, frolik_pou, global_lip,
+                    index_subordinate, mcshane_envelopes, pou_report,
+                    random_k_extension, witness_from_balls)
 from lipkit import _pairs
 from lipkit.fixtures import cusp_curve, sin_reciprocal_pairs, square_on_grid
 from lipkit.partition_of_unity import PartitionOfUnity
@@ -129,6 +129,33 @@ def test_lipschitz_pair_list_reports_a_nan_pair():
     cert = check_k_lipschitz(f, 1.0, pairs=[(0, 2), (0, 1), (2, 3)])
     assert not cert.passed
     assert cert.witness == (0, 1)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(0, 2.9)], r"pair id 2\.9 at position \(0, 1\) is not an integer"),
+    ([(0, -1)], r"pair id -1 at position \(0, 1\) lies outside 0\.\.3"),
+    ([(0, 7)], r"pair id 7 at position \(0, 1\) lies outside 0\.\.3"),
+    ([(0, 1), (2, 3), (1, math.nan)],
+     r"pair id nan at position \(2, 1\) is not an integer"),
+    ([(0, 1, 2)], r"pairs must be a list of \(p, q\) sample id pairs"),
+], ids=["fraction", "negative", "too-large", "nan", "triple"])
+def test_a_listed_pair_must_name_two_samples(pairs, message):
+    # before, (0, 2.9) read the pair (0, 2) and PASSed, (0, -1) read
+    # sample 3 and (0, 7) raised a bare IndexError
+    f = Tabulated(MetricSpace.from_grid(0.0, 3.0, 1.0), [0.0, 1.0, 0.0, 5.0])
+    with pytest.raises(PreconditionError, match=message):
+        check_k_lipschitz(f, 1.0, pairs=pairs)
+    with pytest.raises(PreconditionError, match=message):
+        global_lip(f, pairs=pairs)
+
+
+def test_an_empty_pair_list_checks_nothing():
+    f = Tabulated(MetricSpace.from_grid(0.0, 3.0, 1.0), [0.0, 1.0, 0.0, 5.0])
+    for pairs in ([], np.empty((0, 2), dtype=int)):
+        cert = check_k_lipschitz(f, 1.0, pairs=pairs)
+        assert cert.passed and cert.witness is None
+        assert cert.details["pairs"] == 0
+        assert global_lip(f, pairs=pairs) == LipEstimate(0.0, None)
 
 
 def test_random_extension_custom_order():

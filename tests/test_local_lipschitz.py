@@ -525,3 +525,19 @@ def test_cusp_has_no_uniform_local_witness():
             [(p, delta, K) for p in range(space.n)])
         cert = certify_local_witness(f, uniform)
         assert not cert.passed, K
+
+
+@pytest.mark.parametrize("points, message", [
+    ([-1], r"point -1 at position 0 lies outside 0\.\.3"),
+    ([0, 4], r"point 4 at position 1 lies outside 0\.\.3"),
+    ([2.5], r"point 2\.5 at position 0 is not an integer"),
+    ([[0]], r"points must be a flat list of sample ids"),
+], ids=["negative", "too-large", "fraction", "nested"])
+def test_witness_from_modulus_takes_only_samples(points, message):
+    # before, the point -1 built an entry at -1 from the last sample's ball
+    space = MetricSpace.from_grid(0.0, 3.0, 1.0)
+    f = Tabulated(space, [0.0, 1.0, 0.0, 5.0])
+    m = modulus_witness(f, LocalWitness.from_triples(
+        [(p, 1.5, 5.0) for p in range(4)]))
+    with pytest.raises(PreconditionError, match=message):
+        witness_from_modulus(m, points, [1.0] * len(points))

@@ -217,3 +217,17 @@ def test_infinite_distances_fail_without_numpy_warnings():
 def test_graph_rejects_weights_that_are_not_positive_and_finite(w):
     with pytest.raises(InputError, match=r"edge \(0,1\)"):
         MetricSpace.from_graph(3, [(0, 1, w), (1, 2, 1.0), (0, 2, 1.0)])
+
+
+def test_a_space_owns_its_matrix():
+    D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    space = MetricSpace.from_matrix(D)
+    D[0, 1] = -5.0              # a later write to the input stays there
+    assert space.dist(0, 1) == 1.0 and space.exactly_symmetric()
+    assert space.validate().ok
+    graph = MetricSpace.from_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    for s in (space, graph, MetricSpace.from_points([0.0, 1.0, 2.0]),
+              MetricSpace.from_grid(0.0, 2.0, 1.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            s.pairwise()[0, 1] = 7.0
+        assert s.dist(0, 1) == 1.0

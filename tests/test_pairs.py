@@ -11,7 +11,7 @@ from helpers import (check_switched, compress, make_instance, make_space,
                      ref_worst_excess, same)
 from lipkit import (DistanceTo, MetricSpace, ModulusWitness, PreconditionError,
                     Subset, Tabulated, check_k_lipschitz,
-                    generate_pointwise_witness, pointwise_lip,
+                    generate_pointwise_witness, global_lip, pointwise_lip,
                     random_k_extension)
 from lipkit import _pairs
 from lipkit.extension import Envelope
@@ -48,6 +48,17 @@ def check_all(space, v, ids=None, L=None, K=1.5):
         assert same(_pairs.max_slope(space, v, ids, zero), want)
         np.testing.assert_array_equal(
             _pairs.max_slope(space, v, ids, zero, per_row=True), rows)
+    if ids is None:
+        # every ordered pair listed in row-major order: the sweep's result
+        f = Tabulated(space, v)
+        listed = [(p, q) for p in range(space.n) for q in range(space.n)
+                  if p != q]
+        swept, got = check_k_lipschitz(f, K), check_k_lipschitz(f, K,
+                                                                pairs=listed)
+        assert same((got.worst_violation, got.witness),
+                    (swept.worst_violation, swept.witness))
+        swept, got = global_lip(f), global_lip(f, pairs=listed)
+        assert same((got.value, got.witness), (swept.value, swept.witness))
 
 
 @pytest.fixture(params=[7, 61, None],
@@ -240,6 +251,22 @@ def test_exactly_symmetric_by_backend():
         assert space.exactly_symmetric() == bool(np.array_equal(D, D.T))
         if kind in (1, 3):
             assert space.exactly_symmetric()
+
+
+def test_exactly_symmetric_in_row_blocks_is_array_equal(block):
+    rng = np.random.default_rng(23)
+    for _ in range(8):
+        n = int(rng.integers(2, 20))
+        pts = rng.uniform(-5.0, 5.0, size=(n, 2))
+        D = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        D = 0.5 * (D + D.T)
+        i, j = rng.choice(n, size=2, replace=False)
+        ulp, nan = D.copy(), D.copy()
+        ulp[i, j] = np.nextafter(ulp[i, j], math.inf)
+        nan[i, j] = nan[j, i] = math.nan
+        for M in (D, ulp, nan):
+            space = MetricSpace.from_matrix(M, validate=False)
+            assert space.exactly_symmetric() == bool(np.array_equal(M, M.T))
 
 
 def test_seeded_switched_sweeps(block):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lipkit import (Constant, Coordinate, DistanceTo, DomainError, InputError,
-                    Interval, MetricSpace, PreconditionError, Series,
-                    Tabulated, Transported, check_k_lipschitz,
+                    Interval, LipEstimate, MetricSpace, PreconditionError,
+                    Series, Tabulated, Transported, check_k_lipschitz,
                     generate_local_witness, global_lip, maximum, minimum,
                     pointwise_lip, scaled_oscillation)
 from lipkit.fixtures import cusp_curve, sin_reciprocal_pairs
@@ -78,6 +78,41 @@ def test_equal_infinities_make_a_nan_gap_without_a_warning():
     # the ball sweep of the local rates sees the same NaN gap
     with pytest.raises(PreconditionError, match="needs a finite rate"):
         generate_local_witness(f)
+
+
+def four_samples(values):
+    return Tabulated(MetricSpace.from_grid(0.0, 3.0, 1.0), values)
+
+
+def test_gaps_past_the_float_range_are_inf_without_a_warning():
+    # the suite turns any RuntimeWarning into a failure
+    f = four_samples([0.0, 1e308, -1e308, 0.0])
+    assert pointwise_lip(f, 1) == LipEstimate(math.inf, (1, 2))
+    assert scaled_oscillation(f, 1, [1.5]) == math.inf
+    assert global_lip(f, pairs=[(1, 2)]) == LipEstimate(math.inf, (1, 2))
+    cert = check_k_lipschitz(f, 1.0, pairs=[(1, 2)])
+    assert not cert.passed and cert.worst_violation == math.inf
+
+
+def test_scaled_oscillation_lets_a_nan_win():
+    f = four_samples([0.0, math.nan, 0.0, 0.0])
+    assert math.isnan(pointwise_lip(f, 0).value)
+    assert math.isnan(scaled_oscillation(f, 0, [1.5]))
+    assert math.isnan(scaled_oscillation(f, 0, [0.5, 1.5]))
+    assert scaled_oscillation(f, 3, [0.5, 1.5]) == 0.0
+
+
+@pytest.mark.parametrize("p, message", [
+    (-1, r"point -1 at position 0 lies outside 0\.\.3"),
+    (4, r"point 4 at position 0 lies outside 0\.\.3"),
+    (2.9, r"point 2\.9 at position 0 is not an integer"),
+], ids=["negative", "too-large", "fraction"])
+def test_single_row_diagnostics_take_only_a_sample(p, message):
+    f = four_samples([0.0, 1.0, 0.0, 5.0])
+    with pytest.raises(PreconditionError, match=message):
+        pointwise_lip(f, p)
+    with pytest.raises(PreconditionError, match=message):
+        scaled_oscillation(f, p, [1.5])
 
 
 def test_pointwise_lip_constant_zero():
