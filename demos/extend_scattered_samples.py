@@ -6,14 +6,14 @@ Twelve readings on a random street map, a known bound K on how fast
 the field can vary, and the job of filling in the remaining crossings.
 The two extremal extensions bracket every admissible completion, and
 averaging their clamps lands inside a prescribed range with a margin
-that grows with the distance to the data.
+that grows with the distance to the data.  The certificates at the end
+are the ones `lipkit extend` writes for the same completion.
 """
 
 import numpy as np
 
-from lipkit import (Interval, MetricSpace, Subset, check_k_lipschitz,
-                    duality_check, extend_to_interval, mcshane_envelopes,
-                    random_k_extension)
+from lipkit import DistanceTo, Interval, MetricSpace, Subset, extend_to_interval
+from lipkit.verdicts import certify_extend
 
 rng = np.random.default_rng(3)
 
@@ -26,43 +26,25 @@ truth = 1.0 + 0.3 * space.coords[:, 0] + 0.2 * space.coords[:, 1]
 K = 0.5
 phi = truth[A.members]
 
-pair = mcshane_envelopes(A, phi, K)
-lower, upper = pair.lower.values(), pair.upper.values()
+# a target range [0, 6] holds the data, so the clamped average of the
+# two envelopes stays inside it
+target = Interval.closed(0.0, 6.0)
+g = extend_to_interval(A, phi, K, target)
+lower, upper = g.envelopes.lower.values(), g.envelopes.upper.values()
 
 print("bracketing the unknown field")
 print(f"{'id':>4} {'d(p,A)':>8} {'lower':>8} {'truth':>8} {'upper':>8}")
-dA = space.pairwise()[:, A.members].min(axis=1)
+dA = DistanceTo(space, A.members).values()
 for p in np.argsort(dA)[::-8]:
     print(f"{p:>4} {dA[p]:>8.3f} {lower[p]:>8.3f} {truth[p]:>8.3f} "
           f"{upper[p]:>8.3f}")
 
-# both envelopes inherit the slope bound, and they pin the data exactly
-for name, side in (("lower", pair.lower), ("upper", pair.upper)):
-    cert = check_k_lipschitz(side, K)
-    print(f"{name} envelope: {cert.summary_line()}")
-print("data reproduced exactly:",
-      bool((lower[A.members] == phi).all() and (upper[A.members] == phi).all()))
-
-# the two operators are mirror images of one another, with no rounding gap
-rep = duality_check(A, phi, K)
-print(f"envelope duality exact: {rep.exact} (max gap {rep.max_abs_diff})")
-
-# every admissible completion threads the bracket
-worst = 0.0
-for seed in range(5):
-    f = random_k_extension(A, phi, K, seed=seed).values()
-    worst = max(worst, float(np.maximum(lower - f, f - upper).max()))
-print(f"five random completions, worst bracket excess: {worst:.3e}")
-
-# a target range [0, 6] holds the data, so the clamped average stays
-# inside and keeps min(K d(p,A), width)/2 of clearance off the data
-target = Interval.closed(0.0, 6.0)
-g = extend_to_interval(A, phi, K, target)
-v = g.values()
-off = np.ones(space.n, dtype=bool)
-off[A.members] = False
-margin = np.minimum(v - 0.0, 6.0 - v)
-need = np.minimum(K * dA, 6.0) / 2.0
-print(f"range respected: {bool((v >= 0.0).all() and (v <= 6.0).all())}")
-print(f"worst clearance shortfall off the data: "
-      f"{float((need - margin)[off].max()):.3e} (never above 0)")
+# the lower envelope, the upper envelope and the completion keep the
+# slope bound; the completion pins the data exactly; the envelopes
+# mirror each other with no rounding gap; three seeded random
+# completions thread the bracket; the completion stays in [0, 6] with
+# min(K d(p,A), 6)/2 of clearance off the data
+print()
+print("what lipkit extend certifies about this completion")
+for cert in certify_extend(A, phi, K, target, g, seed=0):
+    print(cert.summary_line())

@@ -95,6 +95,11 @@ def sample_ids(ids, n, what, form, width=None):
     return ids.astype(int)
 
 
+def sample_id(p, n) -> int:
+    """One sample id p as an int, under the rule of sample_ids."""
+    return int(sample_ids([p], n, "point", "a point must be a sample id")[0])
+
+
 def listed_max(space, v, pairs, value):
     """Largest value(d, o) over a list of sample id pairs (p, q), checked
     by sample_ids, with d = space.dist(p, q) (no matrix is built) and

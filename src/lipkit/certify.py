@@ -1,5 +1,7 @@
-"""Certificates and independent checks.
+"""Certificates and independent checks: the kernel layer.
 
+The constructions call these checks as preconditions, and
+lipkit.verdicts builds each command's certificate list from them.
 Everything here re-derives its verdict from raw distances and field
 values; nothing trusts constants carried by the objects being checked.
 Certificates always name a witness (a pair, an entry, a sample id) so a
@@ -230,10 +232,13 @@ def random_k_extension(A: Subset, phi, K: float, order=None, seed: int = 0,
 def feasible_interval(space: MetricSpace, assigned_ids, assigned_values,
                       p: int, K: float) -> tuple:
     """The [max(f - K d), min(f + K d)] interval used by the greedy
-    extension; exposed for the prefix-consistency property tests."""
-    ids = np.asarray(assigned_ids, dtype=int)
+    extension; exposed for the prefix-consistency property tests.  p
+    and the assigned ids must be sample ids (see _pairs.sample_ids)."""
+    ids = _pairs.sample_ids(assigned_ids, space.n, "assigned id",
+                            "assigned ids must be a flat list of sample ids")
+    p = _pairs.sample_id(p, space.n)
     vals = np.asarray(assigned_values, dtype=float)
-    d = space.dist_row(int(p))[ids]
+    d = space.dist_row(p)[ids]
     return float(np.max(vals - K * d)), float(np.min(vals + K * d))
 
 

@@ -279,11 +279,3 @@ def pointwise_extend_to_interval(A: Subset, phi, witness: PointwiseWitness,
     out.pointwise_witness = generate_pointwise_witness(out)
     return out
 
-
-def _pointwise_excess(f: ScalarField, w: PointwiseWitness) -> tuple:
-    """Worst |f(p) - f(x)| - L_p d(p, x) over ordered pairs, with its pair."""
-    L = np.array([w.constants[p] for p in range(f.space.n)])
-    return _pairs.worst_excess(f.space, f.values(),
-                               lambda r, c, d, o: L[r, None] * d,
-                               symmetric=False)
-

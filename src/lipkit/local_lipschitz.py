@@ -53,6 +53,9 @@ class LocalWitness:
     def from_triples(cls, triples) -> "LocalWitness":
         entries = []
         for p, delta, K in triples:
+            # the range is checked where the entries meet a space
+            if not float(p).is_integer():
+                raise PreconditionError(f"entry point {p!r} is not an integer")
             delta = float(delta)
             K = float(K)
             if not (delta > 0.0):
@@ -236,9 +239,11 @@ class ModulusWitness:
         return base * (1.0 + o) if self.kind == "unbounded" else base
 
     def matrix(self) -> np.ndarray:
+        """L(x, y) for every pair; a gap past the float range is inf."""
         f = self.f_values
-        return self._rates(slice(None), slice(None),
-                           np.abs(f[:, None] - f[None, :]))
+        with np.errstate(over="ignore"):
+            o = np.abs(f[:, None] - f[None, :])
+        return self._rates(slice(None), slice(None), o)
 
     def certify(self, rel_tol: float = _DEFAULT_TOL):
         """Worst relative excess of |osc| over L d across sample pairs."""
@@ -286,7 +291,8 @@ def witness_from_modulus(modulus: ModulusWitness, points, deltas) -> LocalWitnes
     triples = []
     for p, delta in zip(points, deltas):
         ids = modulus.space.ball(p, 2.0 * delta)
-        o = np.abs(f[ids, None] - f[None, ids])
+        with np.errstate(over="ignore"):
+            o = np.abs(f[ids, None] - f[None, ids])
         K = float(modulus._rates(ids, ids, o).max(initial=0.0))
         triples.append((p, delta, K))
     return LocalWitness.from_triples(triples)

@@ -424,8 +424,7 @@ def global_lip(f: ScalarField, pairs=None) -> LipEstimate:
 def _row_from(f: ScalarField, p) -> tuple:
     """(p, |f(x) - f(p)|, d(x, p)) over the samples x, for a sample id p
     (checked by _pairs.sample_ids); the gaps are quiet, as in _pairs."""
-    p = int(_pairs.sample_ids([p], f.space.n, "point",
-                              "a point must be a sample id")[0])
+    p = _pairs.sample_id(p, f.space.n)
     v = f.values()
     with np.errstate(invalid="ignore", over="ignore"):
         return p, np.abs(v - v[p]), f.space.dist_row(p)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pairs
 from .errors import GridError, PreconditionError
 from .local_lipschitz import LocalWitness, local_extend
 from .metric_space import _DEFAULT_TOL, Subset
@@ -123,9 +124,10 @@ def graph_open_check(mapping: IntervalMapping, x: int, s: float,
     distance to the nearest sample that does not (reported as the
     counterexample), or the sample diameter when all do.  A
     counterexample at distance zero (a duplicate of x with an
-    incompatible window) fails the check.
+    incompatible window) fails the check.  x must be a sample id (see
+    _pairs.sample_ids).
     """
-    x = int(x)
+    x = _pairs.sample_id(x, mapping.space.n)
     s, t = float(s), float(t)
     if not s < t:
         raise PreconditionError(f"probe needs s < t, got [{s}, {t}]")

@@ -540,3 +540,13 @@ def test_certificate_dict_is_strict_json():
     d = json.loads(json.dumps(cert.to_dict(), allow_nan=False))
     assert d["worst_violation"] == "nan"
     assert d["details"]["rates"] == [1.0, "inf", "nan"]
+
+
+@pytest.mark.parametrize("p, ids", [(-1, [0]), (2.9, [0]), (4, [0]),
+                                    (1, [-1]), (1, [0.5]), (1, [[0]])])
+def test_feasible_interval_takes_sample_ids_only(p, ids):
+    # p = -1 used to return the interval of sample 3, (-3, 3)
+    space = MetricSpace.from_grid(0, 3, 1)
+    with pytest.raises(PreconditionError):
+        feasible_interval(space, ids, [0.0] * len(ids), p, 1.0)
+    assert feasible_interval(space, [0], [0.0], 3, 1.0) == (-3.0, 3.0)

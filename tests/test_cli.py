@@ -339,7 +339,7 @@ def test_decompose_certifies_its_witness_once(tmp_path, grid_space,
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
-    for module in (lipkit.cli, lipkit.local_lipschitz):
+    for module in (lipkit.verdicts, lipkit.local_lipschitz):
         monkeypatch.setattr(module, "certify_local_witness", spy)
     values, witness = witnessed_field
     assert main(["decompose", "--space", grid_space, "--values", values,

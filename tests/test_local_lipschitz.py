@@ -541,3 +541,29 @@ def test_witness_from_modulus_takes_only_samples(points, message):
         [(p, 1.5, 5.0) for p in range(4)]))
     with pytest.raises(PreconditionError, match=message):
         witness_from_modulus(m, points, [1.0] * len(points))
+
+
+def test_modulus_gaps_past_the_float_range_raise_no_warning():
+    # f(1) - f(2) overflows: the gap is inf, with no RuntimeWarning
+    space = MetricSpace.from_grid(0, 3, 1)
+    f = np.array([0.0, 1e308, -1e308, 0.0])
+    levels = np.ones(4)
+    m = local_lipschitz.ModulusWitness("bounded", space, levels,
+                                       Tabulated(space, levels), 1.0, f, None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert (m.matrix() == 1.0).all()
+        witness = witness_from_modulus(m, [1], [1.0])
+        unbounded = local_lipschitz.ModulusWitness(
+            "unbounded", space, levels, m.level_field, 1.0, f, None)
+        assert unbounded.matrix()[1, 2] == math.inf
+    assert [(e.point, e.delta, e.constant) for e in witness.entries] == \
+        [(1, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("point", [2.9, math.nan, math.inf])
+def test_witness_entry_point_must_be_an_integer(point):
+    # 2.9 used to become an entry at sample 2
+    with pytest.raises(PreconditionError, match="is not an integer"):
+        LocalWitness.from_triples([(0, 1.0, 1.0), (point, 1.0, 1.0)])
+    assert LocalWitness.from_triples([(2.0, 1.0, 1.0)]).entries[0].point == 2

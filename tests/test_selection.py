@@ -340,3 +340,12 @@ def test_decreasing_approx_needs_a_step():
     space, targets = approx_targets(0.25)
     with pytest.raises(PreconditionError):
         decreasing_approx(targets[0], 0)
+
+
+@pytest.mark.parametrize("x", [2.9, -1, 5])
+def test_graph_open_check_takes_a_sample_id(x):
+    # 2.9 used to probe sample 2, -1 the last sample
+    space = MetricSpace.from_grid(0.0, 2.0, 0.5)
+    with pytest.raises(PreconditionError, match="point"):
+        graph_open_check(unit_window(space), x, 0.25, 0.75)
+    assert graph_open_check(unit_window(space), 2, 0.25, 0.75).ok
