@@ -35,8 +35,7 @@ from .local_lipschitz import (LocalWitness, decompose, generate_local_witness,
 from .metric_space import _DEFAULT_TOL, MetricSpace
 from .partition_of_unity import frolik_pou, staircase, staircase_partial_sum
 from .scalar_field import Interval, Tabulated, global_lip
-from .selection import (_DEPTHS, IntervalMapping, decreasing_approx, insert,
-                        select)
+from .selection import IntervalMapping, decreasing_approx, insert, select
 
 _TOL_FLOOR = 1e-12
 _TOL_CEILING = 1e-3
@@ -62,8 +61,6 @@ def _build_parser() -> _Parser:
     shared.add_argument("--k", type=float, help="global Lipschitz constant")
     shared.add_argument("--interval",
                         help="target interval lo,hi,open|closed,open|closed")
-    shared.add_argument("--grid-depth", type=int,
-                        help="deepest dyadic level grid the selection may use")
     shared.add_argument("--n-max", type=int, default=5,
                         help="steps of the decreasing approximation")
     shared.add_argument("--seed", type=int, default=0)
@@ -85,23 +82,6 @@ def _check_tol(tol: float) -> float:
         raise InputError(
             f"--tol must lie in [{_TOL_FLOOR:g}, {_TOL_CEILING:g}], got {tol:g}")
     return float(tol)
-
-
-def _depth_ladder(cap):
-    if cap is None:
-        return _DEPTHS
-    cap = int(cap)
-    if cap < 1:
-        raise InputError(f"--grid-depth must be positive, got {cap}")
-    return tuple([d for d in _DEPTHS if d < cap] + [cap])
-
-
-def _resolved_config(args, depths) -> dict:
-    config = {name: getattr(args, name, None) for name in (
-        "command", "fixture", "space", "subset", "values", "witness", "cover",
-        "k", "interval", "n_max", "seed", "tol", "out_dir")}
-    config["grid_depths"] = list(depths)
-    return config
 
 
 def _need(args, *names):
@@ -126,12 +106,12 @@ def _save(out_dir, name, values):
 # Commands: load, build, write, and return the command's certificates
 
 
-def _cmd_certify_metric(args, tol, depths, out_dir):
+def _cmd_certify_metric(args, tol, out_dir):
     return verdicts.certify_metric(
         load_space(args.space, tol, validate=False), tol)
 
 
-def _cmd_extend(args, tol, depths, out_dir):
+def _cmd_extend(args, tol, out_dir):
     A, vals, interval = _anchored(args, tol)
     out = extend_to_interval(A, vals, args.k, interval, tol)
     for name, field in (("envelope_lower", out.envelopes.lower),
@@ -142,7 +122,7 @@ def _cmd_extend(args, tol, depths, out_dir):
                                    args.seed)
 
 
-def _cmd_extend_pointwise(args, tol, depths, out_dir):
+def _cmd_extend_pointwise(args, tol, out_dir):
     A, vals, interval = _anchored(args, tol)
     witness = load_pointwise_witness(args.witness)
     out = pointwise_extend_to_interval(A, vals, witness, interval, tol)
@@ -150,7 +130,7 @@ def _cmd_extend_pointwise(args, tol, depths, out_dir):
     return verdicts.certify_extend_pointwise(A, vals, interval, out, tol)
 
 
-def _cmd_pou(args, tol, depths, out_dir):
+def _cmd_pou(args, tol, out_dir):
     pou = frolik_pou(load_cover(args.cover, load_space(args.space, tol)), tol)
     save_wide_csv(os.path.join(out_dir, "members.csv"),
                   [f"m{i}_s{s}" for i, s in enumerate(pou.set_index)],
@@ -158,7 +138,7 @@ def _cmd_pou(args, tol, depths, out_dir):
     return verdicts.certify_pou(pou, tol)
 
 
-def _cmd_decompose(args, tol, depths, out_dir):
+def _cmd_decompose(args, tol, out_dir):
     f = field_on_space(args.values, load_space(args.space, tol))
     dec = decompose(f, load_local_witness(args.witness), tol)
     save_wide_csv(os.path.join(out_dir, "members.csv"),
@@ -168,7 +148,7 @@ def _cmd_decompose(args, tol, depths, out_dir):
     return verdicts.certify_decompose(dec, tol)
 
 
-def _cmd_modulus(args, tol, depths, out_dir):
+def _cmd_modulus(args, tol, out_dir):
     f = field_on_space(args.values, load_space(args.space, tol))
     witness = load_local_witness(args.witness)
     moduli = []
@@ -178,7 +158,7 @@ def _cmd_modulus(args, tol, depths, out_dir):
     return verdicts.certify_modulus(moduli, tol)
 
 
-def _cmd_extend_local(args, tol, depths, out_dir):
+def _cmd_extend_local(args, tol, out_dir):
     A, vals, interval = _anchored(args, tol)
     witness = load_local_witness(args.witness)
     out = local_extend(A, vals, witness, interval, tol)
@@ -186,16 +166,16 @@ def _cmd_extend_local(args, tol, depths, out_dir):
     return verdicts.certify_extend_local(A, vals, interval, out, tol)
 
 
-def _cmd_select(args, tol, depths, out_dir):
+def _cmd_select(args, tol, out_dir):
     space = load_space(args.space, tol)
     lower, upper, _ = load_mapping(args.values, space)
     mapping = IntervalMapping(space, lower, upper)
-    f = select(mapping, tol=tol, depths=depths)
+    f = select(mapping, tol=tol)
     _save(out_dir, "selection.csv", f.values())
     return verdicts.certify_select(mapping, f, tol)
 
 
-def _cmd_insert(args, tol, depths, out_dir):
+def _cmd_insert(args, tol, out_dir):
     space = load_space(args.space, tol)
     lower, upper, phi = load_mapping(args.values, space)
     A = vals = witness = None
@@ -215,21 +195,20 @@ def _cmd_insert(args, tol, depths, out_dir):
             witness = LocalWitness.from_triples(
                 (A.members[e.point], e.delta, e.constant)
                 for e in generate_local_witness(Tabulated(sub, vals)).entries)
-    f = insert(space, lower, upper, A=A, phi=vals, witness=witness,
-               tol=tol, depths=depths)
+    f = insert(space, lower, upper, A=A, phi=vals, witness=witness, tol=tol)
     _save(out_dir, "selection.csv", f.values())
     return verdicts.certify_insert(IntervalMapping(space, lower, upper), f,
                                    A, vals)
 
 
-def _cmd_approx(args, tol, depths, out_dir):
+def _cmd_approx(args, tol, out_dir):
     if args.n_max < 1:
         raise InputError(f"--n-max must be positive, got {args.n_max}")
     space = load_space(args.space, tol)
     _, _, phi = load_mapping(args.values, space)
     if phi is None:
         raise InputError("approx needs a phi entry in the window JSON")
-    seq = decreasing_approx(phi, args.n_max, tol, depths=depths)
+    seq = decreasing_approx(phi, args.n_max, tol)
     save_wide_csv(os.path.join(out_dir, "approx.csv"),
                   [f"f{n + 1}" for n in range(len(seq))],
                   [f.values() for f in seq])
@@ -240,7 +219,7 @@ def _cmd_approx(args, tol, depths, out_dir):
 # Demos
 
 
-def _demo_sin_inv_t(args, tol, depths, out_dir):
+def _demo_sin_inv_t(args, tol, out_dir):
     space, f, pairs = fixtures.sin_reciprocal_pairs(20)
     v = f.values()
     x = space.coords[:, 0]
@@ -260,7 +239,7 @@ def _demo_sin_inv_t(args, tol, depths, out_dir):
                                  "largest_witnessed": est.value})]
 
 
-def _demo_cusp_curve(args, tol, depths, out_dir):
+def _demo_cusp_curve(args, tol, out_dir):
     space, f, pairs = fixtures.cusp_curve()
     v = f.values()
     branch = np.arange(0, space.n, 2)
@@ -281,7 +260,7 @@ def _demo_cusp_curve(args, tol, depths, out_dir):
                                  "opposite_rel_error": worst_rel})]
 
 
-def _demo_reciprocal_staircase(args, tol, depths, out_dir):
+def _demo_reciprocal_staircase(args, tol, out_dir):
     exact = True
     worst = 0.0
     for t in (0.4, 0.5, 2.0):
@@ -301,10 +280,10 @@ def _demo_reciprocal_staircase(args, tol, depths, out_dir):
     return [Certificate("demo-reciprocal-staircase", exact, worst, 0.0)]
 
 
-def _demo_dowker_step(args, tol, depths, out_dir):
+def _demo_dowker_step(args, tol, out_dir):
     space, lower, upper = fixtures.dowker_step()
     mapping = IntervalMapping(space, lower, upper)
-    f = select(mapping, tol=tol, depths=depths)
+    f = select(mapping, tol=tol)
     t = space.coords[:, 0]
     lv, uv, v = lower.values(), upper.values(), f.values()
     print("step windows with a gap: lower jumps 0 -> 1, upper 1/2 -> 2 at t = 1")
@@ -349,10 +328,9 @@ def main(argv=None) -> int:
         tol = _check_tol(args.tol)
         if args.k is not None and not (0.0 <= args.k < math.inf):
             raise InputError(f"--k must be finite and nonnegative, got {args.k:g}")
-        depths = _depth_ladder(args.grid_depth)
         out_dir = args.out_dir
         os.makedirs(out_dir, exist_ok=True)
-        cfg = _resolved_config(args, depths)
+        cfg = {"fixture": None, **vars(args)}   # every parsed option
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -361,7 +339,7 @@ def main(argv=None) -> int:
     handler, required = _HANDLERS[args.command]
     try:
         _need(args, *required)
-        certs = handler(args, tol, depths, out_dir)
+        certs = handler(args, tol, out_dir)
     except (InputError, DomainError, CoverError, GridError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -112,7 +112,7 @@ class IncreasingCover:
     values: np.ndarray
     compressed: bool
 
-    def soundness_check(self, tol: float = _DEFAULT_TOL):
+    def soundness_check(self):
         """Worst violation of the two-point bound, with its witness; a
         NaN excess beats every number."""
         num = _compress if self.compressed else None

@@ -229,15 +229,15 @@ class MetricSpace:
     """Finite metric space; construct through one of the from_* methods."""
 
     def __init__(self, backend: str, n: int, coords=None, matrix=None,
-                 grid=None, validate: bool = True, tol: float = _DEFAULT_TOL):
+                 validate: bool = True, tol: float = _DEFAULT_TOL):
         self.backend = backend
         self.n = int(n)
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
         self._matrix = None if matrix is None else np.asarray(matrix, dtype=float)
         if matrix is not None:
             self._matrix.setflags(write=False)      # the space's own
-        self.grid = grid    # (lo, hi, step) for the grid backend
         self._symmetric = None
+        self._min_positive = None
         if self.n < 1:
             raise InputError("a metric space needs at least one point")
         if validate:
@@ -306,8 +306,8 @@ class MetricSpace:
             raise InputError(f"grid step must be positive, got {step}")
         count = int(np.floor((hi - lo) / step + 1e-9)) + 1
         coords = lo + step * np.arange(count)
-        return cls("grid", count, coords=coords[:, None], grid=(lo, hi, step),
-                   validate=validate, tol=tol)
+        return cls("grid", count, coords=coords[:, None], validate=validate,
+                   tol=tol)
 
     # ---- distance queries ---------------------------------------------
 
@@ -331,25 +331,27 @@ class MetricSpace:
 
     def ball(self, center: int, radius: float) -> np.ndarray:
         """Sorted ids strictly within radius of the center (open ball),
-        read off the cached pairwise() row without copying it.  Every
-        ball of the local constructions comes from here."""
+        read off the cached pairwise() row without copying it.  Checks
+        over many balls read the same rule a chunk at a time through
+        _pairs.ball_masks."""
         return (self.pairwise()[center] < radius).nonzero()[0]
 
     def diameter(self) -> float:
         return float(self.pairwise().max())
 
     def min_positive_distance(self) -> float:
-        """Smallest positive d(p, q) over p != q, by _pairs.pair_blocks."""
-        best = None
-        for r, c, block, _ in _pairs.pair_blocks(self, self.n):
-            pos = block > 0
-            np.fill_diagonal(pos[:, r.start - c.start:], False)
-            if pos.any():
-                x = block[pos].min()
-                best = x if best is None else min(best, x)
-        if best is None:
+        """Smallest positive d(p, q) over p != q, by _pairs.pair_blocks,
+        swept once per space."""
+        if self._min_positive is None:
+            best = np.inf
+            for r, c, block, _ in _pairs.pair_blocks(self, self.n):
+                pos = block > 0
+                np.fill_diagonal(pos[:, r.start - c.start:], False)
+                best = min(best, np.min(block, where=pos, initial=np.inf))
+            self._min_positive = float(best)
+        if self._min_positive == np.inf:
             raise PreconditionError("no positive pairwise distance in this space")
-        return float(best)
+        return self._min_positive
 
     def nearest_positive(self) -> np.ndarray:
         """Each sample's smallest positive distance to another sample

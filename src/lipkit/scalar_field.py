@@ -116,7 +116,7 @@ class Interval:
 # ---------------------------------------------------------------------------
 # Fields
 
-_TRANSPORTS = ("arctan", "tan", "reciprocal", "affine")
+_TRANSPORTS = ("arctan", "tan", "reciprocal")
 
 
 class ScalarField:
@@ -300,18 +300,16 @@ class Transported(ScalarField):
     """Post-composition with a named monotone transport.
 
     The set is deliberately closed: arctan (compress the line into
-    (-pi/2, pi/2)), tan (its inverse on that interval), reciprocal on
-    strictly positive data, and affine maps a*t + b.
+    (-pi/2, pi/2)), tan (its inverse on that interval), and reciprocal
+    on strictly positive data.
     """
 
-    def __init__(self, name: str, inner: ScalarField, a: float = 1.0, b: float = 0.0):
+    def __init__(self, name: str, inner: ScalarField):
         if name not in _TRANSPORTS:
             raise InputError(f"unknown transport {name!r}; choose from {_TRANSPORTS}")
         super().__init__(inner.space)
         self.name = name
         self.inner = inner
-        self.a = float(a)
-        self.b = float(b)
 
     def children(self) -> tuple:
         return (self.inner,)
@@ -327,14 +325,12 @@ class Transported(ScalarField):
                     f"tan transport needs values in (-pi/2, pi/2); "
                     f"point {bad} has {v[bad]!r}")
             return np.tan(v)
-        if self.name == "reciprocal":
-            if (v <= 0).any():
-                bad = int(np.argmax(v <= 0))
-                raise DomainError(
-                    f"reciprocal transport needs strictly positive values; "
-                    f"point {bad} has {v[bad]!r}")
-            return 1.0 / v
-        return self.a * v + self.b
+        if (v <= 0).any():
+            bad = int(np.argmax(v <= 0))
+            raise DomainError(
+                f"reciprocal transport needs strictly positive values; "
+                f"point {bad} has {v[bad]!r}")
+        return 1.0 / v
 
 
 def _column_sums(values, mask=True) -> np.ndarray:

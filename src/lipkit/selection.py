@@ -13,6 +13,7 @@ converging to a target from above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,27 +169,37 @@ def _stab_windows(klo: np.ndarray, khi: np.ndarray):
     return chosen
 
 
+def _level_witnesses(space, levels, lo, hi, cushion) -> dict:
+    """Each level's cushioned margin inside the true windows, capped at
+    1: positive exactly where the level clears the cushion."""
+    return {r: Tabulated(space, np.minimum(1.0, np.maximum(
+        np.minimum(r - lo, hi - r) - cushion, 0.0))) for r in levels}
+
+
 def select(mapping: IntervalMapping, grid: RationalGrid | None = None,
-           tol: float = _DEFAULT_TOL, depths=_DEPTHS) -> ScalarField:
+           tol: float = _DEFAULT_TOL) -> ScalarField:
     """Lipschitz field strictly inside every window.
 
     With an explicit grid, its levels must reach inside every window;
     a minimal upward-biased subset of them stabs all windows.  Without
-    one, dyadic levels k 2^-d are tried at increasing depth until
-    every window, shrunk by a quarter theta of the narrowest width,
+    one, dyadic levels k 2^-d are tried at the depths _DEPTHS, then at
+    the first d with 2^-d <= theta, until every window, shrunk by a
+    quarter theta of the narrowest width (so at least 2 theta long),
     contains one.  Each chosen level r carries the witness row
 
         min(1, max(0, min(r - lower, upper - r) - cushion)),
 
     an absent side at infinity, cushion = theta/2 for the dyadic
     ladder and 0 for an explicit grid, so a witness is positive
-    exactly where its level clears the cushion inside the true window,
-    and the stabbing makes the witnesses cover the sample.  Blending
-    the levels through the witnesses' partition of unity keeps every
-    sample value a sub-unit convex mix of levels admissible there,
-    hence strictly inside its window.  The level count has no cap:
-    past about 537 levels the partition's mixture underflows, and
-    CoverError names the sample.
+    exactly where its level clears the cushion inside the true window;
+    a depth counts once they cover the sample.  A failing depth whose
+    indices k are not finite or reach 2^53 has no exact multiples near
+    some window, nor has any deeper one: GridError names the sample.
+    Blending the levels through the witnesses' partition of unity
+    keeps every sample value a sub-unit convex mix of levels
+    admissible there, hence strictly inside its window.  The level
+    count has no cap: past about 537 levels the partition's mixture
+    underflows, and CoverError names the sample.
     """
     space = mapping.space
     gt, ht = mapping.sentinels()
@@ -218,30 +229,40 @@ def select(mapping: IntervalMapping, grid: RationalGrid | None = None,
         chosen = [float(levels[k]) for k in _stab_windows(klo, khi)]
         depth = grid.depth
         cushion = 0.0
+        witnesses = _level_witnesses(space, chosen, lo, hi, cushion)
     else:
         theta = float(width.min()) / 4.0
+        cushion = theta / 2.0
+        # 2^-d <= theta from d = 1 - e, where theta = m 2^e, 1/2 <= m < 1
+        depths = _DEPTHS + (1 - math.frexp(theta)[1],)
         for depth in depths:
             step = 2.0 ** -depth
-            klo = np.ceil((gt + theta) / step - 1e-12).astype(np.int64)
-            khi = np.floor((ht - theta) / step + 1e-12).astype(np.int64)
-            if not np.any(klo > khi):
+            with np.errstate(over="ignore", invalid="ignore"):
+                klo = np.ceil((gt + theta) / step - 1e-12)
+                khi = np.floor((ht - theta) / step + 1e-12)
+                beyond = ~(np.maximum(np.abs(klo), np.abs(khi)) < 2.0 ** 53)
+            short = ~(np.isfinite(klo) & np.isfinite(khi) & (klo <= khi))
+            if not short.any():
                 chosen = [k * step for k in _stab_windows(klo, khi)]
-                break
+                witnesses = _level_witnesses(space, chosen, lo, hi, cushion)
+                short = np.all([w.table == 0 for w in witnesses.values()], 0)
+                if not short.any():
+                    break
+            if beyond.any():
+                p = int(np.argmax(beyond))
+                raise GridError(f"multiples of 2^-{depth} are not exact "
+                                f"floats at the window of sample {p}", witness=p)
         else:
+            p = int(np.argmax(short))
             raise GridError(
-                f"no dyadic level stabs every margined window at depths "
-                f"{tuple(depths)}")
-        cushion = theta / 2.0
+                f"no dyadic level clears the margined window at sample {p} "
+                f"at depths {depths}", witness=p)
 
     # most-covering level first: it receives the heaviest cover weight
     count = {r: int(((gt + cushion < r) & (r < ht - cushion)).sum())
              for r in chosen}
     values = sorted(chosen, key=lambda r: (-count[r], -r))
-
-    # each level's cushioned margin inside the true windows, capped at 1
-    witnesses = [Tabulated(space, np.minimum(1.0, np.maximum(
-        np.minimum(r - lo, hi - r) - cushion, 0.0))) for r in values]
-    out = _blend(CozeroCover(space, witnesses),
+    out = _blend(CozeroCover(space, [witnesses[r] for r in values]),
                  lambda n, xi: Constant(space, values[n]), tol)
     out.chosen_levels = values
     out.grid_depth = depth
@@ -250,8 +271,8 @@ def select(mapping: IntervalMapping, grid: RationalGrid | None = None,
 
 
 def select_extend(A: Subset, phi, witness: LocalWitness,
-                  mapping: IntervalMapping, tol: float = _DEFAULT_TOL,
-                  depths=_DEPTHS) -> Tabulated:
+                  mapping: IntervalMapping,
+                  tol: float = _DEFAULT_TOL) -> Tabulated:
     """Selection through the windows that agrees with phi on A exactly.
 
     phi (strictly inside its windows on A) is first extended to a
@@ -282,7 +303,7 @@ def select_extend(A: Subset, phi, witness: LocalWitness,
         blended = base
         selector = None
     else:
-        selector = select(mapping, tol=tol, depths=depths)
+        selector = select(mapping, tol=tol)
         near = DistanceTo(space, A.members)
         far = DistanceTo(space, failing)
         weight = near * Transported("reciprocal", near + far)
@@ -300,24 +321,25 @@ def select_extend(A: Subset, phi, witness: LocalWitness,
 def insert(space, lower: ScalarField | None = None,
            upper: ScalarField | None = None, A: Subset | None = None,
            phi=None, witness: LocalWitness | None = None,
-           tol: float = _DEFAULT_TOL, depths=_DEPTHS) -> ScalarField:
+           tol: float = _DEFAULT_TOL) -> ScalarField:
     """Field strictly between lower and upper at every sample; with A,
     phi, and a witness, also equal to phi on A."""
     mapping = IntervalMapping(space, lower, upper)
     if A is None:
-        return select(mapping, tol=tol, depths=depths)
+        return select(mapping, tol=tol)
     if phi is None or witness is None:
         raise PreconditionError("insertion through A needs phi and a witness")
-    return select_extend(A, phi, witness, mapping, tol, depths)
+    return select_extend(A, phi, witness, mapping, tol)
 
 
 def decreasing_approx(phi: ScalarField, steps: int,
-                      tol: float = _DEFAULT_TOL, depths=_DEPTHS) -> list:
+                      tol: float = _DEFAULT_TOL) -> list:
     """Strictly decreasing insertions pinching down to phi.
 
     f_1 sits in (phi, phi + 1) and f_{n+1} in (phi, (phi + f_n) / 2),
     so the gaps f_n - phi halve at worst: sup(f_n - phi) < 2^(1-n),
-    and each step strictly dominates the next.
+    and each step strictly dominates the next.  The steps run on
+    until the windows pass the float resolution near phi (see select).
     """
     if steps < 1:
         raise PreconditionError(f"need at least one step, got {steps}")
@@ -325,8 +347,7 @@ def decreasing_approx(phi: ScalarField, steps: int,
     out = []
     ceiling = phi + Constant(space, 1.0)
     for _ in range(steps):
-        f = select(IntervalMapping(space, phi, ceiling), tol=tol,
-                   depths=depths)
+        f = select(IntervalMapping(space, phi, ceiling), tol=tol)
         out.append(f)
         ceiling = Constant(space, 0.5) * (phi + f)
     return out

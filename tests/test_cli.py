@@ -91,14 +91,6 @@ def test_unknown_command_is_input_error(capsys):
     capsys.readouterr()
 
 
-def test_grid_depth_validation(tmp_path, grid_space, capsys):
-    values = write(tmp_path / "w.json", json.dumps({"lower": 0, "upper": 1}))
-    argv = ["select", "--space", grid_space, "--values", values,
-            "--grid-depth", "0", "--out-dir", str(tmp_path)]
-    assert main(argv) == 1
-    capsys.readouterr()
-
-
 def test_bad_values_file_is_input_error(tmp_path, grid_space, capsys):
     subset = write(tmp_path / "A.json", "[0, 4]")
     values = write(tmp_path / "phi.csv", "0,0.0\n")
@@ -476,20 +468,44 @@ def test_approx_runs(tmp_path, grid_space, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("slope", [1, 2, 5, 10, 20])
-def test_approx_passes_for_steep_phi(tmp_path, slope, capsys):
-    """phi = s x on the 51-sample grid of [0, 1]: at s = 20 the three
-    steps stab their windows with 41, 51 and 51 levels, and every one
-    is blended."""
+def linear_approx_argv(tmp_path, n_max, slope=1):
+    """approx of phi = slope x on the 51-sample grid of [0, 1]."""
     space = write(tmp_path / "space.json",
                   json.dumps({"lo": 0, "hi": 1, "step": 0.02}))
     phi = write(tmp_path / "phi.csv",
                 "".join(f"{i},{slope * i * 0.02!r}\n" for i in range(51)))
     window = write(tmp_path / "w.json", json.dumps({"phi": phi}))
-    assert main(["approx", "--space", space, "--values", window,
-                 "--n-max", "3", "--out-dir", str(tmp_path)]) == 0
+    return ["approx", "--space", space, "--values", window,
+            "--n-max", str(n_max), "--out-dir", str(tmp_path)]
+
+
+@pytest.mark.parametrize("slope", [1, 2, 5, 10, 20])
+def test_approx_passes_for_steep_phi(tmp_path, slope, capsys):
+    """phi = s x on the 51-sample grid of [0, 1]: at s = 20 the three
+    steps stab their windows with 41, 51 and 51 levels, and every one
+    is blended."""
+    assert main(linear_approx_argv(tmp_path, 3, slope)) == 0
     assert read_json(tmp_path)["passed"] is True
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n_max", [12, 30])
+def test_approx_runs_past_the_dyadic_ladder(tmp_path, n_max, capsys):
+    """Within 12 steps the windows get narrower than depth 20 resolves;
+    each step selects at the depth its windows call for."""
+    assert main(linear_approx_argv(tmp_path, n_max)) == 0
+    payload = read_json(tmp_path)
+    assert [(c["kind"], c["passed"]) for c in payload["certificates"]] == [
+        ("strict-above", True), ("strict-decrease", True),
+        ("gap-bound", True)]
+    assert "grid_depths" not in payload["config"]
+    assert capsys.readouterr().out.count("[PASS]") == 3
+
+
+def test_approx_past_the_float_resolution_exits_1(tmp_path, capsys):
+    assert main(linear_approx_argv(tmp_path, 33)) == 1
+    assert "error: multiples of 2^-54 are not exact floats at the window " \
+        "of sample 25" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fixture", ["sin-inv-t", "cusp-curve",

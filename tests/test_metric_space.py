@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lipkit import _pairs
 from lipkit import (DistanceTo, InputError, MetricSpace, PreconditionError,
                     Subset, validate_metric)
 
@@ -108,6 +109,23 @@ def test_diameter_and_min_positive_distance():
     space = MetricSpace.from_points([0.0, 0.25, 1.0])
     assert space.diameter() == 1.0
     assert space.min_positive_distance() == 0.25
+
+
+def test_min_positive_distance_is_swept_once(monkeypatch):
+    sweeps = []
+    sweep = _pairs.pair_blocks
+
+    def counted(*args, **kwargs):
+        sweeps.append(args)
+        return sweep(*args, **kwargs)
+    monkeypatch.setattr(_pairs, "pair_blocks", counted)
+    space = MetricSpace.from_points([0.0, 0.25, 1.0], validate=False)
+    assert [space.min_positive_distance() for _ in range(3)] == [0.25] * 3
+    flat = MetricSpace.from_matrix(np.zeros((3, 3)), validate=False)
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            flat.min_positive_distance()
+    assert len(sweeps) == 2
 
 
 def test_subset_sorts_and_deduplicates():

@@ -219,6 +219,72 @@ def test_select_levels_are_limited_only_by_the_mixture_underflow(n):
     assert m.strict_mask(f).all()
 
 
+def test_select_ladder_path_keeps_its_floats():
+    """A window the ladder already selects takes the ladder's depth and
+    returns the same blended floats as before the depth was derived."""
+    space = MetricSpace.from_grid(0.0, 1.0, 0.125)
+    lower = Tabulated(space, np.sin(3.0 * space.coords[:, 0]))
+    f = select(IntervalMapping(space, lower, lower + Constant(space, 0.3)))
+    assert f.grid_depth == 3
+    assert f.chosen_levels == [1.125, 0.875, 0.625, 0.25, 0.5, 0.125]
+    assert f.values().tolist() == [
+        0.18024302430243028, 0.5152537902483387, 0.875, 1.125, 1.125,
+        1.125, 0.875, 0.625, 0.25]
+
+
+def test_select_narrow_windows_battery():
+    """400 seeded windows of one width each, log-uniform in [1e-12,
+    1e-1], over random lower sides: every one is selected strictly
+    inside, past depth 20 where the ladder runs out."""
+    rng = np.random.default_rng(22)
+    space = MetricSpace.from_grid(0.0, 1.0, 0.05)
+    depths = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for case in range(400):
+            lower = Tabulated(space, rng.uniform(-1.0, 1.0, size=space.n))
+            width = 10.0 ** rng.uniform(-12.0, -1.0)
+            m = IntervalMapping(space, lower, lower + Constant(space, width))
+            f = select(m)
+            assert m.strict_mask(f).all(), case
+            depths.add(f.grid_depth)
+    assert min(depths) <= 20 < max(depths)
+
+
+@pytest.mark.parametrize("lo, hi", [(1e19, 1e19 + 1e5),
+                                    (1e300, 1.0001e300),
+                                    (0.5 - 1e-13, 0.5 + 1e-14)])
+def test_select_far_out_and_off_grid_windows(lo, hi):
+    """Windows far from 0, whose level indices pass 2^53 at depth 1, and
+    a window whose only ladder levels sit in the rounding slack of the
+    stab, not clear of the cushion, are each selected strictly inside,
+    with no numpy warning."""
+    space = MetricSpace.from_grid(0.0, 2.0, 0.5)
+    m = IntervalMapping(space, Constant(space, lo), Constant(space, hi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = select(m)
+    assert m.strict_mask(f).all()
+
+
+@pytest.mark.parametrize("lo, hi, depth", [(1e19, 1e19 + 4096.0, 1),
+                                           (3e12, 3e12 + 1e-3, 12),
+                                           (-3e12 - 1e-3, -3e12, 12),
+                                           (1.7e308, 1.79e308, 1)])
+def test_select_past_the_float_resolution_is_a_grid_error(lo, hi, depth):
+    """Where no dyadic level clears the margin and the level indices
+    reach 2^53, the multiples are not exact floats near the window:
+    GridError names the sample and the depth, with no numpy warning."""
+    space = MetricSpace.from_grid(0.0, 2.0, 0.5)
+    m = IntervalMapping(space, Constant(space, lo), Constant(space, hi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError, match=f"2\\^-{depth} .* sample 0"
+                           ) as err:
+            select(m)
+    assert err.value.witness == 0
+
+
 def test_select_rejects_empty_window():
     space = MetricSpace.from_grid(0.0, 2.0, 1.0)
     m = IntervalMapping(space, Constant(space, 1.0), Constant(space, 1.0))
