@@ -35,9 +35,8 @@ from .scalar_field import (Binary, Constant, Coordinate, DistanceTo, Interval,
                            LipEstimate, ScalarField, Series, Tabulated,
                            Transported, global_lip, maximum, minimum,
                            pointwise_lip, scaled_oscillation)
-from .selection import (IntervalMapping, OpennessReport, RationalGrid,
-                        decreasing_approx, graph_open_check, insert, select,
-                        select_extend)
+from .selection import (IntervalMapping, OpennessReport, decreasing_approx,
+                        graph_open_check, insert, select, select_extend)
 
 __all__ = [
     "__version__",
@@ -47,7 +46,7 @@ __all__ = [
     "IncreasingCover", "InputError", "Interval", "IntervalMapping",
     "LipEstimate", "LipkitError", "LocalWitness", "MatherRefinement",
     "MetricSpace", "MetricViolation", "ModulusWitness", "OpennessReport",
-    "PartitionOfUnity", "RationalGrid", "PointwiseWitness", "PreconditionError",
+    "PartitionOfUnity", "PointwiseWitness", "PreconditionError",
     "ScalarField", "Series", "SplitResult", "Subset", "Tabulated",
     "Transported", "ValidationReport", "WitnessEntry",
     "certify_local_witness", "check_k_lipschitz", "decompose",

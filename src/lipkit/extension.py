@@ -229,10 +229,11 @@ def pointwise_envelopes(A: Subset, phi, witness: PointwiseWitness,
         A=A, phi_values=vals, constants=consts, notes=notes)
 
 
-def generate_pointwise_witness(f: ScalarField, floor: float = 1.0) -> PointwiseWitness:
-    """Exhaustive per-point constants of f over the whole sample."""
+def generate_pointwise_witness(f: ScalarField) -> PointwiseWitness:
+    """Exhaustive per-point constants of f over the whole sample, each
+    at least 1."""
     slopes = _pairs.max_slope(f.space, f.values(), zero=math.inf, per_row=True)
-    return PointwiseWitness({p: max(float(s), floor)
+    return PointwiseWitness({p: max(float(s), 1.0)
                              for p, s in enumerate(slopes)})
 
 

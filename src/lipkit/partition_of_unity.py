@@ -29,7 +29,7 @@ from .metric_space import _DEFAULT_TOL
 from .scalar_field import (Constant, ScalarField, Series, Tabulated,
                            _column_sums, global_lip)
 
-_DEFAULT_MEMBER_CAP = 50_000
+_MEMBER_CAP = 50_000
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +298,7 @@ def _scaled_mixture(cover: CozeroCover, tol: float):
     return refined, owners, R, mixture, recip
 
 
-def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
-               max_members: int = _DEFAULT_MEMBER_CAP) -> PartitionOfUnity:
+def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL) -> PartitionOfUnity:
     """Partition of unity subordinated to the cover: the paper's raw
     staircase family.
 
@@ -312,9 +311,10 @@ def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
     alive at k, and written one member per row of the family's matrix,
     so the per-sample sums telescope.  The piece count per set is the
     largest staircase index alive on the set, which grows like
-    2^(cover size) divided by the cover's margin; the cap fails loudly
-    instead of materializing an infeasible family.  The blends read
-    the regrouped form R_n / m and never build it (see _blend).
+    2^(cover size) divided by the cover's margin; past _MEMBER_CAP
+    members it fails loudly instead of materializing an infeasible
+    family.  The blends read the regrouped form R_n / m and never build
+    it (see _blend).
     pou.refinement shrinks the scaled and clamped rows and names the
     given cover.
     """
@@ -327,10 +327,10 @@ def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
     support = R > 0.0
     k_caps = [int(live_k[on].max()) for on in support]
     total = int(sum(k_caps))
-    if total > max_members:
+    if total > _MEMBER_CAP:
         raise CoverError(
             f"staircase family needs {total} members for {len(R)} sets "
-            f"(cap {max_members}); use fewer sets or better-margined witnesses")
+            f"(cap {_MEMBER_CAP}); use fewer sets or better-margined witnesses")
 
     # the members of rebuilt set j are its steps 1..k_caps[j] in a row
     # run from starts[j]; step k is shared by every set alive at k
@@ -355,24 +355,20 @@ def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
     return pou
 
 
-def index_subordinate(pou: PartitionOfUnity,
-                      size: int | None = None) -> PartitionOfUnity:
+def index_subordinate(pou: PartitionOfUnity) -> PartitionOfUnity:
     """Regroup members that share a cover set into one member per set.
 
-    The output has exactly `size` members (default: the cover's witness
-    count, else one past the largest assigned index); sets that
-    received no members come back as zero rows.  Row n is the exact
-    masked column sum of the members assigned to set n, and the output
+    The output has one member per set of pou's cover and per assigned
+    index past them; sets that received no members (a dominated set)
+    come back as zero rows.  Row n is the exact masked column sum of
+    the members assigned to set n, and the output
     keeps the leaves of pou, so its sum, and every certification sum
     over it, is bit-identical; a regrouped member is positive only
     where its set's witness is.
     """
     space = pou.space
-    high = max(pou.set_index, default=-1)
-    if size is None:
-        size = high + 1 if pou.cover is None else len(pou.cover.witnesses)
-    if high >= size:
-        raise InputError(f"subordination index {high} outside 0..{size - 1}")
+    size = max(max(pou.set_index, default=-1) + 1,
+               0 if pou.cover is None else len(pou.cover.witnesses))
     set_index = np.asarray(pou.set_index, dtype=int)
     matrix = np.empty((size, space.n))
     outer = np.empty((size, space.n), dtype=bool)

@@ -14,6 +14,7 @@ converging to a target from above.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +34,7 @@ _DEPTHS = (1, 2, 3, 6, 12, 20)
 @dataclass
 class IntervalMapping:
     """Open window (lower(x), upper(x)) at each sample; a None side is
-    unbounded.  Sentinel bounds replace an absent side by a constant
-    placed one span beyond the present one, so window arithmetic stays
-    finite."""
+    unbounded."""
 
     space: object
     lower: ScalarField | None = None
@@ -46,64 +45,46 @@ class IntervalMapping:
             if side is not None and side.space is not self.space:
                 raise PreconditionError("window side lives on a different space")
 
+    def bounds(self):
+        """The true windows (lo, hi), an absent side at -inf / +inf."""
+        n = self.space.n
+        return (np.full(n, -np.inf) if self.lower is None
+                else self.lower.values(),
+                np.full(n, np.inf) if self.upper is None
+                else self.upper.values())
+
     def sentinels(self):
-        """(lower bounds, upper bounds) as finite arrays."""
+        """(lo, hi) as finite arrays: an absent side becomes a constant
+        one span (at least 1) beyond the present one (see _beyond);
+        with neither side, the windows are (-1, 1)."""
+        lo, hi = self.bounds()
         if self.lower is None and self.upper is None:
-            n = self.space.n
-            return np.full(n, -1.0), np.full(n, 1.0)
-        if self.lower is not None and self.upper is not None:
-            return self.lower.values().copy(), self.upper.values().copy()
-        if self.lower is not None:
-            g = self.lower.values()
-            span = float(g.max() - g.min())
-            return g.copy(), np.full(g.size, float(g.max()) + max(span, 1.0))
-        h = self.upper.values()
-        span = float(h.max() - h.min())
-        return np.full(h.size, float(h.min()) - max(span, 1.0)), h.copy()
+            return np.full(lo.size, -1.0), np.full(hi.size, 1.0)
+        if self.upper is None:
+            return lo, np.full(lo.size, _beyond(lo))
+        if self.lower is None:
+            return np.full(hi.size, -_beyond(-hi)), hi
+        return lo, hi
 
     def strict_mask(self, f: ScalarField) -> np.ndarray:
-        """Where f sits strictly inside the true (unbounded-aware) windows."""
+        """Where f sits strictly inside the true windows."""
+        lo, hi = self.bounds()
         v = f.values()
-        ok = np.ones(self.space.n, dtype=bool)
-        if self.lower is not None:
-            ok &= v > self.lower.values()
-        if self.upper is not None:
-            ok &= v < self.upper.values()
-        return ok
+        return (lo < v) & (v < hi)
 
 
-@dataclass
-class RationalGrid:
-    """Finite sorted level set for selections, with its dyadic depth;
-    consecutive levels of a generated grid differ by 2^-depth."""
-
-    levels: tuple
-    depth: int
-
-    def __post_init__(self):
-        lv = tuple(float(r) for r in self.levels)
-        if not lv:
-            raise PreconditionError("grid needs at least one level")
-        if not np.isfinite(lv).all():
-            raise PreconditionError(f"grid levels must be finite, got {lv}")
-        if any(b <= a for a, b in zip(lv, lv[1:])):
-            raise PreconditionError("grid levels must be strictly increasing")
-        object.__setattr__(self, "levels", lv)
-
-    @staticmethod
-    def dyadic(lo: float, hi: float, depth: int) -> "RationalGrid":
-        """All multiples of 2^-depth inside [lo, hi]."""
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise PreconditionError(
-                f"grid bounds must be finite, got [{lo}, {hi}]")
-        step = 2.0 ** -int(depth)
-        klo = int(np.ceil(lo / step - 1e-12))
-        khi = int(np.floor(hi / step + 1e-12))
-        if khi < klo:
-            raise PreconditionError(
-                f"no multiple of 2^-{int(depth)} lies in [{lo}, {hi}]")
-        return RationalGrid(tuple(k * step for k in range(klo, khi + 1)),
-                            int(depth))
+def _beyond(g) -> float:
+    """A finite level above every entry of g: one span of g (at least
+    1) past its top b.  Where that rounds back onto b or overflows
+    (|b| past 2^53, or a span past the float range), max(2b, -b),
+    capped at the largest float, so a window far from 0 keeps an
+    interior and, unless b is beyond half the float range, a margined
+    one the dyadic levels can reach."""
+    b = float(g.max())
+    s = b + max(b - float(g.min()), 1.0)
+    if b < s < math.inf:
+        return s
+    return min(max(2.0 * b, -b), sys.float_info.max)
 
 
 @dataclass
@@ -132,20 +113,11 @@ def graph_open_check(mapping: IntervalMapping, x: int, s: float,
     s, t = float(s), float(t)
     if not s < t:
         raise PreconditionError(f"probe needs s < t, got [{s}, {t}]")
-    n = mapping.space.n
-    good = np.ones(n, dtype=bool)
-    if mapping.lower is not None:
-        gv = mapping.lower.values()
-        if not gv[x] < s:
-            raise PreconditionError(
-                f"probe value {s} is not inside the window at {x}", witness=x)
-        good &= gv < s
-    if mapping.upper is not None:
-        hv = mapping.upper.values()
-        if not t < hv[x]:
-            raise PreconditionError(
-                f"probe value {t} is not inside the window at {x}", witness=x)
-        good &= t < hv
+    lo, hi = mapping.bounds()
+    good = (lo < s) & (t < hi)
+    if not good[x]:
+        raise PreconditionError(f"probe value {t if lo[x] < s else s} is not "
+                                f"inside the window at {x}", witness=x)
     bad = np.flatnonzero(~good)
     if bad.size == 0:
         return OpennessReport(True, mapping.space.diameter(), None, (x, s, t))
@@ -169,30 +141,22 @@ def _stab_windows(klo: np.ndarray, khi: np.ndarray):
     return chosen
 
 
-def _level_witnesses(space, levels, lo, hi, cushion) -> dict:
-    """Each level's cushioned margin inside the true windows, capped at
-    1: positive exactly where the level clears the cushion."""
-    return {r: Tabulated(space, np.minimum(1.0, np.maximum(
-        np.minimum(r - lo, hi - r) - cushion, 0.0))) for r in levels}
-
-
-def select(mapping: IntervalMapping, grid: RationalGrid | None = None,
-           tol: float = _DEFAULT_TOL) -> ScalarField:
+def select(mapping: IntervalMapping, tol: float = _DEFAULT_TOL) -> ScalarField:
     """Lipschitz field strictly inside every window.
 
-    With an explicit grid, its levels must reach inside every window;
-    a minimal upward-biased subset of them stabs all windows.  Without
-    one, dyadic levels k 2^-d are tried at the depths _DEPTHS, then at
-    the first d with 2^-d <= theta, until every window, shrunk by a
-    quarter theta of the narrowest width (so at least 2 theta long),
-    contains one.  Each chosen level r carries the witness row
+    Dyadic levels k 2^-d are tried at the depths _DEPTHS, then at the
+    first d with 2^-d <= theta, until every window, shrunk by a quarter
+    theta of the narrowest width (so at least 2 theta long), contains
+    one; the widths are read on the sentinel windows, and theta from
+    their quarters when every width overflows.  A minimal upward-biased
+    set of levels stabs the shrunken windows, and each chosen level r
+    carries the witness row
 
-        min(1, max(0, min(r - lower, upper - r) - cushion)),
+        min(1, max(0, min(r - lower, upper - r) - theta/2)),
 
-    an absent side at infinity, cushion = theta/2 for the dyadic
-    ladder and 0 for an explicit grid, so a witness is positive
-    exactly where its level clears the cushion inside the true window;
-    a depth counts once they cover the sample.  A failing depth whose
+    an absent side at infinity, so a witness is positive exactly where
+    its level clears the cushion theta/2 inside the true window; a
+    depth counts once they cover the sample.  A failing depth whose
     indices k are not finite or reach 2^53 has no exact multiples near
     some window, nor has any deeper one: GridError names the sample.
     Blending the levels through the witnesses' partition of unity
@@ -203,60 +167,47 @@ def select(mapping: IntervalMapping, grid: RationalGrid | None = None,
     """
     space = mapping.space
     gt, ht = mapping.sentinels()
-    width = ht - gt
+    with np.errstate(over="ignore"):
+        width = ht - gt
     x = int(np.argmin(width))
     if not (width[x] > 0.0):
         raise PreconditionError(
             f"window at sample {x} has no interior (width {width[x]!r})",
             witness=x)
+    lo, hi = mapping.bounds()
 
-    # the true windows, an absent side at infinity
-    lo = (np.full(space.n, -np.inf) if mapping.lower is None
-          else mapping.lower.values())
-    hi = (np.full(space.n, np.inf) if mapping.upper is None
-          else mapping.upper.values())
-
-    if grid is not None:
-        levels = np.asarray(grid.levels)
-        # strict containment against the true windows
-        klo = np.searchsorted(levels, lo, side="right")
-        khi = np.searchsorted(levels, hi, side="left") - 1
-        short = np.flatnonzero(klo > khi)
-        if short.size:
-            raise GridError(
-                f"grid too coarse: no level inside the window at sample "
-                f"{int(short[0])}; refine the grid", witness=int(short[0]))
-        chosen = [float(levels[k]) for k in _stab_windows(klo, khi)]
-        depth = grid.depth
-        cushion = 0.0
-        witnesses = _level_witnesses(space, chosen, lo, hi, cushion)
-    else:
-        theta = float(width.min()) / 4.0
-        cushion = theta / 2.0
-        # 2^-d <= theta from d = 1 - e, where theta = m 2^e, 1/2 <= m < 1
-        depths = _DEPTHS + (1 - math.frexp(theta)[1],)
-        for depth in depths:
-            step = 2.0 ** -depth
-            with np.errstate(over="ignore", invalid="ignore"):
-                klo = np.ceil((gt + theta) / step - 1e-12)
-                khi = np.floor((ht - theta) / step + 1e-12)
-                beyond = ~(np.maximum(np.abs(klo), np.abs(khi)) < 2.0 ** 53)
-            short = ~(np.isfinite(klo) & np.isfinite(khi) & (klo <= khi))
+    theta = float(width[x]) / 4.0
+    if theta == math.inf:
+        theta = float((ht / 4.0 - gt / 4.0).min())
+    cushion = theta / 2.0
+    # 2^-d <= theta from d = 1 - e, where theta = m 2^e, 1/2 <= m < 1
+    depths = _DEPTHS + (1 - math.frexp(theta)[1],)
+    for depth in depths:
+        step = 2.0 ** -depth
+        with np.errstate(over="ignore", invalid="ignore"):
+            klo = np.ceil((gt + theta) / step - 1e-12)
+            khi = np.floor((ht - theta) / step + 1e-12)
+            beyond = ~(np.maximum(np.abs(klo), np.abs(khi)) < 2.0 ** 53)
+        short = ~(np.isfinite(klo) & np.isfinite(khi) & (klo <= khi))
+        if not short.any():
+            chosen = [k * step for k in _stab_windows(klo, khi)]
+            # a margin past the float range is inf, capped at 1 anyway
+            with np.errstate(over="ignore"):
+                witnesses = {r: Tabulated(space, np.minimum(1.0, np.maximum(
+                    np.minimum(r - lo, hi - r) - cushion, 0.0)))
+                    for r in chosen}
+            short = np.all([w.table == 0 for w in witnesses.values()], 0)
             if not short.any():
-                chosen = [k * step for k in _stab_windows(klo, khi)]
-                witnesses = _level_witnesses(space, chosen, lo, hi, cushion)
-                short = np.all([w.table == 0 for w in witnesses.values()], 0)
-                if not short.any():
-                    break
-            if beyond.any():
-                p = int(np.argmax(beyond))
-                raise GridError(f"multiples of 2^-{depth} are not exact "
-                                f"floats at the window of sample {p}", witness=p)
-        else:
-            p = int(np.argmax(short))
-            raise GridError(
-                f"no dyadic level clears the margined window at sample {p} "
-                f"at depths {depths}", witness=p)
+                break
+        if beyond.any():
+            p = int(np.argmax(beyond))
+            raise GridError(f"multiples of 2^-{depth} are not exact "
+                            f"floats at the window of sample {p}", witness=p)
+    else:
+        p = int(np.argmax(short))
+        raise GridError(
+            f"no dyadic level clears the margined window at sample {p} "
+            f"at depths {depths}", witness=p)
 
     # most-covering level first: it receives the heaviest cover weight
     count = {r: int(((gt + cushion < r) & (r < ht - cushion)).sum())

@@ -60,16 +60,14 @@ def _containment_cert(values, interval, tol) -> Certificate:
 def _strictness_cert(mapping, f) -> Certificate:
     """The least margin of f inside the windows must be positive."""
     v = f.values()
-    margins = np.full(v.size, math.inf)
-    if mapping.lower is not None:
-        margins = np.minimum(margins, v - mapping.lower.values())
-    if mapping.upper is not None:
-        margins = np.minimum(margins, mapping.upper.values() - v)
-    if not np.isfinite(margins).any():
-        return Certificate("strictness", True, 0.0, 0.0,
-                           details={"min_margin": "inf"})
+    lo, hi = mapping.bounds()
+    with np.errstate(invalid="ignore", over="ignore"):
+        margins = np.minimum(v - lo, hi - v)
     p = int(np.argmin(margins))
     m = float(margins[p])
+    if m == math.inf:
+        return Certificate("strictness", True, 0.0, 0.0,
+                           details={"min_margin": "inf"})
     details = {"min_margin": m}
     for attr in ("grid_depth", "margin"):
         if hasattr(f, attr):
@@ -205,7 +203,8 @@ def certify_select(mapping, f, tol=_DEFAULT_TOL) -> list:
         # a quarter of the worst sample's clearance on each side
         v = f.values()
         gt, ht = mapping.sentinels()
-        margin = np.minimum(v - gt, ht - v)
+        with np.errstate(over="ignore"):
+            margin = np.minimum(v - gt, ht - v)
         x = int(np.argmin(margin))
         m = float(margin[x]) / 4.0
         rep = graph_open_check(mapping, x, float(v[x]) - m, float(v[x]) + m)

@@ -14,7 +14,7 @@ from lipkit import (Certificate, Constant, CoverError, CozeroCover,
 from lipkit import _pairs
 from lipkit.local_lipschitz import _cover_from_oscillation
 from lipkit.metric_space import _DEFAULT_TOL
-from lipkit.partition_of_unity import _DEFAULT_MEMBER_CAP
+from lipkit.partition_of_unity import _MEMBER_CAP
 
 
 def make_space(rng, n_max=40, kinds=None):
@@ -423,7 +423,7 @@ def ref_mather_refine(cover: CozeroCover, tol: float = _DEFAULT_TOL) -> MatherRe
 
 
 def ref_frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
-                   max_members: int = _DEFAULT_MEMBER_CAP) -> PartitionOfUnity:
+                   max_members: int = _MEMBER_CAP) -> PartitionOfUnity:
     """The field-tree frolik_pou the array version replaced, kept
     verbatim as its reference.
 

@@ -35,6 +35,15 @@ def read_json(tmp_path, name="certificate.json"):
     return json.loads((tmp_path / name).read_text())
 
 
+def test_every_public_name_resolves():
+    """from lipkit import * fails on a name of __all__ that the package
+    no longer defines."""
+    namespace = {}
+    exec("from lipkit import *", namespace)
+    assert sorted(set(lipkit.__all__)) == sorted(lipkit.__all__)
+    assert set(lipkit.__all__) <= namespace.keys()
+
+
 def test_extend_writes_outputs(tmp_path, extend_argv):
     out = tmp_path / "out"
     assert main(extend_argv + ["--out-dir", str(out)]) == 0
@@ -430,6 +439,20 @@ def test_select_runs(tmp_path, grid_space, capsys):
     assert all(r.endswith(",0.5") for r in rows)
     cert = read_json(tmp_path)["certificates"][0]
     assert cert["details"]["probe"]["ok"] is True
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("window", [{"lower": 1e16, "upper": None},
+                                    {"lower": None, "upper": -1e16}])
+def test_select_one_sided_window_far_from_0(tmp_path, window, capsys):
+    """One span past 1e16 rounds back onto 1e16; the window still has
+    an interior and the selection passes."""
+    space = write(tmp_path / "space.json",
+                  json.dumps({"lo": 0.0, "hi": 4.0, "step": 1.0}))
+    values = write(tmp_path / "w.json", json.dumps(window))
+    assert main(["select", "--space", space, "--values", values,
+                 "--out-dir", str(tmp_path)]) == 0
+    assert read_json(tmp_path)["passed"] is True
     capsys.readouterr()
 
 

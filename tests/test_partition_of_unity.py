@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lipkit import (Constant, CoverError, CozeroCover, DistanceTo, InputError,
+from lipkit import (Constant, CoverError, CozeroCover, DistanceTo,
                     MetricSpace, PreconditionError, Tabulated, check_k_lipschitz,
                     frolik_pou, global_lip, index_subordinate, mather_refine,
                     minimum, nonexpansive_split, pou_report, staircase,
@@ -272,10 +272,11 @@ def test_frolik_makes_one_staircase_row_per_step_index(monkeypatch):
     assert shared      # some family has more members than step indices
 
 
-def test_frolik_member_cap_fails_loudly():
+def test_frolik_member_cap_fails_loudly(monkeypatch):
     space, cover, _ = three_point_shrink()
-    with pytest.raises(CoverError):
-        frolik_pou(cover, max_members=2)
+    monkeypatch.setattr(partition_of_unity, "_MEMBER_CAP", 2)
+    with pytest.raises(CoverError, match="cap 2"):
+        frolik_pou(cover)
 
 
 def test_index_subordinate_single_set_is_one():
@@ -297,20 +298,20 @@ def test_index_subordinate_three_point_confinement():
 
 
 def test_index_subordinate_pads_empty_groups():
-    space, cover = single_set_cover()
-    grouped = index_subordinate(frolik_pou(cover), size=3)
-    assert len(grouped) == 3
-    assert grouped.set_index == [0, 1, 2]
-    np.testing.assert_array_equal(grouped.members[1].values(), np.zeros(3))
-    np.testing.assert_array_equal(grouped.members[2].values(), np.zeros(3))
-    assert pou_report(grouped).passed
-
-
-def test_index_subordinate_rejects_small_size():
-    space, cover, _ = three_point_shrink()
+    """The second witness sits below half the mixture everywhere, so
+    mather_refine drops it and frolik_pou gives it no member; the
+    regrouping still has one row per cover set, a zero one for it."""
+    space = MetricSpace.from_points([0.0, 1.0, 2.0])
+    cover = CozeroCover(space, [Constant(space, 0.5), Constant(space, 0.01)])
     pou = frolik_pou(cover)
-    with pytest.raises(InputError):
-        index_subordinate(pou, size=1)
+    assert pou.refinement.dominated == [1] and set(pou.set_index) == {0}
+    grouped = index_subordinate(pou)
+    assert len(grouped) == 2
+    assert grouped.set_index == [0, 1]
+    np.testing.assert_array_equal(grouped.members[0].values(), np.ones(3))
+    np.testing.assert_array_equal(grouped.members[1].values(), np.zeros(3))
+    assert not grouped.activity[1].any()
+    assert pou_report(grouped).passed
 
 
 def test_regrouping_preserves_sums_bit_for_bit():

@@ -8,9 +8,10 @@ from lipkit import (Constant, CoverError, DistanceTo, GridError, LocalWitness,
                     MetricSpace, PreconditionError, Subset, Tabulated,
                     Transported, global_lip, maximum, minimum,
                     random_k_extension)
-from lipkit.selection import (IntervalMapping, RationalGrid, decreasing_approx,
+from lipkit.selection import (IntervalMapping, decreasing_approx,
                               graph_open_check, insert, select, select_extend)
 from lipkit.fixtures import approx_targets, dowker_step
+from lipkit.verdicts import certify_select
 
 from helpers import make_instance
 
@@ -33,30 +34,6 @@ def test_strict_mask_is_strict():
     m = unit_window(space)
     on_edge = Tabulated(space, np.array([0.0, 0.5, 1.0]))
     assert m.strict_mask(on_edge).tolist() == [False, True, False]
-
-
-def test_rational_grid_validation():
-    with pytest.raises(PreconditionError):
-        RationalGrid((), 1)
-    with pytest.raises(PreconditionError):
-        RationalGrid((0.5, 0.5), 1)
-    with pytest.raises(PreconditionError):
-        RationalGrid((1.0, 0.5), 1)
-    # NaN fails every comparison, so only a finiteness check refuses it
-    with pytest.raises(PreconditionError, match="finite"):
-        RationalGrid((0.0, math.nan), 1)
-    with pytest.raises(PreconditionError, match="finite"):
-        RationalGrid.dyadic(math.nan, 1.0, 2)
-    with pytest.raises(PreconditionError, match="finite"):
-        RationalGrid.dyadic(0.0, math.inf, 2)
-
-
-def test_rational_grid_dyadic():
-    g = RationalGrid.dyadic(0.0, 1.0, 2)
-    assert g.levels == (0.0, 0.25, 0.5, 0.75, 1.0)
-    assert g.depth == 2
-    with pytest.raises(PreconditionError):
-        RationalGrid.dyadic(0.3, 0.4, 1)
 
 
 def test_graph_open_check_constant_windows():
@@ -98,21 +75,6 @@ def test_graph_open_check_duplicate_sample_fails():
     assert rep.counterexample == 1
 
 
-def test_select_single_level_grid_exact():
-    space = MetricSpace.from_grid(0.0, 2.0, 0.5)
-    f = select(unit_window(space), grid=RationalGrid((0.5,), 1))
-    assert (f.values() == 0.5).all()
-
-
-def test_select_grid_too_coarse():
-    space, lower, upper = dowker_step(0.25)
-    m = IntervalMapping(space, lower, upper)
-    with pytest.raises(GridError) as err:
-        select(m, grid=RationalGrid((0.25,), 2))
-    assert "too coarse" in str(err.value)
-    assert lower.values()[err.value.witness] >= 0.25
-
-
 def test_select_ladder_unit_window():
     space = MetricSpace.from_grid(0.0, 2.0, 0.5)
     f = select(unit_window(space))
@@ -134,17 +96,6 @@ def test_select_step_window_ladder():
     assert global_lip(f).finite
 
 
-def test_select_step_window_explicit_grid():
-    space, lower, upper = dowker_step(0.25)
-    m = IntervalMapping(space, lower, upper)
-    f = select(m, grid=RationalGrid.dyadic(0.0, 2.0, 4))
-    assert f.margin == 0.0
-    assert sorted(f.chosen_levels) == [0.4375, 1.9375]
-    np.testing.assert_array_equal(
-        f.values(), np.where(space.coords[:, 0] < 1.0, 0.4375, 1.9375))
-    assert m.strict_mask(f).all()
-
-
 def test_select_one_sided_windows():
     space = MetricSpace.from_grid(-1.0, 1.0, 0.25)
     t = Tabulated(space, np.abs(space.coords[:, 0]))
@@ -154,23 +105,19 @@ def test_select_one_sided_windows():
     above = IntervalMapping(space, t, None)
     g = select(above)
     assert above.strict_mask(g).all()
-    # explicit level far outside the sentinel span still works one-sided
-    h = select(below, grid=RationalGrid((-5.0,), 1))
-    assert (h.values() == -5.0).all()
 
 
 def tree_witnesses(mapping, levels, cushion):
     """The Constant/minimum/maximum witness trees select built before
-    its witness rows were arrays, an absent side dropped."""
+    its witness rows were arrays, an absent side at infinity."""
     space = mapping.space
+    lower, upper = mapping.lower, mapping.upper
+    lower = Constant(space, -math.inf) if lower is None else lower
+    upper = Constant(space, math.inf) if upper is None else upper
     out = []
     for r in levels:
         level = Constant(space, r)
-        terms = [] if mapping.lower is None else [level - mapping.lower]
-        if mapping.upper is not None:
-            terms.append(mapping.upper - level)
-        margin = (Constant(space, 1.0) if not terms else terms[0]
-                  if len(terms) == 1 else minimum(*terms))
+        margin = minimum(level - lower, upper - level)
         out.append(minimum(Constant(space, 1.0), maximum(
             margin - Constant(space, cushion), Constant(space, 0.0))))
     return [w.values() for w in out]
@@ -178,23 +125,20 @@ def tree_witnesses(mapping, levels, cushion):
 
 @pytest.mark.parametrize("sides", ["both", "lower", "upper", "none"])
 def test_select_witness_rows_match_the_field_trees(sides):
-    """An absent side at infinity drops out of the margin: the rows are
-    the field trees' bit for bit on explicit grids and on two-sided
-    ladders."""
+    """An absent side at infinity drops out of the margin: the ladder's
+    rows are the field trees' bit for bit for every combination of
+    sides."""
     space = MetricSpace.from_grid(-1.0, 1.0, 0.125)
     t = space.coords[:, 0]
     lower = Tabulated(space, np.abs(t) - 0.5)
     upper = Tabulated(space, t * t + 0.5)
     m = IntervalMapping(space, lower if sides in ("both", "lower") else None,
                         upper if sides in ("both", "upper") else None)
-    runs = [select(m, grid=RationalGrid.dyadic(-3.0, 3.0, 4))]
-    if sides == "both":
-        runs.append(select(m))
-    for f in runs:
-        rows = [w.values() for w in f.partition.cover.witnesses]
-        ref = tree_witnesses(m, f.chosen_levels, f.margin)
-        assert np.array(rows).tobytes() == np.array(ref).tobytes()
-        assert m.strict_mask(f).all()
+    f = select(m)
+    rows = [w.values() for w in f.partition.cover.witnesses]
+    ref = tree_witnesses(m, f.chosen_levels, f.margin)
+    assert np.array(rows).tobytes() == np.array(ref).tobytes()
+    assert m.strict_mask(f).all()
 
 
 @pytest.mark.parametrize("n", [200, 601])
@@ -283,6 +227,57 @@ def test_select_past_the_float_resolution_is_a_grid_error(lo, hi, depth):
                            ) as err:
             select(m)
     assert err.value.witness == 0
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+@pytest.mark.parametrize("b", [1e16, 1e300, -1e308, 1.7e308])
+def test_one_sided_window_far_from_0_has_an_interior(side, b):
+    """One span past a bound of 2^53 or more rounds back onto it; the
+    sentinel then moves to max(2b, -b) (mirrored for an upper side),
+    capped at the largest float, so the window keeps an interior.  The
+    ladder selects strictly inside, except where every margined window
+    lies past half the float range and the level indices of depth 1
+    overflow: that is GridError, as for two-sided windows there, not a
+    window without interior."""
+    space = MetricSpace.from_grid(0.0, 4.0, 1.0)
+    c = Constant(space, b)
+    m = IntervalMapping(space, c if side == "lower" else None,
+                        c if side == "upper" else None)
+    gt, ht = m.sentinels()
+    assert np.isfinite(gt).all() and np.isfinite(ht).all()
+    assert (gt < ht).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if (side, b) in (("lower", 1.7e308), ("upper", -1e308)):
+            with pytest.raises(GridError, match="2\\^-1 .* sample 0"):
+                select(m)
+            return
+        f = select(m)
+    assert m.strict_mask(f).all()
+
+
+def test_sentinel_one_span_beyond_keeps_its_bits():
+    space = MetricSpace.from_grid(0.0, 2.0, 1.0)
+    g = Tabulated(space, np.array([5e15, 5e15 + 4.0, 5e15 + 2.0]))
+    assert IntervalMapping(space, g, None).sentinels()[1][0] == 5e15 + 8.0
+    assert IntervalMapping(space, None, g).sentinels()[0][0] == 5e15 - 4.0
+    unit = Tabulated(space, np.array([0.0, 0.5, 0.25]))
+    assert IntervalMapping(space, unit, None).sentinels()[1][0] == 1.5
+
+
+@pytest.mark.parametrize("b", [1e308, 1.7e308])
+def test_select_widest_windows_do_not_overflow(b):
+    """The width of (-b, b) overflows; theta comes from the quarters of
+    the sides instead, and a level's margin past the float range is
+    capped at 1, with no numpy warning, in select or its certificates."""
+    space = MetricSpace.from_grid(0.0, 4.0, 1.0)
+    m = IntervalMapping(space, Constant(space, -b), Constant(space, b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        f = select(m)
+        assert all(c.passed for c in certify_select(m, f))
+    assert f.margin == b / 4.0
+    assert m.strict_mask(f).all()
 
 
 def test_select_rejects_empty_window():
