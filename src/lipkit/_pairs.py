@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import InputError
 
 _BLOCK = 1 << 16    # entries per row block: 512 KB temporaries, kept in L2
 
@@ -73,31 +73,48 @@ def pair_blocks(space, m, ids=None, symmetric=True):
                      else D[np.ix_(ids[r], ids[c])]), mirror
 
 
-def sample_ids(ids, n, what, form, width=None):
+def first_bad_id(ids, n):
+    """(position, why) of the first entry of the float array ids that is
+    no integer in 0..n-1 (no integer at all when n is None), or None."""
+    whole = np.isfinite(ids) & (ids == np.floor(ids))
+    bad = ~whole if n is None else ~whole | (ids < 0) | (ids >= n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        return i, (f"lies outside 0..{n - 1}" if whole.flat[i]
+                   else "is not an integer")
+
+
+def sample_ids(ids, n, what, form=None, width=None):
     """ids as an int array, flat or, with width, reshaped to rows of width
-    ids.  A PreconditionError refuses any other list with the message
-    form, and names (as what, with its position) the first entry that is
-    no integer in 0..n-1: an int dtype would wrap -1 and truncate 4.7."""
-    ids = np.asarray(ids)
+    ids: the one rule that decides what a sample id is.  An InputError
+    refuses any other list with the message form, and names (as what,
+    with its position) the first entry that is no integer in 0..n-1,
+    read as given: a bool, even among ints, is no integer."""
+    given, ids = ids, np.asarray(ids)
     if width:   # a list that does not split into rows stays refused
         ids = ids.reshape(-1, width) if ids.size % width == 0 else ids.ravel()
     if ids.ndim != (2 if width else 1) or (
-            ids.size and ids.dtype.kind not in "iuf"):
-        raise PreconditionError(form)
-    whole = np.isfinite(ids) & (ids == np.floor(ids))
-    bad = ~whole | (ids < 0) | (ids >= n)
-    if bad.any():
-        i = int(np.argmax(bad))
-        why = (f"lies outside 0..{n - 1}" if whole.flat[i]
-               else "is not an integer")
-        raise PreconditionError(f"{what} {ids.flat[i].item()!r} at position "
-                                f"{divmod(i, width) if width else i} {why}")
+            ids.size and ids.dtype.kind not in "biuf"):
+        raise InputError(form or f"{what}s must be "
+                         f"{f'rows of {width}' if width else 'a flat list of'} "
+                         f"sample ids")
+    items = ids if isinstance(given, np.ndarray) else np.array(
+        given, dtype=object).reshape(ids.shape)
+    bools = ids.dtype.kind == "b" if items is ids else np.reshape(
+        [type(x) in (bool, np.bool_) for x in items.flat], ids.shape)
+    bad = first_bad_id(np.where(bools, np.nan, ids), n)
+    if bad:
+        i, why = bad
+        x = items.flat[i]
+        x = x.item() if isinstance(x, np.generic) else x
+        raise InputError(f"{what} {x!r} at position "
+                         f"{divmod(i, width) if width else i} {why}")
     return ids.astype(int)
 
 
 def sample_id(p, n) -> int:
     """One sample id p as an int, under the rule of sample_ids."""
-    return int(sample_ids([p], n, "point", "a point must be a sample id")[0])
+    return int(sample_ids([p], n, "point")[0])
 
 
 def listed_max(space, v, pairs, value):

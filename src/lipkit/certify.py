@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _pairs
-from .errors import InputError, PreconditionError
+from .errors import PreconditionError
 from .metric_space import _DEFAULT_TOL, MetricSpace, Subset
 from .scalar_field import ScalarField, Tabulated
 
@@ -234,8 +234,7 @@ def feasible_interval(space: MetricSpace, assigned_ids, assigned_values,
     """The [max(f - K d), min(f + K d)] interval used by the greedy
     extension; exposed for the prefix-consistency property tests.  p
     and the assigned ids must be sample ids (see _pairs.sample_ids)."""
-    ids = _pairs.sample_ids(assigned_ids, space.n, "assigned id",
-                            "assigned ids must be a flat list of sample ids")
+    ids = _pairs.sample_ids(assigned_ids, space.n, "assigned id")
     p = _pairs.sample_id(p, space.n)
     vals = np.asarray(assigned_values, dtype=float)
     d = space.dist_row(p)[ids]
@@ -293,13 +292,9 @@ def pou_report(pou, tol: float = _DEFAULT_TOL) -> Certificate:
 
 def _entry_arrays(space: MetricSpace, entries):
     """The centers, radii and constants of witness entries as arrays,
-    refused unless every center is a sample of space (an int index
-    would wrap -1 to the last sample)."""
-    centers = np.array([e.point for e in entries], dtype=int)
-    if centers.size and (centers.min() < 0 or centers.max() >= space.n):
-        raise InputError(
-            f"witness entry ids must lie in 0..{space.n - 1}, got range "
-            f"[{centers.min()}, {centers.max()}]")
+    refused unless every center is a sample of space."""
+    centers = _pairs.sample_ids([e.point for e in entries], space.n,
+                                "witness entry id")
     return (centers,
             np.array([e.delta for e in entries], dtype=float),
             np.array([e.constant for e in entries], dtype=float))

@@ -8,7 +8,8 @@ class LipkitError(Exception):
 
 
 class InputError(LipkitError):
-    """Malformed file, table, or argument handed to a loader or the CLI."""
+    """Malformed file, table, or argument, including a value that is no
+    sample id wherever it is found (see _pairs.sample_ids)."""
 
 
 class DomainError(LipkitError):
@@ -16,7 +17,8 @@ class DomainError(LipkitError):
 
 
 class PreconditionError(LipkitError):
-    """An operation's precondition failed on the given sample data.
+    """An operation's precondition failed on the given sample data: its
+    distances, values, constants or witnesses, not the ids naming them.
 
     Carries the offending witness (a pair of point ids, an entry index,
     or similar) so callers can report what broke, not just that it broke.

@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+from . import _pairs
 from ._version import __version__
 from .certify import _jsonable
 from .errors import InputError
@@ -137,8 +138,11 @@ def load_subset(path, space: MetricSpace) -> Subset:
 # Value tables
 
 
-def load_values_csv(path):
-    """Rows of (id, value); returns (ids, values) in file order."""
+def load_values_csv(path, n=None):
+    """Rows of (id, value); returns (ids, values) in file order.  An
+    InputError names the file line of a non-finite entry, of an id that
+    is no sample id of 0..n-1 (any integer when n is None) and of a
+    repeated id."""
     data, lines = _read_csv_floats(path)
     if data.shape[1] != 2:
         raise InputError(f"{path}: expected two columns (id, value)")
@@ -147,31 +151,37 @@ def load_values_csv(path):
         raise InputError(f"{path}, line {lines[bad[0]]}: ids and values "
                          f"must be finite")
     ids = data[:, 0]
-    if not np.array_equal(ids, np.round(ids)):
-        raise InputError(f"{path}: first column must hold integer ids")
+    first = np.zeros(ids.size, dtype=bool)
+    first[np.unique(ids, return_index=True)[1]] = True
+    bad = _pairs.first_bad_id(ids, n)
+    if bad is None and not first.all():
+        bad = int(np.argmin(first)), "repeats an earlier row"
+    if bad:
+        i, why = bad
+        raise InputError(f"{path}, line {lines[i]}: id {ids[i]:g} {why}")
     return ids.astype(int), data[:, 1]
 
 
-def _values_at(path, ids, what) -> np.ndarray:
-    """The value CSV's values at the int ids, refused at an id it lacks."""
-    known, vals = load_values_csv(path)
-    lookup = dict(zip(known.tolist(), vals.tolist()))
-    out = np.empty(len(ids))
-    for i, p in enumerate(ids):
-        if p not in lookup:
-            raise InputError(f"{path}: no value for {what} {p}")
-        out[i] = lookup[p]
-    return out
+def _values_at(path, n, ids, what) -> np.ndarray:
+    """The values of a value CSV over 0..n-1 at the sample ids."""
+    known, vals = load_values_csv(path, n)
+    out = np.full(n, np.nan)    # the values are finite: NaN marks a gap
+    out[known] = vals
+    missing = ids[np.isnan(out[ids])]
+    if missing.size:
+        raise InputError(f"{path}: no value for {what} {missing[0]}")
+    return out[ids]
 
 
 def values_on_subset(path, A: Subset) -> np.ndarray:
     """Values aligned with A.members, loaded from a value CSV."""
-    return _values_at(path, A.members.tolist(), "subset id")
+    return _values_at(path, A.space.n, A.members, "subset id")
 
 
 def field_on_space(path, space: MetricSpace) -> Tabulated:
     """A tabulated field from a value CSV covering every id."""
-    return Tabulated(space, _values_at(path, range(space.n), "id"))
+    return Tabulated(space, _values_at(path, space.n, np.arange(space.n),
+                                       "id"))
 
 
 def save_values_csv(path, values, ids=None):

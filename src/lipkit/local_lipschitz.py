@@ -51,18 +51,18 @@ class LocalWitness:
 
     @classmethod
     def from_triples(cls, triples) -> "LocalWitness":
+        triples = list(triples)
+        # integers only: the range is checked where entries meet a space
+        points = _pairs.sample_ids([t[0] for t in triples], None,
+                                   "entry point").tolist()
         entries = []
-        for p, delta, K in triples:
-            # the range is checked where the entries meet a space
-            if not float(p).is_integer():
-                raise PreconditionError(f"entry point {p!r} is not an integer")
-            delta = float(delta)
-            K = float(K)
+        for p, (_, delta, K) in zip(points, triples):
+            delta, K = float(delta), float(K)
             if not (delta > 0.0):
                 raise PreconditionError(f"entry at {p} needs a positive radius")
             if not (K >= 0.0 and math.isfinite(K)):
                 raise PreconditionError(f"entry at {p} needs a finite rate")
-            entries.append(WitnessEntry(int(p), delta, K))
+            entries.append(WitnessEntry(p, delta, K))
         if not entries:
             raise PreconditionError("a witness needs at least one entry")
         return cls(entries)
@@ -282,8 +282,7 @@ def modulus_witness(f: ScalarField, witness: LocalWitness, rule: str = "bounded"
 
 def witness_from_modulus(modulus: ModulusWitness, points, deltas) -> LocalWitness:
     """Local witness whose rates dominate the modulus on doubled balls."""
-    points = _pairs.sample_ids(points, modulus.space.n, "point",
-                               "points must be a flat list of sample ids")
+    points = _pairs.sample_ids(points, modulus.space.n, "point")
     deltas = [float(d) for d in deltas]
     if len(points) != len(deltas):
         raise PreconditionError("need one radius per point")
@@ -315,11 +314,8 @@ def _slice_groups(ball_peaks, max_slices):
     """
     firsts = [None if m == 0.0 else int(math.floor(math.log2(m))) + 1
               for m in ball_peaks]
-    distinct = sorted({j for j in firsts if j is not None})
-    if not distinct:
-        distinct = [0]
-    kept = distinct[-max_slices:]
-    exps = sorted(kept, reverse=True)
+    distinct = sorted({j for j in firsts if j is not None}) or [0]
+    exps = sorted(distinct[-max_slices:], reverse=True)
     groups = [[b for b, fj in enumerate(firsts) if fj is None or fj <= j]
               for j in exps]
     return exps, groups
@@ -401,7 +397,7 @@ def decompose(f: ScalarField, witness: LocalWitness,
         return Constant(space, lo) if lo == hi else extend_to_interval(
             Subset(space, supp), vals, K, Interval.closed(lo, hi), tol)
 
-    series = _blend(cover, piece, tol)
+    series = _blend(cover, piece)
     return Decomposition(f, series, series.terms, series.pieces, constants,
                          exps, series.partition, cert)
 
@@ -469,7 +465,7 @@ def local_extend(A: Subset, phi, witness: LocalWitness, interval: Interval,
         return extend_to_interval(Subset(space, supp), sub_vals, K, interval,
                                   tol)
 
-    out = _blend(cover, piece, tol)
+    out = _blend(cover, piece)
     out.restriction_error = float(
         np.abs(out.values()[A.members] - vals).max())
     out.local_witness = generate_local_witness(out)

@@ -278,17 +278,14 @@ class MetricSpace:
         n_nodes = int(n_nodes)
         if n_nodes < 1:
             raise InputError(f"a graph needs at least one node, got {n_nodes}")
-        rows, cols, weights = [], [], []
-        for u, v, w in edges:
-            u, v, w = int(u), int(v), float(w)
-            if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-                raise InputError(f"edge ({u},{v}) outside node range 0..{n_nodes - 1}")
+        edges = list(edges)
+        ends = _pairs.sample_ids([e[:2] for e in edges], n_nodes, "edge node",
+                                 width=2)
+        weights = [float(e[2]) for e in edges]
+        for (u, v), w in zip(ends.tolist(), weights):
             if not (0 < w < np.inf):
                 raise InputError(f"edge ({u},{v}) needs a positive finite weight, got {w}")
-            rows.append(u)
-            cols.append(v)
-            weights.append(w)
-        D = _shortest_paths(n_nodes, rows, cols, weights)
+        D = _shortest_paths(n_nodes, ends[:, 0], ends[:, 1], weights)
         if np.isinf(D).any():
             i, j = map(int, np.argwhere(np.isinf(D))[0])
             raise InputError(f"graph is disconnected: no path between {i} and {j}")
@@ -409,20 +406,17 @@ class Subset:
 
     def __init__(self, space: MetricSpace, members):
         self.space = space
-        members = np.unique(np.asarray(members, dtype=int))
-        if members.size and (members[0] < 0 or members[-1] >= space.n):
-            raise InputError(
-                f"subset ids must lie in 0..{space.n - 1}, got range "
-                f"[{members[0]}, {members[-1]}]")
-        self.members = members
+        self.members = np.unique(_pairs.sample_ids(members, space.n,
+                                                   "subset id"))
 
     @classmethod
     def whole(cls, space: MetricSpace) -> "Subset":
         return cls(space, np.arange(space.n))
 
     def __contains__(self, p) -> bool:
-        i = np.searchsorted(self.members, int(p))
-        return i < self.members.size and self.members[i] == int(p)
+        p = _pairs.sample_id(p, self.space.n)
+        i = np.searchsorted(self.members, p)
+        return i < self.members.size and self.members[i] == p
 
     def __len__(self) -> int:
         return int(self.members.size)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _pairs
 from .certify import check_k_lipschitz
-from .errors import CoverError, InputError, PreconditionError
+from .errors import CoverError, PreconditionError
 from .metric_space import _DEFAULT_TOL
 from .scalar_field import (Constant, ScalarField, Series, Tabulated,
                            _column_sums, global_lip)
@@ -119,15 +119,13 @@ class _BallUnion(ScalarField):
         balls = list(balls)
         if not balls:
             raise CoverError(f"ball group {g} is empty")
-        self.centers = np.array([int(c) for c, _ in balls], dtype=int)
+        self.centers = _pairs.sample_ids([c for c, _ in balls], space.n,
+                                         f"group {g} ball center")
         self.radii = np.array([float(r) for _, r in balls])
         for center, radius in zip(self.centers, self.radii):
             if not (radius > 0.0):
                 raise PreconditionError(
                     f"ball ({center}, {radius}) in group {g} has no interior")
-        if self.centers.min() < 0 or self.centers.max() >= space.n:
-            raise InputError(f"ball centers of group {g} lie outside the "
-                             f"host space 0..{space.n - 1}")
 
     def _compute_values(self) -> np.ndarray:
         out = np.empty(self.space.n)
@@ -174,30 +172,18 @@ class MatherRefinement:
 
     def active_bound(self, p: int) -> int:
         """Smallest k with eta(p) > 2^-k; gammas deeper than k vanish at p."""
-        v = float(self.eta.values()[p])
+        v = self.eta(p)
         k = 1
         while 2.0 ** -k >= v:
             k += 1
         return k
 
 
-def _refine(cover: CozeroCover, W: np.ndarray, tol: float):
-    """mather_refine on W, the stacked witness rows of the cover's sets.
-    Returns the refinement and the read-only matrix G whose rows are
-    its gammas."""
+def _shrink(cover: CozeroCover, W: np.ndarray):
+    """The shrink of mather_refine on W, the stacked witness rows of the
+    cover's sets, which it does not check.  Returns the refinement and
+    the read-only matrix G whose rows are its gammas."""
     space = cover.space
-    lips = _pairs.max_slopes(space, W, zero=math.inf)
-    for n, (w, lip) in enumerate(zip(W, lips), start=1):
-        hi = float(w.max())
-        bound = 2.0 ** -n
-        if hi > bound + tol:
-            raise PreconditionError(
-                f"witness {n} exceeds its 2^-{n} bound by {hi - bound:.3e}")
-        if lip > 1.0 + tol:
-            est = global_lip(_Row(space, w))
-            raise PreconditionError(
-                f"witness {n} is not 1-Lipschitz: constant {est.value:.6f} "
-                f"at pair {est.witness}")
     eta = _column_sums(2.0 ** -np.arange(1.0, len(W) + 1)[:, None] * W)
     G = np.maximum(W - 0.5 * eta, 0.0)
     lost = np.flatnonzero(~(G > 0.0).any(axis=0))
@@ -223,7 +209,19 @@ def mather_refine(cover: CozeroCover, tol: float = _DEFAULT_TOL) -> MatherRefine
     how many shrunken sets meet any sample.
     """
     W = np.stack([w.values() for w in cover.witnesses])
-    return _refine(cover, W, tol)[0]
+    lips = _pairs.max_slopes(cover.space, W, zero=math.inf)
+    for n, (w, lip) in enumerate(zip(W, lips), start=1):
+        hi = float(w.max())
+        bound = 2.0 ** -n
+        if hi > bound + tol:
+            raise PreconditionError(
+                f"witness {n} exceeds its 2^-{n} bound by {hi - bound:.3e}")
+        if lip > 1.0 + tol:
+            est = global_lip(_Row(cover.space, w))
+            raise PreconditionError(
+                f"witness {n} is not 1-Lipschitz: constant {est.value:.6f} "
+                f"at pair {est.witness}")
+    return _shrink(cover, W)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +264,13 @@ class PartitionOfUnity(ScalarField):
         return len(self.set_index)
 
 
-def _scaled_mixture(cover: CozeroCover, tol: float):
+def _scaled_mixture(cover: CozeroCover):
     """The scaled, refined witnesses R and their mixture m = sum R.
 
     Witnesses are scaled to 1-Lipschitz, clamped at 2^-n, shrunk as
     mather_refine shrinks them, and renormalized to peak 2^-n again;
+    the scaled rows meet mather_refine's bounds by construction (up to
+    an ulp of the scaling), so they are not checked again;
     dominated sets, whose shrunken witness vanishes, get no row.
     Returns (refinement, owners, R, mixture, recip): R[i] belongs to
     cover set owners[i], and recip = 1 / mixture is finite everywhere.
@@ -281,7 +281,7 @@ def _scaled_mixture(cover: CozeroCover, tol: float):
         if c > 1.0:
             row *= 1.0 / c
     bounds = 2.0 ** -np.arange(1.0, len(W) + 1)
-    refined, G = _refine(cover, np.minimum(bounds[:, None], W), tol)
+    refined, G = _shrink(cover, np.minimum(bounds[:, None], W))
 
     beta = G.max(axis=1)
     owners = np.flatnonzero(beta != 0.0)
@@ -316,10 +316,11 @@ def frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL) -> PartitionOfUnit
     family.  The blends read the regrouped form R_n / m and never build
     it (see _blend).
     pou.refinement shrinks the scaled and clamped rows and names the
-    given cover.
+    given cover.  No check reads tol: the rows are scaled and clamped
+    here, so they meet mather_refine's bounds by construction.
     """
     space = cover.space
-    refined, owners, R, mixture, recip = _scaled_mixture(cover, tol)
+    refined, owners, R, mixture, recip = _scaled_mixture(cover)
     # piece k is live at p iff k - 1 < recip(p); kept as floats, so a
     # huge finite recip is counted exactly and never cast
     live_k = np.ceil(recip)
@@ -383,7 +384,7 @@ def index_subordinate(pou: PartitionOfUnity) -> PartitionOfUnity:
     return grouped
 
 
-def _blend(cover: CozeroCover, piece, tol: float) -> Series:
+def _blend(cover: CozeroCover, piece) -> Series:
     """The sum over the cover's sets of psi_n xi_n, where xi_n = R_n / m
     is the partition of unity of frolik_pou regrouped by set and psi_n =
     piece(n, xi_n) is the field the caller carries on set n.
@@ -396,7 +397,7 @@ def _blend(cover: CozeroCover, piece, tol: float) -> Series:
     sum, as .partition and the psi_n as .pieces.
     """
     space = cover.space
-    _, owners, R, _, recip = _scaled_mixture(cover, tol)
+    _, owners, R, _, recip = _scaled_mixture(cover)
     matrix = np.zeros((len(cover), space.n))
     matrix[owners] = R * recip  # positive exactly where R is: m < 1
     partition = PartitionOfUnity(space, matrix, range(len(cover)),

@@ -160,10 +160,7 @@ class ScalarField:
         return self._cached
 
     def __call__(self, p: int) -> float:
-        p = int(p)
-        if not (0 <= p < self.space.n):
-            raise DomainError(f"point id {p} outside host space of size {self.space.n}")
-        return float(self.values()[p])
+        return float(self.values()[_pairs.sample_id(p, self.space.n)])
 
     # -- operator sugar; all routed through the node classes --
 
@@ -255,12 +252,10 @@ class DistanceTo(ScalarField):
 
     def __init__(self, space: MetricSpace, members):
         super().__init__(space)
-        members = np.unique(np.asarray(members, dtype=int))
-        if members.size == 0:
+        self.members = np.unique(_pairs.sample_ids(members, space.n,
+                                                   "distance-to-set id"))
+        if self.members.size == 0:
             raise PreconditionError("distance to the empty set is undefined")
-        if members[0] < 0 or members[-1] >= space.n:
-            raise InputError("distance-to-set ids outside the host space")
-        self.members = members
 
     def _compute_values(self) -> np.ndarray:
         out = np.empty(self.space.n)

@@ -163,7 +163,8 @@ def select(mapping: IntervalMapping, tol: float = _DEFAULT_TOL) -> ScalarField:
     keeps every sample value a sub-unit convex mix of levels
     admissible there, hence strictly inside its window.  The level
     count has no cap: past about 537 levels the partition's mixture
-    underflows, and CoverError names the sample.
+    underflows, and CoverError names the sample.  No check reads tol:
+    the witnesses meet the partition's bounds by construction.
     """
     space = mapping.space
     gt, ht = mapping.sentinels()
@@ -214,7 +215,7 @@ def select(mapping: IntervalMapping, tol: float = _DEFAULT_TOL) -> ScalarField:
              for r in chosen}
     values = sorted(chosen, key=lambda r: (-count[r], -r))
     out = _blend(CozeroCover(space, [witnesses[r] for r in values]),
-                 lambda n, xi: Constant(space, values[n]), tol)
+                 lambda n, xi: Constant(space, values[n]))
     out.chosen_levels = values
     out.grid_depth = depth
     out.margin = cushion
@@ -245,15 +246,10 @@ def select_extend(A: Subset, phi, witness: LocalWitness,
 
     target = Interval.real_line()
     base = local_extend(A, vals, witness, target, tol)
-    in_A = np.zeros(space.n, dtype=bool)
-    in_A[A.members] = True
-    keep = mapping.strict_mask(base)
-    failing = np.flatnonzero(~keep & ~in_A)
-
-    if failing.size == 0:
-        blended = base
-        selector = None
-    else:
+    failing = np.setdiff1d(np.flatnonzero(~mapping.strict_mask(base)),
+                           A.members)
+    blended, selector = base, None
+    if failing.size:
         selector = select(mapping, tol=tol)
         near = DistanceTo(space, A.members)
         far = DistanceTo(space, failing)

@@ -3,7 +3,10 @@
 certify_<command> takes the inputs of `lipkit <command>` and what its
 construction returned, and returns the certificates the command writes,
 in order; the CLI writes what these return, so a library caller gets
-the same evidence.  _verdict is the one place that decides worst <= tol.
+the same evidence.  _verdict decides worst <= tol for each excess
+certificate built here; check_k_lipschitz, pou_report and
+certify_local_witness decide their own, as do the metric report and the
+tolerance-0 duality, strictness and approx certificates.
 """
 
 from __future__ import annotations
@@ -69,11 +72,9 @@ def _strictness_cert(mapping, f) -> Certificate:
         return Certificate("strictness", True, 0.0, 0.0,
                            details={"min_margin": "inf"})
     details = {"min_margin": m}
-    for attr in ("grid_depth", "margin"):
+    for attr in ("grid_depth", "margin", "chosen_levels"):
         if hasattr(f, attr):
             details[attr] = getattr(f, attr)
-    if hasattr(f, "chosen_levels"):
-        details["chosen_levels"] = list(f.chosen_levels)
     return Certificate("strictness", m > 0.0, -m, 0.0, (p,), details)
 
 
@@ -197,20 +198,28 @@ def certify_extend_local(A, vals, interval, out, tol=_DEFAULT_TOL) -> list:
 
 def certify_select(mapping, f, tol=_DEFAULT_TOL) -> list:
     """For f = select(mapping, ...): strictness, probed at the worst
-    sample when it passes, and the report of f's partition."""
+    sample when it passes, and the report of f's partition.  The probe
+    spans a quarter of the clearance on each side of the value y, or,
+    where that rounds to y, the next float strictly inside the window,
+    else y; it is skipped when the window holds no float but y."""
     strict = _strictness_cert(mapping, f)
     if strict.passed:
-        # a quarter of the worst sample's clearance on each side
         v = f.values()
         gt, ht = mapping.sentinels()
         with np.errstate(over="ignore"):
             margin = np.minimum(v - gt, ht - v)
         x = int(np.argmin(margin))
-        m = float(margin[x]) / 4.0
-        rep = graph_open_check(mapping, x, float(v[x]) - m, float(v[x]) + m)
-        strict.details["probe"] = {
-            "sample": x, "ok": rep.ok, "radius": rep.radius,
-            "counterexample": rep.counterexample}
+        y, m = float(v[x]), float(margin[x]) / 4.0
+        lo, hi = (b[x] for b in mapping.bounds())
+        s = min(y - m, math.nextafter(y, -math.inf))
+        t = max(y + m, math.nextafter(y, math.inf))
+        s, t = s if s > lo else y, t if t < hi else y
+        probe = {"sample": x, "skipped": True}
+        if s < t:
+            rep = graph_open_check(mapping, x, s, t)
+            probe = {"sample": x, "ok": rep.ok, "radius": rep.radius,
+                     "counterexample": rep.counterexample}
+        strict.details["probe"] = probe
     return [strict, pou_report(f.partition, tol)]
 
 

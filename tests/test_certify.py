@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from lipkit import (Certificate, Constant, Coordinate, LipEstimate,
-                    LocalWitness, MetricSpace, PreconditionError, Subset,
-                    Tabulated, certify_local_witness, check_k_lipschitz,
+from lipkit import (Certificate, Constant, Coordinate, InputError,
+                    LipEstimate, LocalWitness, MetricSpace,
+                    PreconditionError, Subset, Tabulated,
+                    certify_local_witness, check_k_lipschitz,
                     feasible_interval, frolik_pou, global_lip,
                     index_subordinate, mcshane_envelopes, pou_report,
                     random_k_extension, witness_from_balls)
@@ -143,9 +144,9 @@ def test_a_listed_pair_must_name_two_samples(pairs, message):
     # before, (0, 2.9) read the pair (0, 2) and PASSed, (0, -1) read
     # sample 3 and (0, 7) raised a bare IndexError
     f = Tabulated(MetricSpace.from_grid(0.0, 3.0, 1.0), [0.0, 1.0, 0.0, 5.0])
-    with pytest.raises(PreconditionError, match=message):
+    with pytest.raises(InputError, match=message):
         check_k_lipschitz(f, 1.0, pairs=pairs)
-    with pytest.raises(PreconditionError, match=message):
+    with pytest.raises(InputError, match=message):
         global_lip(f, pairs=pairs)
 
 
@@ -302,7 +303,7 @@ def test_an_empty_interval_before_a_revisit_is_reported_first():
         "nested"])
 def test_random_extension_refuses_an_order_id_that_is_no_sample(order, message):
     space, A, phi = grid_instance()
-    with pytest.raises(PreconditionError, match=message):
+    with pytest.raises(InputError, match=message):
         random_k_extension(A, phi, 1.0, order=order)
 
 
@@ -547,6 +548,6 @@ def test_certificate_dict_is_strict_json():
 def test_feasible_interval_takes_sample_ids_only(p, ids):
     # p = -1 used to return the interval of sample 3, (-3, 3)
     space = MetricSpace.from_grid(0, 3, 1)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InputError):
         feasible_interval(space, ids, [0.0] * len(ids), p, 1.0)
     assert feasible_interval(space, [0], [0.0], 3, 1.0) == (-3.0, 3.0)

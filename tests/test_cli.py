@@ -412,9 +412,8 @@ def test_witness_entry_id_outside_the_space_is_input_error(tmp_path, capsys,
         [{"p": p, "delta": 2.0, "K": 1.0} for p in (0, 1, bad)]))
     assert main([command, "--space", space, "--values", values,
                  "--witness", witness, "--out-dir", str(tmp_path / "out")]) == 1
-    lo, hi = min(0, bad), max(1, bad)
     assert capsys.readouterr().err == \
-        f"error: witness entry ids must lie in 0..2, got range [{lo}, {hi}]\n"
+        f"error: witness entry id {bad} at position 2 lies outside 0..2\n"
     assert not (tmp_path / "out" / "certificate.json").exists()
 
 
@@ -454,6 +453,55 @@ def test_select_one_sided_window_far_from_0(tmp_path, window, capsys):
                  "--out-dir", str(tmp_path)]) == 0
     assert read_json(tmp_path)["passed"] is True
     capsys.readouterr()
+
+
+def test_select_probes_a_window_a_few_ulps_wide(tmp_path, capsys):
+    """A quarter of the clearance rounds to the selected value here, so
+    the probe steps to the next float inside the window on one side and
+    stays at the value on the other (it used to fail with "probe needs
+    s < t" and exit 2)."""
+    space = write(tmp_path / "space.json",
+                  json.dumps({"lo": 0, "hi": 2, "step": 1}))
+    values = write(tmp_path / "w.json", json.dumps(
+        {"lower": 455246.0, "upper": 455246.0000000003}))
+    assert main(["select", "--space", space, "--values", values,
+                 "--out-dir", str(tmp_path)]) == 0
+    probe = read_json(tmp_path)["certificates"][0]["details"]["probe"]
+    assert probe == {"counterexample": None, "ok": True, "radius": 2.0,
+                     "sample": 0}
+    capsys.readouterr()
+
+
+def test_select_skips_the_probe_of_a_one_float_window(tmp_path, capsys):
+    space = write(tmp_path / "space.json",
+                  json.dumps({"lo": 0, "hi": 2, "step": 1}))
+    values = write(tmp_path / "w.json", json.dumps(
+        {"lower": 1.0 - 2.0 ** -53, "upper": 1.0 + 2.0 ** -52}))
+    assert main(["select", "--space", space, "--values", values,
+                 "--out-dir", str(tmp_path)]) == 0
+    strict = read_json(tmp_path)["certificates"][0]
+    assert strict["passed"] is True
+    assert strict["details"]["probe"] == {"sample": 0, "skipped": True}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,1.0\n1,2.0\n1,5.0\n2,3.0\n", "line 3: id 1 repeats an earlier row"),
+    ("0,1.0\n1,2.0\n2,3.0\n7,9.0\n", "line 4: id 7 lies outside 0..2"),
+], ids=["repeated", "outside"])
+def test_extend_refuses_a_value_id_that_is_no_single_sample(tmp_path, capsys,
+                                                           rows, message):
+    # the repeated id used to take its last row, 5.0, and the stray id 7
+    # was ignored; both runs passed every certificate and exited 0
+    space = write(tmp_path / "space.json",
+                  json.dumps({"lo": 0, "hi": 2, "step": 1}))
+    subset = write(tmp_path / "A.json", "[0, 1, 2]")
+    values = write(tmp_path / "v.csv", rows)
+    assert main(["extend", "--space", space, "--subset", subset,
+                 "--values", values, "--k", "10",
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {values}, {message}\n"
+    assert not (tmp_path / "out" / "certificate.json").exists()
 
 
 def test_insert_through_subset(tmp_path, grid_space, capsys):

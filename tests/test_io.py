@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ def test_save_wide_csv(tmp_path):
     path = str(tmp_path / "wide.csv")
     save_wide_csv(path, ["a", "b"], [np.array([1.0, 2.0]),
                                      np.array([0.5, 0.25])])
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "id,a,b"
     assert lines[1] == "0,1.0,0.5"
     assert len(lines) == 3
@@ -266,12 +267,12 @@ def test_write_certificates_round_trip(tmp_path):
     bad = check_k_lipschitz(Tabulated(space, np.array([0.0, 1.0, 0.0])), 0.5)
     path = str(tmp_path / "certificate.json")
     assert write_certificates(path, [good], {"tol": 1e-9}) is True
-    payload = json.loads(open(path).read())
+    payload = json.loads(Path(path).read_text())
     assert payload["passed"] is True
     assert payload["config"] == {"tol": 1e-9}
     assert payload["certificates"][0]["kind"] == "k-lipschitz"
     assert write_certificates(path, [good, bad], {}) is False
-    assert json.loads(open(path).read())["passed"] is False
+    assert json.loads(Path(path).read_text())["passed"] is False
 
 
 def test_write_certificates_deterministic(tmp_path):
@@ -281,7 +282,7 @@ def test_write_certificates_deterministic(tmp_path):
     config = {"command": "extend", "tol": 1e-9}
     write_certificates(a, [cert], config)
     write_certificates(b, [cert], config)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_write_certificates_handles_nonfinite(tmp_path):
@@ -290,7 +291,7 @@ def test_write_certificates_handles_nonfinite(tmp_path):
              "details": {"hi": float("inf"), "lo": float("-inf"),
                          "gap": float("nan"), "ids": np.array([1, 2])}}
     write_certificates(path, [entry], {})
-    payload = json.loads(open(path).read())
+    payload = json.loads(Path(path).read_text())
     d = payload["certificates"][0]["details"]
     assert d["hi"] == "inf" and d["lo"] == "-inf" and d["gap"] == "nan"
     assert d["ids"] == [1, 2]

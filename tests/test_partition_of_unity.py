@@ -209,6 +209,17 @@ def test_frolik_nan_witness_fails_as_the_reference_does():
     assert messages[0] == messages[1] == "refinement lost sample 1"
 
 
+def test_frolik_checks_no_scaled_row_again():
+    """The second witness has slope 25/3; scaled by 3/25 it is 1-Lipschitz
+    only up to an ulp, which the Mather checks used to refuse at tol 0
+    ("witness 2 is not 1-Lipschitz: constant 1.000000")."""
+    space = MetricSpace.from_points([0.0, 0.1, 0.2])
+    cover = CozeroCover(space, [Constant(space, 0.5), Tabulated(
+        space, 25 / 3 * np.array([0.0, 0.1, 0.2]))])
+    assert pou_report(frolik_pou(cover, 0.0)).passed
+    assert same_bits(frolik_pou(cover, 0.0).matrix, frolik_pou(cover).matrix)
+
+
 def test_cover_gap_rejected():
     space = MetricSpace.from_points([0.0, 1.0, 5.0])
     with pytest.raises(CoverError):
@@ -347,7 +358,7 @@ def test_blend_reads_the_regrouped_staircase_in_closed_form(monkeypatch):
     identical = 0
     for cover, ref in zip(covers, grouped):
         xi = partition_of_unity._blend(
-            cover, lambda n, xi: Constant(cover.space, 1.0), 1e-9).partition
+            cover, lambda n, xi: Constant(cover.space, 1.0)).partition
         assert xi.set_index == ref.set_index
         assert same_bits(xi.activity, ref.activity)
         assert ulp_distance(xi.matrix, ref.matrix).max() <= 1

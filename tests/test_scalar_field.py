@@ -109,9 +109,9 @@ def test_scaled_oscillation_lets_a_nan_win():
 ], ids=["negative", "too-large", "fraction"])
 def test_single_row_diagnostics_take_only_a_sample(p, message):
     f = four_samples([0.0, 1.0, 0.0, 5.0])
-    with pytest.raises(PreconditionError, match=message):
+    with pytest.raises(InputError, match=message):
         pointwise_lip(f, p)
-    with pytest.raises(PreconditionError, match=message):
+    with pytest.raises(InputError, match=message):
         scaled_oscillation(f, p, [1.5])
 
 

@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from lipkit import (Constant, CoverError, DistanceTo, GridError, LocalWitness,
-                    MetricSpace, PreconditionError, Subset, Tabulated,
-                    Transported, global_lip, maximum, minimum,
+from lipkit import (Constant, CoverError, DistanceTo, GridError, InputError,
+                    LocalWitness, MetricSpace, PreconditionError, Subset,
+                    Tabulated, Transported, global_lip, maximum, minimum,
                     random_k_extension)
 from lipkit.selection import (IntervalMapping, decreasing_approx,
                               graph_open_check, insert, select, select_extend)
@@ -407,6 +407,6 @@ def test_decreasing_approx_needs_a_step():
 def test_graph_open_check_takes_a_sample_id(x):
     # 2.9 used to probe sample 2, -1 the last sample
     space = MetricSpace.from_grid(0.0, 2.0, 0.5)
-    with pytest.raises(PreconditionError, match="point"):
+    with pytest.raises(InputError, match="point"):
         graph_open_check(unit_window(space), x, 0.25, 0.75)
     assert graph_open_check(unit_window(space), 2, 0.25, 0.75).ok
