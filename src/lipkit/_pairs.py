@@ -75,13 +75,17 @@ def pair_blocks(space, m, ids=None, symmetric=True):
 
 def first_bad_id(ids, n):
     """(position, why) of the first entry of the float array ids that is
-    no integer in 0..n-1 (no integer at all when n is None), or None."""
+    no integer in 0..n-1, or None.  When n is None the range is that of
+    an int64, read on the floats: magnitude below 2^63."""
     whole = np.isfinite(ids) & (ids == np.floor(ids))
-    bad = ~whole if n is None else ~whole | (ids < 0) | (ids >= n)
+    inside = (np.abs(ids) < 2.0 ** 63 if n is None
+              else (ids >= 0) & (ids < n))
+    bad = ~whole | ~inside
     if bad.any():
         i = int(np.argmax(bad))
-        return i, (f"lies outside 0..{n - 1}" if whole.flat[i]
-                   else "is not an integer")
+        return i, ("is not an integer" if not whole.flat[i]
+                   else "lies outside the int64 range" if n is None
+                   else f"lies outside 0..{n - 1}")
 
 
 def sample_ids(ids, n, what, form=None, width=None):

@@ -170,7 +170,7 @@ def _cmd_select(args, tol, out_dir):
     space = load_space(args.space, tol)
     lower, upper, _ = load_mapping(args.values, space)
     mapping = IntervalMapping(space, lower, upper)
-    f = select(mapping, tol=tol)
+    f = select(mapping)
     _save(out_dir, "selection.csv", f.values())
     return verdicts.certify_select(mapping, f, tol)
 
@@ -208,7 +208,7 @@ def _cmd_approx(args, tol, out_dir):
     _, _, phi = load_mapping(args.values, space)
     if phi is None:
         raise InputError("approx needs a phi entry in the window JSON")
-    seq = decreasing_approx(phi, args.n_max, tol)
+    seq = decreasing_approx(phi, args.n_max)
     save_wide_csv(os.path.join(out_dir, "approx.csv"),
                   [f"f{n + 1}" for n in range(len(seq))],
                   [f.values() for f in seq])
@@ -283,7 +283,7 @@ def _demo_reciprocal_staircase(args, tol, out_dir):
 def _demo_dowker_step(args, tol, out_dir):
     space, lower, upper = fixtures.dowker_step()
     mapping = IntervalMapping(space, lower, upper)
-    f = select(mapping, tol=tol)
+    f = select(mapping)
     t = space.coords[:, 0]
     lv, uv, v = lower.values(), upper.values(), f.values()
     print("step windows with a gap: lower jumps 0 -> 1, upper 1/2 -> 2 at t = 1")

@@ -149,8 +149,12 @@ def extend_to_interval(A: Subset, phi, K: float, interval: Interval,
     pair = mcshane_envelopes(A, vals, K, tol)
     if interval.is_bounded:
         out = _mean_of_clamped(pair, interval)
+    elif interval.bounded_below:
+        out = pair.upper
+    elif interval.bounded_above:
+        out = pair.lower
     else:
-        out = pair.upper if interval.bounded_below else pair.lower
+        out = pair.lower
     out.envelopes = pair
     return out
 
@@ -175,26 +179,29 @@ class PointwiseWitness:
         if values.shape != (len(A),):
             raise PreconditionError(
                 f"need {len(A)} constants, got shape {values.shape}")
-        return cls(dict(zip(A, values.tolist())))
+        return cls({int(p): float(v) for p, v in zip(A.members, values)})
 
     def aligned(self, A: Subset) -> tuple:
         """(array of lifted constants aligned with A.members, lift count)."""
-        L = np.array([self.constants.get(p, math.nan) for p in A], dtype=float)
-        for p, c in zip(A, L):
-            if not math.isfinite(c):
-                raise PreconditionError(
-                    f"constant at {p} must be finite" if p in self.constants
-                    else f"no constant for anchor point {p}", witness=p)
-        return np.maximum(L, 1.0), int((L < 1.0).sum())
+        out = np.empty(len(A))
+        lifted = 0
+        for i, p in enumerate(A.members):
+            if int(p) not in self.constants:
+                raise PreconditionError(f"no constant for anchor point {int(p)}",
+                                        witness=int(p))
+            L = float(self.constants[int(p)])
+            if not math.isfinite(L):
+                raise PreconditionError(f"constant at {int(p)} must be finite",
+                                        witness=int(p))
+            if L < 1.0:
+                L = 1.0
+                lifted += 1
+            out[i] = L
+        return out, lifted
 
 
-def pointwise_envelopes(A: Subset, phi, witness: PointwiseWitness,
-                        tol: float = _DEFAULT_TOL) -> EnvelopePair:
-    """Envelopes with per-anchor constants from the witness, once the
-    pair compatibility |phi(x) - phi(y)| <= min(L_x, L_y) d holds."""
-    A.require_nonempty("extension domain")
-    vals = _as_values_on(A, phi)
-    consts, lifted = witness.aligned(A)
+def _check_pair_compatibility(A: Subset, vals: np.ndarray, consts: np.ndarray,
+                              tol: float):
     excess, pair = _pairs.worst_excess(
         A.space, vals,
         lambda r, c, d, o: np.minimum(consts[r, None], consts[None, c]) * d,
@@ -204,6 +211,15 @@ def pointwise_envelopes(A: Subset, phi, witness: PointwiseWitness,
             f"pair compatibility fails at {pair}: "
             f"|phi difference| exceeds min(L_x, L_y) d by {excess:.3e}",
             witness=pair)
+
+
+def pointwise_envelopes(A: Subset, phi, witness: PointwiseWitness,
+                        tol: float = _DEFAULT_TOL) -> EnvelopePair:
+    """Envelopes with per-anchor constants from the witness."""
+    A.require_nonempty("extension domain")
+    vals = _as_values_on(A, phi)
+    consts, lifted = witness.aligned(A)
+    _check_pair_compatibility(A, vals, consts, tol)
     notes = []
     if lifted:
         notes.append(f"lifted {lifted} constant(s) below 1 up to 1")

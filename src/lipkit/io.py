@@ -138,11 +138,10 @@ def load_subset(path, space: MetricSpace) -> Subset:
 # Value tables
 
 
-def load_values_csv(path, n=None):
+def load_values_csv(path, n):
     """Rows of (id, value); returns (ids, values) in file order.  An
     InputError names the file line of a non-finite entry, of an id that
-    is no sample id of 0..n-1 (any integer when n is None) and of a
-    repeated id."""
+    is no sample id of 0..n-1 and of a repeated id."""
     data, lines = _read_csv_floats(path)
     if data.shape[1] != 2:
         raise InputError(f"{path}: expected two columns (id, value)")

@@ -57,7 +57,8 @@ class LocalWitness:
                                    "entry point").tolist()
         entries = []
         for p, (_, delta, K) in zip(points, triples):
-            delta, K = float(delta), float(K)
+            delta = float(delta)
+            K = float(K)
             if not (delta > 0.0):
                 raise PreconditionError(f"entry at {p} needs a positive radius")
             if not (K >= 0.0 and math.isfinite(K)):
@@ -314,8 +315,11 @@ def _slice_groups(ball_peaks, max_slices):
     """
     firsts = [None if m == 0.0 else int(math.floor(math.log2(m))) + 1
               for m in ball_peaks]
-    distinct = sorted({j for j in firsts if j is not None}) or [0]
-    exps = sorted(distinct[-max_slices:], reverse=True)
+    distinct = sorted({j for j in firsts if j is not None})
+    if not distinct:
+        distinct = [0]
+    kept = distinct[-max_slices:]
+    exps = sorted(kept, reverse=True)
     groups = [[b for b, fj in enumerate(firsts) if fj is None or fj <= j]
               for j in exps]
     return exps, groups

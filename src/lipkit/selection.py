@@ -141,7 +141,7 @@ def _stab_windows(klo: np.ndarray, khi: np.ndarray):
     return chosen
 
 
-def select(mapping: IntervalMapping, tol: float = _DEFAULT_TOL) -> ScalarField:
+def select(mapping: IntervalMapping) -> ScalarField:
     """Lipschitz field strictly inside every window.
 
     Dyadic levels k 2^-d are tried at the depths _DEPTHS, then at the
@@ -163,8 +163,7 @@ def select(mapping: IntervalMapping, tol: float = _DEFAULT_TOL) -> ScalarField:
     keeps every sample value a sub-unit convex mix of levels
     admissible there, hence strictly inside its window.  The level
     count has no cap: past about 537 levels the partition's mixture
-    underflows, and CoverError names the sample.  No check reads tol:
-    the witnesses meet the partition's bounds by construction.
+    underflows, and CoverError names the sample.
     """
     space = mapping.space
     gt, ht = mapping.sentinels()
@@ -246,11 +245,16 @@ def select_extend(A: Subset, phi, witness: LocalWitness,
 
     target = Interval.real_line()
     base = local_extend(A, vals, witness, target, tol)
-    failing = np.setdiff1d(np.flatnonzero(~mapping.strict_mask(base)),
-                           A.members)
-    blended, selector = base, None
-    if failing.size:
-        selector = select(mapping, tol=tol)
+    in_A = np.zeros(space.n, dtype=bool)
+    in_A[A.members] = True
+    keep = mapping.strict_mask(base)
+    failing = np.flatnonzero(~keep & ~in_A)
+
+    if failing.size == 0:
+        blended = base
+        selector = None
+    else:
+        selector = select(mapping)
         near = DistanceTo(space, A.members)
         far = DistanceTo(space, failing)
         weight = near * Transported("reciprocal", near + far)
@@ -273,14 +277,13 @@ def insert(space, lower: ScalarField | None = None,
     phi, and a witness, also equal to phi on A."""
     mapping = IntervalMapping(space, lower, upper)
     if A is None:
-        return select(mapping, tol=tol)
+        return select(mapping)
     if phi is None or witness is None:
         raise PreconditionError("insertion through A needs phi and a witness")
     return select_extend(A, phi, witness, mapping, tol)
 
 
-def decreasing_approx(phi: ScalarField, steps: int,
-                      tol: float = _DEFAULT_TOL) -> list:
+def decreasing_approx(phi: ScalarField, steps: int) -> list:
     """Strictly decreasing insertions pinching down to phi.
 
     f_1 sits in (phi, phi + 1) and f_{n+1} in (phi, (phi + f_n) / 2),
@@ -294,7 +297,7 @@ def decreasing_approx(phi: ScalarField, steps: int,
     out = []
     ceiling = phi + Constant(space, 1.0)
     for _ in range(steps):
-        f = select(IntervalMapping(space, phi, ceiling), tol=tol)
+        f = select(IntervalMapping(space, phi, ceiling))
         out.append(f)
         ceiling = Constant(space, 0.5) * (phi + f)
     return out

@@ -72,9 +72,11 @@ def _strictness_cert(mapping, f) -> Certificate:
         return Certificate("strictness", True, 0.0, 0.0,
                            details={"min_margin": "inf"})
     details = {"min_margin": m}
-    for attr in ("grid_depth", "margin", "chosen_levels"):
+    for attr in ("grid_depth", "margin"):
         if hasattr(f, attr):
             details[attr] = getattr(f, attr)
+    if hasattr(f, "chosen_levels"):
+        details["chosen_levels"] = list(f.chosen_levels)
     return Certificate("strictness", m > 0.0, -m, 0.0, (p,), details)
 
 

@@ -82,13 +82,13 @@ def test_load_subset(tmp_path):
 
 def test_load_values_csv(tmp_path):
     path = put(tmp_path, "v.csv", "id,value\n0,0.5\n2,1.5\n")
-    ids, vals = load_values_csv(path)
+    ids, vals = load_values_csv(path, 3)
     assert ids.tolist() == [0, 2]
     assert vals.tolist() == [0.5, 1.5]
     with pytest.raises(InputError):
-        load_values_csv(put(tmp_path, "wide.csv", "0,1,2\n"))
+        load_values_csv(put(tmp_path, "wide.csv", "0,1,2\n"), 3)
     with pytest.raises(InputError):
-        load_values_csv(put(tmp_path, "frac.csv", "0.5,1\n"))
+        load_values_csv(put(tmp_path, "frac.csv", "0.5,1\n"), 3)
 
 
 @pytest.mark.parametrize("text, line", [
@@ -99,7 +99,7 @@ def test_load_values_csv(tmp_path):
 def test_value_csv_refuses_non_finite_entries(tmp_path, text, line):
     with pytest.raises(InputError, match=f"line {line}: ids and values must "
                                          f"be finite"):
-        load_values_csv(put(tmp_path, "v.csv", text))
+        load_values_csv(put(tmp_path, "v.csv", text), 3)
 
 
 def test_values_on_subset(tmp_path):
@@ -123,11 +123,11 @@ def test_value_csv_round_trip_is_exact(tmp_path):
     vals = np.array([0.1, 1.0 / 3.0, -2.5e-17])
     path = str(tmp_path / "out.csv")
     save_values_csv(path, vals)
-    ids, back = load_values_csv(path)
+    ids, back = load_values_csv(path, 3)
     assert ids.tolist() == [0, 1, 2]
     np.testing.assert_array_equal(back, vals)
     save_values_csv(path, vals[:2], ids=[4, 7])
-    ids, back = load_values_csv(path)
+    ids, back = load_values_csv(path, 8)
     assert ids.tolist() == [4, 7]
 
 

@@ -140,3 +140,11 @@ def test_witness_entry_points_are_checked_for_integers_before_a_space():
     with pytest.raises(InputError, match="witness entry id -1 at position 0 "
                                          "lies outside 0..4"):
         certify_local_witness(field(grid()), witness)
+
+
+@pytest.mark.parametrize("x", [1e300, 2 ** 64 - 1], ids=["float", "uint64"])
+def test_witness_entry_points_past_the_int64_range_are_refused(x):
+    # an int cast would make 1e300 INT64_MIN and wrap 2^64 - 1 to -1
+    with pytest.raises(InputError, match=re.escape(
+            f"entry point {x!r} at position 0 lies outside the int64 range")):
+        LocalWitness.from_triples([(x, 1.0, 1.0)])

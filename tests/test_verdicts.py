@@ -178,7 +178,7 @@ def test_certify_select_insert_and_approx_on_the_fixtures():
 
     space, targets = approx_targets()
     for phi in targets:
-        certs = verdicts.certify_approx(phi, decreasing_approx(phi, 3, TOL))
+        certs = verdicts.certify_approx(phi, decreasing_approx(phi, 3))
         assert kinds(certs) == ["strict-above", "strict-decrease",
                                 "gap-bound"]
         assert_all_pass(certs)
@@ -279,7 +279,7 @@ def window(F, name="window"):
 def lib_select(F):
     space, lower, upper, _ = window(F)
     mapping = IntervalMapping(space, lower, upper)
-    return verdicts.certify_select(mapping, select(mapping, tol=TOL), TOL)
+    return verdicts.certify_select(mapping, select(mapping), TOL)
 
 
 def lib_insert(F):
@@ -290,7 +290,7 @@ def lib_insert(F):
 
 def lib_approx(F):
     _, _, _, phi = window(F, "approx")
-    return verdicts.certify_approx(phi, decreasing_approx(phi, 3, TOL))
+    return verdicts.certify_approx(phi, decreasing_approx(phi, 3))
 
 
 COMMANDS = {
