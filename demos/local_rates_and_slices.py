@@ -25,8 +25,9 @@ f = Transported("reciprocal", Coordinate(space))
 witness = generate_local_witness(f)
 print("local witness entries (every sample gets a ball and a rate)")
 print(f"{'t':>8} {'delta':>8} {'K':>10}")
-for e in witness.entries[::12]:
-    print(f"{ts[e.point]:>8.3f} {e.delta:>8.3f} {e.constant:>10.2f}")
+for p, delta, K in zip(witness.points[::12], witness.deltas[::12],
+                       witness.constants[::12]):
+    print(f"{ts[p]:>8.3f} {delta:>8.3f} {K:>10.2f}")
 print(certify_local_witness(f, witness).summary_line())
 
 # dyadic slices |f| < 2^j, each carrying a bounded Lipschitz member
@@ -53,9 +54,9 @@ print(f"its level function is {mod.envelope_constant:.2f}-Lipschitz: "
 # data on the band [1, 2] extends to the whole ray without leaving (0, inf)
 band = np.flatnonzero((ts >= 1.0) & (ts <= 2.0))
 A = Subset(space, band)
-band_witness = LocalWitness.from_triples(
-    [(e.point, e.delta, e.constant) for e in witness.entries
-     if e.point in set(band.tolist())])
+on_band = np.isin(witness.points, band)
+band_witness = LocalWitness(witness.points[on_band], witness.deltas[on_band],
+                            witness.constants[on_band])
 out = local_extend(A, v[band], band_witness,
                    Interval.at_least(0.0, open_end=True))
 w = out.values()

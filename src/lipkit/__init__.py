@@ -20,9 +20,8 @@ from .extension import (DualityReport, Envelope, EnvelopePair,
                         generate_pointwise_witness, mcshane_envelopes,
                         pointwise_envelopes, pointwise_extend_to_interval)
 from .local_lipschitz import (Decomposition, IncreasingCover, LocalWitness,
-                              ModulusWitness, WitnessEntry, decompose,
-                              generate_local_witness, increasing_cover,
-                              local_extend, modulus_witness,
+                              ModulusWitness, decompose, generate_local_witness,
+                              increasing_cover, local_extend, modulus_witness,
                               witness_from_modulus)
 from .metric_space import (MetricSpace, MetricViolation, Subset,
                            ValidationReport, validate_metric)
@@ -48,7 +47,7 @@ __all__ = [
     "MetricSpace", "MetricViolation", "ModulusWitness", "OpennessReport",
     "PartitionOfUnity", "PointwiseWitness", "PreconditionError",
     "ScalarField", "Series", "SplitResult", "Subset", "Tabulated",
-    "Transported", "ValidationReport", "WitnessEntry",
+    "Transported", "ValidationReport",
     "certify_local_witness", "check_k_lipschitz", "decompose",
     "decreasing_approx", "duality_check", "extend_to_interval",
     "feasible_interval", "frolik_pou", "generate_local_witness",

@@ -116,8 +116,21 @@ def sample_ids(ids, n, what, form=None, width=None):
     return ids.astype(int)
 
 
+def unzip(rows, width):
+    """The width columns of rows of width entries each, as tuples (empty
+    ones for no rows); a ValueError refuses a row of another width."""
+    columns = tuple(zip(*rows, strict=True)) or ((),) * width
+    if len(columns) != width:
+        raise ValueError(f"rows must have {width} entries")
+    return columns
+
+
 def sample_id(p, n) -> int:
-    """One sample id p as an int, under the rule of sample_ids."""
+    """One sample id p as an int, under the rule of sample_ids; an int
+    of 0..n-1 (no bool) passes at once, for the one-id accessors."""
+    if isinstance(p, (int, np.integer)) and not isinstance(p, bool) \
+            and 0 <= p < n:
+        return int(p)
     return int(sample_ids([p], n, "point")[0])
 
 

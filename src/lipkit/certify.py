@@ -144,32 +144,29 @@ def check_k_lipschitz(f: ScalarField, K: float, pairs=None,
 # Random Lipschitz extensions (greedy, seed-pinned)
 
 
-def random_k_extension(A: Subset, phi, K: float, order=None, seed: int = 0,
+def random_k_extension(A: Subset, phi, K: float, seed: int = 0,
                        tol: float = _DEFAULT_TOL) -> Tabulated:
     """One random K-Lipschitz extension of phi from A to the whole space.
 
-    Points outside A are processed in the given order (ids ascending by
-    default).  At each new point the feasible value interval against the
-    already assigned points is [max(f - K d), min(f + K d)]; the value is
-    drawn uniformly from it.  The interval is nonempty by the triangle
-    inequality whenever phi is K-Lipschitz on A; that is checked first.
+    Points outside A are processed in ascending id order.  At each new
+    point the feasible value interval against the already assigned
+    points is [max(f - K d), min(f + K d)]; the value is drawn uniformly
+    from it.  The interval is nonempty by the triangle inequality
+    whenever phi is K-Lipschitz on A; that is checked first.
 
     Both interval ends are kept for every point at once: set from A in
     one O(|A| n) pass over row blocks, then tightened in O(n) vector
-    work per assigned sample, on the samples after it only when the
-    order ascends.  d(x, q) is read from the space's cached pairwise()
-    matrix, the one the precheck sweeps, as a row when the distances
-    are exactly symmetric, so the draw allocates no n x n or |A| x n
-    array of its own.  max and min are exact, so each interval equals
-    feasible_interval on the same prefix, bit for bit.  The uniforms
-    come from one rng.random call, and a + (b - a) u is the value
-    rng.uniform(a, b) draws.
+    work on the samples after each assigned one.  d(x, q) is read from
+    the space's cached pairwise() matrix, the one the precheck sweeps,
+    as a row when the distances are exactly symmetric, so the draw
+    allocates no n x n or |A| x n array of its own.  max and min are
+    exact, so each interval equals feasible_interval on the same
+    prefix, bit for bit.  The uniforms come from one rng.random call,
+    and a + (b - a) u is the value rng.uniform(a, b) draws.
     """
     K = _require_constant(K)
     space = A.require_nonempty("extension domain").space
     n = space.n
-    rest = A.complement() if order is None else _pairs.sample_ids(
-        order, n, "order point", "order must be a flat list of sample ids")
     vals_A = _as_values_on(A, phi)
     _require_k_lipschitz_on(A, vals_A, K, tol)
 
@@ -178,23 +175,14 @@ def random_k_extension(A: Subset, phi, K: float, order=None, seed: int = 0,
         spread *= K                 # spread[x, a] = K d(x, a)
         lo[r] = np.max(vals_A - spread, axis=1)
         hi[r] = np.min(vals_A + spread, axis=1)
-    out = np.full(n, np.nan)
+    out = np.empty(n)
     out[A.members] = vals_A
-    # the loop stops at the first id of A or of an earlier entry, so an
-    # empty interval before it is reported first
-    ids = np.concatenate([A.members, rest])
-    fresh = np.zeros(ids.size, dtype=bool)
-    fresh[np.unique(ids, return_index=True)[1]] = True     # first occurrences
-    again = ~fresh[len(A):]
-    stop = int(np.argmax(again)) if again.any() else rest.size
-    # an ascending order never reads a bound below the current sample
-    ascending = bool((np.diff(rest[:stop]) > 0).all())
-    u = np.random.default_rng(seed).random(stop).tolist()
+    u = np.random.default_rng(seed).random(n - len(A)).tolist()
     k = 0
     D = space.pairwise()
     cols = D if space.exactly_symmetric() else D.T     # cols[p] = d(., p)
     step, bound = np.empty(n), np.empty(n)
-    for p in rest[:stop].tolist():
+    for p in A.complement().tolist():
         a, b = lo.item(p), hi.item(p)
         if a > b:
             if a - b <= tol:
@@ -215,17 +203,11 @@ def random_k_extension(A: Subset, phi, K: float, order=None, seed: int = 0,
             k += 1
         out[p] = value
         value = np.float64(value)   # enters a ufunc faster than a float
-        t = p + 1 if ascending else 0
+        t = p + 1                   # no later sample reads a bound below p
         lo_t, hi_t, step_t, bound_t = lo[t:], hi[t:], step[t:], bound[t:]
         np.multiply(cols[p, t:], K, out=step_t)
         np.maximum(lo_t, np.subtract(value, step_t, out=bound_t), out=lo_t)
         np.minimum(hi_t, np.add(value, step_t, out=bound_t), out=hi_t)
-    if stop < rest.size:
-        raise PreconditionError(f"order revisits point {int(rest[stop])}")
-    if np.isnan(out).any():
-        missing = np.flatnonzero(np.isnan(out))
-        raise PreconditionError(
-            f"order misses {missing.size} point(s), first {int(missing[0])}")
     return Tabulated(space, out)
 
 
@@ -290,33 +272,23 @@ def pou_report(pou, tol: float = _DEFAULT_TOL) -> Certificate:
 # Local witness certification
 
 
-def _entry_arrays(space: MetricSpace, entries):
-    """The centers, radii and constants of witness entries as arrays,
-    refused unless every center is a sample of space."""
-    centers = _pairs.sample_ids([e.point for e in entries], space.n,
-                                "witness entry id")
-    return (centers,
-            np.array([e.delta for e in entries], dtype=float),
-            np.array([e.constant for e in entries], dtype=float))
-
-
-def _doubled_ball_excess(space, v, arrays, inside=None, num=None):
+def _doubled_ball_excess(space, v, witness, centers, inside=None, num=None):
     """Each entry's largest num(|f(x) - f(y)|) - K_p d(x, y) over the
     ordered sample pairs of its doubled ball B(p, 2 delta_p), restricted
     to the samples where inside holds, as (excess, pairs) arrays from
     one segmented sweep over every ball (see _pairs.ball_sweep); a ball
     with fewer than two samples gets -inf and the pair (-1, -1).
-    arrays is the (centers, deltas, constants) of _entry_arrays."""
-    centers, deltas, K = arrays
+    centers is witness.centers(space)."""
+    K = witness.constants
     return _pairs.ball_sweep(
-        space, v, centers, 2.0 * deltas,
+        space, v, centers, 2.0 * witness.deltas,
         lambda d, o, seg: (o if num is None else num(o)) - K[seg] * d,
         inside)
 
 
 def certify_local_witness(f: ScalarField, witness, domain: Subset | None = None,
                           tol: float = _DEFAULT_TOL) -> Certificate:
-    """Check a family of (point, delta, constant) entries against f.
+    """Check the (point, delta, constant) entries of a witness against f.
 
     Each entry must bound |f(x)-f(y)| by K_p d(x,y) for every sampled
     pair inside the doubled ball around its point (the doubled ball is
@@ -324,13 +296,14 @@ def certify_local_witness(f: ScalarField, witness, domain: Subset | None = None,
     must cover the domain samples.
     """
     space = f.space
-    arrays = _entry_arrays(space, witness.entries)
+    centers = witness.centers(space)
     inside = None
     if domain is not None:
         inside = np.zeros(space.n, dtype=bool)
         inside[domain.members] = True
 
-    excess, pairs = _doubled_ball_excess(space, f.values(), arrays, inside)
+    excess, pairs = _doubled_ball_excess(space, f.values(), witness, centers,
+                                         inside)
     has_pair = pairs[:, 0] >= 0
     per_entry = np.where(has_pair, excess, 0.0).tolist()
     checked = np.flatnonzero(has_pair)
@@ -343,9 +316,8 @@ def certify_local_witness(f: ScalarField, witness, domain: Subset | None = None,
             worst = float(excess[j])
             worst_witness = (j, (int(pairs[j, 0]), int(pairs[j, 1])))
 
-    centers, deltas, _ = arrays
     covered = np.zeros(space.n, dtype=bool)
-    for _, mask in _pairs.ball_masks(space, centers, deltas):
+    for _, mask in _pairs.ball_masks(space, centers, witness.deltas):
         covered |= mask.any(axis=0)
     if inside is not None:
         covered |= ~inside
@@ -353,7 +325,7 @@ def certify_local_witness(f: ScalarField, witness, domain: Subset | None = None,
 
     passed = worst <= tol and not uncovered
     details = {
-        "entry_count": len(witness.entries),
+        "entry_count": len(witness),
         "per_entry_worst": per_entry,
         "uncovered": uncovered,
     }

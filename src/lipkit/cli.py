@@ -192,9 +192,8 @@ def _cmd_insert(args, tol, out_dir):
             A.require_nonempty("insertion domain")
             sub = MetricSpace.from_matrix(
                 space.pairwise()[np.ix_(A.members, A.members)], validate=False)
-            witness = LocalWitness.from_triples(
-                (A.members[e.point], e.delta, e.constant)
-                for e in generate_local_witness(Tabulated(sub, vals)).entries)
+            w = generate_local_witness(Tabulated(sub, vals))
+            witness = LocalWitness(A.members[w.points], w.deltas, w.constants)
     f = insert(space, lower, upper, A=A, phi=vals, witness=witness, tol=tol)
     _save(out_dir, "selection.csv", f.values())
     return verdicts.certify_insert(IntervalMapping(space, lower, upper), f,

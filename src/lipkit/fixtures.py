@@ -72,8 +72,8 @@ def square_on_grid(lo: float = -3.0, hi: float = 3.0, step: float = 0.1):
     space = MetricSpace.from_grid(lo, hi, step)
     t = space.coords[:, 0]
     f = Tabulated(space, t * t)
-    witness = LocalWitness.from_triples(
-        [(p, 1.0, 2.0 * abs(t[p]) + 4.0) for p in range(space.n)])
+    witness = LocalWitness(np.arange(space.n), np.ones(space.n),
+                           2.0 * np.abs(t) + 4.0)
     return space, f, witness
 
 
@@ -88,8 +88,7 @@ def reciprocal_on_ray(t_max: float = 4.0, ratio: float = 0.9, n: int = 40):
     t = np.sort(t_max * ratio ** np.arange(n))
     space = MetricSpace.from_points(t)
     f = Tabulated(space, 1.0 / t)
-    witness = LocalWitness.from_triples(
-        [(p, t[p] / 4.0, 4.0 / t[p] ** 2) for p in range(space.n)])
+    witness = LocalWitness(np.arange(space.n), t / 4.0, 4.0 / t ** 2)
     return space, f, witness
 
 
@@ -101,8 +100,7 @@ def sin_reciprocal_on_interval(t_min: float = 0.05, t_max: float = 1.0,
     t = np.geomspace(t_min, t_max, n)
     space = MetricSpace.from_points(t)
     f = Tabulated(space, np.sin(1.0 / t))
-    witness = LocalWitness.from_triples(
-        [(p, t[p] / 4.0, 4.0 / t[p] ** 2) for p in range(space.n)])
+    witness = LocalWitness(np.arange(space.n), t / 4.0, 4.0 / t ** 2)
     return space, f, witness
 
 

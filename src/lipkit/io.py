@@ -69,8 +69,11 @@ def _read_csv_floats(path):
 
 def _convert(x, kind, what):
     """x converted by kind (int or float), or an InputError naming what;
-    an int must be integral, so 1.5 is refused rather than truncated."""
+    an int must be integral, so 1.5 is refused rather than truncated,
+    and a JSON true or false is no number, so it is not read as 1 or 0."""
     try:
+        if isinstance(x, bool):
+            raise TypeError
         out = kind(x)
     except (TypeError, ValueError, OverflowError):
         raise InputError(f"{what} must be a number, got {x!r}")
@@ -246,12 +249,15 @@ def load_cover(path, space: MetricSpace) -> CozeroCover:
             raise InputError(f"{path}: witness {j} must be an object")
         if "balls" in w:
             try:
-                balls = [(_convert(c, int, f"{path}: ball center"), float(r))
-                         for c, r in w["balls"]]
+                centers, radii = _pairs.unzip(w["balls"], 2)
             except (TypeError, ValueError):
                 raise InputError(f"{path}: witness {j} needs balls given as "
                                  f"[center, radius] pairs")
-            fields.append(_BallUnion(space, balls, j))
+            fields.append(_BallUnion(
+                space, [_convert(c, int, f"{path}: ball center")
+                        for c in centers],
+                [_convert(r, float, f"{path}: ball radius") for r in radii],
+                j))
         elif "values" in w:
             try:
                 vals = np.asarray(w["values"], dtype=float)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _pairs
 from .certify import (Certificate, _as_values_on, _doubled_ball_excess,
-                      _entry_arrays, certify_local_witness)
+                      certify_local_witness)
 from .errors import CoverError, PreconditionError
 from .extension import _require_phi_in, extend_to_interval
 from .metric_space import _DEFAULT_TOL, Subset
@@ -35,41 +35,46 @@ from .scalar_field import (Constant, DistanceTo, Interval, ScalarField,
 _MAX_SLICES = 8
 
 
-@dataclass(frozen=True)
-class WitnessEntry:
-    point: int
-    delta: float
-    constant: float
-
-
-@dataclass
 class LocalWitness:
-    """Finite local Lipschitz certificate: near entry.point, within
-    entry.delta, the certified function moves at rate entry.constant."""
+    """Finite local Lipschitz certificate: near points[j], within
+    deltas[j], the certified function moves at rate constants[j].
 
-    entries: list
+    The three arrays are aligned and read-only, and are checked here
+    once: every point an integer (the range is checked where the
+    witness meets a space, by centers), then, at the first bad entry,
+    a positive radius before a finite nonnegative rate.
+    """
+
+    def __init__(self, points, deltas, constants):
+        points = _pairs.sample_ids(points, None, "entry point")
+        deltas = np.array(deltas, dtype=float)
+        constants = np.array(constants, dtype=float)
+        if not deltas.shape == constants.shape == points.shape:
+            raise PreconditionError("need a radius and a rate per point")
+        no_radius = ~(deltas > 0.0)
+        bad = no_radius | ~((constants >= 0.0) & np.isfinite(constants))
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise PreconditionError(
+                f"entry at {points[j]} needs a "
+                f"{'positive radius' if no_radius[j] else 'finite rate'}")
+        if not points.size:
+            raise PreconditionError("a witness needs at least one entry")
+        for a in (points, deltas, constants):
+            a.setflags(write=False)
+        self.points, self.deltas, self.constants = points, deltas, constants
 
     @classmethod
     def from_triples(cls, triples) -> "LocalWitness":
-        triples = list(triples)
-        # integers only: the range is checked where entries meet a space
-        points = _pairs.sample_ids([t[0] for t in triples], None,
-                                   "entry point").tolist()
-        entries = []
-        for p, (_, delta, K) in zip(points, triples):
-            delta = float(delta)
-            K = float(K)
-            if not (delta > 0.0):
-                raise PreconditionError(f"entry at {p} needs a positive radius")
-            if not (K >= 0.0 and math.isfinite(K)):
-                raise PreconditionError(f"entry at {p} needs a finite rate")
-            entries.append(WitnessEntry(p, delta, K))
-        if not entries:
-            raise PreconditionError("a witness needs at least one entry")
-        return cls(entries)
+        """The witness of (point, delta, constant) triples."""
+        return cls(*_pairs.unzip(triples, 3))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.points.size
+
+    def centers(self, space) -> np.ndarray:
+        """The points, refused unless each is a sample of space."""
+        return _pairs.sample_ids(self.points, space.n, "witness entry id")
 
 
 def generate_local_witness(f: ScalarField) -> LocalWitness:
@@ -86,7 +91,7 @@ def generate_local_witness(f: ScalarField) -> LocalWitness:
         space, f.values(), np.arange(space.n), 2.0 * deltas,
         lambda d, o, seg: _pairs.slope(o, d, 0.0))
     rates[pairs[:, 0] < 0] = 0.0        # a lone sample has rate 0
-    return LocalWitness.from_triples(zip(range(space.n), deltas, rates))
+    return LocalWitness(np.arange(space.n), deltas, rates)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +110,7 @@ class IncreasingCover:
     """
 
     space: object
-    entries: list
+    witness: LocalWitness
     levels: np.ndarray
     thresholds: np.ndarray
     eta: np.ndarray
@@ -139,7 +144,7 @@ def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
     if bound is not None and not math.isfinite(float(bound)):
         raise PreconditionError(
             f"the supplied oscillation bound must be finite, got {float(bound)}")
-    arrays = _entry_arrays(space, witness.entries)
+    centers = witness.centers(space)
     num = _compress if compressed else None
     # the largest pair oscillation.  On finite values the bounded one is
     # fl(max v - min v): rounded subtraction is monotone, and the pair
@@ -169,22 +174,22 @@ def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
     elif osc_bound == math.inf:
         raise PreconditionError(f"oscillation is infinite at pair {pair}",
                                 witness=pair)
-    excess, pairs = _doubled_ball_excess(space, v, arrays, num=num)
+    excess, pairs = _doubled_ball_excess(space, v, witness, centers, num=num)
     failed = np.flatnonzero(~(excess <= tol))
     if failed.size:
         j = int(failed[0])
         raise PreconditionError(
-            f"entry {j} at point {witness.entries[j].point} fails on its "
+            f"entry {j} at point {centers[j]} fails on its "
             f"doubled ball by {excess[j]:.3e}",
             witness=(j, (int(pairs[j, 0]), int(pairs[j, 1]))))
-    levels = np.array([max(e.constant, osc_bound / e.delta)
-                       for e in witness.entries])
-    centers, deltas, _ = arrays
+    # max(K_p, osc_bound / delta_p); on a tie np.maximum returns its
+    # second argument, so a signed zero is K_p's
+    levels = np.maximum(osc_bound / witness.deltas, witness.constants)
     ceilings = np.maximum(1, np.ceil(levels - tol).astype(int))
     none = np.iinfo(ceilings.dtype).max
     eta = np.full(space.n, none, dtype=ceilings.dtype)
     # each sample's least ceiling over the single balls holding it
-    for a, mask in _pairs.ball_masks(space, centers, deltas):
+    for a, mask in _pairs.ball_masks(space, centers, witness.deltas):
         held = np.where(mask, ceilings[a:a + len(mask), None], none)
         np.minimum(eta, held.min(axis=0), out=eta)
     uncovered = np.flatnonzero(eta == none)
@@ -192,7 +197,7 @@ def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
         raise CoverError(
             f"{uncovered.size} sample(s) lie in no witness ball, "
             f"first is {int(uncovered[0])}")
-    return IncreasingCover(space, list(witness.entries), levels,
+    return IncreasingCover(space, witness, levels,
                            np.unique(ceilings), eta, osc_bound, v, compressed)
 
 
@@ -284,18 +289,17 @@ def modulus_witness(f: ScalarField, witness: LocalWitness, rule: str = "bounded"
 def witness_from_modulus(modulus: ModulusWitness, points, deltas) -> LocalWitness:
     """Local witness whose rates dominate the modulus on doubled balls."""
     points = _pairs.sample_ids(points, modulus.space.n, "point")
-    deltas = [float(d) for d in deltas]
+    deltas = np.array(deltas, dtype=float)
     if len(points) != len(deltas):
         raise PreconditionError("need one radius per point")
     f = modulus.f_values
-    triples = []
-    for p, delta in zip(points, deltas):
+    rates = np.empty(len(points))
+    for j, (p, delta) in enumerate(zip(points.tolist(), deltas.tolist())):
         ids = modulus.space.ball(p, 2.0 * delta)
         with np.errstate(over="ignore"):
             o = np.abs(f[ids, None] - f[None, ids])
-        K = float(modulus._rates(ids, ids, o).max(initial=0.0))
-        triples.append((p, delta, K))
-    return LocalWitness.from_triples(triples)
+        rates[j] = modulus._rates(ids, ids, o).max(initial=0.0)
+    return LocalWitness(points, deltas, rates)
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +337,17 @@ def _slice_cover(space, witness: LocalWitness, v: np.ndarray, max_slices,
     the chunked ball masks, without a float copy of a chunk, and
     _slice_groups turns the peaks into slices.  Returns (exponents
     descending, the cover of the extra witnesses followed by one
-    _BallUnion per slice).
+    _BallUnion per slice, of the witness balls its index list names).
     """
-    centers, deltas, _ = _entry_arrays(space, witness.entries)
+    centers, deltas = witness.centers(space), witness.deltas
     size = np.abs(v)
     peaks = np.empty(len(centers))
     for a, mask in _pairs.ball_masks(space, centers, deltas):
         peaks[a:a + len(mask)] = np.max(np.broadcast_to(size, mask.shape),
                                         axis=1, where=mask, initial=0.0)
     exps, groups = _slice_groups(peaks, max_slices)
-    balls = list(zip(centers, deltas))
     return exps, CozeroCover(space, list(extra) + [
-        _BallUnion(space, [balls[b] for b in grp], g)
+        _BallUnion(space, centers[grp], deltas[grp], g)
         for g, grp in enumerate(groups)])
 
 
@@ -430,7 +433,7 @@ def local_extend(A: Subset, phi, witness: LocalWitness, interval: Interval,
     _require_phi_in(interval, A, vals)
     in_A = np.zeros(space.n, dtype=bool)
     in_A[A.members] = True
-    centers = _entry_arrays(space, witness.entries)[0]
+    centers = witness.centers(space)
     outside = np.flatnonzero(~in_A[centers])
     if outside.size:
         j = int(outside[0])

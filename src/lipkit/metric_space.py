@@ -309,12 +309,15 @@ class MetricSpace:
     # ---- distance queries ---------------------------------------------
 
     def dist(self, p: int, q: int) -> float:
+        """d(p, q) for sample ids p and q (see _pairs.sample_ids)."""
+        p, q = _pairs.sample_id(p, self.n), _pairs.sample_id(q, self.n)
         if self._matrix is not None:
             return float(self._matrix[p, q])
         return float(_coord_dist(self.coords[[p, q]], [0])[0, 1])
 
     def dist_row(self, p: int) -> np.ndarray:
-        """Distances from p to every point, computed on demand."""
+        """Distances from the sample p to every point, computed on demand."""
+        p = _pairs.sample_id(p, self.n)
         if self._matrix is not None:
             return self._matrix[p].copy()
         return _coord_dist(self.coords, [p])[0]
@@ -331,6 +334,7 @@ class MetricSpace:
         read off the cached pairwise() row without copying it.  Checks
         over many balls read the same rule a chunk at a time through
         _pairs.ball_masks."""
+        center = _pairs.sample_id(center, self.n)
         return (self.pairwise()[center] < radius).nonzero()[0]
 
     def diameter(self) -> float:

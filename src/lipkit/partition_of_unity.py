@@ -110,22 +110,23 @@ class _BallUnion(ScalarField):
 
     One node whatever the group size, so evaluation never recurses per
     ball; it reads the distance columns DistanceTo reads, so its values
-    equal a max-chain of tents bit for bit.  g labels the group in
-    error messages.
+    equal a max-chain of tents bit for bit.  centers and radii are
+    aligned; g labels the group in error messages.
     """
 
-    def __init__(self, space, balls, g):
+    def __init__(self, space, centers, radii, g):
         super().__init__(space)
-        balls = list(balls)
-        if not balls:
+        if not len(centers):
             raise CoverError(f"ball group {g} is empty")
-        self.centers = _pairs.sample_ids([c for c, _ in balls], space.n,
+        self.centers = _pairs.sample_ids(centers, space.n,
                                          f"group {g} ball center")
-        self.radii = np.array([float(r) for _, r in balls])
-        for center, radius in zip(self.centers, self.radii):
-            if not (radius > 0.0):
-                raise PreconditionError(
-                    f"ball ({center}, {radius}) in group {g} has no interior")
+        self.radii = np.array(radii, dtype=float)
+        bad = np.flatnonzero(~(self.radii > 0.0))
+        if bad.size:
+            j = bad[0]
+            raise PreconditionError(
+                f"ball ({self.centers[j]}, {self.radii[j]}) in group {g} "
+                f"has no interior")
 
     def _compute_values(self) -> np.ndarray:
         out = np.empty(self.space.n)
@@ -142,7 +143,7 @@ def witness_from_balls(space, groups) -> CozeroCover:
     it is 1-Lipschitz and positive exactly on the union of the open
     balls.  The groups together must cover every sample.
     """
-    return CozeroCover(space, [_BallUnion(space, balls, g)
+    return CozeroCover(space, [_BallUnion(space, *_pairs.unzip(balls, 2), g)
                                for g, balls in enumerate(groups)])
 
 

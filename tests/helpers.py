@@ -286,6 +286,13 @@ def check_switched(space, v, rng):
 # Row-scan references of the local layer: one distance-row scan per ball
 
 
+def triples(witness):
+    """The (point, delta, constant) entries of a LocalWitness as a list
+    of Python tuples."""
+    return list(zip(witness.points.tolist(), witness.deltas.tolist(),
+                    witness.constants.tolist()))
+
+
 def ref_certify_local_witness(f, witness, domain=None, tol=1e-9):
     """certify_local_witness scanning a pairwise() row for every ball,
     over the pairs p < q of each doubled ball."""
@@ -296,8 +303,7 @@ def ref_certify_local_witness(f, witness, domain=None, tol=1e-9):
 
     worst, worst_witness = -math.inf, None
     per_entry = []
-    for idx, entry in enumerate(witness.entries):
-        p, delta, K = int(entry.point), float(entry.delta), float(entry.constant)
+    for idx, (p, delta, K) in enumerate(triples(witness)):
         inside = ids_all[D[p, ids_all] < 2.0 * delta]
         e, pair = _pairs.worst_excess(space, v[inside], lambda r, c, d, o: K * d,
                                       ids=inside)
@@ -308,13 +314,13 @@ def ref_certify_local_witness(f, witness, domain=None, tol=1e-9):
         worst = 0.0
 
     covered = np.zeros(space.n, dtype=bool)
-    for entry in witness.entries:
-        covered[D[int(entry.point)] < float(entry.delta)] = True
+    for p, delta, _ in triples(witness):
+        covered[D[p] < delta] = True
     uncovered = [int(i) for i in ids_all if not covered[i]]
 
     passed = worst <= tol and not uncovered
     details = {
-        "entry_count": len(witness.entries),
+        "entry_count": len(witness),
         "per_entry_worst": per_entry,
         "uncovered": uncovered,
     }
@@ -323,7 +329,7 @@ def ref_certify_local_witness(f, witness, domain=None, tol=1e-9):
     return Certificate("local-witness", passed, worst, tol, worst_witness, details)
 
 
-def ref_cover_sets(D, entries, levels, tol=1e-9):
+def ref_cover_sets(D, witness, levels, tol=1e-9):
     """(thresholds, memberships, eta) of an increasing cover grown
     threshold by threshold: U_t is the union of the single balls whose
     level ceiling is at most t, and eta is the first t reaching x."""
@@ -333,9 +339,9 @@ def ref_cover_sets(D, entries, levels, tol=1e-9):
     grown = np.zeros(D.shape[0], dtype=bool)
     eta = np.full(D.shape[0], -1, dtype=int)
     for t in thresholds:
-        for j, e in enumerate(entries):
+        for j, (p, delta, _) in enumerate(triples(witness)):
             if ceilings[j] <= t:
-                grown |= D[e.point] < e.delta
+                grown |= D[p] < delta
         memberships[int(t)] = grown.copy()
         eta[grown & (eta < 0)] = int(t)
     return thresholds, memberships, eta
@@ -370,8 +376,8 @@ def ref_radii_witness(f, deltas):
 def ref_slice_peaks(space, witness, v):
     """Each entry's peak |v| over its single ball, one space.ball per
     entry."""
-    return np.array([float(np.abs(v[space.ball(e.point, e.delta)]).max(
-        initial=0.0)) for e in witness.entries])
+    return np.array([float(np.abs(v[space.ball(p, delta)]).max(initial=0.0))
+                     for p, delta, _ in triples(witness)])
 
 
 def leaf_sums(values, mask):

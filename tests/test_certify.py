@@ -15,8 +15,7 @@ from lipkit import _pairs
 from lipkit.fixtures import cusp_curve, sin_reciprocal_pairs, square_on_grid
 from lipkit.partition_of_unity import PartitionOfUnity
 
-from helpers import (leaf_sums, make_ball_cover, make_instance, make_space,
-                     ref_greedy)
+from helpers import leaf_sums, make_ball_cover, make_space, ref_greedy
 
 
 def grid_instance():
@@ -159,14 +158,6 @@ def test_an_empty_pair_list_checks_nothing():
         assert global_lip(f, pairs=pairs) == LipEstimate(0.0, None)
 
 
-def test_random_extension_custom_order():
-    rng = np.random.default_rng(17)
-    space, A, phi, K = make_instance(rng, n_max=15)
-    order = A.complement()[::-1]
-    f = random_k_extension(A, phi, K, order=order, seed=3)
-    assert check_k_lipschitz(f, K).passed
-
-
 def asymmetric_space(rng):
     """Unvalidated distances, d(p, q) != d(q, p) off the diagonal."""
     D = make_space(rng, kinds=[1]).pairwise()
@@ -177,8 +168,7 @@ def asymmetric_space(rng):
 
 # kinds 0-3 are the make_space backends, 4 an asymmetric matrix
 @pytest.mark.parametrize("kind", [0, 1, 2, 3, 4])
-@pytest.mark.parametrize("reverse", [False, True])
-def test_random_extension_matches_the_prefix_reference(kind, reverse):
+def test_random_extension_matches_the_prefix_reference(kind):
     tol = 1.0 if kind == 4 else 1e-9
     for s in range(6):
         rng = np.random.default_rng([kind, s])
@@ -189,25 +179,20 @@ def test_random_extension_matches_the_prefix_reference(kind, reverse):
         # a cone of slope <= K around one anchor is K-Lipschitz on A
         cone = space.pairwise()[int(A.members[0]), A.members]
         phi = float(rng.uniform(-2, 2)) + float(rng.uniform(-1, 1)) * K * cone
-        order = A.complement()[::-1] if reverse else A.complement()
-        got = random_k_extension(A, phi, K, order=order if reverse else None,
-                                 seed=s, tol=tol).values()
-        want = ref_greedy(A, phi, K, order, seed=s, tol=tol)
-        assert got.tobytes() == want.tobytes(), (kind, s)
+        assert same_as_reference(A, phi, K, seed=s, tol=tol), (kind, s)
 
 
-def same_as_reference(A, phi, K, order, seed, tol=1e-9):
-    """The draw equals ref_greedy byte for byte; order None is
-    the default ascending complement."""
-    got = random_k_extension(A, phi, K, order=order, seed=seed, tol=tol).values()
-    rest = A.complement() if order is None else order
-    want = ref_greedy(A, phi, K, rest, seed=seed, tol=tol)
+def same_as_reference(A, phi, K, seed, tol=1e-9):
+    """The draw equals ref_greedy over the ascending complement byte
+    for byte."""
+    got = random_k_extension(A, phi, K, seed=seed, tol=tol).values()
+    want = ref_greedy(A, phi, K, A.complement(), seed=seed, tol=tol)
     return got.tobytes() == want.tobytes()
 
 
-def test_random_extension_matches_the_reference_in_any_order():
-    # random permutations, on every backend and the asymmetric matrix,
-    # for an A of one sample, of all samples but one, and in between
+def test_random_extension_matches_the_reference_at_every_domain_size():
+    # on every backend and the asymmetric matrix, for an A of one
+    # sample, of all samples but one, and in between
     for kind in (0, 1, 2, 3, 4):
         tol = 1.0 if kind == 4 else 1e-9
         for size in ("one", "all-but-one", "any"):
@@ -221,9 +206,7 @@ def test_random_extension_matches_the_reference_in_any_order():
                 K = float(rng.uniform(0.2, 4.0))
                 cone = space.pairwise()[int(A.members[0]), A.members]
                 phi = float(rng.uniform(-2, 2)) + float(rng.uniform(-1, 1)) * K * cone
-                for order in (None, rng.permutation(A.complement())):
-                    assert same_as_reference(A, phi, K, order, s, tol), \
-                        (kind, size, s)
+                assert same_as_reference(A, phi, K, s, tol), (kind, size, s)
 
 
 @pytest.mark.parametrize("kind", [0, 1, 2, 3, 4])
@@ -233,10 +216,8 @@ def test_random_extension_with_constant_zero_is_constant(kind):
     space = asymmetric_space(rng) if kind == 4 else make_space(rng, kinds=[kind])
     A = Subset(space, rng.choice(space.n, size=3, replace=False))
     phi = np.full(3, -0.75)
-    for order in (None, rng.permutation(A.complement())):
-        assert same_as_reference(A, phi, 0.0, order, seed=4)
-        assert (random_k_extension(A, phi, 0.0, order=order).values()
-                == -0.75).all()
+    assert same_as_reference(A, phi, 0.0, seed=4)
+    assert (random_k_extension(A, phi, 0.0).values() == -0.75).all()
 
 
 def test_random_extension_closes_a_rounding_gap_at_the_midpoint():
@@ -248,26 +229,10 @@ def test_random_extension_closes_a_rounding_gap_at_the_midpoint():
     f = random_k_extension(A, phi, 1.0, tol=1e-9)
     assert f(1) == 0.5 * ((phi[1] - 0.5) + 0.5)
     assert f(1) == ref_greedy(A, phi, 1.0, [1], seed=0)[1]
-    # on a finer grid the first sample of every order closes at the
-    # midpoint, and the rest are drawn against it
+    # on a finer grid the first sample closes at the midpoint, and the
+    # rest are drawn against it
     fine = Subset(MetricSpace.from_grid(0.0, 1.0, 0.25), [0, 4])
-    for order in (None, [3, 2, 1], [2, 1, 3], [1, 3, 2]):
-        assert same_as_reference(fine, phi, 1.0, order, seed=2)
-
-
-def test_random_extension_rejects_an_order_that_revisits_a_point():
-    space, A, phi = grid_instance()
-    with pytest.raises(PreconditionError, match="order revisits point 2"):
-        random_k_extension(A, phi, 1.0, order=[1, 2, 3, 4])
-    with pytest.raises(PreconditionError, match="order revisits point 3"):
-        random_k_extension(A, phi, 1.0, order=[1, 3, 3, 4])
-
-
-def test_random_extension_rejects_an_order_that_misses_points():
-    space, A, phi = grid_instance()
-    with pytest.raises(PreconditionError,
-                       match=r"order misses 2 point\(s\), first 1"):
-        random_k_extension(A, phi, 1.0, order=[4])
+    assert same_as_reference(fine, phi, 1.0, seed=2)
 
 
 def test_random_extension_reports_an_empty_feasible_interval():
@@ -280,37 +245,6 @@ def test_random_extension_reports_an_empty_feasible_interval():
                        match=r"empty feasible interval at point 1") as err:
         random_k_extension(A, [0.0, 1.0 + 1e-10], 1.0, tol=1e-9)
     assert err.value.witness == 1
-
-
-def test_an_empty_interval_before_a_revisit_is_reported_first():
-    D = np.array([[0.0, 0.1, 1.0], [0.1, 0.0, 0.1], [1.0, 0.1, 0.0]])
-    A = Subset(MetricSpace.from_matrix(D, validate=False), [0, 2])
-    phi = [0.0, 1.0 + 1e-10]
-    with pytest.raises(PreconditionError, match="empty feasible interval"):
-        random_k_extension(A, phi, 1.0, order=[1, 0], tol=1e-9)
-    with pytest.raises(PreconditionError, match="order revisits point 0"):
-        random_k_extension(A, phi, 1.0, order=[0, 1], tol=1e-9)
-
-
-@pytest.mark.parametrize("order, message", [
-    ([1, 3, -1], r"point -1 at position 2 lies outside 0\.\.4"),
-    ([1, 3, 4, -1], r"point -1 at position 3 lies outside 0\.\.4"),
-    ([1, 3, 7], r"point 7 at position 2 lies outside 0\.\.4"),
-    ([1, 3, 4.7], r"point 4\.7 at position 2 is not an integer"),
-    ([1, 3, math.nan], r"point nan at position 2 is not an integer"),
-    ([[1, 3, 4]], r"order must be a flat list of sample ids"),
-], ids=["negative", "negative-after-all", "too-large", "fraction", "nan",
-        "nested"])
-def test_random_extension_refuses_an_order_id_that_is_no_sample(order, message):
-    space, A, phi = grid_instance()
-    with pytest.raises(InputError, match=message):
-        random_k_extension(A, phi, 1.0, order=order)
-
-
-def test_random_extension_takes_whole_float_order_ids():
-    space, A, phi = grid_instance()
-    assert random_k_extension(A, phi, 1.0, order=[1.0, 3.0, 4.0]).values() \
-        .tobytes() == random_k_extension(A, phi, 1.0).values().tobytes()
 
 
 @pytest.mark.parametrize("space", [

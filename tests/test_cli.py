@@ -311,6 +311,30 @@ def test_pou_rejects_a_malformed_ball(tmp_path, grid_space, capsys):
     assert "[center, radius]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["subset", "ball-center", "witness-p",
+                                  "edge-end"])
+def test_a_json_boolean_is_no_sample_id(tmp_path, grid_space, capsys, case):
+    # int(True) == 1: before, [true, 3] loaded as the members [1, 3]
+    bad = write(tmp_path / "bad.json", json.dumps({
+        "subset": [True, 3],
+        "ball-center": [{"balls": [[True, 1.5], [4, 1.5]]}],
+        "witness-p": [{"p": True, "delta": 1.5, "K": 1.0}],
+        "edge-end": {"nodes": 3, "edges": [[0, True, 1.0], [1, 2, 1.0]]},
+    }[case]))
+    values = write(tmp_path / "f.csv",
+                   "\n".join(f"{p},{0.5 * p}" for p in range(5)) + "\n")
+    argv = {
+        "subset": ["extend", "--space", grid_space, "--subset", bad,
+                   "--values", values, "--k", "1.0"],
+        "ball-center": ["pou", "--space", grid_space, "--cover", bad],
+        "witness-p": ["modulus", "--space", grid_space, "--values", values,
+                      "--witness", bad],
+        "edge-end": ["certify-metric", "--space", bad],
+    }[case]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
 @pytest.fixture
 def witnessed_field(tmp_path, grid_space):
     values = write(tmp_path / "f.csv",

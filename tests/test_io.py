@@ -146,9 +146,9 @@ def test_load_local_witness(tmp_path):
                     [{"p": 0, "delta": 0.5, "K": 2.0},
                      {"p": 3, "delta": 1.0, "K": 4.0}])
     w = load_local_witness(path)
-    assert len(w.entries) == 2
-    assert w.entries[1].point == 3
-    assert w.entries[1].constant == 4.0
+    assert len(w) == 2
+    assert w.points[1] == 3
+    assert w.constants[1] == 4.0
     with pytest.raises(InputError):
         load_local_witness(put_json(tmp_path, "miss.json", [{"p": 0}]))
     with pytest.raises(InputError):

@@ -19,7 +19,7 @@ from lipkit.local_lipschitz import (_cover_from_oscillation, _slice_cover,
 
 from helpers import (make_space, ref_certify_local_witness, ref_cover_sets,
                      ref_radii_witness, ref_slice_peaks,
-                     ref_witness_from_modulus)
+                     ref_witness_from_modulus, triples)
 
 TOL = 1e-9
 
@@ -157,7 +157,7 @@ def test_generated_witness_skips_a_tolerated_diagonal():
     space = MetricSpace.from_matrix(D)
     np.testing.assert_array_equal(space.nearest_positive(), [1.0, 1.0, 2.0])
     witness = generate_local_witness(Tabulated(space, pts))
-    assert [e.delta for e in witness.entries] == [1.0, 1.0, 2.0]
+    assert witness.deltas.tolist() == [1.0, 1.0, 2.0]
 
 
 def test_bounded_oscillation_skips_the_sweep_with_the_same_cover():
@@ -231,10 +231,8 @@ def check_slice_cover(space, witness, v, extra, monkeypatch):
         unions = cover.witnesses[len(extra):]
         assert len(unions) == len(groups)
         for union, grp in zip(unions, groups):
-            assert union.centers.tolist() == \
-                [witness.entries[b].point for b in grp]
-            assert union.radii.tolist() == \
-                [witness.entries[b].delta for b in grp]
+            assert union.centers.tolist() == witness.points[grp].tolist()
+            assert union.radii.tolist() == witness.deltas[grp].tolist()
 
 
 @pytest.mark.parametrize("on_domain", [False, True], ids=["all", "domain"])
@@ -256,23 +254,27 @@ def test_local_layer_matches_the_row_scan_references(kind, on_domain,
                                               replace=False))
         half = rng.permutation(n)[:n // 2 + 1]
         for w in (witness,
-                  LocalWitness.from_triples([(e.point, e.delta, 0.5 * e.constant)
-                                             for e in witness.entries]),
+                  LocalWitness(witness.points, witness.deltas,
+                               0.5 * witness.constants),
                   LocalWitness.from_triples([(int(p), 0.3, 1.0) for p in half])):
             assert certify_local_witness(f, w, domain).to_dict() == \
                 ref_certify_local_witness(f, w, domain).to_dict()
         for rule in ("bounded", "unbounded"):
             m = modulus_witness(f, witness, rule)
+            # the entry levels, max(K_p, osc_bound / delta_p) per entry
+            levels = [max(K, m.cover.osc_bound / delta)
+                      for _, delta, K in triples(witness)]
+            assert m.cover.levels.tobytes() == np.array(levels).tobytes()
             thresholds, memberships, eta = ref_cover_sets(
-                D, witness.entries, m.cover.levels)
+                D, witness, m.cover.levels)
             assert np.array_equal(m.cover.thresholds, thresholds)
             assert m.cover.eta.tobytes() == eta.tobytes()
             for t in thresholds:
                 assert np.array_equal(m.cover.eta <= t, memberships[int(t)])
             points = rng.choice(n, size=5)
             radii = rng.uniform(0.1, 1.0, 5) * D.max()
-            assert witness_from_modulus(m, points, radii).entries == \
-                ref_witness_from_modulus(m, points, radii).entries
+            assert triples(witness_from_modulus(m, points, radii)) == \
+                triples(ref_witness_from_modulus(m, points, radii))
         # slice peaks of the field, or of its zero-off-domain stub, also
         # on the matrix with one entry a ulp off its mirror, unvalidated
         v = f.values()
@@ -281,9 +283,9 @@ def test_local_layer_matches_the_row_scan_references(kind, on_domain,
             v[domain.members] = f.values()[domain.members]
         skew = D.copy()
         skew[0, 1] = np.nextafter(skew[0, 1], math.inf)
-        partial = LocalWitness.from_triples(
-            [(e.point, e.delta, e.constant)
-             for e in witness.entries if e.point in half])
+        keep = np.isin(witness.points, half)
+        partial = LocalWitness(witness.points[keep], witness.deltas[keep],
+                               witness.constants[keep])
         for host in (space, MetricSpace.from_matrix(skew, validate=False)):
             check_slice_cover(host, witness, v, (), monkeypatch)
             check_slice_cover(host, partial, v, (Constant(host, 1.0),),
@@ -479,8 +481,7 @@ def test_local_extend_refuses_an_infinite_phi():
 
 def test_local_extend_rejects_offsite_witness():
     space, A, phi, witness = ray_extension_problem()
-    stray = LocalWitness.from_triples(
-        [(e.point, e.delta, e.constant) for e in witness.entries] + [(0, 0.5, 1.0)])
+    stray = LocalWitness.from_triples(triples(witness) + [(0, 0.5, 1.0)])
     with pytest.raises(PreconditionError):
         local_extend(A, phi, stray, Interval.real_line())
 
@@ -557,8 +558,7 @@ def test_modulus_gaps_past_the_float_range_raise_no_warning():
         unbounded = local_lipschitz.ModulusWitness(
             "unbounded", space, levels, m.level_field, 1.0, f, None)
         assert unbounded.matrix()[1, 2] == math.inf
-    assert [(e.point, e.delta, e.constant) for e in witness.entries] == \
-        [(1, 1.0, 1.0)]
+    assert triples(witness) == [(1, 1.0, 1.0)]
 
 
 @pytest.mark.parametrize("point", [2.9, math.nan, math.inf])
@@ -566,4 +566,39 @@ def test_witness_entry_point_must_be_an_integer(point):
     # 2.9 used to become an entry at sample 2
     with pytest.raises(InputError, match="is not an integer"):
         LocalWitness.from_triples([(0, 1.0, 1.0), (point, 1.0, 1.0)])
-    assert LocalWitness.from_triples([(2.0, 1.0, 1.0)]).entries[0].point == 2
+    assert LocalWitness.from_triples([(2.0, 1.0, 1.0)]).points.tolist() == [2]
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([(0, 0.0, math.inf), (2.5, 1.0, 1.0)],
+     r"entry point 2\.5 at position 1 is not an integer"),
+    ([(0, 1.0, 1.0), (1, 1.0, math.inf), (2, 0.0, 1.0)],
+     "entry at 1 needs a finite rate"),
+    ([(0, 1.0, 1.0), (3, math.nan, math.nan)],
+     "entry at 3 needs a positive radius"),
+    ([(0, 1.0, -1.0)], "entry at 0 needs a finite rate"),
+    ([(0, -0.5, 1.0)], "entry at 0 needs a positive radius"),
+    ([], "a witness needs at least one entry"),
+], ids=["id-first", "rate", "radius-before-rate", "negative-rate",
+        "negative-radius", "empty"])
+def test_witness_checks_name_the_first_bad_entry(rows, message):
+    # the id rule on every point first, then entry by entry a radius
+    # before a rate, then the count
+    err = InputError if "integer" in message else PreconditionError
+    with pytest.raises(err, match=message):
+        LocalWitness.from_triples(rows)
+
+
+def test_witness_arrays_are_aligned_read_only_copies():
+    deltas = np.array([0.5, 1.0])
+    w = LocalWitness([0, 2], deltas, [1.0, 3.0])
+    deltas[0] = -1.0
+    assert triples(w) == [(0, 0.5, 1.0), (2, 1.0, 3.0)]
+    assert len(w) == 2
+    for a in (w.points, w.deltas, w.constants):
+        with pytest.raises(ValueError):
+            a[0] = 1
+    with pytest.raises(PreconditionError, match="a radius and a rate per"):
+        LocalWitness([0, 1], [1.0], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        LocalWitness.from_triples([(0, 1.0, 1.0), (1, 1.0)])

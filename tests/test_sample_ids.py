@@ -17,9 +17,8 @@ from lipkit import (Constant, DistanceTo, InputError, Interval, LocalWitness,
                     MetricSpace, Subset, Tabulated, certify_local_witness,
                     check_k_lipschitz, extend_to_interval, feasible_interval,
                     global_lip, graph_open_check, mather_refine,
-                    modulus_witness, pointwise_lip, random_k_extension,
-                    scaled_oscillation, witness_from_balls,
-                    witness_from_modulus)
+                    modulus_witness, pointwise_lip, scaled_oscillation,
+                    witness_from_balls, witness_from_modulus)
 from lipkit.extension import Envelope
 from lipkit.io import field_on_space, values_on_subset
 from lipkit.selection import IntervalMapping
@@ -61,8 +60,6 @@ ENTRY_POINTS = {
         field(s), 1.0, pairs=[(0, 1), (2, x)]), r"\(1, 1\)"),
     "global_lip-pairs": (lambda s, x: global_lip(field(s), pairs=[(x, 0)]),
                          r"\(0, 0\)"),
-    "random_k_extension-order": (lambda s, x: random_k_extension(
-        Subset(s, [0, 4]), [0.0, 0.0], 1.0, order=[1, 2, x]), "2"),
     "witness_from_modulus": (lambda s, x: witness_from_modulus(
         modulus(s), [1, x], [1.0, 1.0]), "1"),
     "graph_open_check": (lambda s, x: graph_open_check(
@@ -77,6 +74,11 @@ ENTRY_POINTS = {
         field(s), x, [1.5]), "0"),
     "graph-edge": (lambda s, x: MetricSpace.from_graph(
         5, [(0, 1, 1.0), (1, x, 1.0)]), r"\(1, 1\)"),
+    # on the grid 0..4, dist(-1, 0) read 4.0 and ball(-1, 0.5) read [4]
+    "dist": (lambda s, x: s.dist(x, 0), "0"),
+    "dist-second": (lambda s, x: s.dist(0, x), "0"),
+    "dist_row": (lambda s, x: s.dist_row(x), "0"),
+    "ball": (lambda s, x: s.ball(x, 0.5), "0"),
 }
 
 
@@ -128,6 +130,8 @@ def test_subset_ids_are_read_as_given():
     assert Subset(s, [3.0, 0, np.int64(3)]).members.tolist() == [0, 3]
     assert 3.0 in Subset(s, [3]) and np.int64(2) not in Subset(s, [3])
     assert field(s)(np.int64(2)) == field(s)(2.0) == 1.0
+    assert s.dist(np.int64(4), 0.0) == s.dist(4, 0) == 4.0
+    assert s.ball(np.int64(4), 1.5).tolist() == s.ball(4.0, 1.5).tolist()
 
 
 def test_witness_entry_points_are_checked_for_integers_before_a_space():
@@ -136,7 +140,7 @@ def test_witness_entry_points_are_checked_for_integers_before_a_space():
         LocalWitness.from_triples([(0, 1.0, 1.0), (2.5, 1.0, 1.0)])
     # the range needs a space: -1 passes here and is refused against one
     witness = LocalWitness.from_triples([(-1, 1.0, 1.0)])
-    assert witness.entries[0].point == -1
+    assert witness.points.tolist() == [-1]
     with pytest.raises(InputError, match="witness entry id -1 at position 0 "
                                          "lies outside 0..4"):
         certify_local_witness(field(grid()), witness)

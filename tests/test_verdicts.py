@@ -145,9 +145,9 @@ def test_certify_extend_local_on_the_square():
     space, f, _ = square_on_grid(-1.0, 1.0, 0.25)
     A = Subset(space, np.arange(0, space.n, 2))
     vals = f.values()[A.members]
-    witness = LocalWitness.from_triples(
-        (e.point, e.delta, e.constant)
-        for e in generate_local_witness(f).entries if e.point in A)
+    w = generate_local_witness(f)
+    keep = np.isin(w.points, A.members)
+    witness = LocalWitness(w.points[keep], w.deltas[keep], w.constants[keep])
     interval = Interval.closed(0.0, 1.0)
     out = local_extend(A, vals, witness, interval, TOL)
     certs = verdicts.certify_extend_local(A, vals, interval, out, TOL)
