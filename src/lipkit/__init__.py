@@ -30,7 +30,7 @@ from .partition_of_unity import (CozeroCover, MatherRefinement,
                                  index_subordinate, mather_refine,
                                  nonexpansive_split, staircase,
                                  staircase_partial_sum, witness_from_balls)
-from .scalar_field import (Binary, Constant, Coordinate, DistanceTo, Interval,
+from .scalar_field import (Constant, Coordinate, DistanceTo, Interval,
                            LipEstimate, ScalarField, Series, Tabulated,
                            Transported, global_lip, maximum, minimum,
                            pointwise_lip, scaled_oscillation)
@@ -39,8 +39,8 @@ from .selection import (IntervalMapping, OpennessReport, decreasing_approx,
 
 __all__ = [
     "__version__",
-    "Binary", "Certificate", "Constant", "Coordinate", "CoverError",
-    "CozeroCover", "Decomposition", "DistanceTo", "DomainError",
+    "Certificate", "Constant", "Coordinate", "CoverError", "CozeroCover",
+    "Decomposition", "DistanceTo", "DomainError",
     "DualityReport", "Envelope", "EnvelopePair", "GridError",
     "IncreasingCover", "InputError", "Interval", "IntervalMapping",
     "LipEstimate", "LipkitError", "LocalWitness", "MatherRefinement",

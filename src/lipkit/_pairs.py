@@ -24,8 +24,9 @@ decided in one place:
 
 Values are aligned with ids, a sorted array of sample ids (every sample
 when ids is None); pairs come back as sample ids.  listed_max reads an
-explicit pair list instead, by space.dist.  Ids from a caller (a pair
-list, a draw order, a point) pass the one id rule of sample_ids.
+explicit pair list instead, with the floats of space.dist.  Ids from a
+caller (a pair list, a draw order, a point) pass the one id rule of
+sample_ids.
 
 Every reader of the distances reads pairwise() in the row blocks of
 row_blocks, at most _BLOCK entries each, so none holds a second n x n
@@ -136,16 +137,21 @@ def sample_id(p, n) -> int:
 
 def listed_max(space, v, pairs, value):
     """Largest value(d, o) over a list of sample id pairs (p, q), checked
-    by sample_ids, with d = space.dist(p, q) (no matrix is built) and
-    gaps o = |v_p - v_q| as in _sweep: (x, (p, q)) for the first largest
-    pair, a NaN beating every number, or (-inf, None) for no pair."""
+    by sample_ids, with d the float space.dist(p, q) returns, gathered
+    at once without building a matrix, and gaps o = |v_p - v_q| as in
+    _sweep: (x, (p, q)) for the first largest pair, a NaN beating every
+    number, or (-inf, None) for no pair."""
     P = sample_ids(pairs, space.n, "pair id",
                    "pairs must be a list of (p, q) sample id pairs", width=2)
     if not len(P):
         return -math.inf, None
-    d = np.array([space.dist(p, q) for p, q in P.tolist()])
+    p, q, x = P[:, 0], P[:, 1], space.coords
     with np.errstate(invalid="ignore", over="ignore"):
-        e = value(d, np.abs(v[P[:, 0]] - v[P[:, 1]]))
+        # a space without coordinates holds its matrix; with them, as in
+        # _coord_dist, the squares summed in axis order and then the root
+        d = (space.pairwise()[p, q] if x is None
+             else np.sqrt(sum(np.square(a[p] - a[q]) for a in x.T)))
+        e = value(d, np.abs(v[p] - v[q]))
     k = int(np.argmax(e))
     return float(e[k]), (int(P[k, 0]), int(P[k, 1]))
 

@@ -10,6 +10,7 @@ floats with repr, so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import operator
 
 import numpy as np
 
@@ -21,8 +22,8 @@ from .extension import PointwiseWitness
 from .local_lipschitz import LocalWitness
 from .metric_space import _DEFAULT_TOL, MetricSpace, Subset
 from .partition_of_unity import CozeroCover, _BallUnion
-from .scalar_field import (_BINARY_OPS, Binary, Constant, Coordinate,
-                           DistanceTo, ScalarField, Tabulated, Transported)
+from .scalar_field import (Constant, Coordinate, DistanceTo, ScalarField,
+                           Tabulated, Transported, maximum, minimum)
 
 
 def _read_json(path):
@@ -105,18 +106,17 @@ def load_space(path, tol: float = _DEFAULT_TOL,
         if {"nodes", "edges"} <= set(obj):
             if not isinstance(obj["edges"], list):
                 raise InputError(f"{path}: \"edges\" must be a list")
-            edges = []
+            n, edges = _number(path, obj, "nodes", int), []
             for j, e in enumerate(obj["edges"]):
                 try:
                     u, v, w = (e["u"], e["v"], e["w"]) if isinstance(e, dict) else e
                 except (KeyError, TypeError, ValueError):
                     raise InputError(f"{path}: edge {j} must be [u, v, w] or "
                                      f"{{\"u\", \"v\", \"w\"}}")
-                what = f"{path}: edge {j}"
-                edges.append((_convert(u, int, what), _convert(v, int, what),
-                              _convert(w, float, what)))
-            return MetricSpace.from_graph(_number(path, obj, "nodes", int), edges,
-                                          validate, tol)
+                edges.append((u, v, _convert(w, float, f"{path}: edge {j}")))
+            _pairs.sample_ids([e[:2] for e in edges], n, f"{path}: edge node",
+                              width=2)
+            return MetricSpace.from_graph(n, edges, validate, tol)
         raise InputError(f"{path}: JSON is neither a grid nor a graph")
     data, _ = _read_csv_floats(path)
     n, m = data.shape
@@ -134,7 +134,7 @@ def load_subset(path, space: MetricSpace) -> Subset:
     obj = _read_json(path)
     if not isinstance(obj, list):
         raise InputError(f"{path}: subset must be a JSON array of ids")
-    return Subset(space, [_convert(i, int, f"{path}: subset id") for i in obj])
+    return Subset(space, _pairs.sample_ids(obj, space.n, f"{path}: subset id"))
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +254,8 @@ def load_cover(path, space: MetricSpace) -> CozeroCover:
                 raise InputError(f"{path}: witness {j} needs balls given as "
                                  f"[center, radius] pairs")
             fields.append(_BallUnion(
-                space, [_convert(c, int, f"{path}: ball center")
-                        for c in centers],
+                space, _pairs.sample_ids(centers, space.n,
+                                         f"{path}: ball center"),
                 [_convert(r, float, f"{path}: ball radius") for r in radii],
                 j))
         elif "values" in w:
@@ -276,6 +276,8 @@ def load_cover(path, space: MetricSpace) -> CozeroCover:
 # Field expressions
 
 
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+           "min": minimum, "max": maximum}
 _UNARY = {"neg", "arctan", "tan", "reciprocal"}
 
 
@@ -314,13 +316,13 @@ def field_from_tree(tree, space: MetricSpace) -> ScalarField:
     if op == "distance":
         if not isinstance(args[0], list):
             raise InputError("op distance needs a list of ids")
-        return DistanceTo(space, [_convert(i, int, "distance id")
-                                  for i in args[0]])
-    if op in _BINARY_OPS:
+        return DistanceTo(space, _pairs.sample_ids(args[0], space.n,
+                                                   "distance id"))
+    if op in _BINARY:
         if len(args) != 2:
             raise InputError(f"op {op} needs two arguments")
-        return Binary(op, field_from_tree(args[0], space),
-                      field_from_tree(args[1], space))
+        return _BINARY[op](field_from_tree(args[0], space),
+                           field_from_tree(args[1], space))
     if op in _UNARY:
         if len(args) != 1:
             raise InputError(f"op {op} needs one argument")

@@ -108,8 +108,8 @@ class _BallUnion(ScalarField):
     """max(0, max over the balls of radius - d(center, .)) for one group
     of open balls: 1-Lipschitz and positive exactly on their union.
 
-    One node whatever the group size, so evaluation never recurses per
-    ball; it reads the distance columns DistanceTo reads, so its values
+    One pass over the distance columns whatever the group size, computed
+    on first read; it reads the columns DistanceTo reads, so its values
     equal a max-chain of tents bit for bit.  centers and radii are
     aligned; g labels the group in error messages.
     """
@@ -151,17 +151,6 @@ def witness_from_balls(space, groups) -> CozeroCover:
 # Mather refinement
 
 
-class _Row(ScalarField):
-    """One row of a read-only matrix as a field, read in place."""
-
-    def __init__(self, space, row):
-        super().__init__(space)
-        self.row = row
-
-    def _compute_values(self) -> np.ndarray:
-        return self.row
-
-
 @dataclass
 class MatherRefinement:
     """Shrunken witnesses gamma_n = max(eta_n - eta/2, 0)."""
@@ -195,7 +184,7 @@ def _shrink(cover: CozeroCover, W: np.ndarray):
         raise CoverError(f"mixture eta underflows to 0 at sample {int(zero[0])}")
     dominated = np.flatnonzero(G.max(axis=1) == 0.0).tolist()
     G.setflags(write=False)
-    return MatherRefinement(cover, [_Row(space, g) for g in G],
+    return MatherRefinement(cover, [ScalarField(space, g) for g in G],
                             Tabulated(space, eta), dominated), G
 
 
@@ -218,7 +207,7 @@ def mather_refine(cover: CozeroCover, tol: float = _DEFAULT_TOL) -> MatherRefine
             raise PreconditionError(
                 f"witness {n} exceeds its 2^-{n} bound by {hi - bound:.3e}")
         if lip > 1.0 + tol:
-            est = global_lip(_Row(cover.space, w))
+            est = global_lip(ScalarField(cover.space, w))
             raise PreconditionError(
                 f"witness {n} is not 1-Lipschitz: constant {est.value:.6f} "
                 f"at pair {est.witness}")
@@ -233,7 +222,7 @@ class PartitionOfUnity(ScalarField):
     """Finite family of nonnegative fields with unit sum, held as one
     read-only (members, n) matrix and an activity mask of the same
     shape that bounds the members alive at every sample.  members[m]
-    is row m as a field, a view with no copy.
+    is a field holding row m, a view with no copy.
 
     set_index[m] names the cover set the m-th member is subordinated
     to: the member vanishes wherever that set's witness does.  The
@@ -254,7 +243,7 @@ class PartitionOfUnity(ScalarField):
         self.matrix.setflags(write=False)
         self.activity.setflags(write=False)
         self.leaves = (self.matrix, self.activity)
-        self.members = [_Row(space, row) for row in self.matrix]
+        self.members = [ScalarField(space, row) for row in self.matrix]
         self.cover = cover
         self.notes = list(notes or [])
 

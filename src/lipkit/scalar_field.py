@@ -1,10 +1,13 @@
-"""Real-valued fields on a metric sample, as immutable evaluation trees.
+"""Real-valued fields on a metric sample, each one read-only array.
 
 Fields are built from tabulated values, constants, coordinate
 projections, distances to sets, pointwise combinators, a closed set of
-named monotone transports, and locally finite series.  Keeping the
-algebra closed (no arbitrary user closures) is what lets every
-construction downstream certify its outputs on sample pairs.
+named monotone transports, and locally finite series.  Combinators and
+transports evaluate when they are applied; distances and series, whose
+values cost a pass over distance rows or an exact column sum, are
+computed on their first read.  Keeping the algebra closed (no
+arbitrary user closures) is what lets every construction downstream
+certify its outputs on sample pairs.
 
 Also here: the interval type used as an extension codomain, and the
 three Lipschitz diagnostics (global constant, pointwise constant,
@@ -120,131 +123,105 @@ _TRANSPORTS = ("arctan", "tan", "reciprocal")
 
 
 class ScalarField:
-    """Base class.  Subclasses implement _compute_values(), and name the
-    fields it reads in children(); evaluation is vectorized once per
-    field and cached, so scalar calls share the exact floats the array
-    path produced."""
+    """A field: its space and one read-only array, a value per sample.
 
-    def __init__(self, space: MetricSpace):
+    Built from values, a field holds them from the start, and every
+    operator evaluates at once.  A lazy leaf, whose values cost a pass
+    over distance rows or an exact column sum, implements
+    _compute_values() instead and runs it on the first read only.
+    Either way the array is filled once, so scalar calls share the
+    exact floats the array path produced.
+    """
+
+    def __init__(self, space: MetricSpace, values=None):
         self.space = space
-        self._cached = None
+        self._cached = None if values is None else self._hold(values)
+
+    def _hold(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.space.n,):
+            raise InputError(
+                f"a field needs {self.space.n} values, got shape {v.shape}")
+        v.setflags(write=False)
+        return v
 
     def _compute_values(self) -> np.ndarray:
         raise NotImplementedError
 
-    def children(self) -> tuple:
-        """The fields whose values _compute_values reads; a leaf has none."""
-        return ()
-
     def values(self) -> np.ndarray:
-        # An explicit stack walks the uncached nodes below, children first
-        # and left before right, and evaluates each through its own
-        # values(), which then finds its children cached: a deep tree,
-        # such as a sum of thousands of fields, needs no recursion.
-        stack = [self]
-        while self._cached is None:
-            node = stack[-1]
-            pending = [c for c in node.children() if c._cached is None]
-            if pending:
-                stack.extend(reversed(pending))
-            elif node is not self:
-                stack.pop()
-                node.values()
-            else:
-                v = np.asarray(self._compute_values(), dtype=float)
-                if v.shape != (self.space.n,):
-                    raise InputError(
-                        f"field evaluated to shape {v.shape}, expected ({self.space.n},)")
-                v.setflags(write=False)
-                self._cached = v
+        if self._cached is None:
+            self._cached = self._hold(self._compute_values())
         return self._cached
 
     def __call__(self, p: int) -> float:
         return float(self.values()[_pairs.sample_id(p, self.space.n)])
 
-    # -- operator sugar; all routed through the node classes --
+    # -- operators, each evaluated at once: self is the left operand --
 
-    def _coerce(self, other) -> "ScalarField":
-        if isinstance(other, ScalarField):
-            if other.space is not self.space:
-                raise DomainError("fields live on different spaces")
-            return other
-        return Constant(self.space, float(other))
+    def _apply(self, ufunc, other, reflected=False) -> "ScalarField":
+        field = isinstance(other, ScalarField)
+        if field and other.space is not self.space:
+            raise DomainError("fields live on different spaces")
+        a = self.values()
+        b = other.values() if field else float(other)
+        return ScalarField(self.space, ufunc(b, a) if reflected else ufunc(a, b))
 
     def __add__(self, other):
-        return Binary("add", self, self._coerce(other))
+        return self._apply(np.add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return Binary("sub", self, self._coerce(other))
+        return self._apply(np.subtract, other)
 
     def __rsub__(self, other):
-        return Binary("sub", self._coerce(other), self)
+        return self._apply(np.subtract, other, reflected=True)
 
     def __mul__(self, other):
-        return Binary("mul", self, self._coerce(other))
+        return self._apply(np.multiply, other)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Binary("mul", Constant(self.space, -1.0), self)
+        return self._apply(np.multiply, -1.0, reflected=True)
 
     def clamp(self, interval: Interval) -> "ScalarField":
         out = self
         if interval.bounded_below:
-            out = Binary("max", out, Constant(self.space, interval.lo))
+            out = maximum(out, interval.lo)
         if interval.bounded_above:
-            out = Binary("min", out, Constant(self.space, interval.hi))
+            out = minimum(out, interval.hi)
         return out
 
 
 def minimum(f: ScalarField, g) -> ScalarField:
-    return Binary("min", f, f._coerce(g))
+    return f._apply(np.minimum, g)
 
 
 def maximum(f: ScalarField, g) -> ScalarField:
-    return Binary("max", f, f._coerce(g))
+    return f._apply(np.maximum, g)
 
 
 class Tabulated(ScalarField):
-    """Field given by one value per sample id."""
+    """Field given by one value per sample id, held as a copy."""
 
     def __init__(self, space: MetricSpace, values):
-        super().__init__(space)
-        values = np.asarray(values, dtype=float)
-        if values.shape != (space.n,):
-            raise InputError(
-                f"tabulated field needs {space.n} values, got shape {values.shape}")
-        self.table = values.copy()
-
-    def _compute_values(self) -> np.ndarray:
-        return self.table
+        super().__init__(space, np.array(values, dtype=float))
 
 
-class Constant(ScalarField):
-    def __init__(self, space: MetricSpace, value: float):
-        super().__init__(space)
-        self.value = float(value)
-
-    def _compute_values(self) -> np.ndarray:
-        return np.full(self.space.n, self.value)
+def Constant(space: MetricSpace, value: float) -> ScalarField:
+    """The field equal to value at every sample."""
+    return ScalarField(space, np.full(space.n, float(value)))
 
 
-class Coordinate(ScalarField):
+def Coordinate(space: MetricSpace, axis: int = 0) -> ScalarField:
     """Projection onto one coordinate axis; needs a backend with coords."""
-
-    def __init__(self, space: MetricSpace, axis: int = 0):
-        super().__init__(space)
-        if space.coords is None:
-            raise DomainError(f"{space.backend} backend has no coordinates")
-        if not (0 <= axis < space.coords.shape[1]):
-            raise DomainError(f"axis {axis} outside coordinate dimension "
-                              f"{space.coords.shape[1]}")
-        self.axis = int(axis)
-
-    def _compute_values(self) -> np.ndarray:
-        return self.space.coords[:, self.axis].copy()
+    if space.coords is None:
+        raise DomainError(f"{space.backend} backend has no coordinates")
+    if not (0 <= axis < space.coords.shape[1]):
+        raise DomainError(f"axis {axis} outside coordinate dimension "
+                          f"{space.coords.shape[1]}")
+    return ScalarField(space, space.coords[:, int(axis)].copy())
 
 
 class DistanceTo(ScalarField):
@@ -264,68 +241,32 @@ class DistanceTo(ScalarField):
         return out
 
 
-_BINARY_OPS = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "min": np.minimum,
-    "max": np.maximum,
-}
-
-
-class Binary(ScalarField):
-    def __init__(self, op: str, left: ScalarField, right: ScalarField):
-        if op not in _BINARY_OPS:
-            raise InputError(f"unknown combinator {op!r}")
-        if left.space is not right.space:
-            raise DomainError("fields live on different spaces")
-        super().__init__(left.space)
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def children(self) -> tuple:
-        return self.left, self.right
-
-    def _compute_values(self) -> np.ndarray:
-        return _BINARY_OPS[self.op](self.left.values(), self.right.values())
-
-
-class Transported(ScalarField):
+def Transported(name: str, inner: ScalarField) -> ScalarField:
     """Post-composition with a named monotone transport.
 
     The set is deliberately closed: arctan (compress the line into
     (-pi/2, pi/2)), tan (its inverse on that interval), and reciprocal
-    on strictly positive data.
+    on strictly positive data.  A value outside the transport's domain
+    raises DomainError here, naming its sample.
     """
-
-    def __init__(self, name: str, inner: ScalarField):
-        if name not in _TRANSPORTS:
-            raise InputError(f"unknown transport {name!r}; choose from {_TRANSPORTS}")
-        super().__init__(inner.space)
-        self.name = name
-        self.inner = inner
-
-    def children(self) -> tuple:
-        return (self.inner,)
-
-    def _compute_values(self) -> np.ndarray:
-        v = self.inner.values()
-        if self.name == "arctan":
-            return np.arctan(v)
-        if self.name == "tan":
-            if (np.abs(v) >= _HALF_PI).any():
-                bad = int(np.argmax(np.abs(v) >= _HALF_PI))
-                raise DomainError(
-                    f"tan transport needs values in (-pi/2, pi/2); "
-                    f"point {bad} has {v[bad]!r}")
-            return np.tan(v)
-        if (v <= 0).any():
-            bad = int(np.argmax(v <= 0))
+    if name not in _TRANSPORTS:
+        raise InputError(f"unknown transport {name!r}; choose from {_TRANSPORTS}")
+    v = inner.values()
+    if name == "arctan":
+        return ScalarField(inner.space, np.arctan(v))
+    if name == "tan":
+        if (np.abs(v) >= _HALF_PI).any():
+            bad = int(np.argmax(np.abs(v) >= _HALF_PI))
             raise DomainError(
-                f"reciprocal transport needs strictly positive values; "
+                f"tan transport needs values in (-pi/2, pi/2); "
                 f"point {bad} has {v[bad]!r}")
-        return 1.0 / v
+        return ScalarField(inner.space, np.tan(v))
+    if (v <= 0).any():
+        bad = int(np.argmax(v <= 0))
+        raise DomainError(
+            f"reciprocal transport needs strictly positive values; "
+            f"point {bad} has {v[bad]!r}")
+    return ScalarField(inner.space, 1.0 / v)
 
 
 def _column_sums(values, mask=True) -> np.ndarray:
@@ -365,9 +306,6 @@ class Series(ScalarField):
                 f"activity needs a {shape} mask, got shape {activity.shape}")
         activity.setflags(write=False)
         self.activity = activity
-
-    def children(self) -> tuple:
-        return tuple(self.terms)
 
     def _compute_values(self) -> np.ndarray:
         rows = np.array([t.values() for t in self.terms], dtype=float)

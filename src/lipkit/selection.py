@@ -196,7 +196,7 @@ def select(mapping: IntervalMapping) -> ScalarField:
                 witnesses = {r: Tabulated(space, np.minimum(1.0, np.maximum(
                     np.minimum(r - lo, hi - r) - cushion, 0.0)))
                     for r in chosen}
-            short = np.all([w.table == 0 for w in witnesses.values()], 0)
+            short = np.all([w.values() == 0 for w in witnesses.values()], 0)
             if not short.any():
                 break
         if beyond.any():

@@ -14,11 +14,10 @@ from lipkit import (Constant, Interval, LocalWitness, MetricSpace,
                     PointwiseWitness, PreconditionError, Subset, Tabulated,
                     certify_local_witness, check_k_lipschitz, decompose,
                     duality_check, extend_to_interval, frolik_pou,
-                    generate_local_witness, global_lip, local_extend,
-                    mcshane_envelopes, modulus_witness, pointwise_envelopes,
-                    pou_report, random_k_extension, staircase,
-                    staircase_partial_sum, witness_from_balls,
-                    witness_from_modulus)
+                    global_lip, local_extend, mcshane_envelopes,
+                    modulus_witness, pointwise_envelopes, pou_report,
+                    random_k_extension, staircase, staircase_partial_sum,
+                    witness_from_balls, witness_from_modulus)
 from lipkit.cli import main
 from lipkit.fixtures import (approx_targets, cusp_curve, dowker_step,
                              reciprocal_on_ray, sin_reciprocal_on_interval,

@@ -335,6 +335,45 @@ def test_a_json_boolean_is_no_sample_id(tmp_path, grid_space, capsys, case):
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
+@pytest.mark.parametrize("case", ["subset", "ball-center", "distance",
+                                  "edge-end"])
+def test_a_json_string_is_no_sample_id(tmp_path, grid_space, capsys, case):
+    # int("3") == 3: before, ["3", 1] loaded as the members [1, 3]
+    bad = write(tmp_path / "bad.json", json.dumps({
+        "subset": ["3", 1],
+        "ball-center": [{"balls": [["0", 1.5], [4, 1.5]]}],
+        "distance": {"lower": {"op": "distance", "args": [["2"]]},
+                     "upper": 9.0},
+        "edge-end": {"nodes": 3, "edges": [[0, "1", 1.0], [1, 2, 1.0]]},
+    }[case]))
+    values = write(tmp_path / "f.csv",
+                   "\n".join(f"{p},{0.5 * p}" for p in range(5)) + "\n")
+    argv = {
+        "subset": ["extend", "--space", grid_space, "--subset", bad,
+                   "--values", values, "--k", "1.0"],
+        "ball-center": ["pou", "--space", grid_space, "--cover", bad],
+        "distance": ["select", "--space", grid_space, "--values", bad],
+        "edge-end": ["certify-metric", "--space", bad],
+    }[case]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("window", [
+    {"lower": {"op": "reciprocal", "args": [{"op": "coordinate"}]},
+     "upper": 9.0},
+    # phi is unused by select, yet its tree is evaluated when it is loaded
+    {"lower": 0.0, "upper": 1.0, "phi": {"op": "tan", "args": [2.0]}},
+], ids=["lower", "unused-phi"])
+def test_a_transport_error_in_a_window_file_exits_1(tmp_path, grid_space,
+                                                    capsys, window):
+    bad = write(tmp_path / "w.json", json.dumps(window))
+    assert main(["select", "--space", grid_space, "--values", bad,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    name = window.get("phi", window["lower"])["op"]
+    assert f"{name} transport" in capsys.readouterr().err
+
+
 @pytest.fixture
 def witnessed_field(tmp_path, grid_space):
     values = write(tmp_path / "f.csv",

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lipkit import (Constant, DistanceTo, Interval, MetricSpace,
-                    PointwiseWitness,
-                    PreconditionError, Subset, Tabulated, check_k_lipschitz,
+from lipkit import (DistanceTo, Interval, MetricSpace, PointwiseWitness,
+                    PreconditionError, Subset, check_k_lipschitz,
                     duality_check, extend_to_interval,
                     generate_pointwise_witness, mcshane_envelopes,
                     pointwise_envelopes, pointwise_extend_to_interval,

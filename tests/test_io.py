@@ -297,11 +297,17 @@ def test_write_certificates_handles_nonfinite(tmp_path):
     assert d["ids"] == [1, 2]
 
 
-@pytest.mark.parametrize("edge", [[0, 1], {"u": 0, "v": "x", "w": 1.0},
-                                  {"u": 0, "v": 1}, 7, [0, 1.5, 1.0],
-                                  [0, 1, 10 ** 400]])
-def test_load_space_rejects_a_malformed_edge(tmp_path, edge):
+@pytest.mark.parametrize("edge, message", [
+    ([0, 1], "edge 0 must be"),
+    ({"u": 0, "v": "x", "w": 1.0}, "edge nodes must be rows of 2 sample ids"),
+    ({"u": 0, "v": 1}, "edge 0 must be"),
+    (7, "edge 0 must be"),
+    ([0, 1.5, 1.0], r"edge node 1\.5 at position \(0, 1\) is not an integer"),
+    ([0, 1, 10 ** 400], "edge 0 must be"),
+], ids=["edge0", "edge1", "edge2", "7", "edge4", "edge5"])
+def test_load_space_rejects_a_malformed_edge(tmp_path, edge, message):
+    # the edge ends pass the id rule of _pairs.sample_ids, named by the file
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"nodes": 2, "edges": [edge]}))
-    with pytest.raises(InputError, match="edge 0 must be"):
+    with pytest.raises(InputError, match=f"g.json: {message}"):
         load_space(str(path))

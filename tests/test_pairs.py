@@ -421,6 +421,28 @@ def test_coord_dist_is_the_dense_formula_bit_for_bit(block):
             assert cached.pairwise().tobytes() == want.tobytes()
 
 
+def test_listed_pairs_read_the_floats_of_dist_on_every_backend():
+    """listed_max gathers d(p, q) at once: the floats space.dist returns,
+    infinite coordinates and squares past the float range included, and
+    a coordinate space that has no matrix builds none."""
+    rng = np.random.default_rng(25)
+    x = rng.normal(size=(9, 3)) * 10.0 ** rng.integers(-3, 4, 3)
+    x[1, 0] = x[3, 0] = math.inf
+    x[2, -1] = 1e200
+    fresh = [MetricSpace.from_points(x, validate=False),
+             MetricSpace.from_points(x[:, :1], validate=False),
+             MetricSpace.from_grid(-1.5, 2.0, 0.25, validate=False)]
+    for space in fresh + [make_space(rng, n_max=12, kinds=[k])
+                          for k in range(4)]:
+        pairs = [(p, q) for p in range(space.n) for q in range(space.n)]
+        seen = []
+        _pairs.listed_max(space, np.zeros(space.n), pairs,
+                          lambda d, o: seen.append(d.copy()) or d)
+        want = np.array([space.dist(p, q) for p, q in pairs])
+        assert seen[0].tobytes() == want.tobytes()
+    assert all(space._matrix is None for space in fresh)
+
+
 def test_pairwise_and_a_sweep_hold_no_second_matrix():
     n = 1000
     x = np.random.default_rng(24).uniform(size=(n, 2))

@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from lipkit import (Constant, CoverError, CozeroCover, DistanceTo,
-                    MetricSpace, PreconditionError, Tabulated, check_k_lipschitz,
+from lipkit import (Constant, CoverError, CozeroCover, MetricSpace,
+                    PreconditionError, Tabulated, check_k_lipschitz,
                     frolik_pou, global_lip, index_subordinate, mather_refine,
-                    minimum, nonexpansive_split, pou_report, staircase,
+                    nonexpansive_split, pou_report, staircase,
                     staircase_partial_sum, witness_from_balls)
 from lipkit import partition_of_unity
 from lipkit.fixtures import three_point_shrink

@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from lipkit import (Constant, CoverError, DistanceTo, GridError, InputError,
+from lipkit import (Constant, CoverError, GridError, InputError,
                     LocalWitness, MetricSpace, PreconditionError, Subset,
-                    Tabulated, Transported, global_lip, maximum, minimum,
+                    Tabulated, global_lip, maximum, minimum,
                     random_k_extension)
 from lipkit.selection import (IntervalMapping, decreasing_approx,
                               graph_open_check, insert, select, select_extend)
