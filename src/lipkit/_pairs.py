@@ -35,6 +35,7 @@ array or an |A| x n gather of its own.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -96,6 +97,7 @@ def sample_ids(ids, n, what, form=None, width=None):
     with its position) the first entry that is no integer in 0..n-1,
     read as given: a bool, even among ints, is no integer."""
     given, ids = ids, np.asarray(ids)
+    depth = ids.ndim
     if width:   # a list that does not split into rows stays refused
         ids = ids.reshape(-1, width) if ids.size % width == 0 else ids.ravel()
     if ids.ndim != (2 if width else 1) or (
@@ -103,10 +105,17 @@ def sample_ids(ids, n, what, form=None, width=None):
         raise InputError(form or f"{what}s must be "
                          f"{f'rows of {width}' if width else 'a flat list of'} "
                          f"sample ids")
-    items = ids if isinstance(given, np.ndarray) else np.array(
-        given, dtype=object).reshape(ids.shape)
-    bools = ids.dtype.kind == "b" if items is ids else np.reshape(
-        [type(x) in (bool, np.bool_) for x in items.flat], ids.shape)
+    items, bools = ids, ids.dtype.kind == "b"
+    if not isinstance(given, np.ndarray):
+        # a bool among ints is cast to 0 or 1: find one by type, entry by
+        # entry only when there is one, to name the first
+        flat = given
+        for _ in range(depth - 1):
+            flat = itertools.chain.from_iterable(flat)
+        if not {bool, np.bool_}.isdisjoint(map(type, flat)):
+            items = np.array(given, dtype=object).reshape(ids.shape)
+            bools = np.reshape([type(x) in (bool, np.bool_)
+                                for x in items.flat], ids.shape)
     bad = first_bad_id(np.where(bools, np.nan, ids), n)
     if bad:
         i, why = bad

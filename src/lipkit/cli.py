@@ -15,6 +15,7 @@ still written), 1 on malformed input or parameters out of range.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -49,7 +50,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first call and reused by every later
+    main() in the process; each parse_args returns a fresh Namespace."""
     shared = _Parser(add_help=False)
     shared.add_argument("--space", help="space file: distance matrix or "
                         "point cloud CSV, grid or graph JSON")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import operator
+from array import array
 
 import numpy as np
 
@@ -37,31 +38,38 @@ def _read_json(path):
 
 
 def _read_csv_floats(path):
-    """The numeric rows of a CSV file, with the file line of each row."""
-    rows, lines = [], []
+    """The numeric rows of a CSV file, with the file line of each row.
+    Rows are parsed one at a time into one flat array('d'), so no list
+    of Python floats outlives its row.  A non-numeric row is refused at
+    its line (only line 1 may be a header), blank lines are skipped, and
+    a row whose width differs from the first numeric row's is refused
+    once the file is read, so a later non-numeric row is reported first."""
+    vals, lines, width, ragged = array("d"), [], None, None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                cells = line.split(",")
                 try:
-                    rows.append([float(c) for c in cells])
-                    lines.append(lineno)
+                    row = list(map(float, line.split(",")))
                 except ValueError:
                     if lineno == 1:
                         continue        # tolerated header row
                     raise InputError(f"{path}, line {lineno}: not numeric")
+                if width is None:
+                    width = len(row)
+                elif ragged is None and len(row) != width:
+                    ragged = lineno
+                vals.fromlist(row)
+                lines.append(lineno)
     except OSError as e:
         raise InputError(f"{path}: {e.strerror or e}")
-    if not rows:
+    if not lines:
         raise InputError(f"{path}: empty file")
-    width = len(rows[0])
-    for r, lineno in zip(rows, lines):
-        if len(r) != width:
-            raise InputError(f"{path}, line {lineno}: ragged row")
-    return np.array(rows), lines
+    if ragged is not None:
+        raise InputError(f"{path}, line {ragged}: ragged row")
+    return np.frombuffer(vals).reshape(len(lines), width), lines
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +195,18 @@ def field_on_space(path, space: MetricSpace) -> Tabulated:
 
 
 def save_values_csv(path, values, ids=None):
-    values = np.asarray(values, dtype=float)
-    if ids is None:
-        ids = np.arange(values.size)
-    lines = [f"{int(i)},{float(v)!r}" for i, v in zip(ids, values)]
+    values = np.asarray(values, dtype=float).tolist()
+    ids = range(len(values)) if ids is None else map(int, ids)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(f"{i},{v!r}" for i, v in zip(ids, values)) + "\n")
 
 
 def save_wide_csv(path, names, columns):
     """One id column plus one labeled column per field."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    n = columns[0].size
-    lines = ["id," + ",".join(names)]
-    for p in range(n):
-        lines.append(str(p) + "," + ",".join(repr(float(c[p])) for c in columns))
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("id," + ",".join(names) + "\n" + "".join(
+            f"{p},{','.join(map(repr, row))}\n" for p, row in enumerate(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +227,26 @@ def _witness_entries(path, keys, entry) -> list:
     return out
 
 
+def _entry_points(path, points):
+    """The "p" entries of a witness file under the one sample-id rule
+    of _pairs.sample_ids (the range is checked where the witness meets
+    a space), so a JSON string or bool is refused, not read as an id."""
+    return _pairs.sample_ids(points, None, f"{path}: entry point")
+
+
 def load_local_witness(path) -> LocalWitness:
-    return LocalWitness.from_triples(_witness_entries(
-        path, "p, delta, K", lambda e: (_number(path, e, "p", int),
+    points, deltas, constants = _pairs.unzip(_witness_entries(
+        path, "p, delta, K", lambda e: (e["p"],
                                         _number(path, e, "delta", float),
-                                        _number(path, e, "K", float))))
+                                        _number(path, e, "K", float))), 3)
+    return LocalWitness(_entry_points(path, points), deltas, constants)
 
 
 def load_pointwise_witness(path) -> PointwiseWitness:
-    return PointwiseWitness(dict(_witness_entries(
-        path, "p, K", lambda e: (_number(path, e, "p", int),
-                                 _number(path, e, "K", float)))))
+    points, constants = _pairs.unzip(_witness_entries(
+        path, "p, K", lambda e: (e["p"], _number(path, e, "K", float))), 2)
+    return PointwiseWitness(dict(zip(_entry_points(path, points).tolist(),
+                                     constants)))
 
 
 def load_cover(path, space: MetricSpace) -> CozeroCover:

@@ -61,7 +61,8 @@ class ValidationReport:
 
 
 def _validate_matrix(D: np.ndarray, tol: float, triangle: str,
-                     exact: bool) -> ValidationReport:
+                     exact: bool,
+                     coordinates: bool = False) -> ValidationReport:
     """Metric axioms of D, the O(n^3) triangle sweep only when triangle
     is "checked".  The report keeps the first 64 violations in the order
     the checks run: nonfinite (magnitude inf), negative, diagonal,
@@ -69,7 +70,12 @@ def _validate_matrix(D: np.ndarray, tol: float, triangle: str,
     symmetric, else p != q), triangle.  Within a kind they are row-major;
     triangles (i, k, j) go by middle index k first, then row-major.
     The pair checks read D in the row blocks of _pairs.row_blocks; the
-    triangle sweep still makes two n x n arrays per middle index."""
+    triangle sweep still makes two n x n arrays per middle index.
+
+    coordinates says D came from _coord_dist: a root is never negative,
+    the diagonal is 0 (NaN for a non-finite point) and (i, j) and (j, i)
+    are one float, NaN and inf included, so with tol >= 0 the negative,
+    diagonal and symmetry checks cannot fire and are not run."""
     n = D.shape[0]
     report = ValidationReport(n=n, tolerance=tol, triangle=triangle)
     vio = report.violations
@@ -105,11 +111,12 @@ def _validate_matrix(D: np.ndarray, tol: float, triangle: str,
     with np.errstate(invalid="ignore"):
         _scan("nonfinite", lambda b, r: (~np.isfinite(b),
                                          np.broadcast_to(np.inf, b.shape)))
-        _scan("negative", lambda b, r: (b < -tol, -b))
-        diag = np.abs(np.diag(D))
-        for i in np.flatnonzero(diag > tol):
-            _push("diagonal", (int(i),), diag[i])
-        _scan("symmetry", _asym, upper=True)
+        if not (coordinates and tol >= 0):
+            _scan("negative", lambda b, r: (b < -tol, -b))
+            diag = np.abs(np.diag(D))
+            for i in np.flatnonzero(diag > tol):
+                _push("diagonal", (int(i),), diag[i])
+            _scan("symmetry", _asym, upper=True)
         _scan("positivity", _nonpositive, upper=exact)
     if triangle != "checked":
         return report
@@ -378,12 +385,15 @@ class MetricSpace:
     # ---- validation ----------------------------------------------------
 
     def validate(self, tol: float = _DEFAULT_TOL) -> ValidationReport:
-        """Every backend gets the O(n^2) checks; the O(n^3) triangle
-        sweep runs on the matrix backend only, as Euclidean and
-        shortest-path distances obey the law by construction."""
+        """The O(n^2) checks on every backend, of which point clouds and
+        grids run only nonfinite and positivity, the others holding by
+        construction of their distances; the O(n^3) triangle sweep runs
+        on the matrix backend only, as Euclidean and shortest-path
+        distances obey the law by construction."""
         triangle = "checked" if self.backend == "matrix" else "by construction"
         return _validate_matrix(self.pairwise(), tol, triangle,
-                                self.exactly_symmetric())
+                                self.exactly_symmetric(),
+                                coordinates=self.coords is not None)
 
     def __len__(self) -> int:
         return self.n

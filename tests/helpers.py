@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lipkit import (Certificate, Constant, CoverError, CozeroCover,
-                    IncreasingCover, LocalWitness, MatherRefinement,
+                    IncreasingCover, InputError, LocalWitness, MatherRefinement,
                     MetricSpace, ModulusWitness, PartitionOfUnity,
                     PreconditionError, Series, Subset, Tabulated, Transported,
                     certify_local_witness, feasible_interval, global_lip,
@@ -498,3 +498,57 @@ def ref_frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
     pou.refinement = refined
     pou.k_caps = k_caps
     return pou
+
+
+# ---------------------------------------------------------------------------
+# Front-end references: the CSV reader and writers cell by cell
+
+
+def ref_read_csv_floats(path):
+    """The CSV reader as a list of float rows, checked for width after
+    the loop."""
+    rows, lines = [], []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                cells = line.split(",")
+                try:
+                    rows.append([float(c) for c in cells])
+                    lines.append(lineno)
+                except ValueError:
+                    if lineno == 1:
+                        continue        # tolerated header row
+                    raise InputError(f"{path}, line {lineno}: not numeric")
+    except OSError as e:
+        raise InputError(f"{path}: {e.strerror or e}")
+    if not rows:
+        raise InputError(f"{path}: empty file")
+    width = len(rows[0])
+    for r, lineno in zip(rows, lines):
+        if len(r) != width:
+            raise InputError(f"{path}, line {lineno}: ragged row")
+    return np.array(rows), lines
+
+
+def ref_save_values_csv(path, values, ids=None):
+    """The value CSV, one numpy scalar at a time."""
+    values = np.asarray(values, dtype=float)
+    if ids is None:
+        ids = np.arange(values.size)
+    lines = [f"{int(i)},{float(v)!r}" for i, v in zip(ids, values)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def ref_save_wide_csv(path, names, columns):
+    """The wide CSV, one numpy scalar at a time."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n = columns[0].size
+    lines = ["id," + ",".join(names)]
+    for p in range(n):
+        lines.append(str(p) + "," + ",".join(repr(float(c[p])) for c in columns))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -9,7 +9,7 @@ import pytest
 
 import lipkit
 from lipkit import MetricSpace, Tabulated
-from lipkit.cli import main
+from lipkit.cli import _build_parser, main
 
 
 def write(path, text):
@@ -98,6 +98,22 @@ def test_missing_flag_is_input_error(tmp_path, grid_space, capsys):
 def test_unknown_command_is_input_error(capsys):
     assert main(["mend"]) == 1
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call(tmp_path, extend_argv, capsys):
+    # the parser is built once per process; no option leaks between calls
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(extend_argv + ["--seed", "5", "--n-max", "7",
+                               "--out-dir", str(a)]) == 0
+    assert main(extend_argv + ["--out-dir", str(b)]) == 0
+    assert (read_json(a)["config"]["seed"], read_json(a)["config"]["n_max"]) \
+        == (5, 7)
+    assert (read_json(b)["config"]["seed"], read_json(b)["config"]["n_max"]) \
+        == (0, 5)
+    assert main(extend_argv + ["--seed", "x"]) == 1
+    assert main(["extend", "--bogus"]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert _build_parser() is _build_parser()
 
 
 def test_bad_values_file_is_input_error(tmp_path, grid_space, capsys):
@@ -478,6 +494,24 @@ def test_witness_entry_id_outside_the_space_is_input_error(tmp_path, capsys,
     assert capsys.readouterr().err == \
         f"error: witness entry id {bad} at position 2 lies outside 0..2\n"
     assert not (tmp_path / "out" / "certificate.json").exists()
+
+
+@pytest.mark.parametrize("command", ["modulus", "extend-pointwise"])
+def test_a_string_witness_id_is_an_input_error(tmp_path, grid_space, capsys,
+                                               command):
+    # "0" used to be read as sample 0, and the command passed with exit 0
+    subset = write(tmp_path / "A.json", "[0, 4]")
+    values = write(tmp_path / "f.csv",
+                   "".join(f"{p},{0.5 * p}\n" for p in range(5)))
+    witness = write(tmp_path / "w.json", json.dumps(
+        [{"p": p, "delta": 1.5, "K": 1.0} for p in (4, "0")]))
+    argv = [command, "--space", grid_space, "--values", values,
+            "--witness", witness, "--out-dir", str(tmp_path / "out")]
+    if command == "extend-pointwise":
+        argv += ["--subset", subset]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {witness}: entry points must be a flat list of sample ids\n")
 
 
 def test_extend_local_runs(tmp_path, grid_space, capsys):

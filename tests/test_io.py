@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import (ref_read_csv_floats, ref_save_values_csv,
+                     ref_save_wide_csv)
 from lipkit import (Constant, InputError, MetricSpace, Subset, Tabulated,
                     check_k_lipschitz)
-from lipkit.io import (field_from_spec, field_from_tree, field_on_space,
+from lipkit.io import (_read_csv_floats, field_from_spec, field_from_tree, field_on_space,
                        load_cover, load_local_witness, load_mapping,
                        load_pointwise_witness, load_space, load_subset,
                        load_values_csv, save_values_csv, save_wide_csv,
@@ -311,3 +313,85 @@ def test_load_space_rejects_a_malformed_edge(tmp_path, edge, message):
     path.write_text(json.dumps({"nodes": 2, "edges": [edge]}))
     with pytest.raises(InputError, match=f"g.json: {message}"):
         load_space(str(path))
+
+
+def outcome(read, path):
+    """(bytes, shape, lines) of what read returns for path, or its
+    InputError message."""
+    try:
+        data, lines = read(path)
+    except InputError as e:
+        return str(e)
+    return data.tobytes(), data.shape, lines
+
+
+@pytest.mark.parametrize("text", [
+    "id,value\n0,1.5\n1,2.5\n",
+    "\n0,1\n\n\n1,2\n\n",
+    "id,v\r\n0,1\r\n1,2\r\n",
+    "0,1\r1,2\r",
+    "0, 1.5  \n1 ,2.5\t\n   \n",
+    "0,1_000\n1,nan\n2,inf\n3,-0.0\n4,-inf\n5,1e-400\n",
+    "0,1,2\n1,0,1\n2,1,0",
+    "0,1\n1,2,3\n2,x\n",
+    "0,1\n1,2,3\n2,4\n",
+    "0\n1,2\n",
+    "0,1\nid,value\n",
+    "\nid,value\n0,1\n",
+    "0,\n1,2\n",
+    "",
+    "id,value\n",
+    "\n\n",
+    None,
+], ids=["header", "blank-lines", "crlf", "cr", "spaces", "cells",
+        "matrix", "ragged-then-text", "ragged", "narrow-first", "text-row",
+        "header-on-line-2", "empty-cell-header", "empty", "header-only",
+        "blank-only", "missing"])
+def test_csv_reader_matches_the_row_loop(tmp_path, text):
+    # same arrays (bit for bit, -0.0 and NaN included), lines and errors
+    path = tmp_path / "t.csv"
+    if text is not None:
+        path.write_bytes(text.encode())
+    got = outcome(_read_csv_floats, str(path))
+    assert got == outcome(ref_read_csv_floats, str(path))
+    if isinstance(got, tuple):
+        assert _read_csv_floats(str(path))[0].dtype == np.float64
+
+
+def test_csv_writers_match_the_cell_formatter(tmp_path):
+    cells = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1,
+                      1.0 / 3.0])
+
+    def same_bytes(write, ref, *args):
+        write(str(tmp_path / "got.csv"), *args)
+        ref(str(tmp_path / "ref.csv"), *args)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        return got
+
+    text = same_bytes(save_values_csv, ref_save_values_csv, cells)
+    assert text.startswith(b"0,-0.0\n1,nan\n2,inf\n3,-inf\n4,5e-324\n")
+    same_bytes(save_values_csv, ref_save_values_csv, cells[:3],
+               np.array([4, 7, 9]))
+    same_bytes(save_values_csv, ref_save_values_csv, list(cells), [3.0] * 8)
+    same_bytes(save_wide_csv, ref_save_wide_csv, ["a", "b"],
+               [cells, cells[::-1]])
+    same_bytes(save_wide_csv, ref_save_wide_csv, ["m0", "m1", "m2"],
+               np.stack([cells, -cells, cells * 3.0]))
+
+
+@pytest.mark.parametrize("load, text", [
+    (load_local_witness, '[{"p": 0, "delta": 1.5, "K": 1.0}, '
+                         '{"p": "2", "delta": 1.5, "K": 1.0}]'),
+    (load_local_witness, '[{"p": 0, "delta": 1.5, "K": 1.0}, '
+                         '{"p": 2.5, "delta": 1.5, "K": 1.0}]'),
+    (load_pointwise_witness, '[{"p": 1, "K": 2.0}, {"p": "0", "K": 1.0}]'),
+    (load_pointwise_witness, '[{"p": 1, "K": 2.0}, {"p": true, "K": 1.0}]'),
+], ids=["local-string", "local-fraction", "pointwise-string", "pointwise-bool"])
+def test_witness_loaders_read_ids_under_the_sample_id_rule(tmp_path, load,
+                                                          text):
+    # "2" loaded as sample 2, and "0" gave sample 0 its constant
+    path = put(tmp_path, "w.json", text)
+    with pytest.raises(InputError) as e:
+        load(path)
+    assert str(e.value).startswith(f"{path}: entry point")

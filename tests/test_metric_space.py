@@ -6,6 +6,7 @@ import pytest
 from lipkit import _pairs
 from lipkit import (DistanceTo, InputError, MetricSpace, PreconditionError,
                     Subset, validate_metric)
+from lipkit.metric_space import _validate_matrix
 
 from helpers import make_space
 
@@ -229,6 +230,44 @@ def test_infinite_distances_fail_without_numpy_warnings():
         strict = verdicts()
     assert strict == quiet
     assert all(v[0].kind == "nonfinite" for v in strict)
+
+
+def coordinate_batteries():
+    """Clouds and grids whose reports fill every kind they can: ties,
+    non-finite points, spans whose squares overflow, n = 1, and more
+    violations than a report keeps."""
+    rng = np.random.default_rng(31)
+    clouds = [[[0.0, 0.0]], [[np.nan]], [0.0, 0.0, 1.0, 0.0],
+              [[0.0, 1.0], [np.inf, 0.0], [np.inf, 2.0], [0.0, 1.0]],
+              [[np.nan, 0.0], [-np.inf, 1.0], [1.0, np.nan]],
+              [-1e200, 1e200, 0.0], [[1e155, -1e155], [-1e155, 1e155]],
+              np.repeat([[0.5, 2.0]], 14, axis=0),
+              np.full((12, 1), np.nan)]
+    for _ in range(30):
+        n, k = int(rng.integers(1, 25)), int(rng.integers(1, 4))
+        pts = rng.choice([0.0, 0.5, 1.0, 1e-10, 3.0, -2.0], size=(n, k))
+        spoil = rng.random((n, k)) < 0.05
+        pts[spoil] = rng.choice([np.nan, np.inf, -np.inf, 1e300],
+                                size=spoil.sum())
+        clouds.append(pts)
+    spaces = [MetricSpace.from_points(c, validate=False) for c in clouds]
+    spaces += [MetricSpace.from_grid(lo, hi, step, validate=False)
+               for lo, hi, step in ((0.0, 1.0, 0.1), (-1e300, 1e300, 1e299),
+                                    (0.0, 1e-9, 1e-10), (5.0, 5.5, 1.0))]
+    return spaces
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0, 0.5, -0.5, np.nan])
+def test_coordinate_validation_equals_the_five_scan_report(tol):
+    # clouds and grids run nonfinite and positivity only: the negative,
+    # diagonal and symmetry scans cannot fire on _coord_dist distances
+    for space in coordinate_batteries():
+        D = space.pairwise()
+        full = _validate_matrix(D, tol, "by construction",
+                                np.array_equal(D, D.T, equal_nan=True))
+        report = space.validate(tol)
+        assert report == full, (space, tol)
+        assert report.triangle == "by construction"
 
 
 @pytest.mark.parametrize("w", [np.nan, np.inf, 0.0])

@@ -19,6 +19,7 @@ from lipkit import (Constant, DistanceTo, InputError, Interval, LocalWitness,
                     global_lip, graph_open_check, mather_refine,
                     modulus_witness, pointwise_lip, scaled_oscillation,
                     witness_from_balls, witness_from_modulus)
+from lipkit import _pairs
 from lipkit.extension import Envelope
 from lipkit.io import field_on_space, values_on_subset
 from lipkit.selection import IntervalMapping
@@ -152,3 +153,27 @@ def test_witness_entry_points_past_the_int64_range_are_refused(x):
     with pytest.raises(InputError, match=re.escape(
             f"entry point {x!r} at position 0 lies outside the int64 range")):
         LocalWitness.from_triples([(x, 1.0, 1.0)])
+
+
+@pytest.mark.parametrize("ids, width, message", [
+    ([True, 1], None, "True at position 0"),
+    ([0, 1, 2, np.bool_(False)], None, "False at position 3"),
+    ([[0, True]], 2, r"True at position \(0, 1\)"),
+    ([(0, 1), (2, np.bool_(True))], 2, r"True at position \(1, 1\)"),
+    ([[0, 1], np.array([True, False])], 2, r"True at position \(1, 0\)"),
+    ([0, 1, 2, True], 2, r"True at position \(1, 1\)"),
+], ids=["flat", "numpy-flat", "nested", "numpy-nested", "array-row",
+        "flat-by-rows"])
+def test_a_bool_in_a_list_is_refused_flat_or_by_rows(ids, width, message):
+    # a bool is cast to 0 or 1 with the ints beside it; it is found by
+    # type, and named at its position
+    with pytest.raises(InputError, match=rf"x {message} is not an integer"):
+        _pairs.sample_ids(ids, 5, "x", width=width)
+
+
+def test_a_list_without_bools_reads_as_its_array():
+    pairs = [(p % 5, (3 * p) % 5) for p in range(40)]
+    got = _pairs.sample_ids(pairs, 5, "x", width=2)
+    assert np.array_equal(got, _pairs.sample_ids(np.array(pairs), 5, "x",
+                                                 width=2))
+    assert _pairs.sample_ids([np.int64(2), 3.0, 4], 5, "x").tolist() == [2, 3, 4]
