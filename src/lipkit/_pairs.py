@@ -28,6 +28,9 @@ explicit pair list instead, with the floats of space.dist.  Ids from a
 caller (a pair list, a draw order, a point) pass the one id rule of
 sample_ids.
 
+envelope is the one McShane scan: envelopes, draw bounds, ball tents,
+closedness and d(., S), whose values -0.0 add to any d bit for bit.
+
 Every reader of the distances reads pairwise() in the row blocks of
 row_blocks, at most _BLOCK entries each, so none holds a second n x n
 array or an |A| x n gather of its own.
@@ -52,13 +55,18 @@ def row_blocks(stop, width):
     return [slice(a, min(a + step, stop)) for a in range(0, stop, step)]
 
 
-def anchor_blocks(space, ids):
-    """(r, D[r, ids]) over row blocks r of D = space.pairwise(): the
-    distances from every sample to the samples ids, as a fresh array of
-    at most _BLOCK entries a block of rows at a time."""
-    D = space.pairwise()
+def envelope(space, ids, values, scale, sign):
+    """The McShane scan: max(values - scale d(x, ids)) for sign -1, or
+    min(values + scale d(x, ids)) for sign +1, at every sample x, with
+    values and scale scalars or aligned with ids.  D[r, ids] is gathered
+    a row block at a time and scaled in place; a NaN wins its row."""
+    out, D = np.empty(space.n), space.pairwise()
+    pick, join = (np.maximum, np.subtract) if sign < 0 else (np.minimum, np.add)
     for r in row_blocks(space.n, len(ids)):
-        yield r, D[r, ids]
+        s = D[r, ids]
+        s *= scale
+        pick.reduce(join(values, s, out=s), axis=1, out=out[r])
+    return out
 
 
 def pair_blocks(space, m, ids=None, symmetric=True):

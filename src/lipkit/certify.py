@@ -154,10 +154,10 @@ def random_k_extension(A: Subset, phi, K: float, seed: int = 0,
     from it.  The interval is nonempty by the triangle inequality
     whenever phi is K-Lipschitz on A; that is checked first.
 
-    Both interval ends are kept for every point at once: set from A in
-    one O(|A| n) pass over row blocks, then tightened in O(n) vector
-    work on the samples after each assigned one.  d(x, q) is read from
-    the space's cached pairwise() matrix, the one the precheck sweeps,
+    Both interval ends are kept for every point at once: set from A by
+    two O(|A| n) McShane scans (_pairs.envelope), then tightened in O(n)
+    vector work on the samples after each assigned one.  d(x, q) is read
+    from the space's cached pairwise() matrix, the one the precheck sweeps,
     as a row when the distances are exactly symmetric, so the draw
     allocates no n x n or |A| x n array of its own.  max and min are
     exact, so each interval equals feasible_interval on the same
@@ -170,11 +170,8 @@ def random_k_extension(A: Subset, phi, K: float, seed: int = 0,
     vals_A = _as_values_on(A, phi)
     _require_k_lipschitz_on(A, vals_A, K, tol)
 
-    lo, hi = np.empty(n), np.empty(n)
-    for r, spread in _pairs.anchor_blocks(space, A.members):
-        spread *= K                 # spread[x, a] = K d(x, a)
-        lo[r] = np.max(vals_A - spread, axis=1)
-        hi[r] = np.min(vals_A + spread, axis=1)
+    lo = _pairs.envelope(space, A.members, vals_A, K, -1)
+    hi = _pairs.envelope(space, A.members, vals_A, K, +1)
     out = np.empty(n)
     out[A.members] = vals_A
     u = np.random.default_rng(seed).random(n - len(A)).tolist()

@@ -51,13 +51,8 @@ class Envelope(ScalarField):
         self.sign = int(sign)
 
     def _compute_values(self) -> np.ndarray:
-        out = np.empty(self.space.n)
-        for r, spread in _pairs.anchor_blocks(self.space, self.anchor_ids):
-            spread *= self.anchor_constants
-            if self.sign < 0:
-                out[r] = np.max(self.anchor_values - spread, axis=1)
-            else:
-                out[r] = np.min(self.anchor_values + spread, axis=1)
+        out = _pairs.envelope(self.space, self.anchor_ids, self.anchor_values,
+                              self.anchor_constants, self.sign)
         out[self.anchor_ids] = self.anchor_values
         return out
 

@@ -149,6 +149,13 @@ def load_subset(path, space: MetricSpace) -> Subset:
 # Value tables
 
 
+def _first_repeat(ids):
+    """Position of the first entry equal to an earlier one, or None."""
+    later = np.setdiff1d(np.arange(ids.size),
+                         np.unique(ids, return_index=True)[1])
+    return int(later[0]) if later.size else None
+
+
 def load_values_csv(path, n):
     """Rows of (id, value); returns (ids, values) in file order.  An
     InputError names the file line of a non-finite entry, of an id that
@@ -161,11 +168,9 @@ def load_values_csv(path, n):
         raise InputError(f"{path}, line {lines[bad[0]]}: ids and values "
                          f"must be finite")
     ids = data[:, 0]
-    first = np.zeros(ids.size, dtype=bool)
-    first[np.unique(ids, return_index=True)[1]] = True
     bad = _pairs.first_bad_id(ids, n)
-    if bad is None and not first.all():
-        bad = int(np.argmin(first)), "repeats an earlier row"
+    if bad is None and (i := _first_repeat(ids)) is not None:
+        bad = i, "repeats an earlier row"
     if bad:
         i, why = bad
         raise InputError(f"{path}, line {lines[i]}: id {ids[i]:g} {why}")
@@ -245,8 +250,10 @@ def load_local_witness(path) -> LocalWitness:
 def load_pointwise_witness(path) -> PointwiseWitness:
     points, constants = _pairs.unzip(_witness_entries(
         path, "p, K", lambda e: (e["p"], _number(path, e, "K", float))), 2)
-    return PointwiseWitness(dict(zip(_entry_points(path, points).tolist(),
-                                     constants)))
+    points = _entry_points(path, points)
+    if (j := _first_repeat(points)) is not None:
+        raise InputError(f"{path}: entry {j} repeats point {points[j]}")
+    return PointwiseWitness(dict(zip(points.tolist(), constants)))
 
 
 def load_cover(path, space: MetricSpace) -> CozeroCover:

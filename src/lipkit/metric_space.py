@@ -70,7 +70,7 @@ def _validate_matrix(D: np.ndarray, tol: float, triangle: str,
     symmetric, else p != q), triangle.  Within a kind they are row-major;
     triangles (i, k, j) go by middle index k first, then row-major.
     The pair checks read D in the row blocks of _pairs.row_blocks; the
-    triangle sweep still makes two n x n arrays per middle index.
+    triangle sweep holds one n x n scratch array for all middle indices.
 
     coordinates says D came from _coord_dist: a root is never negative,
     the diagonal is 0 (NaN for a non-finite point) and (i, j) and (j, i)
@@ -120,12 +120,12 @@ def _validate_matrix(D: np.ndarray, tol: float, triangle: str,
         _scan("positivity", _nonpositive, upper=exact)
     if triangle != "checked":
         return report
-    # Triangle check vectorized over the middle index.
+    excess = np.empty((n, n))   # D - (D[:, k] + D[k, :]) at middle index k
     with np.errstate(invalid="ignore"):
         for k in range(n):
-            excess = D - (D[:, [k]] + D[[k], :])
-            bad = np.argwhere(excess > tol)
-            for i, j in bad:
+            np.add(D[:, k, None], D[None, k, :], out=excess)
+            np.subtract(D, excess, out=excess)
+            for i, j in np.argwhere(excess > tol):
                 if i != k and j != k and i != j:
                     _push("triangle", (int(i), int(k), int(j)), excess[i, j])
             if len(vio) >= _MAX_VIOLATIONS:
@@ -453,15 +453,12 @@ class Subset:
 
         In a validated metric this always holds; kept as an interface
         contract for callers feeding pseudometric data with validation off.
-        The outside rows are read a block at a time; a NaN distance
-        fails the check.
+        d(., set) is DistanceTo's scan; a NaN distance fails the check.
         """
         if self.members.size in (0, self.space.n):
             return True
-        D = self.space.pairwise()
-        outside = self.complement()
-        return all(D[np.ix_(outside[r], self.members)].min() > 0
-                   for r in _pairs.row_blocks(outside.size, self.members.size))
+        return _pairs.envelope(self.space, self.members, -0.0, 1.0,
+                               +1)[self.complement()].min() > 0
 
     def __repr__(self) -> str:
         return f"Subset({len(self)} of {self.space.n})"

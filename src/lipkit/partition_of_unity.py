@@ -129,9 +129,7 @@ class _BallUnion(ScalarField):
                 f"has no interior")
 
     def _compute_values(self) -> np.ndarray:
-        out = np.empty(self.space.n)
-        for r, d in _pairs.anchor_blocks(self.space, self.centers):
-            out[r] = (self.radii - d).max(axis=1)
+        out = _pairs.envelope(self.space, self.centers, self.radii, 1.0, -1)
         return np.maximum(out, 0.0, out=out)
 
 

@@ -235,10 +235,7 @@ class DistanceTo(ScalarField):
             raise PreconditionError("distance to the empty set is undefined")
 
     def _compute_values(self) -> np.ndarray:
-        out = np.empty(self.space.n)
-        for r, d in _pairs.anchor_blocks(self.space, self.members):
-            out[r] = d.min(axis=1)
-        return out
+        return _pairs.envelope(self.space, self.members, -0.0, 1.0, +1)
 
 
 def Transported(name: str, inner: ScalarField) -> ScalarField:

@@ -501,6 +501,64 @@ def ref_frolik_pou(cover: CozeroCover, tol: float = _DEFAULT_TOL,
 
 
 # ---------------------------------------------------------------------------
+# The anchored scans that _pairs.envelope replaced, on the whole matrix
+
+
+def ref_envelope_scan(D, ids, values, consts, sign):
+    """The McShane max/min of Envelope, before its anchor override."""
+    spread = D[:, ids] * consts
+    return (np.max(values - spread, axis=1) if sign < 0
+            else np.min(values + spread, axis=1))
+
+
+def ref_distance_scan(D, members):
+    """d(., members) as DistanceTo read it: the row minima."""
+    return D[:, members].min(axis=1)
+
+
+def ref_tent_scan(D, centers, radii):
+    """The tent max of a ball group, clipped at 0."""
+    return np.maximum((radii - D[:, centers]).max(axis=1), 0.0)
+
+
+def ref_closed_scan(D, members):
+    """is_closed_at_sample_scale as an np.ix_ gather of the outside rows,
+    a row block at a time."""
+    n = len(D)
+    if members.size in (0, n):
+        return True
+    outside = np.setdiff1d(np.arange(n), members)
+    return all(D[np.ix_(outside[r], members)].min() > 0
+               for r in _pairs.row_blocks(outside.size, members.size))
+
+
+def ref_draw_bounds(D, members, vals, K):
+    """The starting bounds (lo, hi) of random_k_extension, both from
+    one scaled gather per row block."""
+    lo, hi = np.empty(len(D)), np.empty(len(D))
+    for r in _pairs.row_blocks(len(D), members.size):
+        spread = D[r][:, members]
+        spread *= K
+        lo[r] = np.max(vals - spread, axis=1)
+        hi[r] = np.min(vals + spread, axis=1)
+    return lo, hi
+
+
+def ref_triangles(D, tol):
+    """Every triangle violation (i, k, j) with its excess, middle index
+    first and then row-major, from two n x n temporaries per middle
+    index."""
+    out = []
+    with np.errstate(invalid="ignore"):
+        for k in range(len(D)):
+            excess = D - (D[:, [k]] + D[[k], :])
+            for i, j in np.argwhere(excess > tol):
+                if i != k and j != k and i != j:
+                    out.append((int(i), int(k), int(j), float(excess[i, j])))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Front-end references: the CSV reader and writers cell by cell
 
 

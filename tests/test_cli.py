@@ -723,3 +723,20 @@ def test_extend_pointwise_restricts_exactly_on_the_real_line(tmp_path, capsys):
                       if c["kind"] == "restriction"]
     assert restriction["details"]["exact"] is True
     capsys.readouterr()
+
+
+def test_extend_pointwise_refuses_a_repeated_witness_point(tmp_path, capsys):
+    # the later K, 50.0, used to replace the first and the run exited 0
+    space = write(tmp_path / "space.json",
+                  json.dumps({"lo": 0.0, "hi": 1.0, "step": 0.25}))
+    subset = write(tmp_path / "A.json", "[0, 3]")
+    values = write(tmp_path / "phi.csv", "0,0.0\n3,0.5\n")
+    witness = write(tmp_path / "w.json", json.dumps(
+        [{"p": 0, "K": 1.0}, {"p": 3, "K": 1.0}, {"p": 0, "K": 50.0}]))
+    out = tmp_path / "out"
+    assert main(["extend-pointwise", "--space", space, "--subset", subset,
+                 "--values", values, "--witness", witness,
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {witness}: entry 2 repeats " \
+                                      f"point 0\n"
+    assert not (out / "certificate.json").exists()

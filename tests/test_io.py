@@ -166,6 +166,21 @@ def test_load_pointwise_witness(tmp_path):
         load_pointwise_witness(put_json(tmp_path, "bad.json", [{"K": 1.0}]))
 
 
+def test_load_pointwise_witness_refuses_a_repeated_point(tmp_path):
+    # the later K used to win: this file loaded as {0: 50.0, 3: 1.0}
+    path = put_json(tmp_path, "pw.json", [{"p": 0, "K": 1.0},
+                                          {"p": 3, "K": 1.0},
+                                          {"p": 0, "K": 50.0}])
+    with pytest.raises(InputError) as e:
+        load_pointwise_witness(path)
+    assert str(e.value) == f"{path}: entry 2 repeats point 0"
+    # the balls of a local witness may share a center
+    local = load_local_witness(put_json(
+        tmp_path, "local.json", [{"p": 0, "delta": 1.0, "K": 1.0},
+                                 {"p": 0, "delta": 2.0, "K": 3.0}]))
+    assert local.points.tolist() == [0, 0]
+
+
 def test_load_cover(tmp_path):
     space = MetricSpace.from_grid(0.0, 2.0, 1.0)
     path = put_json(tmp_path, "c.json",

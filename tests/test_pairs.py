@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from helpers import (check_switched, compress, make_instance, make_space,
-                     ref_greedy, ref_max_slope, ref_min_positive_distance,
+                     ref_closed_scan, ref_distance_scan, ref_draw_bounds,
+                     ref_envelope_scan, ref_greedy, ref_max_slope,
+                     ref_min_positive_distance, ref_tent_scan, ref_triangles,
                      ref_worst_excess, same)
 from lipkit import (DistanceTo, MetricSpace, ModulusWitness, PreconditionError,
                     Subset, Tabulated, check_k_lipschitz,
@@ -502,6 +504,101 @@ def test_closedness_is_refused_in_any_row_block(block):
             space = MetricSpace.from_matrix(D, validate=False)
             assert not Subset(space, [0, 5]).is_closed_at_sample_scale()
             assert Subset(space, [2, 5]).is_closed_at_sample_scale()
+
+
+def same_bits(got, want):
+    """Equal float arrays bit for bit: -0.0 differs from 0.0 and every
+    NaN payload counts."""
+    return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def mcshane_spaces(rng):
+    """A space of each backend, a validated matrix whose diagonal is
+    -0.0, and unvalidated symmetric and asymmetric matrices spoiled with
+    NaN, inf, +-0.0 and negative entries."""
+    spaces = [make_space(rng, n_max=16, kinds=[k]) for k in range(4)]
+    n = int(rng.integers(2, 16))
+    D = dense_coord_dist(rng.uniform(-3.0, 3.0, size=(n, 2)), slice(None))
+    np.fill_diagonal(D, -0.0)
+    spaces.append(MetricSpace.from_matrix(D))
+    spoilers = [math.nan, math.inf, -math.inf, -0.0, 0.0, -1.0]
+    for symmetric in (True, False):
+        S = D.copy()
+        for _ in range(2 * n):
+            i, j = rng.integers(n, size=2)
+            S[i, j] = rng.choice(spoilers)
+            if symmetric:
+                S[j, i] = S[i, j]
+        spaces.append(MetricSpace.from_matrix(S, validate=False))
+    return spaces
+
+
+def test_mcshane_scan_matches_the_five_scans_it_replaced(block):
+    """Envelopes, d(., A), ball tents, the closedness check and the
+    random draws' starting bounds, all read through _pairs.envelope,
+    against the scans they used to write out, bit for bit."""
+    rng = np.random.default_rng(27)
+    closed = set()
+    for _ in range(8):
+        for space in mcshane_spaces(rng):
+            D, n = space.pairwise(), space.n
+            ids = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                     replace=False))
+            vals = rng.normal(size=ids.size)
+            if space.backend == "matrix":
+                vals[rng.random(ids.size) < 0.2] = rng.choice(
+                    [math.nan, math.inf, -math.inf])
+            consts = rng.uniform(0.5, 3.0, size=ids.size)
+            K = float(rng.uniform(0.2, 4.0))
+            with np.errstate(invalid="ignore"):
+                for sign in (-1, +1):
+                    want = ref_envelope_scan(D, ids, vals, consts, sign)
+                    want[ids] = vals
+                    got = Envelope(space, ids, vals, consts, sign).values()
+                    assert same_bits(got, want)
+                lo, hi = ref_draw_bounds(D, ids, vals, K)
+                assert same_bits(_pairs.envelope(space, ids, vals, K, -1), lo)
+                assert same_bits(_pairs.envelope(space, ids, vals, K, +1), hi)
+                assert same_bits(DistanceTo(space, ids).values(),
+                                 ref_distance_scan(D, ids))
+                radii = rng.uniform(0.1, 3.0, size=ids.size)
+                assert same_bits(_BallUnion(space, ids, radii, 0).values(),
+                                 ref_tent_scan(D, ids, radii))
+                want = ref_closed_scan(D, ids)
+                assert Subset(space, ids).is_closed_at_sample_scale() == want
+            closed.add(want)
+    assert closed == {True, False}
+
+
+def test_triangle_sweep_matches_the_two_temporary_loop():
+    """Perturbed matrices, NaN and inf entries in every third, against
+    the sweep that made two n x n temporaries per middle index: the
+    pair checks' violations, then the triangles, the first 64."""
+    rng = np.random.default_rng(28)
+    counts = []
+    for trial in range(12):
+        n = int(rng.integers(3, 30))
+        D = dense_coord_dist(rng.uniform(-3.0, 3.0, size=(n, 2)),
+                             slice(None))
+        for _ in range(int(rng.integers(n, 4 * n))):
+            i, j = rng.integers(n, size=2)
+            if i != j:
+                D[i, j] = D[j, i] = D[i, j] * rng.uniform(2.0, 4.0)
+        if trial % 3 == 2:
+            for _ in range(3):
+                i, j = rng.integers(n, size=2)
+                D[i, j] = rng.choice([math.nan, math.inf])
+        exact = np.array_equal(D, D.T)
+        for tol in (1e-9, 0.5):
+            pairs = _validate_matrix(D, tol, "by construction", exact)
+            got = _validate_matrix(D, tol, "checked", exact)
+            triangles = ref_triangles(D, tol)
+            counts.append(len(triangles))
+            want = [(v.kind, v.ids, v.magnitude) for v in pairs.violations]
+            want += [("triangle", (i, k, j), m) for i, k, j, m in triangles]
+            assert [(v.kind, v.ids, v.magnitude)
+                    for v in got.violations] == want[:64]
+    assert max(counts) > 64
 
 
 def dense_pair_violations(D, tol):
