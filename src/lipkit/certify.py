@@ -18,7 +18,7 @@ import numpy as np
 from . import _pairs
 from .errors import PreconditionError
 from .metric_space import _DEFAULT_TOL, MetricSpace, Subset
-from .scalar_field import ScalarField, Tabulated
+from .scalar_field import Interval, ScalarField, Tabulated
 
 
 def _require_constant(K) -> float:
@@ -30,11 +30,16 @@ def _require_constant(K) -> float:
     return K
 
 
-def _as_values_on(A: Subset, phi) -> np.ndarray:
+def _as_values_on(A: Subset, phi, interval: Interval | None = None) -> np.ndarray:
     """Values of phi on the members of A, whether phi is a field on the
-    host space or a plain array aligned with A.members.  An infinite
-    value is refused with its sample id; a NaN is left to the checks
-    downstream, which report it."""
+    host space or a plain array aligned with A.members: the anchor check
+    of every extension from A.  It refuses, in this order, an empty A, a
+    degenerate target, an infinite value and a value outside the target,
+    NaN included, naming the value's sample; with no target a NaN is
+    left to the checks downstream."""
+    A.require_nonempty("extension domain")
+    if interval is not None and interval.is_degenerate:
+        raise PreconditionError(f"degenerate target interval {interval}")
     if isinstance(phi, ScalarField):
         vals = phi.values()[A.members]
     else:
@@ -47,6 +52,13 @@ def _as_values_on(A: Subset, phi) -> np.ndarray:
         x = int(A.members[bad[0]])
         raise PreconditionError(f"phi({x}) = {vals[bad[0]]} is infinite",
                                 witness=x)
+    if interval is not None:
+        bad = np.flatnonzero(~interval.contains(vals))
+        if bad.size:
+            x = int(A.members[bad[0]])
+            raise PreconditionError(
+                f"phi({x}) = {float(vals[bad[0]])!r} lies outside the "
+                f"target {interval}", witness=x)
     return vals
 
 
@@ -165,9 +177,8 @@ def random_k_extension(A: Subset, phi, K: float, seed: int = 0,
     and a + (b - a) u is the value rng.uniform(a, b) draws.
     """
     K = _require_constant(K)
-    space = A.require_nonempty("extension domain").space
-    n = space.n
     vals_A = _as_values_on(A, phi)
+    space, n = A.space, A.space.n
     _require_k_lipschitz_on(A, vals_A, K, tol)
 
     lo = _pairs.envelope(space, A.members, vals_A, K, -1)

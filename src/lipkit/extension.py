@@ -46,6 +46,14 @@ class Envelope(ScalarField):
         self.anchor_ids = _pairs.sample_ids(anchor_ids, space.n, "anchor id")
         self.anchor_values = np.asarray(anchor_values, dtype=float)
         self.anchor_constants = np.asarray(anchor_constants, dtype=float)
+        if self.anchor_ids.size == 0:
+            raise PreconditionError("envelope needs at least one anchor")
+        if not (self.anchor_values.shape == self.anchor_constants.shape
+                == self.anchor_ids.shape):
+            raise PreconditionError(
+                f"need {self.anchor_ids.size} anchor values and constants, "
+                f"got shapes {self.anchor_values.shape} and "
+                f"{self.anchor_constants.shape}")
         if sign not in (-1, +1):
             raise PreconditionError("envelope sign must be -1 (lower) or +1 (upper)")
         self.sign = int(sign)
@@ -69,17 +77,19 @@ class EnvelopePair:
     notes: list = field(default_factory=list)
 
 
+def _envelope_pair(A: Subset, vals: np.ndarray, consts: np.ndarray,
+                   notes=()) -> EnvelopePair:
+    return EnvelopePair(Envelope(A.space, A.members, vals, consts, -1),
+                        Envelope(A.space, A.members, vals, consts, +1),
+                        A, vals, consts, list(notes))
+
+
 def mcshane_envelopes(A: Subset, phi, K: float, tol: float = _DEFAULT_TOL) -> EnvelopePair:
     """Envelopes with one global constant 0 <= K < inf."""
     K = _require_constant(K)
-    A.require_nonempty("extension domain")
     vals = _as_values_on(A, phi)
     _require_k_lipschitz_on(A, vals, K, tol)
-    consts = np.full(len(A), K)
-    return EnvelopePair(
-        lower=Envelope(A.space, A.members, vals, consts, -1),
-        upper=Envelope(A.space, A.members, vals, consts, +1),
-        A=A, phi_values=vals, constants=consts)
+    return _envelope_pair(A, vals, np.full(len(A), K))
 
 
 @dataclass(frozen=True)
@@ -92,9 +102,10 @@ class DualityReport:
 def duality_check(A: Subset, phi, K: float, tol: float = _DEFAULT_TOL) -> DualityReport:
     """lower[phi] against -upper[-phi], and upper[phi] against
     -lower[-phi].  These agree exactly, not within tolerance: negation
-    is exact and both scans round the same expressions."""
+    is exact and both scans round the same expressions.  Negation also
+    leaves every pair excess unchanged, so -phi is not checked again."""
     pair = mcshane_envelopes(A, phi, K, tol)
-    flipped = mcshane_envelopes(A, -pair.phi_values, K, tol)
+    flipped = _envelope_pair(A, -pair.phi_values, pair.constants)
     d1 = pair.lower.values() + flipped.upper.values()
     d2 = pair.upper.values() + flipped.lower.values()
     gap = np.maximum(np.abs(d1), np.abs(d2))
@@ -103,17 +114,7 @@ def duality_check(A: Subset, phi, K: float, tol: float = _DEFAULT_TOL) -> Dualit
     return DualityReport(m == 0.0, m, worst if m > 0 else None)
 
 
-def _require_phi_in(interval: Interval, A: Subset, vals: np.ndarray):
-    for i, v in zip(A.members, vals):
-        if not interval.contains(float(v)):
-            raise PreconditionError(
-                f"phi({int(i)}) = {v!r} lies outside the target {interval}",
-                witness=int(i))
-
-
-def _require_usable(interval: Interval, A: Subset):
-    if interval.is_degenerate:
-        raise PreconditionError(f"degenerate target interval {interval}")
+def _require_closed(A: Subset):
     if not A.is_closed_at_sample_scale():
         raise PreconditionError(
             "extension domain has an outside sample at distance zero")
@@ -137,17 +138,13 @@ def extend_to_interval(A: Subset, phi, K: float, interval: Interval,
     lower envelope below hi - K d(., A).  A target equal to the whole
     line returns the lower envelope.
     """
-    A.require_nonempty("extension domain")
-    _require_usable(interval, A)
-    vals = _as_values_on(A, phi)
-    _require_phi_in(interval, A, vals)
+    vals = _as_values_on(A, phi, interval)
+    _require_closed(A)
     pair = mcshane_envelopes(A, vals, K, tol)
     if interval.is_bounded:
         out = _mean_of_clamped(pair, interval)
     elif interval.bounded_below:
         out = pair.upper
-    elif interval.bounded_above:
-        out = pair.lower
     else:
         out = pair.lower
     out.envelopes = pair
@@ -211,17 +208,11 @@ def _check_pair_compatibility(A: Subset, vals: np.ndarray, consts: np.ndarray,
 def pointwise_envelopes(A: Subset, phi, witness: PointwiseWitness,
                         tol: float = _DEFAULT_TOL) -> EnvelopePair:
     """Envelopes with per-anchor constants from the witness."""
-    A.require_nonempty("extension domain")
     vals = _as_values_on(A, phi)
     consts, lifted = witness.aligned(A)
     _check_pair_compatibility(A, vals, consts, tol)
-    notes = []
-    if lifted:
-        notes.append(f"lifted {lifted} constant(s) below 1 up to 1")
-    return EnvelopePair(
-        lower=Envelope(A.space, A.members, vals, consts, -1),
-        upper=Envelope(A.space, A.members, vals, consts, +1),
-        A=A, phi_values=vals, constants=consts, notes=notes)
+    notes = [f"lifted {lifted} constant(s) below 1 up to 1"] if lifted else []
+    return _envelope_pair(A, vals, consts, notes)
 
 
 def generate_pointwise_witness(f: ScalarField) -> PointwiseWitness:
@@ -246,10 +237,8 @@ def pointwise_extend_to_interval(A: Subset, phi, witness: PointwiseWitness,
     witness because they are nonexpansive on the relevant ranges.  The
     output carries phi on A verbatim.
     """
-    A.require_nonempty("extension domain")
-    _require_usable(interval, A)
-    vals = _as_values_on(A, phi)
-    _require_phi_in(interval, A, vals)
+    vals = _as_values_on(A, phi, interval)
+    _require_closed(A)
 
     if interval.is_bounded:
         pair = pointwise_envelopes(A, vals, witness, tol)

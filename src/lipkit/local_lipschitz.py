@@ -26,7 +26,7 @@ from . import _pairs
 from .certify import (Certificate, _as_values_on, _doubled_ball_excess,
                       certify_local_witness)
 from .errors import CoverError, PreconditionError
-from .extension import _require_phi_in, extend_to_interval
+from .extension import extend_to_interval
 from .metric_space import _DEFAULT_TOL, Subset
 from .partition_of_unity import CozeroCover, _BallUnion, _blend
 from .scalar_field import (Constant, DistanceTo, Interval, ScalarField,
@@ -426,11 +426,7 @@ def local_extend(A: Subset, phi, witness: LocalWitness, interval: Interval,
     weighted sum restricts to phi on A up to the unit-sum residual.
     """
     space = A.space
-    A.require_nonempty("extension domain")
-    if interval.is_degenerate:
-        raise PreconditionError(f"degenerate target interval {interval}")
-    vals = _as_values_on(A, phi)
-    _require_phi_in(interval, A, vals)
+    vals = _as_values_on(A, phi, interval)
     in_A = np.zeros(space.n, dtype=bool)
     in_A[A.members] = True
     centers = witness.centers(space)

@@ -105,10 +105,13 @@ class Interval:
         # singleton or empty; never a valid codomain here
         return self.lo >= self.hi
 
-    def contains(self, x: float) -> bool:
-        return (self.lo <= x <= self.hi         # NaN is in no interval
-                and not (x == self.lo and self.lo_open)
-                and not (x == self.hi and self.hi_open))
+    def contains(self, x):
+        """Whether x lies in the interval, elementwise on an array."""
+        x = np.asarray(x)
+        inside = ((self.lo <= x) & (x <= self.hi)   # NaN is in no interval
+                  & ~((x == self.lo) & self.lo_open)
+                  & ~((x == self.hi) & self.hi_open))
+        return inside if inside.ndim else bool(inside)
 
     def __str__(self) -> str:
         left = "(" if self.lo_open else "["
@@ -256,13 +259,13 @@ def Transported(name: str, inner: ScalarField) -> ScalarField:
             bad = int(np.argmax(np.abs(v) >= _HALF_PI))
             raise DomainError(
                 f"tan transport needs values in (-pi/2, pi/2); "
-                f"point {bad} has {v[bad]!r}")
+                f"point {bad} has {float(v[bad])!r}")
         return ScalarField(inner.space, np.tan(v))
     if (v <= 0).any():
         bad = int(np.argmax(v <= 0))
         raise DomainError(
             f"reciprocal transport needs strictly positive values; "
-            f"point {bad} has {v[bad]!r}")
+            f"point {bad} has {float(v[bad])!r}")
     return ScalarField(inner.space, 1.0 / v)
 
 

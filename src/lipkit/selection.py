@@ -172,7 +172,7 @@ def select(mapping: IntervalMapping) -> ScalarField:
     x = int(np.argmin(width))
     if not (width[x] > 0.0):
         raise PreconditionError(
-            f"window at sample {x} has no interior (width {width[x]!r})",
+            f"window at sample {x} has no interior (width {float(width[x])!r})",
             witness=x)
     lo, hi = mapping.bounds()
 

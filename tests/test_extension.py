@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lipkit import (DistanceTo, Interval, MetricSpace, PointwiseWitness,
-                    PreconditionError, Subset, check_k_lipschitz,
-                    duality_check, extend_to_interval,
-                    generate_pointwise_witness, mcshane_envelopes,
-                    pointwise_envelopes, pointwise_extend_to_interval,
-                    random_k_extension)
+from lipkit import (Constant, DistanceTo, Envelope, Interval,
+                    IntervalMapping, LocalWitness, MetricSpace,
+                    PointwiseWitness, PreconditionError, Subset,
+                    check_k_lipschitz, duality_check, extend_to_interval,
+                    generate_pointwise_witness, local_extend,
+                    mcshane_envelopes, pointwise_envelopes,
+                    pointwise_extend_to_interval, random_k_extension,
+                    select_extend)
 
 from helpers import make_instance
 
@@ -294,3 +296,73 @@ def test_pointwise_real_line_with_large_values_is_not_refused():
     f = pointwise_extend_to_interval(A, [1e7, -1e7], W, Interval.real_line())
     assert f.values()[A.members].tolist() == [1e7, -1e7]
     assert len(f.pointwise_witness.constants) == space.n
+
+
+def test_envelope_refuses_no_anchors():
+    space = MetricSpace.from_grid(0, 2, 1)
+    with pytest.raises(PreconditionError,
+                       match="^envelope needs at least one anchor$"):
+        Envelope(space, [], [], [], -1)
+
+
+@pytest.mark.parametrize("values, consts", [
+    ([1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0]), ([[1.0, 1.0]], [1.0, 1.0]),
+], ids=["values", "constants", "values-2d"])
+def test_envelope_refuses_values_or_constants_not_aligned_with_the_ids(
+        values, consts):
+    # numpy would broadcast a lone value or constant to both anchors
+    space = MetricSpace.from_grid(0, 4, 1)
+    with pytest.raises(PreconditionError,
+                       match=r"^need 2 anchor values and constants, got "):
+        Envelope(space, [0, 4], values, consts, -1)
+
+
+# ---------------------------------------------------------------------------
+# The anchor check every extension from a subset shares
+
+
+def _anchor_entry_points():
+    space = MetricSpace.from_grid(0, 4, 1)
+    pw = PointwiseWitness({p: 1.0 for p in range(space.n)})
+    local = LocalWitness.from_triples([(p, 0.6, 1.0) for p in (0, 2, 4)])
+    window = IntervalMapping(space, Constant(space, -1.0), Constant(space, 2.0))
+    # name -> (extension called as f(A, phi, target), takes a target)
+    return space, {
+        "mcshane_envelopes": (lambda A, v, t: mcshane_envelopes(A, v, 1.0), False),
+        "pointwise_envelopes": (lambda A, v, t: pointwise_envelopes(A, v, pw), False),
+        "extend_to_interval": (lambda A, v, t: extend_to_interval(A, v, 1.0, t), True),
+        "pointwise_extend_to_interval": (
+            lambda A, v, t: pointwise_extend_to_interval(A, v, pw, t), True),
+        "random_k_extension": (lambda A, v, t: random_k_extension(A, v, 1.0), False),
+        "local_extend": (lambda A, v, t: local_extend(A, v, local, t), True),
+        "select_extend": (lambda A, v, t: select_extend(A, v, local, window), False),
+    }
+
+
+_UNIT = Interval.closed(0.0, 1.0)
+_ANCHOR_CASES = {
+    # name -> (ids, phi, target, message, witness, needs a target)
+    "empty": ([], [], _UNIT, "extension domain must be nonempty", None, False),
+    "infinite": ([0, 2, 4], [0.0, math.inf, 0.5], _UNIT,
+                 "phi(2) = inf is infinite", 2, False),
+    "outside": ([0, 2, 4], [0.0, 3.0, 0.5], _UNIT,
+                "phi(2) = 3.0 lies outside the target [0, 1]", 2, True),
+    "nan": ([0, 2, 4], [0.0, math.nan, 0.5], _UNIT,
+            "phi(2) = nan lies outside the target [0, 1]", 2, True),
+    "degenerate": ([0, 2, 4], [0.0, 0.5, 0.5], Interval.closed(1.0, 1.0),
+                   "degenerate target interval [1, 1]", None, True),
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry, (_, targeted) in _anchor_entry_points()[1].items()
+    for case, spec in _ANCHOR_CASES.items() if targeted or not spec[-1]])
+def test_every_extension_from_a_subset_refuses_bad_anchors_alike(entry, case):
+    space, entries = _anchor_entry_points()
+    ids, phi, target, message, witness, _ = _ANCHOR_CASES[case]
+    with pytest.raises(PreconditionError) as err:
+        entries[entry][0](Subset(space, ids), phi, target)
+    assert type(err.value) is PreconditionError
+    assert str(err.value) == message
+    assert err.value.witness == witness
+

@@ -279,6 +279,21 @@ def test_transport_error_is_raised_at_construction_naming_its_sample():
         Transported("reciprocal", bad)
 
 
+def test_tan_transport_refusal_prints_a_plain_float():
+    bad = Tabulated(grid(), [0.5, 0.25, 2.0, 1.0, -3.0])
+    with pytest.raises(DomainError) as err:
+        Transported("tan", bad)
+    assert str(err.value) == ("tan transport needs values in (-pi/2, pi/2); "
+                              "point 2 has 2.0")
+
+
+def test_reciprocal_transport_refusal_prints_a_plain_float():
+    with pytest.raises(DomainError) as err:
+        Transported("reciprocal", DistanceTo(grid(), [0]))
+    assert str(err.value) == ("reciprocal transport needs strictly positive "
+                              "values; point 0 has 0.0")
+
+
 def test_interval_parse_and_containment():
     box = Interval.parse("0,1,closed,open")
     assert box.contains(0.0) and not box.contains(1.0)
@@ -288,6 +303,10 @@ def test_interval_parse_and_containment():
     line = Interval.real_line()
     assert line.is_real_line and line.contains(-1e9)
     assert Interval.closed(2.0, 2.0).is_degenerate
+    # elementwise on an array, and NaN is in no interval
+    got = box.contains(np.array([-1.0, 0.0, 0.5, 1.0, math.nan]))
+    assert got.tolist() == [False, True, True, False, False]
+    assert not box.contains(math.nan)
 
 
 def test_interval_parse_rejects_garbage():

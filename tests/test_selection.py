@@ -83,6 +83,16 @@ def test_select_ladder_unit_window():
     assert (f.values() == 0.5).all()
 
 
+def test_select_refuses_a_window_with_no_interior_naming_a_plain_width():
+    space = MetricSpace.from_grid(0.0, 4.0, 1.0)
+    shut = IntervalMapping(space, Constant(space, 0.0),
+                           Tabulated(space, [1.0, 1.0, 0.0, 1.0, 1.0]))
+    with pytest.raises(PreconditionError) as err:
+        select(shut)
+    assert str(err.value) == "window at sample 2 has no interior (width 0.0)"
+    assert err.value.witness == 2
+
+
 def test_select_step_window_ladder():
     space, lower, upper = dowker_step(0.25)
     m = IntervalMapping(space, lower, upper)
