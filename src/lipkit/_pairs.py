@@ -14,7 +14,8 @@ decided in one place:
     ones.  Only pair_blocks turns the rule into row blocks, for _sweep
     (worst_excess, max_slope), max_slopes, and the MetricSpace methods
     min_positive_distance and, on every ordered pair, nearest_positive;
-    ball_sweep lays the same pairs out flat, ball by ball;
+    ball_sweep lays the same pairs out flat from the member lists of
+    ball_members, one row per member, many balls to a chunk;
   * ties resolve to the first pair, in row-major order or in the order
     of a list, and NaN counts as larger than any number (the
     numpy.argmax order), so a NaN can never hide behind a passing
@@ -33,7 +34,9 @@ closedness and d(., S), whose values -0.0 add to any d bit for bit.
 
 Every reader of the distances reads pairwise() in the row blocks of
 row_blocks, at most _BLOCK entries each, so none holds a second n x n
-array or an |A| x n gather of its own.
+array or an |A| x n gather of its own.  The ball readers keep member
+lists instead of boolean rows, a group of about _BLOCK / 8 members at
+a time, so no reader holds every member of many large balls at once.
 """
 
 from __future__ import annotations
@@ -296,80 +299,142 @@ def max_slopes(space, V, zero=0.0):
 # Many small balls at once
 
 
-def ball_masks(space, centers, radii):
-    """The open balls B(centers[b], radii[b]) as boolean rows over the
-    samples, a chunk of balls at a time: yields (a, mask) where mask[i]
-    holds the members of ball a + i, the ids MetricSpace.ball returns."""
-    D = space.pairwise()
-    for r in row_blocks(len(centers), space.n):
-        yield r.start, D[centers[r]] < radii[r, None]
+def ball_members(space, centers, radii, inside=None):
+    """The open balls B(centers[b], radii[b]), restricted to the samples
+    where inside holds, as member lists: yields groups (ball, member, d)
+    of ball indices, sample ids and the distances d(centers[ball],
+    member), ball-major with ids ascending, the ids MetricSpace.ball
+    returns.  The rows of D are compared a row block at a time; a group
+    holds whole balls, at most _BLOCK / 8 members unless one row block
+    alone has more, and empty balls are left out.  The arrays of a
+    group are overwritten by the next one."""
+    D, n = space.pairwise(), space.n
+    cap = max(1, _BLOCK >> 3)
+    ids, dist, count = np.empty((2, cap), dtype=int), np.empty(cap), 0
+    for r in row_blocks(len(centers), n):
+        rows = D[centers[r]]
+        near = rows < radii[r, None]
+        if inside is not None:
+            near &= inside
+        flat = np.flatnonzero(near)
+        d = rows.ravel()[flat]
+        del rows, near              # not held while a group is read
+        k = len(flat)
+        if count + k > cap and count:
+            yield ids[0, :count], ids[1, :count], dist[:count]
+            count = 0
+        if k > cap:                 # a group of its own
+            ball, member = np.divmod(flat, n)
+            del flat
+            ball += r.start
+            yield ball, member, d
+            continue
+        at = slice(count, count + k)
+        np.divmod(flat, n, out=(ids[0, at], ids[1, at]))
+        ids[0, at] += r.start
+        dist[at] = d
+        count += k
+    if count:
+        yield ids[0, :count], ids[1, :count], dist[:count]
 
 
-def ball_sweep(space, v, centers, radii, value, inside=None):
+def ball_sweep(space, v, centers, radii, value, inside=None, each=None):
     """Largest value(d, o, seg) over the sample pairs of each open ball
     B(centers[b], radii[b]), restricted to the samples where inside
-    holds, with its pair.  The pairs of a chunk of balls are laid out
-    flat, with distances d, value gaps o = |v_p - v_q| and ball indices
-    seg, and value must be symmetric in (p, q).
+    holds, with its pair.  The pairs are laid out flat from the member
+    lists of ball_members, with distances d, value gaps o = |v_p - v_q|
+    and ball indices seg, and value must be symmetric in (p, q); each,
+    when given, is called with every group (ball, member, d) of the
+    gathering first, so that one gathering serves another reader too.
 
     Each ball's result is that of _sweep over its members with
     symmetric=True: pairs p < q on exactly symmetric distances, every
     ordered pair p != q otherwise; the first largest pair in row-major
     order, a NaN larger than any number, and the first pair when every
-    value is -inf.  A chunk holds about _BLOCK / 2 pairs, cut between
-    the column runs of its members' rows, so a ball with more pairs is
-    never laid out whole.  Returns (x, pairs) with pairs[b] = (p, q) as
-    sample ids; a ball with fewer than two samples gets -inf and
-    (-1, -1).
+    value is -inf.  Each member has one row of pairs, and a chunk of
+    about _BLOCK / 8 pairs, cut between rows, may span many balls (see
+    _sweep_group), so a ball with more pairs is never laid out whole.
+    Returns (x, pairs) with pairs[b] = (p, q) as sample ids; a ball with
+    fewer than two samples gets -inf and (-1, -1).
     """
     best = np.full(len(centers), -math.inf)
     pairs = np.full((len(centers), 2), -1)
-    D = space.pairwise()
     mirror = space.exactly_symmetric()
-    budget = max(1, _BLOCK >> 1)
     with np.errstate(invalid="ignore", over="ignore"):
-        for a, mask in ball_masks(space, centers, radii):
-            if inside is not None:
-                mask &= inside
-            # members, ids ascending per ball (flatnonzero beats 2-D nonzero)
-            ball, s = np.divmod(np.flatnonzero(mask), space.n)
-            size = np.bincount(ball, minlength=len(mask))
-            end = np.cumsum(size)[ball]     # past the last member of the ball
-            at = np.arange(len(s))
-            # each member's row of pairs as runs lo:hi of positions in s: the
-            # later members, and without exact symmetry the earlier ones first
-            if mirror:
-                member, lo, hi = at, at + 1, end
-            else:
-                member = np.repeat(at, 2)
-                lo = np.column_stack((end - size[ball], at + 1)).ravel()
-                hi = np.column_stack((at, end)).ravel()
-            width = hi - lo
-            ends = np.cumsum(width)
-            starts = ends - width
-            total = int(ends[-1]) if len(s) else 0
-            cuts = np.searchsorted(starts, np.arange(0, total, budget))
-            for r0, r1 in zip(cuts, np.append(cuts[1:], len(member))):
-                if r0 == r1 or starts[r0] == ends[r1 - 1]:
-                    continue
-                w, m = width[r0:r1], member[r0:r1]
-                q = s[np.arange(starts[r0], ends[r1 - 1])
-                      - np.repeat(starts[r0:r1] - lo[r0:r1], w)]
-                p, seg = np.repeat(s[m], w), np.repeat(ball[m], w)
-                e = value(D[p, q], np.abs(np.repeat(v[s[m]], w) - v[q]),
-                          a + seg)
-                lead = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
-                top = np.empty(len(mask))
-                top[seg[lead]] = np.maximum.reduceat(e, lead)   # NaN wins
-                # each ball's first hit: its maximum, or its first NaN
-                hit = np.flatnonzero((e == top[seg]) | np.isnan(e))
-                hit = hit[np.r_[True, seg[hit[1:]] != seg[hit[:-1]]]]
-                # a later chunk of a ball replaces a strictly smaller result
-                b, x = a + seg[hit], e[hit]
-                old = best[b]
-                take = ((pairs[b, 0] < 0) | (x > old)
-                        | (np.isnan(x) & ~np.isnan(old)))
-                b, hit = b[take], hit[take]
-                best[b] = e[hit]
-                pairs[b] = np.column_stack((p[hit], q[hit]))
+        for ball, s, d in ball_members(space, centers, radii, inside):
+            if each is not None:
+                each(ball, s, d)
+            _sweep_group(space, v, value, ball, s, mirror, best, pairs)
+            del ball, s, d      # not held while the next group is gathered
     return best, pairs
+
+
+def _sweep_group(space, v, value, ball, s, mirror, best, pairs):
+    """Fold the pairs of a group of whole balls (see ball_members) into
+    best and pairs: the rows of at most _BLOCK / 8 members at a time,
+    in chunks of about _BLOCK / 8 pairs cut between rows."""
+    step = max(1, _BLOCK >> 3)
+    # bounds[k]:bounds[k + 1] are the positions in s of the group's k-th ball
+    edge = np.flatnonzero(ball[1:] != ball[:-1]) + 1
+    bounds = np.concatenate(([0], edge, [len(s)]))
+    for g in range(0, len(s), step):
+        at = np.arange(g, min(g + step, len(s)))
+        run = np.searchsorted(edge, at, side="right")
+        # the row of the member at position i reads the positions i+1:last
+        # of its ball, or first:last but i without exact symmetry; rows
+        # without pairs are dropped
+        lo = at + 1 if mirror else bounds[run]
+        width = bounds[run + 1] - lo - (not mirror)
+        rows = np.flatnonzero(width)
+        if not len(rows):
+            continue
+        at, lo, width = at[rows], lo[rows], width[rows]
+        ends = np.cumsum(width)
+        cuts = np.searchsorted(ends - width, np.arange(0, ends[-1], step))
+        for r0, r1 in zip(cuts, np.append(cuts[1:], len(at))):
+            if r0 < r1:
+                _fold_rows(space, v, value, s, ball, at[r0:r1], lo[r0:r1],
+                           width[r0:r1], mirror, best, pairs)
+
+
+def _fold_rows(space, v, value, s, ball, at, lo, w, mirror, best, pairs):
+    """Lay out the rows of pairs of the members at positions at of s,
+    each reading w > 0 positions from lo, and fold their values into
+    each ball's running result: a chunk's first maximum of a ball, or
+    its first NaN, replaces a strictly smaller result or none.  Rows of
+    one ball are adjacent and in order, so its pairs are one segment in
+    row-major order."""
+    ends = np.cumsum(w)
+    starts = ends - w
+    pos = np.arange(ends[-1])
+    pos += np.repeat(lo - starts, w)        # positions in s
+    if not mirror:
+        pos += pos >= np.repeat(at, w)      # skip the row's own member
+    q = s[pos]
+    del pos
+    p = s[at]
+    idx = np.repeat(p * space.n, w)
+    idx += q
+    d = space.pairwise().reshape(-1).take(idx)
+    del idx
+    o = np.repeat(v[p], w)
+    o -= v[q]
+    np.abs(o, out=o)
+    b = ball[at]
+    e = value(d, o, np.repeat(b, w))
+    del d, o
+    # each ball's segment starts at its first row
+    lead = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1])))
+    b = b[lead]
+    top = np.maximum.reduceat(e, starts[lead])      # NaN wins
+    same = e == np.repeat(top, np.add.reduceat(w, lead))
+    if np.isnan(top).any():
+        same |= np.isnan(e)
+    hit = np.flatnonzero(same)
+    hit = hit[np.searchsorted(hit, starts[lead])]   # each ball's first hit
+    x, old = e[hit], best[b]
+    take = (pairs[b, 0] < 0) | (x > old) | (np.isnan(x) & ~np.isnan(old))
+    b, hit = b[take], hit[take]
+    best[b] = x[take]
+    pairs[b, 0] = p[np.searchsorted(ends, hit, side="right")]
+    pairs[b, 1] = q[hit]

@@ -280,18 +280,26 @@ def pou_report(pou, tol: float = _DEFAULT_TOL) -> Certificate:
 # Local witness certification
 
 
-def _doubled_ball_excess(space, v, witness, centers, inside=None, num=None):
+def _doubled_ball_excess(space, v, witness, centers, inside=None, num=None,
+                         near=None):
     """Each entry's largest num(|f(x) - f(y)|) - K_p d(x, y) over the
     ordered sample pairs of its doubled ball B(p, 2 delta_p), restricted
     to the samples where inside holds, as (excess, pairs) arrays from
     one segmented sweep over every ball (see _pairs.ball_sweep); a ball
     with fewer than two samples gets -inf and the pair (-1, -1).
-    centers is witness.centers(space)."""
-    K = witness.constants
+    centers is witness.centers(space).  near, when given, is called
+    with the (ball, member) lists of the single balls B(p, delta_p),
+    restricted the same way, a group at a time: a single ball lies
+    inside its doubled one, so the same gathering yields them."""
+    K, deltas = witness.constants, witness.deltas
+
+    def each(ball, s, d):
+        inner = d < deltas[ball]
+        near(ball[inner], s[inner])
     return _pairs.ball_sweep(
-        space, v, centers, 2.0 * witness.deltas,
+        space, v, centers, 2.0 * deltas,
         lambda d, o, seg: (o if num is None else num(o)) - K[seg] * d,
-        inside)
+        inside, None if near is None else each)
 
 
 def certify_local_witness(f: ScalarField, witness, domain: Subset | None = None,
@@ -310,8 +318,12 @@ def certify_local_witness(f: ScalarField, witness, domain: Subset | None = None,
         inside = np.zeros(space.n, dtype=bool)
         inside[domain.members] = True
 
+    covered = np.zeros(space.n, dtype=bool)
+
+    def near(ball, s):
+        covered[s] = True
     excess, pairs = _doubled_ball_excess(space, f.values(), witness, centers,
-                                         inside)
+                                         inside, near=near)
     has_pair = pairs[:, 0] >= 0
     per_entry = np.where(has_pair, excess, 0.0).tolist()
     checked = np.flatnonzero(has_pair)
@@ -324,9 +336,6 @@ def certify_local_witness(f: ScalarField, witness, domain: Subset | None = None,
             worst = float(excess[j])
             worst_witness = (j, (int(pairs[j, 0]), int(pairs[j, 1])))
 
-    covered = np.zeros(space.n, dtype=bool)
-    for _, mask in _pairs.ball_masks(space, centers, witness.deltas):
-        covered |= mask.any(axis=0)
     if inside is not None:
         covered |= ~inside
     uncovered = np.flatnonzero(~covered).tolist()

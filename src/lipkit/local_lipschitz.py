@@ -174,7 +174,19 @@ def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
     elif osc_bound == math.inf:
         raise PreconditionError(f"oscillation is infinite at pair {pair}",
                                 witness=pair)
-    excess, pairs = _doubled_ball_excess(space, v, witness, centers, num=num)
+    # max(K_p, osc_bound / delta_p); on a tie np.maximum returns its
+    # second argument, so a signed zero is K_p's.  A quotient past the
+    # float range is inf, refused below with every ceiling past int64
+    with np.errstate(over="ignore"):
+        levels = np.maximum(osc_bound / witness.deltas, witness.constants)
+    ceilings = np.maximum(1.0, np.ceil(levels - tol))
+    eta = np.full(space.n, math.inf)
+
+    def near(ball, s):
+        # each sample's least ceiling over the single balls holding it
+        np.minimum.at(eta, s, ceilings[ball])
+    excess, pairs = _doubled_ball_excess(space, v, witness, centers, num=num,
+                                         near=near)
     failed = np.flatnonzero(~(excess <= tol))
     if failed.size:
         j = int(failed[0])
@@ -182,21 +194,19 @@ def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
             f"entry {j} at point {centers[j]} fails on its "
             f"doubled ball by {excess[j]:.3e}",
             witness=(j, (int(pairs[j, 0]), int(pairs[j, 1]))))
-    # max(K_p, osc_bound / delta_p); on a tie np.maximum returns its
-    # second argument, so a signed zero is K_p's
-    levels = np.maximum(osc_bound / witness.deltas, witness.constants)
-    ceilings = np.maximum(1, np.ceil(levels - tol).astype(int))
-    none = np.iinfo(ceilings.dtype).max
-    eta = np.full(space.n, none, dtype=ceilings.dtype)
-    # each sample's least ceiling over the single balls holding it
-    for a, mask in _pairs.ball_masks(space, centers, witness.deltas):
-        held = np.where(mask, ceilings[a:a + len(mask), None], none)
-        np.minimum(eta, held.min(axis=0), out=eta)
-    uncovered = np.flatnonzero(eta == none)
+    huge = np.flatnonzero(~(ceilings < 2.0 ** 63))
+    if huge.size:
+        j = int(huge[0])
+        raise PreconditionError(
+            f"entry {j} at point {centers[j]} has level {levels[j]:.6g}, "
+            f"past the int64 range of the cover's thresholds",
+            witness=(j, int(centers[j])))
+    uncovered = np.flatnonzero(eta == math.inf)
     if uncovered.size:
         raise CoverError(
             f"{uncovered.size} sample(s) lie in no witness ball, "
             f"first is {int(uncovered[0])}")
+    ceilings, eta = ceilings.astype(int), eta.astype(int)
     return IncreasingCover(space, witness, levels,
                            np.unique(ceilings), eta, osc_bound, v, compressed)
 
@@ -334,17 +344,17 @@ def _slice_cover(space, witness: LocalWitness, v: np.ndarray, max_slices,
     """Cover carrying one ball union per dyadic slice of |v|.
 
     Each witness entry's single ball B(p, delta) gets its peak |v| from
-    the chunked ball masks, without a float copy of a chunk, and
+    the member lists of _pairs.ball_members (0 for an empty ball), and
     _slice_groups turns the peaks into slices.  Returns (exponents
     descending, the cover of the extra witnesses followed by one
     _BallUnion per slice, of the witness balls its index list names).
     """
     centers, deltas = witness.centers(space), witness.deltas
     size = np.abs(v)
-    peaks = np.empty(len(centers))
-    for a, mask in _pairs.ball_masks(space, centers, deltas):
-        peaks[a:a + len(mask)] = np.max(np.broadcast_to(size, mask.shape),
-                                        axis=1, where=mask, initial=0.0)
+    peaks = np.zeros(len(centers))
+    with np.errstate(invalid="ignore"):     # a NaN |v| is the ball's peak
+        for ball, s, _ in _pairs.ball_members(space, centers, deltas):
+            np.maximum.at(peaks, ball, size[s])
     exps, groups = _slice_groups(peaks, max_slices)
     return exps, CozeroCover(space, list(extra) + [
         _BallUnion(space, centers[grp], deltas[grp], g)

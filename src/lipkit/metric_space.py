@@ -240,7 +240,8 @@ class MetricSpace:
         self.backend = backend
         self.n = int(n)
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
-        self._matrix = None if matrix is None else np.asarray(matrix, dtype=float)
+        self._matrix = (None if matrix is None
+                        else np.ascontiguousarray(matrix, dtype=float))
         if matrix is not None:
             self._matrix.setflags(write=False)      # the space's own
         self._symmetric = None
@@ -259,7 +260,7 @@ class MetricSpace:
     @classmethod
     def from_matrix(cls, D, validate: bool = True, tol: float = _DEFAULT_TOL) -> "MetricSpace":
         """A space over its own copy of the square matrix D."""
-        D = np.array(D, dtype=float)
+        D = np.array(D, dtype=float, order="C")
         if D.ndim != 2 or D.shape[0] != D.shape[1]:
             raise InputError(f"distance matrix must be square, got shape {D.shape}")
         return cls("matrix", D.shape[0], matrix=D, validate=validate, tol=tol)
@@ -330,7 +331,8 @@ class MetricSpace:
         return _coord_dist(self.coords, [p])[0]
 
     def pairwise(self) -> np.ndarray:
-        """Full distance matrix, read-only, cached after the first request."""
+        """Full distance matrix, read-only and C-contiguous, cached after
+        the first request."""
         if self._matrix is None:
             self._matrix = _coord_dist(self.coords, slice(None))
             self._matrix.setflags(write=False)
@@ -339,8 +341,8 @@ class MetricSpace:
     def ball(self, center: int, radius: float) -> np.ndarray:
         """Sorted ids strictly within radius of the center (open ball),
         read off the cached pairwise() row without copying it.  Checks
-        over many balls read the same rule a chunk at a time through
-        _pairs.ball_masks."""
+        over many balls read the same rule as member lists, a group of
+        balls at a time, through _pairs.ball_members."""
         center = _pairs.sample_id(center, self.n)
         return (self.pairwise()[center] < radius).nonzero()[0]
 

@@ -283,6 +283,104 @@ def check_switched(space, v, rng):
 
 
 # ---------------------------------------------------------------------------
+# Mask references of the ball gathering: boolean rows over the samples
+
+
+def ref_ball_masks(space, centers, radii):
+    """The open balls B(centers[b], radii[b]) as boolean rows over the
+    samples, a row block of balls at a time: yields (a, mask) where
+    mask[i] holds the members of ball a + i."""
+    D = space.pairwise()
+    for r in _pairs.row_blocks(len(centers), space.n):
+        yield r.start, D[centers[r]] < radii[r, None]
+
+
+def ref_ball_sweep(space, v, centers, radii, value, inside=None):
+    """ball_sweep as one segmented sweep per mask block: each block's
+    members laid out from its mask, its pairs in chunks of about
+    _BLOCK / 2 that never span two blocks."""
+    best = np.full(len(centers), -math.inf)
+    pairs = np.full((len(centers), 2), -1)
+    D = space.pairwise()
+    mirror = space.exactly_symmetric()
+    budget = max(1, _pairs._BLOCK >> 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a, mask in ref_ball_masks(space, centers, radii):
+            if inside is not None:
+                mask &= inside
+            ball, s = np.divmod(np.flatnonzero(mask), space.n)
+            size = np.bincount(ball, minlength=len(mask))
+            end = np.cumsum(size)[ball]
+            at = np.arange(len(s))
+            if mirror:
+                member, lo, hi = at, at + 1, end
+            else:
+                member = np.repeat(at, 2)
+                lo = np.column_stack((end - size[ball], at + 1)).ravel()
+                hi = np.column_stack((at, end)).ravel()
+            width = hi - lo
+            ends = np.cumsum(width)
+            starts = ends - width
+            total = int(ends[-1]) if len(s) else 0
+            cuts = np.searchsorted(starts, np.arange(0, total, budget))
+            for r0, r1 in zip(cuts, np.append(cuts[1:], len(member))):
+                if r0 == r1 or starts[r0] == ends[r1 - 1]:
+                    continue
+                w, m = width[r0:r1], member[r0:r1]
+                q = s[np.arange(starts[r0], ends[r1 - 1])
+                      - np.repeat(starts[r0:r1] - lo[r0:r1], w)]
+                p, seg = np.repeat(s[m], w), np.repeat(ball[m], w)
+                e = value(D[p, q], np.abs(np.repeat(v[s[m]], w) - v[q]),
+                          a + seg)
+                lead = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+                top = np.empty(len(mask))
+                top[seg[lead]] = np.maximum.reduceat(e, lead)
+                hit = np.flatnonzero((e == top[seg]) | np.isnan(e))
+                hit = hit[np.r_[True, seg[hit[1:]] != seg[hit[:-1]]]]
+                b, x = a + seg[hit], e[hit]
+                old = best[b]
+                take = ((pairs[b, 0] < 0) | (x > old)
+                        | (np.isnan(x) & ~np.isnan(old)))
+                b, hit = b[take], hit[take]
+                best[b] = e[hit]
+                pairs[b] = np.column_stack((p[hit], q[hit]))
+    return best, pairs
+
+
+def ref_least_ceilings(space, centers, deltas, ceilings):
+    """Each sample's least ceiling over the single balls B(p, delta)
+    holding it, iinfo max where none does: the cover's eta loop."""
+    none = np.iinfo(ceilings.dtype).max
+    eta = np.full(space.n, none, dtype=ceilings.dtype)
+    for a, mask in ref_ball_masks(space, centers, deltas):
+        held = np.where(mask, ceilings[a:a + len(mask), None], none)
+        np.minimum(eta, held.min(axis=0), out=eta)
+    return eta
+
+
+def ref_covered(space, centers, deltas, inside=None):
+    """The samples in some single ball, or outside the domain inside:
+    the covered mask of the local-witness check."""
+    covered = np.zeros(space.n, dtype=bool)
+    for _, mask in ref_ball_masks(space, centers, deltas):
+        covered |= mask.any(axis=0)
+    if inside is not None:
+        covered |= ~inside
+    return covered
+
+
+def ref_mask_peaks(space, centers, deltas, v):
+    """Each single ball's peak |v|, 0 for an empty ball: the slice
+    cover's peak loop."""
+    size = np.abs(v)
+    peaks = np.empty(len(centers))
+    for a, mask in ref_ball_masks(space, centers, deltas):
+        peaks[a:a + len(mask)] = np.max(np.broadcast_to(size, mask.shape),
+                                        axis=1, where=mask, initial=0.0)
+    return peaks
+
+
+# ---------------------------------------------------------------------------
 # Row-scan references of the local layer: one distance-row scan per ball
 
 

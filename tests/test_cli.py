@@ -480,6 +480,27 @@ def test_modulus_refuses_a_nan_value(tmp_path, grid_space, witnessed_field,
     assert not (tmp_path / "certificate.json").exists()
 
 
+def test_modulus_refuses_a_level_past_the_int64_range(tmp_path, capsys):
+    """Levels 1e200 / 1e-300 used to wrap to INT_MIN and come out as 1,
+    with an unsound cover and two numpy warnings; the command now
+    writes the precondition FAIL naming the entry and exits 2."""
+    space = write(tmp_path / "space.json",
+                  json.dumps({"lo": 0.0, "hi": 1.0, "step": 0.25}))
+    values = write(tmp_path / "f.csv",
+                   "0,0.0\n1,1e200\n2,0.0\n3,1e200\n4,0.0\n")
+    witness = write(tmp_path / "w.json", json.dumps(
+        [{"p": p, "delta": 1e-300, "K": 0.0} for p in range(5)]))
+    out = tmp_path / "out"
+    assert main(["modulus", "--space", space, "--values", values,
+                 "--witness", witness, "--out-dir", str(out)]) == 2
+    (cert,) = read_json(out)["certificates"]
+    assert cert["kind"] == "precondition" and cert["passed"] is False
+    assert cert["witness"] == [0, 0]
+    assert "entry 0 at point 0 has level inf" in cert["details"]["message"]
+    assert "FAIL" in capsys.readouterr().out
+    assert not (out / "levels_bounded.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["modulus", "decompose"])
 @pytest.mark.parametrize("bad", [7, -1])
 def test_witness_entry_id_outside_the_space_is_input_error(tmp_path, capsys,

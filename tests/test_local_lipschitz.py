@@ -115,6 +115,33 @@ def test_an_infinite_oscillation_is_refused_with_its_pair():
         assert err.value.witness == (0, 1)
 
 
+def test_a_level_past_the_int64_range_is_refused_with_its_entry():
+    """osc / delta = 1e200 / 1e-300 overflows to inf, and a finite level
+    of 1e19 still has no int64 ceiling: both used to wrap to INT_MIN and
+    come out as level 1, an unsound cover.  Each rule refuses the first
+    such entry, naming it and its point, with no numpy warning; a level
+    just inside the range keeps its exact ceiling."""
+    space = MetricSpace.from_grid(0.0, 1.0, 0.25, validate=False)
+    f = Tabulated(space, [0.0, 1e200, 0.0, 1e200, 0.0])
+    order = [3, 1, 0, 2, 4]
+    witness = LocalWitness(order, np.full(5, 1e-300), np.zeros(5))
+    for rule in ("bounded", "unbounded"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError,
+                               match="entry 0 at point 3 has level") as err:
+                modulus_witness(f, witness, rule)
+        assert err.value.witness == (0, 3)
+    g = Tabulated(space, [0.0, 1.0, 0.0, 1.0, 0.0])   # levels 1 / 0.1 = 10
+    rates = [0.0, 0.0, 1e19, 0.0, 0.0]
+    with pytest.raises(PreconditionError, match="entry 2 at point 0"):
+        increasing_cover(g, LocalWitness(order, np.full(5, 0.1), rates))
+    rates[2] = 2.0 ** 62
+    cover = increasing_cover(g, LocalWitness(order, np.full(5, 0.1), rates))
+    assert cover.thresholds.tolist() == [10, 2 ** 62]
+    assert cover.eta.tolist() == [2 ** 62, 10, 10, 10, 10]
+
+
 @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
 def test_increasing_cover_refuses_a_non_finite_bound(bound):
     space = MetricSpace.from_grid(0, 3, 1)

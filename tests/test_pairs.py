@@ -11,8 +11,9 @@ from helpers import (check_switched, compress, make_instance, make_space,
                      ref_envelope_scan, ref_greedy, ref_max_slope,
                      ref_min_positive_distance, ref_tent_scan, ref_triangles,
                      ref_worst_excess, same)
-from lipkit import (DistanceTo, MetricSpace, ModulusWitness, PreconditionError,
-                    Subset, Tabulated, check_k_lipschitz,
+from lipkit import (DistanceTo, LocalWitness, MetricSpace, ModulusWitness,
+                    PreconditionError, Subset, Tabulated,
+                    certify_local_witness, check_k_lipschitz,
                     generate_pointwise_witness, global_lip, pointwise_lip,
                     random_k_extension)
 from lipkit import _pairs
@@ -461,6 +462,31 @@ def test_pairwise_and_a_sweep_hold_no_second_matrix():
         assert tracemalloc.get_traced_memory()[1] - base < 2 << 20
     finally:
         tracemalloc.stop()
+
+
+def test_doubled_balls_of_every_sample_hold_no_member_list_of_n2():
+    """n = 600 and infinite radii: every ball holds every sample, so the
+    doubled-ball pass meets n^2 = 360k members.  It holds a few row
+    blocks of them and O(n) more: less than 8 blocks of _BLOCK entries
+    and 64 entries per sample (4.5 MB), where the ball and member ids of
+    one n^2-long list alone are 5.8 MB."""
+    n = 600
+    x = np.random.default_rng(26).uniform(size=(n, 2))
+    space = MetricSpace.from_points(x, validate=False)
+    f = Tabulated(space, x[:, 0])
+    f.values()
+    space.pairwise()
+    space.exactly_symmetric()
+    witness = LocalWitness(np.arange(n), np.full(n, math.inf),
+                           np.full(n, 2.0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert certify_local_witness(f, witness).passed
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (8 * _pairs._BLOCK + 64 * n)
 
 
 def test_anchor_gathers_match_the_dense_formulas(block):

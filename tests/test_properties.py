@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from helpers import (check_switched, compress, leaf_sums,  # noqa: E402
                      make_ball_cover, make_instance, make_space,
-                     ref_min_positive_distance, same)
+                     ref_ball_sweep, ref_min_positive_distance, same)
 from lipkit import (Interval, IntervalMapping, LocalWitness,  # noqa: E402
                     MetricSpace, PartitionOfUnity, PointwiseWitness,
                     PreconditionError, Tabulated, _pairs, decompose,
@@ -77,14 +77,39 @@ def test_min_positive_distance_matches_the_ordered_pairs(space):
             space.min_positive_distance()
 
 
+@st.composite
+def ball_spaces(draw):
+    """A space of spaces(), a connected graph, or an unvalidated 1-D
+    distance matrix with NaN, zero and negative entries planted."""
+    kind = draw(st.sampled_from(["spaces", "graph", "broken"]))
+    if kind == "spaces":
+        return draw(spaces())
+    n = draw(st.integers(2, 7))
+    if kind == "graph":
+        weight = st.sampled_from([0.25, 0.5, 1.0, 2.0])
+        node = st.integers(0, n - 1)
+        edges = [(i, i + 1, draw(weight)) for i in range(n - 1)]
+        edges += draw(st.lists(st.tuples(node, node, weight), max_size=n))
+        return MetricSpace.from_graph(n, edges, validate=False)
+    x = np.array(draw(st.lists(COORDS, min_size=n, max_size=n)))
+    D = np.abs(x[:, None] - x[None, :])
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        D[i, j] = draw(st.sampled_from([math.nan, 0.0, -0.5]))
+    return MetricSpace.from_matrix(D, validate=False)
+
+
 @settings(max_examples=150, deadline=None)
-@given(spaces(), st.data())
+@given(ball_spaces(), st.data())
 def test_ball_sweep_matches_one_sweep_per_ball(space, data):
     """Empty, single-sample and whole-space balls, inside masks and NaN
-    values, under pair budgets small enough to cut a ball into chunks.
-    An infinite constant caps every pair at -inf, and a pair at distance
-    zero at NaN, so the all -inf rule and a NaN after the first chunk of
-    a ball are exercised too."""
+    values, on the four backends and on matrices with NaN, zero and
+    negative distances, under row blocks and pair budgets small enough
+    to cut a ball into member groups and chunks.  An infinite constant
+    caps every pair at -inf, and a pair at distance zero at NaN, so the
+    all -inf rule and a NaN after the first chunk of a ball are
+    exercised too.  Each result is also the mask-based sweep's, bit for
+    bit."""
     n = space.n
     v = np.array(data.draw(st.lists(VALUES, min_size=n, max_size=n)))
     count = data.draw(st.integers(0, 6))
@@ -102,23 +127,29 @@ def test_ball_sweep_matches_one_sweep_per_ball(space, data):
                                     min_size=count, max_size=count)))
     num = data.draw(st.sampled_from([None, compress]))
     zero = data.draw(st.sampled_from([0.0, math.inf]))
-    # pair budgets _BLOCK >> 1 of 1, 2 and 5 pairs, and the default
-    block = data.draw(st.sampled_from([2, 4, 10, 1 << 16]))
+    # row blocks of 2 to 40 entries: member groups and pair chunks of
+    # one to five, and the default
+    block = data.draw(st.sampled_from([2, 4, 8, 10, 16, 40, 1 << 16]))
     D = space.pairwise()
     balls = []
     for c, r in zip(centers, radii):
         ids = np.flatnonzero(D[c] < r)
         balls.append(ids if inside is None else ids[inside[ids]])
 
+    def cap(d, o, seg):
+        return (o if num is None else num(o)) - K[seg] * d
+
+    def slope(d, o, seg):
+        return _pairs.slope(o, d, zero)
+
     with np.errstate(invalid="ignore"):         # inf * 0 is NaN, on purpose
         with mock.patch.object(_pairs, "_BLOCK", block):
-            excess = _pairs.ball_sweep(
-                space, v, centers, radii,
-                lambda d, o, seg: (o if num is None else num(o)) - K[seg] * d,
-                inside)
-            slopes = _pairs.ball_sweep(
-                space, v, centers, radii,
-                lambda d, o, seg: _pairs.slope(o, d, zero), inside)
+            excess = _pairs.ball_sweep(space, v, centers, radii, cap, inside)
+            slopes = _pairs.ball_sweep(space, v, centers, radii, slope, inside)
+            for got, value in ((excess, cap), (slopes, slope)):
+                want = ref_ball_sweep(space, v, centers, radii, value, inside)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert np.array_equal(got[1], want[1])
         for b, ids in enumerate(balls):
             want = _pairs.worst_excess(
                 space, v[ids], lambda r, c, d, o: K[b] * d, ids=ids, num=num)
