@@ -61,14 +61,45 @@ def row_blocks(stop, width):
 def envelope(space, ids, values, scale, sign):
     """The McShane scan: max(values - scale d(x, ids)) for sign -1, or
     min(values + scale d(x, ids)) for sign +1, at every sample x, with
-    values and scale scalars or aligned with ids.  D[r, ids] is gathered
-    a row block at a time and scaled in place; a NaN wins its row."""
-    out, D = np.empty(space.n), space.pairwise()
+    values and scale scalars or aligned with ids.  The anchor rows
+    d(., a) are read a row block of anchors at a time, as the draw loop
+    of certify.random_k_extension reads them: rows of D when the
+    distances are exactly symmetric, of D.T otherwise; each block is
+    scaled in place and reduced over its anchors.  A NaN wins.
+
+    Every value is bit for bit that of the column scan, which reduced
+    D[r, ids] along its rows, row block r by row block.  max and min are
+    exact, so only the bits of a NaN and the sign of a zero can depend
+    on how numpy orders a reduction, and there on the block's shape: a
+    row block holding a NaN result, or a zero one that may tie -0.0
+    with +0.0, is read again as that scan read it.  Such a tie needs a
+    -0.0 entry: values - s is -0.0 only for a -0.0 value, and values + s
+    only for a -0.0 value and a -0.0 product s, which distances from
+    coordinates (never negative or -0.0) and a scale without a sign
+    bit never make."""
+    D = space.pairwise()
+    cols = D if space.exactly_symmetric() else D.T     # cols[a] = d(., a)
     pick, join = (np.maximum, np.subtract) if sign < 0 else (np.minimum, np.add)
-    for r in row_blocks(space.n, len(ids)):
-        s = D[r, ids]
-        s *= scale
-        pick.reduce(join(values, s, out=s), axis=1, out=out[r])
+    values = np.asarray(values, dtype=float)
+    scale = np.asarray(scale, dtype=float)
+    out = None
+    for r in row_blocks(len(ids), space.n):
+        s = cols[ids[r]]
+        s *= scale[r, None] if scale.ndim else scale
+        join(values[r, None] if values.ndim else values, s, out=s)
+        top = pick.reduce(s, axis=0)
+        out = top if out is None else pick(out, top, out=out)
+    again = np.isnan(out)
+    if (sign < 0 or space.coords is None or np.signbit(scale).any()) and (
+            np.signbit(values[values == 0]).any()):
+        again |= out == 0
+    if again.any():
+        for r in row_blocks(space.n, len(ids)):
+            redo = again[r]
+            if redo.any():
+                s = D[r, ids]
+                s *= scale
+                out[r][redo] = pick.reduce(join(values, s, out=s), axis=1)[redo]
     return out
 
 

@@ -133,14 +133,17 @@ def check_k_lipschitz(f: ScalarField, K: float, pairs=None,
 
     The worst pair is reported whether or not it violates.  Without
     pairs every pair p != q is read, by the pair rule of _pairs, else
-    _pairs.listed_max reads the list; ties go to the first pair.
+    _pairs.listed_max reads the list; ties go to the first pair.  The
+    details count the pairs read: n(n - 1)/2 on exactly symmetric
+    distances, n(n - 1) ordered ones otherwise, or the list's length.
     """
     K = float(K)
     v = f.values()
     if pairs is None:
         worst, witness = _pairs.worst_excess(f.space, v,
                                              lambda r, c, d, o: K * d)
-        count = f.space.n * (f.space.n - 1) // 2
+        n = f.space.n
+        count = n * (n - 1) // (2 if f.space.exactly_symmetric() else 1)
     else:
         worst, witness = _pairs.listed_max(f.space, v, pairs,
                                            lambda d, o: o - K * d)
@@ -292,14 +295,67 @@ def _doubled_ball_excess(space, v, witness, centers, inside=None, num=None,
     restricted the same way, a group at a time: a single ball lies
     inside its doubled one, so the same gathering yields them."""
     K, deltas = witness.constants, witness.deltas
+    with np.errstate(over="ignore"):
+        radii = 2.0 * deltas        # inf past the float range: every
+                                    # sample at a finite distance
 
     def each(ball, s, d):
         inner = d < deltas[ball]
         near(ball[inner], s[inner])
     return _pairs.ball_sweep(
-        space, v, centers, 2.0 * deltas,
+        space, v, centers, radii,
         lambda d, o, seg: (o if num is None else num(o)) - K[seg] * d,
         inside, None if near is None else each)
+
+
+def _doubled_balls_hold(space, v, witness, num=None,
+                        tol: float = _DEFAULT_TOL) -> bool:
+    """True only if every doubled ball passes _doubled_ball_excess (no
+    inside): num(|v_x - v_y|) - K_p d(x, y) <= tol for every pair x, y
+    of every B(p, 2 delta_p).  One pass over _pairs.pair_blocks checks
+    each pair at a float distance below R, a little above 4 max delta_p,
+    at the least rate K = min K_p; a NaN excess fails.  False decides
+    nothing: the caller then runs the per-ball sweep, which names the
+    failing entry.
+
+    Why a pass is enough.  Two members x, y of B(p, 2 delta_p) lie
+    closer than 4 delta_p by the triangle inequality, so every pair of
+    every doubled ball is read, with the same stored float d(x, y) the
+    sweep reads; fl(K d) <= fl(K_p d), as rounding is monotone, so the
+    pass's excess is at least each ball's.
+
+    Where it holds.  Only on coordinates (point clouds and grids),
+    whose distances obey the triangle inequality in exact arithmetic on
+    the given floats; a matrix or graph is not checked for it when
+    validation is off, so it gets False.  R covers the rounding of
+    _coord_dist over k axes: a difference, a square, k - 1 sums and a
+    root put a float distance D within a factor (1 +- u)^((k + 4)/2) of
+    the exact one, u = 2^-53 (Higham, ch. 3).  Below the normal range a
+    square may also lose up to 2^-1075, which moves a root by at most
+    a = sqrt(k 2^-1075).  So a pair of one ball has D(x, y) <
+    rho (4 max delta + 2a) + a with rho = ((1 + u)/(1 - u))^((k + 4)/2),
+    below 1 + (k + 5) u for k < 10^7, and R = 4 max delta (1 + (k + 5)
+    2^-52) + k 2^-530, twice both margins, has room for its own
+    rounding.  Past R = 2^500 (an infinite doubled radius included, as
+    Python floats overflow quietly) a square could overflow, and the
+    pass returns False.
+    """
+    if space.coords is None:
+        return False
+    k = space.coords.shape[1]
+    R = (4.0 * float(witness.deltas.max()) * (1.0 + (k + 5) * 2.0 ** -52)
+         + k * 2.0 ** -530)
+    if not R <= 2.0 ** 500:
+        return False
+    K = float(witness.constants.min())
+    with np.errstate(invalid="ignore", over="ignore"):
+        for r, c, d, _ in _pairs.pair_blocks(space, space.n):
+            i, j = np.divmod(np.flatnonzero(d < R), d.shape[1])
+            o = np.abs(v[r.start + i] - v[c.start + j])
+            e = (o if num is None else num(o)) - K * d[i, j]
+            if not (e <= tol).all():
+                return False
+    return True
 
 
 def certify_local_witness(f: ScalarField, witness, domain: Subset | None = None,

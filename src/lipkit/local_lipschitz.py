@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _pairs
 from .certify import (Certificate, _as_values_on, _doubled_ball_excess,
-                      certify_local_witness)
+                      _doubled_balls_hold, certify_local_witness)
 from .errors import CoverError, PreconditionError
 from .extension import extend_to_interval
 from .metric_space import _DEFAULT_TOL, Subset
@@ -87,8 +87,10 @@ def generate_local_witness(f: ScalarField) -> LocalWitness:
     space = f.space
     deltas = space.nearest_positive()
     deltas[np.isnan(deltas)] = 1.0
+    with np.errstate(over="ignore"):
+        radii = 2.0 * deltas
     rates, pairs = _pairs.ball_sweep(
-        space, f.values(), np.arange(space.n), 2.0 * deltas,
+        space, f.values(), np.arange(space.n), radii,
         lambda d, o, seg: _pairs.slope(o, d, 0.0))
     rates[pairs[:, 0] < 0] = 0.0        # a lone sample has rate 0
     return LocalWitness(np.arange(space.n), deltas, rates)
@@ -185,15 +187,20 @@ def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
     def near(ball, s):
         # each sample's least ceiling over the single balls holding it
         np.minimum.at(eta, s, ceilings[ball])
-    excess, pairs = _doubled_ball_excess(space, v, witness, centers, num=num,
-                                         near=near)
-    failed = np.flatnonzero(~(excess <= tol))
-    if failed.size:
-        j = int(failed[0])
-        raise PreconditionError(
-            f"entry {j} at point {centers[j]} fails on its "
-            f"doubled ball by {excess[j]:.3e}",
-            witness=(j, (int(pairs[j, 0]), int(pairs[j, 1]))))
+    if _doubled_balls_hold(space, v, witness, num, tol):
+        # every doubled ball passes: gather only the single ones
+        for ball, s, _ in _pairs.ball_members(space, centers, witness.deltas):
+            near(ball, s)
+    else:   # the per-ball sweep decides, and names a failing entry
+        excess, pairs = _doubled_ball_excess(space, v, witness, centers,
+                                             num=num, near=near)
+        failed = np.flatnonzero(~(excess <= tol))
+        if failed.size:
+            j = int(failed[0])
+            raise PreconditionError(
+                f"entry {j} at point {centers[j]} fails on its "
+                f"doubled ball by {excess[j]:.3e}",
+                witness=(j, (int(pairs[j, 0]), int(pairs[j, 1]))))
     huge = np.flatnonzero(~(ceilings < 2.0 ** 63))
     if huge.size:
         j = int(huge[0])
@@ -391,7 +398,7 @@ def decompose(f: ScalarField, witness: LocalWitness,
     partition of unity, and on each group's active set f is extended
     within its own range.  Every active weight sits inside its piece's
     anchor set, so the sum returns f up to the partition's unit-sum
-    residual.
+    residual.  A value that is not finite is refused, naming its sample.
     """
     space = f.space
     cert = certify_local_witness(f, witness, tol=tol)
@@ -400,6 +407,12 @@ def decompose(f: ScalarField, witness: LocalWitness,
             f"witness does not certify the function: {cert.summary_line()}",
             witness=cert.witness)
     v = f.values()
+    # a value alone in its doubled ball meets no pair of the certificate,
+    # yet its slice is floor(log2 |v|) + 1
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        x = int(bad[0])
+        raise PreconditionError(f"f({x}) = {v[x]} is not finite", witness=x)
     exps, cover = _slice_cover(space, witness, v, _MAX_SLICES)
     constants = []
 

@@ -1,17 +1,20 @@
 """Seeded builders shared across the test modules."""
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from lipkit import (Certificate, Constant, CoverError, CozeroCover,
-                    IncreasingCover, InputError, LocalWitness, MatherRefinement,
-                    MetricSpace, ModulusWitness, PartitionOfUnity,
-                    PreconditionError, Series, Subset, Tabulated, Transported,
-                    certify_local_witness, feasible_interval, global_lip,
-                    maximum, minimum, random_k_extension)
-from lipkit import _pairs
+                    IncreasingCover, InputError, LipkitError, LocalWitness,
+                    MatherRefinement, MetricSpace, ModulusWitness,
+                    PartitionOfUnity, PreconditionError, Series, Subset,
+                    Tabulated, Transported, certify_local_witness,
+                    feasible_interval, global_lip, maximum, minimum,
+                    random_k_extension)
+from lipkit import _pairs, local_lipschitz
 from lipkit.local_lipschitz import _cover_from_oscillation
 from lipkit.metric_space import _DEFAULT_TOL
 from lipkit.partition_of_unity import _MEMBER_CAP
@@ -200,6 +203,26 @@ def ref_doubled_ball_failure(D, v, entries, tol, num):
         if not (hi <= tol):
             return j, pair
     return None
+
+
+def cover_outcome(call, *args, per_ball=False):
+    """What call(*args), modulus_witness or increasing_cover, gives: its
+    cover's levels, thresholds, eta and osc_bound, and a modulus's
+    envelope constant; or the type, message and witness of what it
+    raised.  per_ball is the reference: the cover's doubled-ball check
+    is left to the per-ball sweep, as on a matrix or a graph."""
+    skip = (mock.patch.object(local_lipschitz, "_doubled_balls_hold",
+                              lambda *a, **k: False)
+            if per_ball else contextlib.nullcontext())
+    with skip, np.errstate(invalid="ignore", over="ignore"):
+        try:
+            out = call(*args)
+        except LipkitError as e:
+            return type(e), str(e), getattr(e, "witness", None)
+    cover = getattr(out, "cover", out)
+    return (cover.levels.tobytes(), cover.thresholds.tobytes(),
+            cover.eta.tobytes(), cover.osc_bound,
+            getattr(out, "envelope_constant", None))
 
 
 def check_switched(space, v, rng):

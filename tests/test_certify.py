@@ -59,6 +59,16 @@ def test_check_k_lipschitz_restricted_pairs():
     assert cert.details["pairs"] == 2
 
 
+def test_check_k_lipschitz_counts_the_pairs_it_read():
+    """p < q on exactly symmetric distances, every ordered pair on an
+    unvalidated matrix one entry off symmetric."""
+    D = np.array([[0.0, 1.0, 2.0], [1.5, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    for M, pairs in ((D, 6), (np.minimum(D, D.T), 3)):
+        f = Tabulated(MetricSpace.from_matrix(M, validate=False),
+                      [0.0, 1.0, 2.0])
+        assert check_k_lipschitz(f, 1.0).details["pairs"] == pairs
+
+
 def test_random_extension_whole_space_returns_phi():
     space = MetricSpace.from_grid(0.0, 2.0, 0.5)
     phi = np.array([0.3, -0.1, 0.2, 0.0, 0.4])

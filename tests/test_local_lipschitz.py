@@ -369,6 +369,18 @@ def test_decompose_dropped_member_fails():
     assert gap[culprit] > TOL
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_decompose_refuses_a_value_that_is_not_finite(value):
+    """Alone in its doubled ball the value meets no pair, so the
+    certificate passes; the slices need a finite peak."""
+    f = Tabulated(MetricSpace.from_grid(0, 2, 1), [0.0, value, 1.0])
+    witness = LocalWitness([0, 1, 2], [0.4] * 3, [1.0] * 3)
+    assert certify_local_witness(f, witness).passed
+    with pytest.raises(PreconditionError, match=r"f\(1\) = .* not finite") as e:
+        decompose(f, witness)
+    assert e.value.witness == 1
+
+
 def test_decompose_rejects_failing_witness():
     space, f, _ = square_on_grid()
     bad = LocalWitness.from_triples([(p, 10.0, 0.1) for p in range(space.n)])

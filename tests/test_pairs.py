@@ -596,6 +596,68 @@ def test_mcshane_scan_matches_the_five_scans_it_replaced(block):
     assert closed == {True, False}
 
 
+def column_scan(D, ids, values, scale, sign):
+    """The McShane scan as it read columns: D[r, ids] scaled and reduced
+    along its rows, row block r by row block."""
+    out = np.empty(len(D))
+    pick, join = (np.maximum, np.subtract) if sign < 0 else (np.minimum,
+                                                             np.add)
+    for r in _pairs.row_blocks(len(D), len(ids)):
+        s = D[r, ids]
+        s *= scale
+        pick.reduce(join(values, s, out=s), axis=1, out=out[r])
+    return out
+
+
+def signed_zero_spaces(rng):
+    """Repeated samples, at distance +0.0, on a 2-D and a 1-D cloud; a
+    validated matrix with a -0.0 diagonal; and an unvalidated matrix off
+    symmetric, with a NaN distance and +-0.0 off the diagonal."""
+    n = int(rng.integers(12, 48))
+    grid = rng.integers(0, 5, size=(n, 2)).astype(float)
+    out = [MetricSpace.from_points(grid, validate=False),
+           MetricSpace.from_points(grid[:, :1], validate=False)]
+    D = dense_coord_dist(rng.uniform(-3.0, 3.0, size=(n, 2)), slice(None))
+    np.fill_diagonal(D, -0.0)
+    out.append(MetricSpace.from_matrix(D))
+    S = D.copy()
+    i, j = rng.integers(n, size=(2, 2 * n))
+    S[i, j] = rng.choice([-0.0, 0.0], size=2 * n)
+    S[int(rng.integers(n)), int(rng.integers(n))] = math.nan
+    S[0, 1] = np.nextafter(S[1, 0], math.inf)
+    out.append(MetricSpace.from_matrix(S, validate=False))
+    return out
+
+
+def test_anchor_row_scan_matches_the_column_scan_on_signed_zeros(block):
+    """_pairs.envelope reads anchor rows, and its values are the column
+    scan's bit for bit where the order of a reduction could show: +-0.0
+    values at distance 0, a zero scale of either sign, per-anchor
+    constants with zeros, the -0.0 values of d(., S), infinite values
+    and a NaN distance."""
+    rng = np.random.default_rng(34)
+    for _ in range(6):
+        for space in signed_zero_spaces(rng):
+            D, n = space.pairwise(), space.n
+            ids = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                     replace=False))
+            # zero is often the max or the min, tied in both signs
+            vals = rng.choice([0.0, -0.0, rng.choice([1.0, -1.0, 0.5])],
+                              size=ids.size)
+            if rng.random() < 0.3:
+                vals[rng.integers(ids.size)] = rng.choice([math.inf,
+                                                           -math.inf])
+            for values, scale in (
+                    (vals, 0.0), (vals, -0.0), (vals, 1.5),
+                    (vals, rng.choice([0.0, 0.5, 2.0], size=ids.size)),
+                    (-0.0, 1.0)):
+                for sign in (-1, +1):
+                    with np.errstate(invalid="ignore"):
+                        got = _pairs.envelope(space, ids, values, scale, sign)
+                        want = column_scan(D, ids, values, scale, sign)
+                    assert same_bits(got, want)
+
+
 def test_triangle_sweep_matches_the_two_temporary_loop():
     """Perturbed matrices, NaN and inf entries in every third, against
     the sweep that made two n x n temporaries per middle index: the

@@ -6,7 +6,9 @@ leaves; and on make_space spaces the selection, the decomposition,
 the pointwise interval extension, the McShane-Whitney sandwich, the
 duality of the envelopes and the restriction of the selection and
 local extensions through A keep the statements of the paper they
-implement."""
+implement; and the covers of modulus_witness and increasing_cover
+equal their per-ball reference on clouds and grids at scales that push
+squared differences out of the normal range."""
 
 import math
 from unittest import mock
@@ -17,15 +19,16 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from helpers import (check_switched, compress, leaf_sums,  # noqa: E402
-                     make_ball_cover, make_instance, make_space,
+from helpers import (check_switched, compress, cover_outcome,  # noqa: E402
+                     leaf_sums, make_ball_cover, make_instance, make_space,
                      ref_ball_sweep, ref_min_positive_distance, same)
 from lipkit import (Interval, IntervalMapping, LocalWitness,  # noqa: E402
                     MetricSpace, PartitionOfUnity, PointwiseWitness,
                     PreconditionError, Tabulated, _pairs, decompose,
                     duality_check, extend_to_interval, frolik_pou,
-                    generate_local_witness, index_subordinate, local_extend,
-                    mcshane_envelopes, pointwise_extend_to_interval,
+                    generate_local_witness, increasing_cover,
+                    index_subordinate, local_extend, mcshane_envelopes,
+                    modulus_witness, pointwise_extend_to_interval,
                     pou_report, random_k_extension, select, select_extend,
                     witness_from_balls)
 
@@ -325,3 +328,48 @@ def test_envelopes_are_exactly_dual(seed):
     space, A, phi, K = make_instance(rng, n_max=20)
     report = duality_check(A, phi, K)
     assert report.exact and report.max_abs_diff == 0.0
+
+
+@st.composite
+def cover_cases(draw):
+    """An unvalidated grid or 1- to 3-D cloud, duplicates included, at a
+    scale whose squared differences may be subnormal, flushed to zero or
+    near overflow; values with ties, NaN and inf; a witness whose radii
+    (infinite ones too) and rates vary with the scale."""
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-160, 1e-170, 1e150, 1e154]))
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        step = draw(st.sampled_from([0.25, 0.5, 1.0, 0.1])) * scale
+        space = MetricSpace.from_grid(0.0, step * (n - 1) + step / 2, step,
+                                      validate=False)
+    else:
+        dim = draw(st.integers(1, 3))
+        pts = draw(st.lists(st.lists(COORDS, min_size=dim, max_size=dim),
+                            min_size=n, max_size=n))
+        space = MetricSpace.from_points(np.array(pts) * scale,
+                                        validate=False)
+    n = space.n
+    v = draw(st.lists(st.sampled_from([0.0, 1.0, -2.0, 0.5, 3.25,
+                                       1.0 + 2.0 ** -40, math.nan,
+                                       math.inf]),
+                      min_size=n, max_size=n))
+    m = draw(st.integers(1, 2 * n))
+    centers = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    deltas = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, 1e308]),
+                           min_size=m, max_size=m))
+    rates = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 8.0]),
+                          min_size=m, max_size=m))
+    witness = LocalWitness(centers, [d * scale for d in deltas],
+                           [K / scale for K in rates])
+    return Tabulated(space, np.array(v)), witness
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cover_cases(), st.sampled_from([1e-9, 0.0]))
+def test_covers_match_the_per_ball_reference(case, tol):
+    f, witness = case
+    calls = [(modulus_witness, f, witness, rule, tol)
+             for rule in ("bounded", "unbounded")]
+    calls.append((increasing_cover, f, witness, None, tol))
+    for call in calls:
+        assert cover_outcome(*call) == cover_outcome(*call, per_ball=True)
