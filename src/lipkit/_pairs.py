@@ -207,25 +207,30 @@ def listed_max(space, v, pairs, value):
     return float(e[k]), (int(P[k, 0]), int(P[k, 1]))
 
 
-def slope(o, d, zero):
-    """o / d elementwise.  A pair at distance zero has slope `zero` when
-    its values differ and 0 when they agree; a negative distance (only
-    in unvalidated data) has slope 0, and so has a NaN distance; a NaN
-    gap over a positive distance stays NaN, and a quotient beyond the
-    float range is inf, quietly."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = o / d
+def slope(o, d, zero, out=None):
+    """o / d elementwise, into out when given (o itself may be out).  A
+    pair at distance zero has slope `zero` when its values differ and 0
+    when they agree; a negative distance (only in unvalidated data) has
+    slope 0, and so has a NaN distance; a NaN gap over a positive
+    distance stays NaN, and a quotient beyond the float range is inf,
+    quietly."""
     fix = ~(d > 0)
-    if fix.any():
-        s[fix] = np.where((d[fix] == 0) & (o[fix] > 0), zero, 0.0)
+    fixed = np.where((d[fix] == 0) & (o[fix] > 0), zero, 0.0) \
+        if fix.any() else None      # read before o may be overwritten
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.divide(o, d, out=out)
+    if fixed is not None:
+        s[fix] = fixed
     return s
 
 
 def _sweep(space, v, ids, value, symmetric, per_row=False):
     """Largest value(r, c, d, o) over the pairs, where a block has row
     positions r, column positions c, distances d and value gaps
-    o = |v_p - v_q|.  Returns (x, (p, q)), None when there is no pair,
-    or with per_row the array of row maxima (0.0 for a lone sample).
+    o = |v_p - v_q|; o is a buffer the sweep refills for each block, so
+    value may write its result into it.  Returns (x, (p, q)), None when
+    there is no pair, or with per_row the array of row maxima (0.0 for
+    a lone sample).
 
     symmetric declares value symmetric in (p, q) (see pair_blocks).  With
     mirror, masking the diagonal gives the ordered result, and row maxima
@@ -275,8 +280,10 @@ def worst_excess(space, v, cap, ids=None, num=None, symmetric=True):
     symmetric=False.  Returns (excess, (p, q)), or (-inf, None) when
     there is no pair.
     """
-    out = _sweep(space, v, ids, lambda r, c, d, o:
-                 (o if num is None else num(o)) - cap(r, c, d, o), symmetric)
+    def excess(r, c, d, o):     # o is the sweep's gap buffer: reused
+        x = o if num is None else num(o)
+        return np.subtract(x, cap(r, c, d, o), out=x)
+    out = _sweep(space, v, ids, excess, symmetric)
     return (-math.inf, None) if out is None else out
 
 
@@ -287,8 +294,8 @@ def max_slope(space, v, ids=None, zero=0.0, per_row=False):
     the array of each row's largest slope instead.  The slope is
     symmetric, so the sweep may read only the pairs p < q.
     """
-    out = _sweep(space, v, ids, lambda r, c, d, o: slope(o, d, zero), True,
-                 per_row)
+    out = _sweep(space, v, ids, lambda r, c, d, o: slope(o, d, zero, o),
+                 True, per_row)
     return (0.0, None) if out is None else out
 
 

@@ -308,6 +308,30 @@ def _doubled_ball_excess(space, v, witness, centers, inside=None, num=None,
         inside, None if near is None else each)
 
 
+def _near_pass_pays(space, witness, centers) -> bool:
+    """Whether the cover tries _doubled_balls_hold before its per-ball
+    sweep: only on coordinates, for a witness with one radius and one
+    rate, whose doubled balls hold many pairs.  The pass reads all
+    n(n - 1)/2 distances and the sweep about sum_p |B(p, 2 delta)|^2
+    pairs, each dearer, and the two cost the same near a sum of n^2 / 25
+    on 1-D grids and 2-D clouds of 300 to 1200 samples; the pass is
+    tried when that sum, estimated from at most 64 evenly spaced
+    entries, reaches n^2 / 16.  With radii or rates that vary, R =
+    4 max delta meets far pairs at the flattest rate and the pass
+    mostly fails, adding its scan to the sweep; it is not tried there.
+    The answer moves time, never output.
+    """
+    K, deltas = witness.constants, witness.deltas
+    if space.coords is None or not len(centers) or not (
+            K.min() == K.max() and deltas.min() == deltas.max()):
+        return False
+    pick = centers[np.linspace(0, len(centers) - 1,
+                               min(len(centers), 64)).astype(int)]
+    with np.errstate(over="ignore"):
+        size = (space.pairwise()[pick] < 2.0 * deltas[0]).sum(axis=1)
+    return len(centers) * float(np.mean(size ** 2.0)) >= space.n ** 2 / 16
+
+
 def _doubled_balls_hold(space, v, witness, num=None,
                         tol: float = _DEFAULT_TOL) -> bool:
     """True only if every doubled ball passes _doubled_ball_excess (no

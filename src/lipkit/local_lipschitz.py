@@ -24,7 +24,8 @@ import numpy as np
 
 from . import _pairs
 from .certify import (Certificate, _as_values_on, _doubled_ball_excess,
-                      _doubled_balls_hold, certify_local_witness)
+                      _doubled_balls_hold, _near_pass_pays,
+                      certify_local_witness)
 from .errors import CoverError, PreconditionError
 from .extension import extend_to_interval
 from .metric_space import _DEFAULT_TOL, Subset
@@ -187,7 +188,8 @@ def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
     def near(ball, s):
         # each sample's least ceiling over the single balls holding it
         np.minimum.at(eta, s, ceilings[ball])
-    if _doubled_balls_hold(space, v, witness, num, tol):
+    if (_near_pass_pays(space, witness, centers)
+            and _doubled_balls_hold(space, v, witness, num, tol)):
         # every doubled ball passes: gather only the single ones
         for ball, s, _ in _pairs.ball_members(space, centers, witness.deltas):
             near(ball, s)

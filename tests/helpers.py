@@ -1,6 +1,5 @@
 """Seeded builders shared across the test modules."""
 
-import contextlib
 import math
 from unittest import mock
 
@@ -210,11 +209,14 @@ def cover_outcome(call, *args, per_ball=False):
     cover's levels, thresholds, eta and osc_bound, and a modulus's
     envelope constant; or the type, message and witness of what it
     raised.  per_ball is the reference: the cover's doubled-ball check
-    is left to the per-ball sweep, as on a matrix or a graph."""
-    skip = (mock.patch.object(local_lipschitz, "_doubled_balls_hold",
-                              lambda *a, **k: False)
-            if per_ball else contextlib.nullcontext())
-    with skip, np.errstate(invalid="ignore", over="ignore"):
+    is left to the per-ball sweep, as on a matrix or a graph.  Otherwise
+    the near-pair pass is tried on every cloud and grid, whatever
+    certify._near_pass_pays would say of its cost."""
+    path = (mock.patch.object(local_lipschitz, "_doubled_balls_hold",
+                              lambda *a, **k: False) if per_ball
+            else mock.patch.object(local_lipschitz, "_near_pass_pays",
+                                   lambda *a, **k: True))
+    with path, np.errstate(invalid="ignore", over="ignore"):
         try:
             out = call(*args)
         except LipkitError as e:

@@ -1,11 +1,13 @@
 """The near-pair pass that decides the cover's doubled-ball check on
 point clouds and grids (certify._doubled_balls_hold), against the
-per-ball sweep it skips: the covers and refusals of both modulus rules
-and of increasing_cover equal those of the per-ball reference of
-helpers.cover_outcome on seeded clouds and grids, at pair distances of
-4 delta and one ulp either side, and at coordinates whose squares leave
-the normal range; matrices, graphs and failing witnesses sweep per
-ball."""
+per-ball sweep it skips, and the cost gate that decides where it is
+tried (certify._near_pass_pays): the covers and refusals of both
+modulus rules and of increasing_cover equal those of the per-ball
+reference of helpers.cover_outcome on seeded clouds and grids, at pair
+distances of 4 delta and one ulp either side, and at coordinates whose
+squares leave the normal range; matrices, graphs and failing witnesses
+sweep per ball, and so do witnesses whose radii or rates vary and
+balls of a few samples."""
 
 import math
 from unittest import mock
@@ -15,9 +17,11 @@ import pytest
 
 from helpers import cover_outcome, make_space
 from lipkit import (LocalWitness, MetricSpace, PreconditionError, Tabulated,
-                    certify_local_witness, increasing_cover, modulus_witness)
+                    certify_local_witness, generate_local_witness,
+                    increasing_cover, modulus_witness)
 from lipkit import local_lipschitz
-from lipkit.certify import _doubled_ball_excess, _doubled_balls_hold
+from lipkit.certify import (_doubled_ball_excess, _doubled_balls_hold,
+                            _near_pass_pays)
 
 TOL = 1e-9
 
@@ -173,3 +177,39 @@ def test_a_nan_excess_fails_the_pass():
         excess, _ = _doubled_ball_excess(space, v, witness, [1])
     assert np.isnan(excess[0])
     assert not _doubled_balls_hold(space, v, witness)
+
+
+def test_the_pass_is_tried_only_where_it_pays():
+    """One radius, one rate and doubled balls of many pairs: the pass
+    runs and decides.  Radii or rates that vary, balls of a few samples
+    or a matrix: the per-ball sweep runs alone."""
+    rng = np.random.default_rng(34)
+    n = 200
+    x = rng.uniform(size=(n, 2))
+    v = np.sin(3.0 * x[:, 0]) + x[:, 1]
+    cloud = MetricSpace.from_points(x, validate=False)
+    wide = math.sqrt(8.0 / (math.pi * n))
+    narrow = 0.5 * float(np.median(cloud.nearest_positive()))
+    ids = np.arange(n)
+    cases = [
+        (cloud, LocalWitness(ids, np.full(n, wide), np.full(n, 5.0)), True),
+        (cloud, generate_local_witness(Tabulated(cloud, v)), False),
+        (cloud, LocalWitness(ids, wide * rng.uniform(0.5, 1.5, n),
+                             np.full(n, 5.0)), False),
+        (cloud, LocalWitness(ids, np.full(n, wide),
+                             rng.uniform(5.0, 6.0, n)), False),
+        (cloud, LocalWitness(ids, np.full(n, narrow), np.full(n, 5.0)), False),
+        (MetricSpace.from_matrix(cloud.pairwise(), validate=False),
+         LocalWitness(ids, np.full(n, wide), np.full(n, 5.0)), False),
+    ]
+    for space, witness, tried in cases:
+        assert _near_pass_pays(space, witness, ids) == tried
+        passes = []
+
+        def spy(*args, **kwargs):
+            passes.append(_doubled_balls_hold(*args, **kwargs))
+            return passes[-1]
+        with mock.patch.object(local_lipschitz, "_doubled_balls_hold", spy):
+            error, sweeps = spied_cover(space, witness, v)
+        assert error is None
+        assert (passes, sweeps) == (([True] * 2, 0) if tried else ([], 2))

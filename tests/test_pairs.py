@@ -489,6 +489,36 @@ def test_doubled_balls_of_every_sample_hold_no_member_list_of_n2():
     assert peak < 8 * (8 * _pairs._BLOCK + 64 * n)
 
 
+def test_excess_and_slope_sweeps_reuse_the_gap_buffer():
+    """A sweep over a subset copies each distance block, and makes the
+    next one while the last is still held, beside one buffer of value
+    gaps: three blocks.  worst_excess adds one cap while it computes,
+    max_slope two boolean masks, and both write their values into the
+    gap buffer: below 3.5 and 3.125 blocks, where values in blocks of
+    their own took 4 and 3.25."""
+    n = 600
+    x = np.random.default_rng(27).uniform(size=(n, 2))
+    space = MetricSpace.from_points(x, validate=False)
+    space.pairwise()
+    space.exactly_symmetric()
+    ids = np.arange(1, n - 1)
+    v = x[ids, 0].copy()
+    block = 8 * _pairs._BLOCK
+    for call, most in ((lambda: _pairs.worst_excess(
+                            space, v, lambda r, c, d, o: 2.0 * d, ids=ids),
+                        3.5 * block),
+                       (lambda: _pairs.max_slope(space, v, ids),
+                        3.125 * block)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < most
+
+
 def test_anchor_gathers_match_the_dense_formulas(block):
     """Envelopes, distance and ball fields, the random draw's intervals,
     nearest distances and the closedness check, read in row blocks,
