@@ -14,8 +14,10 @@ decided in one place:
     ones.  Only pair_blocks turns the rule into row blocks, for _sweep
     (worst_excess, max_slope), max_slopes, and the MetricSpace methods
     min_positive_distance and, on every ordered pair, nearest_positive;
-    ball_sweep lays the same pairs out flat from the member lists of
-    ball_members, one row per member, many balls to a chunk;
+    pair_tiles lays the pairs p < q out as square tiles, for max_slopes
+    on one sorted axis (below); ball_sweep lays the same pairs out flat
+    from the member lists of ball_members, one row per member, many
+    balls to a chunk;
   * ties resolve to the first pair, in row-major order or in the order
     of a list, and NaN counts as larger than any number (the
     numpy.argmax order), so a NaN can never hide behind a passing
@@ -28,6 +30,30 @@ when ids is None); pairs come back as sample ids.  listed_max reads an
 explicit pair list instead, with the floats of space.dist.  Ids from a
 caller (a pair list, a draw order, a point) pass the one id rule of
 sample_ids.
+
+max_slopes, which returns values only and so depends on no pair
+order, skips work where it can.  On a space whose coordinates are one
+axis in non-decreasing order (sorted_axis: a grid always, a 1-D cloud
+given sorted) it walks the tiles of pair_tiles, T = sqrt(_BLOCK / 4)
+samples a side, the diagonal band first and then band by band outward,
+where the distances grow.  A row skips the tile (A, B) when
+
+    bound = fl(fl(max(hi_A - lo_B, hi_B - lo_A)) / dmin)
+
+is finite and at most the row's maximum so far, where hi and lo are
+the row's extremes on each side and dmin > 0 is the tile's least
+distance (a NaN or a diagonal tile's 0 never is).  Every pair (p, q)
+of the tile has v_p - v_q <= hi_A - lo_B and v_q - v_p <= hi_B - lo_A
+exactly; correctly rounded subtraction is monotone, and division is
+monotone in the numerator and anti-monotone in a positive divisor
+d >= dmin, so fl(|v_p - v_q| / d) <= bound and the tile cannot raise
+the maximum.  A finite bound needs finite extremes, so a skipped tile
+holds no NaN gap (no NaN value, no inf - inf).  The maximum is exact,
+so the values are the row blocks' bit for bit; only the sign of a NaN
+depends on the order of a reduction, so a row whose maximum is NaN is
+read again in the row blocks.  Every other space reads the row blocks,
+where tiles do not pay: on a cloud, spatially sorted tiles cost
+gathers and tiles in sample order skip little.
 
 envelope is the one McShane scan: envelopes, draw bounds, ball tents,
 closedness and d(., S), whose values -0.0 add to any d bit for bit.
@@ -65,7 +91,8 @@ def envelope(space, ids, values, scale, sign):
     d(., a) are read a row block of anchors at a time, as the draw loop
     of certify.random_k_extension reads them: rows of D when the
     distances are exactly symmetric, of D.T otherwise; each block is
-    scaled in place and reduced over its anchors.  A NaN wins.
+    scaled in place and reduced over its anchors.  A NaN wins, and a
+    scaled distance or a sum past the float range is inf, quietly.
 
     Every value is bit for bit that of the column scan, which reduced
     D[r, ids] along its rows, row block r by row block.  max and min are
@@ -83,23 +110,25 @@ def envelope(space, ids, values, scale, sign):
     values = np.asarray(values, dtype=float)
     scale = np.asarray(scale, dtype=float)
     out = None
-    for r in row_blocks(len(ids), space.n):
-        s = cols[ids[r]]
-        s *= scale[r, None] if scale.ndim else scale
-        join(values[r, None] if values.ndim else values, s, out=s)
-        top = pick.reduce(s, axis=0)
-        out = top if out is None else pick(out, top, out=out)
-    again = np.isnan(out)
-    if (sign < 0 or space.coords is None or np.signbit(scale).any()) and (
-            np.signbit(values[values == 0]).any()):
-        again |= out == 0
-    if again.any():
-        for r in row_blocks(space.n, len(ids)):
-            redo = again[r]
-            if redo.any():
-                s = D[r, ids]
-                s *= scale
-                out[r][redo] = pick.reduce(join(values, s, out=s), axis=1)[redo]
+    with np.errstate(over="ignore"):    # past the float range: inf
+        for r in row_blocks(len(ids), space.n):
+            s = cols[ids[r]]
+            s *= scale[r, None] if scale.ndim else scale
+            join(values[r, None] if values.ndim else values, s, out=s)
+            top = pick.reduce(s, axis=0)
+            out = top if out is None else pick(out, top, out=out)
+        again = np.isnan(out)
+        if (sign < 0 or space.coords is None or np.signbit(scale).any()) and (
+                np.signbit(values[values == 0]).any()):
+            again |= out == 0
+        if again.any():
+            for r in row_blocks(space.n, len(ids)):
+                redo = again[r]
+                if redo.any():
+                    s = D[r, ids]
+                    s *= scale
+                    out[r][redo] = pick.reduce(join(values, s, out=s),
+                                               axis=1)[redo]
     return out
 
 
@@ -115,6 +144,34 @@ def pair_blocks(space, m, ids=None, symmetric=True):
         c = slice(r.start if mirror else 0, m)
         yield r, c, (D[r, c] if ids is None
                      else D[np.ix_(ids[r], ids[c])]), mirror
+
+
+def tile_side():
+    """The side T of the square tiles of pair_tiles: T^2 = _BLOCK / 4."""
+    return max(1, math.isqrt(_BLOCK >> 2))
+
+
+def sorted_axis(space):
+    """Whether the space's coordinates are one axis in non-decreasing
+    order, as a grid's always are: the spaces whose pairs pair_tiles
+    lays out, so that a tile's samples lie close together."""
+    x = space.coords
+    return (x is not None and x.shape[1] == 1
+            and bool((x[1:, 0] >= x[:-1, 0]).all()))
+
+
+def pair_tiles(space):
+    """The pair rule as square tiles (a, b, d): distances d from the
+    samples a to the samples b, T = tile_side() of each, on exactly
+    symmetric distances only.  The tiles cover the pairs p < q: the
+    diagonal band of tiles a == b first, whose reader masks the
+    diagonal, then b one tile further out, and so on, each band in row
+    order; a pair p > q of a diagonal tile repeats the pair q < p."""
+    D, T, n = space.pairwise(), tile_side(), space.n
+    tiles = [slice(t, min(t + T, n)) for t in range(0, n, T)]
+    for off in range(len(tiles)):
+        for a, b in zip(tiles, tiles[off:]):
+            yield a, b, D[a, b]
 
 
 def first_bad_id(ids, n):
@@ -301,36 +358,100 @@ def max_slope(space, v, ids=None, zero=0.0, per_row=False):
 
 def max_slopes(space, V, zero=0.0):
     """max_slope(space, row, zero=zero)[0] for every row of V, value
-    only, from one pass over pair_blocks; zero >= 0.
+    only; zero >= 0.  One axis of sorted coordinates is read in the
+    tiles of pair_tiles, where a row skips every tile that provably
+    cannot raise its maximum; every other space in the row blocks of
+    pair_blocks.
 
     Each distance block and the positions of its entries that are not
     positive are read once for all rows.  A row's slopes come from the
-    same IEEE operations as slope's, in one reused scratch block, so the
-    values are bit-identical: the not-positive entries are patched
-    afterwards, to `zero` where d == 0 and the quotient is infinite
-    (the gap is positive) and to 0 elsewhere, so the diagonal reads 0.
-    A NaN slope wins its row.
+    same IEEE operations as slope's (see _block_max), so each value is
+    max_slope's bit for bit, but for the sign of a NaN: inf / inf makes
+    a negative one, and which NaN a reduction meets first depends on
+    its order.  A NaN slope wins its row, and a row whose maximum is
+    NaN is read again in the row blocks, so the tile walk's values are
+    the row blocks' in every bit.
     """
     V = np.asarray(V, dtype=float)
     rows, m = V.shape
     if m < 2:
         return np.zeros(rows)
-    top, scratch = np.full(rows, -math.inf), None
+    top = np.full(rows, -math.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for r, c, d, _ in pair_blocks(space, m):
-            fix = np.flatnonzero(~(d > 0))
-            at_zero = d.ravel()[fix] == 0
-            if scratch is None:         # the first block is the widest
-                scratch = np.empty(d.size)
-            s = scratch[:d.size].reshape(d.shape)
-            flat = s.ravel()
-            for i, v in enumerate(V):
-                np.subtract(v[r, None], v[None, c], out=s)
-                np.abs(s, out=s)
-                np.divide(s, d, out=s)
-                flat[fix] = np.where(at_zero & np.isinf(flat[fix]), zero, 0.0)
-                top[i] = np.maximum(top[i], s.max())    # a NaN stays
+        if not sorted_axis(space):
+            _block_walk(space, V, zero, top)
+            return top
+        _tile_walk(space, V, zero, top)
+        # a NaN's sign depends on which NaN a reduction meets first:
+        # such rows are read again as the row blocks read them
+        nan = np.flatnonzero(np.isnan(top))
+        if nan.size:
+            again = np.full(nan.size, -math.inf)
+            _block_walk(space, V[nan], zero, again)
+            top[nan] = again
     return top
+
+
+def _block_walk(space, V, zero, top):
+    """Fold into top each row's slopes over pair_blocks."""
+    scratch = None
+    for r, c, d, _ in pair_blocks(space, V.shape[1]):
+        fix = _not_positive(d)
+        if scratch is None:             # the first block is the widest
+            scratch = np.empty(d.size)
+        s = scratch[:d.size].reshape(d.shape)
+        for i, v in enumerate(V):
+            top[i] = np.maximum(top[i],
+                                _block_max(v[r], v[c], d, fix, zero, s))
+
+
+def _tile_walk(space, V, zero, top):
+    """Fold into top each row's slopes over pair_tiles, where a row
+    skips each tile whose bound (see the module docstring) is finite
+    and at most the row's maximum so far."""
+    T = tile_side()
+    starts = np.arange(0, V.shape[1], T)
+    hi = np.maximum.reduceat(V, starts, axis=1)     # a NaN wins
+    lo = np.minimum.reduceat(V, starts, axis=1)
+    scratch = np.empty(min(T, V.shape[1]) ** 2)
+    for a, b, d in pair_tiles(space):
+        s = scratch[:d.size].reshape(d.shape)
+        need, fix = range(len(V)), None         # None: every d > 0
+        if not (dmin := d.min()) > 0:          # a diagonal tile's is 0
+            fix = _not_positive(d)
+        else:
+            ta, tb = a.start // T, b.start // T
+            bound = np.maximum(hi[:, ta] - lo[:, tb], hi[:, tb] - lo[:, ta])
+            bound /= dmin
+            need = np.flatnonzero(~((bound <= top) & (bound < math.inf)))
+        for i in need:
+            v = V[i]
+            top[i] = np.maximum(top[i],
+                                _block_max(v[a], v[b], d, fix, zero, s))
+
+
+def _not_positive(d):
+    """(flat positions of the entries of d that are not positive, which
+    of them are 0), read once per block for every row of _block_max."""
+    fix = np.flatnonzero(~(d > 0))
+    return fix, d.ravel()[fix] == 0
+
+
+def _block_max(x, y, d, fix, zero, s):
+    """Largest slope |x_p - y_q| / d[p, q] over one block, computed in
+    the scratch s of d's shape, as slope computes it: the entries
+    where d is not positive, fix = _not_positive(d) or None for none,
+    are patched afterwards, to `zero` where d == 0 and the quotient is
+    infinite (the gap is positive) and to 0 elsewhere, so the diagonal
+    reads 0.  A NaN wins."""
+    np.subtract(x[:, None], y[None, :], out=s)
+    np.abs(s, out=s)
+    np.divide(s, d, out=s)
+    if fix is not None:
+        at, at_zero = fix
+        flat = s.ravel()
+        flat[at] = np.where(at_zero & np.isinf(flat[at]), zero, 0.0)
+    return s.max()
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,25 @@ def test_nan_value_fails_the_lipschitz_precheck():
         mcshane_envelopes(A, [0.2, 0.8, 0.5, math.nan], 5.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_envelopes_of_a_huge_constant_overflow_quietly():
+    """K d(x, a) past the float range is inf, quietly, and each
+    envelope is then the McShane value in the extended reals: on the
+    real line the lower envelope, in a bounded target the clamped mean
+    of the two."""
+    space = MetricSpace.from_points([0.0, 1.0, 3.0])
+    A, phi, K = Subset(space, [0, 2]), [0.0, 2.0], 1e308
+    x = space.coords[:, 0].tolist()
+    lower = [max(v - K * abs(p - x[a]) for a, v in zip(A, phi)) for p in x]
+    upper = [min(v + K * abs(p - x[a]) for a, v in zip(A, phi)) for p in x]
+    assert lower == [0.0, -1e308, 2.0] and upper == [0.0, 1e308, 2.0]
+    out = extend_to_interval(A, phi, K, Interval.real_line())
+    assert out.values().tolist() == lower
+    assert out.envelopes.upper.values().tolist() == upper
+    out = extend_to_interval(A, phi, K, Interval.open(-5.0, 5.0))
+    assert out.values().tolist() == [0.0, 0.0, 2.0]
+
+
 def fine_grid_instance():
     # grid [0, 2] step 0.5; A holds the coordinates {0, 1}
     space = MetricSpace.from_grid(0.0, 2.0, 0.5)

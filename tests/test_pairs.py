@@ -210,6 +210,30 @@ def test_max_slopes_matches_the_reference_per_row(block):
         check_max_slopes(space, np.empty((0, space.n)))
 
 
+def test_tile_walk_skips_most_tiles_of_a_compact_row(monkeypatch):
+    """On a 1,200-sample grid a tent of slope 1 on 120 samples and a
+    row of one bump at each end are read on the diagonal band and the
+    tiles next to their supports only: far tiles cannot beat slope 1.
+    The values are max_slope's all the same."""
+    space = MetricSpace.from_grid(0.0, 1.0, 1.0 / 1199, validate=False)
+    x = space.coords[:, 0]
+    V = np.array([np.maximum(0.05 - np.abs(x - 0.5), 0.0),
+                  np.maximum(0.01 - np.minimum(x, 1.0 - x), 0.0)])
+    read = []
+    block_max = _pairs._block_max
+    monkeypatch.setattr(_pairs, "_block_max",
+                        lambda *args: read.append(1) or block_max(*args))
+    got = _pairs.max_slopes(space, V)
+    for x, row in zip(got, V):
+        want = _pairs.max_slope(space, row)[0]
+        assert np.float64(x).tobytes() == np.float64(want).tobytes()
+    k = -(-space.n // _pairs.tile_side())
+    assert k == 10
+    # each row reads the k diagonal tiles and at most 3 more, of
+    # k (k + 1) / 2 = 55
+    assert len(read) <= 2 * (k + 3)
+
+
 def test_pointwise_witness_matches_pointwise_lip():
     rng = np.random.default_rng(14)
     for _ in range(8):

@@ -1,13 +1,15 @@
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from lipkit import (Constant, CoverError, CozeroCover, MetricSpace,
-                    PreconditionError, Tabulated, check_k_lipschitz,
-                    frolik_pou, global_lip, index_subordinate, mather_refine,
-                    nonexpansive_split, pou_report, staircase,
-                    staircase_partial_sum, witness_from_balls)
+                    PartitionOfUnity, PreconditionError, Tabulated,
+                    check_k_lipschitz, frolik_pou, global_lip,
+                    index_subordinate, mather_refine, nonexpansive_split,
+                    pou_report, staircase, staircase_partial_sum,
+                    witness_from_balls)
 from lipkit import partition_of_unity
 from lipkit.fixtures import three_point_shrink
 
@@ -297,6 +299,24 @@ def test_index_subordinate_single_set_is_one():
     np.testing.assert_array_equal(grouped.members[0].values(), np.ones(3))
 
 
+def test_index_subordinate_holds_the_family_sum(monkeypatch):
+    """The regrouped family keeps the leaves of the staircase family,
+    so it holds that family's sum: the same array, and the exact
+    column sum of the leaves runs once for both."""
+    rng = np.random.default_rng(31)
+    space = make_space(rng, n_max=20)
+    cover = witness_from_balls(space, make_ball_cover(rng, space))
+    sums = []
+    compute = PartitionOfUnity._compute_values
+    monkeypatch.setattr(PartitionOfUnity, "_compute_values",
+                        lambda self: sums.append(self) or compute(self))
+    pou = frolik_pou(cover)
+    grouped = index_subordinate(pou)
+    assert grouped.values().tobytes() == pou.values().tobytes()
+    assert grouped.values().tobytes() == compute(grouped).tobytes()
+    assert sums == [pou]
+
+
 def test_index_subordinate_three_point_confinement():
     space, cover, expected = three_point_shrink()
     grouped = index_subordinate(frolik_pou(cover))
@@ -414,6 +434,23 @@ def test_split_piece_counts():
     assert len(nonexpansive_split(f, 2.5).pieces) == 3
     assert len(nonexpansive_split(Constant(space, 3.0), 0.0).pieces) == 1
     assert len(nonexpansive_split(Tabulated(space, t), 1.0).pieces) == 1
+
+
+def test_split_refuses_a_constant_past_its_budget(monkeypatch):
+    """m (n + 32) above the budget is refused before any work: a finite
+    K = 1e300 at once, where it used to build fields until memory ran
+    out, and at the edge of a smaller budget K = m pieces pass while
+    K = m + 1 are refused."""
+    space = MetricSpace.from_grid(0.0, 2.0, 0.5)
+    f = Constant(space, 1.0)
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="split budget"):
+        nonexpansive_split(f, 1e300)
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.setattr(partition_of_unity, "_SPLIT_BUDGET", 10 * 37)
+    assert nonexpansive_split(f, 10.0).m == 10
+    with pytest.raises(PreconditionError, match="split budget"):
+        nonexpansive_split(f, 10.5)
 
 
 def test_split_rejects_false_constant():

@@ -1,14 +1,16 @@
 """Property tests: the pair readers that take p < q on exactly
 symmetric distances, and the segmented sweep over many balls at once,
 return the ordered reference's value and pair on small generated
-spaces, values with ties and NaN included; a regrouped partition of unity keeps the sum of its
-leaves; and on make_space spaces the selection, the decomposition,
-the pointwise interval extension, the McShane-Whitney sandwich, the
-duality of the envelopes and the restriction of the selection and
-local extensions through A keep the statements of the paper they
-implement; and the covers of modulus_witness and increasing_cover
-equal their per-ball reference on clouds and grids at scales that push
-squared differences out of the normal range."""
+spaces, values with ties and NaN included; max_slopes, with its tile
+walk on one sorted axis, is max_slope row by row; a regrouped
+partition of unity keeps the sum of its leaves; and on make_space
+spaces the selection, the decomposition, the pointwise interval
+extension, the McShane-Whitney sandwich, the duality of the envelopes
+and the restriction of the selection and local extensions through A
+keep the statements of the paper they implement; and the covers of
+modulus_witness and increasing_cover equal their per-ball reference on
+clouds and grids at scales that push squared differences out of the
+normal range."""
 
 import math
 from unittest import mock
@@ -78,6 +80,65 @@ def test_min_positive_distance_matches_the_ordered_pairs(space):
     else:
         with pytest.raises(PreconditionError):
             space.min_positive_distance()
+
+
+# sample coordinates on one axis: duplicates, -0.0, subnormal spacing,
+# squares past the float range and infinities (NaN once in a while)
+AXIS = st.sampled_from([0.0, 0.0, -0.0, 1.0, -1.5, 2.0, 5e-324, 1e-323,
+                        1e200, -1e200, math.inf, -math.inf, math.nan])
+# values: NaN, infinities, gaps past the float range, -0.0, subnormals
+SLOPE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.5, 5e-324, 1e308,
+                                -1e308, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def one_axis_spaces(draw):
+    """An unvalidated 1-D cloud, sorted or as drawn, or a grid: of unit,
+    fine or subnormal step, or so far out that neighbours coincide."""
+    n = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["sorted", "unsorted", "grid"]))
+    if kind == "grid":
+        lo, step = draw(st.sampled_from([(0.0, 1.0), (-3.0, 1e-3),
+                                         (0.0, 5e-324), (1e16, 1.0)]))
+        hi = max(lo + step * (n - 1) + step / 2, np.nextafter(lo, math.inf))
+        return MetricSpace.from_grid(lo, hi, step, validate=False)
+    x = np.array(draw(st.lists(AXIS, min_size=n, max_size=n)))
+    return MetricSpace.from_points(np.sort(x) if kind == "sorted" else x,
+                                   validate=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(one_axis_spaces(), st.data())
+def test_max_slopes_is_max_slope_row_by_row(space, data):
+    """Rows of adversarial values and compactly supported rows (zero
+    off one window), zero in {0, inf}, with tiles of 1 to 4 samples and
+    the default: every row's value is max_slope's bit for bit, and the
+    tile walk's is the row blocks'.  A NaN is compared as NaN against
+    max_slope: inf / inf makes a NaN of the other sign, and which NaN a
+    reduction meets first depends on its order, which differs between
+    max_slope and the row blocks of max_slopes alike."""
+    n = space.n
+    rows = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        row = np.array(data.draw(st.lists(SLOPE_VALUES, min_size=n,
+                                          max_size=n)))
+        if data.draw(st.booleans()):
+            a = data.draw(st.integers(0, n - 1))
+            row[:a] = 0.0
+            row[data.draw(st.integers(a, n)):] = 0.0
+        rows.append(row)
+    V = np.array(rows)
+    zero = data.draw(st.sampled_from([0.0, math.inf]))
+    block = data.draw(st.sampled_from([4, 16, 36, 64, 1 << 16]))
+    with mock.patch.object(_pairs, "_BLOCK", block):
+        got = _pairs.max_slopes(space, V, zero)
+        with mock.patch.object(_pairs, "sorted_axis", lambda space: False):
+            blocks = _pairs.max_slopes(space, V, zero)
+    assert got.tobytes() == blocks.tobytes()
+    for x, row in zip(got, V):
+        want = _pairs.max_slope(space, row, zero=zero)[0]
+        assert (np.float64(x).tobytes() == np.float64(want).tobytes()
+                or math.isnan(x) and math.isnan(want)), (row, x, want)
 
 
 @st.composite
