@@ -11,17 +11,15 @@ decided in one place:
     otherwise, as does any other quantity, such as a row cap.  Under
     exact symmetry the value at (i, j), i > j, equals the one at
     (j, i), first in row-major order, so value and pair are the ordered
-    ones.  Only pair_blocks turns the rule into row blocks, for _sweep
-    (worst_excess, max_slope), max_slopes, and the MetricSpace methods
-    min_positive_distance and, on every ordered pair, nearest_positive;
-    pair_tiles lays the pairs p < q out as square tiles, for max_slopes
-    on one sorted axis (below); ball_sweep lays the same pairs out flat
-    from the member lists of ball_members, one row per member, many
-    balls to a chunk;
-  * ties resolve to the first pair, in row-major order or in the order
-    of a list, and NaN counts as larger than any number (the
-    numpy.argmax order), so a NaN can never hide behind a passing
-    maximum;
+    ones.  Only pair_blocks turns the rule into row blocks, for _sweep,
+    max_slopes, min_positive_distance and, on every ordered pair,
+    nearest_positive; pair_tiles into square tiles of the pairs p < q,
+    for max_slopes on one sorted axis (below); ball_sweep into the
+    member rows of ball_members, many balls to a chunk;
+  * one fold, _fold, reduces the values of the pair sources (_sweep,
+    listed_max, ball_sweep) to worst pairs: the one place of the tie,
+    NaN and no-pair-yet rules, under which the first pair wins a tie and
+    a NaN beats any number, so it never hides behind a passing maximum;
   * a value gap past the float range is inf, quietly, and a gap of
     equal infinities is NaN.
 
@@ -49,20 +47,18 @@ monotone in the numerator and anti-monotone in a positive divisor
 d >= dmin, so fl(|v_p - v_q| / d) <= bound and the tile cannot raise
 the maximum.  A finite bound needs finite extremes, so a skipped tile
 holds no NaN gap (no NaN value, no inf - inf).  The maximum is exact,
-so the values are the row blocks' bit for bit; only the sign of a NaN
-depends on the order of a reduction, so a row whose maximum is NaN is
-read again in the row blocks.  Every other space reads the row blocks,
-where tiles do not pay: on a cloud, spatially sorted tiles cost
-gathers and tiles in sample order skip little.
+so the values are the row blocks' bit for bit (for a NaN's sign, see
+max_slopes).  Every other space reads the row blocks, where tiles do
+not pay: on a cloud, spatially sorted tiles cost gathers and tiles in
+sample order skip little.
 
 envelope is the one McShane scan: envelopes, draw bounds, ball tents,
 closedness and d(., S), whose values -0.0 add to any d bit for bit.
 
 Every reader of the distances reads pairwise() in the row blocks of
 row_blocks, at most _BLOCK entries each, so none holds a second n x n
-array or an |A| x n gather of its own.  The ball readers keep member
-lists instead of boolean rows, a group of about _BLOCK / 8 members at
-a time, so no reader holds every member of many large balls at once.
+array or an |A| x n gather of its own; the ball readers hold member
+lists, not boolean rows, about _BLOCK / 8 members at a time.
 """
 
 from __future__ import annotations
@@ -80,7 +76,7 @@ _BLOCK = 1 << 16    # entries per row block: 512 KB temporaries, kept in L2
 def row_blocks(stop, width):
     """Slices a:b covering the rows 0..stop-1 in order, each holding at
     most _BLOCK entries of width columns (one row at least)."""
-    step = max(1, _BLOCK // width)
+    step = max(1, _BLOCK // max(1, width))
     return [slice(a, min(a + step, stop)) for a in range(0, stop, step)]
 
 
@@ -144,6 +140,11 @@ def pair_blocks(space, m, ids=None, symmetric=True):
         c = slice(r.start if mirror else 0, m)
         yield r, c, (D[r, c] if ids is None
                      else D[np.ix_(ids[r], ids[c])]), mirror
+
+
+def pair_count(space, m):
+    """How many pairs pair_blocks lays out for m samples, symmetric."""
+    return m * (m - 1) // (2 if space.exactly_symmetric() else 1)
 
 
 def tile_side():
@@ -247,8 +248,8 @@ def listed_max(space, v, pairs, value):
     """Largest value(d, o) over a list of sample id pairs (p, q), checked
     by sample_ids, with d the float space.dist(p, q) returns, gathered
     at once without building a matrix, and gaps o = |v_p - v_q| as in
-    _sweep: (x, (p, q)) for the first largest pair, a NaN beating every
-    number, or (-inf, None) for no pair."""
+    _sweep: (x, (p, q)) for the worst pair (see _fold), or (-inf, None)
+    for no pair."""
     P = sample_ids(pairs, space.n, "pair id",
                    "pairs must be a list of (p, q) sample id pairs", width=2)
     if not len(P):
@@ -260,8 +261,37 @@ def listed_max(space, v, pairs, value):
         d = (space.pairwise()[p, q] if x is None
              else np.sqrt(sum(np.square(a[p] - a[q]) for a in x.T)))
         e = value(d, np.abs(v[p] - v[q]))
-    k = int(np.argmax(e))
-    return float(e[k]), (int(P[k, 0]), int(P[k, 1]))
+    best, pair = np.array([-math.inf]), np.full((1, 2), -1)
+    _fold(e, 0, 0, P.__getitem__, best, pair)
+    return float(best[0]), tuple(pair[0].tolist())
+
+
+def _fold(e, starts, seg, pair_of, best, pairs):
+    """Fold a chunk of values e into the running results best[seg[k]]
+    and pairs[seg[k]] (none yet while pairs[seg[k], 0] < 0) of its
+    segments e[starts[k]:starts[k + 1]], starts[0] = 0; pair_of maps
+    chunk positions to the columns of pairs, and with seg one int, e is
+    one segment.  The one place of the tie, NaN and no-pair-yet rules:
+    a segment's first maximum, or first NaN (the numpy.argmax order),
+    replaces a result that is none yet, smaller, or a number under a
+    NaN."""
+    if isinstance(seg, int):    # in Python scalars: numpy's are slow
+        hit = int(e.argmax())
+        x, old, none = float(e[hit]), float(best[seg]), int(pairs[seg, 0]) < 0
+    else:
+        top = np.maximum.reduceat(e, starts)    # a NaN wins
+        same = e == np.repeat(top, np.append(starts[1:], len(e)) - starts)
+        if np.isnan(top).any():
+            same |= np.isnan(e)
+        hit = np.flatnonzero(same)
+        hit = hit[np.searchsorted(hit, starts)]     # each segment's first
+        x, old, none = e[hit], best[seg], pairs[seg, 0] < 0
+    take = none | (x > old) | ((x != x) & (old == old))     # x != x: a NaN
+    if not isinstance(take, bool):  # the segments whose result changes
+        seg, hit, x = seg[take], hit[take], x[take]
+    elif not take:
+        return
+    best[seg], pairs[seg] = x, np.array(pair_of(hit)).T
 
 
 def slope(o, d, zero, out=None):
@@ -281,13 +311,14 @@ def slope(o, d, zero, out=None):
     return s
 
 
-def _sweep(space, v, ids, value, symmetric, per_row=False):
+def _sweep(space, v, ids, value, symmetric, empty, per_row=False):
     """Largest value(r, c, d, o) over the pairs, where a block has row
     positions r, column positions c, distances d and value gaps
     o = |v_p - v_q|; o is a buffer the sweep refills for each block, so
-    value may write its result into it.  Returns (x, (p, q)), None when
-    there is no pair, or with per_row the array of row maxima (0.0 for
-    a lone sample).
+    value may write its result into it.  Each block is one chunk of
+    _fold, without its leading diagonal entry.  Returns (x, (p, q)),
+    (empty, None) when there is no pair, or with per_row the array of
+    row maxima (0.0 for a lone sample).
 
     symmetric declares value symmetric in (p, q) (see pair_blocks).  With
     mirror, masking the diagonal gives the ordered result, and row maxima
@@ -295,8 +326,9 @@ def _sweep(space, v, ids, value, symmetric, per_row=False):
     wins either way, so they equal the ordered ones bit for bit."""
     m = len(v)
     if m < 2:
-        return np.zeros(m) if per_row else None
-    rowmax, best, gaps = np.full(m, -math.inf), None, None
+        return np.zeros(m) if per_row else (empty, None)
+    rowmax, gaps = np.full(m, -math.inf), None
+    best, pair = np.array([-math.inf]), np.full((1, 2), -1)
     with np.errstate(invalid="ignore", over="ignore"):
         for r, c, d, mirror in pair_blocks(space, m, ids, symmetric):
             a = r.start
@@ -310,21 +342,15 @@ def _sweep(space, v, ids, value, symmetric, per_row=False):
                 np.maximum(rowmax[r], e.max(axis=1), out=rowmax[r])
                 if mirror:
                     np.maximum(rowmax[c], e.max(axis=0), out=rowmax[c])
-            else:
-                k = int(np.argmax(e))
-                if e.flat[k] == -math.inf:  # all -inf: the first valid pair
-                    k = 1 if a == c.start else 0
-                x = float(e.flat[k])
-                if (best is None or x > best[0]
-                        or (x != x and best[0] == best[0])):
-                    best = (x, a + k // e.shape[1], c.start + k % e.shape[1])
+            else:   # leaving out the leading entry when it is diagonal
+                k0, w = int(a == c.start), e.shape[1]
+                _fold(e.ravel()[k0:], 0, 0, lambda k: (
+                    a + (k + k0) // w, c.start + (k + k0) % w), best, pair)
             del e       # freed before the next block's values are made
-    if per_row or best is None:
-        return rowmax if per_row else None
-    x, i, j = best
-    if ids is not None:
-        i, j = ids[i], ids[j]
-    return x, (int(i), int(j))
+    if per_row:
+        return rowmax
+    i, j = pair[0] if ids is None else ids[pair[0]]
+    return float(best[0]), (int(i), int(j))
 
 
 def worst_excess(space, v, cap, ids=None, num=None, symmetric=True):
@@ -340,8 +366,7 @@ def worst_excess(space, v, cap, ids=None, num=None, symmetric=True):
     def excess(r, c, d, o):     # o is the sweep's gap buffer: reused
         x = o if num is None else num(o)
         return np.subtract(x, cap(r, c, d, o), out=x)
-    out = _sweep(space, v, ids, excess, symmetric)
-    return (-math.inf, None) if out is None else out
+    return _sweep(space, v, ids, excess, symmetric, -math.inf)
 
 
 def max_slope(space, v, ids=None, zero=0.0, per_row=False):
@@ -351,9 +376,8 @@ def max_slope(space, v, ids=None, zero=0.0, per_row=False):
     the array of each row's largest slope instead.  The slope is
     symmetric, so the sweep may read only the pairs p < q.
     """
-    out = _sweep(space, v, ids, lambda r, c, d, o: slope(o, d, zero, o),
-                 True, per_row)
-    return (0.0, None) if out is None else out
+    return _sweep(space, v, ids, lambda r, c, d, o: slope(o, d, zero, o),
+                  True, 0.0, per_row)
 
 
 def max_slopes(space, V, zero=0.0):
@@ -369,8 +393,7 @@ def max_slopes(space, V, zero=0.0):
     max_slope's bit for bit, but for the sign of a NaN: inf / inf makes
     a negative one, and which NaN a reduction meets first depends on
     its order.  A NaN slope wins its row, and a row whose maximum is
-    NaN is read again in the row blocks, so the tile walk's values are
-    the row blocks' in every bit.
+    NaN is read again in the row blocks, as they read it.
     """
     V = np.asarray(V, dtype=float)
     rows, m = V.shape
@@ -382,8 +405,6 @@ def max_slopes(space, V, zero=0.0):
             _block_walk(space, V, zero, top)
             return top
         _tile_walk(space, V, zero, top)
-        # a NaN's sign depends on which NaN a reduction meets first:
-        # such rows are read again as the row blocks read them
         nan = np.flatnonzero(np.isnan(top))
         if nan.size:
             again = np.full(nan.size, -math.inf)
@@ -507,12 +528,10 @@ def ball_sweep(space, v, centers, radii, value, inside=None, each=None):
     gathering first, so that one gathering serves another reader too.
 
     Each ball's result is that of _sweep over its members with
-    symmetric=True: pairs p < q on exactly symmetric distances, every
-    ordered pair p != q otherwise; the first largest pair in row-major
-    order, a NaN larger than any number, and the first pair when every
-    value is -inf.  Each member has one row of pairs, and a chunk of
-    about _BLOCK / 8 pairs, cut between rows, may span many balls (see
-    _sweep_group), so a ball with more pairs is never laid out whole.
+    symmetric=True.  Each member has one row of pairs, and a chunk of
+    about _BLOCK / 8 pairs, cut between rows, is a chunk of _fold with
+    one segment per ball (see _sweep_group), so a ball with more pairs
+    is never laid out whole.
     Returns (x, pairs) with pairs[b] = (p, q) as sample ids; a ball with
     fewer than two samples gets -inf and (-1, -1).
     """
@@ -558,11 +577,8 @@ def _sweep_group(space, v, value, ball, s, mirror, best, pairs):
 
 def _fold_rows(space, v, value, s, ball, at, lo, w, mirror, best, pairs):
     """Lay out the rows of pairs of the members at positions at of s,
-    each reading w > 0 positions from lo, and fold their values into
-    each ball's running result: a chunk's first maximum of a ball, or
-    its first NaN, replaces a strictly smaller result or none.  Rows of
-    one ball are adjacent and in order, so its pairs are one segment in
-    row-major order."""
+    each reading w > 0 positions from lo, and fold them into each ball's
+    result: a ball's rows are adjacent, one segment of _fold in order."""
     ends = np.cumsum(w)
     starts = ends - w
     pos = np.arange(ends[-1])
@@ -570,30 +586,12 @@ def _fold_rows(space, v, value, s, ball, at, lo, w, mirror, best, pairs):
     if not mirror:
         pos += pos >= np.repeat(at, w)      # skip the row's own member
     q = s[pos]
-    del pos
     p = s[at]
-    idx = np.repeat(p * space.n, w)
-    idx += q
-    d = space.pairwise().reshape(-1).take(idx)
-    del idx
-    o = np.repeat(v[p], w)
-    o -= v[q]
-    np.abs(o, out=o)
+    d = space.pairwise().reshape(-1).take(np.repeat(p * space.n, w) + q)
+    o = np.abs(np.repeat(v[p], w) - v[q])
     b = ball[at]
     e = value(d, o, np.repeat(b, w))
-    del d, o
     # each ball's segment starts at its first row
     lead = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1])))
-    b = b[lead]
-    top = np.maximum.reduceat(e, starts[lead])      # NaN wins
-    same = e == np.repeat(top, np.add.reduceat(w, lead))
-    if np.isnan(top).any():
-        same |= np.isnan(e)
-    hit = np.flatnonzero(same)
-    hit = hit[np.searchsorted(hit, starts[lead])]   # each ball's first hit
-    x, old = e[hit], best[b]
-    take = (pairs[b, 0] < 0) | (x > old) | (np.isnan(x) & ~np.isnan(old))
-    b, hit = b[take], hit[take]
-    best[b] = x[take]
-    pairs[b, 0] = p[np.searchsorted(ends, hit, side="right")]
-    pairs[b, 1] = q[hit]
+    _fold(e, starts[lead], b[lead], lambda k: (
+        p[np.searchsorted(ends, k, side="right")], q[k]), best, pairs)

@@ -134,16 +134,14 @@ def check_k_lipschitz(f: ScalarField, K: float, pairs=None,
     The worst pair is reported whether or not it violates.  Without
     pairs every pair p != q is read, by the pair rule of _pairs, else
     _pairs.listed_max reads the list; ties go to the first pair.  The
-    details count the pairs read: n(n - 1)/2 on exactly symmetric
-    distances, n(n - 1) ordered ones otherwise, or the list's length.
+    details count the pairs read (_pairs.pair_count) or listed.
     """
     K = float(K)
     v = f.values()
     if pairs is None:
         worst, witness = _pairs.worst_excess(f.space, v,
                                              lambda r, c, d, o: K * d)
-        n = f.space.n
-        count = n * (n - 1) // (2 if f.space.exactly_symmetric() else 1)
+        count = _pairs.pair_count(f.space, f.space.n)
     else:
         worst, witness = _pairs.listed_max(f.space, v, pairs,
                                            lambda d, o: o - K * d)

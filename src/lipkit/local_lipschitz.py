@@ -122,19 +122,20 @@ class IncreasingCover:
     compressed: bool
 
     def soundness_check(self):
-        """Worst violation of the two-point bound, with its witness; a
-        NaN excess beats every number."""
+        """Worst violation of the two-point bound, with its witness
+        (threshold, pair) by _pairs._fold; an excess of -inf names none."""
         num = _compress if self.compressed else None
-        worst, witness = -math.inf, None
+        worst, at = np.array([-math.inf]), np.full((1, 3), -1)
         for t in self.thresholds:
             ids = np.flatnonzero(self.eta <= t)
             e, pair = _pairs.worst_excess(
                 self.space, self.values[ids], lambda r, c, d, o: float(t) * d,
                 ids=ids, num=num)
-            if pair is not None and (e > worst or (e != e and worst == worst)):
-                worst = e
-                witness = (int(t), pair)
-        return worst, witness
+            if pair is not None:
+                _pairs._fold(np.array([e]), 0, 0, lambda k: (*pair, t),
+                             worst, at)
+        p, q, t = at[0].tolist()
+        return float(worst[0]), (None if worst[0] == -math.inf else (t, (p, q)))
 
 
 def _compress(o):

@@ -425,9 +425,9 @@ def nonexpansive_split(f: ScalarField, K: float,
     The split is bounded: m (n + 32) above _SPLIT_BUDGET = 2^20, for
     n samples, is refused with a PreconditionError before any work.
     The copies, the pieces and the exact sums of the reconstruction
-    cost about 55 bytes and 0.75 us per value, and each field about
+    cost about 22 bytes and 0.75 us per value, and each field about
     32 values' worth of time besides (one x86-64 core), so a split
-    stays within about 60 MB and a second, where a finite K such as
+    stays within about 25 MB and a second, where a finite K such as
     1e300 would otherwise run until memory runs out.
     """
     if not math.isfinite(K) or K < 0.0:

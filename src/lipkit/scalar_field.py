@@ -271,13 +271,15 @@ def Transported(name: str, inner: ScalarField) -> ScalarField:
 
 def _column_sums(values, mask=True) -> np.ndarray:
     """Exactly rounded sum (math.fsum) of each column's entries where
-    mask holds.  An exact sum does not depend on the order or grouping
-    of its entries; they are gathered sample-major, values.T[mask.T],
-    so no sort is needed and memory follows the mask."""
+    mask holds, gathered sample-major (values.T[mask.T]), unsorted as an
+    exact sum allows, in blocks of columns of about _pairs._BLOCK entries."""
     mask = np.broadcast_to(mask, values.shape)
-    flat = values.T[mask.T].tolist()
-    ends = np.cumsum(mask.sum(axis=0)).tolist()
-    return np.array([math.fsum(flat[a:b]) for a, b in zip([0] + ends, ends)])
+    sums = []
+    for c in _pairs.row_blocks(values.shape[1], len(values)):
+        flat = values[:, c].T[mask[:, c].T].tolist()
+        ends = np.cumsum(mask[:, c].sum(axis=0)).tolist()
+        sums += [math.fsum(flat[a:b]) for a, b in zip([0] + ends, ends)]
+    return np.array(sums)
 
 
 class Series(ScalarField):

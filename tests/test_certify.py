@@ -495,3 +495,49 @@ def test_feasible_interval_takes_sample_ids_only(p, ids):
     with pytest.raises(InputError):
         feasible_interval(space, ids, [0.0] * len(ids), p, 1.0)
     assert feasible_interval(space, [0], [0.0], 3, 1.0) == (-3.0, 3.0)
+
+
+# ---------------------------------------------------------------------------
+# Verdicts at their boundary: PASS exactly when worst <= tol
+
+EDGE_TOL = 1e-9
+
+
+def edge_field():
+    """f = [0, tol] on two samples at distance 1: with K = 0 every
+    excess is exactly tol."""
+    space = MetricSpace.from_grid(0, 1, 1)
+    return Tabulated(space, [0.0, EDGE_TOL])
+
+
+def test_an_excess_of_exactly_tol_passes_the_lipschitz_check():
+    cert = check_k_lipschitz(edge_field(), 0.0, tol=EDGE_TOL)
+    assert cert.passed
+    assert cert.worst_violation == EDGE_TOL
+
+
+def test_an_excess_of_exactly_tol_passes_the_lipschitz_precheck():
+    f = edge_field()
+    pair = mcshane_envelopes(Subset(f.space, [0, 1]), f.values(), 0.0,
+                             tol=EDGE_TOL)
+    # the envelopes restrict to phi on A, here every sample
+    assert pair.lower.values().tolist() == [0.0, EDGE_TOL]
+    assert pair.upper.values().tolist() == [0.0, EDGE_TOL]
+
+
+def test_an_excess_of_exactly_tol_passes_the_local_witness():
+    cert = certify_local_witness(edge_field(),
+                                 LocalWitness([0], [1.5], [0.0]),
+                                 tol=EDGE_TOL)
+    assert cert.passed
+    assert cert.worst_violation == EDGE_TOL
+    assert cert.witness == (0, (0, 1))
+
+
+def test_a_sum_residual_of_exactly_tol_passes_the_pou_report():
+    r = 2.0 ** -30      # 1 + r is exact, so the residual is r
+    space = MetricSpace.from_grid(0, 1, 1)
+    pou = PartitionOfUnity(space, [[1.0 + r, 1.0]], [0], [[True, True]])
+    cert = pou_report(pou, tol=r)
+    assert cert.details["sum_residual"] == r
+    assert cert.passed

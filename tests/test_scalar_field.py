@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from lipkit import (Constant, Coordinate, DistanceTo, DomainError, InputError,
                     Series, Tabulated, Transported, check_k_lipschitz,
                     generate_local_witness, global_lip, maximum, minimum,
                     pointwise_lip, scaled_oscillation)
+from lipkit import _pairs
 from lipkit.fixtures import cusp_curve, sin_reciprocal_pairs
+from lipkit.scalar_field import _column_sums
 
 from helpers import make_space
 
@@ -318,3 +321,27 @@ def test_interval_parse_rejects_garbage():
         Interval.parse("nan,1,open,open")
     # reversed endpoints survive parsing but are flagged degenerate
     assert Interval.parse("1,0,closed,closed").is_degenerate
+
+
+def test_column_sums_hold_a_bounded_list():
+    # the stack of a split into 851 pieces of 1,200 samples: the exact
+    # sums may hold about _BLOCK entries at once, since a list of every
+    # entry costs about 36 bytes per value (37 MB here)
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(851, 1200))
+    mask = rng.random(values.shape) < 0.9
+    tracemalloc.start()
+    try:
+        got = _column_sums(values, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * _pairs._BLOCK + 64 * values.shape[1]
+    want = [math.fsum(values[mask[:, j], j].tolist())
+            for j in range(values.shape[1])]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_a_series_of_no_terms_is_zero():
+    space = MetricSpace.from_grid(0, 2, 1)
+    assert Series(space, []).values().tolist() == [0.0, 0.0, 0.0]

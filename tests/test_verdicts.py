@@ -324,3 +324,14 @@ def test_cli_writes_the_verdict_list(tmp_path, files, capsys, command):
     expected = [c.to_dict() for c in library(files)]
     assert expected and payload["certificates"] == expected
     capsys.readouterr()
+
+
+def test_a_zero_margin_fails_strictness():
+    # f touches the window's lower side at sample 1: the margin is 0
+    space = MetricSpace.from_grid(0, 1, 1)
+    window = IntervalMapping(space, Tabulated(space, [0.0, 0.0]),
+                             Tabulated(space, [1.0, 1.0]))
+    cert = verdicts._strictness_cert(window, Tabulated(space, [0.5, 0.0]))
+    assert cert.details["min_margin"] == 0.0
+    assert not cert.passed
+    assert cert.witness == (1,)
