@@ -12,14 +12,19 @@ decided in one place:
     exact symmetry the value at (i, j), i > j, equals the one at
     (j, i), first in row-major order, so value and pair are the ordered
     ones.  Only pair_blocks turns the rule into row blocks, for _sweep,
-    max_slopes, min_positive_distance and, on every ordered pair,
-    nearest_positive; pair_tiles into square tiles of the pairs p < q,
-    for max_slopes on one sorted axis (below); ball_sweep into the
-    member rows of ball_members, many balls to a chunk;
+    max_slopes, the cover's near-pair pass (certify._doubled_balls_hold)
+    and the one positive-distance walk of MetricSpace, on every ordered
+    pair for nearest_positive; pair_tiles into square tiles of the pairs
+    p < q, for max_slopes on one sorted axis (below); ball_sweep into
+    the member rows of ball_members, many balls to a chunk;
   * one fold, _fold, reduces the values of the pair sources (_sweep,
-    listed_max, ball_sweep) to worst pairs: the one place of the tie,
-    NaN and no-pair-yet rules, under which the first pair wins a tie and
-    a NaN beats any number, so it never hides behind a passing maximum;
+    listed_max, ball_sweep, the near-pair pass) to worst pairs: the one
+    place of the tie, NaN and no-pair-yet rules, under which the first
+    pair wins a tie and a NaN beats any number, so it never hides behind
+    a passing maximum;
+  * one slope rule, _divide, which slope and max_slopes call: o / d,
+    then `zero` where d == 0 and the gap is positive, and 0 at every
+    other distance that is not positive, the diagonal included;
   * a value gap past the float range is inf, quietly, and a gap of
     equal infinities is NaN.
 
@@ -30,11 +35,13 @@ caller (a pair list, a draw order, a point) pass the one id rule of
 sample_ids.
 
 max_slopes, which returns values only and so depends on no pair
-order, skips work where it can.  On a space whose coordinates are one
-axis in non-decreasing order (sorted_axis: a grid always, a 1-D cloud
-given sorted) it walks the tiles of pair_tiles, T = sqrt(_BLOCK / 4)
-samples a side, the diagonal band first and then band by band outward,
-where the distances grow.  A row skips the tile (A, B) when
+order, skips work where it can.  One walk, _walk, reads either source:
+on a space whose coordinates are one axis in non-decreasing order
+(sorted_axis: a grid always, a 1-D cloud given sorted) the tiles of
+pair_tiles, T = sqrt(_BLOCK / 4) samples a side, the diagonal band
+first and then band by band outward, where the distances grow; on
+every other space the row blocks of pair_blocks, none of which it
+skips.  A row skips the tile (A, B) when
 
     bound = fl(fl(max(hi_A - lo_B, hi_B - lo_A)) / dmin)
 
@@ -48,9 +55,8 @@ d >= dmin, so fl(|v_p - v_q| / d) <= bound and the tile cannot raise
 the maximum.  A finite bound needs finite extremes, so a skipped tile
 holds no NaN gap (no NaN value, no inf - inf).  The maximum is exact,
 so the values are the row blocks' bit for bit (for a NaN's sign, see
-max_slopes).  Every other space reads the row blocks, where tiles do
-not pay: on a cloud, spatially sorted tiles cost gathers and tiles in
-sample order skip little.
+max_slopes).  Tiles do not pay on other spaces: on a cloud, spatially
+sorted tiles cost gathers and tiles in sample order skip little.
 
 envelope is the one McShane scan: envelopes, draw bounds, ball tents,
 closedness and d(., S), whose values -0.0 add to any d bit for bit.
@@ -295,19 +301,32 @@ def _fold(e, starts, seg, pair_of, best, pairs):
 
 
 def slope(o, d, zero, out=None):
-    """o / d elementwise, into out when given (o itself may be out).  A
-    pair at distance zero has slope `zero` when its values differ and 0
-    when they agree; a negative distance (only in unvalidated data) has
-    slope 0, and so has a NaN distance; a NaN gap over a positive
-    distance stays NaN, and a quotient beyond the float range is inf,
-    quietly."""
-    fix = ~(d > 0)
-    fixed = np.where((d[fix] == 0) & (o[fix] > 0), zero, 0.0) \
-        if fix.any() else None      # read before o may be overwritten
+    """o / d elementwise by the slope rule of _divide, into out when
+    given (o itself may be out); a quotient past the float range is
+    inf, quietly."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.divide(o, d, out=out)
-    if fixed is not None:
-        s[fix] = fixed
+        return _divide(o, d, _not_positive(d), zero, out)
+
+
+def _not_positive(d):
+    """(flat positions of the entries of d that are not positive, which
+    of them are 0), for _divide; max_slopes reads a block's once."""
+    fix = np.flatnonzero(~(d > 0))
+    return fix, d[np.unravel_index(fix, d.shape)] == 0
+
+
+def _divide(o, d, fix, zero, out):
+    """The one slope rule, under the caller's errstate: o / d for gaps
+    o >= 0, into out (C-contiguous) or a new array.  Then each entry at
+    fix = _not_positive(d) (None: none) is `zero` where d == 0 and o / 0
+    is infinite, that is, the values differ, and 0 elsewhere: agreeing
+    values, the diagonal, a negative or NaN distance (unvalidated data
+    only).  A NaN gap over a positive distance stays NaN."""
+    s = np.divide(o, d, out=out)
+    if fix is not None:
+        at, at_zero = fix
+        flat = s.ravel()
+        flat[at] = np.where(at_zero & np.isinf(flat[at]), zero, 0.0)
     return s
 
 
@@ -382,18 +401,15 @@ def max_slope(space, v, ids=None, zero=0.0, per_row=False):
 
 def max_slopes(space, V, zero=0.0):
     """max_slope(space, row, zero=zero)[0] for every row of V, value
-    only; zero >= 0.  One axis of sorted coordinates is read in the
-    tiles of pair_tiles, where a row skips every tile that provably
-    cannot raise its maximum; every other space in the row blocks of
-    pair_blocks.
-
-    Each distance block and the positions of its entries that are not
-    positive are read once for all rows.  A row's slopes come from the
-    same IEEE operations as slope's (see _block_max), so each value is
-    max_slope's bit for bit, but for the sign of a NaN: inf / inf makes
-    a negative one, and which NaN a reduction meets first depends on
-    its order.  A NaN slope wins its row, and a row whose maximum is
-    NaN is read again in the row blocks, as they read it.
+    only; zero >= 0.  _walk reads one axis of sorted coordinates in the
+    tiles of pair_tiles and every other space in the row blocks of
+    pair_blocks (see the module docstring), each distance block once
+    for all rows.  A row's slopes come from slope's rule, _divide, so
+    each value is max_slope's bit for bit, but for the sign of a NaN:
+    inf / inf makes a negative one, and which NaN a reduction meets
+    first depends on its order.  A NaN slope wins its row, and a row
+    whose maximum is NaN is read again in the row blocks, as they read
+    it.
     """
     V = np.asarray(V, dtype=float)
     rows, m = V.shape
@@ -402,43 +418,34 @@ def max_slopes(space, V, zero=0.0):
     top = np.full(rows, -math.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if not sorted_axis(space):
-            _block_walk(space, V, zero, top)
+            _walk(V, pair_blocks(space, m), zero, top)
             return top
-        _tile_walk(space, V, zero, top)
+        _walk(V, pair_tiles(space), zero, top, tile_side())
         nan = np.flatnonzero(np.isnan(top))
         if nan.size:
             again = np.full(nan.size, -math.inf)
-            _block_walk(space, V[nan], zero, again)
+            _walk(V[nan], pair_blocks(space, m), zero, again)
             top[nan] = again
     return top
 
 
-def _block_walk(space, V, zero, top):
-    """Fold into top each row's slopes over pair_blocks."""
+def _walk(V, tiles, zero, top, T=None):
+    """Fold into top each row's slopes over tiles (a, b, d, ...) of
+    distances d from the samples a to the samples b, the first the
+    widest.  Given the side T of pair_tiles, a row skips each tile whose
+    bound (see the module docstring) is finite and at most its maximum
+    so far; without T (row blocks), no tile is skipped."""
+    if T:
+        starts = np.arange(0, V.shape[1], T)
+        hi = np.maximum.reduceat(V, starts, axis=1)     # a NaN wins
+        lo = np.minimum.reduceat(V, starts, axis=1)
     scratch = None
-    for r, c, d, _ in pair_blocks(space, V.shape[1]):
-        fix = _not_positive(d)
-        if scratch is None:             # the first block is the widest
+    for a, b, d, *_ in tiles:
+        if scratch is None:
             scratch = np.empty(d.size)
         s = scratch[:d.size].reshape(d.shape)
-        for i, v in enumerate(V):
-            top[i] = np.maximum(top[i],
-                                _block_max(v[r], v[c], d, fix, zero, s))
-
-
-def _tile_walk(space, V, zero, top):
-    """Fold into top each row's slopes over pair_tiles, where a row
-    skips each tile whose bound (see the module docstring) is finite
-    and at most the row's maximum so far."""
-    T = tile_side()
-    starts = np.arange(0, V.shape[1], T)
-    hi = np.maximum.reduceat(V, starts, axis=1)     # a NaN wins
-    lo = np.minimum.reduceat(V, starts, axis=1)
-    scratch = np.empty(min(T, V.shape[1]) ** 2)
-    for a, b, d in pair_tiles(space):
-        s = scratch[:d.size].reshape(d.shape)
         need, fix = range(len(V)), None         # None: every d > 0
-        if not (dmin := d.min()) > 0:          # a diagonal tile's is 0
+        if not (T and (dmin := d.min()) > 0):  # a diagonal tile's is 0
             fix = _not_positive(d)
         else:
             ta, tb = a.start // T, b.start // T
@@ -451,28 +458,13 @@ def _tile_walk(space, V, zero, top):
                                 _block_max(v[a], v[b], d, fix, zero, s))
 
 
-def _not_positive(d):
-    """(flat positions of the entries of d that are not positive, which
-    of them are 0), read once per block for every row of _block_max."""
-    fix = np.flatnonzero(~(d > 0))
-    return fix, d.ravel()[fix] == 0
-
-
 def _block_max(x, y, d, fix, zero, s):
-    """Largest slope |x_p - y_q| / d[p, q] over one block, computed in
-    the scratch s of d's shape, as slope computes it: the entries
-    where d is not positive, fix = _not_positive(d) or None for none,
-    are patched afterwards, to `zero` where d == 0 and the quotient is
-    infinite (the gap is positive) and to 0 elsewhere, so the diagonal
-    reads 0.  A NaN wins."""
+    """Largest slope |x_p - y_q| / d[p, q] over one block, by _divide in
+    the scratch s of d's shape, with fix = _not_positive(d) or None when
+    every d > 0.  A NaN wins."""
     np.subtract(x[:, None], y[None, :], out=s)
     np.abs(s, out=s)
-    np.divide(s, d, out=s)
-    if fix is not None:
-        at, at_zero = fix
-        flat = s.ravel()
-        flat[at] = np.where(at_zero & np.isinf(flat[at]), zero, 0.0)
-    return s.max()
+    return _divide(s, d, fix, zero, s).max()
 
 
 # ---------------------------------------------------------------------------

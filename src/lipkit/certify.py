@@ -240,9 +240,10 @@ def pou_report(pou, tol: float = _DEFAULT_TOL) -> Certificate:
     """Sum-to-one residual, activity soundness, per-member constants.
 
     The sums are the family's own values: exactly rounded column sums
-    of its leaves, so regrouping members cannot move the residual.  The
-    activity violation is the largest member value outside the mask,
-    first in sample-major order, a NaN first of all.
+    of its rows, or of the rows it was regrouped from, so regrouping
+    members cannot move the residual.  The activity violation is the
+    largest member value outside the mask, first in sample-major order,
+    a NaN first of all.
     """
     M, on = pou.matrix, pou.activity
     gap = np.abs(pou.values() - 1.0)
@@ -334,11 +335,13 @@ def _doubled_balls_hold(space, v, witness, num=None,
                         tol: float = _DEFAULT_TOL) -> bool:
     """True only if every doubled ball passes _doubled_ball_excess (no
     inside): num(|v_x - v_y|) - K_p d(x, y) <= tol for every pair x, y
-    of every B(p, 2 delta_p).  One pass over _pairs.pair_blocks checks
+    of every B(p, 2 delta_p).  One pass over _pairs.pair_blocks reads
     each pair at a float distance below R, a little above 4 max delta_p,
-    at the least rate K = min K_p; a NaN excess fails.  False decides
-    nothing: the caller then runs the per-ball sweep, which names the
-    failing entry.
+    at the least rate K = min K_p, and reduces the excesses block by
+    block through _pairs._fold, stopping at the first block whose
+    running worst exceeds tol; a NaN excess wins and fails.  False
+    decides nothing: the caller then runs the per-ball sweep, which
+    names the failing entry.
 
     Why a pass is enough.  Two members x, y of B(p, 2 delta_p) lie
     closer than 4 delta_p by the triangle inequality, so every pair of
@@ -370,12 +373,19 @@ def _doubled_balls_hold(space, v, witness, num=None,
     if not R <= 2.0 ** 500:
         return False
     K = float(witness.constants.min())
+    worst, pair = np.array([-math.inf]), np.full((1, 2), -1)
     with np.errstate(invalid="ignore", over="ignore"):
         for r, c, d, _ in _pairs.pair_blocks(space, space.n):
-            i, j = np.divmod(np.flatnonzero(d < R), d.shape[1])
+            near = d < R    # no diagonal: on coordinates c starts at r
+            near.ravel()[::d.shape[1] + 1] = False
+            i, j = np.divmod(np.flatnonzero(near), d.shape[1])
+            if not i.size:
+                continue
             o = np.abs(v[r.start + i] - v[c.start + j])
             e = (o if num is None else num(o)) - K * d[i, j]
-            if not (e <= tol).all():
+            _pairs._fold(e, 0, 0, lambda h: (r.start + i[h], c.start + j[h]),
+                         worst, pair)
+            if not worst[0] <= tol:
                 return False
     return True
 

@@ -350,28 +350,32 @@ class MetricSpace:
         return float(self.pairwise().max())
 
     def min_positive_distance(self) -> float:
-        """Smallest positive d(p, q) over p != q, by _pairs.pair_blocks,
+        """Smallest positive d(p, q) over p != q: the least of the row
+        minima of _positive_row_min over the pairs of the pair rule,
         swept once per space."""
         if self._min_positive is None:
-            best = np.inf
-            for r, c, block, _ in _pairs.pair_blocks(self, self.n):
-                pos = block > 0
-                np.fill_diagonal(pos[:, r.start - c.start:], False)
-                best = min(best, np.min(block, where=pos, initial=np.inf))
-            self._min_positive = float(best)
+            self._min_positive = float(np.fmin.reduce(
+                self._positive_row_min(True), initial=np.inf))
         if self._min_positive == np.inf:
             raise PreconditionError("no positive pairwise distance in this space")
         return self._min_positive
 
     def nearest_positive(self) -> np.ndarray:
         """Each sample's smallest positive distance to another sample
-        (the diagonal is not read), NaN where it has none, by row blocks."""
-        out = np.empty(self.n)
-        for r, _, d, _ in _pairs.pair_blocks(self, self.n, symmetric=False):
+        (the diagonal is not read), NaN where it has none."""
+        return self._positive_row_min(False)
+
+    def _positive_row_min(self, symmetric) -> np.ndarray:
+        """Each row's smallest positive distance over the pairs of
+        _pairs.pair_blocks (every ordered pair unless symmetric), off the
+        diagonal, NaN where it has none (the last row, when symmetric):
+        np.fmin, from a NaN start, passes over the entries that are not
+        positive."""
+        out = np.full(self.n, np.nan)
+        for r, c, d, _ in _pairs.pair_blocks(self, self.n, None, symmetric):
             pos = d > 0
-            np.fill_diagonal(pos[:, r.start:], False)
-            out[r] = np.where(pos.any(axis=1), np.min(
-                d, axis=1, where=pos, initial=np.inf), np.nan)
+            np.fill_diagonal(pos[:, r.start - c.start:], False)
+            out[r] = np.fmin.reduce(d, axis=1, where=pos, initial=np.nan)
         return out
 
     def exactly_symmetric(self) -> bool:

@@ -225,9 +225,9 @@ class PartitionOfUnity(ScalarField):
 
     set_index[m] names the cover set the m-th member is subordinated
     to: the member vanishes wherever that set's witness does.  The
-    family's value is the exactly rounded column sum of its leaves:
-    its own rows under its own mask, or those of the family it was
-    regrouped from, so regrouping cannot move the sum.
+    family's value is the exactly rounded column sum of its rows under
+    its mask; a family regrouped by index_subordinate holds the sum of
+    the family it came from instead, so regrouping cannot move the sum.
     """
 
     def __init__(self, space, matrix, set_index, activity,
@@ -241,13 +241,12 @@ class PartitionOfUnity(ScalarField):
             raise PreconditionError(f"matrix and activity need shape {shape}")
         self.matrix.setflags(write=False)
         self.activity.setflags(write=False)
-        self.leaves = (self.matrix, self.activity)
         self.members = [ScalarField(space, row) for row in self.matrix]
         self.cover = cover
         self.notes = list(notes or [])
 
     def _compute_values(self) -> np.ndarray:
-        return _column_sums(*self.leaves)
+        return _column_sums(self.matrix, self.activity)
 
     def __len__(self) -> int:
         return len(self.set_index)
@@ -351,11 +350,10 @@ def index_subordinate(pou: PartitionOfUnity) -> PartitionOfUnity:
     The output has one member per set of pou's cover and per assigned
     index past them; sets that received no members (a dominated set)
     come back as zero rows.  Row n is the exact masked column sum of
-    the members assigned to set n, and the output
-    keeps the leaves of pou and holds pou's values as its own, so its
-    sum, and every certification sum over it, is bit-identical and
-    computed once; a regrouped member is positive only where its set's
-    witness is.
+    the members assigned to set n, and the output holds pou's values as
+    its own, so its sum, and every certification sum over it, is
+    bit-identical and computed once; a regrouped member is positive
+    only where its set's witness is.
     """
     space = pou.space
     size = max(max(pou.set_index, default=-1) + 1,
@@ -370,8 +368,7 @@ def index_subordinate(pou: PartitionOfUnity) -> PartitionOfUnity:
     grouped = PartitionOfUnity(space, matrix, range(size), outer,
                                cover=pou.cover,
                                notes=pou.notes + ["regrouped by cover set"])
-    grouped.leaves = pou.leaves
-    grouped._cached = pou.values()      # the column sum of the same leaves
+    grouped._cached = pou.values()      # the sum of the rows it regroups
     return grouped
 
 

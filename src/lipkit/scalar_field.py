@@ -272,14 +272,41 @@ def Transported(name: str, inner: ScalarField) -> ScalarField:
 def _column_sums(values, mask=True) -> np.ndarray:
     """Exactly rounded sum (math.fsum) of each column's entries where
     mask holds, gathered sample-major (values.T[mask.T]), unsorted as an
-    exact sum allows, in blocks of columns of about _pairs._BLOCK entries."""
+    exact sum allows, in blocks of columns of about _pairs._BLOCK entries.
+    A block where fsum raises is summed again column by column, by
+    _exact_sum."""
     mask = np.broadcast_to(mask, values.shape)
     sums = []
     for c in _pairs.row_blocks(values.shape[1], len(values)):
         flat = values[:, c].T[mask[:, c].T].tolist()
         ends = np.cumsum(mask[:, c].sum(axis=0)).tolist()
-        sums += [math.fsum(flat[a:b]) for a, b in zip([0] + ends, ends)]
+        bounds = list(zip([0] + ends, ends))
+        try:
+            sums += [math.fsum(flat[a:b]) for a, b in bounds]
+        except (ValueError, OverflowError):
+            sums += [_exact_sum(flat[a:b]) for a, b in bounds]
     return np.array(sums)
+
+
+def _exact_sum(xs) -> float:
+    """The exactly rounded sum of the floats xs, also where math.fsum
+    raises: NaN for a NaN or infinities of both signs, an infinity of
+    one sign for itself, and for finite xs whose partial sums overflow,
+    the exact sum (fractions.Fraction) rounded, or +-inf past the float
+    range."""
+    try:
+        return math.fsum(xs)
+    except (ValueError, OverflowError):
+        pass
+    special = [x for x in xs if not math.isfinite(x)]
+    if special:     # float addition makes NaN of a NaN or inf - inf
+        return sum(special)
+    from fractions import Fraction      # about 2 ms to import: only here
+    total = sum(map(Fraction, xs))
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 class Series(ScalarField):

@@ -300,9 +300,9 @@ def test_index_subordinate_single_set_is_one():
 
 
 def test_index_subordinate_holds_the_family_sum(monkeypatch):
-    """The regrouped family keeps the leaves of the staircase family,
-    so it holds that family's sum: the same array, and the exact
-    column sum of the leaves runs once for both."""
+    """The regrouped family holds the sum of the staircase family: the
+    same array, and the exact column sum of the staircase rows runs
+    once for both."""
     rng = np.random.default_rng(31)
     space = make_space(rng, n_max=20)
     cover = witness_from_balls(space, make_ball_cover(rng, space))

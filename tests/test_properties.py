@@ -3,7 +3,7 @@ symmetric distances, and the segmented sweep over many balls at once,
 return the ordered reference's value and pair on small generated
 spaces, values with ties and NaN included; max_slopes, with its tile
 walk on one sorted axis, is max_slope row by row; a regrouped
-partition of unity keeps the sum of its leaves; and on make_space
+partition of unity keeps the sum of the rows it regroups; and on make_space
 spaces the selection, the decomposition, the pointwise interval
 extension, the McShane-Whitney sandwich, the duality of the envelopes
 and the restriction of the selection and local extensions through A
@@ -255,7 +255,7 @@ def test_regrouped_sum_is_the_leaf_sum_not_the_group_sum():
     assert total > 1.0
     assert pou.values().tolist() == leaf_sums(pou.matrix, pou.activity) \
         == [total, 1.0]
-    # the leaves travel with every regrouping
+    # the sum travels with every regrouping
     for family in (grouped, index_subordinate(grouped)):
         assert family.values().tolist() == [total, 1.0]
 

@@ -345,3 +345,43 @@ def test_column_sums_hold_a_bounded_list():
 def test_a_series_of_no_terms_is_zero():
     space = MetricSpace.from_grid(0, 2, 1)
     assert Series(space, []).values().tolist() == [0.0, 0.0, 0.0]
+
+
+BIG = 1e308
+
+
+@pytest.mark.parametrize("column, want", [
+    ([math.inf, -math.inf], math.nan),
+    ([math.nan, math.inf, -math.inf], math.nan),
+    ([math.nan, BIG, BIG], math.nan),
+    ([math.inf, BIG, BIG], math.inf),
+    ([-math.inf, -math.inf, BIG, BIG], -math.inf),
+    ([BIG, BIG], math.inf),
+    ([-BIG, -BIG], -math.inf),
+    ([BIG, BIG, -BIG], BIG),
+    # past the largest float by more than half its ulp, then back
+    ([1.7976931348623157e308, 1e292, -1e292],
+     1.7976931348623157e308),
+], ids=["both-infinities", "nan-and-both-infinities", "nan-and-overflow",
+        "infinity-and-overflow", "one-sign-infinities-and-overflow",
+        "overflow", "negative-overflow", "overflow-and-back",
+        "past-the-largest-float-and-back"])
+def test_series_sums_columns_that_are_not_finite_or_overflow(column, want):
+    """Each term holds one entry of the column at sample 0 and a 1 at
+    sample 1: the exactly rounded sum, NaN for a NaN or both infinities,
+    the infinity of one sign, or, where finite partial sums overflow,
+    the exact sum rounded, inf past the float range."""
+    space = MetricSpace.from_grid(0, 1, 1)
+    got = Series(space, [Tabulated(space, [x, 1.0]) for x in column]).values()
+    np.testing.assert_array_equal(got, [want, float(len(column))])
+
+
+def test_an_infinite_term_outside_the_activity_is_not_summed():
+    """Sample 0 sums inf, 1e308 and 1e308, whose partial sums overflow,
+    but not the inactive -inf."""
+    space = MetricSpace.from_grid(0, 1, 1)
+    terms = [Tabulated(space, row) for row in
+             ([math.inf, 1.0], [-math.inf, 1.0], [BIG, 0.0], [BIG, 0.0])]
+    got = Series(space, terms, activity=[[True, True], [False, True],
+                                         [True, False], [True, False]])
+    assert got.values().tolist() == [math.inf, 2.0]
