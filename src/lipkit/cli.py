@@ -350,10 +350,7 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
     except PreconditionError as e:
-        witness = e.witness
-        if witness is not None and not isinstance(witness, (int, tuple, list)):
-            witness = str(witness)
-        cert = Certificate("precondition", False, math.inf, tol, witness,
+        cert = Certificate("precondition", False, math.inf, tol, e.witness,
                            details={"message": str(e)})
         write_certificates(cert_path, [cert], cfg)
         print(cert.summary_line())

@@ -120,12 +120,25 @@ def _require_closed(A: Subset):
             "extension domain has an outside sample at distance zero")
 
 
-def _mean_of_clamped(pair: EnvelopePair, interval: Interval) -> ScalarField:
-    # (max(lower, a) + min(upper, b)) / 2; restricts to phi exactly
-    # because both clamps are no-ops at anchors and (v + v)/2 = v.
-    lo = maximum(pair.lower, Constant(pair.lower.space, interval.lo))
-    hi = minimum(pair.upper, Constant(pair.upper.space, interval.hi))
-    return Constant(pair.lower.space, 0.5) * (lo + hi)
+def _into_interval(pair: EnvelopePair, interval: Interval) -> ScalarField:
+    """The one target rule of a McShane pair, with .envelopes set.
+
+    A bounded target averages the clamped envelopes,
+    (max(lower, lo) + min(upper, hi)) / 2, which restricts to phi
+    exactly: both clamps are no-ops at anchors and (v + v)/2 = v.  A
+    target bounded below only takes the upper envelope, which sits
+    above lo + K d(., A); any other the lower one, below hi - K d(., A).
+    """
+    if interval.is_bounded:
+        lo = maximum(pair.lower, Constant(pair.lower.space, interval.lo))
+        hi = minimum(pair.upper, Constant(pair.upper.space, interval.hi))
+        out = Constant(pair.lower.space, 0.5) * (lo + hi)
+    elif interval.bounded_below:
+        out = pair.upper
+    else:
+        out = pair.lower
+    out.envelopes = pair
+    return out
 
 
 def extend_to_interval(A: Subset, phi, K: float, interval: Interval,
@@ -134,21 +147,12 @@ def extend_to_interval(A: Subset, phi, K: float, interval: Interval,
     strictly interior away from A when the interval is bounded.
 
     Unbounded targets take the one-sided envelope that respects the
-    finite endpoint: the upper envelope sits above lo + K d(., A), the
-    lower envelope below hi - K d(., A).  A target equal to the whole
+    finite endpoint (see _into_interval).  A target equal to the whole
     line returns the lower envelope.
     """
     vals = _as_values_on(A, phi, interval)
     _require_closed(A)
-    pair = mcshane_envelopes(A, vals, K, tol)
-    if interval.is_bounded:
-        out = _mean_of_clamped(pair, interval)
-    elif interval.bounded_below:
-        out = pair.upper
-    else:
-        out = pair.lower
-    out.envelopes = pair
-    return out
+    return _into_interval(mcshane_envelopes(A, vals, K, tol), interval)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +246,10 @@ def pointwise_extend_to_interval(A: Subset, phi, witness: PointwiseWitness,
 
     if interval.is_bounded:
         pair = pointwise_envelopes(A, vals, witness, tol)
-        out = _mean_of_clamped(pair, interval)
+        out = _into_interval(pair, interval)
     elif interval.is_real_line:
         pair = pointwise_envelopes(A, np.arctan(vals), witness, tol)
-        out = Transported("tan", _mean_of_clamped(
+        out = Transported("tan", _into_interval(
             pair, Interval.open(-math.pi / 2.0, math.pi / 2.0)))
     else:
         # s = -1 reflects an upper half-line onto [-hi, inf)
@@ -253,7 +257,7 @@ def pointwise_extend_to_interval(A: Subset, phi, witness: PointwiseWitness,
         shift = (interval.lo if s > 0 else -interval.hi) - 1.0
         inverted = 1.0 / (s * vals - shift)     # lands in (0, 1]
         pair = pointwise_envelopes(A, inverted, witness, tol)
-        g = _mean_of_clamped(pair, Interval(0.0, 1.0, True, False))
+        g = _into_interval(pair, Interval(0.0, 1.0, True, False))
         out = Constant(A.space, s) * (Transported("reciprocal", g)
                                       + Constant(A.space, shift))
     # a transport round trip such as tan(arctan(v)) can miss v

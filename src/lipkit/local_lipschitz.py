@@ -24,10 +24,10 @@ import numpy as np
 
 from . import _pairs
 from .certify import (Certificate, _as_values_on, _doubled_ball_excess,
-                      _doubled_balls_hold, _near_pass_pays,
+                      _doubled_balls_hold, _near_pass_pays, _require_constant,
                       certify_local_witness)
 from .errors import CoverError, PreconditionError
-from .extension import extend_to_interval
+from .extension import _envelope_pair, _into_interval
 from .metric_space import _DEFAULT_TOL, Subset
 from .partition_of_unity import CozeroCover, _BallUnion, _blend
 from .scalar_field import (Constant, DistanceTo, Interval, ScalarField,
@@ -337,8 +337,7 @@ def _slice_groups(ball_peaks, max_slices):
     sum 2^-n W_n underflows.
     Returns (exponents descending, one list of ball indices per slice).
     """
-    firsts = [None if m == 0.0 else int(math.floor(math.log2(m))) + 1
-              for m in ball_peaks]
+    firsts = [None if m == 0.0 else math.frexp(m)[1] for m in ball_peaks]
     distinct = sorted({j for j in firsts if j is not None})
     if not distinct:
         distinct = [0]
@@ -369,6 +368,35 @@ def _slice_cover(space, witness: LocalWitness, v: np.ndarray, max_slices,
     return exps, CozeroCover(space, list(extra) + [
         _BallUnion(space, centers[grp], deltas[grp], g)
         for g, grp in enumerate(groups)])
+
+
+# ---------------------------------------------------------------------------
+# The pieces of the blends of decompose and local_extend
+
+
+def _require_certified(f, witness, what, tol, domain=None) -> Certificate:
+    """The passing local-witness certificate of f, refused on a FAIL."""
+    cert = certify_local_witness(f, witness, domain=domain, tol=tol)
+    if not cert.passed:
+        raise PreconditionError(
+            f"witness does not certify {what}: {cert.summary_line()}",
+            witness=cert.witness)
+    return cert
+
+
+def _piece(space, v: np.ndarray, supp: np.ndarray, interval: Interval):
+    """(K, the McShane extension of v on the samples supp into the
+    interval with K), K the exact pair slope of v on supp.
+
+    The blend measured K itself and its anchors are finite values inside
+    the interval, so neither is checked again; a K that is not finite is
+    refused.
+    """
+    vals = v[supp]
+    K = _pairs.max_slope(space, vals, supp)[0]
+    pair = _envelope_pair(Subset(space, supp), vals,
+                          np.full(supp.size, _require_constant(K)))
+    return K, _into_interval(pair, interval)
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +432,7 @@ def decompose(f: ScalarField, witness: LocalWitness,
     residual.  A value that is not finite is refused, naming its sample.
     """
     space = f.space
-    cert = certify_local_witness(f, witness, tol=tol)
-    if not cert.passed:
-        raise PreconditionError(
-            f"witness does not certify the function: {cert.summary_line()}",
-            witness=cert.witness)
+    cert = _require_certified(f, witness, "the function", tol)
     v = f.values()
     # a value alone in its doubled ball meets no pair of the certificate,
     # yet its slice is floor(log2 |v|) + 1
@@ -421,14 +445,13 @@ def decompose(f: ScalarField, witness: LocalWitness,
 
     def piece(n, xi):
         supp = np.flatnonzero(xi.values() > 0.0)
-        vals = v[supp]
-        K = _pairs.max_slope(space, vals, supp)[0]
+        lo, hi = v[supp].min(initial=math.inf), v[supp].max(initial=-math.inf)
+        if not lo < hi:     # no sample, or all one value: every slope is 0
+            constants.append(0.0)
+            return Constant(space, float(lo) if supp.size else 0.0)
+        K, out = _piece(space, v, supp, Interval.closed(lo, hi))
         constants.append(K)
-        if supp.size == 0:
-            return Constant(space, 0.0)
-        lo, hi = float(vals.min()), float(vals.max())
-        return Constant(space, lo) if lo == hi else extend_to_interval(
-            Subset(space, supp), vals, K, Interval.closed(lo, hi), tol)
+        return out
 
     series = _blend(cover, piece)
     return Decomposition(f, series, series.terms, series.pieces, constants,
@@ -464,12 +487,8 @@ def local_extend(A: Subset, phi, witness: LocalWitness, interval: Interval,
 
     stub = np.zeros(space.n)
     stub[A.members] = vals
-    cert = certify_local_witness(Tabulated(space, stub), witness,
-                                 domain=A, tol=tol)
-    if not cert.passed:
-        raise PreconditionError(
-            f"witness does not certify phi on the domain: {cert.summary_line()}",
-            witness=cert.witness)
+    _require_certified(Tabulated(space, stub), witness, "phi on the domain",
+                       tol, domain=A)
 
     if len(A) == space.n:
         # nothing to extend: the partition collapses and phi comes back
@@ -479,6 +498,7 @@ def local_extend(A: Subset, phi, witness: LocalWitness, interval: Interval,
         return out
 
     # set 0 lives off A; stub is zero there, so a ball's peak is its peak on A
+    # and a piece reads phi from it
     off = minimum(Constant(space, 1.0), DistanceTo(space, A.members))
     _, cover = _slice_cover(space, witness, stub, _MAX_SLICES, extra=[off])
     mid = 0.5 * (float(vals.min()) + float(vals.max()))
@@ -489,10 +509,7 @@ def local_extend(A: Subset, phi, witness: LocalWitness, interval: Interval,
         supp = np.flatnonzero((xi.values() > 0.0) & in_A)
         if supp.size == 0:
             supp = np.flatnonzero((cover.witnesses[n].values() > 0.0) & in_A)
-        sub_vals = vals[np.searchsorted(A.members, supp)]
-        K = _pairs.max_slope(space, sub_vals, supp)[0]
-        return extend_to_interval(Subset(space, supp), sub_vals, K, interval,
-                                  tol)
+        return _piece(space, stub, supp, interval)[1]
 
     out = _blend(cover, piece)
     out.restriction_error = float(

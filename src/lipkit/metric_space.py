@@ -253,7 +253,7 @@ class MetricSpace:
             if not report.ok:
                 raise PreconditionError(
                     f"distance data is not a metric: {report.summary()}",
-                    witness=report.worst())
+                    witness=tuple(report.worst().ids))
 
     # ---- constructors -------------------------------------------------
 

@@ -107,6 +107,25 @@ def test_random_extension_rejects_bad_phi():
         random_k_extension(A, np.array([0.0, 9.0]), 1.0)
 
 
+def test_random_extension_closes_an_interval_empty_by_exactly_tol():
+    # phi(2) - phi(0) exceeds K d by tol = 2^-20 exactly: the precheck
+    # passes, and at sample 1 the bounds cross by tol, which the draw
+    # closes to their midpoint
+    space = MetricSpace.from_grid(0.0, 2.0, 1.0)
+    A = Subset(space, [0, 2])
+    tol = 2.0 ** -20
+    out = random_k_extension(A, [0.0, 2.0 + tol], 1.0, tol=tol).values()
+    assert out.tolist() == [0.0, 1.0 + tol / 2, 2.0 + tol]
+
+
+def test_random_extension_keeps_a_one_point_interval_at_the_float_top():
+    # lo = hi = phi everywhere; their midpoint would overflow to inf
+    space = MetricSpace.from_grid(0.0, 1.0, 1.0)
+    top = 1.5e308
+    out = random_k_extension(Subset(space, [0]), [top], 0.0).values()
+    assert out.tolist() == [top, top]
+
+
 def test_random_extension_rejects_nan_phi():
     space = MetricSpace.from_points(np.linspace(0.0, 1.0, 20))
     A = Subset(space, [0, 5, 10])
@@ -534,6 +553,17 @@ def test_an_excess_of_exactly_tol_passes_the_local_witness():
     assert cert.passed
     assert cert.worst_violation == EDGE_TOL
     assert cert.witness == (0, (0, 1))
+
+
+def test_an_active_member_at_zero_is_not_counted_as_active():
+    # both members may live at both samples, but each is 0 at one: one
+    # member is positive at each sample
+    space = MetricSpace.from_grid(0, 1, 1)
+    pou = PartitionOfUnity(space, [[1.0, 0.0], [0.0, 1.0]], [0, 1],
+                           [[True, True], [True, True]])
+    cert = pou_report(pou)
+    assert cert.passed
+    assert cert.details["active_histogram"] == {"1": 2}
 
 
 def test_a_sum_residual_of_exactly_tol_passes_the_pou_report():

@@ -761,3 +761,19 @@ def test_extend_pointwise_refuses_a_repeated_witness_point(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {witness}: entry 2 repeats " \
                                       f"point 0\n"
     assert not (out / "certificate.json").exists()
+
+
+def test_a_metric_refusal_names_its_ids(tmp_path, capsys):
+    # 5 > 1 + 1 breaks the triangle inequality at (0, 1, 2)
+    space = write(tmp_path / "s.csv", "0,1,5\n1,0,1\n5,1,0\n")
+    subset = write(tmp_path / "A.json", "[0, 2]")
+    values = write(tmp_path / "phi.csv", "0,0.0\n2,1.0\n")
+    code = main(["extend", "--space", space, "--subset", subset,
+                 "--values", values, "--k", "1.0",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    cert, = read_json(tmp_path / "out")["certificates"]
+    assert cert["kind"] == "precondition"
+    assert cert["witness"] == [0, 1, 2]
+    assert "triangle" in cert["details"]["message"]
+    capsys.readouterr()

@@ -641,3 +641,74 @@ def test_witness_arrays_are_aligned_read_only_copies():
         LocalWitness([0, 1], [1.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         LocalWitness.from_triples([(0, 1.0, 1.0), (1, 1.0)])
+
+
+def big_sine(seed):
+    """A sorted uniform 30-point cloud on [0, 1] with f = 1e8 sin(3x + seed)
+    and the witness (p, 0.2, 3.5e8) at every sample: values near 1e8,
+    where a rounded slope can undershoot a pair by an ulp."""
+    x = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, 30))
+    space = MetricSpace.from_points(x[:, None])
+    return space, Tabulated(space, 1e8 * np.sin(3.0 * x + seed))
+
+
+def scale_witness(ids):
+    return LocalWitness(ids, np.full(len(ids), 0.2), np.full(len(ids), 3.5e8))
+
+
+@pytest.mark.parametrize("seed", [38, 43, 47])
+def test_decompose_builds_its_pieces_at_value_scale_1e8(seed):
+    # each piece used to be checked again against its own rounded-down
+    # constant, and was refused as "not K-Lipschitz on A"
+    space, f = big_sine(seed)
+    dec = decompose(f, scale_witness(np.arange(space.n)))
+    assert dec.residual() <= 4 * np.spacing(1e8)
+    for xi, K in zip(dec.partition.members, dec.constants):
+        supp = np.flatnonzero(xi.values() > 0.0)
+        assert K == _pairs.max_slope(space, f.values()[supp], supp)[0]
+
+
+@pytest.mark.parametrize("seed", [15, 30, 52])
+def test_local_extend_builds_its_pieces_at_value_scale_1e8(seed):
+    space, f = big_sine(seed)
+    A = Subset(space, np.arange(0, space.n, 2))
+    target = Interval.closed(-1e8, 1e8)
+    out = local_extend(A, f, scale_witness(A.members), target)
+    assert out.restriction_error <= 4 * np.spacing(1e8)
+    assert target.contains(out.values()).all()
+
+
+def test_blend_pieces_are_not_checked_again(monkeypatch):
+    """A piece is built from the constant the blend measured: no pair
+    excess sweep proves it again and no closedness scan runs."""
+    calls = []
+
+    def spy(name, inner):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        return wrapped
+    monkeypatch.setattr(_pairs, "worst_excess",
+                        spy("worst_excess", _pairs.worst_excess))
+    monkeypatch.setattr(Subset, "is_closed_at_sample_scale",
+                        spy("closed", Subset.is_closed_at_sample_scale))
+    space, f, witness = square_on_grid()
+    dec = decompose(f, witness)
+    assert len(dec.pieces) > 1 and calls == []
+    space, A, phi, witness = ray_extension_problem()
+    out = local_extend(A, phi, witness, Interval.at_least(0.0, open_end=True))
+    assert len(out.pieces) > 1 and calls == []
+
+
+@pytest.mark.parametrize("peak, slice_exponent", [
+    (7.999999999999999, 3), (8.0, 4), (1023.9999999999999, 10),
+    (1024.0, 11), (0.75, 0)])
+def test_a_peak_just_below_a_power_of_two_keeps_its_slice(peak,
+                                                          slice_exponent):
+    # log2 rounds up to k for a peak just below 2^k; the slice of a peak
+    # m is floor(log2 m) + 1, the exponent of its binary form
+    assert _slice_groups([peak], 8) == ([slice_exponent], [[0]])
+    space = MetricSpace.from_grid(0, 1, 1)
+    dec = decompose(Tabulated(space, [peak, peak]),
+                    LocalWitness([0, 1], [0.4, 0.4], [0, 0]))
+    assert dec.slice_exponents == [slice_exponent]

@@ -141,6 +141,17 @@ def test_certify_decompose_and_modulus_on_the_square():
     assert_all_pass(certs)
 
 
+def test_modulus_levels_dominate_the_cover_levels():
+    # the levels are the cover's eta themselves, so each one meets its
+    # bound with equality
+    space, f, witness = square_on_grid()
+    moduli = [modulus_witness(f, witness, rule, TOL)
+              for rule in ("bounded", "unbounded")]
+    assert all((m.levels == m.cover.eta).all() for m in moduli)
+    assert [c.details["level_dominates_eta"]
+            for c in verdicts.certify_modulus(moduli, TOL)] == [True, True]
+
+
 def test_certify_extend_local_on_the_square():
     space, f, _ = square_on_grid(-1.0, 1.0, 0.25)
     A = Subset(space, np.arange(0, space.n, 2))
@@ -335,3 +346,32 @@ def test_a_zero_margin_fails_strictness():
     assert cert.details["min_margin"] == 0.0
     assert not cert.passed
     assert cert.witness == (1,)
+
+
+def approx_certs(steps):
+    """certify_approx of the given steps over phi = 0 on two samples."""
+    space = MetricSpace.from_grid(0, 1, 1)
+    return {c.kind: c for c in verdicts.certify_approx(
+        Tabulated(space, [0.0, 0.0]), [Tabulated(space, s) for s in steps])}
+
+
+def test_a_step_equal_to_phi_at_one_sample_fails_strict_above():
+    certs = approx_certs([[0.5, 0.0]])
+    assert certs["strict-above"].details["min_gap"] == 0.0
+    assert not certs["strict-above"].passed
+    assert certs["strict-decrease"].passed and certs["gap-bound"].passed
+
+
+def test_two_equal_steps_fail_strict_decrease():
+    certs = approx_certs([[0.25, 0.25], [0.25, 0.25]])
+    assert certs["strict-decrease"].worst_violation == 0.0
+    assert not certs["strict-decrease"].passed
+    assert certs["strict-above"].passed and certs["gap-bound"].passed
+
+
+def test_a_step_whose_gap_is_exactly_its_bound_fails_the_gap_bound():
+    # step 1 lies 2^-1 above phi at sample 0: the bound is strict
+    certs = approx_certs([[0.75, 0.75], [0.5, 0.25]])
+    assert certs["gap-bound"].worst_violation == 0.0
+    assert not certs["gap-bound"].passed
+    assert certs["strict-above"].passed and certs["strict-decrease"].passed
