@@ -2,9 +2,8 @@
 src/lipkit/verdicts.py and src/lipkit/certify.py and see whether the
 tier-1 suite notices.
 
-    python tools/mutate.py --list      # the mutants, no test run
-    python tools/mutate.py [NAME ...]  # run them (those whose name
-                                       # contains a NAME, when given)
+    python tools/mutate.py --list   # the mutants, no test run
+    python tools/mutate.py          # run them all
 
 A mutant flips one `<` to `<=`, `<=` to `<`, `>` to `>=` or `>=` to
 `>`.  Each runs the suite with -x in a temporary copy of the checkout
@@ -13,7 +12,9 @@ fails.  A mutant that survives names a verdict
 boundary no test pins, unless it is equivalent, one that no input can
 tell apart from the original: those are listed in EQUIVALENT, each with
 its reason, and reported but not counted.  The exit status is 1 when an
-unlisted mutant survives.  Standard library only.
+unlisted mutant survives, and, with --list too, when an EQUIVALENT entry
+names no mutant (its comparison was edited, so the entry is stale).
+Standard library only.
 
 A mutant's name is file:function:comparison:flip, for example
 verdicts.py:_strictness_cert:m > 0.0:>=, with #k appended to the k-th
@@ -138,19 +139,19 @@ def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--list", action="store_true",
                         help="print the mutants and run nothing")
-    parser.add_argument("names", nargs="*",
-                        help="run only the mutants whose name contains one")
     args = parser.parse_args(argv[1:])
     todo = [(target, *m) for target in TARGETS
             for m in mutants(os.path.join(ROOT, "src", "lipkit", target))]
-    if args.names:
-        todo = [m for m in todo if any(s in m[1] for s in args.names)]
+    stale = sorted(set(EQUIVALENT) - {m[1] for m in todo})
+    for name in stale:
+        print(f"stale EQUIVALENT entry, no such mutant: {name}")
+    if stale:
+        return 1
     if args.list:
         for target, name, line, *_ in todo:
             tag = " (equivalent)" if name in EQUIVALENT else ""
             print(f"{line:5d}  {name}{tag}")
-        print(f"{len(todo)} mutants, {sum(m[1] in EQUIVALENT for m in todo)} "
-              f"listed as equivalent")
+        print(f"{len(todo)} mutants, {len(EQUIVALENT)} listed as equivalent")
         return 0
 
     t0 = time.perf_counter()
