@@ -90,9 +90,10 @@ def envelope(space, ids, values, scale, sign):
     """The McShane scan: max(values - scale d(x, ids)) for sign -1, or
     min(values + scale d(x, ids)) for sign +1, at every sample x, with
     values and scale scalars or aligned with ids.  The anchor rows
-    d(., a) are read a row block of anchors at a time, as the draw loop
-    of certify.random_k_extension reads them: rows of D when the
-    distances are exactly symmetric, of D.T otherwise; each block is
+    d(., a) are read a row block of anchors at a time, as the tail
+    updates of certify.random_k_extension read them, and its pending
+    constraint one entry at a time: rows of D when the distances are
+    exactly symmetric, of D.T otherwise; each block is
     scaled in place and reduced over its anchors.  A NaN wins, and a
     scaled distance or a sum past the float range is inf, quietly.
 

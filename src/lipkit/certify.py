@@ -168,14 +168,51 @@ def random_k_extension(A: Subset, phi, K: float, seed: int = 0,
     whenever phi is K-Lipschitz on A; that is checked first.
 
     Both interval ends are kept for every point at once: set from A by
-    two O(|A| n) McShane scans (_pairs.envelope), then tightened in O(n)
-    vector work on the samples after each assigned one.  d(x, q) is read
+    two O(|A| n) McShane scans (_pairs.envelope), then tightened by
+    vector work on the samples after an assigned one.  d(x, q) is read
     from the space's cached pairwise() matrix, the one the precheck sweeps,
     as a row when the distances are exactly symmetric, so the draw
     allocates no n x n or |A| x n array of its own.  max and min are
     exact, so each interval equals feasible_interval on the same
     prefix, bit for bit.  The uniforms come from one rng.random call,
     and a + (b - a) u is the value rng.uniform(a, b) draws.
+
+    A tail update that a later sample provably dominates is skipped.
+    The latest assigned sample x waits as one pending constraint per
+    side, which the next sample y reads as a scalar from the stored
+    float d(x, y) (D.item) that the tail update reads.  Then x's lower
+    side enters the tail after y, as the vector update, only when
+    v_y - a_y <= M for y's value v_y and lower end a_y, its upper side
+    only when b_y - v_y <= M, and y waits in its place.  A pruned draw
+    costs O(1) interpreted work per sample where every sample used to
+    pay five ufunc calls; when no sample clears M (K = 0, or phi of
+    slope exactly K) every side enters, one sample late.
+
+    Why a skipped side changes no bit.  On a sorted axis
+    (_pairs.sorted_axis) take samples x < y < w.  On the given
+    coordinates the exact distances add, d(x, w) = d(x, y) + d(y, w).
+    A stored distance D is within 3u d + 2a of the exact d, u = 2^-53
+    and a = sqrt(2^-1075), by the _coord_dist bound of
+    _doubled_balls_hold with k = 1, and D <= diam = D(0, n - 1), as
+    rounding is monotone.  Every assigned value lies within (1 + 4u)
+    max(|lo|, |hi|) of 0 for the starting bounds lo and hi (a draw in
+    [a, b], a midpoint of [b, a] whose ends come from earlier values,
+    or a point), so |v| <= V = (1 + 4u) L with L = max |lo| + max |hi|.
+    Hence a lower constraint c(w) = fl(v - fl(K D)) is within
+    e = 6u (V + K diam) + 2 K a + 2^-1074 of its exact v - K d(., w),
+    and as a_y >= c_x(y) and d(x, w) - d(y, w) = d(x, y),
+
+        c_y(w) - c_x(w) >= v_y - a_y - 3e > M / (1 + u) - 3e >= 0
+
+    for M = 2^-47 (L + K diam) + 2^-534 K + 2^-1070, which is at least
+    3 (1 + u) e with room for its own rounding.  So x's constraint lies
+    strictly below y's at every later sample, and the running maximum
+    of the tail update, which keeps its last largest operand, never
+    returns it: leaving it out moves no bit, even of a zero's sign.
+    The upper side is the mirror image.  Off a sorted axis M = inf, and
+    so when L + K diam is not at most 2^1000 (no constraint then
+    overflows), a NaN or infinite bound included: every side then
+    enters the tail at once, after its own sample.
     """
     K = _require_constant(K)
     vals_A = _as_values_on(A, phi)
@@ -184,6 +221,7 @@ def random_k_extension(A: Subset, phi, K: float, seed: int = 0,
 
     lo = _pairs.envelope(space, A.members, vals_A, K, -1)
     hi = _pairs.envelope(space, A.members, vals_A, K, +1)
+    margin = _dominance_margin(space, lo, hi, K)
     out = np.empty(n)
     out[A.members] = vals_A
     u = np.random.default_rng(seed).random(n - len(A)).tolist()
@@ -191,33 +229,73 @@ def random_k_extension(A: Subset, phi, K: float, seed: int = 0,
     D = space.pairwise()
     cols = D if space.exactly_symmetric() else D.T     # cols[p] = d(., p)
     step, bound = np.empty(n), np.empty(n)
-    for p in A.complement().tolist():
-        a, b = lo.item(p), hi.item(p)
-        if a > b:
-            if a - b <= tol:
-                value = 0.5 * (a + b)       # interval closed up to rounding
+    defer = margin < math.inf
+    q, vq = -1, 0.0     # the pending sample and its value: assigned,
+                        # not yet in lo and hi
+    lo_at, hi_at, d_at = lo.item, hi.item, cols.item
+    mul, sub, add, up, down = (np.multiply, np.subtract, np.add, np.maximum,
+                               np.minimum)
+    with np.errstate(over="ignore"):    # K d past the float range: inf
+        for p in A.complement().tolist():
+            a, b = lo_at(p), hi_at(p)
+            if q >= 0:      # as np.maximum and np.minimum: a tie takes
+                            # the second operand (no NaN: M is finite)
+                s = d_at(q, p) * K
+                c = vq - s
+                if c >= a:
+                    a = c
+                c = vq + s
+                if c <= b:
+                    b = c
+            if a > b:
+                if a - b <= tol:
+                    value = 0.5 * (a + b)   # interval closed up to rounding
+                else:
+                    raise PreconditionError(
+                        f"empty feasible interval at point {p}: [{a}, {b}]",
+                        witness=p)
+            elif a == b:
+                value = a
             else:
-                raise PreconditionError(
-                    f"empty feasible interval at point {p}: [{a}, {b}]",
-                    witness=p)
-        elif a == b:
-            value = a
-        else:
-            width = b - a
-            if not math.isfinite(width):
-                raise PreconditionError(
-                    f"feasible interval at point {p} is not finite: "
-                    f"[{a}, {b}]", witness=p)
-            value = a + width * u[k]
-            k += 1
-        out[p] = value
-        value = np.float64(value)   # enters a ufunc faster than a float
-        t = p + 1                   # no later sample reads a bound below p
-        lo_t, hi_t, step_t, bound_t = lo[t:], hi[t:], step[t:], bound[t:]
-        np.multiply(cols[p, t:], K, out=step_t)
-        np.maximum(lo_t, np.subtract(value, step_t, out=bound_t), out=lo_t)
-        np.minimum(hi_t, np.add(value, step_t, out=bound_t), out=hi_t)
+                width = b - a
+                if not math.isfinite(width):
+                    raise PreconditionError(
+                        f"feasible interval at point {p} is not finite: "
+                        f"[{a}, {b}]", witness=p)
+                value = a + width * u[k]
+                k += 1
+            out[p] = value
+            # into the tail after p go the pending sample's sides that p
+            # does not dominate, or with no margin p's own sides
+            if defer:
+                r, vr, q, vq = q, vq, p, value
+                low, high = value - a <= margin, b - value <= margin
+            else:
+                r, vr, low, high = p, value, True, True
+            if r >= 0 and (low or high):
+                t = p + 1           # no later sample reads a bound below p
+                step_t, bound_t = step[t:], bound[t:]
+                mul(cols[r, t:], K, out=step_t)
+                vr = np.float64(vr)     # enters a ufunc faster than a float
+                if low:
+                    lo_t = lo[t:]
+                    up(lo_t, sub(vr, step_t, out=bound_t), out=lo_t)
+                if high:
+                    hi_t = hi[t:]
+                    down(hi_t, add(vr, step_t, out=bound_t), out=hi_t)
     return Tabulated(space, out)
+
+
+def _dominance_margin(space, lo, hi, K: float) -> float:
+    """The margin M of random_k_extension for the starting bounds lo and
+    hi: inf off a sorted axis, or when L + K diam is past 2^1000."""
+    if not _pairs.sorted_axis(space):
+        return math.inf
+    scale = (float(np.abs(lo).max()) + float(np.abs(hi).max())
+             + K * space.pairwise().item(0, space.n - 1))
+    if not scale <= 2.0 ** 1000:
+        return math.inf
+    return scale * 2.0 ** -47 + K * 2.0 ** -534 + 2.0 ** -1070
 
 
 def feasible_interval(space: MetricSpace, assigned_ids, assigned_values,

@@ -418,6 +418,9 @@ def nonexpansive_split(f: ScalarField, K: float,
     (i/m) f.  Adjacent copies sit within a factor of two of each
     other, so each difference is an exact float subtraction, and the
     summed pieces telescope back to the top copy 1.0 * f exactly.
+    A value that is not finite is refused, naming its sample: with a
+    pair it fails the K-Lipschitz check, and alone its copies would
+    subtract inf - inf.
 
     The split is bounded: m (n + 32) above _SPLIT_BUDGET = 2^20, for
     n samples, is refused with a PreconditionError before any work.
@@ -439,6 +442,12 @@ def nonexpansive_split(f: ScalarField, K: float,
         raise PreconditionError(
             f"field is not {K}-Lipschitz: excess {cert.worst_violation:.3e} "
             f"at pair {cert.witness}", witness=cert.witness)
+    # a value alone, with no pair to check, may still be inf or NaN
+    v = f.values()
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        x = int(bad[0])
+        raise PreconditionError(f"f({x}) = {v[x]} is not finite", witness=x)
     scaled = [Constant(f.space, i / m) * f for i in range(1, m + 1)]
     pieces = [f] if m == 1 else scaled[:1] + [
         hi - lo for lo, hi in zip(scaled, scaled[1:])]

@@ -1,3 +1,4 @@
+import math
 import time
 import warnings
 
@@ -451,6 +452,16 @@ def test_split_refuses_a_constant_past_its_budget(monkeypatch):
     assert nonexpansive_split(f, 10.0).m == 10
     with pytest.raises(PreconditionError, match="split budget"):
         nonexpansive_split(f, 10.5)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_split_refuses_a_lone_value_that_is_not_finite(value):
+    # one sample has no pair for the K-Lipschitz check to fail; its
+    # copies used to subtract inf - inf
+    f = Tabulated(MetricSpace.from_points([[0.0]]), [value])
+    with pytest.raises(PreconditionError, match=r"f\(0\) = .* is not finite") as err:
+        nonexpansive_split(f, 2.0)
+    assert err.value.witness == 0
 
 
 def test_split_rejects_false_constant():

@@ -61,6 +61,19 @@ EQUIVALENT = {
     "certify.py:_doubled_balls_hold:worst[0] <= tol:<":
         "a pass that fails at an excess of exactly tol hands the decision "
         "to the per-ball sweep, which passes the same balls",
+    "certify.py:random_k_extension:c <= b:<":
+        "on a tie b and c differ at most in a zero's sign, and no output "
+        "reads the sign of b: a point interval takes a, and b - a, a + b "
+        "and b - value drop it",
+    "certify.py:random_k_extension:value - a <= margin:<":
+        "the margin boundary: M is at least 3 (1 + u) times the rounding "
+        "bound, with room, so dropping a side at v - a = M is exact too",
+    "certify.py:random_k_extension:b - value <= margin:<":
+        "the margin boundary: M is at least 3 (1 + u) times the rounding "
+        "bound, with room, so dropping a side at b - v = M is exact too",
+    "certify.py:_dominance_margin:scale <= 2.0 ** 1000:<":
+        "M = inf at exactly 2^1000 applies every side at once, as off a "
+        "sorted axis, and moves no bit",
 }
 
 
