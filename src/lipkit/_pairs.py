@@ -26,7 +26,8 @@ decided in one place:
     then `zero` where d == 0 and the gap is positive, and 0 at every
     other distance that is not positive, the diagonal included;
   * a value gap past the float range is inf, quietly, and a gap of
-    equal infinities is NaN.
+    equal infinities is NaN, as is a zero constant times an infinite
+    distance in a McShane scan (envelope).
 
 Values are aligned with ids, a sorted array of sample ids (every sample
 when ids is None); pairs come back as sample ids.  listed_max reads an
@@ -95,7 +96,11 @@ def envelope(space, ids, values, scale, sign):
     constraint one entry at a time: rows of D when the distances are
     exactly symmetric, of D.T otherwise; each block is
     scaled in place and reduced over its anchors.  A NaN wins, and a
-    scaled distance or a sum past the float range is inf, quietly.
+    scaled distance or a sum past the float range is inf, quietly.  A
+    zero scale times an infinite distance is NaN, quietly too, and so
+    wins: the envelope is NaN at that sample, a draw of
+    certify.random_k_extension refuses the point as not finite, and
+    `lipkit extend` reports that refusal as a FAIL.
 
     Every value is bit for bit that of the column scan, which reduced
     D[r, ids] along its rows, row block r by row block.  max and min are
@@ -113,7 +118,8 @@ def envelope(space, ids, values, scale, sign):
     values = np.asarray(values, dtype=float)
     scale = np.asarray(scale, dtype=float)
     out = None
-    with np.errstate(over="ignore"):    # past the float range: inf
+    # past the float range: inf; 0 * inf: NaN
+    with np.errstate(over="ignore", invalid="ignore"):
         for r in row_blocks(len(ids), space.n):
             s = cols[ids[r]]
             s *= scale[r, None] if scale.ndim else scale

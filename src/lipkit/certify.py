@@ -158,7 +158,7 @@ def check_k_lipschitz(f: ScalarField, K: float, pairs=None,
 
 
 def random_k_extension(A: Subset, phi, K: float, seed: int = 0,
-                       tol: float = _DEFAULT_TOL) -> Tabulated:
+                       tol: float = _DEFAULT_TOL) -> ScalarField:
     """One random K-Lipschitz extension of phi from A to the whole space.
 
     Points outside A are processed in ascending id order.  At each new
@@ -235,7 +235,9 @@ def random_k_extension(A: Subset, phi, K: float, seed: int = 0,
     lo_at, hi_at, d_at = lo.item, hi.item, cols.item
     mul, sub, add, up, down = (np.multiply, np.subtract, np.add, np.maximum,
                                np.minimum)
-    with np.errstate(over="ignore"):    # K d past the float range: inf
+    # K d past the float range: inf; K = 0 times d = inf: NaN, as in
+    # _pairs.envelope
+    with np.errstate(over="ignore", invalid="ignore"):
         for p in A.complement().tolist():
             a, b = lo_at(p), hi_at(p)
             if q >= 0:      # as np.maximum and np.minimum: a tie takes
@@ -479,10 +481,7 @@ def certify_local_witness(f: ScalarField, witness, domain: Subset | None = None,
     """
     space = f.space
     centers = witness.centers(space)
-    inside = None
-    if domain is not None:
-        inside = np.zeros(space.n, dtype=bool)
-        inside[domain.members] = True
+    inside = None if domain is None else domain.mask()
 
     covered = np.zeros(space.n, dtype=bool)
 

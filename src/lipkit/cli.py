@@ -31,11 +31,11 @@ from .io import (field_on_space, load_cover, load_local_witness, load_mapping,
                  load_pointwise_witness, load_space, load_subset,
                  save_values_csv, save_wide_csv, values_on_subset,
                  write_certificates)
-from .local_lipschitz import (LocalWitness, decompose, generate_local_witness,
-                              local_extend, modulus_witness)
-from .metric_space import _DEFAULT_TOL, MetricSpace
+from .local_lipschitz import (decompose, generate_local_witness, local_extend,
+                              modulus_witness)
+from .metric_space import _DEFAULT_TOL
 from .partition_of_unity import frolik_pou, staircase, staircase_partial_sum
-from .scalar_field import Interval, Tabulated, global_lip
+from .scalar_field import Interval, global_lip
 from .selection import IntervalMapping, decreasing_approx, insert, select
 
 _TOL_FLOOR = 1e-12
@@ -194,10 +194,7 @@ def _cmd_insert(args, tol, out_dir):
         else:
             # exhaustive witness on A alone, entries centered there
             A.require_nonempty("insertion domain")
-            sub = MetricSpace.from_matrix(
-                space.pairwise()[np.ix_(A.members, A.members)], validate=False)
-            w = generate_local_witness(Tabulated(sub, vals))
-            witness = LocalWitness(A.members[w.points], w.deltas, w.constants)
+            witness = generate_local_witness(phi, domain=A)
     f = insert(space, lower, upper, A=A, phi=vals, witness=witness, tol=tol)
     _save(out_dir, "selection.csv", f.values())
     return verdicts.certify_insert(IntervalMapping(space, lower, upper), f,

@@ -193,7 +193,7 @@ def values_on_subset(path, A: Subset) -> np.ndarray:
     return _values_at(path, A.space.n, A.members, "subset id")
 
 
-def field_on_space(path, space: MetricSpace) -> Tabulated:
+def field_on_space(path, space: MetricSpace) -> ScalarField:
     """A tabulated field from a value CSV covering every id."""
     return Tabulated(space, _values_at(path, space.n, np.arange(space.n),
                                        "id"))

@@ -78,23 +78,32 @@ class LocalWitness:
         return _pairs.sample_ids(self.points, space.n, "witness entry id")
 
 
-def generate_local_witness(f: ScalarField) -> LocalWitness:
-    """Exhaustive witness for f with one entry per sample.
+def generate_local_witness(f: ScalarField,
+                           domain: Subset | None = None) -> LocalWitness:
+    """Exhaustive witness for f with one entry per sample, or per sample
+    of domain.
 
     Radii reach the nearest distinct sample (1 for a lone sample), and
     each rate is the largest two-point slope of f inside the doubled
-    ball, so the witness certifies by construction.
+    ball, so the witness certifies by construction.  With a domain,
+    only its samples are read, as certify_local_witness(domain=) reads
+    them: the witness is that of f restricted to the domain's sub-space.
     """
     space = f.space
-    deltas = space.nearest_positive()
+    if domain is None:
+        ids, inside = np.arange(space.n), None
+        deltas = space.nearest_positive()
+    else:
+        ids, inside = domain.members, domain.mask()
+        deltas = space.nearest_positive(ids)
     deltas[np.isnan(deltas)] = 1.0
     with np.errstate(over="ignore"):
         radii = 2.0 * deltas
     rates, pairs = _pairs.ball_sweep(
-        space, f.values(), np.arange(space.n), radii,
-        lambda d, o, seg: _pairs.slope(o, d, 0.0))
+        space, f.values(), ids, radii,
+        lambda d, o, seg: _pairs.slope(o, d, 0.0), inside=inside)
     rates[pairs[:, 0] < 0] = 0.0        # a lone sample has rate 0
-    return LocalWitness(np.arange(space.n), deltas, rates)
+    return LocalWitness(ids, deltas, rates)
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +152,7 @@ def _compress(o):
 
 
 def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
-                            compressed: bool, tol: float,
-                            bound=None) -> IncreasingCover:
-    if bound is not None and not math.isfinite(float(bound)):
-        raise PreconditionError(
-            f"the supplied oscillation bound must be finite, got {float(bound)}")
+                            compressed: bool, tol: float) -> IncreasingCover:
     centers = witness.centers(space)
     num = _compress if compressed else None
     # the largest pair oscillation.  On finite values the bounded one is
@@ -156,28 +161,19 @@ def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
     # the gap, and a NaN or a refusal needs its pair: those sweep, as an
     # excess over a zero cap.  An infinite one leaves no finite level,
     # so it is refused with its pair like a NaN.
-    osc_bound = None
+    osc_bound = math.inf
     if not compressed and np.isfinite(v).all():
         osc_bound = float(v.max()) - float(v.min())
-        cap = math.inf if bound is None else float(bound) + tol
-        if not osc_bound < math.inf or not osc_bound <= cap:
-            osc_bound = None
-    if osc_bound is None:
+    if osc_bound == math.inf:
         osc_bound, pair = _pairs.worst_excess(
             space, v, lambda r, c, d, o: 0.0, num=num)
         if math.isnan(osc_bound):
             raise PreconditionError(f"oscillation is NaN at pair {pair}",
                                     witness=pair)
+        if osc_bound == math.inf:
+            raise PreconditionError(f"oscillation is infinite at pair {pair}",
+                                    witness=pair)
         osc_bound = max(osc_bound, 0.0)
-    if bound is not None:
-        if not (osc_bound <= float(bound) + tol):
-            raise PreconditionError(
-                f"oscillation {osc_bound:.6g} exceeds the supplied bound "
-                f"{float(bound):.6g}", witness=pair)
-        osc_bound = float(bound)
-    elif osc_bound == math.inf:
-        raise PreconditionError(f"oscillation is infinite at pair {pair}",
-                                witness=pair)
     # max(K_p, osc_bound / delta_p); on a tie np.maximum returns its
     # second argument, so a signed zero is K_p's.  A quotient past the
     # float range is inf, refused below with every ceiling past int64
@@ -221,16 +217,14 @@ def _cover_from_oscillation(space, witness: LocalWitness, v: np.ndarray,
                            np.unique(ceilings), eta, osc_bound, v, compressed)
 
 
-def increasing_cover(f: ScalarField, witness: LocalWitness, bound=None,
+def increasing_cover(f: ScalarField, witness: LocalWitness,
                      tol: float = _DEFAULT_TOL) -> IncreasingCover:
     """Increasing cover of the sample from a local witness for f.
 
-    bound is a witnessed oscillation bound for f, finite; it defaults
-    to the measured sample oscillation and enters the entry levels as
-    max(K_p, bound / delta_p).
+    The measured sample oscillation enters the entry levels as
+    max(K_p, osc / delta_p).
     """
-    return _cover_from_oscillation(f.space, witness, f.values(), False, tol,
-                                   bound=bound)
+    return _cover_from_oscillation(f.space, witness, f.values(), False, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +470,7 @@ def local_extend(A: Subset, phi, witness: LocalWitness, interval: Interval,
     """
     space = A.space
     vals = _as_values_on(A, phi, interval)
-    in_A = np.zeros(space.n, dtype=bool)
-    in_A[A.members] = True
+    in_A = A.mask()
     centers = witness.centers(space)
     outside = np.flatnonzero(~in_A[centers])
     if outside.size:

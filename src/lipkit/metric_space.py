@@ -360,19 +360,22 @@ class MetricSpace:
             raise PreconditionError("no positive pairwise distance in this space")
         return self._min_positive
 
-    def nearest_positive(self) -> np.ndarray:
+    def nearest_positive(self, ids=None) -> np.ndarray:
         """Each sample's smallest positive distance to another sample
-        (the diagonal is not read), NaN where it has none."""
-        return self._positive_row_min(False)
+        (the diagonal is not read), NaN where it has none; with ids, an
+        array of sample ids, each one's to the others of ids, aligned
+        with them."""
+        return self._positive_row_min(False, ids)
 
-    def _positive_row_min(self, symmetric) -> np.ndarray:
+    def _positive_row_min(self, symmetric, ids=None) -> np.ndarray:
         """Each row's smallest positive distance over the pairs of
-        _pairs.pair_blocks (every ordered pair unless symmetric), off the
-        diagonal, NaN where it has none (the last row, when symmetric):
-        np.fmin, from a NaN start, passes over the entries that are not
-        positive."""
-        out = np.full(self.n, np.nan)
-        for r, c, d, _ in _pairs.pair_blocks(self, self.n, None, symmetric):
+        _pairs.pair_blocks among ids (every ordered pair unless
+        symmetric), off the diagonal, NaN where it has none (the last
+        row, when symmetric): np.fmin, from a NaN start, passes over the
+        entries that are not positive."""
+        m = self.n if ids is None else len(ids)
+        out = np.full(m, np.nan)
+        for r, c, d, _ in _pairs.pair_blocks(self, m, ids, symmetric):
             pos = d > 0
             np.fill_diagonal(pos[:, r.start - c.start:], False)
             out[r] = np.fmin.reduce(d, axis=1, where=pos, initial=np.nan)
@@ -444,10 +447,14 @@ class Subset:
     def __iter__(self):
         return iter(int(p) for p in self.members)
 
+    def mask(self) -> np.ndarray:
+        """Whether each sample of the space is a member."""
+        inside = np.zeros(self.space.n, dtype=bool)
+        inside[self.members] = True
+        return inside
+
     def complement(self) -> np.ndarray:
-        mask = np.ones(self.space.n, dtype=bool)
-        mask[self.members] = False
-        return np.flatnonzero(mask)
+        return np.flatnonzero(~self.mask())
 
     def require_nonempty(self, what: str = "subset") -> "Subset":
         if self.members.size == 0:

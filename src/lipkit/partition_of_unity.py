@@ -110,13 +110,13 @@ class _BallUnion(ScalarField):
     of open balls: 1-Lipschitz and positive exactly on their union.
 
     One pass over the distance columns whatever the group size, computed
-    on first read; it reads the columns DistanceTo reads, so its values
-    equal a max-chain of tents bit for bit.  centers and radii are
-    aligned; g labels the group in error messages.
+    when built, as the cover that holds it reads it at once; it reads
+    the columns DistanceTo reads, so its values equal a max-chain of
+    tents bit for bit.  centers and radii are aligned; g labels the
+    group in error messages.
     """
 
     def __init__(self, space, centers, radii, g):
-        super().__init__(space)
         if not len(centers):
             raise CoverError(f"ball group {g} is empty")
         self.centers = _pairs.sample_ids(centers, space.n,
@@ -128,10 +128,8 @@ class _BallUnion(ScalarField):
             raise PreconditionError(
                 f"ball ({self.centers[j]}, {self.radii[j]}) in group {g} "
                 f"has no interior")
-
-    def _compute_values(self) -> np.ndarray:
-        out = _pairs.envelope(self.space, self.centers, self.radii, 1.0, -1)
-        return np.maximum(out, 0.0, out=out)
+        out = _pairs.envelope(space, self.centers, self.radii, 1.0, -1)
+        super().__init__(space, np.maximum(out, 0.0, out=out))
 
 
 def witness_from_balls(space, groups) -> CozeroCover:
@@ -226,13 +224,14 @@ class PartitionOfUnity(ScalarField):
     set_index[m] names the cover set the m-th member is subordinated
     to: the member vanishes wherever that set's witness does.  The
     family's value is the exactly rounded column sum of its rows under
-    its mask; a family regrouped by index_subordinate holds the sum of
-    the family it came from instead, so regrouping cannot move the sum.
+    its mask, computed on first read unless values gives it; a family
+    regrouped by index_subordinate is given the sum of the family it
+    came from, so regrouping cannot move the sum.
     """
 
     def __init__(self, space, matrix, set_index, activity,
-                 cover=None, notes=None):
-        super().__init__(space)
+                 cover=None, notes=None, values=None):
+        super().__init__(space, values)
         self.set_index = list(set_index)
         self.matrix = np.asarray(matrix, dtype=float).view()
         self.activity = np.asarray(activity, dtype=bool).view()
@@ -365,11 +364,10 @@ def index_subordinate(pou: PartitionOfUnity) -> PartitionOfUnity:
         rows = np.flatnonzero(set_index == n)
         matrix[n] = _column_sums(pou.matrix[rows], pou.activity[rows])
         outer[n] = pou.activity[rows].any(axis=0)
-    grouped = PartitionOfUnity(space, matrix, range(size), outer,
-                               cover=pou.cover,
-                               notes=pou.notes + ["regrouped by cover set"])
-    grouped._cached = pou.values()      # the sum of the rows it regroups
-    return grouped
+    return PartitionOfUnity(space, matrix, range(size), outer,
+                            cover=pou.cover,
+                            notes=pou.notes + ["regrouped by cover set"],
+                            values=pou.values())
 
 
 def _blend(cover: CozeroCover, piece) -> Series:

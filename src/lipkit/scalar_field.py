@@ -2,9 +2,9 @@
 
 Fields are built from tabulated values, constants, coordinate
 projections, distances to sets, pointwise combinators, a closed set of
-named monotone transports, and locally finite series.  Combinators and
-transports evaluate when they are applied; distances and series, whose
-values cost a pass over distance rows or an exact column sum, are
+named monotone transports, and locally finite series.  Every builder
+and operator evaluates when it is applied, except the three lazy kinds
+of ScalarField: series, McShane envelopes and partitions of unity,
 computed on their first read.  Keeping the algebra closed (no
 arbitrary user closures) is what lets every construction downstream
 certify its outputs on sample pairs.
@@ -129,9 +129,18 @@ class ScalarField:
     """A field: its space and one read-only array, a value per sample.
 
     Built from values, a field holds them from the start, and every
-    operator evaluates at once.  A lazy leaf, whose values cost a pass
-    over distance rows or an exact column sum, implements
-    _compute_values() instead and runs it on the first read only.
+    operator evaluates at once.  A lazy kind implements
+    _compute_values() instead and runs it on the first read only, where
+    a caller may never read it:
+
+      * Series (and so the blends): a library caller of decompose or
+        nonexpansive_split may never read the reconstruction;
+      * extension.Envelope: _into_interval leaves one side unread on a
+        half-line target, and the benchmark tracer times
+        Envelope._compute_values as a layer of its own;
+      * partition_of_unity.PartitionOfUnity: the blend partitions of
+        local_extend and decreasing_approx are never summed.
+
     Either way the array is filled once, so scalar calls share the
     exact floats the array path produced.
     """
@@ -205,11 +214,9 @@ def maximum(f: ScalarField, g) -> ScalarField:
     return f._apply(np.maximum, g)
 
 
-class Tabulated(ScalarField):
+def Tabulated(space: MetricSpace, values) -> ScalarField:
     """Field given by one value per sample id, held as a copy."""
-
-    def __init__(self, space: MetricSpace, values):
-        super().__init__(space, np.array(values, dtype=float))
+    return ScalarField(space, np.array(values, dtype=float))
 
 
 def Constant(space: MetricSpace, value: float) -> ScalarField:
@@ -227,18 +234,13 @@ def Coordinate(space: MetricSpace, axis: int = 0) -> ScalarField:
     return ScalarField(space, space.coords[:, int(axis)].copy())
 
 
-class DistanceTo(ScalarField):
+def DistanceTo(space: MetricSpace, members) -> ScalarField:
     """x -> d(x, S) for a fixed nonempty set of sample ids.  1-Lipschitz."""
-
-    def __init__(self, space: MetricSpace, members):
-        super().__init__(space)
-        self.members = np.unique(_pairs.sample_ids(members, space.n,
-                                                   "distance-to-set id"))
-        if self.members.size == 0:
-            raise PreconditionError("distance to the empty set is undefined")
-
-    def _compute_values(self) -> np.ndarray:
-        return _pairs.envelope(self.space, self.members, -0.0, 1.0, +1)
+    members = np.unique(_pairs.sample_ids(members, space.n,
+                                          "distance-to-set id"))
+    if members.size == 0:
+        raise PreconditionError("distance to the empty set is undefined")
+    return ScalarField(space, _pairs.envelope(space, members, -0.0, 1.0, +1))
 
 
 def Transported(name: str, inner: ScalarField) -> ScalarField:

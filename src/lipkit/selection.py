@@ -223,7 +223,7 @@ def select(mapping: IntervalMapping) -> ScalarField:
 
 def select_extend(A: Subset, phi, witness: LocalWitness,
                   mapping: IntervalMapping,
-                  tol: float = _DEFAULT_TOL) -> Tabulated:
+                  tol: float = _DEFAULT_TOL) -> ScalarField:
     """Selection through the windows that agrees with phi on A exactly.
 
     phi (strictly inside its windows on A) is first extended to a
@@ -245,10 +245,8 @@ def select_extend(A: Subset, phi, witness: LocalWitness,
 
     target = Interval.real_line()
     base = local_extend(A, vals, witness, target, tol)
-    in_A = np.zeros(space.n, dtype=bool)
-    in_A[A.members] = True
     keep = mapping.strict_mask(base)
-    failing = np.flatnonzero(~keep & ~in_A)
+    failing = np.flatnonzero(~keep & ~A.mask())
 
     if failing.size == 0:
         blended = base

@@ -33,7 +33,7 @@ def check_against_the_sweep(space, witness, v, tol=TOL):
     f = Tabulated(space, v)
     calls = [(modulus_witness, f, witness, rule, tol)
              for rule in ("bounded", "unbounded")]
-    calls.append((increasing_cover, f, witness, None, tol))
+    calls.append((increasing_cover, f, witness, tol))
     for call in calls:
         assert cover_outcome(*call) == cover_outcome(*call, per_ball=True)
     decided = []

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,30 @@ def test_envelopes_of_a_huge_constant_overflow_quietly():
     assert out.envelopes.upper.values().tolist() == upper
     out = extend_to_interval(A, phi, K, Interval.open(-5.0, 5.0))
     assert out.values().tolist() == [0.0, 0.0, 2.0]
+
+
+def test_a_zero_constant_times_an_infinite_distance_is_a_quiet_nan():
+    """K = 0 times d = inf is NaN, and a NaN wins: each envelope is NaN
+    at the far sample, and a draw refuses the first point whose
+    feasible interval it reaches, with no numpy warning, from the McShane
+    scans (two samples) or from a draw's tail update (the third sample
+    sits at d = inf from the second only)."""
+    inf = math.inf
+    far = MetricSpace.from_matrix([[0, inf], [inf, 0]], validate=False)
+    tail = MetricSpace.from_matrix([[0, 1, 1], [1, 0, inf], [1, inf, 0]],
+                                   validate=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        A = Subset(far, [0])
+        pair = mcshane_envelopes(A, [0.0], 0.0)
+        for side in (pair.lower, pair.upper):
+            assert side.values()[0] == 0.0 and math.isnan(side.values()[1])
+        out = extend_to_interval(A, [0.0], 0.0, Interval.closed(-1, 1))
+        assert math.isnan(out.values()[1])
+        for space, p in ((far, 1), (tail, 2)):
+            with pytest.raises(PreconditionError,
+                               match=f"interval at point {p} is not finite"):
+                random_k_extension(Subset(space, [0]), [0.0], 0.0)
 
 
 def fine_grid_instance():

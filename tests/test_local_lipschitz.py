@@ -34,7 +34,7 @@ def restriction_slope(space, f, ids):
 
 def test_increasing_cover_square_example():
     space, f, witness = square_on_grid()
-    cover = increasing_cover(f, witness, bound=9.0)
+    cover = increasing_cover(f, witness)
     top = int(cover.thresholds.max())
     assert top == 10
     whole = cover.eta <= 10
@@ -70,15 +70,6 @@ def test_increasing_cover_constant_field():
     assert (cover.eta <= 1).all()
     worst, _ = cover.soundness_check()
     assert worst <= TOL
-
-
-def test_increasing_cover_rejects_small_bound():
-    space, f, witness = square_on_grid()
-    with pytest.raises(PreconditionError) as err:
-        increasing_cover(f, witness, bound=5.0)
-    i, j = err.value.witness
-    v = f.values()
-    assert abs(v[i] - v[j]) > 5.0
 
 
 def test_increasing_cover_rejects_failing_witness():
@@ -142,17 +133,6 @@ def test_a_level_past_the_int64_range_is_refused_with_its_entry():
     assert cover.eta.tolist() == [2 ** 62, 10, 10, 10, 10]
 
 
-@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
-def test_increasing_cover_refuses_a_non_finite_bound(bound):
-    space = MetricSpace.from_grid(0, 3, 1)
-    f = Tabulated(space, [0.0, 1.0, 0.0, 0.0])
-    witness = LocalWitness.from_triples([(p, 0.4, 1.0) for p in range(4)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(PreconditionError, match="bound must be finite"):
-            increasing_cover(f, witness, bound=bound)
-
-
 def test_gaps_past_the_float_range_are_inf_without_a_warning():
     """|1e308 - (-1e308)| overflows to inf: every pair check reads it as
     an infinite gap, and the local constructions refuse it, quietly."""
@@ -187,9 +167,43 @@ def test_generated_witness_skips_a_tolerated_diagonal():
     assert witness.deltas.tolist() == [1.0, 1.0, 2.0]
 
 
+def test_a_domain_witness_is_the_sub_space_witness_bit_for_bit():
+    """generate_local_witness(f, domain=A) reads the samples of A only:
+    its entries are those generated on the sub-space of A's distances
+    (the route lipkit insert took), mapped back to sample ids, bit for
+    bit, on the four backends and on unvalidated asymmetric matrices,
+    one symmetric on A only and one with a zero off the diagonal."""
+    rng = np.random.default_rng(37)
+    spaces = [make_space(rng, n_max=24, kinds=[k])
+              for k in range(4) for _ in range(3)]
+    D = rng.uniform(0.5, 3.0, size=(12, 12))
+    np.fill_diagonal(D, 0.0)
+    D[:6, :6] = np.minimum(D[:6, :6], D[:6, :6].T)
+    D[7, 9] = 0.0
+    spaces.append(MetricSpace.from_matrix(D, validate=False))
+    for space in spaces:
+        v = rng.normal(size=space.n)
+        v[rng.integers(space.n)] = v[0]         # a tie of values
+        domains = [np.arange(min(6, space.n)), [int(rng.integers(space.n))],
+                   np.arange(space.n)] + [
+            rng.choice(space.n, size=k, replace=False)
+            for k in (2, space.n // 2, space.n - 1)]
+        for ids in domains:
+            A = Subset(space, ids)
+            sub = MetricSpace.from_matrix(
+                space.pairwise()[np.ix_(A.members, A.members)],
+                validate=False)
+            want = generate_local_witness(Tabulated(sub, v[A.members]))
+            got = generate_local_witness(Tabulated(space, v), domain=A)
+            assert got.points.tobytes() == A.members[want.points].tobytes()
+            assert got.deltas.tobytes() == want.deltas.tobytes()
+            assert got.constants.tobytes() == want.constants.tobytes()
+
+
 def test_bounded_oscillation_skips_the_sweep_with_the_same_cover():
     """fl(max v - min v) is the swept bounded oscillation bit for bit, so
-    the levels, thresholds and eta are those the sweep's value gives."""
+    the levels, and the thresholds and eta they give, are those of the
+    sweep's value."""
     rng = np.random.default_rng(31)
     cases = [(MetricSpace.from_points([0.0]), np.array([3.0]))]
     for _ in range(15):
@@ -203,13 +217,10 @@ def test_bounded_oscillation_skips_the_sweep_with_the_same_cover():
         swept, _ = _pairs.worst_excess(space, v, lambda r, c, d, o: 0.0)
         swept = max(swept, 0.0)
         got = _cover_from_oscillation(space, witness, v, False, TOL)
-        want = _cover_from_oscillation(space, witness, v, False, TOL,
-                                       bound=swept)
         assert np.float64(got.osc_bound).tobytes() == \
             np.float64(swept).tobytes()
-        for name in ("levels", "thresholds", "eta"):
-            assert getattr(got, name).tobytes() == \
-                getattr(want, name).tobytes(), name
+        levels = np.maximum(swept / witness.deltas, witness.constants)
+        assert got.levels.tobytes() == levels.tobytes()
 
 
 def test_oscillation_refusals_keep_their_pairs():
@@ -221,12 +232,6 @@ def test_oscillation_refusals_keep_their_pairs():
             modulus_witness(Tabulated(space, [math.inf, math.inf, 0.0, 0.0]),
                             witness, rule)
         assert err.value.witness == (0, 1)
-    # an infinite gap, and a finite one, past the supplied bound
-    for v, pair in (([0.0, math.inf, 0.0, 0.0], (0, 1)),
-                    ([0.0, 1.0, 9.0, 2.0], (0, 2))):
-        with pytest.raises(PreconditionError, match="exceeds") as err:
-            increasing_cover(Tabulated(space, v), witness, bound=5.0)
-        assert err.value.witness == pair
 
 
 def test_soundness_check_reports_a_nan_excess():

@@ -431,6 +431,6 @@ def test_covers_match_the_per_ball_reference(case, tol):
     f, witness = case
     calls = [(modulus_witness, f, witness, rule, tol)
              for rule in ("bounded", "unbounded")]
-    calls.append((increasing_cover, f, witness, None, tol))
+    calls.append((increasing_cover, f, witness, tol))
     for call in calls:
         assert cover_outcome(*call) == cover_outcome(*call, per_ball=True)
