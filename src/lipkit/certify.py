@@ -62,15 +62,34 @@ def _as_values_on(A: Subset, phi, interval: Interval | None = None) -> np.ndarra
     return vals
 
 
-def _require_k_lipschitz_on(A: Subset, vals: np.ndarray, K: float,
-                            tol: float):
-    """Refuse phi (vals on A) unless it is K-Lipschitz on A within tol."""
-    excess, pair = _pairs.worst_excess(A.space, vals, lambda r, c, d, o: K * d,
-                                       ids=A.members)
+def _require_compatible(A: Subset, vals: np.ndarray, L: np.ndarray,
+                        tol: float):
+    """Refuse phi (vals on A) unless |phi_x - phi_y| <= min(L_x, L_y)
+    d(x, y) + tol at every pair of A, for constants L aligned with
+    A.members: the pair compatibility of the per-point envelopes, and
+    with L = K everywhere, where min(K, K) d is K d bit for bit, phi
+    K-Lipschitz on A.  The refusal names the worst pair and its
+    constant min(L_x, L_y)."""
+    excess, pair = _pairs.worst_excess(
+        A.space, vals,
+        lambda r, c, d, o: np.minimum(L[r, None], L[None, c]) * d,
+        ids=A.members)
     if not (excess <= tol):
+        c = float(L[np.searchsorted(A.members, pair)].min())
         raise PreconditionError(
-            f"phi is not {K}-Lipschitz on A: excess {excess:.3e} "
+            f"phi is not {c}-Lipschitz on A: excess {excess:.3e} "
             f"at pair {pair}", witness=pair)
+
+
+def _k_lipschitz_values_on(A: Subset, phi, K, tol: float) -> tuple:
+    """(K, phi's values on A) for an extension with one global constant:
+    K refused unless finite and nonnegative (_require_constant), then
+    the anchor check (_as_values_on), then phi refused unless it is
+    K-Lipschitz on A (_require_compatible)."""
+    K = _require_constant(K)
+    vals = _as_values_on(A, phi)
+    _require_compatible(A, vals, np.full(len(A), K), tol)
+    return K, vals
 
 
 @dataclass
@@ -214,10 +233,8 @@ def random_k_extension(A: Subset, phi, K: float, seed: int = 0,
     overflows), a NaN or infinite bound included: every side then
     enters the tail at once, after its own sample.
     """
-    K = _require_constant(K)
-    vals_A = _as_values_on(A, phi)
+    K, vals_A = _k_lipschitz_values_on(A, phi, K, tol)
     space, n = A.space, A.space.n
-    _require_k_lipschitz_on(A, vals_A, K, tol)
 
     lo = _pairs.envelope(space, A.members, vals_A, K, -1)
     hi = _pairs.envelope(space, A.members, vals_A, K, +1)

@@ -19,7 +19,7 @@ monotone transport into a bounded interval (per-point constants).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +27,9 @@ from . import _pairs
 from .errors import PreconditionError
 from .metric_space import _DEFAULT_TOL, Subset
 from .scalar_field import (Constant, Interval, ScalarField, Tabulated,
-                           Transported, maximum, minimum)
-from .certify import (_as_values_on, _require_constant,
-                      _require_k_lipschitz_on)
+                           Transported)
+from .certify import (_as_values_on, _k_lipschitz_values_on,
+                      _require_compatible)
 
 
 class Envelope(ScalarField):
@@ -74,21 +74,18 @@ class EnvelopePair:
     A: Subset
     phi_values: np.ndarray
     constants: np.ndarray
-    notes: list = field(default_factory=list)
 
 
-def _envelope_pair(A: Subset, vals: np.ndarray, consts: np.ndarray,
-                   notes=()) -> EnvelopePair:
+def _envelope_pair(A: Subset, vals: np.ndarray,
+                   consts: np.ndarray) -> EnvelopePair:
     return EnvelopePair(Envelope(A.space, A.members, vals, consts, -1),
                         Envelope(A.space, A.members, vals, consts, +1),
-                        A, vals, consts, list(notes))
+                        A, vals, consts)
 
 
 def mcshane_envelopes(A: Subset, phi, K: float, tol: float = _DEFAULT_TOL) -> EnvelopePair:
     """Envelopes with one global constant 0 <= K < inf."""
-    K = _require_constant(K)
-    vals = _as_values_on(A, phi)
-    _require_k_lipschitz_on(A, vals, K, tol)
+    K, vals = _k_lipschitz_values_on(A, phi, K, tol)
     return _envelope_pair(A, vals, np.full(len(A), K))
 
 
@@ -120,19 +117,28 @@ def _require_closed(A: Subset):
             "extension domain has an outside sample at distance zero")
 
 
+def _mean(a, b):
+    """(a + b) / 2 elementwise, exact where a == b, subnormals included;
+    where the sum of two finite values overflows, a / 2 + b / 2."""
+    with np.errstate(over="ignore"):
+        s = np.add(a, b)
+    over = np.isinf(s) & np.isfinite(a) & np.isfinite(b)
+    return np.where(over, 0.5 * a + 0.5 * b, 0.5 * s)
+
+
 def _into_interval(pair: EnvelopePair, interval: Interval) -> ScalarField:
     """The one target rule of a McShane pair, with .envelopes set.
 
     A bounded target averages the clamped envelopes,
-    (max(lower, lo) + min(upper, hi)) / 2, which restricts to phi
-    exactly: both clamps are no-ops at anchors and (v + v)/2 = v.  A
+    (max(lower, lo) + min(upper, hi)) / 2 by _mean, which restricts to
+    phi exactly: both clamps are no-ops at anchors and (v + v)/2 = v.  A
     target bounded below only takes the upper envelope, which sits
     above lo + K d(., A); any other the lower one, below hi - K d(., A).
     """
     if interval.is_bounded:
-        lo = maximum(pair.lower, Constant(pair.lower.space, interval.lo))
-        hi = minimum(pair.upper, Constant(pair.upper.space, interval.hi))
-        out = Constant(pair.lower.space, 0.5) * (lo + hi)
+        out = Tabulated(pair.lower.space, _mean(
+            np.maximum(pair.lower.values(), interval.lo),
+            np.minimum(pair.upper.values(), interval.hi)))
     elif interval.bounded_below:
         out = pair.upper
     else:
@@ -163,8 +169,8 @@ def extend_to_interval(A: Subset, phi, K: float, interval: Interval,
 class PointwiseWitness:
     """Per-point constants L_x >= 1 on an anchor set.
 
-    Values below 1 are lifted to 1 silently when consumed; the lift is
-    reported through the envelope pair's notes.
+    Values below 1 are lifted to 1 silently when consumed; aligned()
+    returns how many it lifted.
     """
 
     constants: dict
@@ -196,27 +202,13 @@ class PointwiseWitness:
         return out, lifted
 
 
-def _check_pair_compatibility(A: Subset, vals: np.ndarray, consts: np.ndarray,
-                              tol: float):
-    excess, pair = _pairs.worst_excess(
-        A.space, vals,
-        lambda r, c, d, o: np.minimum(consts[r, None], consts[None, c]) * d,
-        ids=A.members)
-    if not (excess <= tol):
-        raise PreconditionError(
-            f"pair compatibility fails at {pair}: "
-            f"|phi difference| exceeds min(L_x, L_y) d by {excess:.3e}",
-            witness=pair)
-
-
 def pointwise_envelopes(A: Subset, phi, witness: PointwiseWitness,
                         tol: float = _DEFAULT_TOL) -> EnvelopePair:
     """Envelopes with per-anchor constants from the witness."""
     vals = _as_values_on(A, phi)
-    consts, lifted = witness.aligned(A)
-    _check_pair_compatibility(A, vals, consts, tol)
-    notes = [f"lifted {lifted} constant(s) below 1 up to 1"] if lifted else []
-    return _envelope_pair(A, vals, consts, notes)
+    consts, _ = witness.aligned(A)
+    _require_compatible(A, vals, consts, tol)
+    return _envelope_pair(A, vals, consts)
 
 
 def generate_pointwise_witness(f: ScalarField) -> PointwiseWitness:
@@ -237,7 +229,8 @@ def pointwise_extend_to_interval(A: Subset, phi, witness: PointwiseWitness,
     (-pi/2, pi/2), map back with tan.  A half-line target is shifted so
     the finite endpoint becomes 1, inverted into (0, 1] by the
     reciprocal transport, extended there, and inverted back; an upper
-    half-line is reflected first.  All three transports preserve the
+    half-line is reflected first, and a value whose distance to the
+    finite end overflows is refused.  All three transports preserve the
     witness because they are nonexpansive on the relevant ranges.  The
     output carries phi on A verbatim.
     """
@@ -255,7 +248,15 @@ def pointwise_extend_to_interval(A: Subset, phi, witness: PointwiseWitness,
         # s = -1 reflects an upper half-line onto [-hi, inf)
         s = 1.0 if interval.bounded_below else -1.0
         shift = (interval.lo if s > 0 else -interval.hi) - 1.0
-        inverted = 1.0 / (s * vals - shift)     # lands in (0, 1]
+        with np.errstate(over="ignore"):
+            gap = s * vals - shift      # at least 1; inf past the float range
+        far = np.flatnonzero(np.isinf(gap))
+        if far.size:
+            x = int(A.members[far[0]])
+            raise PreconditionError(
+                f"phi({x}) = {float(vals[far[0]])!r} lies more than the "
+                f"largest float from the end of {interval}", witness=x)
+        inverted = 1.0 / gap     # lands in (0, 1]
         pair = pointwise_envelopes(A, inverted, witness, tol)
         g = _into_interval(pair, Interval(0.0, 1.0, True, False))
         out = Constant(A.space, s) * (Transported("reciprocal", g)

@@ -27,7 +27,7 @@ from .certify import (Certificate, _as_values_on, _doubled_ball_excess,
                       _doubled_balls_hold, _near_pass_pays, _require_constant,
                       certify_local_witness)
 from .errors import CoverError, PreconditionError
-from .extension import _envelope_pair, _into_interval
+from .extension import _envelope_pair, _into_interval, _mean
 from .metric_space import _DEFAULT_TOL, Subset
 from .partition_of_unity import CozeroCover, _BallUnion, _blend
 from .scalar_field import (Constant, DistanceTo, Interval, ScalarField,
@@ -494,7 +494,7 @@ def local_extend(A: Subset, phi, witness: LocalWitness, interval: Interval,
     # and a piece reads phi from it
     off = minimum(Constant(space, 1.0), DistanceTo(space, A.members))
     _, cover = _slice_cover(space, witness, stub, _MAX_SLICES, extra=[off])
-    mid = 0.5 * (float(vals.min()) + float(vals.max()))
+    mid = float(_mean(vals.min(), vals.max()))
 
     def piece(n, xi):
         if n == 0:

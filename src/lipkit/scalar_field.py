@@ -257,8 +257,9 @@ def Transported(name: str, inner: ScalarField) -> ScalarField:
     if name == "arctan":
         return ScalarField(inner.space, np.arctan(v))
     if name == "tan":
-        if (np.abs(v) >= _HALF_PI).any():
-            bad = int(np.argmax(np.abs(v) >= _HALF_PI))
+        # fl(pi/2) lies below pi/2, and its tan is finite
+        if (np.abs(v) > _HALF_PI).any():
+            bad = int(np.argmax(np.abs(v) > _HALF_PI))
             raise DomainError(
                 f"tan transport needs values in (-pi/2, pi/2); "
                 f"point {bad} has {float(v[bad])!r}")

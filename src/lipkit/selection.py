@@ -235,11 +235,10 @@ def select_extend(A: Subset, phi, witness: LocalWitness,
     """
     space = A.space
     vals = _as_values_on(A, phi)
-    probe = np.zeros(space.n)
-    probe[A.members] = vals
-    inside = mapping.strict_mask(Tabulated(space, probe))
-    if not inside[A.members].all():
-        x = int(A.members[~inside[A.members]][0])
+    lo, hi = mapping.bounds()
+    inside = (lo[A.members] < vals) & (vals < hi[A.members])
+    if not inside.all():
+        x = int(A.members[~inside][0])
         raise PreconditionError(
             f"phi({x}) does not sit strictly inside its window", witness=x)
 

@@ -54,10 +54,12 @@ def _restriction_cert(out_values, A, vals, tol) -> Certificate:
 
 
 def _containment_cert(values, interval, tol) -> Certificate:
-    """How far the values leave a bounded interval."""
-    return _largest("containment", np.maximum(values - interval.hi,
-                                              interval.lo - values),
-                    tol, details={"interval": str(interval)})
+    """How far the values leave a bounded interval; a distance past the
+    float range is inf, with its sign."""
+    with np.errstate(over="ignore"):
+        excess = np.maximum(values - interval.hi, interval.lo - values)
+    return _largest("containment", excess, tol,
+                    details={"interval": str(interval)})
 
 
 def _strictness_cert(mapping, f) -> Certificate:
@@ -120,8 +122,9 @@ def certify_extend(A, vals, K, interval, out, tol=_DEFAULT_TOL,
     if interval.is_bounded:
         certs.append(_containment_cert(v, interval, tol))
         dA = DistanceTo(A.space, A.members).values()
-        need = np.minimum(K * dA, interval.hi - interval.lo) / 2.0
-        margin = np.minimum(v - interval.lo, interval.hi - v)
+        with np.errstate(over="ignore"):    # inf past the float range
+            need = np.minimum(K * dA, interval.hi - interval.lo) / 2.0
+            margin = np.minimum(v - interval.lo, interval.hi - v)
         rest = A.complement()
         if rest.size:
             certs.append(_largest("interior-margin", (need - margin)[rest],
@@ -142,8 +145,10 @@ def certify_extend_pointwise(A, vals, interval, out, tol=_DEFAULT_TOL) -> list:
              _verdict("pointwise-witness", excess, tol, at)]
     if interval.is_bounded:
         dA = DistanceTo(space, A.members).values()
-        breach = np.maximum(out.envelopes.lower.values() - (interval.hi - dA),
-                            (interval.lo + dA) - out.envelopes.upper.values())
+        with np.errstate(over="ignore"):    # inf past the float range
+            breach = np.maximum(
+                out.envelopes.lower.values() - (interval.hi - dA),
+                (interval.lo + dA) - out.envelopes.upper.values())
         certs += [_containment_cert(v, interval, tol),
                   _largest("display-bounds", breach, tol, witness=False)]
     return certs

@@ -331,6 +331,16 @@ def test_pointwise_transports_restrict_exactly(target, phi):
     assert all(interval.contains(float(x)) for x in f.values())
 
 
+def test_pointwise_real_line_carries_a_value_whose_arctan_is_half_pi():
+    # arctan(1e16) rounds to fl(pi/2), which the tan transport used to
+    # refuse, so the default target of extend-pointwise failed at 1e16
+    A = Subset(MetricSpace.from_grid(0, 4, 1), [0])
+    f = pointwise_extend_to_interval(A, [1e16], PointwiseWitness({0: 1.0}),
+                                     Interval.real_line())
+    v = f.values()
+    assert v[0] == 1e16 and np.isfinite(v).all() and v[-1] == 0.0
+
+
 def test_pointwise_real_line_with_large_values_is_not_refused():
     # the output's own slopes, rounded at 1e7, used to fail their own
     # check on this request by more than tol

@@ -17,8 +17,8 @@ from lipkit import (Coordinate, CoverError, CozeroCover, DomainError,
                     MetricSpace, PartitionOfUnity, PointwiseWitness,
                     PreconditionError, Series, Subset, Tabulated,
                     Transported, extend_to_interval, mcshane_envelopes,
-                    nonexpansive_split, select, staircase_partial_sum,
-                    verdicts)
+                    nonexpansive_split, pointwise_envelopes, select,
+                    staircase_partial_sum, verdicts)
 from lipkit.cli import main
 from lipkit.io import field_from_tree, load_cover
 
@@ -39,9 +39,22 @@ def raises(call, error, message):
 @pytest.mark.parametrize("call, message", [
     (lambda: mcshane_envelopes(Subset(GRID, [0]), [1.0, 2.0], 1.0),
      "need 1 values on the subset, got shape (2,)"),
-], ids=["values-not-aligned-with-A"])
+    (lambda: pointwise_envelopes(
+        Subset(GRID, [0, 1]), [0.0, 1.0 + 2.0 ** -29],
+        PointwiseWitness({0: 1.0, 1: 1.0}), tol=2.0 ** -30),
+     "phi is not 1.0-Lipschitz on A: excess 1.863e-09 at pair (0, 1)"),
+], ids=["values-not-aligned-with-A", "per-point-constants"])
 def test_certify_refusals(call, message):
     raises(call, PreconditionError, message)
+
+
+def test_the_compatibility_rule_passes_an_excess_of_exactly_tol():
+    """|phi_0 - phi_1| - min(L_0, L_1) d = 2^-30 = tol passes."""
+    A = Subset(GRID, [0, 1])
+    pair = pointwise_envelopes(A, [0.0, 1.0 + 2.0 ** -30],
+                               PointwiseWitness({0: 1.0, 1: 1.0}),
+                               tol=2.0 ** -30)
+    assert pair.lower.values().tolist() == [0.0, 1.0 + 2.0 ** -30, 2.0 ** -30]
 
 
 @pytest.mark.parametrize("call, message", [

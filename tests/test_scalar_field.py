@@ -290,6 +290,17 @@ def test_tan_transport_refusal_prints_a_plain_float():
                               "point 2 has 2.0")
 
 
+def test_tan_transport_accepts_the_float_nearest_half_pi():
+    """fl(pi/2) lies below pi/2 and has a finite tan; the next float up
+    lies above it, where tan changes sign."""
+    half = math.pi / 2.0
+    out = Transported("tan", Tabulated(grid(), [half, -half, 0.0, 0.0, 0.0]))
+    assert out.values()[:2].tolist() == [math.tan(half), -math.tan(half)]
+    above = math.nextafter(half, math.inf)
+    with pytest.raises(DomainError, match="point 1 has -1.5707963267948968$"):
+        Transported("tan", Tabulated(grid(), [half, -above, 0.0, 0.0, 0.0]))
+
+
 def test_reciprocal_transport_refusal_prints_a_plain_float():
     with pytest.raises(DomainError) as err:
         Transported("reciprocal", DistanceTo(grid(), [0]))
