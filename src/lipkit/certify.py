@@ -11,6 +11,7 @@ failure is reproducible by hand.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,6 +197,14 @@ def random_k_extension(A: Subset, phi, K: float, seed: int = 0,
     prefix, bit for bit.  The uniforms come from one rng.random call,
     and a + (b - a) u is the value rng.uniform(a, b) draws.
 
+    An interval past the float range with a finite end is bounded in
+    exact arithmetic: that end comes from a constraint whose K d is
+    finite, so the other end's overflow is a rounding.  Its floats
+    [max(a, -max float), min(b, max float)] take the same draw on
+    halves, 2 (a/2 + (b/2 - a/2) u), which no width overflows (it is
+    a + (b - a) u bit for bit wherever halving is exact).  An interval
+    with no finite end, or a NaN end, is refused.
+
     A tail update that a later sample provably dominates is skipped.
     The latest assigned sample x waits as one pending constraint per
     side, which the next sample y reads as a scalar from the stored
@@ -277,11 +286,17 @@ def random_k_extension(A: Subset, phi, K: float, seed: int = 0,
                 value = a
             else:
                 width = b - a
-                if not math.isfinite(width):
+                if math.isfinite(width):
+                    value = a + width * u[k]
+                elif width == math.inf and (math.isfinite(a)
+                                            or math.isfinite(b)):
+                    top = sys.float_info.max
+                    a, b = max(a, -top), min(b, top)
+                    value = 2.0 * (a / 2.0 + (b / 2.0 - a / 2.0) * u[k])
+                else:
                     raise PreconditionError(
                         f"feasible interval at point {p} is not finite: "
                         f"[{a}, {b}]", witness=p)
-                value = a + width * u[k]
                 k += 1
             out[p] = value
             # into the tail after p go the pending sample's sides that p

@@ -10,10 +10,10 @@ every K-Lipschitz extension is sandwiched between them.  The same
 formulas accept a per-point constant L_x >= 1 in place of K when the
 pair compatibility |phi(x)-phi(y)| <= min(L_x, L_y) d(x, y) holds.
 
-Interval codomains: a bounded target clamps the envelopes and averages
-them, landing strictly inside the interval away from A; an unbounded
-target is handled by the one-sided envelope (global constant) or by a
-monotone transport into a bounded interval (per-point constants).
+Interval codomains, one rule for both constants: a bounded target
+clamps the envelopes and averages them, landing strictly inside the
+interval away from A; a target bounded on one side only takes the
+envelope that stays on the side of its finite end.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import numpy as np
 from . import _pairs
 from .errors import PreconditionError
 from .metric_space import _DEFAULT_TOL, Subset
-from .scalar_field import (Constant, Interval, ScalarField, Tabulated,
-                           Transported)
+from .scalar_field import Interval, ScalarField, Tabulated
 from .certify import (_as_values_on, _k_lipschitz_values_on,
                       _require_compatible)
 
@@ -100,12 +99,17 @@ def duality_check(A: Subset, phi, K: float, tol: float = _DEFAULT_TOL) -> Dualit
     """lower[phi] against -upper[-phi], and upper[phi] against
     -lower[-phi].  These agree exactly, not within tolerance: negation
     is exact and both scans round the same expressions.  Negation also
-    leaves every pair excess unchanged, so -phi is not checked again."""
+    leaves every pair excess unchanged, so -phi is not checked again.
+    Equal and opposite infinities, where K d passes the float range,
+    match; a NaN does not."""
     pair = mcshane_envelopes(A, phi, K, tol)
     flipped = _envelope_pair(A, -pair.phi_values, pair.constants)
-    d1 = pair.lower.values() + flipped.upper.values()
-    d2 = pair.upper.values() + flipped.lower.values()
-    gap = np.maximum(np.abs(d1), np.abs(d2))
+    gap = np.zeros(A.space.n)
+    for x, y in ((pair.lower.values(), flipped.upper.values()),
+                 (pair.upper.values(), flipped.lower.values())):
+        with np.errstate(invalid="ignore"):     # inf - inf, where x == -y
+            d = np.abs(x + y)
+        gap = np.maximum(gap, np.where(x == -y, 0.0, d))
     worst = int(np.argmax(gap))
     m = float(gap[worst])
     return DualityReport(m == 0.0, m, worst if m > 0 else None)
@@ -222,50 +226,20 @@ def generate_pointwise_witness(f: ScalarField) -> PointwiseWitness:
 def pointwise_extend_to_interval(A: Subset, phi, witness: PointwiseWitness,
                                  interval: Interval,
                                  tol: float = _DEFAULT_TOL) -> ScalarField:
-    """Extension with per-point constants into an arbitrary interval.
+    """Extension with per-point constants into an arbitrary interval,
+    by the target rule of extend_to_interval (see _into_interval).
 
-    Bounded targets reuse the clamp-and-average construction.  The whole
-    line goes through arctan: compress phi, extend inside
-    (-pi/2, pi/2), map back with tan.  A half-line target is shifted so
-    the finite endpoint becomes 1, inverted into (0, 1] by the
-    reciprocal transport, extended there, and inverted back; an upper
-    half-line is reflected first, and a value whose distance to the
-    finite end overflows is refused.  All three transports preserve the
-    witness because they are nonexpansive on the relevant ranges.  The
-    output carries phi on A verbatim.
+    The one-sided envelopes hold for per-point constants too: pair
+    compatibility and the triangle inequality put the upper envelope at
+    or above phi(a) - L_a d(., a) for every anchor a, and each term
+    phi(b) + L_b d(., b) rounds to at least phi(b), so the upper
+    envelope never falls below min phi and stays inside an open or
+    closed lower end with no tolerance; the lower envelope is the
+    mirror case.  The output carries its own exhaustive witness as
+    .pointwise_witness.
     """
     vals = _as_values_on(A, phi, interval)
     _require_closed(A)
-
-    if interval.is_bounded:
-        pair = pointwise_envelopes(A, vals, witness, tol)
-        out = _into_interval(pair, interval)
-    elif interval.is_real_line:
-        pair = pointwise_envelopes(A, np.arctan(vals), witness, tol)
-        out = Transported("tan", _into_interval(
-            pair, Interval.open(-math.pi / 2.0, math.pi / 2.0)))
-    else:
-        # s = -1 reflects an upper half-line onto [-hi, inf)
-        s = 1.0 if interval.bounded_below else -1.0
-        shift = (interval.lo if s > 0 else -interval.hi) - 1.0
-        with np.errstate(over="ignore"):
-            gap = s * vals - shift      # at least 1; inf past the float range
-        far = np.flatnonzero(np.isinf(gap))
-        if far.size:
-            x = int(A.members[far[0]])
-            raise PreconditionError(
-                f"phi({x}) = {float(vals[far[0]])!r} lies more than the "
-                f"largest float from the end of {interval}", witness=x)
-        inverted = 1.0 / gap     # lands in (0, 1]
-        pair = pointwise_envelopes(A, inverted, witness, tol)
-        g = _into_interval(pair, Interval(0.0, 1.0, True, False))
-        out = Constant(A.space, s) * (Transported("reciprocal", g)
-                                      + Constant(A.space, shift))
-    # a transport round trip such as tan(arctan(v)) can miss v
-    values = out.values().copy()
-    values[A.members] = vals
-    out = Tabulated(A.space, values)
-    out.envelopes = pair
+    out = _into_interval(pointwise_envelopes(A, vals, witness, tol), interval)
     out.pointwise_witness = generate_pointwise_witness(out)
     return out
-

@@ -111,19 +111,26 @@ def certify_extend(A, vals, K, interval, out, tol=_DEFAULT_TOL,
         c.details["field"] = name
         certs.append(c)
     rep = duality_check(A, vals, K, tol)
+    with np.errstate(over="ignore"):    # -inf past the float range
+        order = lower - upper
     certs += [_restriction_cert(v, A, vals, tol),
-              _largest("ordering", lower - upper, tol),
+              _largest("ordering", order, tol),
               Certificate("duality", rep.exact, rep.max_abs_diff, 0.0,
                           None if rep.exact else (rep.witness,))]
     for i in range(3):
         g = random_k_extension(A, vals, K, seed=seed + i, tol=tol).values()
-        certs.append(_largest("sandwich", np.maximum(lower - g, g - upper),
-                              tol, witness=False, details={"draw": i}))
+        with np.errstate(over="ignore"):
+            outside = np.maximum(lower - g, g - upper)
+        certs.append(_largest("sandwich", outside, tol, witness=False,
+                              details={"draw": i}))
     if interval.is_bounded:
         certs.append(_containment_cert(v, interval, tol))
         dA = DistanceTo(A.space, A.members).values()
-        with np.errstate(over="ignore"):    # inf past the float range
-            need = np.minimum(K * dA, interval.hi - interval.lo) / 2.0
+        # in halves, as the width may pass the float range; a distance
+        # past it is inf
+        with np.errstate(over="ignore"):
+            need = np.minimum(K / 2.0 * dA,
+                              interval.hi / 2.0 - interval.lo / 2.0)
             margin = np.minimum(v - interval.lo, interval.hi - v)
         rest = A.complement()
         if rest.size:

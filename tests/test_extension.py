@@ -13,6 +13,8 @@ from lipkit import (Constant, DistanceTo, Envelope, Interval,
                     pointwise_extend_to_interval, random_k_extension,
                     select_extend)
 
+from lipkit.verdicts import certify_extend_pointwise
+
 from helpers import make_instance
 
 TOL = 1e-9
@@ -42,6 +44,27 @@ def test_envelopes_of_a_huge_constant_overflow_quietly():
     assert out.envelopes.upper.values().tolist() == upper
     out = extend_to_interval(A, phi, K, Interval.open(-5.0, 5.0))
     assert out.values().tolist() == [0.0, 0.0, 2.0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("interval, far", [
+    (Interval.real_line(), -math.inf), (Interval.at_most(1.0), -math.inf),
+    (Interval.at_least(-1.0), math.inf),
+], ids=["real-line", "upper-half-line", "lower-half-line"])
+def test_pointwise_envelopes_of_a_huge_constant_overflow_quietly(interval,
+                                                                 far):
+    """Per-point constants take the same rule: L d past the float range
+    is +-inf off A, the McShane value in the extended reals, and the
+    output's own witness, NaN between two infinities, fails."""
+    A = Subset(MetricSpace.from_grid(0, 4, 1), [0])
+    out = pointwise_extend_to_interval(A, [0.0], PointwiseWitness({0: 1e308}),
+                                       interval)
+    assert out.values().tolist() == [0.0, math.copysign(1e308, far)] + [far] * 3
+    certs = {c.kind: c for c in
+             certify_extend_pointwise(A, np.array([0.0]), interval, out)}
+    assert certs["restriction"].passed and certs["restriction"].details["exact"]
+    assert not certs["pointwise-witness"].passed
+    assert math.isnan(certs["pointwise-witness"].worst_violation)
 
 
 def test_a_zero_constant_times_an_infinite_distance_is_a_quiet_nan():
@@ -146,6 +169,22 @@ def test_duality_zero_function():
     space, A, _ = fine_grid_instance()
     report = duality_check(A, np.zeros(2), 1.0)
     assert report.exact
+
+
+def test_duality_fails_on_a_nan_envelope():
+    # K = 0 times d = inf is NaN at the far sample, and NaN is no match
+    far = MetricSpace.from_matrix([[0, math.inf], [math.inf, 0]],
+                                  validate=False)
+    report = duality_check(Subset(far, [0]), [0.0], 0.0)
+    assert not report.exact and math.isnan(report.max_abs_diff)
+
+
+@pytest.mark.filterwarnings("error")
+def test_duality_matches_equal_and_opposite_infinities():
+    # K d past the float range: lower[phi] = -inf and -upper[-phi] = -inf
+    A = Subset(MetricSpace.from_grid(0, 4, 1), [0])
+    report = duality_check(A, [0.0], 1e308)
+    assert report.exact and report.max_abs_diff == 0.0
 
 
 def test_duality_random_matrix_space():
@@ -332,13 +371,15 @@ def test_pointwise_transports_restrict_exactly(target, phi):
 
 
 def test_pointwise_real_line_carries_a_value_whose_arctan_is_half_pi():
-    # arctan(1e16) rounds to fl(pi/2), which the tan transport used to
-    # refuse, so the default target of extend-pointwise failed at 1e16
+    # the default target of extend-pointwise takes the lower envelope,
+    # 1e16 - d rounded, within the anchor's rate 1; a transport through
+    # arctan(1e16) = fl(pi/2) and tan came back to 0 at d = 4
     A = Subset(MetricSpace.from_grid(0, 4, 1), [0])
     f = pointwise_extend_to_interval(A, [1e16], PointwiseWitness({0: 1.0}),
                                      Interval.real_line())
-    v = f.values()
-    assert v[0] == 1e16 and np.isfinite(v).all() and v[-1] == 0.0
+    assert f.values().tolist() == [1e16 - d for d in range(5)]
+    assert all(c.passed for c in certify_extend_pointwise(
+        A, np.array([1e16]), Interval.real_line(), f))
 
 
 def test_pointwise_real_line_with_large_values_is_not_refused():

@@ -1,21 +1,26 @@
 """Targets and values that span more than the float range.
 
 The interval I = [-1.7e308, 1.7e308] is finite at both ends, but its
-width, and the sum of two of its values, overflow.  Each construction
-into I, and each certificate of one, runs with no numpy warning: a mean
-whose finite sum overflows is taken as a / 2 + b / 2 there, and a
-certificate's distance past the float range is inf with its sign.
+width, and the sum of two of its values, overflow; so does K d(., A)
+for K = 1e308 off A.  Each construction, and each certificate of one,
+runs with no numpy warning: a mean whose finite sum overflows is taken
+as a / 2 + b / 2 there, a certificate's distance past the float range
+is inf with its sign, and a random draw whose interval overflows draws
+on halves.
 """
 
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from lipkit import (Interval, MetricSpace, PointwiseWitness,
-                    PreconditionError, Subset, Tabulated, decompose,
-                    extend_to_interval, generate_local_witness,
-                    local_extend, pointwise_extend_to_interval)
+                    PreconditionError, Subset, Tabulated, _pairs, decompose,
+                    extend_to_interval, generate_local_witness, local_extend,
+                    mcshane_envelopes, pointwise_extend_to_interval,
+                    random_k_extension)
 from lipkit.verdicts import certify_extend, certify_extend_pointwise
 
 GRID = MetricSpace.from_grid(0, 4, 1)
@@ -74,12 +79,70 @@ def test_local_extend_into_a_wide_target():
     (Interval.at_least(-1.7e308), 1e308),
     (Interval.at_most(1.7e308), -1e308),
 ], ids=["lower-half-line", "upper-half-line"])
-def test_a_half_line_refuses_a_value_it_cannot_invert(interval, phi):
-    """The inversion 1 / (phi - lo + 1) needs the distance to the finite
-    end as a float; past the float range the value is refused by name."""
-    with pytest.raises(PreconditionError) as err:
-        pointwise_extend_to_interval(Subset(GRID, [0]), [phi],
-                                     PointwiseWitness({0: 1.0}), interval)
-    assert str(err.value) == (f"phi(0) = {phi!r} lies more than the largest "
-                              f"float from the end of {interval}")
-    assert err.value.witness == 0
+def test_a_half_line_extends_a_value_past_the_float_range_from_its_end(
+        interval, phi):
+    """phi - lo overflows here; the one-sided envelope never forms it."""
+    A = Subset(GRID, [0])
+    out = pointwise_extend_to_interval(A, [phi], PointwiseWitness({0: 1.0}),
+                                       interval)
+    assert out.values().tolist() == [phi] * 5
+    certs = certify_extend_pointwise(A, np.array([phi]), interval, out)
+    assert all(c.passed for c in certs)
+    assert certs[0].kind == "restriction" and certs[0].details["exact"]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_certify_extend_with_k_d_past_the_float_range(seed):
+    """K d(., A) reaches +-inf off A: duality matches the equal and
+    opposite infinities, a draw takes the floats of an interval whose
+    end or width overflows (the draw of seed 4 lies 1.9e308 from an
+    envelope), and only the envelopes' own slopes, NaN between two
+    infinities, fail."""
+    A, I = Subset(GRID, [0]), Interval.closed(-1, 1)
+    out = extend_to_interval(A, [0.0], 1e308, I)
+    assert out.values().tolist() == [0.0] * 5
+    certs = certify_extend(A, np.array([0.0]), 1e308, I, out, seed=seed)
+    assert [(c.kind, c.passed) for c in certs] == [
+        ("k-lipschitz", False), ("k-lipschitz", False), ("k-lipschitz", True),
+        ("restriction", True), ("ordering", True), ("duality", True),
+        ("sandwich", True), ("sandwich", True), ("sandwich", True),
+        ("containment", True), ("interior-margin", True)]
+    assert [c.details["field"] for c in certs[:3]] == [
+        "envelope_lower", "envelope_upper", "extension"]
+    assert np.isnan([c.worst_violation for c in certs[:2]]).all()
+
+
+def test_a_draw_past_the_float_range_stays_between_the_envelopes():
+    A = Subset(GRID, [0])
+    pair = mcshane_envelopes(A, [0.0], 1e308)
+    for seed in range(8):
+        g = random_k_extension(A, [0.0], 1e308, seed=seed).values()
+        assert np.isfinite(g).all()
+        assert (pair.lower.values() <= g).all()
+        assert (g <= pair.upper.values()).all()
+        assert (np.abs(np.diff(g)) <= 1e308).all()
+
+
+def test_a_draw_refuses_a_nan_end_beside_a_finite_one():
+    # a NaN distance reaches both ends at once, so one end is patched
+    envelope = _pairs.envelope
+
+    def nan_below(space, ids, vals, K, sign):
+        out = envelope(space, ids, vals, K, sign)
+        out[1] = math.nan if sign < 0 else out[1]
+        return out
+
+    with mock.patch.object(_pairs, "envelope", nan_below), pytest.raises(
+            PreconditionError,
+            match=r"^feasible interval at point 1 is not finite: \[nan, "):
+        random_k_extension(Subset(GRID, [0]), [0.0], 1e308)
+
+
+def test_the_interior_margin_of_a_wide_target_is_finite():
+    """min(K d, width) / 2 is taken from halves: the width of WIDE
+    overflows, and with K d past the float range the need was inf."""
+    A = Subset(GRID, [0])
+    out = extend_to_interval(A, [0.0], 1e308, WIDE)
+    margin = {c.kind: c for c in certify_extend(A, np.array([0.0]), 1e308,
+                                                WIDE, out)}["interior-margin"]
+    assert margin.passed and margin.worst_violation == 0.0

@@ -351,17 +351,21 @@ def targets(lo, hi):
 def test_interval_extensions_restrict_exactly_and_stay_inside(seed):
     # McShane-Whitney into any interval holding phi, for Lipschitz and
     # for pointwise Lipschitz phi: the extension agrees with phi on A
-    # exactly and takes its values in the interval
+    # exactly, takes its values in the interval, and keeps each anchor's
+    # rate, |f(x) - phi(a)| <= c_a d(x, a) + tol, with c_a = K or L_a
     rng = np.random.default_rng(seed)
     space, A, phi, K = make_instance(rng, n_max=20)
     W = PointwiseWitness.from_values(
         A, max(K, 1.0) * rng.uniform(1.0, 3.0, len(A)))
+    D_A = space.pairwise()[:, A.members]
     for interval in targets(float(phi.min()), float(phi.max())):
-        for f in (extend_to_interval(A, phi, K, interval),
-                  pointwise_extend_to_interval(A, phi, W, interval)):
-            assert f.values()[A.members].tobytes() == phi.tobytes(), interval
-            assert all(interval.contains(float(x)) for x in f.values()), \
-                interval
+        for f, c in ((extend_to_interval(A, phi, K, interval), K),
+                     (pointwise_extend_to_interval(A, phi, W, interval),
+                      W.aligned(A)[0])):
+            v = f.values()
+            assert v[A.members].tobytes() == phi.tobytes(), interval
+            assert all(interval.contains(float(x)) for x in v), interval
+            assert (np.abs(v[:, None] - phi) <= c * D_A + 1e-9).all(), interval
 
 
 @settings(max_examples=40, deadline=None)
