@@ -60,7 +60,13 @@ max_slopes).  Tiles do not pay on other spaces: on a cloud, spatially
 sorted tiles cost gathers and tiles in sample order skip little.
 
 envelope is the one McShane scan: envelopes, draw bounds, ball tents,
-closedness and d(., S), whose values -0.0 add to any d bit for bit.
+closedness and d(., S), whose values -0.0 add to any d bit for bit.  On
+one sorted axis it reads each sample's two neighbouring anchors only,
+when each anchor provably beats every anchor behind it (see envelope):
+a 1-D L1 distance transform (Felzenszwalb and Huttenlocher, Theory of
+Computing 8, 2012) in O(n) in place of O(|A| n), bit for bit.  Its
+margin, dominance_margin, is the one that random_k_extension's tail
+filter reads.
 
 Every reader of the distances reads pairwise() in the row blocks of
 row_blocks, at most _BLOCK entries each, so none holds a second n x n
@@ -111,21 +117,50 @@ def envelope(space, ids, values, scale, sign):
     -0.0 entry: values - s is -0.0 only for a -0.0 value, and values + s
     only for a -0.0 value and a -0.0 product s, which distances from
     coordinates (never negative or -0.0) and a scale without a sign
-    bit never make."""
+    bit never make.
+
+    On one sorted axis the scan first tries _neighbour_scan, which reads
+    only each sample's two neighbouring anchors, in O(n) in place of
+    O(|A| n).  It runs when the scale is one value K (a scalar, or equal
+    entries, as Envelope passes them), the ids strictly increase, there
+    are at least two, and each pair of consecutive anchors i, i + 1 at
+    stored distance D dominates the other: with t = fl(K D),
+
+        fl(fl(v_i + t) - v_{i+1}) > M  and  fl(fl(v_{i+1} + t) - v_i) > M
+
+    on the min side (sign +1), and the mirror, v - t in place of v + t
+    and both differences negated, on the max side, for the margin
+    M = dominance_margin(space, max |v|, |K|); otherwise the dense scan
+    runs.  Why no bit moves: the exact distances of one axis add, so at
+    every sample x at or past anchor i + 1 the exact terms differ by the
+    same gap, (v_i + K d(x, a_i)) - (v_{i+1} + K d(x, a_{i+1})) =
+    v_i + K d(a_i, a_{i+1}) - v_{i+1}.  The test reads that gap at
+    x = a_{i+1} in floats, and M covers three roundings of a term with
+    room (the bound of certify.random_k_extension, with max |v| in
+    place of its L), so anchor i's term is strictly above anchor
+    i + 1's in floats at every such x; chained, so is every anchor's
+    before it, and the mirror test does the same after anchor i.  A
+    strictly dominated term is never what min returns, so leaving it
+    out changes no value, no NaN and no zero's sign.  M is finite only
+    for finite values, coordinates and K, so the neighbour scan meets
+    no NaN.  K <= 0 never passes: t <= 0 puts the two differences at
+    or below fl(v_i - v_{i+1}) and its negation, and M > 0.  The re-read
+    below runs on the neighbour scan's result as on the dense one."""
     D = space.pairwise()
     cols = D if space.exactly_symmetric() else D.T     # cols[a] = d(., a)
     pick, join = (np.maximum, np.subtract) if sign < 0 else (np.minimum, np.add)
     values = np.asarray(values, dtype=float)
     scale = np.asarray(scale, dtype=float)
-    out = None
     # past the float range: inf; 0 * inf: NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in row_blocks(len(ids), space.n):
-            s = cols[ids[r]]
-            s *= scale[r, None] if scale.ndim else scale
-            join(values[r, None] if values.ndim else values, s, out=s)
-            top = pick.reduce(s, axis=0)
-            out = top if out is None else pick(out, top, out=out)
+        out = _neighbour_scan(space, ids, values, scale, sign, pick, join)
+        if out is None:
+            for r in row_blocks(len(ids), space.n):
+                s = cols[ids[r]]
+                s *= scale[r, None] if scale.ndim else scale
+                join(values[r, None] if values.ndim else values, s, out=s)
+                top = pick.reduce(s, axis=0)
+                out = top if out is None else pick(out, top, out=out)
         again = np.isnan(out)
         if (sign < 0 or space.coords is None or np.signbit(scale).any()) and (
                 np.signbit(values[values == 0]).any()):
@@ -139,6 +174,56 @@ def envelope(space, ids, values, scale, sign):
                     out[r][redo] = pick.reduce(join(values, s, out=s),
                                                axis=1)[redo]
     return out
+
+
+def _neighbour_scan(space, ids, values, scale, sign, pick, join):
+    """envelope's scan from each sample's two neighbouring anchors, or
+    None unless its test passes (see envelope), under the caller's
+    errstate.  Sample x reads the last anchor at or before it and the
+    next one, the first two before the first anchor and the last two
+    after the last: one of them is its nearest anchor on each side, and
+    the other is either that or dominated."""
+    m = len(ids)
+    if not (m >= 2 and sorted_axis(space) and (ids[1:] > ids[:-1]).all()
+            and (scale.ndim == 0 or (scale == scale[0]).all())):
+        return None
+    K = float(scale.flat[0])
+    v = np.broadcast_to(values, (m,))
+    margin = dominance_margin(space, float(np.abs(v).max()), abs(K))
+    if margin == math.inf:
+        return None
+    D = space.pairwise()
+    t = D[ids[:-1], ids[1:]] * K
+    if not ((sign * (join(v[:-1], t) - v[1:]) > margin).all()
+            and (sign * (join(v[1:], t) - v[:-1]) > margin).all()):
+        return None
+    x = np.arange(space.n)
+    i = np.searchsorted(ids, x, side="right")
+    i -= 1
+    np.clip(i, 0, m - 2, out=i)
+    out = D[ids[i], x] * K
+    join(v[i], out, out=out)
+    i += 1
+    s = D[ids[i], x] * K
+    return pick(out, join(v[i], s, out=s), out=out)
+
+
+def dominance_margin(space, size, K):
+    """The margin M of the sorted-axis dominance tests, envelope's and
+    certify.random_k_extension's, for values of magnitude at most size
+    and a constant K >= 0: M = 2^-47 (size + K diam) + 2^-534 K +
+    2^-1070, with diam = D(0, n - 1), the largest stored distance on a
+    sorted axis.  M is at least three times the rounding bound of a
+    term fl(v +- fl(K D)), with room; the derivation is
+    random_k_extension's.  M = inf off a sorted axis, and when
+    size + K diam is not at most 2^1000 (no term then overflows), a NaN
+    or infinite one included."""
+    if not sorted_axis(space):
+        return math.inf
+    scale = size + K * space.pairwise().item(0, space.n - 1)
+    if not scale <= 2.0 ** 1000:
+        return math.inf
+    return scale * 2.0 ** -47 + K * 2.0 ** -534 + 2.0 ** -1070
 
 
 def pair_blocks(space, m, ids=None, symmetric=True):

@@ -188,8 +188,9 @@ def random_k_extension(A: Subset, phi, K: float, seed: int = 0,
     whenever phi is K-Lipschitz on A; that is checked first.
 
     Both interval ends are kept for every point at once: set from A by
-    two O(|A| n) McShane scans (_pairs.envelope), then tightened by
-    vector work on the samples after an assigned one.  d(x, q) is read
+    two McShane scans (_pairs.envelope: O(|A| n), or O(n) by its
+    neighbour scan on a sorted axis), then tightened by vector work on
+    the samples after an assigned one.  d(x, q) is read
     from the space's cached pairwise() matrix, the one the precheck sweeps,
     as a row when the distances are exactly symmetric, so the draw
     allocates no n x n or |A| x n array of its own.  max and min are
@@ -232,11 +233,13 @@ def random_k_extension(A: Subset, phi, K: float, seed: int = 0,
 
         c_y(w) - c_x(w) >= v_y - a_y - 3e > M / (1 + u) - 3e >= 0
 
-    for M = 2^-47 (L + K diam) + 2^-534 K + 2^-1070, which is at least
-    3 (1 + u) e with room for its own rounding.  So x's constraint lies
-    strictly below y's at every later sample, and the running maximum
-    of the tail update, which keeps its last largest operand, never
-    returns it: leaving it out moves no bit, even of a zero's sign.
+    for M = 2^-47 (L + K diam) + 2^-534 K + 2^-1070
+    (_pairs.dominance_margin, which _pairs.envelope's neighbour test
+    reads too), which is at least 3 (1 + u) e with room for its own
+    rounding.  So x's constraint lies strictly below y's at every later
+    sample, and the running maximum of the tail update, which keeps its
+    last largest operand, never returns it: leaving it out moves no
+    bit, even of a zero's sign.
     The upper side is the mirror image.  Off a sorted axis M = inf, and
     so when L + K diam is not at most 2^1000 (no constraint then
     overflows), a NaN or infinite bound included: every side then
@@ -322,14 +325,9 @@ def random_k_extension(A: Subset, phi, K: float, seed: int = 0,
 
 def _dominance_margin(space, lo, hi, K: float) -> float:
     """The margin M of random_k_extension for the starting bounds lo and
-    hi: inf off a sorted axis, or when L + K diam is past 2^1000."""
-    if not _pairs.sorted_axis(space):
-        return math.inf
-    scale = (float(np.abs(lo).max()) + float(np.abs(hi).max())
-             + K * space.pairwise().item(0, space.n - 1))
-    if not scale <= 2.0 ** 1000:
-        return math.inf
-    return scale * 2.0 ** -47 + K * 2.0 ** -534 + 2.0 ** -1070
+    hi: _pairs.dominance_margin for L = max |lo| + max |hi|."""
+    return _pairs.dominance_margin(
+        space, float(np.abs(lo).max()) + float(np.abs(hi).max()), K)
 
 
 def feasible_interval(space: MetricSpace, assigned_ids, assigned_values,

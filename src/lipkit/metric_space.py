@@ -133,7 +133,7 @@ def _validate_matrix(D: np.ndarray, tol: float, triangle: str,
     return report
 
 
-def _coord_dist(x: np.ndarray, rows) -> np.ndarray:
+def _coord_dist(x: np.ndarray, rows, absolute: bool = False) -> np.ndarray:
     """Euclidean distances from x[rows] to every point of x: squared
     axis differences summed in axis order, then the root.  dist,
     dist_row and pairwise all use it, so a pair gets one float from
@@ -141,7 +141,11 @@ def _coord_dist(x: np.ndarray, rows) -> np.ndarray:
     coordinate gives NaN (inf - inf) and a square past the float range
     gives inf, both quietly; validation flags them.  The output is
     filled in the row blocks of _pairs.row_blocks, with one scratch
-    block for the later axes, so it is the only n-wide array made."""
+    block for the later axes, so it is the only n-wide array made.
+
+    absolute, which MetricSpace passes when _abs_is_root(x) holds, fills
+    |x_p - x_q| instead, one pass where the root takes three: the same
+    floats, as _abs_is_root says why."""
     xr, k = x[rows], x.shape[1]
     out = np.empty((len(xr), len(x)))
     blocks = _pairs.row_blocks(len(xr), len(x))
@@ -150,6 +154,9 @@ def _coord_dist(x: np.ndarray, rows) -> np.ndarray:
         for r in blocks:
             sq = out[r]
             np.subtract(xr[r, 0, None], x[None, :, 0], out=sq)
+            if absolute:
+                np.abs(sq, out=sq)
+                continue
             sq *= sq
             for j in range(1, k):
                 t = scratch[:len(sq)]
@@ -158,6 +165,25 @@ def _coord_dist(x: np.ndarray, rows) -> np.ndarray:
                 sq += t
             np.sqrt(sq, out=sq)
     return out
+
+
+def _abs_is_root(x: np.ndarray) -> bool:
+    """Whether |x_p - x_q| is _coord_dist's root bit for bit at every
+    pair: one axis of finite coordinates whose span fl(max - min) is
+    below 2^511 and whose least positive gap between sorted coordinates
+    is at least 2^-511.  Rounding is monotone, so every difference
+    d = fl(x_p - x_q) is then 0 or has 2^-511 <= |d| < 2^511, and d * d
+    rounds in the normal range, where sqrt(fl(d * d)) = |d| in binary
+    floating point with round-to-nearest; a zero d gives +0.0 both
+    ways.  Past these bounds the square underflows or overflows, and the
+    root, 0 or inf there, is kept."""
+    if x.shape[1] != 1 or not np.isfinite(x).all():
+        return False
+    s = np.sort(x[:, 0])
+    if not float(s[-1]) - float(s[0]) < 2.0 ** 511:
+        return False    # so no gap below overflows
+    gap = np.diff(s)
+    return bool(np.min(gap, where=gap > 0, initial=np.inf) >= 2.0 ** -511)
 
 
 def _shortest_paths(n: int, u, v, w) -> np.ndarray:
@@ -246,6 +272,7 @@ class MetricSpace:
             self._matrix.setflags(write=False)      # the space's own
         self._symmetric = None
         self._min_positive = None
+        self._absolute = None
         if self.n < 1:
             raise InputError("a metric space needs at least one point")
         if validate:
@@ -321,22 +348,30 @@ class MetricSpace:
         p, q = _pairs.sample_id(p, self.n), _pairs.sample_id(q, self.n)
         if self._matrix is not None:
             return float(self._matrix[p, q])
-        return float(_coord_dist(self.coords[[p, q]], [0])[0, 1])
+        return float(_coord_dist(self.coords[[p, q]], [0],
+                                 self._abs_distances())[0, 1])
 
     def dist_row(self, p: int) -> np.ndarray:
         """Distances from the sample p to every point, computed on demand."""
         p = _pairs.sample_id(p, self.n)
         if self._matrix is not None:
             return self._matrix[p].copy()
-        return _coord_dist(self.coords, [p])[0]
+        return _coord_dist(self.coords, [p], self._abs_distances())[0]
 
     def pairwise(self) -> np.ndarray:
         """Full distance matrix, read-only and C-contiguous, cached after
         the first request."""
         if self._matrix is None:
-            self._matrix = _coord_dist(self.coords, slice(None))
+            self._matrix = _coord_dist(self.coords, slice(None),
+                                       self._abs_distances())
             self._matrix.setflags(write=False)
         return self._matrix
+
+    def _abs_distances(self) -> bool:
+        """_abs_is_root of the coordinates, decided once per space."""
+        if self._absolute is None:
+            self._absolute = _abs_is_root(self.coords)
+        return self._absolute
 
     def ball(self, center: int, radius: float) -> np.ndarray:
         """Sorted ids strictly within radius of the center (open ball),

@@ -733,3 +733,33 @@ def ref_save_wide_csv(path, names, columns):
         lines.append(str(p) + "," + ",".join(repr(float(c[p])) for c in columns))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Plain references of the one-axis shortcuts
+
+
+def ref_column_scan(D, ids, values, scale, sign):
+    """_pairs.envelope as the column scan: D[r, ids] scaled and reduced
+    along its rows, row block r by row block."""
+    out = np.empty(len(D))
+    pick, join = ((np.maximum, np.subtract) if sign < 0
+                  else (np.minimum, np.add))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in _pairs.row_blocks(len(D), len(ids)):
+            s = D[r, ids]
+            s *= scale
+            pick.reduce(join(values, s, out=s), axis=1, out=out[r])
+    return out
+
+
+def ref_root_dist(x):
+    """Euclidean distances of the points x, shape (n, k), on whole
+    matrices: the squared axis differences summed in axis order, then
+    the root."""
+    sq = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in x.T:
+            d = a[:, None] - a[None, :]
+            sq = d * d if sq is None else sq + d * d
+        return np.sqrt(sq)

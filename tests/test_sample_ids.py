@@ -177,3 +177,12 @@ def test_a_list_without_bools_reads_as_its_array():
     assert np.array_equal(got, _pairs.sample_ids(np.array(pairs), 5, "x",
                                                  width=2))
     assert _pairs.sample_ids([np.int64(2), 3.0, 4], 5, "x").tolist() == [2, 3, 4]
+
+
+def test_an_entry_point_of_exactly_2_to_the_63_is_refused():
+    # 2^63 is a float but no int64: the range is read on the floats as a
+    # magnitude below 2^63
+    with pytest.raises(InputError, match=re.escape(
+            "entry point 9.223372036854776e+18 at position 0 lies outside "
+            "the int64 range")):
+        LocalWitness.from_triples([(2.0 ** 63, 1.0, 1.0)])

@@ -1,6 +1,6 @@
 """Mutation check of the verdict rules: flip each comparison of
-src/lipkit/verdicts.py and src/lipkit/certify.py and see whether the
-tier-1 suite notices.
+src/lipkit/verdicts.py, src/lipkit/certify.py and src/lipkit/_pairs.py
+and see whether the tier-1 suite notices.
 
     python tools/mutate.py --list   # the mutants, no test run
     python tools/mutate.py          # run them all
@@ -36,7 +36,7 @@ import time
 import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TARGETS = ("verdicts.py", "certify.py")
+TARGETS = ("verdicts.py", "certify.py", "_pairs.py")
 FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"),
          ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
 TIMEOUT_S = 600     # a mutant that makes a loop run on is killed by it
@@ -71,9 +71,36 @@ EQUIVALENT = {
     "certify.py:random_k_extension:b - value <= margin:<":
         "the margin boundary: M is at least 3 (1 + u) times the rounding "
         "bound, with room, so dropping a side at b - v = M is exact too",
-    "certify.py:_dominance_margin:scale <= 2.0 ** 1000:<":
-        "M = inf at exactly 2^1000 applies every side at once, as off a "
-        "sorted axis, and moves no bit",
+    "_pairs.py:envelope:sign < 0:<=":
+        "sign is -1 or +1 (Envelope refuses any other, and the internal "
+        "callers pass one of them), so sign < 0 and sign <= 0 agree",
+    "_pairs.py:envelope:sign < 0:<=#2":
+        "sign is -1 or +1, so sign < 0 and sign <= 0 agree",
+    "_pairs.py:sample_id:0 <= p < n:<":
+        "a fast path: p = 0 then takes sample_ids' checked path, which "
+        "returns the same 0",
+    "_pairs.py:_walk:bound <= top:<":
+        "a tile whose finite bound equals the row's maximum holds no "
+        "slope above it and no NaN, so reading it moves no bit",
+    "_pairs.py:ball_members:count + k > cap:>=":
+        "where groups are cut: a group flushed when exactly full holds "
+        "the same whole balls, and every reader folds groups in order",
+    "_pairs.py:ball_members:k > cap:>=":
+        "where groups are cut: a row block of exactly cap members yields "
+        "the same whole balls as a group of its own",
+    "_pairs.py:dominance_margin:scale <= 2.0 ** 1000:<":
+        "M = inf at exactly 2^1000 applies every side of a draw at once "
+        "and runs the dense McShane scan, as off a sorted axis, and moves "
+        "no bit",
+    "_pairs.py:_neighbour_scan:ids[1:] > ids[:-1]:>=":
+        "equal ids sit at distance 0, where t = 0 makes the two dominance "
+        "differences opposite, so the neighbour test fails either way",
+    "_pairs.py:_neighbour_scan:sign * (join(v[:-1], t) - v[1:]) > margin:>=":
+        "the margin boundary: M is at least 3 (1 + u) times the rounding "
+        "bound, with room, so a difference of exactly M dominates too",
+    "_pairs.py:_neighbour_scan:sign * (join(v[1:], t) - v[:-1]) > margin:>=":
+        "the margin boundary: M is at least 3 (1 + u) times the rounding "
+        "bound, with room, so a difference of exactly M dominates too",
 }
 
 

@@ -10,6 +10,11 @@ equal: run it in each and diff the two lists.  The digest set:
     writes, and its exit status (a line "exit <status> <command>"), for
     seeds 1 and 2, on the inputs of perfbench/inputs.write_cli_inputs
     and with the argv of perfbench/workloads.py;
+  * the arrays of the benchmark's lib-grid1d workload for seeds 1 and
+    2, through the library: the envelopes, the extension and the three
+    random draws of extend, the envelopes, output and witness constants
+    of extend-pointwise, the member values of both pou families, and the
+    levels of both modulus rules;
   * the files and the standard output of the four `lipkit demo`
     fixtures;
   * the standard output of each demos/*.py.
@@ -61,6 +66,24 @@ def cli_cloud(seed):
     emit_tree(f"cli-cloud-{seed}", os.path.join(f"cli-cloud-{seed}", "out"))
 
 
+def lib_grid1d(seed):
+    work = workloads.LibGrid1d(lipkit)
+    work.setup(seed, f"lib-grid1d-{seed}")
+    extend, pointwise, pou, modulus = (op.run() for op in work.operations())
+    label = f"lib-grid1d-{seed}"
+    lower, upper, out, _certs, _duality, draws = extend
+    for name, v in [("lower", lower), ("upper", upper),
+                    ("extension", out)] + [(f"draw {i}", g)
+                                           for i, g in enumerate(draws)]:
+        emit(f"{label}/extend {name}", v.tobytes())
+    for name, v in zip(("lower", "upper", "extension", "witness"), pointwise):
+        emit(f"{label}/extend-pointwise {name}", v.tobytes())
+    for name, M in zip(("family", "grouped"), pou[0]):
+        emit(f"{label}/pou {name} members", M.tobytes())
+    for rule, levels, _worst in modulus:
+        emit(f"{label}/modulus {rule} levels", levels.tobytes())
+
+
 def demo_fixtures():
     for fixture in sorted(lipkit.cli._DEMOS):
         out = f"demo-{fixture}"
@@ -87,6 +110,8 @@ def main():
         try:
             for seed in SEEDS:
                 cli_cloud(seed)
+            for seed in SEEDS:
+                lib_grid1d(seed)
             demo_fixtures()
             demo_scripts()
         finally:
